@@ -59,6 +59,7 @@ from .topics import (
     Topic,
     TopicFramework,
     VectorSpace,
+    batch_similarities,
     build_vector_space,
     context_vector,
     cosine,
@@ -103,6 +104,7 @@ __all__ = [
     "load_lexicon",
     "expand_topic_document",
     "build_vector_space",
+    "batch_similarities",
     "context_vector",
     "ngram_vector",
     "cosine",

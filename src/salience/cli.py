@@ -200,7 +200,7 @@ def _cmd_similarity(args) -> int:
     framework = load_framework(args.framework)
     lexicon = load_lexicon(args.lexicon) if args.lexicon else None
     space, topic_vectors = build_vector_space(framework, lexicon)
-    sims = compute_similarities(table, framework, space, topic_vectors, resolve_threads())
+    sims = compute_similarities(table, framework, space, topic_vectors)
     write_similarity_csv(in_dir / "similarity.csv", sims, framework.topic_ids())
     print(f"wrote similarity for {len(sims)} n-grams x {len(framework.topics)} topics")
     return 0

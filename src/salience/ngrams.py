@@ -146,30 +146,28 @@ def build_ngram_table(
         scanned = (scan(task) for task in tasks)
 
     bin_totals = [0] * m
-    acc: dict[NgramKey, tuple[dict[int, int], list[tuple[int, str]]]] = {}
+    acc: dict[NgramKey, list[tuple[int, str]]] = {}
     try:
         for t, instances in scanned:
             bin_totals[t] += len(instances)
             for key, raw in instances:
-                entry = acc.get(key)
-                if entry is None:
-                    entry = acc[key] = ({}, [])
-                by_bin, contexts = entry
-                by_bin[t] = by_bin.get(t, 0) + 1
+                contexts = acc.get(key)
+                if contexts is None:
+                    contexts = acc[key] = []
                 contexts.append((t, raw))
     finally:
         if pool is not None:
             pool.shutdown()
 
+    # Per-bin counts only for the kept n-grams: one instance per context.
     records: dict[NgramKey, NgramRecord] = {}
-    for key, (by_bin, contexts) in acc.items():
-        total = sum(by_bin.values())
-        if total < min_total:
+    for key, contexts in acc.items():
+        if len(contexts) < min_total:
             continue
         counts = [0] * m
-        for t, c in by_bin.items():
-            counts[t] = c
-        records[key] = NgramRecord(key=key, counts=counts, total=total, contexts=contexts)
+        for t, _ in contexts:
+            counts[t] += 1
+        records[key] = NgramRecord(key=key, counts=counts, total=len(contexts), contexts=contexts)
     return NgramTable(n=n, min_total=min_total, bin_totals=bin_totals, records=records)
 
 

@@ -21,7 +21,6 @@ import hashlib
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -54,10 +53,10 @@ from .salience import (
 )
 from .topics import (
     TopicFramework,
+    batch_similarities,
     build_vector_space,
     load_framework,
     load_lexicon,
-    similarity_matrix,
 )
 
 SIM_SCOPES = ("per_topic", "global")
@@ -381,26 +380,17 @@ def compute_similarities(
     framework: TopicFramework,
     space,
     topic_vectors,
-    threads: int = 1,
 ) -> dict[NgramKey, tuple[float, ...]]:
-    """Similarity values for every tabled n-gram, in framework topic order.
-
-    Parallel-safe: per-n-gram work shares no mutable state and results are
-    collected in sorted n-gram order regardless of thread count.
-    """
-    keys = sorted(table.records)
-
-    def one(key: NgramKey) -> tuple[float, ...]:
-        contexts = [s for _, s in table.records[key].contexts]
-        return similarity_matrix(key, contexts, framework, space, topic_vectors).values
-
-    if threads > 1 and len(keys) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunk = max(1, len(keys) // (threads * 8))
-            values = list(pool.map(one, keys, chunksize=chunk))
-    else:
-        values = [one(key) for key in keys]
-    return dict(zip(keys, values))
+    """Similarity values for every tabled n-gram, in framework topic order,
+    scored in one pass by the batch kernel."""
+    keys = table.sorted_keys()
+    values = batch_similarities(
+        space,
+        topic_vectors,
+        framework.topic_ids(),
+        ([s for _, s in table.records[key].contexts] for key in keys),
+    )
+    return dict(zip(keys, map(tuple, values.tolist())))
 
 
 def compute_associations(
@@ -475,7 +465,7 @@ def run_analyze(config: RunConfig) -> dict:
 
         with run.stage("similarity"):
             space, topic_vectors = build_vector_space(framework, lexicon)
-            sims = compute_similarities(table, framework, space, topic_vectors, threads)
+            sims = compute_similarities(table, framework, space, topic_vectors)
             write_similarity_csv(run.target("similarity.csv"), sims, framework.topic_ids())
 
         with run.stage("associate"):

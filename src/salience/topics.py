@@ -4,6 +4,11 @@ Each topic contributes one expanded document (definition + keywords + ground
 truth + lexicon synonyms). The TF-IDF space is built over those topic
 documents only, so idf discounts vocabulary common across topics. Vector
 terms are lowercased unigrams even though n-gram identity preserves case.
+
+`batch_similarities` scores a whole n-gram table in one numpy pass and is
+what `analyze` runs. The scalar path (`SparseVector`, `context_vector`,
+`ngram_vector`, `cosine`, `similarity_matrix`) is kept as the public
+reference oracle the batch kernel is tested against.
 """
 
 from __future__ import annotations
@@ -14,7 +19,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import ConsistencyError, InputError
 from .ngrams import NgramKey, sentences_with_tokens
@@ -230,7 +237,10 @@ def expand_topic_document(topic: Topic, lexicon: Mapping[str, list[str]] | None 
 
 @dataclass(frozen=True)
 class SparseVector:
-    """Non-negative sparse vector with strictly increasing term indices."""
+    """Non-negative sparse vector with strictly increasing term indices.
+
+    Part of the scalar reference path; `analyze` no longer calls it.
+    """
 
     indices: tuple[int, ...]
     weights: tuple[float, ...]
@@ -334,12 +344,18 @@ def build_vector_space(
 
 
 def context_vector(space: VectorSpace, context: str) -> SparseVector:
-    """TF-IDF vector of a context string; out-of-vocabulary terms drop out."""
+    """TF-IDF vector of a context string; out-of-vocabulary terms drop out.
+
+    Scalar reference oracle; `analyze` uses `batch_similarities` instead.
+    """
     return _tfidf_vector(space, _lower_tokens(context))
 
 
 def ngram_vector(space: VectorSpace, contexts: Sequence[str]) -> SparseVector:
-    """Component-wise mean of the raw (unnormalized) context vectors."""
+    """Component-wise mean of the raw (unnormalized) context vectors.
+
+    Scalar reference oracle; `analyze` uses `batch_similarities` instead.
+    """
     if not contexts:
         raise ConsistencyError("n-gram with no contexts: every tabled n-gram has instances")
     sums: dict[int, float] = {}
@@ -353,7 +369,10 @@ def ngram_vector(space: VectorSpace, contexts: Sequence[str]) -> SparseVector:
 
 def cosine(u: SparseVector, v: SparseVector) -> float:
     """Cosine similarity; 0 when either vector has zero norm. Weights are
-    non-negative so the result lies in [0, 1]."""
+    non-negative so the result lies in [0, 1].
+
+    Scalar reference oracle; `analyze` uses `batch_similarities` instead.
+    """
     nu, nv = u.norm(), v.norm()
     if nu == 0.0 or nv == 0.0:
         return 0.0
@@ -387,7 +406,106 @@ def similarity_matrix(
     space: VectorSpace,
     topic_vectors: Mapping[str, SparseVector],
 ) -> SimilarityMatrix:
-    """Score one n-gram against every topic via its averaged context vector."""
+    """Score one n-gram against every topic via its averaged context vector.
+
+    Scalar reference oracle; `analyze` uses `batch_similarities` instead.
+    """
     vec = ngram_vector(space, contexts)
     values = tuple(cosine(vec, topic_vectors[t.id]) for t in framework.topics)
     return SimilarityMatrix(ngram=ngram, framework=framework, values=values)
+
+
+# N-grams scored per block: bounds the per-entry temporaries of the kernel.
+_BLOCK = 4096
+
+
+def batch_similarities(
+    space: VectorSpace,
+    topic_vectors: Mapping[str, SparseVector],
+    topic_ids: Sequence[str],
+    contexts: Iterable[Sequence[str]],
+) -> np.ndarray:
+    """Cosine similarity of many n-grams against every topic, in one pass.
+
+    `contexts` yields each n-gram's context sentences, one entry per
+    instance. Returns an array of shape (n-grams, topics) in the order given.
+
+    Each distinct sentence is tokenized once. An n-gram's row is its exact
+    integer term counts summed over its contexts, divided by their gcd:
+    cosine is scale-invariant, so this scores the same as the mean context
+    vector, and n-grams whose summed counts are proportional get identical
+    rows and bit-equal values whatever their context order. Dot products and
+    norms are reduced in vocabulary-index order, one topic at a time.
+    """
+    # Intern each distinct sentence; every instance becomes a sentence id.
+    sentence_ids: dict[str, int] = {}
+    instances: list[int] = []
+    lengths: list[int] = []
+    for ngram_contexts in contexts:
+        if not ngram_contexts:
+            raise ConsistencyError("n-gram with no contexts: every tabled n-gram has instances")
+        lengths.append(len(ngram_contexts))
+        for sentence in ngram_contexts:
+            sid = sentence_ids.get(sentence)
+            if sid is None:
+                sid = sentence_ids[sentence] = len(sentence_ids)
+            instances.append(sid)
+
+    # Per-sentence vocabulary counts, as a CSR table over sentence ids. Terms
+    # with idf 0 carry no weight in any vector and are left out.
+    column = {term: i for i, term in enumerate(space.vocabulary) if space.idf[term] != 0.0}
+    terms: list[int] = []
+    counts: list[int] = []
+    nnz: list[int] = []
+    for sentence in sentence_ids:
+        found = Counter(column[tok] for tok in _lower_tokens(sentence) if tok in column)
+        nnz.append(len(found))
+        terms.extend(found)
+        counts.extend(found.values())
+    sentence_nnz = np.asarray(nnz, dtype=np.int64)
+    sentence_start = np.cumsum(sentence_nnz) - sentence_nnz
+    sentence_terms = np.asarray(terms, dtype=np.int64)
+    sentence_counts = np.asarray(counts, dtype=np.int64)
+
+    vocab = len(space.vocabulary)
+    idf = np.array([space.idf[term] for term in space.vocabulary])
+    topics = np.zeros((len(topic_ids), vocab))
+    for j, tid in enumerate(topic_ids):
+        topics[j, list(topic_vectors[tid].indices)] = topic_vectors[tid].weights
+    topic_norms = np.array([topic_vectors[tid].norm() for tid in topic_ids])
+
+    sids = np.asarray(instances, dtype=np.int64)
+    ngram_start = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
+    out = np.zeros((len(lengths), len(topic_ids)))
+    for first in range(0, len(lengths), _BLOCK):
+        last = min(first + _BLOCK, len(lengths))
+        block_sids = sids[ngram_start[first] : ngram_start[last]]
+        owner = np.repeat(np.arange(last - first), lengths[first:last])
+        # Expand every instance into its sentence's (term, count) entries.
+        per_instance = sentence_nnz[block_sids]
+        offset = np.cumsum(per_instance) - per_instance
+        entry = np.repeat(sentence_start[block_sids] - offset, per_instance)
+        entry += np.arange(entry.size)
+        if entry.size == 0:
+            continue
+        # Segment-sum by (n-gram, term): rows come out in vocabulary order.
+        keys = np.repeat(owner, per_instance) * vocab + sentence_terms[entry]
+        order = np.argsort(keys)
+        keys = keys[order]
+        cuts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        row_counts = np.add.reduceat(sentence_counts[entry][order], cuts)
+        rows, cols = np.divmod(keys[cuts], vocab)
+        # One segment per n-gram with any vocabulary term.
+        seg = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
+        seg_len = np.diff(seg, append=rows.size)
+        gcd = np.gcd.reduceat(row_counts, seg)
+        weights = (row_counts // np.repeat(gcd, seg_len)) * idf[cols]
+        norms = np.sqrt(np.add.reduceat(weights * weights, seg))
+        scored = out[first:last]
+        present = rows[seg]
+        for j in range(len(topic_ids)):
+            if topic_norms[j] == 0.0:
+                continue
+            dots = np.add.reduceat(weights * topics[j, cols], seg)
+            scored[present, j] = np.clip(dots / (norms * topic_norms[j]), 0.0, 1.0)
+    return out
