@@ -24,13 +24,10 @@ from .ngrams import (
     NgramKey,
     NgramRecord,
     NgramTable,
-    Token,
     build_ngram_table,
     contexts_of,
-    extract_ngrams,
     relative_usage_trend,
     render_ngram,
-    tokenize,
 )
 from .pipeline import RunConfig, run_analyze
 from .render import render_grid_svg, render_matrix_svg, render_trend_svg
@@ -84,12 +81,9 @@ __all__ = [
     "build_binning",
     "bin_documents",
     "analysis_text",
-    "Token",
     "NgramKey",
     "NgramRecord",
     "NgramTable",
-    "tokenize",
-    "extract_ngrams",
     "build_ngram_table",
     "relative_usage_trend",
     "contexts_of",

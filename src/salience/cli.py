@@ -1,10 +1,11 @@
 """Batch command-line interface.
 
-`salience analyze` runs the whole pipeline; the stage subcommands (trends,
-similarity, associate, salience, render) consume the artifacts a previous
-stage left in the output directory, so individual stages can be rerun
-without repeating the rest. Exit codes: 0 success, 1 input error,
-2 internal consistency error.
+`salience analyze` runs the whole pipeline. The stage subcommands (trends,
+similarity, associate, salience) load the artifacts a previous stage left in
+the output directory and call the same stage functions, so individual
+stages can be rerun without repeating the rest; render draws charts from
+the artifacts. Exit codes: 0 success, 1 input error, 2 internal
+consistency error.
 """
 
 from __future__ import annotations
@@ -15,31 +16,25 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .association import relative_std_dev
-from .corpus import bin_documents, build_binning, load_corpus
 from .errors import ConsistencyError, InputError
-from .ngrams import build_ngram_table, relative_usage_trend
 from .pipeline import (
     RunConfig,
-    compute_associations,
-    compute_similarities,
     load_associations_json,
+    load_binned_corpus,
+    load_ngram_trends_csv,
     load_similarity_csv,
     load_table_json,
     load_trend_csv,
-    resolve_threads,
     run_analyze,
-    write_associations_json,
-    write_matrix_json,
-    write_ngram_trends_csv,
-    write_similarity_csv,
-    write_table_json,
-    write_trend_csv,
+    run_associate,
+    run_salience,
+    run_similarity,
+    run_trends,
+    stage_run,
 )
 from .render import render_grid_svg, render_trend_svg
-from .salience import normalize_salience, salience_matrix, topic_salience_trend, topic_usage_trend
 from .synth import corpus_to_jsonl, generate_corpus, load_synth_spec
-from .topics import build_vector_space, load_framework, load_lexicon
+from .topics import load_framework, load_lexicon
 
 
 class _Parser(argparse.ArgumentParser):
@@ -172,54 +167,34 @@ def _truth_path(out: Path) -> Path:
 
 
 def _cmd_trends(args) -> int:
-    threads = resolve_threads()
-    docs = load_corpus(args.corpus)
-    binning = build_binning(docs, args.granularity)
-    corpus = bin_documents(docs, binning)
-    table = build_ngram_table(
-        corpus, args.n, args.min_count, include_titles=args.include_titles, threads=threads
-    )
-    if not table.records:
-        raise InputError(
-            f"no n-gram reached min-count {args.min_count}; lower --min-count"
-        )
-    trends = {
-        key: relative_usage_trend(rec, table.bin_totals) for key, rec in table.records.items()
-    }
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_ngram_trends_csv(out_dir / "ngram_trends.csv", table, trends, binning.labels())
-    write_table_json(out_dir / "ngram_table.json", table, binning, args.include_titles)
+    with stage_run(out_dir, "trends") as run:
+        corpus = load_binned_corpus(Path(args.corpus), args.granularity)
+        table, _ = run_trends(run, corpus, args.n, args.min_count, args.include_titles)
     print(f"wrote {len(table.records)} n-gram trends to {out_dir}")
     return 0
 
 
 def _cmd_similarity(args) -> int:
     in_dir = Path(args.in_dir)
-    table, _, _ = load_table_json(in_dir / "ngram_table.json")
-    framework = load_framework(args.framework)
-    lexicon = load_lexicon(args.lexicon) if args.lexicon else None
-    space, topic_vectors = build_vector_space(framework, lexicon)
-    sims = compute_similarities(table, framework, space, topic_vectors)
-    write_similarity_csv(in_dir / "similarity.csv", sims, framework.topic_ids())
+    with stage_run(in_dir, "similarity") as run:
+        table = load_table_json(in_dir / "ngram_table.json")
+        framework = load_framework(args.framework)
+        lexicon = load_lexicon(args.lexicon) if args.lexicon else None
+        sims = run_similarity(run, table, framework, lexicon)
     print(f"wrote similarity for {len(sims)} n-grams x {len(framework.topics)} topics")
     return 0
 
 
 def _cmd_associate(args) -> int:
     in_dir = Path(args.in_dir)
-    table, _, _ = load_table_json(in_dir / "ngram_table.json")
-    sims_by_topic, topic_order = load_similarity_csv(in_dir / "similarity.csv")
-    trends = {
-        key: relative_usage_trend(rec, table.bin_totals) for key, rec in table.records.items()
-    }
-    rsd = {key: relative_std_dev(trends[key]) for key in table.sorted_keys()}
-    sims = {
-        key: tuple(per_topic[tid] for tid in topic_order)
-        for key, per_topic in sims_by_topic.items()
-    }
-    associations = compute_associations(sims, rsd, topic_order, args.percentile, args.sim_scope)
-    write_associations_json(in_dir / "associations.json", associations)
+    with stage_run(in_dir, "associate") as run:
+        trends, _ = load_ngram_trends_csv(in_dir / "ngram_trends.csv")
+        sims, topic_ids = load_similarity_csv(in_dir / "similarity.csv")
+        associations = run_associate(
+            run, trends, sims, topic_ids, args.percentile, args.sim_scope
+        )
     total = sum(len(a.members) for a in associations.values())
     print(f"wrote associations for {len(associations)} topics ({total} memberships)")
     return 0
@@ -227,42 +202,12 @@ def _cmd_associate(args) -> int:
 
 def _cmd_salience(args) -> int:
     in_dir = Path(args.in_dir)
-    table, binning, _ = load_table_json(in_dir / "ngram_table.json")
-    associations = load_associations_json(in_dir / "associations.json")
-    framework = load_framework(args.framework)
-    missing = [tid for tid in framework.topic_ids() if tid not in associations]
-    if missing:
-        raise InputError(f"associations missing for topics: {', '.join(missing)}")
-    trends = {
-        key: relative_usage_trend(rec, table.bin_totals) for key, rec in table.records.items()
-    }
-    m = binning.bin_count
-    labels = binning.labels()
-    usage = {tid: topic_usage_trend(associations[tid], trends, m) for tid in framework.topic_ids()}
-    sal = {
-        tid: topic_salience_trend(associations[tid], trends, m) for tid in framework.topic_ids()
-    }
-    normalized = normalize_salience([sal[tid] for tid in framework.topic_ids()], args.norm)
-    write_trend_csv(
-        in_dir / "topic_usage.csv",
-        {tid: usage[tid].values for tid in framework.topic_ids()},
-        labels,
-    )
-    write_trend_csv(
-        in_dir / "salience.csv", {tid: sal[tid].values for tid in framework.topic_ids()}, labels
-    )
-    write_trend_csv(
-        in_dir / "salience_normalized.csv",
-        {trend.topic_id: trend.values for trend in normalized},
-        labels,
-    )
-    matrices = in_dir / "matrices"
-    matrices.mkdir(exist_ok=True)
-    for stale in matrices.glob("*.json"):
-        stale.unlink()
-    for t in range(m):
-        write_matrix_json(matrices / f"{labels[t]}.json", salience_matrix(framework, sal, t, labels[t]))
-    print(f"wrote salience trends for {len(framework.topics)} topics over {m} bins")
+    with stage_run(in_dir, "salience") as run:
+        trends, labels = load_ngram_trends_csv(in_dir / "ngram_trends.csv")
+        associations = load_associations_json(in_dir / "associations.json")
+        framework = load_framework(args.framework)
+        run_salience(run, framework, associations, trends, labels, args.norm)
+    print(f"wrote salience trends for {len(framework.topics)} topics over {len(labels)} bins")
     return 0
 
 

@@ -10,9 +10,8 @@ whitespace, and at blank lines; n-gram windows never cross sentences.
 from __future__ import annotations
 
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .corpus import TimeBinnedCorpus, analysis_text
 from .errors import ConsistencyError, InputError
@@ -22,13 +21,6 @@ NgramKey = tuple[str, ...]
 
 _WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
 _BOUNDARY_RE = re.compile(r"(?<=[.!?])\s+|\n\s*\n")
-
-
-@dataclass(frozen=True)
-class Token:
-    surface: str
-    sentence_index: int
-    position: int
 
 
 def sentences_with_tokens(text: str) -> list[tuple[str, list[str]]]:
@@ -44,26 +36,6 @@ def sentences_with_tokens(text: str) -> list[tuple[str, list[str]]]:
         tokens = _WORD_RE.findall(chunk)
         if tokens:
             out.append((chunk.strip(), tokens))
-    return out
-
-
-def tokenize(text: str) -> list[list[Token]]:
-    """Tokenize text into sentences of Tokens (empty text gives an empty list)."""
-    return [
-        [Token(surface, s, i) for i, surface in enumerate(tokens)]
-        for s, (_, tokens) in enumerate(sentences_with_tokens(text))
-    ]
-
-
-def extract_ngrams(sentences: Sequence[Sequence[Token]], n: int) -> list[tuple[NgramKey, int]]:
-    """All contiguous n-token windows per sentence, as (key, sentence index)."""
-    if n < 1:
-        raise InputError("n must be >= 1")
-    out: list[tuple[NgramKey, int]] = []
-    for s, sentence in enumerate(sentences):
-        surfaces = [tok.surface for tok in sentence]
-        for i in range(len(surfaces) - n + 1):
-            out.append((tuple(surfaces[i : i + n]), s))
     return out
 
 
@@ -117,47 +89,24 @@ def build_ngram_table(
     min_total: int = 1,
     *,
     include_titles: bool = True,
-    threads: int = 1,
 ) -> NgramTable:
-    """Build the n-gram table for a binned corpus.
-
-    Per-document scans may run on a thread pool; partial results are merged
-    in document order, so the table is identical for any thread count.
-    """
+    """Build the n-gram table for a binned corpus."""
     if n < 1:
         raise InputError("n must be >= 1")
     if min_total < 1:
         raise InputError("min_total must be >= 1")
 
     m = corpus.binning.bin_count
-    tasks = list(corpus.iter_documents())
-
-    def scan(task):
-        t, doc = task
-        return t, _scan_document(doc, n, include_titles)
-
-    scanned: Iterable[tuple[int, list[tuple[NgramKey, str]]]]
-    if threads > 1 and len(tasks) > 1:
-        pool = ThreadPoolExecutor(max_workers=threads)
-        chunk = max(1, len(tasks) // (threads * 8))
-        scanned = pool.map(scan, tasks, chunksize=chunk)
-    else:
-        pool = None
-        scanned = (scan(task) for task in tasks)
-
     bin_totals = [0] * m
     acc: dict[NgramKey, list[tuple[int, str]]] = {}
-    try:
-        for t, instances in scanned:
-            bin_totals[t] += len(instances)
-            for key, raw in instances:
-                contexts = acc.get(key)
-                if contexts is None:
-                    contexts = acc[key] = []
-                contexts.append((t, raw))
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for t, doc in corpus.iter_documents():
+        instances = _scan_document(doc, n, include_titles)
+        bin_totals[t] += len(instances)
+        for key, raw in instances:
+            contexts = acc.get(key)
+            if contexts is None:
+                contexts = acc[key] = []
+            contexts.append((t, raw))
 
     # Per-bin counts only for the kept n-grams: one instance per context.
     records: dict[NgramKey, NgramRecord] = {}

@@ -1,11 +1,14 @@
 """End-to-end batch pipeline and file-based artifact exchange.
 
-`run_analyze` chains corpus ingestion, n-gram trends, topic similarity,
-bivariate association, and salience into one output directory, with a
-manifest hashing every artifact. Each stage also has a file-backed entry
-point (consume prior artifacts, write the next ones) so stages can be rerun
-individually; `ngram_table.json` is the intermediate that carries counts
-and contexts between stages.
+Each stage is one function: `run_trends`, `run_similarity`, `run_associate`
+and `run_salience` take typed inputs, write their artifacts into the output
+directory and return their outputs. `run_analyze` chains them after corpus
+ingestion and writes a manifest hashing every artifact. A stage subcommand
+loads the artifacts its stage needs (the `load_*` readers invert the
+`write_*` writers) and calls the same function inside `stage_run`, so
+failures name the stage and remove its partial outputs either way.
+`ngram_trends.csv` carries the usage trends to the associate and salience
+stages; `ngram_table.json` carries the contexts to the similarity stage.
 
 All exports are deterministic: rows follow sorted n-gram order and
 framework topic order, floats are rendered as shortest round-trip decimals,
@@ -16,19 +19,22 @@ the manifest's timings.
 from __future__ import annotations
 
 import csv
-import datetime as dt
 import hashlib
+import itertools
 import json
 import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
+from typing import Iterator
 
 from . import __version__
 from .association import Member, TopicAssociation, associate, percentile, relative_std_dev
 from .corpus import (
     GRANULARITIES,
+    TimeBinnedCorpus,
     TimeBinning,
     bin_documents,
     build_binning,
@@ -46,6 +52,7 @@ from .ngrams import (
 )
 from .salience import (
     NORMALIZATIONS,
+    SalienceTrend,
     normalize_salience,
     salience_matrix,
     topic_salience_trend,
@@ -75,7 +82,6 @@ class RunConfig:
     normalization: str = "zscore"
     include_titles: bool = True
     sim_scope: str = "per_topic"
-    threads: int | None = None  # None: honor SALIENCE_THREADS, default 1
 
     def validate(self) -> None:
         if self.n < 1:
@@ -107,24 +113,6 @@ class RunConfig:
         }
 
 
-def resolve_threads(requested: int | None = None) -> int:
-    """Worker-thread cap: explicit argument, else SALIENCE_THREADS, else 1."""
-    if requested is not None:
-        if requested < 1:
-            raise InputError("thread count must be >= 1")
-        return requested
-    raw = os.environ.get("SALIENCE_THREADS")
-    if raw is None or raw == "":
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InputError(f"SALIENCE_THREADS must be a positive integer, got {raw!r}")
-    if value < 1:
-        raise InputError(f"SALIENCE_THREADS must be a positive integer, got {raw!r}")
-    return value
-
-
 def _fmt(x: float) -> str:
     # Shortest decimal that round-trips to the same float.
     return repr(float(x))
@@ -135,6 +123,36 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+@contextmanager
+def _read_csv(path: Path, what: str, stage: str):
+    """Yield a CSV artifact's header and an iterator over its non-blank rows.
+
+    A row whose length differs from the header's, and a ValueError raised
+    while a row is being read (a non-numeric cell), become an InputError
+    naming the file and line.
+    """
+    if not path.is_file():
+        raise InputError(f"{what} not found: {path} (run the {stage} stage first)")
+    with path.open("r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None) or []
+
+        def rows():
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise InputError(
+                        f"{path}: line {reader.line_num}: {len(row)} cells, header has {len(header)}"
+                    )
+                yield row
+
+        try:
+            yield header, rows()
+        except ValueError as exc:
+            raise InputError(f"{path}: line {reader.line_num}: {exc}") from exc
 
 
 def _write_json(path: Path, payload, *, sort_keys: bool = False) -> None:
@@ -164,6 +182,18 @@ def write_ngram_trends_csv(
     _write_csv(path, ["ngram", "total"] + list(bin_labels), rows)
 
 
+def load_ngram_trends_csv(path: Path) -> tuple[dict[NgramKey, list[float]], list[str]]:
+    """Inverse of `write_ngram_trends_csv`: each n-gram's usage trend, in file
+    order, plus the bin labels."""
+    with _read_csv(path, "n-gram trends", "trends") as (header, rows):
+        if header[:2] != ["ngram", "total"]:
+            raise InputError(f"{path}: unexpected header {header[:2]}")
+        trends = {parse_ngram(row[0]): [float(v) for v in row[2:]] for row in rows}
+    if not trends:
+        raise InputError(f"{path}: no n-gram rows")
+    return trends, header[2:]
+
+
 def write_table_json(
     path: Path, table: NgramTable, binning: TimeBinning, include_titles: bool
 ) -> None:
@@ -188,7 +218,8 @@ def write_table_json(
     _write_json(path, payload)
 
 
-def load_table_json(path: Path) -> tuple[NgramTable, TimeBinning, bool]:
+def load_table_json(path: Path) -> NgramTable:
+    """The n-gram table that `write_table_json` wrote (counts and contexts)."""
     if not path.is_file():
         raise InputError(f"n-gram table not found: {path} (run the trends stage first)")
     try:
@@ -196,11 +227,6 @@ def load_table_json(path: Path) -> tuple[NgramTable, TimeBinning, bool]:
     except ValueError as exc:
         raise InputError(f"{path}: malformed JSON: {exc}") from exc
     try:
-        binning = TimeBinning(
-            granularity=payload["granularity"],
-            origin=dt.date.fromisoformat(payload["origin"]),
-            bin_count=len(payload["bin_totals"]),
-        )
         records: dict[NgramKey, NgramRecord] = {}
         for text, entry in payload["ngrams"].items():
             key = parse_ngram(text)
@@ -210,13 +236,12 @@ def load_table_json(path: Path) -> tuple[NgramTable, TimeBinning, bool]:
                 total=sum(entry["counts"]),
                 contexts=[(int(t), s) for t, s in entry["contexts"]],
             )
-        table = NgramTable(
+        return NgramTable(
             n=int(payload["n"]),
             min_total=int(payload["min_total"]),
             bin_totals=list(payload["bin_totals"]),
             records=records,
         )
-        return table, binning, bool(payload["include_titles"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: bad n-gram table payload: {exc}") from exc
 
@@ -230,29 +255,31 @@ def write_similarity_csv(path: Path, sims: dict[NgramKey, tuple[float, ...]], to
     _write_csv(path, ["ngram", "topic_id", "similarity"], rows())
 
 
-def load_similarity_csv(path: Path) -> tuple[dict[NgramKey, dict[str, float]], list[str]]:
-    """Returns per-ngram topic similarity plus topic ids in file order."""
-    if not path.is_file():
-        raise InputError(f"similarity table not found: {path} (run the similarity stage first)")
-    sims: dict[NgramKey, dict[str, float]] = {}
-    topic_order: list[str] = []
-    seen_topics: set[str] = set()
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+def load_similarity_csv(path: Path) -> tuple[dict[NgramKey, tuple[float, ...]], list[str]]:
+    """Inverse of `write_similarity_csv`: each n-gram's similarities in topic
+    order, plus the topic ids. Every n-gram's rows must be contiguous and list
+    the topics in the order of the first n-gram's."""
+    sims: dict[NgramKey, tuple[float, ...]] = {}
+    topic_ids: list[str] = []
+    with _read_csv(path, "similarity table", "similarity") as (header, rows):
         if header != ["ngram", "topic_id", "similarity"]:
             raise InputError(f"{path}: unexpected header {header}")
-        for row in reader:
-            if len(row) != 3:
-                raise InputError(f"{path}: malformed row {row}")
-            key = parse_ngram(row[0])
-            sims.setdefault(key, {})[row[1]] = float(row[2])
-            if row[1] not in seen_topics:
-                seen_topics.add(row[1])
-                topic_order.append(row[1])
+        for text, group in itertools.groupby(rows, key=itemgetter(0)):
+            topics, values = [], []
+            for _, topic_id, value in group:
+                topics.append(topic_id)
+                values.append(float(value))
+            key = parse_ngram(text)
+            if key in sims:
+                raise InputError(f"{path}: rows of n-gram {text!r} are not contiguous")
+            if not topic_ids:
+                topic_ids = topics
+            elif topics != topic_ids:
+                raise InputError(f"{path}: n-gram {text!r} lists topics {topics}, not {topic_ids}")
+            sims[key] = tuple(values)
     if not sims:
         raise InputError(f"{path}: no similarity rows")
-    return sims, topic_order
+    return sims, topic_ids
 
 
 def write_associations_json(path: Path, associations: dict[str, TopicAssociation]) -> None:
@@ -303,16 +330,12 @@ def write_trend_csv(path: Path, rows: dict[str, list[float]], bin_labels: list[s
 
 
 def load_trend_csv(path: Path) -> tuple[dict[str, list[float]], list[str]]:
-    if not path.is_file():
-        raise InputError(f"trend table not found: {path} (run the salience stage first)")
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "topic_id":
+    """Inverse of `write_trend_csv`: per-topic values plus the bin labels."""
+    with _read_csv(path, "trend table", "salience") as (header, rows):
+        if header[:1] != ["topic_id"]:
             raise InputError(f"{path}: unexpected header {header}")
-        labels = header[1:]
-        rows = {row[0]: [float(v) for v in row[1:]] for row in reader if row}
-    return rows, labels
+        trends = {row[0]: [float(v) for v in row[1:]] for row in rows}
+    return trends, header[1:]
 
 
 def write_matrix_json(path: Path, matrix) -> None:
@@ -421,6 +444,110 @@ def compute_associations(
     return out
 
 
+@contextmanager
+def stage_run(out_dir: Path, name: str) -> Iterator[_Run]:
+    """Rerun one stage over an output directory, as the stage subcommands do.
+
+    Errors name the stage, and the stage's partial outputs are removed on
+    failure. The manifest is left as it is.
+    """
+    run = _Run(out_dir)
+    try:
+        with run.stage(name):
+            yield run
+    except BaseException:
+        run.cleanup()
+        raise
+
+
+def load_binned_corpus(path: Path, granularity: str) -> TimeBinnedCorpus:
+    docs = load_corpus(path)
+    return bin_documents(docs, build_binning(docs, granularity))
+
+
+def run_trends(
+    run: _Run, corpus: TimeBinnedCorpus, n: int, min_total: int, include_titles: bool
+) -> tuple[NgramTable, dict[NgramKey, list[float]]]:
+    """Trends stage: the n-gram table and each kept n-gram's relative usage
+    trend. Writes ngram_trends.csv and ngram_table.json."""
+    table = build_ngram_table(corpus, n, min_total, include_titles=include_titles)
+    if not table.records:
+        raise InputError(
+            f"no n-gram reached min-count {min_total}; lower --min-count or supply more text"
+        )
+    trends = {
+        key: relative_usage_trend(rec, table.bin_totals) for key, rec in table.records.items()
+    }
+    write_ngram_trends_csv(run.target("ngram_trends.csv"), table, trends, corpus.binning.labels())
+    write_table_json(run.target("ngram_table.json"), table, corpus.binning, include_titles)
+    return table, trends
+
+
+def run_similarity(
+    run: _Run, table: NgramTable, framework: TopicFramework, lexicon: dict | None
+) -> dict[NgramKey, tuple[float, ...]]:
+    """Similarity stage: each n-gram's similarity to every topic, from the
+    contexts in the table. Writes similarity.csv."""
+    space, topic_vectors = build_vector_space(framework, lexicon)
+    sims = compute_similarities(table, framework, space, topic_vectors)
+    write_similarity_csv(run.target("similarity.csv"), sims, framework.topic_ids())
+    return sims
+
+
+def run_associate(
+    run: _Run,
+    trends: dict[NgramKey, list[float]],
+    sims: dict[NgramKey, tuple[float, ...]],
+    topic_ids: list[str],
+    p: float,
+    sim_scope: str,
+) -> dict[str, TopicAssociation]:
+    """Associate stage: each topic's members, from the usage trends'
+    variability and the similarities. Writes associations.json."""
+    rsd = {key: relative_std_dev(trend) for key, trend in trends.items()}
+    associations = compute_associations(sims, rsd, topic_ids, p, sim_scope)
+    write_associations_json(run.target("associations.json"), associations)
+    return associations
+
+
+def run_salience(
+    run: _Run,
+    framework: TopicFramework,
+    associations: dict[str, TopicAssociation],
+    trends: dict[NgramKey, list[float]],
+    labels: list[str],
+    normalization: str,
+) -> dict[str, SalienceTrend]:
+    """Salience stage: each topic's usage and salience trends, normalized
+    salience and one salience matrix per bin. Writes topic_usage.csv,
+    salience.csv, salience_normalized.csv and matrices/<bin>.json."""
+    topic_ids = framework.topic_ids()
+    missing = [tid for tid in topic_ids if tid not in associations]
+    if missing:
+        raise InputError(f"associations missing for topics: {', '.join(missing)}")
+    m = len(labels)
+    usage = {tid: topic_usage_trend(associations[tid], trends, m) for tid in topic_ids}
+    sal = {tid: topic_salience_trend(associations[tid], trends, m) for tid in topic_ids}
+    normalized = normalize_salience([sal[tid] for tid in topic_ids], normalization)
+    write_trend_csv(
+        run.target("topic_usage.csv"), {tid: usage[tid].values for tid in topic_ids}, labels
+    )
+    write_trend_csv(run.target("salience.csv"), {tid: sal[tid].values for tid in topic_ids}, labels)
+    write_trend_csv(
+        run.target("salience_normalized.csv"),
+        {trend.topic_id: trend.values for trend in normalized},
+        labels,
+    )
+    matrices_dir = run.out_dir / "matrices"
+    matrices_dir.mkdir(exist_ok=True)
+    for stale in matrices_dir.glob("*.json"):
+        stale.unlink()
+    for t, label in enumerate(labels):
+        matrix = salience_matrix(framework, sal, t, label)
+        write_matrix_json(run.target("matrices", f"{label}.json"), matrix)
+    return sal
+
+
 def run_analyze(config: RunConfig) -> dict:
     """Execute the full pipeline and write every artifact; returns the manifest.
 
@@ -428,89 +555,33 @@ def run_analyze(config: RunConfig) -> dict:
     the error names the failing stage.
     """
     config.validate()
-    threads = resolve_threads(config.threads)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     run = _Run(out_dir)
 
     try:
         with run.stage("ingest"):
-            docs = load_corpus(config.corpus)
-            binning = build_binning(docs, config.granularity)
-            corpus = bin_documents(docs, binning)
+            corpus = load_binned_corpus(config.corpus, config.granularity)
             framework = load_framework(config.framework)
             lexicon = load_lexicon(config.lexicon) if config.lexicon else None
 
         with run.stage("trends"):
-            table = build_ngram_table(
-                corpus,
-                config.n,
-                config.min_total,
-                include_titles=config.include_titles,
-                threads=threads,
+            table, trends = run_trends(
+                run, corpus, config.n, config.min_total, config.include_titles
             )
-            if not table.records:
-                raise InputError(
-                    f"no n-gram reached min-count {config.min_total}; "
-                    "lower --min-count or supply more text"
-                )
-            trends = {
-                key: relative_usage_trend(rec, table.bin_totals)
-                for key, rec in table.records.items()
-            }
-            write_ngram_trends_csv(
-                run.target("ngram_trends.csv"), table, trends, binning.labels()
-            )
-            write_table_json(run.target("ngram_table.json"), table, binning, config.include_titles)
 
         with run.stage("similarity"):
-            space, topic_vectors = build_vector_space(framework, lexicon)
-            sims = compute_similarities(table, framework, space, topic_vectors)
-            write_similarity_csv(run.target("similarity.csv"), sims, framework.topic_ids())
+            sims = run_similarity(run, table, framework, lexicon)
 
         with run.stage("associate"):
-            rsd = {key: relative_std_dev(trends[key]) for key in table.sorted_keys()}
-            associations = compute_associations(
-                sims, rsd, framework.topic_ids(), config.percentile, config.sim_scope
+            associations = run_associate(
+                run, trends, sims, framework.topic_ids(), config.percentile, config.sim_scope
             )
-            write_associations_json(run.target("associations.json"), associations)
 
         with run.stage("salience"):
-            m = binning.bin_count
-            usage = {
-                tid: topic_usage_trend(associations[tid], trends, m)
-                for tid in framework.topic_ids()
-            }
-            sal = {
-                tid: topic_salience_trend(associations[tid], trends, m)
-                for tid in framework.topic_ids()
-            }
-            normalized = normalize_salience(
-                [sal[tid] for tid in framework.topic_ids()], config.normalization
+            sal = run_salience(
+                run, framework, associations, trends, corpus.binning.labels(), config.normalization
             )
-            labels = binning.labels()
-            write_trend_csv(
-                run.target("topic_usage.csv"),
-                {tid: usage[tid].values for tid in framework.topic_ids()},
-                labels,
-            )
-            write_trend_csv(
-                run.target("salience.csv"),
-                {tid: sal[tid].values for tid in framework.topic_ids()},
-                labels,
-            )
-            write_trend_csv(
-                run.target("salience_normalized.csv"),
-                {trend.topic_id: trend.values for trend in normalized},
-                labels,
-            )
-            matrices_dir = out_dir / "matrices"
-            matrices_dir.mkdir(exist_ok=True)
-            for stale in matrices_dir.glob("*.json"):
-                stale.unlink()
-            for t in range(m):
-                matrix = salience_matrix(framework, sal, t, labels[t])
-                write_matrix_json(run.target("matrices", f"{labels[t]}.json"), matrix)
 
         with run.stage("manifest"):
             manifest = {
@@ -519,7 +590,7 @@ def run_analyze(config: RunConfig) -> dict:
                 "config": config.echo(),
                 "corpus": {
                     "documents": corpus.doc_count,
-                    "bins": binning.bin_count,
+                    "bins": corpus.binning.bin_count,
                     "ngrams": len(table.records),
                     "instances": sum(table.bin_totals),
                     "empty_topics": sorted(

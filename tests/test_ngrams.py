@@ -8,49 +8,51 @@ from salience.ngrams import (
     NgramRecord,
     build_ngram_table,
     contexts_of,
-    extract_ngrams,
     relative_usage_trend,
     render_ngram,
     sentences_with_tokens,
-    tokenize,
 )
 
 from conftest import day, make_corpus
 
 
-def surfaces(sentences):
-    return [[tok.surface for tok in sentence] for sentence in sentences]
+def surfaces(text):
+    return [tokens for _, tokens in sentences_with_tokens(text)]
+
+
+def table_of(text, n=2):
+    """The n-gram table of a one-document corpus, with every n-gram kept."""
+    return build_ngram_table(make_corpus([(day(2017, 1), text)]), n=n, min_total=1)
 
 
 class TestTokenize:
     def test_apostrophe_splits(self):
-        assert surfaces(tokenize("Anyone's runoff election.")) == [
-            ["Anyone", "s", "runoff", "election"]
-        ]
+        assert surfaces("Anyone's runoff election.") == [["Anyone", "s", "runoff", "election"]]
 
     def test_sentence_boundaries(self):
-        assert surfaces(tokenize("Polls closed. Votes counted!")) == [
+        assert surfaces("Polls closed. Votes counted!") == [
             ["Polls", "closed"],
             ["Votes", "counted"],
         ]
 
     def test_digits_are_tokens(self):
-        assert surfaces(tokenize("March 14, 2019")) == [["March", "14", "2019"]]
+        assert surfaces("March 14, 2019") == [["March", "14", "2019"]]
 
     def test_empty_text(self):
-        assert tokenize("") == []
-        assert tokenize("...!!!") == []
+        assert sentences_with_tokens("") == []
+        assert sentences_with_tokens("...!!!") == []
 
     def test_blank_line_splits_sentences(self):
-        assert surfaces(tokenize("one two\n\nthree four")) == [["one", "two"], ["three", "four"]]
+        assert surfaces("one two\n\nthree four") == [["one", "two"], ["three", "four"]]
 
     def test_case_preserved(self):
-        assert surfaces(tokenize("Harbor the")) == [["Harbor", "the"]]
+        assert surfaces("Harbor the") == [["Harbor", "the"]]
 
     def test_token_indices(self):
-        sentences = tokenize("a b. c")
-        assert (sentences[0][1].sentence_index, sentences[0][1].position) == (0, 1)
-        assert (sentences[1][0].sentence_index, sentences[1][0].position) == (1, 0)
+        # Sentence index and token position are the list positions.
+        sentences = surfaces("a b. c")
+        assert sentences[0][1] == "b"
+        assert sentences[1][0] == "c"
 
     def test_raw_sentence_kept_for_contexts(self):
         pairs = sentences_with_tokens("The runoff election was held. Next one.")
@@ -60,22 +62,24 @@ class TestTokenize:
 
 class TestExtractNgrams:
     def test_windows_within_sentence(self):
-        keys = [k for k, _ in extract_ngrams(tokenize("a b c"), 2)]
-        assert keys == [("a", "b"), ("b", "c")]
+        assert list(table_of("a b c").records) == [("a", "b"), ("b", "c")]
 
     def test_no_cross_sentence_windows(self):
-        assert extract_ngrams(tokenize("a. b"), 2) == []
+        table = table_of("a. b")
+        assert table.records == {}
+        assert table.bin_totals == [0]
 
     def test_repeated_sentences_repeat_instances(self):
-        keys = [k for k, _ in extract_ngrams(tokenize("a b. a b"), 2)]
-        assert keys == [("a", "b"), ("a", "b")]
+        table = table_of("a b. a b")
+        assert list(table.records) == [("a", "b")]
+        assert table.records[("a", "b")].total == 2
 
     def test_short_sentences_yield_nothing(self):
-        assert extract_ngrams(tokenize("a"), 2) == []
+        assert table_of("a").records == {}
 
     def test_n_must_be_positive(self):
         with pytest.raises(InputError):
-            extract_ngrams(tokenize("a b"), 0)
+            table_of("a b", n=0)
 
 
 class TestBuildTable:
@@ -104,15 +108,6 @@ class TestBuildTable:
         assert ("big", "title") in with_title.records
         without = build_ngram_table(corpus, n=2, min_total=1, include_titles=False)
         assert ("big", "title") not in without.records
-
-    def test_threaded_build_identical(self):
-        corpus = make_corpus(
-            [(day(2017, 1 + i % 3, 1 + i), f"tok{i} tok{i + 1} tok{i + 2}. other words {i}")
-             for i in range(12)]
-        )
-        serial = build_ngram_table(corpus, n=2, min_total=1, threads=1)
-        threaded = build_ngram_table(corpus, n=2, min_total=1, threads=4)
-        assert serial == threaded
 
 
 class TestRelativeUsage:

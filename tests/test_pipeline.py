@@ -5,9 +5,17 @@ from pathlib import Path
 
 import pytest
 
+from salience import pipeline
 from salience.cli import main
 from salience.errors import InputError
-from salience.pipeline import RunConfig, run_analyze
+from salience.ngrams import render_ngram
+from salience.pipeline import (
+    RunConfig,
+    load_ngram_trends_csv,
+    load_similarity_csv,
+    load_trend_csv,
+    run_analyze,
+)
 from salience.synth import PlantedEvent, SynthSpec, corpus_to_jsonl, generate_corpus
 
 from conftest import burst_phrases, disjoint_framework, framework_file
@@ -284,15 +292,53 @@ class TestCli:
         assert (
             main(["similarity", "--in", str(staged), "--framework", str(framework)]) == 0
         )
+        # Only the similarity stage reads the table; the later stages read
+        # the trends CSV.
+        table = staged / "ngram_table.json"
+        assert table.read_bytes() == (full / "ngram_table.json").read_bytes()
+        table.unlink()
         assert main(["associate", "--in", str(staged)]) == 0
         assert main(["salience", "--in", str(staged), "--framework", str(framework)]) == 0
 
         full_files = read_all(full)
         staged_files = read_all(staged)
-        for rel, content in full_files.items():
-            if rel == "manifest.json":
-                continue
-            assert staged_files[rel] == content, rel
+        assert set(staged_files) == set(full_files) - {"manifest.json", "ngram_table.json"}
+        for rel, content in staged_files.items():
+            assert content == full_files[rel], rel
+
+    def test_stage_bug_exits_two_and_removes_partial_output(
+        self, workspace, tmp_path, monkeypatch, capsys
+    ):
+        _, corpus, framework = workspace
+        out = tmp_path / "out"
+        run_analyze(RunConfig(corpus=corpus, framework=framework, out_dir=out, min_total=1))
+
+        def half_write(path, associations):
+            path.write_text("{", encoding="utf-8")
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(pipeline, "write_associations_json", half_write)
+        capsys.readouterr()
+        assert main(["associate", "--in", str(out)]) == 2
+        assert "error: associate: RuntimeError: boom" in capsys.readouterr().err
+        assert not (out / "associations.json").exists()
+
+    def test_bad_cells_exit_one(self, workspace, tmp_path, capsys):
+        _, corpus, framework = workspace
+        out = tmp_path / "out"
+        run_analyze(RunConfig(corpus=corpus, framework=framework, out_dir=out, min_total=1))
+        with (out / "similarity.csv").open("a", encoding="utf-8") as fh:
+            fh.write("a b,t1,oops\n")
+        capsys.readouterr()
+        assert main(["associate", "--in", str(out)]) == 1
+        assert "similarity.csv: line " in capsys.readouterr().err
+
+        salience = out / "salience.csv"
+        lines = salience.read_text(encoding="utf-8").splitlines()
+        lines[1] = lines[1].rsplit(",", 1)[0] + ",nan?"
+        salience.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["render", "--in", str(out), "--topics", "harbor_trade"]) == 1
+        assert "salience.csv: line 2: " in capsys.readouterr().err
 
     def test_synth_writes_corpus_and_truth(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
@@ -410,3 +456,59 @@ class TestCli:
         assert code == 0
         svg = (out / "render" / "matrix_2016-05.svg").read_text()
         assert svg.count("<rect") >= 36 and "2016-05" in svg
+
+
+@pytest.mark.parametrize(
+    "loader, text",
+    [
+        pytest.param(
+            load_ngram_trends_csv,
+            "ngram,total,2016-01,2016-02\na b,3,0.5,0.25\nb c,2,0.25,x\n",
+            id="trends-non-numeric",
+        ),
+        pytest.param(
+            load_ngram_trends_csv,
+            "ngram,total,2016-01,2016-02\na b,3,0.5,0.25\nb c,2,0.25\n",
+            id="trends-short-row",
+        ),
+        pytest.param(
+            load_similarity_csv,
+            "ngram,topic_id,similarity\na b,t1,0.5\nb c,t1,oops\n",
+            id="similarity-non-numeric",
+        ),
+        pytest.param(
+            load_similarity_csv,
+            "ngram,topic_id,similarity\na b,t1,0.5\nb c,t1,0.5,0.5\n",
+            id="similarity-long-row",
+        ),
+        pytest.param(
+            load_trend_csv,
+            "topic_id,2016-01,2016-02\nt1,0.5,0.25\nt2,0.0,nan?\n",
+            id="topic-trend-non-numeric",
+        ),
+        pytest.param(
+            load_trend_csv,
+            "topic_id,2016-01,2016-02\nt1,0.5,0.25\nt2,0.0\n",
+            id="topic-trend-short-row",
+        ),
+    ],
+)
+def test_loader_names_file_and_line_of_bad_row(tmp_path, loader, text):
+    path = tmp_path / "artifact.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(InputError, match=r"artifact\.csv: line 3: "):
+        loader(path)
+
+
+def test_ngram_trends_loader_inverts_the_writer(workspace, tmp_path):
+    _, corpus, framework = workspace
+    out = tmp_path / "out"
+    run_analyze(RunConfig(corpus=corpus, framework=framework, out_dir=out, min_total=1))
+    trends, labels = load_ngram_trends_csv(out / "ngram_trends.csv")
+    table = json.loads((out / "ngram_table.json").read_text(encoding="utf-8"))
+    assert labels == table["bin_labels"]
+    totals = table["bin_totals"]
+    assert {render_ngram(key): values for key, values in trends.items()} == {
+        text: [c / t if t else 0.0 for c, t in zip(entry["counts"], totals)]
+        for text, entry in table["ngrams"].items()
+    }
