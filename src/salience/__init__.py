@@ -25,7 +25,6 @@ from .ngrams import (
     NgramRecord,
     NgramTable,
     build_ngram_table,
-    contexts_of,
     relative_usage_trend,
     render_ngram,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "NgramTable",
     "build_ngram_table",
     "relative_usage_trend",
-    "contexts_of",
     "render_ngram",
     "Topic",
     "TopicFramework",

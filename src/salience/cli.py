@@ -21,6 +21,7 @@ from .pipeline import (
     RunConfig,
     load_associations_json,
     load_binned_corpus,
+    load_matrix_json,
     load_ngram_trends_csv,
     load_similarity_csv,
     load_table_json,
@@ -216,49 +217,49 @@ def _cmd_render(args) -> int:
     wanted = [tid for tid in args.topics.split(",") if tid]
     if not wanted:
         raise InputError("--topics needs at least one topic id")
-    absolute, labels = load_trend_csv(in_dir / "salience.csv")
-    normalized, _ = load_trend_csv(in_dir / "salience_normalized.csv")
-    unknown = [tid for tid in wanted if tid not in absolute]
-    if unknown:
-        raise InputError(f"unknown topic ids: {', '.join(unknown)}")
+    with stage_run(in_dir, "render") as run:
+        absolute, labels = load_trend_csv(in_dir / "salience.csv")
+        normalized, _ = load_trend_csv(in_dir / "salience_normalized.csv")
+        unknown = [tid for tid in wanted if tid not in absolute]
+        if unknown:
+            raise InputError(f"unknown topic ids: {', '.join(unknown)}")
+        matrix = None
+        if args.bin_label:
+            matrix_path = in_dir / "matrices" / f"{args.bin_label}.json"
+            if not matrix_path.is_file():
+                raise InputError(f"no matrix for bin {args.bin_label!r} at {matrix_path}")
+            matrix = load_matrix_json(matrix_path)
+            if matrix["rows"] is None:
+                raise InputError(
+                    "matrix has no grid layout; render the values as a list instead"
+                )
 
-    render_dir = in_dir / "render"
-    render_dir.mkdir(exist_ok=True)
-    (render_dir / "salience_absolute.svg").write_text(
-        render_trend_svg(
-            [(tid, absolute[tid]) for tid in wanted], labels, title="topic salience"
-        ),
-        encoding="utf-8",
-    )
-    (render_dir / "salience_normalized.svg").write_text(
-        render_trend_svg(
-            [(tid, normalized[tid]) for tid in wanted],
-            labels,
-            title="topic salience (normalized per bin)",
-        ),
-        encoding="utf-8",
-    )
-    written = 2
-    if args.bin_label:
-        matrix_path = in_dir / "matrices" / f"{args.bin_label}.json"
-        if not matrix_path.is_file():
-            raise InputError(f"no matrix for bin {args.bin_label!r} at {matrix_path}")
-        payload = json.loads(matrix_path.read_text(encoding="utf-8"))
-        if payload.get("rows") is None:
-            raise InputError(
-                "matrix has no grid layout; render the values as a list instead"
-            )
-        (render_dir / f"matrix_{args.bin_label}.svg").write_text(
-            render_grid_svg(
-                payload["values"],
-                payload["rows"],
-                payload["columns"],
-                title=f"topic salience at {payload['bin']}",
+        (in_dir / "render").mkdir(exist_ok=True)
+        run.target("render", "salience_absolute.svg").write_text(
+            render_trend_svg(
+                [(tid, absolute[tid]) for tid in wanted], labels, title="topic salience"
             ),
             encoding="utf-8",
         )
-        written += 1
-    print(f"wrote {written} SVG charts to {render_dir}")
+        run.target("render", "salience_normalized.svg").write_text(
+            render_trend_svg(
+                [(tid, normalized[tid]) for tid in wanted],
+                labels,
+                title="topic salience (normalized per bin)",
+            ),
+            encoding="utf-8",
+        )
+        if matrix is not None:
+            run.target("render", f"matrix_{args.bin_label}.svg").write_text(
+                render_grid_svg(
+                    matrix["values"],
+                    matrix["rows"],
+                    matrix["columns"],
+                    title=f"topic salience at {matrix['bin']}",
+                ),
+                encoding="utf-8",
+            )
+    print(f"wrote {len(run.written)} SVG charts to {in_dir / 'render'}")
     return 0
 
 

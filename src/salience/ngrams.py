@@ -10,6 +10,7 @@ whitespace, and at blank lines; n-gram windows never cross sentences.
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -46,7 +47,7 @@ class NgramRecord:
     key: NgramKey
     counts: list[int]
     total: int
-    contexts: list[tuple[int, str]]  # (bin index, enclosing sentence)
+    contexts: list[tuple[int, int]]  # (bin index, id into NgramTable.sentences)
 
 
 @dataclass
@@ -55,16 +56,23 @@ class NgramTable:
 
     bin_totals counts every n-gram instance per bin, including instances of
     n-grams later dropped by the min_total filter, so relative usage stays a
-    proportion of all observed instances.
+    proportion of all observed instances. Each enclosing sentence is stored
+    once in `sentences`, numbered by first use in sorted n-gram order; a
+    context refers to it by id.
     """
 
     n: int
     min_total: int
     bin_totals: list[int]
     records: dict[NgramKey, NgramRecord]
+    sentences: list[str]
 
     def sorted_keys(self) -> list[NgramKey]:
         return sorted(self.records)
+
+    def contexts_of(self, key: NgramKey) -> list[str]:
+        """The enclosing sentence of each instance, one entry per instance."""
+        return [self.sentences[sid] for _, sid in self.records[key].contexts]
 
 
 def render_ngram(key: NgramKey) -> str:
@@ -73,14 +81,6 @@ def render_ngram(key: NgramKey) -> str:
 
 def parse_ngram(text: str) -> NgramKey:
     return tuple(text.split(" "))
-
-
-def _scan_document(doc, n: int, include_titles: bool) -> list[tuple[NgramKey, str]]:
-    out: list[tuple[NgramKey, str]] = []
-    for raw, tokens in sentences_with_tokens(analysis_text(doc, include_titles)):
-        for i in range(len(tokens) - n + 1):
-            out.append((tuple(tokens[i : i + n]), raw))
-    return out
 
 
 def build_ngram_table(
@@ -98,26 +98,39 @@ def build_ngram_table(
 
     m = corpus.binning.bin_count
     bin_totals = [0] * m
-    acc: dict[NgramKey, list[tuple[int, str]]] = {}
+    # Each distinct sentence gets an id when first seen; all instances in one
+    # scanned sentence share one (bin, sentence id) tuple.
+    sentence_ids: dict[str, int] = {}
+    acc: defaultdict[NgramKey, list[tuple[int, int]]] = defaultdict(list)
     for t, doc in corpus.iter_documents():
-        instances = _scan_document(doc, n, include_titles)
-        bin_totals[t] += len(instances)
-        for key, raw in instances:
-            contexts = acc.get(key)
-            if contexts is None:
-                contexts = acc[key] = []
-            contexts.append((t, raw))
+        for raw, tokens in sentences_with_tokens(analysis_text(doc, include_titles)):
+            if len(tokens) < n:
+                continue
+            context = (t, sentence_ids.setdefault(raw, len(sentence_ids)))
+            bin_totals[t] += len(tokens) - n + 1
+            for key in zip(*[tokens[i:] for i in range(n)]):
+                acc[key].append(context)
 
-    # Per-bin counts only for the kept n-grams: one instance per context.
+    # Keep the n-grams that reach min_total, in sorted order, and renumber
+    # the sentences that host them by first use.
+    texts = list(sentence_ids)
+    renumbered = [-1] * len(texts)
+    sentences: list[str] = []
     records: dict[NgramKey, NgramRecord] = {}
-    for key, contexts in acc.items():
-        if len(contexts) < min_total:
-            continue
+    for key in sorted(key for key, contexts in acc.items() if len(contexts) >= min_total):
+        contexts = []
         counts = [0] * m
-        for t, _ in contexts:
+        for t, old in acc[key]:
+            sid = renumbered[old]
+            if sid < 0:
+                sid = renumbered[old] = len(sentences)
+                sentences.append(texts[old])
+            contexts.append((t, sid))
             counts[t] += 1
         records[key] = NgramRecord(key=key, counts=counts, total=len(contexts), contexts=contexts)
-    return NgramTable(n=n, min_total=min_total, bin_totals=bin_totals, records=records)
+    return NgramTable(
+        n=n, min_total=min_total, bin_totals=bin_totals, records=records, sentences=sentences
+    )
 
 
 def relative_usage_trend(record: NgramRecord, bin_totals: Sequence[int]) -> list[float]:
@@ -140,7 +153,3 @@ def relative_usage_trend(record: NgramRecord, bin_totals: Sequence[int]) -> list
         values.append(count / total if total else 0.0)
     return values
 
-
-def contexts_of(record: NgramRecord) -> list[str]:
-    """The enclosing sentence of each instance, one entry per instance."""
-    return [sentence for _, sentence in record.contexts]

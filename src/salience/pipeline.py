@@ -67,6 +67,8 @@ from .topics import (
 )
 
 SIM_SCOPES = ("per_topic", "global")
+# The ngram_table.json layout that write_table_json writes and load_table_json reads.
+TABLE_VERSION = 2
 
 
 @dataclass
@@ -161,6 +163,15 @@ def _write_json(path: Path, payload, *, sort_keys: bool = False) -> None:
         fh.write("\n")
 
 
+def _load_json(path: Path, what: str, stage: str):
+    if not path.is_file():
+        raise InputError(f"{what} not found: {path} (run the {stage} stage first)")
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise InputError(f"{path}: malformed JSON: {exc}") from exc
+
+
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
     with path.open("rb") as fh:
@@ -197,9 +208,11 @@ def load_ngram_trends_csv(path: Path) -> tuple[dict[NgramKey, list[float]], list
 def write_table_json(
     path: Path, table: NgramTable, binning: TimeBinning, include_titles: bool
 ) -> None:
-    """Persist the n-gram table (counts and contexts) for later stages."""
+    """Persist the n-gram table for the similarity stage: version 2 lists each
+    context sentence once and gives contexts as [bin, sentence id] pairs, in
+    compact JSON."""
     payload = {
-        "version": 1,
+        "version": TABLE_VERSION,
         "n": table.n,
         "min_total": table.min_total,
         "include_titles": include_titles,
@@ -207,42 +220,60 @@ def write_table_json(
         "origin": binning.origin.isoformat(),
         "bin_labels": binning.labels(),
         "bin_totals": table.bin_totals,
+        "sentences": table.sentences,
         "ngrams": {
             render_ngram(key): {
                 "counts": table.records[key].counts,
-                "contexts": [[t, s] for t, s in table.records[key].contexts],
+                "contexts": table.records[key].contexts,
             }
             for key in table.sorted_keys()
         },
     }
-    _write_json(path, payload)
+    # json.dumps without indent runs the C encoder in one shot; json.dump to
+    # a file always takes the pure-Python one.
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write(json.dumps(payload, separators=(",", ":")))
+        fh.write("\n")
 
 
 def load_table_json(path: Path) -> NgramTable:
-    """The n-gram table that `write_table_json` wrote (counts and contexts)."""
-    if not path.is_file():
-        raise InputError(f"n-gram table not found: {path} (run the trends stage first)")
+    """The n-gram table that `write_table_json` wrote. Refuses any other
+    version, and contexts whose bin or sentence id is out of range."""
+    payload = _load_json(path, "n-gram table", "trends")
+    version = payload.get("version") if isinstance(payload, dict) else None
+    if version != TABLE_VERSION:
+        raise InputError(
+            f"{path}: n-gram table version {version!r}, this program reads version "
+            f"{TABLE_VERSION}; re-run the trends stage"
+        )
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise InputError(f"{path}: malformed JSON: {exc}") from exc
-    try:
+        sentences = payload["sentences"]
+        if not isinstance(sentences, list) or not all(isinstance(s, str) for s in sentences):
+            raise InputError(f"{path}: sentences must be a list of strings")
+        bins = len(payload["bin_totals"])
         records: dict[NgramKey, NgramRecord] = {}
         for text, entry in payload["ngrams"].items():
+            contexts = [(t, sid) for t, sid in entry["contexts"]]
+            for t, sid in contexts:
+                if type(t) is not int or not 0 <= t < bins:
+                    raise InputError(f"{path}: n-gram {text!r}: bin {t!r} is not one of {bins}")
+                if type(sid) is not int or not 0 <= sid < len(sentences):
+                    raise InputError(
+                        f"{path}: n-gram {text!r}: sentence id {sid!r} is not one of "
+                        f"{len(sentences)}"
+                    )
             key = parse_ngram(text)
             records[key] = NgramRecord(
-                key=key,
-                counts=list(entry["counts"]),
-                total=sum(entry["counts"]),
-                contexts=[(int(t), s) for t, s in entry["contexts"]],
+                key=key, counts=entry["counts"], total=sum(entry["counts"]), contexts=contexts
             )
         return NgramTable(
             n=int(payload["n"]),
             min_total=int(payload["min_total"]),
-            bin_totals=list(payload["bin_totals"]),
+            bin_totals=payload["bin_totals"],
             records=records,
+            sentences=sentences,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: bad n-gram table payload: {exc}") from exc
 
 
@@ -298,12 +329,7 @@ def write_associations_json(path: Path, associations: dict[str, TopicAssociation
 
 
 def load_associations_json(path: Path) -> dict[str, TopicAssociation]:
-    if not path.is_file():
-        raise InputError(f"associations not found: {path} (run the associate stage first)")
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise InputError(f"{path}: malformed JSON: {exc}") from exc
+    payload = _load_json(path, "associations", "associate")
     out: dict[str, TopicAssociation] = {}
     try:
         for topic_id, entry in payload.items():
@@ -359,6 +385,14 @@ def write_matrix_json(path: Path, matrix) -> None:
     _write_json(path, payload)
 
 
+def load_matrix_json(path: Path) -> dict:
+    """A salience matrix that `write_matrix_json` wrote, as its payload."""
+    payload = _load_json(path, "salience matrix", "salience")
+    if not isinstance(payload, dict) or not {"bin", "rows", "columns", "values"} <= payload.keys():
+        raise InputError(f"{path}: bad salience matrix payload")
+    return payload
+
+
 # --- pipeline stages --------------------------------------------------------
 
 
@@ -381,9 +415,10 @@ class _Run:
                 path.unlink(missing_ok=True)
             except OSError:
                 pass
-        matrices = self.out_dir / "matrices"
-        if matrices.is_dir() and not any(matrices.iterdir()):
-            matrices.rmdir()
+        for name in ("matrices", "render"):
+            folder = self.out_dir / name
+            if folder.is_dir() and not any(folder.iterdir()):
+                folder.rmdir()
 
     @contextmanager
     def stage(self, name: str):
@@ -411,7 +446,8 @@ def compute_similarities(
         space,
         topic_vectors,
         framework.topic_ids(),
-        ([s for _, s in table.records[key].contexts] for key in keys),
+        table.sentences,
+        ([sid for _, sid in table.records[key].contexts] for key in keys),
     )
     return dict(zip(keys, map(tuple, values.tolist())))
 

@@ -423,33 +423,29 @@ def batch_similarities(
     space: VectorSpace,
     topic_vectors: Mapping[str, SparseVector],
     topic_ids: Sequence[str],
-    contexts: Iterable[Sequence[str]],
+    sentences: Sequence[str],
+    contexts: Iterable[Sequence[int]],
 ) -> np.ndarray:
     """Cosine similarity of many n-grams against every topic, in one pass.
 
-    `contexts` yields each n-gram's context sentences, one entry per
-    instance. Returns an array of shape (n-grams, topics) in the order given.
+    `contexts` yields each n-gram's context sentences as ids into
+    `sentences`, one entry per instance. Returns an array of shape
+    (n-grams, topics) in the order given.
 
-    Each distinct sentence is tokenized once. An n-gram's row is its exact
+    Each listed sentence is tokenized once. An n-gram's row is its exact
     integer term counts summed over its contexts, divided by their gcd:
     cosine is scale-invariant, so this scores the same as the mean context
     vector, and n-grams whose summed counts are proportional get identical
     rows and bit-equal values whatever their context order. Dot products and
     norms are reduced in vocabulary-index order, one topic at a time.
     """
-    # Intern each distinct sentence; every instance becomes a sentence id.
-    sentence_ids: dict[str, int] = {}
     instances: list[int] = []
     lengths: list[int] = []
-    for ngram_contexts in contexts:
-        if not ngram_contexts:
+    for ids in contexts:
+        if not ids:
             raise ConsistencyError("n-gram with no contexts: every tabled n-gram has instances")
-        lengths.append(len(ngram_contexts))
-        for sentence in ngram_contexts:
-            sid = sentence_ids.get(sentence)
-            if sid is None:
-                sid = sentence_ids[sentence] = len(sentence_ids)
-            instances.append(sid)
+        lengths.append(len(ids))
+        instances.extend(ids)
 
     # Per-sentence vocabulary counts, as a CSR table over sentence ids. Terms
     # with idf 0 carry no weight in any vector and are left out.
@@ -457,7 +453,7 @@ def batch_similarities(
     terms: list[int] = []
     counts: list[int] = []
     nnz: list[int] = []
-    for sentence in sentence_ids:
+    for sentence in sentences:
         found = Counter(column[tok] for tok in _lower_tokens(sentence) if tok in column)
         nnz.append(len(found))
         terms.extend(found)

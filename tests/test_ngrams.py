@@ -7,7 +7,6 @@ from salience.errors import ConsistencyError, InputError
 from salience.ngrams import (
     NgramRecord,
     build_ngram_table,
-    contexts_of,
     relative_usage_trend,
     render_ngram,
     sentences_with_tokens,
@@ -138,32 +137,45 @@ class TestContexts:
     def test_context_is_the_enclosing_sentence(self):
         corpus = make_corpus([(day(2017, 1), "The runoff election was held. Unrelated line.")])
         table = build_ngram_table(corpus, n=2, min_total=1)
-        assert contexts_of(table.records[("runoff", "election")]) == [
-            "The runoff election was held."
-        ]
+        assert table.contexts_of(("runoff", "election")) == ["The runoff election was held."]
 
     def test_one_context_per_instance(self):
         corpus = make_corpus(
             [(day(2017, 1), "vote count rose. vote count fell"), (day(2017, 2), "vote count")]
         )
         table = build_ngram_table(corpus, n=2, min_total=1)
-        assert len(contexts_of(table.records[("vote", "count")])) == 3
+        assert len(table.contexts_of(("vote", "count"))) == 3
 
     def test_duplicate_sentences_not_deduped(self):
+        # One context per instance, even when both instances share a sentence id.
         corpus = make_corpus([(day(2017, 1), "same words"), (day(2017, 2), "same words")])
         table = build_ngram_table(corpus, n=2, min_total=1)
-        assert contexts_of(table.records[("same", "words")]) == ["same words", "same words"]
+        assert table.contexts_of(("same", "words")) == ["same words", "same words"]
+        assert table.records[("same", "words")].contexts == [(0, 0), (1, 0)]
 
     def test_contexts_contain_the_ngram_tokens(self):
         corpus = make_corpus([(day(2017, 1), "alpha beta gamma. beta gamma delta")])
         table = build_ngram_table(corpus, n=2, min_total=1)
-        for record in table.records.values():
-            for _, sentence in record.contexts:
+        for key in table.records:
+            for sentence in table.contexts_of(key):
                 flat = [t for _, toks in sentences_with_tokens(sentence) for t in toks]
-                n = len(record.key)
+                n = len(key)
                 assert any(
-                    tuple(flat[i : i + n]) == record.key for i in range(len(flat) - n + 1)
-                ), f"{render_ngram(record.key)} not in context {sentence!r}"
+                    tuple(flat[i : i + n]) == key for i in range(len(flat) - n + 1)
+                ), f"{render_ngram(key)} not in context {sentence!r}"
+
+    def test_sentences_listed_once_and_only_if_they_host_a_kept_instance(self):
+        corpus = make_corpus(
+            [
+                (day(2017, 1), "kept pair here. kept pair again. rare words"),
+                (day(2017, 2), "kept pair here. lonely. kept pair again."),
+            ]
+        )
+        table = build_ngram_table(corpus, n=2, min_total=3)
+        assert list(table.records) == [("kept", "pair")]
+        assert table.sentences == ["kept pair here.", "kept pair again."]
+        used = {sid for rec in table.records.values() for _, sid in rec.contexts}
+        assert used == set(range(len(table.sentences)))
 
 
 words = st.sampled_from(["alpha", "bravo", "charlie", "delta", "Echo"])
@@ -194,6 +206,12 @@ def test_partition_and_count_conservation(items):
             assert abs(share - 1.0) < 1e-9
 
 
+def _bin_sentences(table, key):
+    """An n-gram's contexts as sorted (bin, sentence text) pairs: sentence ids
+    depend on n-gram order, the texts do not."""
+    return sorted((t, table.sentences[sid]) for t, sid in table.records[key].contexts)
+
+
 @settings(max_examples=25)
 @given(corpus_strat, st.randoms(use_true_random=False))
 def test_order_independence(items, rnd):
@@ -212,7 +230,21 @@ def test_order_independence(items, rnd):
     for key, rec in a.records.items():
         assert rec.counts == b.records[key].counts
         assert rec.total == b.records[key].total
-        assert sorted(rec.contexts) == sorted(b.records[key].contexts)
+        assert _bin_sentences(a, key) == _bin_sentences(b, key)
+
+
+@settings(max_examples=40)
+@given(corpus_strat, st.integers(min_value=1, max_value=3))
+def test_sentences_are_distinct_and_each_hosts_a_kept_instance(items, min_total):
+    table = build_ngram_table(_corpus_from(items), n=2, min_total=min_total)
+    assert len(set(table.sentences)) == len(table.sentences)
+    first_use = []
+    for key in table.sorted_keys():
+        for sentence in table.contexts_of(key):
+            if sentence not in first_use:
+                first_use.append(sentence)
+    # Every listed sentence hosts a kept instance, numbered by first use.
+    assert table.sentences == first_use
 
 
 def test_emergent_ngram_has_exact_zero_before_first_use():

@@ -1,20 +1,24 @@
 import csv
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
 
-from salience import pipeline
+from salience import cli, pipeline
 from salience.cli import main
 from salience.errors import InputError
-from salience.ngrams import render_ngram
+from salience.ngrams import build_ngram_table, render_ngram
 from salience.pipeline import (
     RunConfig,
+    load_binned_corpus,
     load_ngram_trends_csv,
     load_similarity_csv,
+    load_table_json,
     load_trend_csv,
     run_analyze,
+    write_table_json,
 )
 from salience.synth import PlantedEvent, SynthSpec, corpus_to_jsonl, generate_corpus
 
@@ -340,6 +344,38 @@ class TestCli:
         assert main(["render", "--in", str(out), "--topics", "harbor_trade"]) == 1
         assert "salience.csv: line 2: " in capsys.readouterr().err
 
+    def test_render_malformed_matrix_exits_one(self, workspace, tmp_path, capsys):
+        _, corpus, framework = workspace
+        out = tmp_path / "out"
+        run_analyze(RunConfig(corpus=corpus, framework=framework, out_dir=out, min_total=1))
+        matrix = out / "matrices" / "2016-01.json"
+        matrix.write_text("{", encoding="utf-8")
+        capsys.readouterr()
+        args = ["render", "--in", str(out), "--topics", "harbor_trade", "--bin", "2016-01"]
+        assert main(args) == 1
+        assert f"error: render: {matrix}: malformed JSON" in capsys.readouterr().err
+        assert not (out / "render").exists()
+
+    def test_render_bug_exits_two_and_removes_partial_output(
+        self, workspace, tmp_path, monkeypatch, capsys
+    ):
+        _, corpus, framework = workspace
+        out = tmp_path / "out"
+        run_analyze(RunConfig(corpus=corpus, framework=framework, out_dir=out, min_total=1))
+        calls = []
+
+        def second_chart_fails(series, labels, title):
+            calls.append(title)
+            if len(calls) == 2:
+                raise RuntimeError("boom")
+            return "<svg/>"
+
+        monkeypatch.setattr(cli, "render_trend_svg", second_chart_fails)
+        capsys.readouterr()
+        assert main(["render", "--in", str(out), "--topics", "harbor_trade"]) == 2
+        assert "error: render: RuntimeError: boom" in capsys.readouterr().err
+        assert not (out / "render").exists()
+
     def test_synth_writes_corpus_and_truth(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(
@@ -512,3 +548,57 @@ def test_ngram_trends_loader_inverts_the_writer(workspace, tmp_path):
         text: [c / t if t else 0.0 for c, t in zip(entry["counts"], totals)]
         for text, entry in table["ngrams"].items()
     }
+
+
+def test_table_write_then_load_round_trips(workspace, tmp_path):
+    _, corpus, _ = workspace
+    binned = load_binned_corpus(corpus, "month")
+    table = build_ngram_table(binned, 2, 2)
+    path = tmp_path / "ngram_table.json"
+    write_table_json(path, table, binned.binning, True)
+    loaded = load_table_json(path)
+    assert loaded == table
+    assert json.loads(path.read_text(encoding="utf-8"))["version"] == 2
+    again = tmp_path / "again.json"
+    write_table_json(again, loaded, binned.binning, True)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def _version_1(table):
+    table["version"] = 1
+    sentences = table.pop("sentences")
+    for entry in table["ngrams"].values():
+        entry["contexts"] = [[t, sentences[sid]] for t, sid in entry["contexts"]]
+
+
+def _sentence_id_out_of_range(table):
+    entry = next(iter(table["ngrams"].values()))
+    entry["contexts"][0][1] = len(table["sentences"])
+
+
+def _non_integer_bin(table):
+    entry = next(iter(table["ngrams"].values()))
+    entry["contexts"][0][0] = 0.5
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        pytest.param(_version_1, "version 1, .*; re-run the trends stage", id="version-1"),
+        pytest.param(_sentence_id_out_of_range, "sentence id \\d+ is not one of", id="sentence-id"),
+        pytest.param(_non_integer_bin, "bin 0.5 is not one of", id="non-integer-bin"),
+    ],
+)
+def test_similarity_refuses_bad_table(workspace, tmp_path, capsys, corrupt, message):
+    _, corpus, framework = workspace
+    out = tmp_path / "out"
+    run_analyze(RunConfig(corpus=corpus, framework=framework, out_dir=out, min_total=1))
+    path = out / "ngram_table.json"
+    table = json.loads(path.read_text(encoding="utf-8"))
+    corrupt(table)
+    path.write_text(json.dumps(table), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["similarity", "--in", str(out), "--framework", str(framework)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: similarity: {path}: ")
+    assert re.search(message, err)

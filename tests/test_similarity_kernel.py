@@ -32,8 +32,16 @@ def _oracle(framework, space, vectors, contexts):
     )
 
 
+def _intern(contexts):
+    """Each distinct sentence once, and every n-gram's contexts as ids into it."""
+    ids: dict[str, int] = {}
+    rows = [[ids.setdefault(s, len(ids)) for s in ctx] for ctx in contexts]
+    return list(ids), rows
+
+
 def _kernel(framework, space, vectors, contexts):
-    return batch_similarities(space, vectors, framework.topic_ids(), contexts)
+    sentences, rows = _intern(contexts)
+    return batch_similarities(space, vectors, framework.topic_ids(), sentences, rows)
 
 
 def _sentence_pool(framework, rng, lexicon=None, size=200):
@@ -148,14 +156,16 @@ class TestAgreesWithScalarOracle:
 
 
 def _table(records) -> NgramTable:
+    sentences, rows = _intern(ctx for _, ctx in records)
     return NgramTable(
         n=2,
         min_total=1,
         bin_totals=[10_000],
         records={
-            key: NgramRecord(key=key, counts=[len(ctx)], total=len(ctx), contexts=[(0, s) for s in ctx])
-            for key, ctx in records
+            key: NgramRecord(key=key, counts=[len(ids)], total=len(ids), contexts=[(0, s) for s in ids])
+            for (key, _), ids in zip(records, rows)
         },
+        sentences=sentences,
     )
 
 
