@@ -5,14 +5,20 @@ Tokens are maximal runs of Unicode letters/digits; every punctuation mark
 "council's" yields ["council", "s"]. Case is preserved: n-gram identity is
 case-sensitive. Sentences split after '.', '!' or '?' followed by
 whitespace, and at blank lines; n-gram windows never cross sentences.
+
+The n-gram table is counted over interned ids: one Python pass turns each
+token and each distinct sentence into a dense id, and numpy groups the
+n-gram instances by sorting their rows of token ids, so no Python object is
+made per unique n-gram, only per kept one.
 """
 
 from __future__ import annotations
 
 import re
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .corpus import TimeBinnedCorpus, analysis_text
 from .errors import ConsistencyError, InputError
@@ -22,6 +28,8 @@ NgramKey = tuple[str, ...]
 
 _WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
 _BOUNDARY_RE = re.compile(r"(?<=[.!?])\s+|\n\s*\n")
+# Cells of the dense per-bin count block that build_ngram_table fills at once.
+_COUNT_CELLS = 1 << 20
 
 
 def sentences_with_tokens(text: str) -> list[tuple[str, list[str]]]:
@@ -83,6 +91,14 @@ def parse_ngram(text: str) -> NgramKey:
     return tuple(text.split(" "))
 
 
+class _DenseIds(dict):
+    """Token -> dense id; an unseen token gets the next id."""
+
+    def __missing__(self, token: str) -> int:
+        self[token] = token_id = len(self)
+        return token_id
+
+
 def build_ngram_table(
     corpus: TimeBinnedCorpus,
     n: int = 2,
@@ -90,44 +106,119 @@ def build_ngram_table(
     *,
     include_titles: bool = True,
 ) -> NgramTable:
-    """Build the n-gram table for a binned corpus."""
+    """Build the n-gram table for a binned corpus.
+
+    The scan interns every token and every distinct sentence as a dense id
+    and records, per sentence of at least n tokens, its bin, sentence id and
+    token count; it creates no object per n-gram or per instance. numpy then
+    groups the instances: each instance is a row of n token ids, the rows
+    are sorted, runs of equal rows are the n-grams, and only the n-grams
+    that reach min_total become records.
+    """
     if n < 1:
         raise InputError("n must be >= 1")
     if min_total < 1:
         raise InputError("min_total must be >= 1")
 
     m = corpus.binning.bin_count
-    bin_totals = [0] * m
-    # Each distinct sentence gets an id when first seen; all instances in one
-    # scanned sentence share one (bin, sentence id) tuple.
+    token_ids = _DenseIds()
+    word_id = token_ids.__getitem__
     sentence_ids: dict[str, int] = {}
-    acc: defaultdict[NgramKey, list[tuple[int, int]]] = defaultdict(list)
+    ids: list[int] = []
+    bins: list[int] = []
+    sids: list[int] = []
+    lengths: list[int] = []
     for t, doc in corpus.iter_documents():
         for raw, tokens in sentences_with_tokens(analysis_text(doc, include_titles)):
             if len(tokens) < n:
                 continue
-            context = (t, sentence_ids.setdefault(raw, len(sentence_ids)))
-            bin_totals[t] += len(tokens) - n + 1
-            for key in zip(*[tokens[i:] for i in range(n)]):
-                acc[key].append(context)
-
-    # Keep the n-grams that reach min_total, in sorted order, and renumber
-    # the sentences that host them by first use.
+            ids += map(word_id, tokens)
+            bins.append(t)
+            sids.append(sentence_ids.setdefault(raw, len(sentence_ids)))
+            lengths.append(len(tokens))
     texts = list(sentence_ids)
-    renumbered = [-1] * len(texts)
-    sentences: list[str] = []
+    del sentence_ids
+
+    # Relabel each token id by the sorted() rank of its text: rows of ids
+    # then compare exactly as the n-gram keys do under sorted(), case and
+    # non-ASCII included, so sorted rows are sorted keys.
+    words = list(token_ids)
+    del token_ids, word_id
+    by_text = sorted(range(len(words)), key=words.__getitem__)
+    words = [words[i] for i in by_text]
+    rank = np.empty(len(words), dtype=np.intp)
+    rank[by_text] = np.arange(len(words))
+    ranked = rank[np.array(ids, dtype=np.intp)]
+    del ids, rank, by_text
+
+    # One instance per window; the i-th window of sentence s starts at token
+    # offset[s] + i.
+    lengths = np.array(lengths, dtype=np.intp)
+    windows = lengths - (n - 1)
+    sentence_of = np.repeat(np.arange(len(windows)), windows)
+    window_base = np.cumsum(windows) - windows
+    offset = np.cumsum(lengths) - lengths
+    starts = np.arange(len(sentence_of)) + (offset - window_base)[sentence_of]
+    columns = [ranked[starts + j] for j in range(n)]
+    del ranked, lengths, windows, window_base, offset, starts
+    bins = np.array(bins, dtype=np.intp)
+    sids = np.array(sids, dtype=np.intp)
+    bin_totals = np.bincount(bins[sentence_of], minlength=m).tolist()
+
+    # The sort must be stable: the instances of one n-gram then keep scan
+    # order, which is the order of its contexts. np.lexsort is stable, sorts
+    # by its last key first, and packs no integer code that could overflow
+    # for a large n.
+    order = np.lexsort(columns[::-1])
+    columns = [column[order] for column in columns]
+    sentence_of = sentence_of[order]
+    del order
+    new_key = np.zeros(len(sentence_of), dtype=bool)
+    new_key[:1] = True
+    for column in columns:
+        new_key[1:] |= column[1:] != column[:-1]
+    group_start = np.flatnonzero(new_key)
+    del new_key
+    sizes = np.diff(group_start, append=len(sentence_of))
+    kept = sizes >= min_total
+    sentence_of = sentence_of[np.repeat(kept, sizes)]
+    group_start, sizes = group_start[kept], sizes[kept]
+    key_columns = [[words[r] for r in column[group_start].tolist()] for column in columns]
+    del columns, words, group_start, kept
+
+    # Renumber the hosting sentences by first use in sorted key order.
+    context_bins = bins[sentence_of]
+    used, first_use, old_to_used = np.unique(
+        sids[sentence_of], return_index=True, return_inverse=True
+    )
+    del bins, sids, sentence_of
+    by_first_use = np.argsort(first_use)
+    new_id = np.empty(len(used), dtype=np.intp)
+    new_id[by_first_use] = np.arange(len(used))
+    sentences = [texts[i] for i in used[by_first_use].tolist()]
+    del texts
+
+    contexts = list(zip(context_bins.tolist(), new_id[old_to_used].tolist()))
+    del new_id, old_to_used
+    # Per-bin counts come from one bincount per block of n-grams, so the
+    # dense block stays near _COUNT_CELLS cells whatever the bin count.
+    ends = np.cumsum(sizes)
+    step = max(1, _COUNT_CELLS // m)
     records: dict[NgramKey, NgramRecord] = {}
-    for key in sorted(key for key, contexts in acc.items() if len(contexts) >= min_total):
-        contexts = []
-        counts = [0] * m
-        for t, old in acc[key]:
-            sid = renumbered[old]
-            if sid < 0:
-                sid = renumbered[old] = len(sentences)
-                sentences.append(texts[old])
-            contexts.append((t, sid))
-            counts[t] += 1
-        records[key] = NgramRecord(key=key, counts=counts, total=len(contexts), contexts=contexts)
+    for lo in range(0, len(sizes), step):
+        hi = min(lo + step, len(sizes))
+        first, last = ends[lo] - sizes[lo], ends[hi - 1]
+        key_of = np.repeat(np.arange(hi - lo), sizes[lo:hi])
+        block = np.bincount(key_of * m + context_bins[first:last], minlength=(hi - lo) * m)
+        for key, row, end, total in zip(
+            zip(*(column[lo:hi] for column in key_columns)),
+            block.reshape(hi - lo, m).tolist(),
+            ends[lo:hi].tolist(),
+            sizes[lo:hi].tolist(),
+        ):
+            records[key] = NgramRecord(
+                key=key, counts=row, total=total, contexts=contexts[end - total : end]
+            )
     return NgramTable(
         n=n, min_total=min_total, bin_totals=bin_totals, records=records, sentences=sentences
     )

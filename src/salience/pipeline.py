@@ -20,9 +20,11 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import itertools
 import json
 import os
+import re
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -69,6 +71,8 @@ from .topics import (
 SIM_SCOPES = ("per_topic", "global")
 # The ngram_table.json layout that write_table_json writes and load_table_json reads.
 TABLE_VERSION = 2
+# A rendered n-gram: tokenizer tokens joined by single spaces.
+_NGRAM_TEXT = re.compile(r"[^\W_]+(?: [^\W_]+)*")
 
 
 @dataclass
@@ -118,6 +122,13 @@ class RunConfig:
 def _fmt(x: float) -> str:
     # Shortest decimal that round-trips to the same float.
     return repr(float(x))
+
+
+def _csv_cell(value: str) -> str:
+    """`value` as csv.writer writes it between two other cells."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow(["", value, ""])
+    return buffer.getvalue()[1:-2]
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -238,7 +249,8 @@ def write_table_json(
 
 def load_table_json(path: Path) -> NgramTable:
     """The n-gram table that `write_table_json` wrote. Refuses any other
-    version, and contexts whose bin or sentence id is out of range."""
+    version, an n-gram that is not words joined by single spaces, and
+    contexts whose bin or sentence id is out of range."""
     payload = _load_json(path, "n-gram table", "trends")
     version = payload.get("version") if isinstance(payload, dict) else None
     if version != TABLE_VERSION:
@@ -253,6 +265,8 @@ def load_table_json(path: Path) -> NgramTable:
         bins = len(payload["bin_totals"])
         records: dict[NgramKey, NgramRecord] = {}
         for text, entry in payload["ngrams"].items():
+            if not _NGRAM_TEXT.fullmatch(text):
+                raise InputError(f"{path}: n-gram {text!r} is not words joined by single spaces")
             contexts = [(t, sid) for t, sid in entry["contexts"]]
             for t, sid in contexts:
                 if type(t) is not int or not 0 <= t < bins:
@@ -278,12 +292,20 @@ def load_table_json(path: Path) -> NgramTable:
 
 
 def write_similarity_csv(path: Path, sims: dict[NgramKey, tuple[float, ...]], topic_ids) -> None:
-    def rows():
-        for key in sorted(sims):
-            for topic_id, value in zip(topic_ids, sims[key]):
-                yield [render_ngram(key), topic_id, _fmt(value)]
+    """One row per n-gram and topic, in sorted n-gram order and topic order.
 
-    _write_csv(path, ["ngram", "topic_id", "similarity"], rows())
+    The bytes are those of csv.writer. Rows are joined by hand: a rendered
+    n-gram is word tokens joined by spaces and a float repr holds no comma
+    or quote, so neither needs quoting; topic ids are arbitrary strings and
+    are quoted once each by csv.writer.
+    """
+    cells = [_csv_cell(topic_id) for topic_id in topic_ids]
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        fh.write("ngram,topic_id,similarity\n")
+        for key in sorted(sims):
+            name = render_ngram(key)
+            rows = [f"{name},{cell},{value!r}\n" for cell, value in zip(cells, sims[key])]
+            fh.write("".join(rows))
 
 
 def load_similarity_csv(path: Path) -> tuple[dict[NgramKey, tuple[float, ...]], list[str]]:
@@ -629,6 +651,7 @@ def run_analyze(config: RunConfig) -> dict:
                     "bins": corpus.binning.bin_count,
                     "ngrams": len(table.records),
                     "instances": sum(table.bin_totals),
+                    "sentences": len(table.sentences),
                     "empty_topics": sorted(
                         tid for tid in framework.topic_ids() if sal[tid].empty
                     ),

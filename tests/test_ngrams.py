@@ -1,18 +1,60 @@
+from collections import defaultdict
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from salience.corpus import Document, bin_documents, build_binning
+from salience.corpus import Document, analysis_text, bin_documents, build_binning
+from salience import ngrams
 from salience.errors import ConsistencyError, InputError
 from salience.ngrams import (
     NgramRecord,
+    NgramTable,
     build_ngram_table,
     relative_usage_trend,
     render_ngram,
     sentences_with_tokens,
 )
 
+from salience.pipeline import run_trends, stage_run
+
 from conftest import day, make_corpus
+
+
+def _reference_table(corpus, n=2, min_total=1, *, include_titles=True):
+    """build_ngram_table as a dict of context lists, one per unique n-gram:
+    the oracle for the numpy group-by."""
+    m = corpus.binning.bin_count
+    bin_totals = [0] * m
+    sentence_ids = {}
+    acc = defaultdict(list)
+    for t, doc in corpus.iter_documents():
+        for raw, tokens in sentences_with_tokens(analysis_text(doc, include_titles)):
+            if len(tokens) < n:
+                continue
+            context = (t, sentence_ids.setdefault(raw, len(sentence_ids)))
+            bin_totals[t] += len(tokens) - n + 1
+            for key in zip(*[tokens[i:] for i in range(n)]):
+                acc[key].append(context)
+
+    texts = list(sentence_ids)
+    renumbered = [-1] * len(texts)
+    sentences = []
+    records = {}
+    for key in sorted(key for key, contexts in acc.items() if len(contexts) >= min_total):
+        contexts = []
+        counts = [0] * m
+        for t, old in acc[key]:
+            sid = renumbered[old]
+            if sid < 0:
+                sid = renumbered[old] = len(sentences)
+                sentences.append(texts[old])
+            contexts.append((t, sid))
+            counts[t] += 1
+        records[key] = NgramRecord(key=key, counts=counts, total=len(contexts), contexts=contexts)
+    return NgramTable(
+        n=n, min_total=min_total, bin_totals=bin_totals, records=records, sentences=sentences
+    )
 
 
 def surfaces(text):
@@ -245,6 +287,53 @@ def test_sentences_are_distinct_and_each_hosts_a_kept_instance(items, min_total)
                 first_use.append(sentence)
     # Every listed sentence hosts a kept instance, numbered by first use.
     assert table.sentences == first_use
+
+
+mixed_words = st.sampled_from(["alpha", "Echo", "echo", "émile", "Ünï", "2017", "Zulu"])
+mixed_corpus = st.lists(
+    st.tuples(
+        st.integers(min_value=1, max_value=4),
+        st.lists(st.lists(mixed_words, min_size=1, max_size=5).map(" ".join), min_size=1, max_size=4)
+        .map(". ".join),
+    ),
+    min_size=1,
+    max_size=10,
+)
+
+
+@settings(max_examples=60)
+@given(mixed_corpus, st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=3))
+def test_table_equals_reference(items, n, min_total):
+    # The first document's text again in another bin: one sentence, two bins.
+    month, text = items[0]
+    corpus = _corpus_from(items + [(month % 4 + 1, text)])
+    table = build_ngram_table(corpus, n=n, min_total=min_total)
+    reference = _reference_table(corpus, n=n, min_total=min_total)
+    assert table == reference
+    assert list(table.records) == list(reference.records)
+    assert table.sentences == reference.sentences
+
+
+@pytest.mark.parametrize("cells", [1, 8])
+def test_count_blocks_do_not_change_the_table(monkeypatch, cells):
+    # Four bins: one n-gram per block, then two.
+    monkeypatch.setattr(ngrams, "_COUNT_CELLS", cells)
+    corpus = _corpus_from(
+        [(1, "a b c. b c d"), (2, "a b. c d e"), (3, "b c d"), (4, "émile a b")]
+    )
+    assert build_ngram_table(corpus, n=2, min_total=1) == _reference_table(corpus, n=2)
+
+
+def test_no_sentence_reaches_n_tokens(tmp_path):
+    corpus = _corpus_from([(1, "one two. three"), (3, "four five six")])
+    table = build_ngram_table(corpus, n=4, min_total=1)
+    assert table.records == {}
+    assert table.sentences == []
+    assert table.bin_totals == [0, 0, 0]
+    assert table == _reference_table(corpus, n=4)
+    with pytest.raises(InputError, match="no n-gram reached min-count 1"):
+        with stage_run(tmp_path, "trends") as run:
+            run_trends(run, corpus, 4, 1, True)
 
 
 def test_emergent_ngram_has_exact_zero_before_first_use():

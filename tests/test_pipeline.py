@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import json
 import re
 from pathlib import Path
@@ -18,6 +19,7 @@ from salience.pipeline import (
     load_table_json,
     load_trend_csv,
     run_analyze,
+    write_similarity_csv,
     write_table_json,
 )
 from salience.synth import PlantedEvent, SynthSpec, corpus_to_jsonl, generate_corpus
@@ -100,6 +102,8 @@ class TestAnalyze:
         assert listed == on_disk
         for rel, digest in manifest["artifacts"].items():
             assert hashlib.sha256((out / rel).read_bytes()).hexdigest() == digest
+        sentences = json.loads((out / "ngram_table.json").read_text())["sentences"]
+        assert manifest["corpus"]["sentences"] == len(set(sentences)) == len(sentences) > 0
 
     def test_rerun_is_byte_identical_except_manifest_timings(self, workspace):
         tmp, corpus, framework = workspace
@@ -550,6 +554,23 @@ def test_ngram_trends_loader_inverts_the_writer(workspace, tmp_path):
     }
 
 
+def test_similarity_csv_is_csv_writer_output(tmp_path):
+    topic_ids = ["plain", "comma, id", 'say "hi"', 'both, "x"', "two\nlines", "çé"]
+    sims = {
+        ("émile", "Ünï"): (0.1, 1 / 3, 0.0, 2.5e-17, 1.0, -0.0),
+        ("2017", "Echo"): (0.5, 0.25, 1e-300, 0.3, 0.7, 0.9),
+    }
+    path = tmp_path / "similarity.csv"
+    write_similarity_csv(path, sims, topic_ids)
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(["ngram", "topic_id", "similarity"])
+    for key in sorted(sims):
+        writer.writerows([render_ngram(key), tid, repr(v)] for tid, v in zip(topic_ids, sims[key]))
+    assert path.read_bytes() == expected.getvalue().encode("utf-8")
+    assert load_similarity_csv(path) == (sims, topic_ids)
+
+
 def test_table_write_then_load_round_trips(workspace, tmp_path):
     _, corpus, _ = workspace
     binned = load_binned_corpus(corpus, "month")
@@ -581,12 +602,20 @@ def _non_integer_bin(table):
     entry["contexts"][0][0] = 0.5
 
 
+def _comma_in_ngram(table):
+    first = next(iter(table["ngrams"]))
+    table["ngrams"][first.replace(" ", ",", 1)] = table["ngrams"].pop(first)
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
         pytest.param(_version_1, "version 1, .*; re-run the trends stage", id="version-1"),
         pytest.param(_sentence_id_out_of_range, "sentence id \\d+ is not one of", id="sentence-id"),
         pytest.param(_non_integer_bin, "bin 0.5 is not one of", id="non-integer-bin"),
+        pytest.param(
+            _comma_in_ngram, "n-gram '.*,.*' is not words joined by single spaces", id="ngram-text"
+        ),
     ],
 )
 def test_similarity_refuses_bad_table(workspace, tmp_path, capsys, corrupt, message):
