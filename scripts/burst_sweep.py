@@ -15,9 +15,9 @@ import time
 
 import numpy as np
 
-from salience.association import relative_std_dev
+from salience.association import relative_std_devs
 from salience.corpus import bin_documents, build_binning
-from salience.ngrams import build_ngram_table, relative_usage_trend
+from salience.ngrams import build_ngram_table, usage_matrix
 from salience.pipeline import compute_associations, compute_similarities
 from salience.salience import topic_salience_trend
 from salience.synth import PlantedEvent, SynthSpec, generate_corpus
@@ -83,15 +83,11 @@ def main() -> None:
         docs, _ = generate_corpus(spec)
         corpus = bin_documents(docs, build_binning(docs, "month"))
         table = build_ngram_table(corpus, n=2, min_total=1)
-        trends = {
-            key: relative_usage_trend(rec, table.bin_totals)
-            for key, rec in table.records.items()
-        }
-        rsd = {key: relative_std_dev(trends[key]) for key in table.sorted_keys()}
+        usage = usage_matrix(table)
         sims = compute_similarities(table, framework, space, vectors)
-        associations = compute_associations(sims, rsd, topic_ids, 75.0)
-        salience = topic_salience_trend(associations[topic], trends, args.bins)
-        peak = int(np.argmax(salience.values))
+        associations = compute_associations(sims, relative_std_devs(usage), topic_ids, 75.0)
+        salience = topic_salience_trend(associations[topic].members, usage)
+        peak = int(np.argmax(salience))
         exact += peak == t_star
         hits += peak in (t_star, t_star + 1)
 

@@ -8,7 +8,7 @@ rule, and derive per-topic salience trends and matrices.
 
 __version__ = "0.1.0"
 
-from .association import Member, TopicAssociation, associate, percentile, relative_std_dev
+from .association import TopicAssociation, associate, percentile, relative_std_devs
 from .corpus import (
     CorpusSchema,
     Document,
@@ -25,15 +25,13 @@ from .ngrams import (
     NgramRecord,
     NgramTable,
     build_ngram_table,
-    relative_usage_trend,
     render_ngram,
+    usage_matrix,
 )
-from .pipeline import RunConfig, run_analyze
-from .render import render_grid_svg, render_matrix_svg, render_trend_svg
+from .pipeline import RunConfig, compute_associations, compute_similarities, run_analyze
+from .render import render_grid_svg, render_trend_svg
 from .salience import (
     SalienceMatrix,
-    SalienceTrend,
-    TopicUsageTrend,
     normalize_salience,
     salience_matrix,
     time_derivative,
@@ -84,7 +82,7 @@ __all__ = [
     "NgramRecord",
     "NgramTable",
     "build_ngram_table",
-    "relative_usage_trend",
+    "usage_matrix",
     "render_ngram",
     "Topic",
     "TopicFramework",
@@ -101,13 +99,10 @@ __all__ = [
     "ngram_vector",
     "cosine",
     "similarity_matrix",
-    "Member",
     "TopicAssociation",
-    "relative_std_dev",
+    "relative_std_devs",
     "percentile",
     "associate",
-    "TopicUsageTrend",
-    "SalienceTrend",
     "SalienceMatrix",
     "time_derivative",
     "topic_usage_trend",
@@ -123,7 +118,8 @@ __all__ = [
     "news_scale_spec",
     "RunConfig",
     "run_analyze",
+    "compute_similarities",
+    "compute_associations",
     "render_trend_svg",
     "render_grid_svg",
-    "render_matrix_svg",
 ]

@@ -3,21 +3,25 @@
 An n-gram is associated with a topic when it strictly exceeds the 75th
 percentile (configurable) of both usage variability and similarity to that
 topic: the upper-right quadrant of the (variability, similarity) scatter.
+
+N-grams are rows: index i of a similarity column or of the variability
+array is the i-th n-gram in sorted key order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ConsistencyError, InputError
-from .ngrams import NgramKey, render_ngram
 
 
 def relative_std_dev(trend: Sequence[float]) -> float:
-    """Population standard deviation of the trend divided by its mean."""
+    """Population standard deviation of the trend divided by its mean.
+
+    Scalar reference for `relative_std_devs`."""
     values = np.asarray(trend, dtype=float)
     if values.size == 0:
         raise InputError("cannot compute relative standard deviation of an empty trend")
@@ -27,6 +31,16 @@ def relative_std_dev(trend: Sequence[float]) -> float:
             "trend mean is not positive; every tabled n-gram occurs at least once"
         )
     return float(values.std() / mean)
+
+
+def relative_std_devs(usage: np.ndarray) -> np.ndarray:
+    """`relative_std_dev` of every row of a (n-grams × bins) usage array."""
+    mean = usage.mean(axis=1)
+    if not (mean > 0.0).all():
+        raise ConsistencyError(
+            "trend mean is not positive; every tabled n-gram occurs at least once"
+        )
+    return usage.std(axis=1) / mean
 
 
 def percentile(values: Sequence[float], p: float) -> float:
@@ -40,64 +54,47 @@ def percentile(values: Sequence[float], p: float) -> float:
 
 
 @dataclass(frozen=True)
-class Member:
-    ngram: NgramKey
-    similarity: float
-    rsd: float
-
-
-@dataclass(frozen=True)
 class TopicAssociation:
-    """N-grams associated with one topic, plus the thresholds that admitted
-    them. Members are sorted by descending similarity."""
+    """N-grams associated with one topic, as row indices, plus the thresholds
+    that admitted them. Members are sorted by descending similarity, ties in
+    row order."""
 
     topic_id: str
-    members: tuple[Member, ...]
+    members: tuple[int, ...]
     sim_threshold: float
     rsd_threshold: float
-
-    def member_keys(self) -> list[NgramKey]:
-        return [m.ngram for m in self.members]
 
 
 def associate(
     topic_id: str,
-    similarities: Mapping[NgramKey, float],
-    variabilities: Mapping[NgramKey, float],
+    similarities: np.ndarray,
+    variabilities: np.ndarray,
     p: float = 75.0,
     *,
     sim_threshold: float | None = None,
     rsd_threshold: float | None = None,
 ) -> TopicAssociation:
-    """Select the n-grams strictly above the p-th percentile on both axes.
+    """Select the rows strictly above the p-th percentile on both axes.
 
     By default the similarity threshold comes from this topic's own
-    similarity distribution and the variability threshold from the full
-    variability distribution; pass precomputed thresholds to override
-    (e.g. a global similarity percentile).
+    similarity column and the variability threshold from the full
+    variability array; pass precomputed thresholds to override (e.g. a
+    global similarity percentile).
     """
-    if set(similarities) != set(variabilities):
-        only_sim = set(similarities) - set(variabilities)
-        only_var = set(variabilities) - set(similarities)
-        sample = next(iter(only_sim or only_var))
+    if similarities.shape != variabilities.shape:
         raise ConsistencyError(
-            f"topic {topic_id!r}: similarity and variability maps cover different "
-            f"n-gram sets (e.g. {render_ngram(sample)!r})"
+            f"topic {topic_id!r}: {similarities.shape[0]} similarities but "
+            f"{variabilities.shape[0]} variabilities"
         )
     if sim_threshold is None:
-        sim_threshold = percentile(list(similarities.values()), p)
+        sim_threshold = percentile(similarities, p)
     if rsd_threshold is None:
-        rsd_threshold = percentile(list(variabilities.values()), p)
-
-    members = [
-        Member(ngram=g, similarity=s, rsd=variabilities[g])
-        for g, s in similarities.items()
-        if s > sim_threshold and variabilities[g] > rsd_threshold
-    ]
-    members.sort(key=lambda m: (-m.similarity, m.ngram))
+        rsd_threshold = percentile(variabilities, p)
+    rows = np.flatnonzero((similarities > sim_threshold) & (variabilities > rsd_threshold))
+    rows = rows[np.lexsort((rows, -similarities[rows]))]
     return TopicAssociation(
         topic_id=topic_id,
-        members=tuple(members),
+        members=tuple(rows.tolist()),
         sim_threshold=sim_threshold,
         rsd_threshold=rsd_threshold,
     )

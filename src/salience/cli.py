@@ -19,6 +19,7 @@ from . import __version__
 from .errors import ConsistencyError, InputError
 from .pipeline import (
     RunConfig,
+    check_same_ngrams,
     load_associations_json,
     load_binned_corpus,
     load_matrix_json,
@@ -74,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     assoc = sub.add_parser("associate", help="stage: bivariate topic association")
     assoc.add_argument("--in", dest="in_dir", required=True, help="stage directory")
-    _add_assoc_args(assoc, corpusless=True)
+    _add_assoc_args(assoc)
     assoc.set_defaults(func=_cmd_associate)
 
     sal = sub.add_parser("salience", help="stage: topic salience trends and matrices")
@@ -114,7 +115,7 @@ def _add_framework_args(parser) -> None:
     parser.add_argument("--lexicon", help="optional synonym lexicon JSON file")
 
 
-def _add_assoc_args(parser, corpusless: bool = False) -> None:
+def _add_assoc_args(parser) -> None:
     parser.add_argument(
         "--percentile", type=float, default=75.0, help="association percentile (default 75)"
     )
@@ -191,10 +192,11 @@ def _cmd_similarity(args) -> int:
 def _cmd_associate(args) -> int:
     in_dir = Path(args.in_dir)
     with stage_run(in_dir, "associate") as run:
-        trends, _ = load_ngram_trends_csv(in_dir / "ngram_trends.csv")
-        sims, topic_ids = load_similarity_csv(in_dir / "similarity.csv")
+        keys, usage, _ = load_ngram_trends_csv(in_dir / "ngram_trends.csv")
+        sim_keys, sims, topic_ids = load_similarity_csv(in_dir / "similarity.csv")
+        check_same_ngrams(keys, sim_keys)
         associations = run_associate(
-            run, trends, sims, topic_ids, args.percentile, args.sim_scope
+            run, keys, usage, sims, topic_ids, args.percentile, args.sim_scope
         )
     total = sum(len(a.members) for a in associations.values())
     print(f"wrote associations for {len(associations)} topics ({total} memberships)")
@@ -204,10 +206,10 @@ def _cmd_associate(args) -> int:
 def _cmd_salience(args) -> int:
     in_dir = Path(args.in_dir)
     with stage_run(in_dir, "salience") as run:
-        trends, labels = load_ngram_trends_csv(in_dir / "ngram_trends.csv")
-        associations = load_associations_json(in_dir / "associations.json")
+        keys, usage, labels = load_ngram_trends_csv(in_dir / "ngram_trends.csv")
+        associations = load_associations_json(in_dir / "associations.json", keys)
         framework = load_framework(args.framework)
-        run_salience(run, framework, associations, trends, labels, args.norm)
+        run_salience(run, framework, associations, usage, labels, args.norm)
     print(f"wrote salience trends for {len(framework.topics)} topics over {len(labels)} bins")
     return 0
 

@@ -224,11 +224,21 @@ def build_ngram_table(
     )
 
 
+def usage_matrix(table: NgramTable) -> np.ndarray:
+    """Every n-gram's relative usage trend as one (n-grams × bins) array,
+    rows in sorted key order: counts / bin_totals, 0 in empty bins."""
+    counts = np.array(
+        [table.records[key].counts for key in table.sorted_keys()], dtype=np.int64
+    ).reshape(len(table.records), len(table.bin_totals))
+    totals = np.array(table.bin_totals, dtype=np.int64)
+    return np.divide(counts, totals, out=np.zeros(counts.shape), where=totals > 0)
+
+
 def relative_usage_trend(record: NgramRecord, bin_totals: Sequence[int]) -> list[float]:
     """Per-bin fraction of all n-gram instances that belong to this n-gram.
 
     Empty bins (zero total) contribute 0 so the trend stays total and safe
-    to differentiate.
+    to differentiate. Scalar reference for `usage_matrix`.
     """
     if len(record.counts) != len(bin_totals):
         raise ConsistencyError(

@@ -10,6 +10,18 @@ failures name the stage and remove its partial outputs either way.
 `ngram_trends.csv` carries the usage trends to the associate and salience
 stages; `ngram_table.json` carries the contexts to the similarity stage.
 
+Between stages each quantity is one numpy array whose row i is the i-th
+n-gram in sorted key order (K n-grams, B bins, T topics):
+
+- usage: (K × B) floats, count / bin total, 0 in empty bins;
+- similarities: (K × T) floats, columns in framework topic order;
+- variability: (K,) floats, each row's relative standard deviation;
+- associations: per topic, member row indices in member order;
+- topic usage and salience: (T × B) floats, rows in topic order.
+
+The loaders return the same arrays, so `analyze` and the stage subcommands
+share one representation.
+
 All exports are deterministic: rows follow sorted n-gram order and
 framework topic order, floats are rendered as shortest round-trip decimals,
 and reruns with identical inputs and config are byte-identical except for
@@ -26,14 +38,17 @@ import json
 import os
 import re
 import time
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterator
 
+import numpy as np
+
 from . import __version__
-from .association import Member, TopicAssociation, associate, percentile, relative_std_dev
+from .association import TopicAssociation, associate, percentile, relative_std_devs
 from .corpus import (
     GRANULARITIES,
     TimeBinnedCorpus,
@@ -49,12 +64,11 @@ from .ngrams import (
     NgramTable,
     build_ngram_table,
     parse_ngram,
-    relative_usage_trend,
     render_ngram,
+    usage_matrix,
 )
 from .salience import (
     NORMALIZATIONS,
-    SalienceTrend,
     normalize_salience,
     salience_matrix,
     topic_salience_trend,
@@ -119,11 +133,6 @@ class RunConfig:
         }
 
 
-def _fmt(x: float) -> str:
-    # Shortest decimal that round-trips to the same float.
-    return repr(float(x))
-
-
 def _csv_cell(value: str) -> str:
     """`value` as csv.writer writes it between two other cells."""
     buffer = io.StringIO()
@@ -143,8 +152,8 @@ def _read_csv(path: Path, what: str, stage: str):
     """Yield a CSV artifact's header and an iterator over its non-blank rows.
 
     A row whose length differs from the header's, and a ValueError raised
-    while a row is being read (a non-numeric cell), become an InputError
-    naming the file and line.
+    while a row is being read (a non-numeric cell, an n-gram out of order),
+    become an InputError naming the file and line.
     """
     if not path.is_file():
         raise InputError(f"{what} not found: {path} (run the {stage} stage first)")
@@ -194,26 +203,42 @@ def _sha256(path: Path) -> str:
 # --- artifact writers / readers --------------------------------------------
 
 
+def _append_key(keys: list[NgramKey], text: str) -> None:
+    """Append the n-gram `text`, which must follow the last one in sorted key
+    order: row order stands for key order."""
+    key = parse_ngram(text)
+    if keys and key <= keys[-1]:
+        raise ValueError(f"n-gram {text!r} repeats or is out of sorted order")
+    keys.append(key)
+
+
 def write_ngram_trends_csv(
-    path: Path, table: NgramTable, trends: dict[NgramKey, list[float]], bin_labels: list[str]
+    path: Path, table: NgramTable, usage: np.ndarray, bin_labels: list[str]
 ) -> None:
+    """One row per n-gram: its name, total and usage trend, floats as their
+    shortest round-trip repr."""
     rows = (
-        [render_ngram(key), table.records[key].total] + [_fmt(v) for v in trends[key]]
-        for key in table.sorted_keys()
+        [render_ngram(key), table.records[key].total, *map(repr, values)]
+        for key, values in zip(table.sorted_keys(), usage.tolist())
     )
     _write_csv(path, ["ngram", "total"] + list(bin_labels), rows)
 
 
-def load_ngram_trends_csv(path: Path) -> tuple[dict[NgramKey, list[float]], list[str]]:
-    """Inverse of `write_ngram_trends_csv`: each n-gram's usage trend, in file
-    order, plus the bin labels."""
+def load_ngram_trends_csv(path: Path) -> tuple[list[NgramKey], np.ndarray, list[str]]:
+    """Inverse of `write_ngram_trends_csv`: the n-gram keys, their usage as one
+    (n-grams × bins) array, and the bin labels. Refuses an n-gram that
+    repeats or breaks sorted key order."""
+    keys: list[NgramKey] = []
+    values = array("d")
     with _read_csv(path, "n-gram trends", "trends") as (header, rows):
         if header[:2] != ["ngram", "total"]:
             raise InputError(f"{path}: unexpected header {header[:2]}")
-        trends = {parse_ngram(row[0]): [float(v) for v in row[2:]] for row in rows}
-    if not trends:
+        for row in rows:
+            _append_key(keys, row[0])
+            values.extend(map(float, row[2:]))
+    if not keys:
         raise InputError(f"{path}: no n-gram rows")
-    return trends, header[2:]
+    return keys, np.frombuffer(values).reshape(len(keys), len(header) - 2), header[2:]
 
 
 def write_table_json(
@@ -291,7 +316,9 @@ def load_table_json(path: Path) -> NgramTable:
         raise InputError(f"{path}: bad n-gram table payload: {exc}") from exc
 
 
-def write_similarity_csv(path: Path, sims: dict[NgramKey, tuple[float, ...]], topic_ids) -> None:
+def write_similarity_csv(
+    path: Path, keys: list[NgramKey], sims: np.ndarray, topic_ids: list[str]
+) -> None:
     """One row per n-gram and topic, in sorted n-gram order and topic order.
 
     The bytes are those of csv.writer. Rows are joined by hand: a rendered
@@ -302,65 +329,92 @@ def write_similarity_csv(path: Path, sims: dict[NgramKey, tuple[float, ...]], to
     cells = [_csv_cell(topic_id) for topic_id in topic_ids]
     with path.open("w", encoding="utf-8", newline="") as fh:
         fh.write("ngram,topic_id,similarity\n")
-        for key in sorted(sims):
+        for key, values in zip(keys, sims.tolist()):
             name = render_ngram(key)
-            rows = [f"{name},{cell},{value!r}\n" for cell, value in zip(cells, sims[key])]
+            rows = [f"{name},{cell},{value!r}\n" for cell, value in zip(cells, values)]
             fh.write("".join(rows))
 
 
-def load_similarity_csv(path: Path) -> tuple[dict[NgramKey, tuple[float, ...]], list[str]]:
-    """Inverse of `write_similarity_csv`: each n-gram's similarities in topic
-    order, plus the topic ids. Every n-gram's rows must be contiguous and list
-    the topics in the order of the first n-gram's."""
-    sims: dict[NgramKey, tuple[float, ...]] = {}
+def load_similarity_csv(path: Path) -> tuple[list[NgramKey], np.ndarray, list[str]]:
+    """Inverse of `write_similarity_csv`: the n-gram keys, their similarities
+    as one (n-grams × topics) array, and the topic ids. Every n-gram's rows
+    must be contiguous, the n-grams must come in sorted key order, and each
+    must list the topics in the order of the first n-gram's."""
+    keys: list[NgramKey] = []
+    values = array("d")
     topic_ids: list[str] = []
     with _read_csv(path, "similarity table", "similarity") as (header, rows):
         if header != ["ngram", "topic_id", "similarity"]:
             raise InputError(f"{path}: unexpected header {header}")
         for text, group in itertools.groupby(rows, key=itemgetter(0)):
-            topics, values = [], []
+            _append_key(keys, text)
+            topics = []
             for _, topic_id, value in group:
                 topics.append(topic_id)
                 values.append(float(value))
-            key = parse_ngram(text)
-            if key in sims:
-                raise InputError(f"{path}: rows of n-gram {text!r} are not contiguous")
             if not topic_ids:
                 topic_ids = topics
             elif topics != topic_ids:
                 raise InputError(f"{path}: n-gram {text!r} lists topics {topics}, not {topic_ids}")
-            sims[key] = tuple(values)
-    if not sims:
+    if not keys:
         raise InputError(f"{path}: no similarity rows")
-    return sims, topic_ids
+    return keys, np.frombuffer(values).reshape(len(keys), len(topic_ids)), topic_ids
 
 
-def write_associations_json(path: Path, associations: dict[str, TopicAssociation]) -> None:
-    payload = {
-        topic_id: {
+def check_same_ngrams(trend_keys: list[NgramKey], similarity_keys: list[NgramKey]) -> None:
+    """Refuse usage trends and similarities that cover different n-grams."""
+    if trend_keys != similarity_keys:
+        sample = min(set(trend_keys) ^ set(similarity_keys))
+        raise ConsistencyError(
+            "ngram_trends.csv and similarity.csv cover different n-gram sets "
+            f"(e.g. {render_ngram(sample)!r})"
+        )
+
+
+def write_associations_json(
+    path: Path,
+    associations: dict[str, TopicAssociation],
+    keys: list[NgramKey],
+    sims: np.ndarray,
+    rsd: np.ndarray,
+) -> None:
+    """Each topic's thresholds and members, with each member's n-gram,
+    similarity and variability. `associations` lists the topics in the
+    column order of `sims`."""
+    payload = {}
+    for column, (topic_id, assoc) in enumerate(associations.items()):
+        rows = list(assoc.members)
+        payload[topic_id] = {
             "sim_threshold": assoc.sim_threshold,
             "rsd_threshold": assoc.rsd_threshold,
             "members": [
-                {"ngram": render_ngram(m.ngram), "similarity": m.similarity, "rsd": m.rsd}
-                for m in assoc.members
+                {"ngram": render_ngram(keys[row]), "similarity": sim, "rsd": var}
+                for row, sim, var in zip(rows, sims[rows, column].tolist(), rsd[rows].tolist())
             ],
         }
-        for topic_id, assoc in associations.items()
-    }
     _write_json(path, payload)
 
 
-def load_associations_json(path: Path) -> dict[str, TopicAssociation]:
+def load_associations_json(path: Path, keys: list[NgramKey]) -> dict[str, TopicAssociation]:
+    """Inverse of `write_associations_json`: each topic's members as row
+    indices into `keys`, the n-grams of the usage trends. A member outside
+    `keys` is a ConsistencyError."""
     payload = _load_json(path, "associations", "associate")
+    row_of = {render_ngram(key): row for row, key in enumerate(keys)}
     out: dict[str, TopicAssociation] = {}
     try:
         for topic_id, entry in payload.items():
+            members = []
+            for member in entry["members"]:
+                row = row_of.get(member["ngram"])
+                if row is None:
+                    raise ConsistencyError(
+                        f"topic {topic_id!r}: no usage trend for member {member['ngram']!r}"
+                    )
+                members.append(row)
             out[topic_id] = TopicAssociation(
                 topic_id=topic_id,
-                members=tuple(
-                    Member(parse_ngram(m["ngram"]), float(m["similarity"]), float(m["rsd"]))
-                    for m in entry["members"]
-                ),
+                members=tuple(members),
                 sim_threshold=float(entry["sim_threshold"]),
                 rsd_threshold=float(entry["rsd_threshold"]),
             )
@@ -369,11 +423,14 @@ def load_associations_json(path: Path) -> dict[str, TopicAssociation]:
     return out
 
 
-def write_trend_csv(path: Path, rows: dict[str, list[float]], bin_labels: list[str]) -> None:
+def write_trend_csv(
+    path: Path, topic_ids: list[str], values: np.ndarray, bin_labels: list[str]
+) -> None:
+    """One row per topic of a (topics × bins) array."""
     _write_csv(
         path,
         ["topic_id"] + list(bin_labels),
-        ([topic_id] + [_fmt(v) for v in values] for topic_id, values in rows.items()),
+        ([topic_id, *map(repr, row)] for topic_id, row in zip(topic_ids, values.tolist())),
     )
 
 
@@ -460,46 +517,45 @@ def compute_similarities(
     framework: TopicFramework,
     space,
     topic_vectors,
-) -> dict[NgramKey, tuple[float, ...]]:
-    """Similarity values for every tabled n-gram, in framework topic order,
-    scored in one pass by the batch kernel."""
-    keys = table.sorted_keys()
-    values = batch_similarities(
+) -> np.ndarray:
+    """Similarity of every tabled n-gram to every topic, as one (n-grams ×
+    topics) array in sorted key order and framework topic order, scored in
+    one pass by the batch kernel."""
+    return batch_similarities(
         space,
         topic_vectors,
         framework.topic_ids(),
         table.sentences,
-        ([sid for _, sid in table.records[key].contexts] for key in keys),
+        ([sid for _, sid in table.records[key].contexts] for key in table.sorted_keys()),
     )
-    return dict(zip(keys, map(tuple, values.tolist())))
 
 
 def compute_associations(
-    sims: dict[NgramKey, tuple[float, ...]],
-    rsd: dict[NgramKey, float],
+    sims: np.ndarray,
+    rsd: np.ndarray,
     topic_ids: list[str],
     p: float,
     sim_scope: str = "per_topic",
 ) -> dict[str, TopicAssociation]:
-    """One association per topic. The variability threshold is always global;
-    the similarity threshold is per-topic unless sim_scope is 'global'."""
-    rsd_threshold = percentile(list(rsd.values()), p)
-    global_sim: float | None = None
+    """One association per topic (column of `sims`). The variability
+    threshold is always global; the similarity threshold is per-topic unless
+    sim_scope is 'global'."""
+    rsd_threshold = percentile(rsd, p)
     if sim_scope == "global":
-        pooled = [v for values in sims.values() for v in values]
-        global_sim = percentile(pooled, p)
-    out: dict[str, TopicAssociation] = {}
-    for i, topic_id in enumerate(topic_ids):
-        column = {key: values[i] for key, values in sims.items()}
-        out[topic_id] = associate(
+        sim_thresholds = [percentile(sims.ravel(), p)] * len(topic_ids)
+    else:
+        sim_thresholds = np.percentile(sims, p, axis=0, method="linear").tolist()
+    return {
+        topic_id: associate(
             topic_id,
-            column,
+            sims[:, column],
             rsd,
             p,
-            sim_threshold=global_sim,
+            sim_threshold=sim_thresholds[column],
             rsd_threshold=rsd_threshold,
         )
-    return out
+        for column, topic_id in enumerate(topic_ids)
+    }
 
 
 @contextmanager
@@ -525,46 +581,47 @@ def load_binned_corpus(path: Path, granularity: str) -> TimeBinnedCorpus:
 
 def run_trends(
     run: _Run, corpus: TimeBinnedCorpus, n: int, min_total: int, include_titles: bool
-) -> tuple[NgramTable, dict[NgramKey, list[float]]]:
-    """Trends stage: the n-gram table and each kept n-gram's relative usage
-    trend. Writes ngram_trends.csv and ngram_table.json."""
+) -> tuple[NgramTable, np.ndarray]:
+    """Trends stage: the n-gram table and the (n-grams × bins) usage array.
+    Writes ngram_trends.csv and ngram_table.json."""
     table = build_ngram_table(corpus, n, min_total, include_titles=include_titles)
     if not table.records:
         raise InputError(
             f"no n-gram reached min-count {min_total}; lower --min-count or supply more text"
         )
-    trends = {
-        key: relative_usage_trend(rec, table.bin_totals) for key, rec in table.records.items()
-    }
-    write_ngram_trends_csv(run.target("ngram_trends.csv"), table, trends, corpus.binning.labels())
+    usage = usage_matrix(table)
+    write_ngram_trends_csv(run.target("ngram_trends.csv"), table, usage, corpus.binning.labels())
     write_table_json(run.target("ngram_table.json"), table, corpus.binning, include_titles)
-    return table, trends
+    return table, usage
 
 
 def run_similarity(
     run: _Run, table: NgramTable, framework: TopicFramework, lexicon: dict | None
-) -> dict[NgramKey, tuple[float, ...]]:
-    """Similarity stage: each n-gram's similarity to every topic, from the
+) -> np.ndarray:
+    """Similarity stage: the (n-grams × topics) similarity array, from the
     contexts in the table. Writes similarity.csv."""
     space, topic_vectors = build_vector_space(framework, lexicon)
     sims = compute_similarities(table, framework, space, topic_vectors)
-    write_similarity_csv(run.target("similarity.csv"), sims, framework.topic_ids())
+    write_similarity_csv(
+        run.target("similarity.csv"), table.sorted_keys(), sims, framework.topic_ids()
+    )
     return sims
 
 
 def run_associate(
     run: _Run,
-    trends: dict[NgramKey, list[float]],
-    sims: dict[NgramKey, tuple[float, ...]],
+    keys: list[NgramKey],
+    usage: np.ndarray,
+    sims: np.ndarray,
     topic_ids: list[str],
     p: float,
     sim_scope: str,
 ) -> dict[str, TopicAssociation]:
     """Associate stage: each topic's members, from the usage trends'
     variability and the similarities. Writes associations.json."""
-    rsd = {key: relative_std_dev(trend) for key, trend in trends.items()}
+    rsd = relative_std_devs(usage)
     associations = compute_associations(sims, rsd, topic_ids, p, sim_scope)
-    write_associations_json(run.target("associations.json"), associations)
+    write_associations_json(run.target("associations.json"), associations, keys, sims, rsd)
     return associations
 
 
@@ -572,38 +629,33 @@ def run_salience(
     run: _Run,
     framework: TopicFramework,
     associations: dict[str, TopicAssociation],
-    trends: dict[NgramKey, list[float]],
+    usage: np.ndarray,
     labels: list[str],
     normalization: str,
-) -> dict[str, SalienceTrend]:
-    """Salience stage: each topic's usage and salience trends, normalized
-    salience and one salience matrix per bin. Writes topic_usage.csv,
-    salience.csv, salience_normalized.csv and matrices/<bin>.json."""
+) -> np.ndarray:
+    """Salience stage: the (topics × bins) salience array. Writes each
+    topic's usage and salience trends (topic_usage.csv, salience.csv), the
+    per-bin normalized salience (salience_normalized.csv) and one salience
+    matrix per bin (matrices/<bin>.json)."""
     topic_ids = framework.topic_ids()
     missing = [tid for tid in topic_ids if tid not in associations]
     if missing:
         raise InputError(f"associations missing for topics: {', '.join(missing)}")
-    m = len(labels)
-    usage = {tid: topic_usage_trend(associations[tid], trends, m) for tid in topic_ids}
-    sal = {tid: topic_salience_trend(associations[tid], trends, m) for tid in topic_ids}
-    normalized = normalize_salience([sal[tid] for tid in topic_ids], normalization)
-    write_trend_csv(
-        run.target("topic_usage.csv"), {tid: usage[tid].values for tid in topic_ids}, labels
-    )
-    write_trend_csv(run.target("salience.csv"), {tid: sal[tid].values for tid in topic_ids}, labels)
-    write_trend_csv(
-        run.target("salience_normalized.csv"),
-        {trend.topic_id: trend.values for trend in normalized},
-        labels,
-    )
+    members = [associations[tid].members for tid in topic_ids]
+    topic_usage = np.array([topic_usage_trend(rows, usage) for rows in members])
+    salience = np.array([topic_salience_trend(rows, usage) for rows in members])
+    normalized = normalize_salience(salience, normalization)
+    write_trend_csv(run.target("topic_usage.csv"), topic_ids, topic_usage, labels)
+    write_trend_csv(run.target("salience.csv"), topic_ids, salience, labels)
+    write_trend_csv(run.target("salience_normalized.csv"), topic_ids, normalized, labels)
     matrices_dir = run.out_dir / "matrices"
     matrices_dir.mkdir(exist_ok=True)
     for stale in matrices_dir.glob("*.json"):
         stale.unlink()
     for t, label in enumerate(labels):
-        matrix = salience_matrix(framework, sal, t, label)
+        matrix = salience_matrix(framework, salience, t, label)
         write_matrix_json(run.target("matrices", f"{label}.json"), matrix)
-    return sal
+    return salience
 
 
 def run_analyze(config: RunConfig) -> dict:
@@ -624,7 +676,7 @@ def run_analyze(config: RunConfig) -> dict:
             lexicon = load_lexicon(config.lexicon) if config.lexicon else None
 
         with run.stage("trends"):
-            table, trends = run_trends(
+            table, usage = run_trends(
                 run, corpus, config.n, config.min_total, config.include_titles
             )
 
@@ -633,12 +685,18 @@ def run_analyze(config: RunConfig) -> dict:
 
         with run.stage("associate"):
             associations = run_associate(
-                run, trends, sims, framework.topic_ids(), config.percentile, config.sim_scope
+                run,
+                table.sorted_keys(),
+                usage,
+                sims,
+                framework.topic_ids(),
+                config.percentile,
+                config.sim_scope,
             )
 
         with run.stage("salience"):
-            sal = run_salience(
-                run, framework, associations, trends, corpus.binning.labels(), config.normalization
+            run_salience(
+                run, framework, associations, usage, corpus.binning.labels(), config.normalization
             )
 
         with run.stage("manifest"):
@@ -653,7 +711,7 @@ def run_analyze(config: RunConfig) -> dict:
                     "instances": sum(table.bin_totals),
                     "sentences": len(table.sentences),
                     "empty_topics": sorted(
-                        tid for tid in framework.topic_ids() if sal[tid].empty
+                        tid for tid, assoc in associations.items() if not assoc.members
                     ),
                 },
                 "inputs": {

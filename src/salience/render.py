@@ -236,21 +236,3 @@ def render_grid_svg(
     parts.append("</svg>")
     return "\n".join(parts)
 
-
-def render_matrix_svg(matrix, *, title: str | None = None) -> str:
-    """Heat grid for a salience or similarity matrix whose framework declares
-    a row/column layout."""
-    framework = matrix.framework
-    if not framework.has_grid:
-        raise InputError(
-            f"framework {framework.name!r} declares no grid; render the values "
-            "as a list instead"
-        )
-    if title is None:
-        if hasattr(matrix, "bin_label"):
-            title = f"topic salience at {matrix.bin_label}"
-        else:
-            title = " ".join(matrix.ngram)
-    return render_grid_svg(
-        matrix.grid(), list(framework.rows), list(framework.columns), title=title
-    )

@@ -2,99 +2,50 @@
 
 A topic's usage trend sums the relative usage trends of its associated
 n-grams; its salience trend averages their discrete time derivatives.
-Topics with no associated n-grams keep zero trends (flagged) so matrices
-retain the full framework shape.
+Members are row indices into the (n-grams × bins) usage array, and their
+rows are added one at a time in member order, so a topic's trend does not
+depend on how numpy would group a sum. Topics with no associated n-grams
+keep zero trends so matrices retain the full framework shape.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .association import TopicAssociation
 from .errors import ConsistencyError, InputError
-from .ngrams import NgramKey, render_ngram
 from .topics import TopicFramework
 
 NORMALIZATIONS = ("zscore", "minmax")
 
 
-def time_derivative(trend: Sequence[float]) -> list[float]:
+def time_derivative(trend: Sequence[float]) -> np.ndarray:
     """Backward first difference with d[0] = 0."""
-    if len(trend) == 0:
+    values = np.asarray(trend, dtype=float)
+    if values.size == 0:
         raise InputError("cannot differentiate an empty trend")
-    return [0.0] + [trend[t] - trend[t - 1] for t in range(1, len(trend))]
-
-
-@dataclass(frozen=True)
-class TopicUsageTrend:
-    topic_id: str
-    values: list[float]
-    empty: bool = False  # no associated n-grams
-
-
-@dataclass(frozen=True)
-class SalienceTrend:
-    topic_id: str
-    values: list[float]
-    empty: bool = False
-
-
-def _member_trends(
-    association: TopicAssociation,
-    trends: Mapping[NgramKey, Sequence[float]],
-    bin_count: int,
-) -> list[Sequence[float]]:
-    out = []
-    for key in association.member_keys():
-        trend = trends.get(key)
-        if trend is None:
-            raise ConsistencyError(
-                f"topic {association.topic_id!r}: no usage trend for member "
-                f"{render_ngram(key)!r}"
-            )
-        if len(trend) != bin_count:
-            raise ConsistencyError(
-                f"topic {association.topic_id!r}: trend for {render_ngram(key)!r} "
-                f"has length {len(trend)}, expected {bin_count}"
-            )
-        out.append(trend)
+    out = np.zeros_like(values)
+    out[1:] = values[1:] - values[:-1]
     return out
 
 
-def topic_usage_trend(
-    association: TopicAssociation,
-    trends: Mapping[NgramKey, Sequence[float]],
-    bin_count: int,
-) -> TopicUsageTrend:
-    """Component-wise sum of the associated n-grams' usage trends."""
-    member_trends = _member_trends(association, trends, bin_count)
-    if not member_trends:
-        return TopicUsageTrend(association.topic_id, [0.0] * bin_count, empty=True)
-    values = [0.0] * bin_count
-    for trend in member_trends:
-        for t, v in enumerate(trend):
-            values[t] += v
-    return TopicUsageTrend(association.topic_id, values)
+def topic_usage_trend(members: Sequence[int], usage: np.ndarray) -> np.ndarray:
+    """Component-wise sum of the members' rows of `usage`, in member order."""
+    acc = np.zeros(usage.shape[1])
+    for row in members:
+        acc += usage[row]
+    return acc
 
 
-def topic_salience_trend(
-    association: TopicAssociation,
-    trends: Mapping[NgramKey, Sequence[float]],
-    bin_count: int,
-) -> SalienceTrend:
-    """Mean of the associated n-grams' usage-trend time derivatives."""
-    member_trends = _member_trends(association, trends, bin_count)
-    if not member_trends:
-        return SalienceTrend(association.topic_id, [0.0] * bin_count, empty=True)
-    values = [0.0] * bin_count
-    for trend in member_trends:
-        for t, d in enumerate(time_derivative(trend)):
-            values[t] += d
-    k = len(member_trends)
-    return SalienceTrend(association.topic_id, [v / k for v in values])
+def topic_salience_trend(members: Sequence[int], usage: np.ndarray) -> np.ndarray:
+    """Mean of the members' usage-trend time derivatives, summed in member
+    order."""
+    acc = np.zeros(usage.shape[1])
+    for row in members:
+        acc += time_derivative(usage[row])
+    return acc / len(members) if members else acc
 
 
 @dataclass(frozen=True)
@@ -115,35 +66,29 @@ class SalienceMatrix:
 
 def salience_matrix(
     framework: TopicFramework,
-    salience_trends: Mapping[str, SalienceTrend],
+    salience: np.ndarray,
     t: int,
     bin_label: str | None = None,
 ) -> SalienceMatrix:
-    """Project every topic's salience trend onto one bin."""
-    lengths = {len(trend.values) for trend in salience_trends.values()}
-    bin_count = lengths.pop() if len(lengths) == 1 else None
-    if bin_count is None:
-        raise ConsistencyError("salience trends have mismatched lengths")
-    if not 0 <= t < bin_count:
-        raise InputError(f"bin index {t} out of range [0, {bin_count})")
-    values = []
-    for topic in framework.topics:
-        trend = salience_trends.get(topic.id)
-        if trend is None:
-            raise ConsistencyError(f"no salience trend for topic {topic.id!r}")
-        values.append(trend.values[t])
+    """Project the (topics × bins) salience array, rows in framework topic
+    order, onto one bin."""
+    if salience.shape[0] != len(framework.topics):
+        raise ConsistencyError(
+            f"{salience.shape[0]} salience trends for {len(framework.topics)} topics"
+        )
+    if not 0 <= t < salience.shape[1]:
+        raise InputError(f"bin index {t} out of range [0, {salience.shape[1]})")
     return SalienceMatrix(
         bin_index=t,
         bin_label=bin_label if bin_label is not None else str(t),
         framework=framework,
-        values=tuple(values),
+        values=tuple(salience[:, t].tolist()),
     )
 
 
-def normalize_salience(
-    trends: Iterable[SalienceTrend], method: str = "zscore"
-) -> list[SalienceTrend]:
-    """Normalize salience across topics within each bin.
+def normalize_salience(salience: np.ndarray, method: str = "zscore") -> np.ndarray:
+    """Normalize the (topics × bins) salience array across topics within
+    each bin.
 
     zscore: (v - mean) / population std per bin; degenerate bins (zero
     spread) map to 0. minmax: (v - min) / (max - min), same guard. Both are
@@ -151,19 +96,13 @@ def normalize_salience(
     """
     if method not in NORMALIZATIONS:
         raise InputError(f"unknown normalization {method!r}; use one of {NORMALIZATIONS}")
-    items = list(trends)
-    if len(items) < 2:
+    if salience.shape[0] < 2:
         raise InputError("per-bin normalization needs at least 2 topics")
-    matrix = np.asarray([t.values for t in items], dtype=float)
     if method == "zscore":
-        center = matrix.mean(axis=0)
-        spread = matrix.std(axis=0)
+        center = salience.mean(axis=0)
+        spread = salience.std(axis=0)
     else:
-        center = matrix.min(axis=0)
-        spread = matrix.max(axis=0) - center
+        center = salience.min(axis=0)
+        spread = salience.max(axis=0) - center
     safe = np.where(spread == 0.0, 1.0, spread)
-    normalized = np.where(spread == 0.0, 0.0, (matrix - center) / safe)
-    return [
-        SalienceTrend(item.topic_id, [float(v) for v in row], item.empty)
-        for item, row in zip(items, normalized)
-    ]
+    return np.where(spread == 0.0, 0.0, (salience - center) / safe)

@@ -7,11 +7,11 @@ import time
 
 import numpy as np
 
-from salience.association import associate, percentile, relative_std_dev
+from salience.association import associate, percentile, relative_std_dev, relative_std_devs
 from salience.corpus import bin_documents, build_binning
-from salience.ngrams import build_ngram_table, relative_usage_trend
+from salience.ngrams import build_ngram_table, usage_matrix
 from salience.pipeline import RunConfig, compute_associations, compute_similarities, run_analyze
-from salience.salience import SalienceTrend, normalize_salience, time_derivative, topic_salience_trend
+from salience.salience import normalize_salience, time_derivative, topic_salience_trend
 from salience.synth import (
     PlantedEvent,
     SynthSpec,
@@ -70,14 +70,12 @@ def test_criterion_1_partition_invariant():
         docs, _ = generate_corpus(_varied_spec(seed))
         corpus = bin_documents(docs, build_binning(docs, "month"))
         table = build_ngram_table(corpus, n=2, min_total=1)
-        trends = [
-            relative_usage_trend(rec, table.bin_totals) for rec in table.records.values()
-        ]
+        usage = usage_matrix(table)
         for t, total in enumerate(table.bin_totals):
             if total == 0:
                 continue
             bins_checked += 1
-            share = sum(trend[t] for trend in trends)
+            share = sum(usage[:, t].tolist())
             assert abs(share - 1.0) < 1e-9, f"seed {seed} bin {t}: sum {share}"
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0, f"partition sweep took {elapsed:.1f}s"
@@ -139,20 +137,17 @@ def test_criterion_3_burst_detection():
         docs, _ = generate_corpus(spec)
         corpus = bin_documents(docs, build_binning(docs, "month"))
         table = build_ngram_table(corpus, n=2, min_total=1)
-        trends = {
-            key: relative_usage_trend(rec, table.bin_totals)
-            for key, rec in table.records.items()
-        }
-        rsd = {key: relative_std_dev(trends[key]) for key in table.sorted_keys()}
+        usage = usage_matrix(table)
         sims = compute_similarities(table, framework, space, vectors)
-        associations = compute_associations(sims, rsd, topic_ids, 75.0)
-        salience = topic_salience_trend(associations[topic], trends, spec.bin_count)
-        if int(np.argmax(salience.values)) in (t_star, t_star + 1):
+        associations = compute_associations(sims, relative_std_devs(usage), topic_ids, 75.0)
+        salience = topic_salience_trend(associations[topic].members, usage)
+        if int(np.argmax(salience)) in (t_star, t_star + 1):
             hits += 1
 
         # Emergent phrase: exactly zero usage before the event starts.
+        keys = table.sorted_keys()
         for phrase in burst_phrases(topic):
-            trend = trends[tuple(phrase.split(" "))]
+            trend = usage[keys.index(tuple(phrase.split(" ")))].tolist()
             assert all(v == 0.0 for v in trend[:t_star]), (seed, phrase)
             assert any(v > 0.0 for v in trend[t_star : t_star + 2])
     elapsed = time.perf_counter() - started
@@ -206,8 +201,7 @@ def test_criterion_5_formula_unit_suite():
     for i in range(1000):
         n_topics, n_bins = int(rng.integers(2, 9)), int(rng.integers(1, 12))
         raw = rng.normal(size=(n_topics, n_bins))
-        trends = [SalienceTrend(f"t{j}", list(row)) for j, row in enumerate(raw)]
-        out = np.array([t.values for t in normalize_salience(trends)])
+        out = normalize_salience(raw)
         assert np.all(np.abs(out.mean(axis=0)) < 1e-9)
         assert np.all(np.abs(out.std(axis=0) - 1.0) < 1e-9)
         assert (out.argmax(axis=0) == raw.argmax(axis=0)).all()
@@ -222,15 +216,14 @@ def test_criterion_6_association_geometry():
     rng = np.random.default_rng(1)
     for _ in range(1000):
         size = int(rng.integers(4, 160))
-        keys = [(f"g{i}",) for i in range(size)]
-        sims = {g: float(s) for g, s in zip(keys, rng.uniform(0, 1, size))}
-        rsds = {g: float(r) for g, r in zip(keys, rng.lognormal(0, 1, size))}
+        sims = rng.uniform(0, 1, size)
+        rsds = rng.lognormal(0, 1, size)
         result = associate("topic", sims, rsds, 75)
-        sim_cut = np.percentile(list(sims.values()), 75)
-        rsd_cut = np.percentile(list(rsds.values()), 75)
-        quadrant = {g for g in keys if sims[g] > sim_cut and rsds[g] > rsd_cut}
-        assert set(result.member_keys()) == quadrant
-        tighter = set(associate("topic", sims, rsds, 90).member_keys())
+        sim_cut = np.percentile(sims, 75)
+        rsd_cut = np.percentile(rsds, 75)
+        quadrant = {i for i in range(size) if sims[i] > sim_cut and rsds[i] > rsd_cut}
+        assert set(result.members) == quadrant
+        tighter = set(associate("topic", sims, rsds, 90).members)
         assert tighter <= quadrant
     print(
         "\nACCEPTANCE 6 (association geometry): PASS - member set equals the "

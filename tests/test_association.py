@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from salience.association import associate, percentile, relative_std_dev
+from salience.association import associate, percentile, relative_std_dev, relative_std_devs
 from salience.errors import ConsistencyError, InputError
+from salience.pipeline import compute_associations
 
 
 class TestRelativeStdDev:
@@ -28,6 +29,24 @@ class TestRelativeStdDev:
             relative_std_dev([])
 
 
+class TestRelativeStdDevs:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.one_of(st.integers(1, 39), st.sampled_from([128, 129, 256, 257, 1002])),
+    )
+    def test_rows_equal_the_scalar_oracle(self, seed, bins):
+        rng = np.random.default_rng(seed)
+        usage = rng.uniform(0, 1, size=(20, bins)) * (rng.uniform(size=(20, bins)) < 0.6)
+        usage[:, 0] += 1e-3  # every row occurs at least once
+        expected = [relative_std_dev(row) for row in usage.tolist()]
+        assert relative_std_devs(usage).tolist() == expected
+
+    def test_zero_row_is_inconsistent(self):
+        with pytest.raises(ConsistencyError):
+            relative_std_devs(np.array([[0.1, 0.2], [0.0, 0.0]]))
+
+
 class TestPercentile:
     def test_linear_interpolation_between_ranks(self):
         # rank = 0.75 * 7 = 5.25, between the 6th and 7th sorted values.
@@ -49,68 +68,59 @@ class TestPercentile:
             percentile([1.0], 101)
 
 
-def _maps(pairs):
-    sims = {g: s for g, (s, _) in pairs.items()}
-    rsds = {g: r for g, (_, r) in pairs.items()}
-    return sims, rsds
+def _arrays(pairs):
+    """(similarity, rsd) pairs, one per row, as the two arrays."""
+    sims, rsds = zip(*pairs)
+    return np.array(sims), np.array(rsds)
 
 
 class TestAssociate:
     def test_no_ngram_top_quartile_on_both_axes(self):
-        # sims 75th pct = 0.325 (only g4 above); rsd 75th pct = 3.25 (only g1).
-        sims, rsds = _maps(
-            {
-                ("g1",): (0.1, 4.0),
-                ("g2",): (0.2, 3.0),
-                ("g3",): (0.3, 2.0),
-                ("g4",): (0.4, 1.0),
-            }
-        )
+        # sims 75th pct = 0.325 (only row 3 above); rsd 75th pct = 3.25 (only row 0).
+        sims, rsds = _arrays([(0.1, 4.0), (0.2, 3.0), (0.3, 2.0), (0.4, 1.0)])
         assert associate("topic", sims, rsds, 75).members == ()
 
     def test_identical_scores_leave_nothing_strictly_above(self):
-        sims = {(f"g{i}",): 0.5 for i in range(6)}
-        rsds = {(f"g{i}",): 2.0 for i in range(6)}
+        sims, rsds = np.full(6, 0.5), np.full(6, 2.0)
         assert associate("topic", sims, rsds, 75).members == ()
 
     def test_dominant_ngram_alone(self):
         # With 8 values the strict 75th-percentile cut admits the top two per
-        # axis; only g7 is top-two on both.
-        sims = {(f"g{i}",): v for i, v in enumerate([0.1, 0.12, 0.11, 0.13, 0.1, 0.1, 0.5, 0.9])}
-        rsds = {(f"g{i}",): v for i, v in enumerate([0.2, 0.3, 0.25, 3.0, 0.2, 0.2, 0.3, 5.0])}
+        # axis; only row 7 is top-two on both.
+        sims = np.array([0.1, 0.12, 0.11, 0.13, 0.1, 0.1, 0.5, 0.9])
+        rsds = np.array([0.2, 0.3, 0.25, 3.0, 0.2, 0.2, 0.3, 5.0])
         result = associate("topic", sims, rsds, 75)
-        assert result.member_keys() == [("g7",)]
+        assert result.members == (7,)
 
     def test_mismatched_ngram_sets(self):
         with pytest.raises(ConsistencyError):
-            associate("topic", {("a",): 0.1}, {("b",): 0.1})
+            associate("topic", np.array([0.1]), np.array([0.1, 0.2]))
 
     def test_members_sorted_by_descending_similarity(self):
-        sims = {("a",): 0.2, ("b",): 0.9, ("c",): 0.8, ("d",): 0.0}
-        rsds = {("a",): 5.0, ("b",): 9.0, ("c",): 8.0, ("d",): 0.0}
+        sims, rsds = _arrays([(0.2, 5.0), (0.9, 9.0), (0.8, 8.0), (0.0, 0.0)])
         result = associate("topic", sims, rsds, 25)
-        assert result.member_keys() == [("b",), ("c",), ("a",)]
+        assert result.members == (1, 2, 0)
+
+    def test_similarity_ties_keep_row_order(self):
+        sims, rsds = _arrays([(0.5, 1.0), (0.9, 1.0), (0.5, 1.0), (0.9, 1.0), (0.0, 1.0)])
+        result = associate("topic", sims, rsds, sim_threshold=0.1, rsd_threshold=0.5)
+        assert result.members == (1, 3, 0, 2)
 
     def test_explicit_thresholds_override(self):
-        sims = {("a",): 0.5, ("b",): 0.1}
-        rsds = {("a",): 1.0, ("b",): 1.0}
+        sims, rsds = _arrays([(0.5, 1.0), (0.1, 1.0)])
         result = associate("topic", sims, rsds, sim_threshold=0.4, rsd_threshold=0.5)
-        assert result.member_keys() == [("a",)]
+        assert result.members == (0,)
         assert result.sim_threshold == 0.4
 
     def test_thresholds_recorded(self):
-        sims = {(f"g{i}",): float(i) for i in range(1, 9)}
-        rsds = {(f"g{i}",): float(i) for i in range(1, 9)}
-        result = associate("topic", sims, rsds, 75)
+        values = np.arange(1.0, 9.0)
+        result = associate("topic", values, values, 75)
         assert result.sim_threshold == 6.25
         assert result.rsd_threshold == 6.25
 
 
 def _random_population(rng, size):
-    keys = [(f"g{i}",) for i in range(size)]
-    sims = {g: float(s) for g, s in zip(keys, rng.uniform(0, 1, size))}
-    rsds = {g: float(r) for g, r in zip(keys, rng.lognormal(0, 1, size))}
-    return sims, rsds
+    return rng.uniform(0, 1, size), rng.lognormal(0, 1, size)
 
 
 @settings(max_examples=40, deadline=None)
@@ -119,14 +129,16 @@ def test_member_set_is_the_upper_right_quadrant(seed, size):
     rng = np.random.default_rng(seed)
     sims, rsds = _random_population(rng, size)
     result = associate("topic", sims, rsds, 75)
-    sim_cut = np.percentile(list(sims.values()), 75)
-    rsd_cut = np.percentile(list(rsds.values()), 75)
-    brute = {g for g in sims if sims[g] > sim_cut and rsds[g] > rsd_cut}
-    assert set(result.member_keys()) == brute
+    sim_cut = percentile(sims.tolist(), 75)
+    rsd_cut = percentile(rsds.tolist(), 75)
+    brute = {i for i in range(size) if sims[i] > sim_cut and rsds[i] > rsd_cut}
+    assert set(result.members) == brute
     assert len(result.members) <= min(
-        sum(1 for g in sims if sims[g] > sim_cut),
-        sum(1 for g in rsds if rsds[g] > rsd_cut),
+        sum(1 for s in sims if s > sim_cut),
+        sum(1 for r in rsds if r > rsd_cut),
     )
+    # Member order: descending similarity, ties in row order.
+    assert list(result.members) == sorted(brute, key=lambda i: (-sims[i], i))
 
 
 @settings(max_examples=40, deadline=None)
@@ -134,8 +146,8 @@ def test_member_set_is_the_upper_right_quadrant(seed, size):
 def test_raising_p_never_adds_members(seed, size):
     rng = np.random.default_rng(seed)
     sims, rsds = _random_population(rng, size)
-    at_75 = set(associate("topic", sims, rsds, 75).member_keys())
-    at_90 = set(associate("topic", sims, rsds, 90).member_keys())
+    at_75 = set(associate("topic", sims, rsds, 75).members)
+    at_90 = set(associate("topic", sims, rsds, 90).members)
     assert at_90 <= at_75
 
 
@@ -148,5 +160,27 @@ def test_membership_invariant_under_similarity_rescaling(seed, factor):
     rng = np.random.default_rng(seed)
     sims, rsds = _random_population(rng, 60)
     base = associate("topic", sims, rsds, 75)
-    scaled = associate("topic", {g: s * factor for g, s in sims.items()}, rsds, 75)
-    assert scaled.member_keys() == base.member_keys()
+    scaled = associate("topic", sims * factor, rsds, 75)
+    assert scaled.members == base.members
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 300),
+    st.sampled_from([0.0, 25.0, 75.0, 90.0, 100.0]),
+)
+def test_column_thresholds_equal_the_scalar_percentile(seed, rows, p):
+    rng = np.random.default_rng(seed)
+    # Mostly zeros with ties, as real similarity columns are.
+    sims = rng.uniform(0, 1, size=(rows, 6)) * (rng.uniform(size=(rows, 6)) < 0.3)
+    sims[:, 1] = np.round(sims[:, 1], 1)
+    rsd = rng.lognormal(0, 1, rows)
+    topic_ids = [f"t{j}" for j in range(6)]
+    per_topic = compute_associations(sims, rsd, topic_ids, p)
+    pooled = compute_associations(sims, rsd, topic_ids, p, "global")
+    for column, topic_id in enumerate(topic_ids):
+        assert per_topic[topic_id].sim_threshold == percentile(sims[:, column].tolist(), p)
+        assert per_topic[topic_id].rsd_threshold == percentile(rsd.tolist(), p)
+        assert pooled[topic_id].sim_threshold == percentile(sims.ravel().tolist(), p)
+        assert per_topic[topic_id] == associate(topic_id, sims[:, column], rsd, p)

@@ -12,6 +12,7 @@ from salience.ngrams import (
     NgramTable,
     build_ngram_table,
     relative_usage_trend,
+    usage_matrix,
     render_ngram,
     sentences_with_tokens,
 )
@@ -237,6 +238,10 @@ def _corpus_from(items):
 def test_partition_and_count_conservation(items):
     corpus = _corpus_from(items)
     table = build_ngram_table(corpus, n=2, min_total=1)
+    # The usage array is the scalar trends, row for row and bit for bit.
+    assert usage_matrix(table).tolist() == [
+        relative_usage_trend(table.records[key], table.bin_totals) for key in table.sorted_keys()
+    ]
     for t, total in enumerate(table.bin_totals):
         column = sum(rec.counts[t] for rec in table.records.values())
         assert column == total

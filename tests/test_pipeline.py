@@ -5,6 +5,7 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from salience import cli, pipeline
@@ -104,6 +105,18 @@ class TestAnalyze:
             assert hashlib.sha256((out / rel).read_bytes()).hexdigest() == digest
         sentences = json.loads((out / "ngram_table.json").read_text())["sentences"]
         assert manifest["corpus"]["sentences"] == len(set(sentences)) == len(sentences) > 0
+
+    def test_manifest_lists_the_topics_without_members(self, workspace):
+        tmp, corpus, framework = workspace
+        out = tmp / "run_empty"
+        config = RunConfig(
+            corpus=corpus, framework=framework, out_dir=out, min_total=1, percentile=50
+        )
+        manifest = run_analyze(config)
+        associations = json.loads((out / "associations.json").read_text())
+        empty = sorted(tid for tid, entry in associations.items() if not entry["members"])
+        assert manifest["corpus"]["empty_topics"] == empty
+        assert 0 < len(empty) < len(associations)
 
     def test_rerun_is_byte_identical_except_manifest_timings(self, workspace):
         tmp, corpus, framework = workspace
@@ -321,7 +334,7 @@ class TestCli:
         out = tmp_path / "out"
         run_analyze(RunConfig(corpus=corpus, framework=framework, out_dir=out, min_total=1))
 
-        def half_write(path, associations):
+        def half_write(path, *arrays):
             path.write_text("{", encoding="utf-8")
             raise RuntimeError("boom")
 
@@ -540,15 +553,87 @@ def test_loader_names_file_and_line_of_bad_row(tmp_path, loader, text):
         loader(path)
 
 
+@pytest.mark.parametrize(
+    "loader, text, line, ngram",
+    [
+        pytest.param(
+            load_ngram_trends_csv,
+            "ngram,total,2016-01\na b,3,0.5\na b,3,0.5\n",
+            3,
+            "a b",
+            id="trends-repeated",
+        ),
+        pytest.param(
+            load_ngram_trends_csv,
+            "ngram,total,2016-01\nb c,3,0.5\na b,3,0.5\n",
+            3,
+            "a b",
+            id="trends-unsorted",
+        ),
+        pytest.param(
+            load_similarity_csv,
+            "ngram,topic_id,similarity\na b,t1,0.5\nb c,t1,0.5\na b,t1,0.5\n",
+            4,
+            "a b",
+            id="similarity-split",
+        ),
+        pytest.param(
+            load_similarity_csv,
+            "ngram,topic_id,similarity\nb c,t1,0.5\nb c,t2,0.5\na b,t1,0.5\na b,t2,0.5\n",
+            4,
+            "a b",
+            id="similarity-unsorted",
+        ),
+    ],
+)
+def test_loader_refuses_repeated_or_unsorted_ngram(tmp_path, loader, text, line, ngram):
+    # Row order stands for key order, so a repeat or a swap is refused.
+    path = tmp_path / "artifact.csv"
+    path.write_text(text, encoding="utf-8")
+    message = rf"artifact\.csv: line {line}: n-gram '{ngram}' repeats or is out of sorted order"
+    with pytest.raises(InputError, match=message):
+        loader(path)
+
+
+def test_duplicated_trends_row_exits_one(workspace, tmp_path, capsys):
+    _, corpus, framework = workspace
+    out = tmp_path / "out"
+    run_analyze(RunConfig(corpus=corpus, framework=framework, out_dir=out, min_total=1))
+    trends = out / "ngram_trends.csv"
+    lines = trends.read_text(encoding="utf-8").splitlines(keepends=True)
+    trends.write_text("".join(lines[:2] + lines[1:]), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["associate", "--in", str(out)]) == 1
+    assert f"error: associate: {trends}: line 3: n-gram " in capsys.readouterr().err
+
+
+def test_associate_refuses_mismatched_ngram_sets(workspace, tmp_path, capsys):
+    _, corpus, framework = workspace
+    out = tmp_path / "out"
+    run_analyze(RunConfig(corpus=corpus, framework=framework, out_dir=out, min_total=1))
+    similarity = out / "similarity.csv"
+    lines = similarity.read_text(encoding="utf-8").splitlines(keepends=True)
+    dropped = lines[-1].split(",")[0]
+    similarity.write_text(
+        "".join(line for line in lines if line.split(",")[0] != dropped), encoding="utf-8"
+    )
+    capsys.readouterr()
+    assert main(["associate", "--in", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: associate: ")
+    assert f"different n-gram sets (e.g. {dropped!r})" in err
+
+
 def test_ngram_trends_loader_inverts_the_writer(workspace, tmp_path):
     _, corpus, framework = workspace
     out = tmp_path / "out"
     run_analyze(RunConfig(corpus=corpus, framework=framework, out_dir=out, min_total=1))
-    trends, labels = load_ngram_trends_csv(out / "ngram_trends.csv")
+    keys, usage, labels = load_ngram_trends_csv(out / "ngram_trends.csv")
     table = json.loads((out / "ngram_table.json").read_text(encoding="utf-8"))
     assert labels == table["bin_labels"]
     totals = table["bin_totals"]
-    assert {render_ngram(key): values for key, values in trends.items()} == {
+    assert usage.shape == (len(keys), len(labels))
+    assert dict(zip(map(render_ngram, keys), usage.tolist())) == {
         text: [c / t if t else 0.0 for c, t in zip(entry["counts"], totals)]
         for text, entry in table["ngrams"].items()
     }
@@ -556,19 +641,20 @@ def test_ngram_trends_loader_inverts_the_writer(workspace, tmp_path):
 
 def test_similarity_csv_is_csv_writer_output(tmp_path):
     topic_ids = ["plain", "comma, id", 'say "hi"', 'both, "x"', "two\nlines", "çé"]
-    sims = {
-        ("émile", "Ünï"): (0.1, 1 / 3, 0.0, 2.5e-17, 1.0, -0.0),
-        ("2017", "Echo"): (0.5, 0.25, 1e-300, 0.3, 0.7, 0.9),
-    }
+    keys = [("2017", "Echo"), ("émile", "Ünï")]
+    sims = np.array([(0.5, 0.25, 1e-300, 0.3, 0.7, 0.9), (0.1, 1 / 3, 0.0, 2.5e-17, 1.0, -0.0)])
     path = tmp_path / "similarity.csv"
-    write_similarity_csv(path, sims, topic_ids)
+    write_similarity_csv(path, keys, sims, topic_ids)
     expected = io.StringIO()
     writer = csv.writer(expected, lineterminator="\n")
     writer.writerow(["ngram", "topic_id", "similarity"])
-    for key in sorted(sims):
-        writer.writerows([render_ngram(key), tid, repr(v)] for tid, v in zip(topic_ids, sims[key]))
+    for key, row in zip(keys, sims.tolist()):
+        writer.writerows([render_ngram(key), tid, repr(v)] for tid, v in zip(topic_ids, row))
     assert path.read_bytes() == expected.getvalue().encode("utf-8")
-    assert load_similarity_csv(path) == (sims, topic_ids)
+    loaded_keys, loaded, loaded_ids = load_similarity_csv(path)
+    assert (loaded_keys, loaded_ids) == (keys, topic_ids)
+    assert loaded.tolist() == sims.tolist()
+    assert np.signbit(loaded[1, 5])
 
 
 def test_table_write_then_load_round_trips(workspace, tmp_path):

@@ -1,8 +1,9 @@
+import numpy as np
 import pytest
 
 from salience.errors import InputError
-from salience.render import render_grid_svg, render_matrix_svg, render_trend_svg
-from salience.salience import SalienceTrend, salience_matrix
+from salience.render import render_grid_svg, render_trend_svg
+from salience.salience import salience_matrix
 from salience.topics import Topic, TopicFramework, build_vector_space, similarity_matrix, load_pmesii_ascope
 
 
@@ -73,9 +74,14 @@ class TestGridSvg:
 class TestMatrixSvg:
     def test_salience_matrix_renders_via_framework_grid(self):
         fw = load_pmesii_ascope()
-        trends = {tid: SalienceTrend(tid, [0.1 * i]) for i, tid in enumerate(fw.topic_ids())}
-        matrix = salience_matrix(fw, trends, 0, "2016-01")
-        svg = render_matrix_svg(matrix)
+        salience = np.array([[0.1 * i] for i in range(len(fw.topics))])
+        matrix = salience_matrix(fw, salience, 0, "2016-01")
+        svg = render_grid_svg(
+            fw.grid_values(matrix.per_topic()),
+            list(fw.rows),
+            list(fw.columns),
+            title=f"topic salience at {matrix.bin_label}",
+        )
         assert "2016-01" in svg
         assert svg.count("<rect") >= 36
 
@@ -83,15 +89,18 @@ class TestMatrixSvg:
         fw = load_pmesii_ascope()
         space, vectors = build_vector_space(fw)
         matrix = similarity_matrix(("ballot", "count"), ["election ballot"], fw, space, vectors)
-        svg = render_matrix_svg(matrix)
+        per_topic = dict(zip(fw.topic_ids(), matrix.values))
+        svg = render_grid_svg(
+            fw.grid_values(per_topic), list(fw.rows), list(fw.columns), title="ballot count"
+        )
         assert "ballot count" in svg
+        assert svg.count("<rect") >= 36
 
     def test_flat_framework_rejected_with_advice(self):
         fw = TopicFramework(
             name="flat",
             topics=(Topic(id="a", definition="x"), Topic(id="b", definition="y")),
         )
-        trends = {"a": SalienceTrend("a", [0.0]), "b": SalienceTrend("b", [0.0])}
-        matrix = salience_matrix(fw, trends, 0)
+        matrix = salience_matrix(fw, np.zeros((2, 1)), 0)
         with pytest.raises(InputError, match="list"):
-            render_matrix_svg(matrix)
+            fw.grid_values(matrix.per_topic())

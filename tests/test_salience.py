@@ -1,12 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from salience.association import Member, TopicAssociation
 from salience.errors import ConsistencyError, InputError
+from salience.pipeline import load_associations_json
 from salience.salience import (
-    SalienceTrend,
     normalize_salience,
     salience_matrix,
     time_derivative,
@@ -16,27 +17,37 @@ from salience.salience import (
 from salience.topics import Topic, TopicFramework
 
 
-def assoc(topic_id, *keys):
-    return TopicAssociation(
-        topic_id=topic_id,
-        members=tuple(Member(ngram=k, similarity=1.0, rsd=1.0) for k in keys),
-        sim_threshold=0.0,
-        rsd_threshold=0.0,
-    )
+def _sequential_usage(members, trends):
+    """Reference: member trends added bin by bin, in member order."""
+    values = [0.0] * len(trends[0])
+    for row in members:
+        for t, v in enumerate(trends[row]):
+            values[t] += v
+    return values
+
+
+def _sequential_salience(members, trends):
+    """Reference: member derivatives added in member order, then averaged."""
+    values = [0.0] * len(trends[0])
+    for row in members:
+        trend = trends[row]
+        for t in range(1, len(trend)):
+            values[t] += trend[t] - trend[t - 1]
+    return [v / len(members) for v in values] if members else values
 
 
 class TestTimeDerivative:
     def test_backward_difference(self):
-        assert time_derivative([0.1, 0.3, 0.2]) == pytest.approx([0.0, 0.2, -0.1])
+        assert time_derivative([0.1, 0.3, 0.2]).tolist() == pytest.approx([0.0, 0.2, -0.1])
 
     def test_constant_trend_is_all_zero(self):
-        assert time_derivative([0.4, 0.4, 0.4]) == [0.0, 0.0, 0.0]
+        assert time_derivative([0.4, 0.4, 0.4]).tolist() == [0.0, 0.0, 0.0]
 
     def test_emergent_jump_lands_on_its_bin(self):
-        assert time_derivative([0.0, 0.0, 1.0]) == [0.0, 0.0, 1.0]
+        assert time_derivative([0.0, 0.0, 1.0]).tolist() == [0.0, 0.0, 1.0]
 
     def test_single_bin(self):
-        assert time_derivative([0.7]) == [0.0]
+        assert time_derivative([0.7]).tolist() == [0.0]
 
     def test_empty_trend(self):
         with pytest.raises(InputError):
@@ -50,48 +61,73 @@ class TestTimeDerivative:
 
 class TestTopicUsage:
     def test_componentwise_sum(self):
-        trends = {("g1",): [0.1, 0.2], ("g2",): [0.3, 0.0]}
-        result = topic_usage_trend(assoc("t", ("g1",), ("g2",)), trends, 2)
-        assert result.values == pytest.approx([0.4, 0.2])
-        assert not result.empty
+        usage = np.array([[0.1, 0.2], [0.3, 0.0]])
+        assert topic_usage_trend((0, 1), usage).tolist() == pytest.approx([0.4, 0.2])
 
     def test_empty_member_set_is_flagged_zero(self):
-        result = topic_usage_trend(assoc("t"), {}, 3)
-        assert result.values == [0.0, 0.0, 0.0]
-        assert result.empty
+        assert topic_usage_trend((), np.ones((2, 3))).tolist() == [0.0, 0.0, 0.0]
 
     def test_single_member_is_its_own_trend(self):
-        trends = {("g",): [0.5, 0.1]}
-        assert topic_usage_trend(assoc("t", ("g",)), trends, 2).values == [0.5, 0.1]
+        usage = np.array([[0.9, 0.9], [0.5, 0.1]])
+        assert topic_usage_trend((1,), usage).tolist() == [0.5, 0.1]
 
-    def test_missing_member_trend(self):
+    def test_missing_member_trend(self, tmp_path):
+        # Members are rows of the usage array; a member named in
+        # associations.json that has no usage row is refused on load.
+        path = tmp_path / "associations.json"
+        entry = {"sim_threshold": 0.0, "rsd_threshold": 0.0, "members": [{"ngram": "g1"}]}
+        path.write_text(json.dumps({"t": entry}), encoding="utf-8")
         with pytest.raises(ConsistencyError, match="g1"):
-            topic_usage_trend(assoc("t", ("g1",)), {}, 2)
+            load_associations_json(path, [("g0",)])
 
-    def test_wrong_length_trend(self):
-        with pytest.raises(ConsistencyError):
-            topic_usage_trend(assoc("t", ("g",)), {("g",): [0.1]}, 2)
+
+class TestSequentialSums:
+    """Topic trends add member rows one at a time in member order, so they
+    equal the scalar loops bit for bit."""
+
+    def test_one_bin(self):
+        # numpy's .sum(axis=0) over a one-bin column sums pairwise, which
+        # rounds differently from adding the members in order.
+        rng = np.random.default_rng(1)
+        usage = rng.uniform(0, 1, size=(40, 1))
+        members = rng.permutation(40)[:30].tolist()
+        expected = _sequential_usage(members, usage.tolist())
+        assert usage[members].sum(axis=0).tolist() != expected
+        assert topic_usage_trend(members, usage).tolist() == expected
+        assert topic_salience_trend(members, usage).tolist() == [0.0]
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([2, 3, 33, 128, 129, 257]),
+        st.integers(1, 60),
+    )
+    def test_many_bins(self, seed, bins, count):
+        rng = np.random.default_rng(seed)
+        usage = rng.uniform(0, 1, size=(80, bins)) * (rng.uniform(size=(80, bins)) < 0.7)
+        members = rng.permutation(80)[:count].tolist()
+        trends = usage.tolist()
+        assert topic_usage_trend(members, usage).tolist() == _sequential_usage(members, trends)
+        assert topic_salience_trend(members, usage).tolist() == _sequential_salience(
+            members, trends
+        )
 
 
 class TestTopicSalience:
     def test_mean_of_derivatives(self):
-        trends = {("g1",): [0.0, 0.2], ("g2",): [0.0, 0.4]}
-        result = topic_salience_trend(assoc("t", ("g1",), ("g2",)), trends, 2)
-        assert result.values == pytest.approx([0.0, 0.3])
+        usage = np.array([[0.0, 0.2], [0.0, 0.4]])
+        assert topic_salience_trend((0, 1), usage).tolist() == pytest.approx([0.0, 0.3])
 
     def test_constant_members_give_zero_salience(self):
-        trends = {("g1",): [0.2, 0.2, 0.2], ("g2",): [0.1, 0.1, 0.1]}
-        result = topic_salience_trend(assoc("t", ("g1",), ("g2",)), trends, 3)
-        assert result.values == [0.0, 0.0, 0.0]
+        usage = np.array([[0.2, 0.2, 0.2], [0.1, 0.1, 0.1]])
+        assert topic_salience_trend((0, 1), usage).tolist() == [0.0, 0.0, 0.0]
 
     def test_single_member_spike(self):
-        trends = {("g",): [0.0, 0.5, 0.0]}
-        result = topic_salience_trend(assoc("t", ("g",)), trends, 3)
-        assert result.values == pytest.approx([0.0, 0.5, -0.5])
+        usage = np.array([[0.0, 0.5, 0.0]])
+        assert topic_salience_trend((0,), usage).tolist() == pytest.approx([0.0, 0.5, -0.5])
 
     def test_empty_member_set_flagged(self):
-        result = topic_salience_trend(assoc("t"), {}, 2)
-        assert result.values == [0.0, 0.0] and result.empty
+        assert topic_salience_trend((), np.ones((1, 2))).tolist() == [0.0, 0.0]
 
     @settings(max_examples=30)
     @given(
@@ -102,24 +138,20 @@ class TestTopicSalience:
         )
     )
     def test_salience_is_derivative_of_usage_over_member_count(self, member_trends):
-        keys = [(f"g{i}",) for i in range(len(member_trends))]
-        trends = dict(zip(keys, member_trends))
-        a = assoc("t", *keys)
-        usage = topic_usage_trend(a, trends, 5)
-        sal = topic_salience_trend(a, trends, 5)
-        expected = [d / len(keys) for d in time_derivative(usage.values)]
-        assert sal.values == pytest.approx(expected, abs=1e-12)
+        usage = np.array(member_trends)
+        members = tuple(range(len(member_trends)))
+        topic_usage = topic_usage_trend(members, usage)
+        sal = topic_salience_trend(members, usage)
+        expected = time_derivative(topic_usage) / len(members)
+        assert sal.tolist() == pytest.approx(expected.tolist(), abs=1e-12)
 
     def test_burst_members_peak_salience_at_the_jump(self):
         t_star = 4
-        trends = {}
+        usage = np.full((3, 8), 0.001)
         for i in range(3):
-            values = [0.001] * 8
-            for t in range(t_star, 6):
-                values[t] = 0.2 + 0.01 * i
-            trends[(f"g{i}",)] = values
-        result = topic_salience_trend(assoc("t", *trends.keys()), trends, 8)
-        assert int(np.argmax(result.values)) == t_star
+            usage[i, t_star:6] = 0.2 + 0.01 * i
+        result = topic_salience_trend((0, 1, 2), usage)
+        assert int(np.argmax(result)) == t_star
 
 
 def grid_framework():
@@ -139,18 +171,15 @@ def grid_framework():
 class TestSalienceMatrix:
     def test_projection_at_bin(self):
         fw = grid_framework()
-        trends = {
-            tid: SalienceTrend(tid, [0.0, float(i)]) for i, tid in enumerate("abcd")
-        }
-        matrix = salience_matrix(fw, trends, 1, "2017-02")
+        salience = np.array([[0.0, float(i)] for i in range(4)])
+        matrix = salience_matrix(fw, salience, 1, "2017-02")
         assert matrix.values == (0.0, 1.0, 2.0, 3.0)
         assert matrix.grid() == [[0.0, 1.0], [2.0, 3.0]]
         assert matrix.bin_label == "2017-02"
 
     def test_all_zero_matrix(self):
         fw = grid_framework()
-        trends = {tid: SalienceTrend(tid, [0.0]) for tid in "abcd"}
-        assert salience_matrix(fw, trends, 0).values == (0.0,) * 4
+        assert salience_matrix(fw, np.zeros((4, 1)), 0).values == (0.0,) * 4
 
     def test_one_by_one_grid(self):
         fw = TopicFramework(
@@ -159,64 +188,50 @@ class TestSalienceMatrix:
             rows=("R",),
             columns=("C",),
         )
-        matrix = salience_matrix(fw, {"t": SalienceTrend("t", [0.4])}, 0)
+        matrix = salience_matrix(fw, np.array([[0.4]]), 0)
         assert matrix.grid() == [[0.4]]
 
     def test_bin_out_of_range(self):
         fw = grid_framework()
-        trends = {tid: SalienceTrend(tid, [0.0]) for tid in "abcd"}
         with pytest.raises(InputError):
-            salience_matrix(fw, trends, 1)
+            salience_matrix(fw, np.zeros((4, 1)), 1)
 
     def test_missing_topic_trend(self):
         fw = grid_framework()
         with pytest.raises(ConsistencyError):
-            salience_matrix(fw, {"a": SalienceTrend("a", [0.0])}, 0)
+            salience_matrix(fw, np.zeros((1, 1)), 0)
 
 
 class TestNormalize:
     def test_equal_values_map_to_zero(self):
-        trends = [SalienceTrend("a", [0.5, 0.1]), SalienceTrend("b", [0.5, 0.3])]
-        out = normalize_salience(trends)
-        assert out[0].values[0] == 0.0 and out[1].values[0] == 0.0
+        out = normalize_salience(np.array([[0.5, 0.1], [0.5, 0.3]]))
+        assert out[0, 0] == 0.0 and out[1, 0] == 0.0
 
     def test_symmetric_pair_gives_plus_minus_one(self):
-        trends = [SalienceTrend("a", [0.2]), SalienceTrend("b", [-0.2])]
-        out = normalize_salience(trends)
-        assert out[0].values == [1.0] and out[1].values == [-1.0]
+        out = normalize_salience(np.array([[0.2], [-0.2]]))
+        assert out.tolist() == [[1.0], [-1.0]]
 
     def test_zscore_moments(self):
         rng = np.random.default_rng(3)
-        trends = [SalienceTrend(f"t{i}", list(rng.normal(size=6))) for i in range(5)]
-        out = normalize_salience(trends)
-        matrix = np.array([t.values for t in out])
-        assert np.allclose(matrix.mean(axis=0), 0.0, atol=1e-9)
-        assert np.allclose(matrix.std(axis=0), 1.0, atol=1e-9)
+        out = normalize_salience(rng.normal(size=(5, 6)))
+        assert np.allclose(out.mean(axis=0), 0.0, atol=1e-9)
+        assert np.allclose(out.std(axis=0), 1.0, atol=1e-9)
 
     def test_argmax_preserved_per_bin(self):
         rng = np.random.default_rng(4)
         raw = rng.normal(size=(7, 9))
-        trends = [SalienceTrend(f"t{i}", list(row)) for i, row in enumerate(raw)]
         for method in ("zscore", "minmax"):
-            out = normalize_salience(trends, method)
-            matrix = np.array([t.values for t in out])
-            assert (matrix.argmax(axis=0) == raw.argmax(axis=0)).all()
+            out = normalize_salience(raw, method)
+            assert (out.argmax(axis=0) == raw.argmax(axis=0)).all()
 
     def test_minmax_range(self):
-        trends = [SalienceTrend("a", [-1.0, 2.0]), SalienceTrend("b", [3.0, 2.0])]
-        out = normalize_salience(trends, "minmax")
-        assert out[0].values == [0.0, 0.0] and out[1].values == [1.0, 0.0]
+        out = normalize_salience(np.array([[-1.0, 2.0], [3.0, 2.0]]), "minmax")
+        assert out.tolist() == [[0.0, 0.0], [1.0, 0.0]]
 
     def test_needs_two_topics(self):
         with pytest.raises(InputError):
-            normalize_salience([SalienceTrend("a", [0.1])])
+            normalize_salience(np.array([[0.1]]))
 
     def test_unknown_method(self):
-        trends = [SalienceTrend("a", [0.1]), SalienceTrend("b", [0.2])]
         with pytest.raises(InputError):
-            normalize_salience(trends, "rank")
-
-    def test_empty_flag_preserved(self):
-        trends = [SalienceTrend("a", [0.1], empty=True), SalienceTrend("b", [0.2])]
-        out = normalize_salience(trends)
-        assert out[0].empty and not out[1].empty
+            normalize_salience(np.array([[0.1], [0.2]]), "rank")

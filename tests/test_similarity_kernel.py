@@ -178,14 +178,19 @@ class TestOrderIndependence:
         rng = random.Random(seed)
         pool = _sentence_pool(fw, rng, size=40)
         records = [((f"g{i}", "x"), ctx) for i, ctx in enumerate(_random_contexts(pool, rng, 60))]
-        before = compute_similarities(_table(records), fw, space, vectors)
+        table = _table(records)
+        before = dict(
+            zip(table.sorted_keys(), compute_similarities(table, fw, space, vectors).tolist())
+        )
 
         shuffled = [(key, rng.sample(ctx, len(ctx))) for key, ctx in records]
         rng.shuffle(shuffled)
-        assert compute_similarities(_table(shuffled), fw, space, vectors) == before
+        table = _table(shuffled)
+        after = compute_similarities(table, fw, space, vectors).tolist()
+        assert dict(zip(table.sorted_keys(), after)) == before
         # Fed in the shuffled order, the kernel interns sentences in another order.
         rows = _kernel(fw, space, vectors, [ctx for _, ctx in shuffled])
-        assert {key: tuple(row) for (key, _), row in zip(shuffled, rows.tolist())} == before
+        assert {key: row for (key, _), row in zip(shuffled, rows.tolist())} == before
 
     def test_block_size_does_not_change_values(self, monkeypatch):
         fw = load_pmesii_ascope()
