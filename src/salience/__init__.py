@@ -22,7 +22,6 @@ from .corpus import (
 from .errors import ConsistencyError, InputError, SalienceError
 from .ngrams import (
     NgramKey,
-    NgramRecord,
     NgramTable,
     build_ngram_table,
     render_ngram,
@@ -79,7 +78,6 @@ __all__ = [
     "bin_documents",
     "analysis_text",
     "NgramKey",
-    "NgramRecord",
     "NgramTable",
     "build_ngram_table",
     "usage_matrix",

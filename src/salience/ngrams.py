@@ -8,14 +8,19 @@ whitespace, and at blank lines; n-gram windows never cross sentences.
 
 The n-gram table is counted over interned ids: one Python pass turns each
 token and each distinct sentence into a dense id, and numpy groups the
-n-gram instances by sorting their rows of token ids, so no Python object is
-made per unique n-gram, only per kept one.
+n-gram instances by sorting their rows of token ids. `NgramTable` keeps
+numpy's arrays, row i for the i-th kept n-gram in sorted key order (K
+n-grams, B bins, N instances): `keys`, (K × B) int64 `counts`, and the
+contexts in CSR form, n-gram i's being entries context_start[i] to
+context_start[i + 1] (K + 1 starts) of the (N,) int64 arrays `context_bins`
+and `context_sids`, one per instance in scan order.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -28,8 +33,6 @@ NgramKey = tuple[str, ...]
 
 _WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
 _BOUNDARY_RE = re.compile(r"(?<=[.!?])\s+|\n\s*\n")
-# Cells of the dense per-bin count block that build_ngram_table fills at once.
-_COUNT_CELLS = 1 << 20
 
 
 def sentences_with_tokens(text: str) -> list[tuple[str, list[str]]]:
@@ -48,19 +51,10 @@ def sentences_with_tokens(text: str) -> list[tuple[str, list[str]]]:
     return out
 
 
-@dataclass
-class NgramRecord:
-    """One unique n-gram: per-bin instance counts and per-instance contexts."""
-
-    key: NgramKey
-    counts: list[int]
-    total: int
-    contexts: list[tuple[int, int]]  # (bin index, id into NgramTable.sentences)
-
-
-@dataclass
+@dataclass(eq=False)
 class NgramTable:
-    """Table of n-grams over a binned corpus.
+    """The kept n-grams over a binned corpus, as the arrays the module
+    docstring lists.
 
     bin_totals counts every n-gram instance per bin, including instances of
     n-grams later dropped by the min_total filter, so relative usage stays a
@@ -71,16 +65,20 @@ class NgramTable:
 
     n: int
     min_total: int
+    keys: list[NgramKey]
     bin_totals: list[int]
-    records: dict[NgramKey, NgramRecord]
     sentences: list[str]
+    context_start: np.ndarray
+    context_bins: np.ndarray
+    context_sids: np.ndarray
 
-    def sorted_keys(self) -> list[NgramKey]:
-        return sorted(self.records)
-
-    def contexts_of(self, key: NgramKey) -> list[str]:
-        """The enclosing sentence of each instance, one entry per instance."""
-        return [self.sentences[sid] for _, sid in self.records[key].contexts]
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """Instances per bin: one bincount over (row, bin) cells."""
+        rows, bins = len(self.keys), len(self.bin_totals)
+        row_of = np.repeat(np.arange(rows), np.diff(self.context_start))
+        cells = np.bincount(row_of * bins + self.context_bins, minlength=rows * bins)
+        return cells.reshape(rows, bins)
 
 
 def render_ngram(key: NgramKey) -> str:
@@ -113,7 +111,7 @@ def build_ngram_table(
     token count; it creates no object per n-gram or per instance. numpy then
     groups the instances: each instance is a row of n token ids, the rows
     are sorted, runs of equal rows are the n-grams, and only the n-grams
-    that reach min_total become records.
+    that reach min_total are kept.
     """
     if n < 1:
         raise InputError("n must be >= 1")
@@ -198,59 +196,39 @@ def build_ngram_table(
     sentences = [texts[i] for i in used[by_first_use].tolist()]
     del texts
 
-    contexts = list(zip(context_bins.tolist(), new_id[old_to_used].tolist()))
-    del new_id, old_to_used
-    # Per-bin counts come from one bincount per block of n-grams, so the
-    # dense block stays near _COUNT_CELLS cells whatever the bin count.
-    ends = np.cumsum(sizes)
-    step = max(1, _COUNT_CELLS // m)
-    records: dict[NgramKey, NgramRecord] = {}
-    for lo in range(0, len(sizes), step):
-        hi = min(lo + step, len(sizes))
-        first, last = ends[lo] - sizes[lo], ends[hi - 1]
-        key_of = np.repeat(np.arange(hi - lo), sizes[lo:hi])
-        block = np.bincount(key_of * m + context_bins[first:last], minlength=(hi - lo) * m)
-        for key, row, end, total in zip(
-            zip(*(column[lo:hi] for column in key_columns)),
-            block.reshape(hi - lo, m).tolist(),
-            ends[lo:hi].tolist(),
-            sizes[lo:hi].tolist(),
-        ):
-            records[key] = NgramRecord(
-                key=key, counts=row, total=total, contexts=contexts[end - total : end]
-            )
     return NgramTable(
-        n=n, min_total=min_total, bin_totals=bin_totals, records=records, sentences=sentences
+        n=n,
+        min_total=min_total,
+        keys=list(zip(*key_columns)),
+        bin_totals=bin_totals,
+        sentences=sentences,
+        context_start=np.concatenate(([0], np.cumsum(sizes))),
+        context_bins=context_bins,
+        context_sids=new_id[old_to_used],
     )
 
 
 def usage_matrix(table: NgramTable) -> np.ndarray:
     """Every n-gram's relative usage trend as one (n-grams × bins) array,
     rows in sorted key order: counts / bin_totals, 0 in empty bins."""
-    counts = np.array(
-        [table.records[key].counts for key in table.sorted_keys()], dtype=np.int64
-    ).reshape(len(table.records), len(table.bin_totals))
     totals = np.array(table.bin_totals, dtype=np.int64)
-    return np.divide(counts, totals, out=np.zeros(counts.shape), where=totals > 0)
+    return np.divide(table.counts, totals, out=np.zeros(table.counts.shape), where=totals > 0)
 
 
-def relative_usage_trend(record: NgramRecord, bin_totals: Sequence[int]) -> list[float]:
-    """Per-bin fraction of all n-gram instances that belong to this n-gram.
+def relative_usage_trend(counts: Sequence[int], bin_totals: Sequence[int]) -> list[float]:
+    """Per-bin fraction of all n-gram instances that belong to one n-gram,
+    given its row of `NgramTable.counts`.
 
     Empty bins (zero total) contribute 0 so the trend stays total and safe
     to differentiate. Scalar reference for `usage_matrix`.
     """
-    if len(record.counts) != len(bin_totals):
+    if len(counts) != len(bin_totals):
         raise ConsistencyError(
-            f"{render_ngram(record.key)!r}: counts length {len(record.counts)} "
-            f"!= bin_totals length {len(bin_totals)}"
+            f"counts length {len(counts)} != bin_totals length {len(bin_totals)}"
         )
     values: list[float] = []
-    for count, total in zip(record.counts, bin_totals):
+    for count, total in zip(counts, bin_totals):
         if count > total:
-            raise ConsistencyError(
-                f"{render_ngram(record.key)!r}: count {count} exceeds bin total {total}"
-            )
+            raise ConsistencyError(f"count {count} exceeds bin total {total}")
         values.append(count / total if total else 0.0)
     return values
-

@@ -6,13 +6,16 @@ directory and return their outputs. `run_analyze` chains them after corpus
 ingestion and writes a manifest hashing every artifact. A stage subcommand
 loads the artifacts its stage needs (the `load_*` readers invert the
 `write_*` writers) and calls the same function inside `stage_run`, so
-failures name the stage and remove its partial outputs either way.
+failures name the stage and remove its partial outputs either way; a
+failed subcommand also removes what an earlier run of its stage wrote.
 `ngram_trends.csv` carries the usage trends to the associate and salience
 stages; `ngram_table.json` carries the contexts to the similarity stage.
 
 Between stages each quantity is one numpy array whose row i is the i-th
-n-gram in sorted key order (K n-grams, B bins, T topics):
+n-gram in sorted key order (K n-grams, B bins, T topics, N instances):
 
+- the n-gram table: the K sorted keys, (K × B) int64 counts, and the
+  contexts in CSR form, (K + 1,) starts into (N,) bins and sentence ids;
 - usage: (K × B) floats, count / bin total, 0 in empty bins;
 - similarities: (K × T) floats, columns in framework topic order;
 - variability: (K,) floats, each row's relative standard deviation;
@@ -60,7 +63,6 @@ from .corpus import (
 from .errors import ConsistencyError, InputError, SalienceError
 from .ngrams import (
     NgramKey,
-    NgramRecord,
     NgramTable,
     build_ngram_table,
     parse_ngram,
@@ -85,6 +87,9 @@ from .topics import (
 SIM_SCOPES = ("per_topic", "global")
 # The ngram_table.json layout that write_table_json writes and load_table_json reads.
 TABLE_VERSION = 2
+# N-grams that write_table_json renders per json.dumps call: bounds the
+# Python lists its [bin, sentence id] pairs take at once.
+_TABLE_BLOCK = 4096
 # A rendered n-gram: tokenizer tokens joined by single spaces.
 _NGRAM_TEXT = re.compile(r"[^\W_]+(?: [^\W_]+)*")
 
@@ -183,11 +188,11 @@ def _write_json(path: Path, payload, *, sort_keys: bool = False) -> None:
         fh.write("\n")
 
 
-def _load_json(path: Path, what: str, stage: str):
+def _load_json(path: Path, what: str, stage: str, **options):
     if not path.is_file():
         raise InputError(f"{what} not found: {path} (run the {stage} stage first)")
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(path.read_text(encoding="utf-8"), **options)
     except ValueError as exc:
         raise InputError(f"{path}: malformed JSON: {exc}") from exc
 
@@ -217,9 +222,10 @@ def write_ngram_trends_csv(
 ) -> None:
     """One row per n-gram: its name, total and usage trend, floats as their
     shortest round-trip repr."""
+    totals = np.diff(table.context_start).tolist()
     rows = (
-        [render_ngram(key), table.records[key].total, *map(repr, values)]
-        for key, values in zip(table.sorted_keys(), usage.tolist())
+        [render_ngram(key), total, *map(repr, values)]
+        for key, total, values in zip(table.keys, totals, usage.tolist())
     )
     _write_csv(path, ["ngram", "total"] + list(bin_labels), rows)
 
@@ -245,9 +251,10 @@ def write_table_json(
     path: Path, table: NgramTable, binning: TimeBinning, include_titles: bool
 ) -> None:
     """Persist the n-gram table for the similarity stage: version 2 lists each
-    context sentence once and gives contexts as [bin, sentence id] pairs, in
-    compact JSON."""
-    payload = {
+    context sentence once and gives each n-gram's per-bin counts and its
+    contexts as [bin, sentence id] pairs, in compact JSON, rendered
+    _TABLE_BLOCK n-grams at a time."""
+    header = {
         "version": TABLE_VERSION,
         "n": table.n,
         "min_total": table.min_total,
@@ -257,43 +264,57 @@ def write_table_json(
         "bin_labels": binning.labels(),
         "bin_totals": table.bin_totals,
         "sentences": table.sentences,
-        "ngrams": {
-            render_ngram(key): {
-                "counts": table.records[key].counts,
-                "contexts": table.records[key].contexts,
-            }
-            for key in table.sorted_keys()
-        },
     }
+    pairs = np.stack((table.context_bins, table.context_sids), axis=1)
     # json.dumps without indent runs the C encoder in one shot; json.dump to
     # a file always takes the pure-Python one.
     with path.open("w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, separators=(",", ":")))
-        fh.write("\n")
+        fh.write(json.dumps(header, separators=(",", ":"))[:-1] + ',"ngrams":{')
+        for lo in range(0, len(table.keys), _TABLE_BLOCK):
+            rows = slice(lo, lo + _TABLE_BLOCK)
+            ends = table.context_start[lo : lo + _TABLE_BLOCK + 1].tolist()
+            contexts = pairs[ends[0] : ends[-1]].tolist()
+            block = {
+                render_ngram(key): {"counts": row, "contexts": contexts[a - ends[0] : b - ends[0]]}
+                for key, row, a, b in zip(
+                    table.keys[rows], table.counts[rows].tolist(), ends, ends[1:]
+                )
+            }
+            fh.write(("," if lo else "") + json.dumps(block, separators=(",", ":"))[1:-1])
+        fh.write("}}\n")
+
+
+class _Pairs(list):
+    """A JSON object's (name, value) pairs in file order, repeats kept."""
 
 
 def load_table_json(path: Path) -> NgramTable:
     """The n-gram table that `write_table_json` wrote. Refuses any other
-    version, an n-gram that is not words joined by single spaces, and
-    contexts whose bin or sentence id is out of range."""
-    payload = _load_json(path, "n-gram table", "trends")
-    version = payload.get("version") if isinstance(payload, dict) else None
-    if version != TABLE_VERSION:
+    version, an n-gram that is not words joined by single spaces or out of
+    sorted order, contexts whose bin or sentence id is out of range, and
+    counts that differ from those of the contexts."""
+    raw = _load_json(path, "n-gram table", "trends", object_pairs_hook=_Pairs)
+    payload = dict(raw) if isinstance(raw, _Pairs) else {}
+    if payload.get("version") != TABLE_VERSION:
         raise InputError(
-            f"{path}: n-gram table version {version!r}, this program reads version "
-            f"{TABLE_VERSION}; re-run the trends stage"
+            f"{path}: n-gram table version {payload.get('version')!r}, this program reads "
+            f"version {TABLE_VERSION}; re-run the trends stage"
         )
     try:
         sentences = payload["sentences"]
         if not isinstance(sentences, list) or not all(isinstance(s, str) for s in sentences):
             raise InputError(f"{path}: sentences must be a list of strings")
         bins = len(payload["bin_totals"])
-        records: dict[NgramKey, NgramRecord] = {}
-        for text, entry in payload["ngrams"].items():
+        keys: list[NgramKey] = []
+        rows: list[list[int]] = []
+        pairs: list[list[int]] = []
+        context_start = [0]
+        for text, entry in payload["ngrams"]:
             if not _NGRAM_TEXT.fullmatch(text):
                 raise InputError(f"{path}: n-gram {text!r} is not words joined by single spaces")
-            contexts = [(t, sid) for t, sid in entry["contexts"]]
-            for t, sid in contexts:
+            _append_key(keys, text)
+            entry = dict(entry)
+            for t, sid in entry["contexts"]:
                 if type(t) is not int or not 0 <= t < bins:
                     raise InputError(f"{path}: n-gram {text!r}: bin {t!r} is not one of {bins}")
                 if type(sid) is not int or not 0 <= sid < len(sentences):
@@ -301,17 +322,27 @@ def load_table_json(path: Path) -> NgramTable:
                         f"{path}: n-gram {text!r}: sentence id {sid!r} is not one of "
                         f"{len(sentences)}"
                     )
-            key = parse_ngram(text)
-            records[key] = NgramRecord(
-                key=key, counts=entry["counts"], total=sum(entry["counts"]), contexts=contexts
-            )
-        return NgramTable(
+            rows.append(entry["counts"])
+            pairs += entry["contexts"]
+            context_start.append(len(pairs))
+        contexts = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        table = NgramTable(
             n=int(payload["n"]),
             min_total=int(payload["min_total"]),
+            keys=keys,
             bin_totals=payload["bin_totals"],
-            records=records,
             sentences=sentences,
+            context_start=np.array(context_start, dtype=np.int64),
+            context_bins=contexts[:, 0],
+            context_sids=contexts[:, 1],
         )
+        for key, row, expected in zip(keys, rows, table.counts.tolist()):
+            if row != expected:
+                raise InputError(
+                    f"{path}: n-gram {render_ngram(key)!r}: counts {row!r} are not the "
+                    f"{bins} per-bin counts of its contexts"
+                )
+        return table
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: bad n-gram table payload: {exc}") from exc
 
@@ -526,7 +557,8 @@ def compute_similarities(
         topic_vectors,
         framework.topic_ids(),
         table.sentences,
-        ([sid for _, sid in table.records[key].contexts] for key in table.sorted_keys()),
+        table.context_start,
+        table.context_sids,
     )
 
 
@@ -558,18 +590,30 @@ def compute_associations(
     }
 
 
+# The artifacts each stage writes, as globs relative to the output directory.
+STAGE_OUTPUTS = {
+    "trends": ("ngram_trends.csv", "ngram_table.json"),
+    "similarity": ("similarity.csv",),
+    "associate": ("associations.json",),
+    "salience": ("topic_usage.csv", "salience.csv", "salience_normalized.csv", "matrices/*.json"),
+    "render": ("render/*.svg",),
+}
+
+
 @contextmanager
 def stage_run(out_dir: Path, name: str) -> Iterator[_Run]:
     """Rerun one stage over an output directory, as the stage subcommands do.
 
-    Errors name the stage, and the stage's partial outputs are removed on
-    failure. The manifest is left as it is.
+    Errors name the stage. On failure the stage's outputs are removed, an
+    earlier run's included, so none is left looking current. The manifest is
+    left as it is.
     """
     run = _Run(out_dir)
     try:
         with run.stage(name):
             yield run
     except BaseException:
+        run.written += [path for glob in STAGE_OUTPUTS[name] for path in out_dir.glob(glob)]
         run.cleanup()
         raise
 
@@ -585,7 +629,7 @@ def run_trends(
     """Trends stage: the n-gram table and the (n-grams × bins) usage array.
     Writes ngram_trends.csv and ngram_table.json."""
     table = build_ngram_table(corpus, n, min_total, include_titles=include_titles)
-    if not table.records:
+    if not table.keys:
         raise InputError(
             f"no n-gram reached min-count {min_total}; lower --min-count or supply more text"
         )
@@ -602,9 +646,7 @@ def run_similarity(
     contexts in the table. Writes similarity.csv."""
     space, topic_vectors = build_vector_space(framework, lexicon)
     sims = compute_similarities(table, framework, space, topic_vectors)
-    write_similarity_csv(
-        run.target("similarity.csv"), table.sorted_keys(), sims, framework.topic_ids()
-    )
+    write_similarity_csv(run.target("similarity.csv"), table.keys, sims, framework.topic_ids())
     return sims
 
 
@@ -686,7 +728,7 @@ def run_analyze(config: RunConfig) -> dict:
         with run.stage("associate"):
             associations = run_associate(
                 run,
-                table.sorted_keys(),
+                table.keys,
                 usage,
                 sims,
                 framework.topic_ids(),
@@ -707,7 +749,7 @@ def run_analyze(config: RunConfig) -> dict:
                 "corpus": {
                     "documents": corpus.doc_count,
                     "bins": corpus.binning.bin_count,
-                    "ngrams": len(table.records),
+                    "ngrams": len(table.keys),
                     "instances": sum(table.bin_totals),
                     "sentences": len(table.sentences),
                     "empty_topics": sorted(

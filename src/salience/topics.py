@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -424,11 +424,13 @@ def batch_similarities(
     topic_vectors: Mapping[str, SparseVector],
     topic_ids: Sequence[str],
     sentences: Sequence[str],
-    contexts: Iterable[Sequence[int]],
+    context_start: np.ndarray,
+    context_sids: np.ndarray,
 ) -> np.ndarray:
     """Cosine similarity of many n-grams against every topic, in one pass.
 
-    `contexts` yields each n-gram's context sentences as ids into
+    The n-grams' contexts come in CSR form: n-gram i's context sentences are
+    `context_sids[context_start[i]:context_start[i + 1]]`, ids into
     `sentences`, one entry per instance. Returns an array of shape
     (n-grams, topics) in the order given.
 
@@ -439,13 +441,9 @@ def batch_similarities(
     rows and bit-equal values whatever their context order. Dot products and
     norms are reduced in vocabulary-index order, one topic at a time.
     """
-    instances: list[int] = []
-    lengths: list[int] = []
-    for ids in contexts:
-        if not ids:
-            raise ConsistencyError("n-gram with no contexts: every tabled n-gram has instances")
-        lengths.append(len(ids))
-        instances.extend(ids)
+    lengths = np.diff(context_start)
+    if (lengths == 0).any():
+        raise ConsistencyError("n-gram with no contexts: every tabled n-gram has instances")
 
     # Per-sentence vocabulary counts, as a CSR table over sentence ids. Terms
     # with idf 0 carry no weight in any vector and are left out.
@@ -470,12 +468,10 @@ def batch_similarities(
         topics[j, list(topic_vectors[tid].indices)] = topic_vectors[tid].weights
     topic_norms = np.array([topic_vectors[tid].norm() for tid in topic_ids])
 
-    sids = np.asarray(instances, dtype=np.int64)
-    ngram_start = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
     out = np.zeros((len(lengths), len(topic_ids)))
     for first in range(0, len(lengths), _BLOCK):
         last = min(first + _BLOCK, len(lengths))
-        block_sids = sids[ngram_start[first] : ngram_start[last]]
+        block_sids = context_sids[context_start[first] : context_start[last]]
         owner = np.repeat(np.arange(last - first), lengths[first:last])
         # Expand every instance into its sentence's (term, count) entries.
         per_instance = sentence_nnz[block_sids]

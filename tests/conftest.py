@@ -5,6 +5,7 @@ from __future__ import annotations
 import datetime as dt
 import json
 
+import numpy as np
 import pytest
 
 from salience.corpus import Document, bin_documents, build_binning
@@ -94,3 +95,18 @@ def framework_file(tmp_path, fw: TopicFramework, name="framework.json"):
     path = tmp_path / name
     path.write_text(json.dumps(framework_to_dict(fw), indent=1), encoding="utf-8")
     return path
+
+
+def assert_same_table(a, b) -> None:
+    """NgramTable holds arrays and has no ==: compare it field by field,
+    arrays by shape, dtype and value."""
+    assert (a.n, a.min_total, a.keys, a.bin_totals, a.sentences) == (
+        b.n,
+        b.min_total,
+        b.keys,
+        b.bin_totals,
+        b.sentences,
+    )
+    for name in ("counts", "context_start", "context_bins", "context_sids"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name

@@ -94,14 +94,15 @@ def test_criterion_2_oracle_equivalence():
         corpus = bin_documents(docs, build_binning(docs, "month"))
         table = build_ngram_table(corpus, n=2, min_total=1)
         lines = corpus_to_jsonl(docs).splitlines()
-        oracle = oracle_count_many(lines, list(table.records), corpus.binning)
-        for key, record in table.records.items():
-            assert oracle[" ".join(key)] == record.counts, key
-        checked += len(table.records)
+        oracle = oracle_count_many(lines, table.keys, corpus.binning)
+        rows = table.counts.tolist()
+        for key, counts in zip(table.keys, rows):
+            assert oracle[" ".join(key)] == counts, key
+        checked += len(table.keys)
         # The table is the full vocabulary: per-bin counts add up to every
         # instance the oracle could ever see.
         for t, total in enumerate(table.bin_totals):
-            assert sum(rec.counts[t] for rec in table.records.values()) == total
+            assert sum(row[t] for row in rows) == total
     print(
         f"\nACCEPTANCE 2 (oracle equivalence): PASS - {checked} n-grams match "
         "the brute-force oracle exactly on 3 corpora"
@@ -145,7 +146,7 @@ def test_criterion_3_burst_detection():
             hits += 1
 
         # Emergent phrase: exactly zero usage before the event starts.
-        keys = table.sorted_keys()
+        keys = table.keys
         for phrase in burst_phrases(topic):
             trend = usage[keys.index(tuple(phrase.split(" ")))].tolist()
             assert all(v == 0.0 for v in trend[:t_star]), (seed, phrase)

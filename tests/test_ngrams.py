@@ -1,15 +1,15 @@
+import json
 from collections import defaultdict
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from salience.corpus import Document, analysis_text, bin_documents, build_binning
-from salience import ngrams
+from salience import pipeline
 from salience.errors import ConsistencyError, InputError
 from salience.ngrams import (
-    NgramRecord,
-    NgramTable,
     build_ngram_table,
     relative_usage_trend,
     usage_matrix,
@@ -17,14 +17,16 @@ from salience.ngrams import (
     sentences_with_tokens,
 )
 
-from salience.pipeline import run_trends, stage_run
+from salience.pipeline import load_table_json, run_trends, stage_run, write_table_json
 
-from conftest import day, make_corpus
+from conftest import assert_same_table, day, make_corpus
 
 
 def _reference_table(corpus, n=2, min_total=1, *, include_titles=True):
     """build_ngram_table as a dict of context lists, one per unique n-gram:
-    the oracle for the numpy group-by."""
+    the oracle for the numpy group-by. Returns the bin totals, the sentences
+    and {key: (per-bin counts, [(bin, sentence id), ...])} in sorted key
+    order."""
     m = corpus.binning.bin_count
     bin_totals = [0] * m
     sentence_ids = {}
@@ -41,7 +43,7 @@ def _reference_table(corpus, n=2, min_total=1, *, include_titles=True):
     texts = list(sentence_ids)
     renumbered = [-1] * len(texts)
     sentences = []
-    records = {}
+    rows = {}
     for key in sorted(key for key, contexts in acc.items() if len(contexts) >= min_total):
         contexts = []
         counts = [0] * m
@@ -52,10 +54,33 @@ def _reference_table(corpus, n=2, min_total=1, *, include_titles=True):
                 sentences.append(texts[old])
             contexts.append((t, sid))
             counts[t] += 1
-        records[key] = NgramRecord(key=key, counts=counts, total=len(contexts), contexts=contexts)
-    return NgramTable(
-        n=n, min_total=min_total, bin_totals=bin_totals, records=records, sentences=sentences
-    )
+        rows[key] = (counts, contexts)
+    return bin_totals, sentences, rows
+
+
+def _contexts(table, key):
+    """One n-gram's contexts as (bin, sentence id) pairs, read from the CSR
+    arrays."""
+    row = table.keys.index(key)
+    lo, hi = table.context_start[row : row + 2].tolist()
+    return list(zip(table.context_bins[lo:hi].tolist(), table.context_sids[lo:hi].tolist()))
+
+
+def _context_sentences(table, key):
+    return [table.sentences[sid] for _, sid in _contexts(table, key)]
+
+
+def _assert_equals_reference(table, reference):
+    """The columnar table against the dict-of-lists oracle, field by field."""
+    bin_totals, sentences, rows = reference
+    assert table.bin_totals == bin_totals
+    assert table.sentences == sentences
+    assert table.keys == list(rows)
+    assert table.counts.dtype == np.int64
+    assert table.counts.shape == (len(rows), len(bin_totals))
+    assert table.counts.tolist() == [counts for counts, _ in rows.values()]
+    assert table.context_start[0] == 0
+    assert [_contexts(table, key) for key in table.keys] == [ctx for _, ctx in rows.values()]
 
 
 def surfaces(text):
@@ -104,20 +129,22 @@ class TestTokenize:
 
 class TestExtractNgrams:
     def test_windows_within_sentence(self):
-        assert list(table_of("a b c").records) == [("a", "b"), ("b", "c")]
+        assert table_of("a b c").keys == [("a", "b"), ("b", "c")]
 
     def test_no_cross_sentence_windows(self):
         table = table_of("a. b")
-        assert table.records == {}
+        assert table.keys == []
+        assert table.counts.shape == (0, 1)
         assert table.bin_totals == [0]
 
     def test_repeated_sentences_repeat_instances(self):
         table = table_of("a b. a b")
-        assert list(table.records) == [("a", "b")]
-        assert table.records[("a", "b")].total == 2
+        assert table.keys == [("a", "b")]
+        assert table.context_start.tolist() == [0, 2]
+        assert table.counts.tolist() == [[2]]
 
     def test_short_sentences_yield_nothing(self):
-        assert table_of("a").records == {}
+        assert table_of("a").keys == []
 
     def test_n_must_be_positive(self):
         with pytest.raises(InputError):
@@ -128,79 +155,78 @@ class TestBuildTable:
     def test_single_doc_counts(self):
         corpus = make_corpus([(day(2017, 1), "a b c")])
         table = build_ngram_table(corpus, n=2, min_total=1)
-        assert set(table.records) == {("a", "b"), ("b", "c")}
-        assert table.records[("a", "b")].counts == [1]
+        assert table.keys == [("a", "b"), ("b", "c")]
+        assert table.counts.tolist() == [[1], [1]]
         assert table.bin_totals == [2]
 
     def test_min_total_filters_but_keeps_bin_totals(self):
         corpus = make_corpus([(day(2017, 1), "a b c")])
         table = build_ngram_table(corpus, n=2, min_total=2)
-        assert table.records == {}
+        assert table.keys == []
+        assert table.counts.shape == (0, 1)
         assert table.bin_totals == [2]
 
     def test_counts_across_gap_bin(self):
         corpus = make_corpus([(day(2017, 1), "x y"), (day(2017, 3), "x y")])
         table = build_ngram_table(corpus, n=2, min_total=1)
-        assert table.records[("x", "y")].counts == [1, 0, 1]
+        assert table.keys == [("x", "y")]
+        assert table.counts.tolist() == [[1, 0, 1]]
 
     def test_titles_included_by_default(self):
         docs = [Document(id="d0", date=day(2017, 1), text="body text", title="big title")]
         corpus = bin_documents(docs, build_binning(docs))
         with_title = build_ngram_table(corpus, n=2, min_total=1)
-        assert ("big", "title") in with_title.records
+        assert ("big", "title") in with_title.keys
         without = build_ngram_table(corpus, n=2, min_total=1, include_titles=False)
-        assert ("big", "title") not in without.records
+        assert ("big", "title") not in without.keys
 
 
 class TestRelativeUsage:
     def test_proportions(self):
-        rec = NgramRecord(key=("g",), counts=[2, 0], total=2, contexts=[])
-        assert relative_usage_trend(rec, [4, 5]) == [0.5, 0.0]
+        assert relative_usage_trend([2, 0], [4, 5]) == [0.5, 0.0]
 
     def test_sole_ngram_gets_one(self):
-        rec = NgramRecord(key=("g",), counts=[3], total=3, contexts=[])
-        assert relative_usage_trend(rec, [3]) == [1.0]
+        assert relative_usage_trend([3], [3]) == [1.0]
 
     def test_empty_bin_maps_to_zero(self):
-        rec = NgramRecord(key=("g",), counts=[0], total=0, contexts=[])
-        assert relative_usage_trend(rec, [0]) == [0.0]
+        assert relative_usage_trend([0], [0]) == [0.0]
 
     def test_counts_exceeding_totals_is_inconsistent(self):
-        rec = NgramRecord(key=("g",), counts=[5], total=5, contexts=[])
         with pytest.raises(ConsistencyError):
-            relative_usage_trend(rec, [4])
+            relative_usage_trend([5], [4])
 
     def test_length_mismatch(self):
-        rec = NgramRecord(key=("g",), counts=[1], total=1, contexts=[])
         with pytest.raises(ConsistencyError):
-            relative_usage_trend(rec, [1, 1])
+            relative_usage_trend([1], [1, 1])
 
 
 class TestContexts:
     def test_context_is_the_enclosing_sentence(self):
         corpus = make_corpus([(day(2017, 1), "The runoff election was held. Unrelated line.")])
         table = build_ngram_table(corpus, n=2, min_total=1)
-        assert table.contexts_of(("runoff", "election")) == ["The runoff election was held."]
+        assert _context_sentences(table, ("runoff", "election")) == [
+            "The runoff election was held."
+        ]
 
     def test_one_context_per_instance(self):
         corpus = make_corpus(
             [(day(2017, 1), "vote count rose. vote count fell"), (day(2017, 2), "vote count")]
         )
         table = build_ngram_table(corpus, n=2, min_total=1)
-        assert len(table.contexts_of(("vote", "count"))) == 3
+        assert len(_context_sentences(table, ("vote", "count"))) == 3
 
     def test_duplicate_sentences_not_deduped(self):
         # One context per instance, even when both instances share a sentence id.
         corpus = make_corpus([(day(2017, 1), "same words"), (day(2017, 2), "same words")])
         table = build_ngram_table(corpus, n=2, min_total=1)
-        assert table.contexts_of(("same", "words")) == ["same words", "same words"]
-        assert table.records[("same", "words")].contexts == [(0, 0), (1, 0)]
+        assert _context_sentences(table, ("same", "words")) == ["same words", "same words"]
+        assert _contexts(table, ("same", "words")) == [(0, 0), (1, 0)]
 
     def test_contexts_contain_the_ngram_tokens(self):
         corpus = make_corpus([(day(2017, 1), "alpha beta gamma. beta gamma delta")])
         table = build_ngram_table(corpus, n=2, min_total=1)
-        for key in table.records:
-            for sentence in table.contexts_of(key):
+        for key in table.keys:
+            for sentence in _context_sentences(table, key):
                 flat = [t for _, toks in sentences_with_tokens(sentence) for t in toks]
                 n = len(key)
                 assert any(
@@ -215,9 +241,9 @@ class TestContexts:
             ]
         )
         table = build_ngram_table(corpus, n=2, min_total=3)
-        assert list(table.records) == [("kept", "pair")]
+        assert table.keys == [("kept", "pair")]
         assert table.sentences == ["kept pair here.", "kept pair again."]
-        used = {sid for rec in table.records.values() for _, sid in rec.contexts}
+        used = set(table.context_sids.tolist())
         assert used == set(range(len(table.sentences)))
 
 
@@ -239,24 +265,22 @@ def test_partition_and_count_conservation(items):
     corpus = _corpus_from(items)
     table = build_ngram_table(corpus, n=2, min_total=1)
     # The usage array is the scalar trends, row for row and bit for bit.
+    rows = table.counts.tolist()
     assert usage_matrix(table).tolist() == [
-        relative_usage_trend(table.records[key], table.bin_totals) for key in table.sorted_keys()
+        relative_usage_trend(row, table.bin_totals) for row in rows
     ]
     for t, total in enumerate(table.bin_totals):
-        column = sum(rec.counts[t] for rec in table.records.values())
+        column = sum(row[t] for row in rows)
         assert column == total
         if total > 0:
-            share = sum(
-                relative_usage_trend(rec, table.bin_totals)[t]
-                for rec in table.records.values()
-            )
+            share = sum(relative_usage_trend(row, table.bin_totals)[t] for row in rows)
             assert abs(share - 1.0) < 1e-9
 
 
 def _bin_sentences(table, key):
     """An n-gram's contexts as sorted (bin, sentence text) pairs: sentence ids
     depend on n-gram order, the texts do not."""
-    return sorted((t, table.sentences[sid]) for t, sid in table.records[key].contexts)
+    return sorted((t, table.sentences[sid]) for t, sid in _contexts(table, key))
 
 
 @settings(max_examples=25)
@@ -273,10 +297,10 @@ def test_order_independence(items, rnd):
     a = build_ngram_table(corpus, n=2, min_total=1)
     b = build_ngram_table(other, n=2, min_total=1)
     assert a.bin_totals == b.bin_totals
-    assert set(a.records) == set(b.records)
-    for key, rec in a.records.items():
-        assert rec.counts == b.records[key].counts
-        assert rec.total == b.records[key].total
+    assert a.keys == b.keys
+    assert np.array_equal(a.counts, b.counts)
+    assert np.array_equal(a.context_start, b.context_start)
+    for key in a.keys:
         assert _bin_sentences(a, key) == _bin_sentences(b, key)
 
 
@@ -286,8 +310,8 @@ def test_sentences_are_distinct_and_each_hosts_a_kept_instance(items, min_total)
     table = build_ngram_table(_corpus_from(items), n=2, min_total=min_total)
     assert len(set(table.sentences)) == len(table.sentences)
     first_use = []
-    for key in table.sorted_keys():
-        for sentence in table.contexts_of(key):
+    for key in table.keys:
+        for sentence in _context_sentences(table, key):
             if sentence not in first_use:
                 first_use.append(sentence)
     # Every listed sentence hosts a kept instance, numbered by first use.
@@ -313,29 +337,47 @@ def test_table_equals_reference(items, n, min_total):
     month, text = items[0]
     corpus = _corpus_from(items + [(month % 4 + 1, text)])
     table = build_ngram_table(corpus, n=n, min_total=min_total)
-    reference = _reference_table(corpus, n=n, min_total=min_total)
-    assert table == reference
-    assert list(table.records) == list(reference.records)
-    assert table.sentences == reference.sentences
+    _assert_equals_reference(table, _reference_table(corpus, n=n, min_total=min_total))
 
 
-@pytest.mark.parametrize("cells", [1, 8])
-def test_count_blocks_do_not_change_the_table(monkeypatch, cells):
-    # Four bins: one n-gram per block, then two.
-    monkeypatch.setattr(ngrams, "_COUNT_CELLS", cells)
+@pytest.mark.parametrize("block", [1, 8])
+def test_write_blocks_do_not_change_the_table(tmp_path, monkeypatch, block):
+    # Five n-grams: one per block, then all in one.
     corpus = _corpus_from(
         [(1, "a b c. b c d"), (2, "a b. c d e"), (3, "b c d"), (4, "émile a b")]
     )
-    assert build_ngram_table(corpus, n=2, min_total=1) == _reference_table(corpus, n=2)
+    table = build_ngram_table(corpus, n=2, min_total=1)
+    monkeypatch.setattr(pipeline, "_TABLE_BLOCK", block)
+    path = tmp_path / "ngram_table.json"
+    write_table_json(path, table, corpus.binning, True)
+    # The file is one compact json.dumps of the whole table.
+    bin_totals, sentences, rows = _reference_table(corpus, n=2)
+    payload = {
+        "version": 2,
+        "n": 2,
+        "min_total": 1,
+        "include_titles": True,
+        "granularity": "month",
+        "origin": corpus.binning.origin.isoformat(),
+        "bin_labels": corpus.binning.labels(),
+        "bin_totals": bin_totals,
+        "sentences": sentences,
+        "ngrams": {
+            render_ngram(key): {"counts": counts, "contexts": contexts}
+            for key, (counts, contexts) in rows.items()
+        },
+    }
+    assert path.read_text(encoding="utf-8") == json.dumps(payload, separators=(",", ":")) + "\n"
+    assert_same_table(load_table_json(path), table)
 
 
 def test_no_sentence_reaches_n_tokens(tmp_path):
     corpus = _corpus_from([(1, "one two. three"), (3, "four five six")])
     table = build_ngram_table(corpus, n=4, min_total=1)
-    assert table.records == {}
+    assert table.keys == []
     assert table.sentences == []
     assert table.bin_totals == [0, 0, 0]
-    assert table == _reference_table(corpus, n=4)
+    _assert_equals_reference(table, _reference_table(corpus, n=4))
     with pytest.raises(InputError, match="no n-gram reached min-count 1"):
         with stage_run(tmp_path, "trends") as run:
             run_trends(run, corpus, 4, 1, True)
@@ -346,6 +388,7 @@ def test_emergent_ngram_has_exact_zero_before_first_use():
     items += [(day(2017, m), "nova spike") for m in (4, 5)]
     corpus = make_corpus(items)
     table = build_ngram_table(corpus, n=2, min_total=1)
-    trend = relative_usage_trend(table.records[("nova", "spike")], table.bin_totals)
+    row = table.keys.index(("nova", "spike"))
+    trend = relative_usage_trend(table.counts[row].tolist(), table.bin_totals)
     assert trend[:3] == [0.0, 0.0, 0.0]
     assert all(v > 0 for v in trend[3:])

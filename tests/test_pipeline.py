@@ -4,6 +4,7 @@ import io
 import json
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from salience.pipeline import (
 )
 from salience.synth import PlantedEvent, SynthSpec, corpus_to_jsonl, generate_corpus
 
-from conftest import burst_phrases, disjoint_framework, framework_file
+from conftest import assert_same_table, burst_phrases, disjoint_framework, framework_file
 
 ARTIFACTS = (
     "ngram_trends.csv",
@@ -77,6 +78,15 @@ def read_all(out_dir: Path) -> dict[str, bytes]:
     }
 
 
+def assert_some_topic_has_members(out_dir: Path) -> None:
+    """An equality test over all-zero salience would not notice a wrong sum:
+    at the demo workspace's default 75th percentile every topic is empty."""
+    associations = json.loads((out_dir / "associations.json").read_text(encoding="utf-8"))
+    assert any(entry["members"] for entry in associations.values())
+    salience, _ = load_trend_csv(out_dir / "salience.csv")
+    assert any(value != 0.0 for row in salience.values() for value in row)
+
+
 class TestAnalyze:
     def test_writes_every_artifact(self, workspace):
         tmp, corpus, framework = workspace
@@ -121,8 +131,11 @@ class TestAnalyze:
     def test_rerun_is_byte_identical_except_manifest_timings(self, workspace):
         tmp, corpus, framework = workspace
         out = tmp / "rerun"
-        config = RunConfig(corpus=corpus, framework=framework, out_dir=out, min_total=1)
+        config = RunConfig(
+            corpus=corpus, framework=framework, out_dir=out, min_total=1, percentile=50
+        )
         run_analyze(config)
+        assert_some_topic_has_members(out)
         first = read_all(out)
         run_analyze(config)
         second = read_all(out)
@@ -150,8 +163,9 @@ class TestAnalyze:
             reader = csv.reader(fh)
             next(reader)
             for row in reader:
-                key = parse_ngram(row[0])
-                expected = relative_usage_trend(table.records[key], table.bin_totals)
+                counts = table.counts[table.keys.index(parse_ngram(row[0]))].tolist()
+                assert int(row[1]) == sum(counts)
+                expected = relative_usage_trend(counts, table.bin_totals)
                 assert [float(v) for v in row[2:]] == expected
 
     def test_empty_corpus_fails_with_input_error(self, tmp_path, workspace):
@@ -294,11 +308,13 @@ class TestCli:
                     "--corpus", str(corpus),
                     "--framework", str(framework),
                     "--min-count", "1",
+                    "--percentile", "50",
                     "--out", str(full),
                 ]
             )
             == 0
         )
+        assert_some_topic_has_members(full)
         assert (
             main(
                 [
@@ -318,7 +334,7 @@ class TestCli:
         table = staged / "ngram_table.json"
         assert table.read_bytes() == (full / "ngram_table.json").read_bytes()
         table.unlink()
-        assert main(["associate", "--in", str(staged)]) == 0
+        assert main(["associate", "--in", str(staged), "--percentile", "50"]) == 0
         assert main(["salience", "--in", str(staged), "--framework", str(framework)]) == 0
 
         full_files = read_all(full)
@@ -429,6 +445,21 @@ class TestCli:
 
     def test_usage_error_exits_one(self, capsys):
         assert main(["analyze"]) == 1
+
+    def test_main_pins_the_mmap_threshold_where_libc_has_mallopt(self, monkeypatch, capsys):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+
+        def no_libc(name):
+            raise OSError("no C library")
+
+        # A C library without mallopt, or none to load, changes nothing.
+        for cdll in (lambda name: SimpleNamespace(mallopt=mallopt), lambda name: object(), no_libc):
+            monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+            assert main(["analyze"]) == 1
+        assert calls == [(-3, 128 * 1024)]
 
     def test_internal_inconsistency_exits_two(self, workspace, tmp_path, capsys):
         _, corpus, framework = workspace
@@ -622,6 +653,12 @@ def test_associate_refuses_mismatched_ngram_sets(workspace, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: associate: ")
     assert f"different n-gram sets (e.g. {dropped!r})" in err
+    # The failed stage took the earlier associations.json with it, so the
+    # salience stage cannot run on associations that match neither input.
+    assert not (out / "associations.json").exists()
+    assert main(["salience", "--in", str(out), "--framework", str(framework)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: salience: associations not found: {out / 'associations.json'}")
 
 
 def test_ngram_trends_loader_inverts_the_writer(workspace, tmp_path):
@@ -664,7 +701,7 @@ def test_table_write_then_load_round_trips(workspace, tmp_path):
     path = tmp_path / "ngram_table.json"
     write_table_json(path, table, binned.binning, True)
     loaded = load_table_json(path)
-    assert loaded == table
+    assert_same_table(loaded, table)
     assert json.loads(path.read_text(encoding="utf-8"))["version"] == 2
     again = tmp_path / "again.json"
     write_table_json(again, loaded, binned.binning, True)
@@ -683,9 +720,19 @@ def _sentence_id_out_of_range(table):
     entry["contexts"][0][1] = len(table["sentences"])
 
 
+def _negative_sentence_id(table):
+    entry = next(iter(table["ngrams"].values()))
+    entry["contexts"][-1][1] = -1
+
+
 def _non_integer_bin(table):
     entry = next(iter(table["ngrams"].values()))
     entry["contexts"][0][0] = 0.5
+
+
+def _bool_bin(table):
+    entry = next(iter(table["ngrams"].values()))
+    entry["contexts"][0][0] = True
 
 
 def _comma_in_ngram(table):
@@ -693,14 +740,52 @@ def _comma_in_ngram(table):
     table["ngrams"][first.replace(" ", ",", 1)] = table["ngrams"].pop(first)
 
 
+def _swapped_ngrams(table):
+    first, second, *rest = table["ngrams"].items()
+    table["ngrams"] = dict([second, first, *rest])
+
+
+def _repeated_ngram(table):
+    # A dict cannot hold a repeated name, so the JSON text is edited.
+    first, entry = next(iter(table["ngrams"].items()))
+    pair = json.dumps({first: entry})[1:-1]
+    return json.dumps(table).replace(pair, f"{pair}, {pair}", 1)
+
+
+def _short_counts_row(table):
+    entry = next(iter(table["ngrams"].values()))
+    entry["counts"].pop()
+
+
+def _counts_off_by_one(table):
+    entry = next(iter(table["ngrams"].values()))
+    entry["counts"][entry["contexts"][0][0]] += 1
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
         pytest.param(_version_1, "version 1, .*; re-run the trends stage", id="version-1"),
         pytest.param(_sentence_id_out_of_range, "sentence id \\d+ is not one of", id="sentence-id"),
+        pytest.param(
+            _negative_sentence_id, "sentence id -1 is not one of", id="negative-sentence-id"
+        ),
         pytest.param(_non_integer_bin, "bin 0.5 is not one of", id="non-integer-bin"),
+        pytest.param(_bool_bin, "bin True is not one of", id="bool-bin"),
         pytest.param(
             _comma_in_ngram, "n-gram '.*,.*' is not words joined by single spaces", id="ngram-text"
+        ),
+        pytest.param(
+            _swapped_ngrams, "n-gram '.*' repeats or is out of sorted order", id="unsorted-ngrams"
+        ),
+        pytest.param(
+            _repeated_ngram, "n-gram '.*' repeats or is out of sorted order", id="repeated-ngram"
+        ),
+        pytest.param(
+            _short_counts_row, "counts \\[.*\\] are not the 8 per-bin counts", id="short-counts"
+        ),
+        pytest.param(
+            _counts_off_by_one, "counts \\[.*\\] are not the 8 per-bin counts", id="wrong-counts"
         ),
     ],
 )
@@ -710,10 +795,11 @@ def test_similarity_refuses_bad_table(workspace, tmp_path, capsys, corrupt, mess
     run_analyze(RunConfig(corpus=corpus, framework=framework, out_dir=out, min_total=1))
     path = out / "ngram_table.json"
     table = json.loads(path.read_text(encoding="utf-8"))
-    corrupt(table)
-    path.write_text(json.dumps(table), encoding="utf-8")
+    path.write_text(corrupt(table) or json.dumps(table), encoding="utf-8")
     capsys.readouterr()
     assert main(["similarity", "--in", str(out), "--framework", str(framework)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: similarity: {path}: ")
     assert re.search(message, err)
+    # The failed stage removes the similarity.csv of the earlier run.
+    assert not (out / "similarity.csv").exists()

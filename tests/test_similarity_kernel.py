@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from salience import topics
 from salience.errors import ConsistencyError
-from salience.ngrams import NgramRecord, NgramTable
+from salience.ngrams import NgramTable
 from salience.pipeline import compute_similarities
 from salience.topics import (
     Topic,
@@ -33,15 +33,17 @@ def _oracle(framework, space, vectors, contexts):
 
 
 def _intern(contexts):
-    """Each distinct sentence once, and every n-gram's contexts as ids into it."""
+    """Each distinct sentence once, and every n-gram's contexts in CSR form:
+    (sentences, context_start, context_sids)."""
     ids: dict[str, int] = {}
     rows = [[ids.setdefault(s, len(ids)) for s in ctx] for ctx in contexts]
-    return list(ids), rows
+    start = np.cumsum([0] + [len(row) for row in rows])
+    return list(ids), start, np.array([i for row in rows for i in row], dtype=np.int64)
 
 
 def _kernel(framework, space, vectors, contexts):
-    sentences, rows = _intern(contexts)
-    return batch_similarities(space, vectors, framework.topic_ids(), sentences, rows)
+    sentences, start, sids = _intern(contexts)
+    return batch_similarities(space, vectors, framework.topic_ids(), sentences, start, sids)
 
 
 def _sentence_pool(framework, rng, lexicon=None, size=200):
@@ -156,16 +158,18 @@ class TestAgreesWithScalarOracle:
 
 
 def _table(records) -> NgramTable:
-    sentences, rows = _intern(ctx for _, ctx in records)
+    """A one-bin table of (key, contexts) records, rows in sorted key order."""
+    records = sorted(records, key=lambda record: record[0])
+    sentences, start, sids = _intern(ctx for _, ctx in records)
     return NgramTable(
         n=2,
         min_total=1,
+        keys=[key for key, _ in records],
         bin_totals=[10_000],
-        records={
-            key: NgramRecord(key=key, counts=[len(ids)], total=len(ids), contexts=[(0, s) for s in ids])
-            for (key, _), ids in zip(records, rows)
-        },
         sentences=sentences,
+        context_start=start,
+        context_bins=np.zeros(len(sids), dtype=np.int64),
+        context_sids=sids,
     )
 
 
@@ -179,15 +183,13 @@ class TestOrderIndependence:
         pool = _sentence_pool(fw, rng, size=40)
         records = [((f"g{i}", "x"), ctx) for i, ctx in enumerate(_random_contexts(pool, rng, 60))]
         table = _table(records)
-        before = dict(
-            zip(table.sorted_keys(), compute_similarities(table, fw, space, vectors).tolist())
-        )
+        before = dict(zip(table.keys, compute_similarities(table, fw, space, vectors).tolist()))
 
         shuffled = [(key, rng.sample(ctx, len(ctx))) for key, ctx in records]
         rng.shuffle(shuffled)
         table = _table(shuffled)
         after = compute_similarities(table, fw, space, vectors).tolist()
-        assert dict(zip(table.sorted_keys(), after)) == before
+        assert dict(zip(table.keys, after)) == before
         # Fed in the shuffled order, the kernel interns sentences in another order.
         rows = _kernel(fw, space, vectors, [ctx for _, ctx in shuffled])
         assert {key: row for (key, _), row in zip(shuffled, rows.tolist())} == before

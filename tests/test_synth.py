@@ -195,6 +195,6 @@ class TestOracle:
         corpus = bin_documents(docs, build_binning(docs, "month"))
         table = build_ngram_table(corpus, n=2, min_total=1)
         lines = corpus_to_jsonl(docs).splitlines()
-        counts = oracle_count_many(lines, list(table.records), corpus.binning)
-        for key, record in table.records.items():
-            assert counts[" ".join(key)] == record.counts
+        counts = oracle_count_many(lines, table.keys, corpus.binning)
+        for key, row in zip(table.keys, table.counts.tolist()):
+            assert counts[" ".join(key)] == row
