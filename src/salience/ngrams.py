@@ -14,6 +14,13 @@ n-grams, B bins, N instances): `keys`, (K × B) int64 `counts`, and the
 contexts in CSR form, n-gram i's being entries context_start[i] to
 context_start[i + 1] (K + 1 starts) of the (N,) int64 arrays `context_bins`
 and `context_sids`, one per instance in scan order.
+
+The table also carries the tokens of its S sentences in CSR form, for the
+similarity kernel: sentence s's tokens are words[i] for i in
+token_ids[token_start[s]:token_start[s + 1]] ((S + 1) int64 starts, int32
+ids). The build takes them from its own scan, so no sentence is tokenized
+twice; a table loaded from `ngram_table.json`, which does not store them,
+re-tokenizes its sentences with `intern_sentences` when first asked.
 """
 
 from __future__ import annotations
@@ -80,6 +87,13 @@ class NgramTable:
         cells = np.bincount(row_of * bins + self.context_bins, minlength=rows * bins)
         return cells.reshape(rows, bins)
 
+    @cached_property
+    def sentence_tokens(self) -> tuple[list[str], np.ndarray, np.ndarray]:
+        """The sentences' tokens as (words, token_start, token_ids), the CSR
+        form the module docstring describes. `build_ngram_table` sets it from
+        its scan; otherwise the sentences are tokenized on first use."""
+        return intern_sentences(self.sentences)
+
 
 def render_ngram(key: NgramKey) -> str:
     return " ".join(key)
@@ -97,6 +111,19 @@ class _DenseIds(dict):
         return token_id
 
 
+def intern_sentences(sentences: Sequence[str]) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Tokenize each sentence once: (words, token_start, token_ids), words
+    in first-seen order and the ids in CSR form, one row per sentence."""
+    token_ids = _DenseIds()
+    word_id = token_ids.__getitem__
+    ids: list[int] = []
+    starts = [0]
+    for sentence in sentences:
+        ids += map(word_id, _WORD_RE.findall(sentence))
+        starts.append(len(ids))
+    return list(token_ids), np.array(starts, dtype=np.int64), np.array(ids, dtype=np.int32)
+
+
 def build_ngram_table(
     corpus: TimeBinnedCorpus,
     n: int = 2,
@@ -111,7 +138,8 @@ def build_ngram_table(
     token count; it creates no object per n-gram or per instance. numpy then
     groups the instances: each instance is a row of n token ids, the rows
     are sorted, runs of equal rows are the n-grams, and only the n-grams
-    that reach min_total are kept.
+    that reach min_total are kept. Each kept sentence's token row is cut from
+    the scan's ids at its first occurrence.
     """
     if n < 1:
         raise InputError("n must be >= 1")
@@ -144,7 +172,7 @@ def build_ngram_table(
     del token_ids, word_id
     by_text = sorted(range(len(words)), key=words.__getitem__)
     words = [words[i] for i in by_text]
-    rank = np.empty(len(words), dtype=np.intp)
+    rank = np.empty(len(words), dtype=np.int32)
     rank[by_text] = np.arange(len(words))
     ranked = rank[np.array(ids, dtype=np.intp)]
     del ids, rank, by_text
@@ -158,7 +186,7 @@ def build_ngram_table(
     offset = np.cumsum(lengths) - lengths
     starts = np.arange(len(sentence_of)) + (offset - window_base)[sentence_of]
     columns = [ranked[starts + j] for j in range(n)]
-    del ranked, lengths, windows, window_base, offset, starts
+    del windows, window_base, starts
     bins = np.array(bins, dtype=np.intp)
     sids = np.array(sids, dtype=np.intp)
     bin_totals = np.bincount(bins[sentence_of], minlength=m).tolist()
@@ -182,21 +210,31 @@ def build_ngram_table(
     sentence_of = sentence_of[np.repeat(kept, sizes)]
     group_start, sizes = group_start[kept], sizes[kept]
     key_columns = [[words[r] for r in column[group_start].tolist()] for column in columns]
-    del columns, words, group_start, kept
+    del columns, group_start, kept
 
     # Renumber the hosting sentences by first use in sorted key order.
     context_bins = bins[sentence_of]
     used, first_use, old_to_used = np.unique(
         sids[sentence_of], return_index=True, return_inverse=True
     )
-    del bins, sids, sentence_of
     by_first_use = np.argsort(first_use)
     new_id = np.empty(len(used), dtype=np.intp)
     new_id[by_first_use] = np.arange(len(used))
-    sentences = [texts[i] for i in used[by_first_use].tolist()]
-    del texts
+    hosts = used[by_first_use]
+    sentences = [texts[i] for i in hosts.tolist()]
+    del texts, bins, sentence_of
 
-    return NgramTable(
+    # Sentence ids number distinct texts in scan order, so np.unique's first
+    # index of each id is its first scanned occurrence.
+    scanned = np.unique(sids, return_index=True)[1][hosts]
+    del sids, used, hosts
+    token_start = np.concatenate(([0], np.cumsum(lengths[scanned])))
+    token_at = np.repeat(offset[scanned] - token_start[:-1], lengths[scanned])
+    token_at += np.arange(token_start[-1])
+    token_ids = ranked[token_at]
+    del ranked, lengths, offset, scanned, token_at
+
+    table = NgramTable(
         n=n,
         min_total=min_total,
         keys=list(zip(*key_columns)),
@@ -206,6 +244,8 @@ def build_ngram_table(
         context_bins=context_bins,
         context_sids=new_id[old_to_used],
     )
+    table.sentence_tokens = (words, token_start, token_ids)
+    return table
 
 
 def usage_matrix(table: NgramTable) -> np.ndarray:

@@ -16,6 +16,8 @@ n-gram in sorted key order (K n-grams, B bins, T topics, N instances):
 
 - the n-gram table: the K sorted keys, (K × B) int64 counts, and the
   contexts in CSR form, (K + 1,) starts into (N,) bins and sentence ids;
+  in memory it also holds its sentences' token ids for the similarity
+  kernel, which `ngram_table.json` does not store;
 - usage: (K × B) floats, count / bin total, 0 in empty bins;
 - similarities: (K × T) floats, columns in framework topic order;
 - variability: (K,) floats, each row's relative standard deviation;
@@ -265,7 +267,6 @@ def write_table_json(
         "bin_totals": table.bin_totals,
         "sentences": table.sentences,
     }
-    pairs = np.stack((table.context_bins, table.context_sids), axis=1)
     # json.dumps without indent runs the C encoder in one shot; json.dump to
     # a file always takes the pure-Python one.
     with path.open("w", encoding="utf-8") as fh:
@@ -273,7 +274,10 @@ def write_table_json(
         for lo in range(0, len(table.keys), _TABLE_BLOCK):
             rows = slice(lo, lo + _TABLE_BLOCK)
             ends = table.context_start[lo : lo + _TABLE_BLOCK + 1].tolist()
-            contexts = pairs[ends[0] : ends[-1]].tolist()
+            pairs = slice(ends[0], ends[-1])
+            contexts = np.stack(
+                (table.context_bins[pairs], table.context_sids[pairs]), axis=1
+            ).tolist()
             block = {
                 render_ngram(key): {"counts": row, "contexts": contexts[a - ends[0] : b - ends[0]]}
                 for key, row, a, b in zip(
@@ -551,12 +555,12 @@ def compute_similarities(
 ) -> np.ndarray:
     """Similarity of every tabled n-gram to every topic, as one (n-grams ×
     topics) array in sorted key order and framework topic order, scored in
-    one pass by the batch kernel."""
+    one pass by the batch kernel from the sentences' token ids."""
     return batch_similarities(
         space,
         topic_vectors,
         framework.topic_ids(),
-        table.sentences,
+        *table.sentence_tokens,
         table.context_start,
         table.context_sids,
     )

@@ -6,9 +6,12 @@ documents only, so idf discounts vocabulary common across topics. Vector
 terms are lowercased unigrams even though n-gram identity preserves case.
 
 `batch_similarities` scores a whole n-gram table in one numpy pass and is
-what `analyze` runs. The scalar path (`SparseVector`, `context_vector`,
-`ngram_vector`, `cosine`, `similarity_matrix`) is kept as the public
-reference oracle the batch kernel is tested against.
+what `analyze` runs. It counts terms from the context sentences' token ids
+(`NgramTable.sentence_tokens`), so it tokenizes nothing: each distinct word
+is lowercased and mapped to its vocabulary column once. The scalar path
+(`SparseVector`, `context_vector`, `ngram_vector`, `cosine`,
+`similarity_matrix`) is kept as the public reference oracle the batch
+kernel is tested against.
 """
 
 from __future__ import annotations
@@ -423,45 +426,50 @@ def batch_similarities(
     space: VectorSpace,
     topic_vectors: Mapping[str, SparseVector],
     topic_ids: Sequence[str],
-    sentences: Sequence[str],
+    words: Sequence[str],
+    token_start: np.ndarray,
+    token_ids: np.ndarray,
     context_start: np.ndarray,
     context_sids: np.ndarray,
 ) -> np.ndarray:
     """Cosine similarity of many n-grams against every topic, in one pass.
 
-    The n-grams' contexts come in CSR form: n-gram i's context sentences are
-    `context_sids[context_start[i]:context_start[i + 1]]`, ids into
-    `sentences`, one entry per instance. Returns an array of shape
-    (n-grams, topics) in the order given.
+    The context sentences come as token ids in CSR form: sentence s's tokens
+    are `words[i]` for i in `token_ids[token_start[s]:token_start[s + 1]]`,
+    as `NgramTable.sentence_tokens` holds them. The n-grams' contexts come
+    in CSR form too: n-gram i's context sentences are
+    `context_sids[context_start[i]:context_start[i + 1]]`, one entry per
+    instance. Returns an array of shape (n-grams, topics) in the order given.
 
-    Each listed sentence is tokenized once. An n-gram's row is its exact
-    integer term counts summed over its contexts, divided by their gcd:
-    cosine is scale-invariant, so this scores the same as the mean context
-    vector, and n-grams whose summed counts are proportional get identical
-    rows and bit-equal values whatever their context order. Dot products and
-    norms are reduced in vocabulary-index order, one topic at a time.
+    Each distinct word is lowercased and looked up in the vocabulary once;
+    no sentence is tokenized here. An n-gram's row is its exact integer term
+    counts summed over its contexts, divided by their gcd: cosine is
+    scale-invariant, so this scores the same as the mean context vector, and
+    n-grams whose summed counts are proportional get identical rows and
+    bit-equal values whatever their context order. Dot products and norms
+    are reduced in vocabulary-index order, one topic at a time.
     """
     lengths = np.diff(context_start)
     if (lengths == 0).any():
         raise ConsistencyError("n-gram with no contexts: every tabled n-gram has instances")
 
     # Per-sentence vocabulary counts, as a CSR table over sentence ids. Terms
-    # with idf 0 carry no weight in any vector and are left out.
-    column = {term: i for i, term in enumerate(space.vocabulary) if space.idf[term] != 0.0}
-    terms: list[int] = []
-    counts: list[int] = []
-    nnz: list[int] = []
-    for sentence in sentences:
-        found = Counter(column[tok] for tok in _lower_tokens(sentence) if tok in column)
-        nnz.append(len(found))
-        terms.extend(found)
-        counts.extend(found.values())
-    sentence_nnz = np.asarray(nnz, dtype=np.int64)
-    sentence_start = np.cumsum(sentence_nnz) - sentence_nnz
-    sentence_terms = np.asarray(terms, dtype=np.int64)
-    sentence_counts = np.asarray(counts, dtype=np.int64)
-
+    # with idf 0 carry no weight in any vector and are left out, as are
+    # out-of-vocabulary tokens, before any (sentence, term) key is formed.
     vocab = len(space.vocabulary)
+    column = {term: i for i, term in enumerate(space.vocabulary) if space.idf[term] != 0.0}
+    word_column = np.array([column.get(word.lower(), -1) for word in words], dtype=np.int32)
+    token_column = word_column[token_ids]
+    hits = np.flatnonzero(token_column >= 0)
+    sentence_of = np.searchsorted(token_start, hits, side="right") - 1
+    entries, sentence_counts = np.unique(
+        sentence_of * vocab + token_column[hits], return_counts=True
+    )
+    del token_column, hits, sentence_of
+    entry_sentence, sentence_terms = np.divmod(entries, vocab)
+    sentence_nnz = np.bincount(entry_sentence, minlength=len(token_start) - 1)
+    sentence_start = np.cumsum(sentence_nnz) - sentence_nnz
+
     idf = np.array([space.idf[term] for term in space.vocabulary])
     topics = np.zeros((len(topic_ids), vocab))
     for j, tid in enumerate(topic_ids):

@@ -3,14 +3,16 @@ from collections import defaultdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from salience.corpus import Document, analysis_text, bin_documents, build_binning
 from salience import pipeline
 from salience.errors import ConsistencyError, InputError
 from salience.ngrams import (
+    _WORD_RE,
     build_ngram_table,
+    intern_sentences,
     relative_usage_trend,
     usage_matrix,
     render_ngram,
@@ -338,6 +340,46 @@ def test_table_equals_reference(items, n, min_total):
     corpus = _corpus_from(items + [(month % 4 + 1, text)])
     table = build_ngram_table(corpus, n=n, min_total=min_total)
     _assert_equals_reference(table, _reference_table(corpus, n=n, min_total=min_total))
+
+
+def _decoded(sentence_tokens):
+    """Token rows in CSR form, decoded to one list of words per sentence."""
+    words, start, ids = sentence_tokens
+    bounds = start.tolist()
+    return [[words[i] for i in ids[a:b].tolist()] for a, b in zip(bounds, bounds[1:])]
+
+
+token_words = st.sampled_from(["alpha", "Echo", "echo", "ECHO", "émile", "Ünï", "İstanbul", "2017", "x9"])
+token_sentence = st.lists(
+    st.tuples(token_words, st.sampled_from([" ", " - ", "'", ", ", "_"])), min_size=1, max_size=5
+).map(lambda pairs: "".join(word + gap for word, gap in pairs).strip(" ,-'"))
+token_corpus = st.lists(
+    st.tuples(
+        st.integers(min_value=1, max_value=4),
+        st.lists(token_sentence, min_size=1, max_size=4).map(". ".join),
+    ),
+    min_size=1,
+    max_size=10,
+)
+
+
+@settings(max_examples=60)
+@given(token_corpus, st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=3))
+# Case variants, a one-token sentence under n = 2, and a sentence that
+# min-count 2 drops while another sentence stays.
+@example([(1, "Echo echo. İstanbul. Ünï 2017 x9"), (2, "ECHO echo")], 2, 2)
+def test_token_rows_are_the_sentences_tokens(items, n, min_total):
+    # The first document's text again in another bin: one sentence, two bins.
+    month, text = items[0]
+    corpus = _corpus_from(items + [(month % 4 + 1, text)])
+    table = build_ngram_table(corpus, n=n, min_total=min_total)
+    words, start, ids = table.sentence_tokens
+    assert words == sorted(words)
+    assert start.dtype == np.int64 and ids.dtype == np.int32
+    assert len(start) == len(table.sentences) + 1
+    expected = [_WORD_RE.findall(sentence) for sentence in table.sentences]
+    assert _decoded(table.sentence_tokens) == expected
+    assert _decoded(intern_sentences(table.sentences)) == expected
 
 
 @pytest.mark.parametrize("block", [1, 8])

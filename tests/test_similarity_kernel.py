@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from salience import topics
 from salience.errors import ConsistencyError
-from salience.ngrams import NgramTable
-from salience.pipeline import compute_similarities
+from salience.ngrams import NgramTable, build_ngram_table, intern_sentences
+from salience.pipeline import compute_similarities, load_table_json, write_table_json
 from salience.topics import (
     Topic,
     TopicFramework,
@@ -21,6 +21,8 @@ from salience.topics import (
     load_pmesii_ascope,
     similarity_matrix,
 )
+
+from conftest import day, make_corpus
 
 TOLERANCE = 1e-12
 NOISE = ["zzyzx", "quux", "Florp", "blorb", "snark"]  # in no topic document
@@ -43,7 +45,9 @@ def _intern(contexts):
 
 def _kernel(framework, space, vectors, contexts):
     sentences, start, sids = _intern(contexts)
-    return batch_similarities(space, vectors, framework.topic_ids(), sentences, start, sids)
+    return batch_similarities(
+        space, vectors, framework.topic_ids(), *intern_sentences(sentences), start, sids
+    )
 
 
 def _sentence_pool(framework, rng, lexicon=None, size=200):
@@ -214,3 +218,45 @@ class TestOrderIndependence:
         assert got[2].tolist() == got[3].tolist()
         assert got[4].tolist() != got[2].tolist()
         assert np.abs(got - _oracle(fw, space, vectors, contexts)).max() <= TOLERANCE
+
+
+class TestTokenIds:
+    def test_case_variants_share_one_column(self):
+        fw = load_pmesii_ascope()
+        space, vectors = build_vector_space(fw)
+        contexts = [
+            ["Army budget"],
+            ["ARMY budget"],
+            ["army budget"],
+            ["Army ARMY army budget"],
+            ["army army army budget"],
+        ]
+        words, _, _ = intern_sentences([s for ctx in contexts for s in ctx])
+        assert {"Army", "ARMY", "army"} <= set(words)
+        got = _kernel(fw, space, vectors, contexts)
+        assert got[0].tolist() == got[1].tolist() == got[2].tolist()
+        assert got[3].tolist() == got[4].tolist() != got[0].tolist()
+        assert got.max() > 0.0
+        assert np.abs(got - _oracle(fw, space, vectors, contexts)).max() <= TOLERANCE
+
+    def test_built_and_loaded_tables_score_bit_equal(self, tmp_path):
+        fw = load_pmesii_ascope()
+        space, vectors = build_vector_space(fw)
+        rng = random.Random(3)
+        pool = _sentence_pool(fw, rng, size=60) + ["Army ARMY army", "İstanbul Ünï 2017 budget"]
+        items = [
+            (day(2017, rng.randint(1, 6)), ". ".join(rng.choices(pool, k=rng.randint(1, 5))))
+            for _ in range(80)
+        ]
+        corpus = make_corpus(items)
+        built = build_ngram_table(corpus, n=2, min_total=2)
+        assert built.keys
+        path = tmp_path / "ngram_table.json"
+        write_table_json(path, built, corpus.binning, True)
+        loaded = load_table_json(path)
+        # The build's token rows come from its scan, the loader's from re-tokenizing.
+        assert built.sentence_tokens[0] != loaded.sentence_tokens[0]
+        expected = compute_similarities(built, fw, space, vectors)
+        got = compute_similarities(loaded, fw, space, vectors)
+        assert expected.max() > 0.0
+        assert got.tobytes() == expected.tobytes()
