@@ -25,12 +25,16 @@ n-gram in sorted key order (K n-grams, B bins, T topics, N instances):
 - topic usage and salience: (T × B) floats, rows in topic order.
 
 The loaders return the same arrays, so `analyze` and the stage subcommands
-share one representation.
+share one representation. The CSV and table writers render straight from
+the arrays, a block of at most _BLOCK_CELLS cells at a time, so what a
+writer holds does not grow with the table; their bytes are those of
+csv.writer and of one compact json.dumps of the whole payload.
 
 All exports are deterministic: rows follow sorted n-gram order and
-framework topic order, floats are rendered as shortest round-trip decimals,
-and reruns with identical inputs and config are byte-identical except for
-the manifest's timings.
+framework topic order, floats are rendered as shortest round-trip decimals
+(their repr, made once per distinct value in a block), and reruns with
+identical inputs and config are byte-identical except for the manifest's
+timings.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ import time
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterator
@@ -89,9 +94,12 @@ from .topics import (
 SIM_SCOPES = ("per_topic", "global")
 # The ngram_table.json layout that write_table_json writes and load_table_json reads.
 TABLE_VERSION = 2
-# N-grams that write_table_json renders per json.dumps call: bounds the
-# Python lists its [bin, sentence id] pairs take at once.
-_TABLE_BLOCK = 4096
+# Cells that a writer renders at once, a cell being a float, a count, a
+# context pair or a sentence: bounds the strings one block holds, whatever
+# the table's height or width. A row wider than this is a block of its own.
+# Each block is rendered by a function call and written, so its strings are
+# freed before the next block's are made.
+_BLOCK_CELLS = 1 << 14
 # A rendered n-gram: tokenizer tokens joined by single spaces.
 _NGRAM_TEXT = re.compile(r"[^\W_]+(?: [^\W_]+)*")
 
@@ -147,11 +155,31 @@ def _csv_cell(value: str) -> str:
     return buffer.getvalue()[1:-2]
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+def _row_blocks(rows: int, width: int, starts: np.ndarray | None = None) -> Iterator[slice]:
+    """Consecutive slices of range(rows), each of at most _BLOCK_CELLS cells:
+    `width` cells per row plus, given CSR offsets `starts`, starts[i + 1] -
+    starts[i] more in row i. A row wider than the budget is a block alone."""
+    lo = 0
+    while lo < rows:
+        hi = min(rows, lo + max(_BLOCK_CELLS // max(width, 1), 1))
+        if starts is not None:
+            # Every row has at least `width` cells, so the block ends within
+            # this window: count the cells up to each of its row ends.
+            ends = starts[lo + 1 : hi + 1] - starts[lo] + width * np.arange(1, hi - lo + 1)
+            hi = lo + max(int(np.searchsorted(ends, _BLOCK_CELLS, side="right")), 1)
+        yield slice(lo, hi)
+        lo = hi
+
+
+def _cell_texts(block: np.ndarray) -> list[list[str]]:
+    """The repr of every cell of a 2-D block of floats or integers, as rows
+    of strings. repr runs once per distinct bit pattern, so -0.0 keeps its
+    sign and a value repeated across the block is rendered once."""
+    block = np.ascontiguousarray(block)
+    distinct, inverse = np.unique(block.view(f"u{block.itemsize}"), return_inverse=True)
+    texts = np.array([repr(v) for v in distinct.view(block.dtype).tolist()], dtype=object)
+    # numpy 2.x releases disagree on the shape of unique's inverse.
+    return texts[inverse.reshape(block.shape)].tolist()
 
 
 @contextmanager
@@ -223,13 +251,22 @@ def write_ngram_trends_csv(
     path: Path, table: NgramTable, usage: np.ndarray, bin_labels: list[str]
 ) -> None:
     """One row per n-gram: its name, total and usage trend, floats as their
-    shortest round-trip repr."""
-    totals = np.diff(table.context_start).tolist()
-    rows = (
-        [render_ngram(key), total, *map(repr, values)]
-        for key, total, values in zip(table.keys, totals, usage.tolist())
-    )
-    _write_csv(path, ["ngram", "total"] + list(bin_labels), rows)
+    shortest round-trip repr, rendered _BLOCK_CELLS usage cells at a time.
+
+    The bytes are those of csv.writer. Rows are joined by hand: a rendered
+    n-gram is word tokens joined by spaces, and neither it nor a count or a
+    float repr needs quoting; the bin labels go through csv.writer.
+    """
+
+    def block(rows: slice) -> str:
+        totals = np.diff(table.context_start[rows.start : rows.stop + 1]).tolist()
+        lines = zip(map(render_ngram, table.keys[rows]), totals, _cell_texts(usage[rows]))
+        return "".join([f"{name},{total},{','.join(row)}\n" for name, total, row in lines])
+
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(["ngram", "total", *bin_labels])
+        for rows in _row_blocks(len(table.keys), usage.shape[1]):
+            fh.write(block(rows))
 
 
 def load_ngram_trends_csv(path: Path) -> tuple[list[NgramKey], np.ndarray, list[str]]:
@@ -254,8 +291,13 @@ def write_table_json(
 ) -> None:
     """Persist the n-gram table for the similarity stage: version 2 lists each
     context sentence once and gives each n-gram's per-bin counts and its
-    contexts as [bin, sentence id] pairs, in compact JSON, rendered
-    _TABLE_BLOCK n-grams at a time."""
+    contexts as [bin, sentence id] pairs.
+
+    The bytes are those of one compact json.dumps of the whole table: names
+    and sentences go through the encoder's own ASCII escaper and integers
+    through str. Sentences and n-grams are rendered _BLOCK_CELLS cells at a
+    time, an n-gram holding one cell per bin and one per context.
+    """
     header = {
         "version": TABLE_VERSION,
         "n": table.n,
@@ -265,27 +307,34 @@ def write_table_json(
         "origin": binning.origin.isoformat(),
         "bin_labels": binning.labels(),
         "bin_totals": table.bin_totals,
-        "sentences": table.sentences,
     }
-    # json.dumps without indent runs the C encoder in one shot; json.dump to
-    # a file always takes the pure-Python one.
     with path.open("w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header, separators=(",", ":"))[:-1] + ',"ngrams":{')
-        for lo in range(0, len(table.keys), _TABLE_BLOCK):
-            rows = slice(lo, lo + _TABLE_BLOCK)
-            ends = table.context_start[lo : lo + _TABLE_BLOCK + 1].tolist()
-            pairs = slice(ends[0], ends[-1])
-            contexts = np.stack(
-                (table.context_bins[pairs], table.context_sids[pairs]), axis=1
-            ).tolist()
-            block = {
-                render_ngram(key): {"counts": row, "contexts": contexts[a - ends[0] : b - ends[0]]}
-                for key, row, a, b in zip(
-                    table.keys[rows], table.counts[rows].tolist(), ends, ends[1:]
-                )
-            }
-            fh.write(("," if lo else "") + json.dumps(block, separators=(",", ":"))[1:-1])
+        fh.write(json.dumps(header, separators=(",", ":"))[:-1] + ',"sentences":[')
+        for rows in _row_blocks(len(table.sentences), 1):
+            fh.write("," if rows.start else "")
+            fh.write(",".join(map(encode_basestring_ascii, table.sentences[rows])))
+        fh.write('],"ngrams":{')
+        for rows in _row_blocks(len(table.keys), len(table.bin_totals), table.context_start):
+            fh.write("," if rows.start else "")
+            fh.write(_table_entries(table, rows))
         fh.write("}}\n")
+
+
+def _table_entries(table: NgramTable, rows: slice) -> str:
+    """The ngram_table.json entries of the n-grams in `rows`, joined by commas."""
+    ends = table.context_start[rows.start : rows.stop + 1]
+    pairs = slice(ends[0], ends[-1])
+    bins, sids = table.context_bins[pairs].tolist(), table.context_sids[pairs].tolist()
+    contexts = [f"[{t},{sid}]" for t, sid in zip(bins, sids)]
+    offsets = (ends - ends[0]).tolist()
+    names = map(encode_basestring_ascii, map(render_ngram, table.keys[rows]))
+    entries = zip(names, _cell_texts(table.counts[rows]), offsets, offsets[1:])
+    return ",".join(
+        [
+            f'{name}:{{"counts":[{",".join(counts)}],"contexts":[{",".join(contexts[a:b])}]}}'
+            for name, counts, a, b in entries
+        ]
+    )
 
 
 class _Pairs(list):
@@ -354,7 +403,8 @@ def load_table_json(path: Path) -> NgramTable:
 def write_similarity_csv(
     path: Path, keys: list[NgramKey], sims: np.ndarray, topic_ids: list[str]
 ) -> None:
-    """One row per n-gram and topic, in sorted n-gram order and topic order.
+    """One row per n-gram and topic, in sorted n-gram order and topic order,
+    rendered _BLOCK_CELLS similarities at a time.
 
     The bytes are those of csv.writer. Rows are joined by hand: a rendered
     n-gram is word tokens joined by spaces and a float repr holds no comma
@@ -362,12 +412,17 @@ def write_similarity_csv(
     are quoted once each by csv.writer.
     """
     cells = [_csv_cell(topic_id) for topic_id in topic_ids]
+
+    def block(rows: slice) -> str:
+        lines = zip(map(render_ngram, keys[rows]), _cell_texts(sims[rows]))
+        return "".join(
+            [f"{name},{cell},{text}\n" for name, row in lines for cell, text in zip(cells, row)]
+        )
+
     with path.open("w", encoding="utf-8", newline="") as fh:
         fh.write("ngram,topic_id,similarity\n")
-        for key, values in zip(keys, sims.tolist()):
-            name = render_ngram(key)
-            rows = [f"{name},{cell},{value!r}\n" for cell, value in zip(cells, values)]
-            fh.write("".join(rows))
+        for rows in _row_blocks(len(keys), len(topic_ids)):
+            fh.write(block(rows))
 
 
 def load_similarity_csv(path: Path) -> tuple[list[NgramKey], np.ndarray, list[str]]:
@@ -461,20 +516,31 @@ def load_associations_json(path: Path, keys: list[NgramKey]) -> dict[str, TopicA
 def write_trend_csv(
     path: Path, topic_ids: list[str], values: np.ndarray, bin_labels: list[str]
 ) -> None:
-    """One row per topic of a (topics × bins) array."""
-    _write_csv(
-        path,
-        ["topic_id"] + list(bin_labels),
-        ([topic_id, *map(repr, row)] for topic_id, row in zip(topic_ids, values.tolist())),
-    )
+    """One row per topic of a (topics × bins) array, rendered _BLOCK_CELLS
+    values at a time; the header and topic ids go through csv.writer."""
+    cells = [_csv_cell(topic_id) for topic_id in topic_ids]
+
+    def block(rows: slice) -> str:
+        lines = zip(cells[rows], _cell_texts(values[rows]))
+        return "".join([f"{cell},{','.join(row)}\n" for cell, row in lines])
+
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(["topic_id", *bin_labels])
+        for rows in _row_blocks(len(topic_ids), values.shape[1]):
+            fh.write(block(rows))
 
 
 def load_trend_csv(path: Path) -> tuple[dict[str, list[float]], list[str]]:
-    """Inverse of `write_trend_csv`: per-topic values plus the bin labels."""
+    """Inverse of `write_trend_csv`: per-topic values plus the bin labels.
+    Refuses a topic id that repeats."""
+    trends: dict[str, list[float]] = {}
     with _read_csv(path, "trend table", "salience") as (header, rows):
         if header[:1] != ["topic_id"]:
             raise InputError(f"{path}: unexpected header {header}")
-        trends = {row[0]: [float(v) for v in row[1:]] for row in rows}
+        for topic_id, *values in rows:
+            if topic_id in trends:
+                raise ValueError(f"topic {topic_id!r} repeats")
+            trends[topic_id] = [float(v) for v in values]
     return trends, header[1:]
 
 

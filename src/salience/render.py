@@ -6,8 +6,8 @@ so rendered files are diffable in tests.
 
 from __future__ import annotations
 
+from html import escape as _html_escape
 from typing import Sequence
-from xml.sax.saxutils import escape
 
 from .errors import InputError
 
@@ -21,6 +21,13 @@ _PALETTE = (
     "#17becf",
     "#7f7f7f",
 )
+
+
+def escape(text: str) -> str:
+    """`text` with `&`, `<` and `>` replaced by entities, for SVG text and
+    titles. html.escape rather than xml.sax.saxutils.escape: the output is
+    the same, and importing saxutils loads urllib, http and email."""
+    return _html_escape(text, quote=False)
 
 
 def _fmt(x: float) -> str:

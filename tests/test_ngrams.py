@@ -384,12 +384,14 @@ def test_token_rows_are_the_sentences_tokens(items, n, min_total):
 
 @pytest.mark.parametrize("block", [1, 8])
 def test_write_blocks_do_not_change_the_table(tmp_path, monkeypatch, block):
-    # Five n-grams: one per block, then all in one.
+    # Every n-gram holds four counts and a context or more, so under either
+    # budget each is a block of its own; the sentences go one, then eight, at
+    # a time.
     corpus = _corpus_from(
         [(1, "a b c. b c d"), (2, "a b. c d e"), (3, "b c d"), (4, "émile a b")]
     )
     table = build_ngram_table(corpus, n=2, min_total=1)
-    monkeypatch.setattr(pipeline, "_TABLE_BLOCK", block)
+    monkeypatch.setattr(pipeline, "_BLOCK_CELLS", block)
     path = tmp_path / "ngram_table.json"
     write_table_json(path, table, corpus.binning, True)
     # The file is one compact json.dumps of the whole table.

@@ -584,6 +584,14 @@ def test_loader_names_file_and_line_of_bad_row(tmp_path, loader, text):
         loader(path)
 
 
+def test_trend_loader_refuses_repeated_topic(tmp_path):
+    # Two rows for one topic leave it arbitrary which one `render` charts.
+    path = tmp_path / "salience.csv"
+    path.write_text("topic_id,2016-01\nt1,0.0\nt2,0.5\nt1,1.0\n", encoding="utf-8")
+    with pytest.raises(InputError, match=r"salience\.csv: line 4: topic 't1' repeats"):
+        load_trend_csv(path)
+
+
 @pytest.mark.parametrize(
     "loader, text, line, ngram",
     [

@@ -1,8 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+from xml.sax.saxutils import escape as sax_escape
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import salience
 from salience.errors import InputError
-from salience.render import render_grid_svg, render_trend_svg
+from salience.render import escape, render_grid_svg, render_trend_svg
 from salience.salience import salience_matrix
 from salience.topics import Topic, TopicFramework, build_vector_space, similarity_matrix, load_pmesii_ascope
 
@@ -104,3 +113,29 @@ class TestMatrixSvg:
         matrix = salience_matrix(fw, np.zeros((2, 1)), 0)
         with pytest.raises(InputError, match="list"):
             fw.grid_values(matrix.per_topic())
+
+
+@given(st.text(alphabet=st.sampled_from("&<>;\"'a é#x0123amp")) | st.text())
+def test_escape_matches_saxutils(text):
+    assert escape(text) == sax_escape(text)
+
+
+def test_cli_import_loads_no_network_modules():
+    # Every CLI child pays for what `import salience.cli` loads;
+    # xml.sax.saxutils alone would bring in urllib, http, email and socket.
+    paths = [str(Path(salience.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    code = (
+        "import sys, salience.cli; "
+        "print(sorted(m for m in ('urllib.request', 'http.client', 'email', 'ssl', 'socket') "
+        "if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert out.stdout.strip() == "[]"

@@ -1,0 +1,283 @@
+"""The artifact writers against the standard library's encoders, and their
+memory use against the height of the table they write.
+
+The writers render from arrays a bounded block of cells at a time; each file
+must still be byte for byte what csv.writer or one compact json.dumps of the
+whole payload writes, whatever the budget of cells per block."""
+
+import csv
+import datetime as dt
+import io
+import json
+import tempfile
+import tracemalloc
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from salience import pipeline
+from salience.corpus import TimeBinning
+from salience.ngrams import NgramTable, render_ngram
+
+DEFAULT_BUDGET = pipeline._BLOCK_CELLS
+# One cell per block, a small odd budget, and the module's own.
+BUDGETS = [1, 7, DEFAULT_BUDGET]
+SPECIAL_FLOATS = [
+    -0.0,
+    0.0,
+    float("nan"),
+    float("inf"),
+    float("-inf"),
+    5e-324,
+    1e16,
+    1e-05,
+    0.0001,
+    1 / 3,
+]
+# The specials, often repeated, and any other float, NaNs of other bit
+# patterns included.
+floats = st.sampled_from(SPECIAL_FLOATS) | st.floats()
+names = st.lists(st.text(max_size=6), min_size=1, max_size=5)
+words = st.sampled_from(["a", "b", "ab", "2017", "é", "Ünï", "z9"])
+
+
+def _written(budget: int, writer, *args) -> bytes:
+    with tempfile.TemporaryDirectory() as folder, mock.patch.object(
+        pipeline, "_BLOCK_CELLS", budget
+    ):
+        path = Path(folder) / "artifact"
+        writer(path, *args)
+        return path.read_bytes()
+
+
+def _csv_bytes(header, rows) -> bytes:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue().encode("utf-8")
+
+
+def _float_array(draw, rows: int, columns: int) -> np.ndarray:
+    cells = draw(st.lists(floats, min_size=rows * columns, max_size=rows * columns))
+    return np.array(cells, dtype=np.float64).reshape(rows, columns)
+
+
+def _keys(draw, rows: int) -> list[tuple[str, ...]]:
+    keys = draw(st.lists(st.tuples(words, words), min_size=rows, max_size=rows, unique=True))
+    return sorted(keys)
+
+
+@st.composite
+def tables(draw, rows=st.integers(1, 9), bins=st.integers(1, 5)):
+    """An NgramTable and its contexts as Python lists, one list per n-gram."""
+    bins, rows = draw(bins), draw(rows)
+    sentences = draw(st.lists(st.text(max_size=8), min_size=1, max_size=6))
+    pair = st.tuples(st.integers(0, bins - 1), st.integers(0, len(sentences) - 1))
+    contexts = [draw(st.lists(pair, min_size=1, max_size=5)) for _ in range(rows)]
+    return _table(_keys(draw, rows), bins, sentences, contexts), contexts
+
+
+def _table(keys, bins, sentences, contexts) -> NgramTable:
+    flat = np.array([p for ngram in contexts for p in ngram], dtype=np.int64).reshape(-1, 2)
+    return NgramTable(
+        n=2,
+        min_total=1,
+        keys=keys,
+        bin_totals=list(range(bins)),
+        sentences=sentences,
+        context_start=np.cumsum([0] + [len(ngram) for ngram in contexts]),
+        context_bins=flat[:, 0],
+        context_sids=flat[:, 1],
+    )
+
+
+def _table_reference(table: NgramTable, contexts, binning: TimeBinning) -> bytes:
+    payload = {
+        "version": pipeline.TABLE_VERSION,
+        "n": table.n,
+        "min_total": table.min_total,
+        "include_titles": True,
+        "granularity": binning.granularity,
+        "origin": binning.origin.isoformat(),
+        "bin_labels": binning.labels(),
+        "bin_totals": table.bin_totals,
+        "sentences": table.sentences,
+        "ngrams": {},
+    }
+    for key, pairs in zip(table.keys, contexts):
+        counts = [0] * len(table.bin_totals)
+        for t, _ in pairs:
+            counts[t] += 1
+        payload["ngrams"][render_ngram(key)] = {
+            "counts": counts,
+            "contexts": [[t, sid] for t, sid in pairs],
+        }
+    return (json.dumps(payload, separators=(",", ":")) + "\n").encode("utf-8")
+
+
+def _binning(table: NgramTable) -> TimeBinning:
+    return TimeBinning("day", dt.date(2016, 2, 28), len(table.bin_totals))
+
+
+@st.composite
+def trends_cases(draw):
+    table, _ = draw(tables())
+    usage = _float_array(draw, len(table.keys), len(table.bin_totals))
+    bins = len(table.bin_totals)
+    bin_labels = draw(st.lists(st.text(max_size=6), min_size=bins, max_size=bins))
+    return table, usage, bin_labels
+
+
+def _trends_reference(table, usage, bin_labels) -> bytes:
+    totals = np.diff(table.context_start).tolist()
+    rows = (
+        [render_ngram(key), total, *map(repr, values)]
+        for key, total, values in zip(table.keys, totals, usage.tolist())
+    )
+    return _csv_bytes(["ngram", "total", *bin_labels], rows)
+
+
+@st.composite
+def similarity_cases(draw):
+    topic_ids = draw(names)
+    rows = draw(st.integers(1, 9))
+    return _keys(draw, rows), _float_array(draw, rows, len(topic_ids)), topic_ids
+
+
+def _similarity_reference(keys, sims, topic_ids) -> bytes:
+    rows = (
+        [render_ngram(key), topic_id, repr(value)]
+        for key, values in zip(keys, sims.tolist())
+        for topic_id, value in zip(topic_ids, values)
+    )
+    return _csv_bytes(["ngram", "topic_id", "similarity"], rows)
+
+
+@st.composite
+def trend_cases(draw):
+    topic_ids = draw(names)
+    bin_labels = draw(names)
+    return topic_ids, _float_array(draw, len(topic_ids), len(bin_labels)), bin_labels
+
+
+def _trend_reference(topic_ids, values, bin_labels) -> bytes:
+    rows = ([topic_id, *map(repr, row)] for topic_id, row in zip(topic_ids, values.tolist()))
+    return _csv_bytes(["topic_id", *bin_labels], rows)
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+@settings(max_examples=30, deadline=None)
+@given(case=trends_cases())
+def test_ngram_trends_csv_is_csv_writer_output(budget, case):
+    written = _written(budget, pipeline.write_ngram_trends_csv, *case)
+    assert written == _trends_reference(*case)
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+@settings(max_examples=30, deadline=None)
+@given(case=tables())
+def test_table_json_is_one_compact_json_dumps(budget, case):
+    table, contexts = case
+    binning = _binning(table)
+    written = _written(budget, pipeline.write_table_json, table, binning, True)
+    assert written == _table_reference(table, contexts, binning)
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+@settings(max_examples=30, deadline=None)
+@given(case=similarity_cases())
+def test_similarity_csv_matches_csv_writer(budget, case):
+    written = _written(budget, pipeline.write_similarity_csv, *case)
+    assert written == _similarity_reference(*case)
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+@settings(max_examples=30, deadline=None)
+@given(case=trend_cases())
+def test_trend_csv_is_csv_writer_output(budget, case):
+    written = _written(budget, pipeline.write_trend_csv, *case)
+    assert written == _trend_reference(*case)
+
+
+def _wide_cases():
+    """Inputs of each writer with rows wider than the default budget."""
+    width = DEFAULT_BUDGET + 3
+    rng = np.random.default_rng(7)
+    values = rng.choice(np.array(SPECIAL_FLOATS), size=(3, width))
+    keys = [("a", "b"), ("b", "c"), ("c", "d")]
+    contexts = [[(0, 0)], [(t % 2, t % 3) for t in range(width)], [(1, 2), (0, 1)]]
+    table = _table(keys, 2, ["x", "y", "z"], contexts)
+    labels = [f"bin {t}" for t in range(width)]
+    wide_table = _table(keys, width, ["x"], [[(t, 0)] for t in (0, width - 1, 5)])
+    return [
+        pytest.param(
+            pipeline.write_ngram_trends_csv,
+            (wide_table, values, labels),
+            _trends_reference(wide_table, values, labels),
+            id="ngram-trends",
+        ),
+        pytest.param(
+            pipeline.write_table_json,
+            (table, _binning(table), True),
+            _table_reference(table, contexts, _binning(table)),
+            id="table",
+        ),
+        pytest.param(
+            pipeline.write_similarity_csv,
+            (keys, values, labels),
+            _similarity_reference(keys, values, labels),
+            id="similarity",
+        ),
+        pytest.param(
+            pipeline.write_trend_csv,
+            (["t1", "t2", "t3"], values, labels),
+            _trend_reference(["t1", "t2", "t3"], values, labels),
+            id="trend",
+        ),
+    ]
+
+
+@pytest.mark.parametrize("writer, args, expected", _wide_cases())
+def test_rows_wider_than_the_default_budget(writer, args, expected):
+    assert _written(DEFAULT_BUDGET, writer, *args) == expected
+
+
+def _tall_inputs(name: str, rows: int):
+    """Inputs for one of the big writers: `rows` n-grams of 40 bins, four
+    contexts and 36 topics each, over one sentence per n-gram."""
+    bins, topics = 40, 36
+    rng = np.random.default_rng(rows)
+    keys = [(f"w{i:06d}", "x") for i in range(rows)]
+    bins_of, sids_of = rng.integers(0, bins, (rows, 4)), rng.integers(0, rows, (rows, 4))
+    contexts = [list(zip(t, s)) for t, s in zip(bins_of.tolist(), sids_of.tolist())]
+    table = _table(keys, bins, [f"sentence number {i}" for i in range(rows)], contexts)
+    table.counts  # computed on first use: the table holds it, not the writer
+    if name == "write_ngram_trends_csv":
+        return table, rng.random((rows, bins)), [f"bin {t}" for t in range(bins)]
+    if name == "write_table_json":
+        return table, _binning(table), True
+    return keys, rng.random((rows, topics)), [f"topic {t}" for t in range(topics)]
+
+
+@pytest.mark.parametrize(
+    "name", ["write_ngram_trends_csv", "write_table_json", "write_similarity_csv"]
+)
+def test_writer_memory_does_not_grow_with_the_table(tmp_path, name):
+    # Both tables span more than one block; a writer that renders the whole
+    # table, or a fixed number of its rows, at once peaks about 8x higher on
+    # the taller one.
+    peaks = []
+    for rows in (512, 8 * 512):
+        args = _tall_inputs(name, rows)
+        tracemalloc.start()
+        try:
+            getattr(pipeline, name)(tmp_path / name, *args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 2 * peaks[0], peaks
