@@ -17,6 +17,10 @@ import numpy as np
 
 from .errors import ConsistencyError, InputError
 
+# Array cells processed at once: relative_std_devs reduces usage rows, and
+# pipeline's artifact writers render rows, a block of this many at a time.
+_BLOCK_CELLS = 1 << 14
+
 
 def relative_std_dev(trend: Sequence[float]) -> float:
     """Population standard deviation of the trend divided by its mean.
@@ -34,13 +38,22 @@ def relative_std_dev(trend: Sequence[float]) -> float:
 
 
 def relative_std_devs(usage: np.ndarray) -> np.ndarray:
-    """`relative_std_dev` of every row of a (n-grams × bins) usage array."""
-    mean = usage.mean(axis=1)
-    if not (mean > 0.0).all():
-        raise ConsistencyError(
-            "trend mean is not positive; every tabled n-gram occurs at least once"
-        )
-    return usage.std(axis=1) / mean
+    """`relative_std_dev` of every row of a (n-grams × bins) usage array.
+
+    Rows are taken a block of about _BLOCK_CELLS cells at a time, so the
+    float temporaries of mean and std stay small whatever the array's size;
+    each row's value does not depend on the block it falls in."""
+    rsd = np.empty(len(usage))
+    step = max(_BLOCK_CELLS // max(usage.shape[1], 1), 1)
+    for lo in range(0, len(usage), step):
+        block = usage[lo : lo + step]
+        mean = block.mean(axis=1)
+        if not (mean > 0.0).all():
+            raise ConsistencyError(
+                "trend mean is not positive; every tabled n-gram occurs at least once"
+            )
+        rsd[lo : lo + step] = block.std(axis=1) / mean
+    return rsd
 
 
 def percentile(values: Sequence[float], p: float) -> float:

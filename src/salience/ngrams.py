@@ -7,13 +7,13 @@ case-sensitive. Sentences split after '.', '!' or '?' followed by
 whitespace, and at blank lines; n-gram windows never cross sentences.
 
 The n-gram table is counted over interned ids: one Python pass turns each
-token and each distinct sentence into a dense id, and numpy groups the
-n-gram instances by sorting their rows of token ids. `NgramTable` keeps
-numpy's arrays, row i for the i-th kept n-gram in sorted key order (K
-n-grams, B bins, N instances): `keys`, (K × B) int64 `counts`, and the
-contexts in CSR form, n-gram i's being entries context_start[i] to
-context_start[i + 1] (K + 1 starts) of the (N,) int64 arrays `context_bins`
-and `context_sids`, one per instance in scan order.
+token and each distinct sentence into a dense id, held in int32 arrays, and
+numpy groups the n-gram instances by sorting their rows of token ids.
+`NgramTable` keeps numpy's arrays, row i for the i-th kept n-gram in sorted
+key order (K n-grams, B bins, N instances): `keys`, (K × B) int32 `counts`,
+and the contexts in CSR form, n-gram i's being entries context_start[i] to
+context_start[i + 1] ((K + 1) int64 starts) of the (N,) int32 arrays
+`context_bins` and `context_sids`, one per instance in scan order.
 
 The table also carries the tokens of its S sentences in CSR form, for the
 similarity kernel: sentence s's tokens are words[i] for i in
@@ -26,6 +26,7 @@ re-tokenizes its sentences with `intern_sentences` when first asked.
 from __future__ import annotations
 
 import re
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -67,7 +68,9 @@ class NgramTable:
     n-grams later dropped by the min_total filter, so relative usage stays a
     proportion of all observed instances. Each enclosing sentence is stored
     once in `sentences`, numbered by first use in sorted n-gram order; a
-    context refers to it by id.
+    context refers to it by id. Counts, context bins and context sentence
+    ids are int32; positions in an array (`context_start`, and
+    `token_start` of `sentence_tokens`) are int64.
     """
 
     n: int
@@ -81,17 +84,18 @@ class NgramTable:
 
     @cached_property
     def counts(self) -> np.ndarray:
-        """Instances per bin: one bincount over (row, bin) cells."""
+        """Instances per bin, int32: one bincount over (row, bin) cells."""
         rows, bins = len(self.keys), len(self.bin_totals)
         row_of = np.repeat(np.arange(rows), np.diff(self.context_start))
         cells = np.bincount(row_of * bins + self.context_bins, minlength=rows * bins)
-        return cells.reshape(rows, bins)
+        return cells.astype(np.int32).reshape(rows, bins)
 
     @cached_property
     def sentence_tokens(self) -> tuple[list[str], np.ndarray, np.ndarray]:
         """The sentences' tokens as (words, token_start, token_ids), the CSR
         form the module docstring describes. `build_ngram_table` sets it from
-        its scan; otherwise the sentences are tokenized on first use."""
+        its scan; otherwise, or once deleted, the sentences are tokenized on
+        first use."""
         return intern_sentences(self.sentences)
 
 
@@ -135,11 +139,11 @@ def build_ngram_table(
 
     The scan interns every token and every distinct sentence as a dense id
     and records, per sentence of at least n tokens, its bin, sentence id and
-    token count; it creates no object per n-gram or per instance. numpy then
-    groups the instances: each instance is a row of n token ids, the rows
-    are sorted, runs of equal rows are the n-grams, and only the n-grams
-    that reach min_total are kept. Each kept sentence's token row is cut from
-    the scan's ids at its first occurrence.
+    token count, all in int32 arrays; it creates no object per n-gram or per
+    instance. numpy then groups the instances: each instance is a row of n
+    token ids, the rows are sorted, runs of equal rows are the n-grams, and
+    only the n-grams that reach min_total are kept. Each kept sentence's
+    token row is cut from the scan's ids at its first occurrence.
     """
     if n < 1:
         raise InputError("n must be >= 1")
@@ -150,18 +154,18 @@ def build_ngram_table(
     token_ids = _DenseIds()
     word_id = token_ids.__getitem__
     sentence_ids: dict[str, int] = {}
-    ids: list[int] = []
-    bins: list[int] = []
-    sids: list[int] = []
-    lengths: list[int] = []
+    ids, bins, sids, lengths = array("i"), array("i"), array("i"), array("i")
     for t, doc in corpus.iter_documents():
+        # A list takes a document's ids faster than the array would.
+        doc_ids: list[int] = []
         for raw, tokens in sentences_with_tokens(analysis_text(doc, include_titles)):
             if len(tokens) < n:
                 continue
-            ids += map(word_id, tokens)
+            doc_ids += map(word_id, tokens)
             bins.append(t)
             sids.append(sentence_ids.setdefault(raw, len(sentence_ids)))
             lengths.append(len(tokens))
+        ids.fromlist(doc_ids)
     texts = list(sentence_ids)
     del sentence_ids
 
@@ -173,39 +177,47 @@ def build_ngram_table(
     by_text = sorted(range(len(words)), key=words.__getitem__)
     words = [words[i] for i in by_text]
     rank = np.empty(len(words), dtype=np.int32)
-    rank[by_text] = np.arange(len(words))
-    ranked = rank[np.array(ids, dtype=np.intp)]
+    rank[by_text] = np.arange(len(words), dtype=np.int32)
+    ranked = rank[np.frombuffer(ids, dtype=np.intc)]
     del ids, rank, by_text
+    bins, sids, lengths = (np.frombuffer(a, dtype=np.intc) for a in (bins, sids, lengths))
 
-    # One instance per window; the i-th window of sentence s starts at token
-    # offset[s] + i.
-    lengths = np.array(lengths, dtype=np.intp)
+    # One instance per window, in scan order: the window at token p is an
+    # instance when its n tokens lie in one sentence, that is unless p is
+    # one of the last n - 1 tokens of its sentence.
+    ends = np.cumsum(lengths, dtype=np.int64)
+    starts_window = np.ones(len(ranked), dtype=bool)
+    for j in range(1, n):
+        starts_window[ends - j] = False
+    starts_window = starts_window[: len(ranked) - (n - 1)]
+    columns = [ranked[j : len(starts_window) + j][starts_window] for j in range(n)]
+    del starts_window
     windows = lengths - (n - 1)
-    sentence_of = np.repeat(np.arange(len(windows)), windows)
-    window_base = np.cumsum(windows) - windows
-    offset = np.cumsum(lengths) - lengths
-    starts = np.arange(len(sentence_of)) + (offset - window_base)[sentence_of]
-    columns = [ranked[starts + j] for j in range(n)]
-    del windows, window_base, starts
-    bins = np.array(bins, dtype=np.intp)
-    sids = np.array(sids, dtype=np.intp)
-    bin_totals = np.bincount(bins[sentence_of], minlength=m).tolist()
+    totals = np.zeros(m, dtype=np.int64)
+    np.add.at(totals, bins, windows)
+    bin_totals = totals.tolist()
+    del totals
 
     # The sort must be stable: the instances of one n-gram then keep scan
     # order, which is the order of its contexts. np.lexsort is stable, sorts
     # by its last key first, and packs no integer code that could overflow
-    # for a large n.
+    # for a large n. The sorted columns are made one at a time, and each
+    # instance's sentence only then, so that the sort does not hold it.
     order = np.lexsort(columns[::-1])
-    columns = [column[order] for column in columns]
-    sentence_of = sentence_of[order]
-    del order
+    for j in range(n):
+        columns[j] = columns[j][order]
+    sentence_of = np.repeat(np.arange(len(windows), dtype=np.int32), windows)[order]
+    del order, windows
     new_key = np.zeros(len(sentence_of), dtype=bool)
     new_key[:1] = True
     for column in columns:
         new_key[1:] |= column[1:] != column[:-1]
     group_start = np.flatnonzero(new_key)
     del new_key
-    sizes = np.diff(group_start, append=len(sentence_of))
+    # The run lengths, written in place: no copy of group_start is made.
+    sizes = np.empty_like(group_start)
+    np.subtract(group_start[1:], group_start[:-1], out=sizes[:-1])
+    sizes[-1:] = len(sentence_of) - group_start[-1:]
     kept = sizes >= min_total
     sentence_of = sentence_of[np.repeat(kept, sizes)]
     group_start, sizes = group_start[kept], sizes[kept]
@@ -217,22 +229,32 @@ def build_ngram_table(
     used, first_use, old_to_used = np.unique(
         sids[sentence_of], return_index=True, return_inverse=True
     )
+    del sentence_of
     by_first_use = np.argsort(first_use)
-    new_id = np.empty(len(used), dtype=np.intp)
-    new_id[by_first_use] = np.arange(len(used))
+    new_id = np.empty(len(used), dtype=np.int32)
+    new_id[by_first_use] = np.arange(len(used), dtype=np.int32)
     hosts = used[by_first_use]
     sentences = [texts[i] for i in hosts.tolist()]
-    del texts, bins, sentence_of
+    context_sids = new_id[old_to_used]
+    del texts, bins, used, first_use, old_to_used, new_id
 
     # Sentence ids number distinct texts in scan order, so np.unique's first
-    # index of each id is its first scanned occurrence.
+    # index of each id is its first scanned occurrence. Its row of tokens is
+    # the run of `ranked` from there, gathered through one index that steps
+    # by 1 within a row and jumps to the next row's first token.
     scanned = np.unique(sids, return_index=True)[1][hosts]
-    del sids, used, hosts
-    token_start = np.concatenate(([0], np.cumsum(lengths[scanned])))
-    token_at = np.repeat(offset[scanned] - token_start[:-1], lengths[scanned])
-    token_at += np.arange(token_start[-1])
+    del sids, hosts
+    row_length = lengths[scanned].astype(np.int64)
+    first_token = ends[scanned] - row_length
+    token_start = np.zeros(len(scanned) + 1, dtype=np.int64)
+    np.cumsum(row_length, out=token_start[1:])
+    token_at = np.ones(token_start[-1], dtype=np.int64)
+    jumps = first_token.copy()
+    jumps[1:] -= first_token[:-1] + row_length[:-1] - 1
+    token_at[token_start[:-1]] = jumps
+    np.cumsum(token_at, out=token_at)
     token_ids = ranked[token_at]
-    del ranked, lengths, offset, scanned, token_at
+    del ranked, lengths, ends, scanned, row_length, first_token, jumps, token_at
 
     table = NgramTable(
         n=n,
@@ -242,7 +264,7 @@ def build_ngram_table(
         sentences=sentences,
         context_start=np.concatenate(([0], np.cumsum(sizes))),
         context_bins=context_bins,
-        context_sids=new_id[old_to_used],
+        context_sids=context_sids,
     )
     table.sentence_tokens = (words, token_start, token_ids)
     return table

@@ -14,10 +14,11 @@ stages; `ngram_table.json` carries the contexts to the similarity stage.
 Between stages each quantity is one numpy array whose row i is the i-th
 n-gram in sorted key order (K n-grams, B bins, T topics, N instances):
 
-- the n-gram table: the K sorted keys, (K × B) int64 counts, and the
-  contexts in CSR form, (K + 1,) starts into (N,) bins and sentence ids;
-  in memory it also holds its sentences' token ids for the similarity
-  kernel, which `ngram_table.json` does not store;
+- the n-gram table: the K sorted keys, (K × B) int32 counts, and the
+  contexts in CSR form, (K + 1,) int64 starts into (N,) int32 bins and
+  sentence ids; in memory it also holds its sentences' token ids for the
+  similarity kernel, which `ngram_table.json` does not store and `analyze`
+  drops after its similarity stage;
 - usage: (K × B) floats, count / bin total, 0 in empty bins;
 - similarities: (K × T) floats, columns in framework topic order;
 - variability: (K,) floats, each row's relative standard deviation;
@@ -58,7 +59,13 @@ from typing import Iterator
 import numpy as np
 
 from . import __version__
-from .association import TopicAssociation, associate, percentile, relative_std_devs
+from .association import (
+    _BLOCK_CELLS,
+    TopicAssociation,
+    associate,
+    percentile,
+    relative_std_devs,
+)
 from .corpus import (
     GRANULARITIES,
     TimeBinnedCorpus,
@@ -98,8 +105,8 @@ TABLE_VERSION = 2
 # context pair or a sentence: bounds the strings one block holds, whatever
 # the table's height or width. A row wider than this is a block of its own.
 # Each block is rendered by a function call and written, so its strings are
-# freed before the next block's are made.
-_BLOCK_CELLS = 1 << 14
+# freed before the next block's are made. The budget is association's, which
+# blocks relative_std_devs by it.
 # A rendered n-gram: tokenizer tokens joined by single spaces.
 _NGRAM_TEXT = re.compile(r"[^\W_]+(?: [^\W_]+)*")
 
@@ -378,7 +385,7 @@ def load_table_json(path: Path) -> NgramTable:
             rows.append(entry["counts"])
             pairs += entry["contexts"]
             context_start.append(len(pairs))
-        contexts = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        contexts = np.array(pairs, dtype=np.int32).reshape(-1, 2)
         table = NgramTable(
             n=int(payload["n"]),
             min_total=int(payload["min_total"]),
@@ -794,6 +801,8 @@ def run_analyze(config: RunConfig) -> dict:
 
         with run.stage("similarity"):
             sims = run_similarity(run, table, framework, lexicon)
+            # Scored: the later stages do not carry the sentences' token rows.
+            del table.sentence_tokens
 
         with run.stage("associate"):
             associations = run_associate(

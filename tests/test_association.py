@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from salience import association
 from salience.association import associate, percentile, relative_std_dev, relative_std_devs
 from salience.errors import ConsistencyError, InputError
 from salience.pipeline import compute_associations
@@ -42,9 +43,24 @@ class TestRelativeStdDevs:
         expected = [relative_std_dev(row) for row in usage.tolist()]
         assert relative_std_devs(usage).tolist() == expected
 
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_blocks_do_not_change_the_values(self, monkeypatch, block):
+        # One row per block, then 7 cells (one 5-bin row), then 64 (12 rows).
+        rng = np.random.default_rng(block)
+        usage = rng.uniform(0, 1, size=(30, 5)) + 1e-3
+        expected = relative_std_devs(usage).tolist()
+        monkeypatch.setattr(association, "_BLOCK_CELLS", block)
+        assert relative_std_devs(usage).tolist() == expected
+        assert expected == [relative_std_dev(row) for row in usage.tolist()]
+
     def test_zero_row_is_inconsistent(self):
         with pytest.raises(ConsistencyError):
             relative_std_devs(np.array([[0.1, 0.2], [0.0, 0.0]]))
+
+    def test_zero_row_in_a_later_block_is_inconsistent(self, monkeypatch):
+        monkeypatch.setattr(association, "_BLOCK_CELLS", 2)
+        with pytest.raises(ConsistencyError):
+            relative_std_devs(np.array([[0.1, 0.2], [0.3, 0.1], [0.0, 0.0]]))
 
 
 class TestPercentile:

@@ -1,4 +1,5 @@
 import json
+import re
 from collections import defaultdict
 
 import numpy as np
@@ -10,7 +11,6 @@ from salience.corpus import Document, analysis_text, bin_documents, build_binnin
 from salience import pipeline
 from salience.errors import ConsistencyError, InputError
 from salience.ngrams import (
-    _WORD_RE,
     build_ngram_table,
     intern_sentences,
     relative_usage_trend,
@@ -24,6 +24,23 @@ from salience.pipeline import load_table_json, run_trends, stage_run, write_tabl
 from conftest import assert_same_table, day, make_corpus
 
 
+# The tokenizer by regex alone, written out apart from the package: tokens are
+# the runs of [^\W_] in each chunk between sentence boundaries. It is the
+# tokenizer of the reference table, so the reference is not the implementation.
+_ORACLE_WORD_RE = re.compile(r"[^\W_]+")
+_ORACLE_BOUNDARY_RE = re.compile(r"(?<=[.!?])\s+|\n\s*\n")
+
+
+def oracle_sentences_with_tokens(text):
+    """(raw sentence, tokens) per chunk of text that holds a token."""
+    out = []
+    for chunk in _ORACLE_BOUNDARY_RE.split(text):
+        tokens = _ORACLE_WORD_RE.findall(chunk)
+        if tokens:
+            out.append((chunk.strip(), tokens))
+    return out
+
+
 def _reference_table(corpus, n=2, min_total=1, *, include_titles=True):
     """build_ngram_table as a dict of context lists, one per unique n-gram:
     the oracle for the numpy group-by. Returns the bin totals, the sentences
@@ -34,7 +51,7 @@ def _reference_table(corpus, n=2, min_total=1, *, include_titles=True):
     sentence_ids = {}
     acc = defaultdict(list)
     for t, doc in corpus.iter_documents():
-        for raw, tokens in sentences_with_tokens(analysis_text(doc, include_titles)):
+        for raw, tokens in oracle_sentences_with_tokens(analysis_text(doc, include_titles)):
             if len(tokens) < n:
                 continue
             context = (t, sentence_ids.setdefault(raw, len(sentence_ids)))
@@ -78,7 +95,9 @@ def _assert_equals_reference(table, reference):
     assert table.bin_totals == bin_totals
     assert table.sentences == sentences
     assert table.keys == list(rows)
-    assert table.counts.dtype == np.int64
+    assert table.counts.dtype == np.int32
+    assert table.context_start.dtype == np.int64
+    assert table.context_bins.dtype == table.context_sids.dtype == np.int32
     assert table.counts.shape == (len(rows), len(bin_totals))
     assert table.counts.tolist() == [counts for counts, _ in rows.values()]
     assert table.context_start[0] == 0
@@ -229,7 +248,7 @@ class TestContexts:
         table = build_ngram_table(corpus, n=2, min_total=1)
         for key in table.keys:
             for sentence in _context_sentences(table, key):
-                flat = [t for _, toks in sentences_with_tokens(sentence) for t in toks]
+                flat = [t for _, toks in oracle_sentences_with_tokens(sentence) for t in toks]
                 n = len(key)
                 assert any(
                     tuple(flat[i : i + n]) == key for i in range(len(flat) - n + 1)
@@ -377,9 +396,52 @@ def test_token_rows_are_the_sentences_tokens(items, n, min_total):
     assert words == sorted(words)
     assert start.dtype == np.int64 and ids.dtype == np.int32
     assert len(start) == len(table.sentences) + 1
-    expected = [_WORD_RE.findall(sentence) for sentence in table.sentences]
+    expected = [_ORACLE_WORD_RE.findall(sentence) for sentence in table.sentences]
     assert _decoded(table.sentence_tokens) == expected
     assert _decoded(intern_sentences(table.sentences)) == expected
+
+
+# Text at the tokenizer's edges: '_' (a word character but not a token one),
+# digits, U+00A0 and U+2028 (whitespace outside ASCII), \x1c-\x1f (ASCII
+# whitespace to the regex), a combining mark, curly quotes, sentence ends,
+# CRLF and blank lines.
+_EDGE_PIECES = [
+    "alpha", "Émile", "x9", "2017", "a", "é", "_", "-", "'", "’", "“", " ", "\t", "\u00a0",
+    "\u2028", "\x1c", "\x1d", "\x1e", "\x1f", "e\u0301", "\u0301", ".", "!", "?", "\n",
+    "\r\n", "\n\n", "\r\n\r\n",
+]
+any_text = st.one_of(
+    st.text(),
+    st.lists(st.sampled_from(_EDGE_PIECES)).map("".join),
+    # ASCII only, as both benchmark corpora are.
+    st.lists(st.sampled_from([p for p in _EDGE_PIECES if p.isascii()])).map("".join),
+)
+_EDGE_EXAMPLE = (
+    "Crisis_talks. Talks\u00a0resume!\r\n\r\nCafe\u0301 re\u2028opens?  "
+    "Ports\x1cclose\x1fnow.\n\nIt’s “done”.\n \n"
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(1, 4), any_text, st.none() | any_text), min_size=1, max_size=6
+    ),
+    st.integers(1, 3),
+    st.booleans(),
+)
+@example([(1, _EDGE_EXAMPLE, "Title_one\r\nhere"), (2, "plain ascii. text here", None)], 1, True)
+def test_scan_equals_the_regex_oracle(items, n, include_titles):
+    docs = [
+        Document(id=f"d{i}", date=day(2017, month), text=text, title=title)
+        for i, (month, text, title) in enumerate(items)
+    ]
+    corpus = bin_documents(docs, build_binning(docs))
+    table = build_ngram_table(corpus, n=n, min_total=1, include_titles=include_titles)
+    reference = _reference_table(corpus, n=n, include_titles=include_titles)
+    _assert_equals_reference(table, reference)
+    expected = [_ORACLE_WORD_RE.findall(sentence) for sentence in table.sentences]
+    assert _decoded(table.sentence_tokens) == expected
 
 
 @pytest.mark.parametrize("block", [1, 8])
