@@ -11,6 +11,7 @@ __version__ = "0.1.0"
 from .association import TopicAssociation, associate, percentile, relative_std_devs
 from .corpus import (
     CorpusSchema,
+    CorpusStream,
     Document,
     TimeBinnedCorpus,
     TimeBinning,
@@ -73,6 +74,7 @@ __all__ = [
     "CorpusSchema",
     "TimeBinning",
     "TimeBinnedCorpus",
+    "CorpusStream",
     "load_corpus",
     "build_binning",
     "bin_documents",

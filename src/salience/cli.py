@@ -17,12 +17,12 @@ import sys
 from pathlib import Path
 
 from . import __version__
+from .corpus import CorpusStream
 from .errors import ConsistencyError, InputError
 from .pipeline import (
     RunConfig,
     check_same_ngrams,
     load_associations_json,
-    load_binned_corpus,
     load_matrix_json,
     load_ngram_trends_csv,
     load_similarity_csv,
@@ -176,7 +176,7 @@ def _cmd_trends(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     with stage_run(out_dir, "trends") as run:
-        corpus = load_binned_corpus(Path(args.corpus), args.granularity)
+        corpus = CorpusStream(Path(args.corpus), args.granularity)
         table, _ = run_trends(run, corpus, args.n, args.min_count, args.include_titles)
     print(f"wrote {len(table.keys)} n-gram trends to {out_dir}")
     return 0

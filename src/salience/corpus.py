@@ -1,4 +1,10 @@
-"""Load, validate, and time-bin a corpus of time-stamped documents.
+"""Read, validate, and time-bin a corpus of time-stamped documents.
+
+`read_corpus` is the one record reader: it yields validated Documents one
+at a time. `CorpusStream` is the form `analyze` and the trends stage read:
+the file streamed through the n-gram scan in one pass, each document
+dropped once scanned, with the binning derived from the dates seen.
+`load_corpus` and `TimeBinnedCorpus` hold a whole corpus, for library use.
 
 The time axis defined here (contiguous, uniform bins covering the full date
 span, empty bins retained) is shared by every downstream trend computation.
@@ -44,52 +50,71 @@ def analysis_text(doc: Document, include_title: bool = True) -> str:
     return doc.text
 
 
-def load_corpus(path: str | Path, schema: CorpusSchema | None = None) -> list[Document]:
-    """Read a JSONL corpus file into validated Documents, preserving file order.
+def read_corpus(path: str | Path, schema: CorpusSchema | None = None) -> Iterator[Document]:
+    """Yield a JSONL corpus file's validated Documents one at a time, in
+    file order.
 
-    Raises InputError on malformed lines (with line number), duplicate ids,
-    unparseable dates, empty text, or a file with no records at all.
+    Raises InputError, naming the file and line, on a malformed line, a
+    duplicate id, an unparseable date or empty text; and, once the file is
+    read to its end, on a file with no records at all. Between records it
+    keeps only the ids seen so far and the date each distinct date string
+    parsed to.
     """
     schema = schema or CorpusSchema()
     path = Path(path)
     if not path.is_file():
         raise InputError(f"corpus file not found: {path}")
 
-    docs: list[Document] = []
     seen: set[str] = set()
+    # Dates repeat across records, and strptime is slow: parse each once.
+    dates: dict[str, dt.date] = {}
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                record = json.loads(line)
-            except ValueError as exc:
-                raise InputError(f"{path}:{lineno}: malformed JSON record: {exc}") from exc
-            if not isinstance(record, dict):
-                raise InputError(f"{path}:{lineno}: record is not a JSON object")
-            docs.append(_parse_record(record, schema, path, lineno, seen))
+                doc = _parse_line(line, schema, seen, dates)
+            except InputError as exc:
+                raise InputError(f"{path}:{lineno}: {exc}") from exc
+            yield doc
 
-    if not docs:
+    if not seen:
         raise InputError(f"{path}: corpus is empty (no valid records)")
-    return docs
 
 
-def _parse_record(
-    record: dict, schema: CorpusSchema, path: Path, lineno: int, seen: set[str]
+def load_corpus(path: str | Path, schema: CorpusSchema | None = None) -> list[Document]:
+    """Every Document of a JSONL corpus file, in file order, refused as
+    `read_corpus` refuses them."""
+    return list(read_corpus(path, schema))
+
+
+def _parse_line(
+    line: str, schema: CorpusSchema, seen: set[str], dates: dict[str, dt.date]
 ) -> Document:
+    """One line's Document. `seen` holds the ids of the lines before it and
+    `dates` the dates they parsed."""
+    try:
+        record = json.loads(line)
+    except ValueError as exc:
+        raise InputError(f"malformed JSON record: {exc}") from exc
+    if not isinstance(record, dict):
+        raise InputError("record is not a JSON object")
+
     doc_id = record.get(schema.id_field)
     if not isinstance(doc_id, str) or not doc_id.strip():
-        raise InputError(f"{path}:{lineno}: missing or empty '{schema.id_field}'")
+        raise InputError(f"missing or empty '{schema.id_field}'")
     if doc_id in seen:
-        raise InputError(f"{path}:{lineno}: duplicate document id {doc_id!r}")
+        raise InputError(f"duplicate document id {doc_id!r}")
 
     raw_date = record.get(schema.date_field)
     if not isinstance(raw_date, str):
         raise InputError(f"record {doc_id!r}: missing '{schema.date_field}'")
-    try:
-        date = dt.datetime.strptime(raw_date, schema.date_format).date()
-    except ValueError as exc:
-        raise InputError(f"record {doc_id!r}: unparseable date {raw_date!r}: {exc}") from exc
+    date = dates.get(raw_date)
+    if date is None:
+        try:
+            date = dates[raw_date] = dt.datetime.strptime(raw_date, schema.date_format).date()
+        except ValueError as exc:
+            raise InputError(f"record {doc_id!r}: unparseable date {raw_date!r}: {exc}") from exc
 
     text = record.get(schema.text_field)
     if not isinstance(text, str) or not text.strip():
@@ -158,11 +183,14 @@ def build_binning(docs: list[Document], granularity: str = "month") -> TimeBinni
     earliest date through the bin holding the latest, empty bins included."""
     if not docs:
         raise InputError("cannot build a binning from an empty document list")
+    return span_binning(min(d.date for d in docs), max(d.date for d in docs), granularity)
+
+
+def span_binning(lo: dt.date, hi: dt.date, granularity: str = "month") -> TimeBinning:
+    """The binning from the bin holding date lo through the bin holding
+    date hi, empty bins included."""
     if granularity not in GRANULARITIES:
         raise InputError(f"unknown granularity {granularity!r}")
-
-    lo = min(d.date for d in docs)
-    hi = max(d.date for d in docs)
     if granularity == "month":
         origin = dt.date(lo.year, lo.month, 1)
         count = (hi.year * 12 + hi.month) - (lo.year * 12 + lo.month) + 1
@@ -173,6 +201,32 @@ def build_binning(docs: list[Document], granularity: str = "month") -> TimeBinni
         origin = lo
         count = (hi - lo).days + 1
     return TimeBinning(granularity=granularity, origin=origin, bin_count=count)
+
+
+class CorpusStream:
+    """A JSONL corpus read in one pass, one validated Document at a time, so
+    that no document outlives the step that consumes it.
+
+    Iterating reads the file through `read_corpus`. Once a pass has reached
+    the end of the file, `doc_count` and `binning` describe the documents
+    it read, the binning spanning their dates as `build_binning` would;
+    before that they are None.
+    """
+
+    def __init__(self, path: str | Path, granularity: str = "month"):
+        if granularity not in GRANULARITIES:
+            raise InputError(f"unknown granularity {granularity!r}")
+        self.path, self.granularity = Path(path), granularity
+        self.doc_count: int | None = None
+        self.binning: TimeBinning | None = None
+
+    def __iter__(self) -> Iterator[Document]:
+        count, lo, hi = 0, dt.date.max, dt.date.min
+        for doc in read_corpus(self.path):
+            count += 1
+            lo, hi = min(lo, doc.date), max(hi, doc.date)
+            yield doc
+        self.doc_count, self.binning = count, span_binning(lo, hi, self.granularity)
 
 
 @dataclass(frozen=True)
@@ -190,6 +244,10 @@ class TimeBinnedCorpus:
     @property
     def doc_count(self) -> int:
         return len(self.documents)
+
+    def __iter__(self) -> Iterator[Document]:
+        """The documents in bin order, input order within bins."""
+        return (doc for _, doc in self.iter_documents())
 
     def iter_documents(self) -> Iterator[tuple[int, Document]]:
         """Yield (bin index, document) in bin order, input order within bins."""

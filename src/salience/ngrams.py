@@ -6,14 +6,18 @@ Tokens are maximal runs of Unicode letters/digits; every punctuation mark
 case-sensitive. Sentences split after '.', '!' or '?' followed by
 whitespace, and at blank lines; n-gram windows never cross sentences.
 
-The n-gram table is counted over interned ids: one Python pass turns each
-token and each distinct sentence into a dense id, held in int32 arrays, and
-numpy groups the n-gram instances by sorting their rows of token ids.
+The n-gram table is counted over interned ids: one Python pass over the
+documents turns each token and each distinct sentence into a dense id, held
+in int32 arrays, and numpy groups the n-gram instances by sorting their rows
+of token ids. The pass can read the corpus file as a stream (`CorpusStream`):
+it keeps each document's date and nothing else of it, and bins the
+sentences once the dates have fixed the binning.
 `NgramTable` keeps numpy's arrays, row i for the i-th kept n-gram in sorted
 key order (K n-grams, B bins, N instances): `keys`, (K × B) int32 `counts`,
 and the contexts in CSR form, n-gram i's being entries context_start[i] to
 context_start[i + 1] ((K + 1) int64 starts) of the (N,) int32 arrays
-`context_bins` and `context_sids`, one per instance in scan order.
+`context_bins` and `context_sids`, one per instance in bin order, input
+order within a bin.
 
 The table also carries the tokens of its S sentences in CSR form, for the
 similarity kernel: sentence s's tokens are words[i] for i in
@@ -25,6 +29,7 @@ re-tokenizes its sentences with `intern_sentences` when first asked.
 
 from __future__ import annotations
 
+import datetime as dt
 import re
 from array import array
 from dataclasses import dataclass
@@ -33,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import TimeBinnedCorpus, analysis_text
+from .corpus import CorpusStream, TimeBinnedCorpus, analysis_text
 from .errors import ConsistencyError, InputError
 
 # A token key: n surfaces in order, case preserved.
@@ -128,46 +133,72 @@ def intern_sentences(sentences: Sequence[str]) -> tuple[list[str], np.ndarray, n
     return list(token_ids), np.array(starts, dtype=np.int64), np.array(ids, dtype=np.int32)
 
 
+def _gather_runs(values: np.ndarray, first: np.ndarray, length: np.ndarray):
+    """The runs values[first[r] : first[r] + length[r]] one after another,
+    and the (R + 1,) int64 starts of the runs in the result. The runs are
+    gathered through one index that steps by 1 within a run and jumps to
+    the next run's first position; every length must be at least 1."""
+    start = np.zeros(len(length) + 1, dtype=np.int64)
+    np.cumsum(length, out=start[1:])
+    at = np.ones(start[-1], dtype=np.int64)
+    jumps = first.astype(np.int64)
+    jumps[1:] -= first[:-1] + length[:-1] - 1
+    at[start[:-1]] = jumps
+    np.cumsum(at, out=at)
+    return values[at], start
+
+
 def build_ngram_table(
-    corpus: TimeBinnedCorpus,
+    corpus: TimeBinnedCorpus | CorpusStream,
     n: int = 2,
     min_total: int = 1,
     *,
     include_titles: bool = True,
 ) -> NgramTable:
-    """Build the n-gram table for a binned corpus.
+    """Build the n-gram table over a corpus, in one pass over its documents.
 
     The scan interns every token and every distinct sentence as a dense id
-    and records, per sentence of at least n tokens, its bin, sentence id and
-    token count, all in int32 arrays; it creates no object per n-gram or per
-    instance. numpy then groups the instances: each instance is a row of n
-    token ids, the rows are sorted, runs of equal rows are the n-grams, and
-    only the n-grams that reach min_total are kept. Each kept sentence's
-    token row is cut from the scan's ids at its first occurrence.
+    and records, per sentence of at least n tokens, its document, sentence
+    id and token count, all in int32 arrays; it keeps each document's date
+    and nothing else of it, and creates no object per n-gram or per
+    instance. A `CorpusStream` is read from its file in this pass, in file
+    order. Once the pass has ended the corpus's binning is known: each
+    sentence takes its document's bin and, unless the file was in date
+    order, a stable sort by bin puts the sentences in bin order, file order
+    within a bin, as a `TimeBinnedCorpus` yields them. numpy then groups the instances: each instance is a row of
+    n token ids, the rows are sorted, runs of equal rows are the n-grams,
+    and only the n-grams that reach min_total are kept. Each kept
+    sentence's token row is cut from the scan's ids at its first occurrence.
     """
     if n < 1:
         raise InputError("n must be >= 1")
     if min_total < 1:
         raise InputError("min_total must be >= 1")
 
-    m = corpus.binning.bin_count
     token_ids = _DenseIds()
     word_id = token_ids.__getitem__
     sentence_ids: dict[str, int] = {}
-    ids, bins, sids, lengths = array("i"), array("i"), array("i"), array("i")
-    for t, doc in corpus.iter_documents():
+    ids, docs_of, sids, lengths, days = (array("i") for _ in range(5))
+    for d, doc in enumerate(corpus):
         # A list takes a document's ids faster than the array would.
         doc_ids: list[int] = []
         for raw, tokens in sentences_with_tokens(analysis_text(doc, include_titles)):
             if len(tokens) < n:
                 continue
             doc_ids += map(word_id, tokens)
-            bins.append(t)
+            docs_of.append(d)
             sids.append(sentence_ids.setdefault(raw, len(sentence_ids)))
             lengths.append(len(tokens))
         ids.fromlist(doc_ids)
+        days.append(doc.date.toordinal())
     texts = list(sentence_ids)
     del sentence_ids
+
+    # Each document's bin, now that the binning is known: one lookup per date.
+    binning = corpus.binning
+    bin_of = {day: binning.index_of(dt.date.fromordinal(day)) for day in set(days)}
+    doc_bins = np.array([bin_of[day] for day in days], dtype=np.int32)
+    del days, bin_of
 
     # Relabel each token id by the sorted() rank of its text: rows of ids
     # then compare exactly as the n-gram keys do under sorted(), case and
@@ -180,12 +211,26 @@ def build_ngram_table(
     rank[by_text] = np.arange(len(words), dtype=np.int32)
     ranked = rank[np.frombuffer(ids, dtype=np.intc)]
     del ids, rank, by_text
-    bins, sids, lengths = (np.frombuffer(a, dtype=np.intc) for a in (bins, sids, lengths))
 
-    # One instance per window, in scan order: the window at token p is an
+    # Bin order: the order of each n-gram's contexts, and so
+    # ngram_table.json, depends on it. A file out of date order is put in
+    # bin order by a stable sort, which keeps a bin's sentences in scan
+    # order; the token ids follow their sentences.
+    bins = doc_bins[np.frombuffer(docs_of, dtype=np.intc)]
+    sids, lengths = (np.frombuffer(a, dtype=np.intc) for a in (sids, lengths))
+    ends = np.cumsum(lengths, dtype=np.int64)
+    del doc_bins, docs_of
+    if (bins[1:] < bins[:-1]).any():
+        by_bin = np.argsort(bins, kind="stable")
+        bins, sids, first = bins[by_bin], sids[by_bin], (ends - lengths)[by_bin]
+        lengths = lengths[by_bin]
+        ranked, ends = _gather_runs(ranked, first, lengths)
+        ends = ends[1:]
+        del by_bin, first
+
+    # One instance per window, in bin order: the window at token p is an
     # instance when its n tokens lie in one sentence, that is unless p is
     # one of the last n - 1 tokens of its sentence.
-    ends = np.cumsum(lengths, dtype=np.int64)
     starts_window = np.ones(len(ranked), dtype=bool)
     for j in range(1, n):
         starts_window[ends - j] = False
@@ -193,12 +238,12 @@ def build_ngram_table(
     columns = [ranked[j : len(starts_window) + j][starts_window] for j in range(n)]
     del starts_window
     windows = lengths - (n - 1)
-    totals = np.zeros(m, dtype=np.int64)
+    totals = np.zeros(binning.bin_count, dtype=np.int64)
     np.add.at(totals, bins, windows)
     bin_totals = totals.tolist()
     del totals
 
-    # The sort must be stable: the instances of one n-gram then keep scan
+    # The sort must be stable: the instances of one n-gram then keep bin
     # order, which is the order of its contexts. np.lexsort is stable, sorts
     # by its last key first, and packs no integer code that could overflow
     # for a large n. The sorted columns are made one at a time, and each
@@ -238,23 +283,13 @@ def build_ngram_table(
     context_sids = new_id[old_to_used]
     del texts, bins, used, first_use, old_to_used, new_id
 
-    # Sentence ids number distinct texts in scan order, so np.unique's first
-    # index of each id is its first scanned occurrence. Its row of tokens is
-    # the run of `ranked` from there, gathered through one index that steps
-    # by 1 within a row and jumps to the next row's first token.
+    # Each kept sentence's row of tokens is the run of `ranked` at its first
+    # occurrence: np.unique's first index of each sentence id.
     scanned = np.unique(sids, return_index=True)[1][hosts]
     del sids, hosts
-    row_length = lengths[scanned].astype(np.int64)
-    first_token = ends[scanned] - row_length
-    token_start = np.zeros(len(scanned) + 1, dtype=np.int64)
-    np.cumsum(row_length, out=token_start[1:])
-    token_at = np.ones(token_start[-1], dtype=np.int64)
-    jumps = first_token.copy()
-    jumps[1:] -= first_token[:-1] + row_length[:-1] - 1
-    token_at[token_start[:-1]] = jumps
-    np.cumsum(token_at, out=token_at)
-    token_ids = ranked[token_at]
-    del ranked, lengths, ends, scanned, row_length, first_token, jumps, token_at
+    row_length = lengths[scanned]
+    token_ids, token_start = _gather_runs(ranked, ends[scanned] - row_length, row_length)
+    del ranked, lengths, ends, scanned, row_length
 
     table = NgramTable(
         n=n,

@@ -2,8 +2,12 @@
 
 Each stage is one function: `run_trends`, `run_similarity`, `run_associate`
 and `run_salience` take typed inputs, write their artifacts into the output
-directory and return their outputs. `run_analyze` chains them after corpus
-ingestion and writes a manifest hashing every artifact. A stage subcommand
+directory and return their outputs. `run_analyze` chains them and writes a
+manifest hashing every artifact. The corpus is never held: `analyze` and
+the trends stage stream the JSONL file through the n-gram scan in one pass
+(`CorpusStream`), and the scan keeps only each document's date and the
+ids of its tokens and sentences. In `analyze` that pass is the ingest
+stage; `write_trends` is the rest of the trends stage. A stage subcommand
 loads the artifacts its stage needs (the `load_*` readers invert the
 `write_*` writers) and calls the same function inside `stage_run`, so
 failures name the stage and remove its partial outputs either way; a
@@ -66,14 +70,7 @@ from .association import (
     percentile,
     relative_std_devs,
 )
-from .corpus import (
-    GRANULARITIES,
-    TimeBinnedCorpus,
-    TimeBinning,
-    bin_documents,
-    build_binning,
-    load_corpus,
-)
+from .corpus import GRANULARITIES, CorpusStream, TimeBinnedCorpus, TimeBinning
 from .errors import ConsistencyError, InputError, SalienceError
 from .ngrams import (
     NgramKey,
@@ -695,25 +692,33 @@ def stage_run(out_dir: Path, name: str) -> Iterator[_Run]:
         raise
 
 
-def load_binned_corpus(path: Path, granularity: str) -> TimeBinnedCorpus:
-    docs = load_corpus(path)
-    return bin_documents(docs, build_binning(docs, granularity))
-
-
 def run_trends(
-    run: _Run, corpus: TimeBinnedCorpus, n: int, min_total: int, include_titles: bool
+    run: _Run,
+    corpus: TimeBinnedCorpus | CorpusStream,
+    n: int,
+    min_total: int,
+    include_titles: bool,
 ) -> tuple[NgramTable, np.ndarray]:
-    """Trends stage: the n-gram table and the (n-grams × bins) usage array.
-    Writes ngram_trends.csv and ngram_table.json."""
+    """Trends stage: the n-gram table, built in one pass over the corpus,
+    and the (n-grams × bins) usage array. Writes ngram_trends.csv and
+    ngram_table.json."""
     table = build_ngram_table(corpus, n, min_total, include_titles=include_titles)
+    return table, write_trends(run, table, corpus.binning, include_titles)
+
+
+def write_trends(
+    run: _Run, table: NgramTable, binning: TimeBinning, include_titles: bool
+) -> np.ndarray:
+    """The trends stage after its scan: the usage array of a built table,
+    written with the table to ngram_trends.csv and ngram_table.json."""
     if not table.keys:
         raise InputError(
-            f"no n-gram reached min-count {min_total}; lower --min-count or supply more text"
+            f"no n-gram reached min-count {table.min_total}; lower --min-count or supply more text"
         )
     usage = usage_matrix(table)
-    write_ngram_trends_csv(run.target("ngram_trends.csv"), table, usage, corpus.binning.labels())
-    write_table_json(run.target("ngram_table.json"), table, corpus.binning, include_titles)
-    return table, usage
+    write_ngram_trends_csv(run.target("ngram_trends.csv"), table, usage, binning.labels())
+    write_table_json(run.target("ngram_table.json"), table, binning, include_titles)
+    return usage
 
 
 def run_similarity(
@@ -790,14 +795,17 @@ def run_analyze(config: RunConfig) -> dict:
 
     try:
         with run.stage("ingest"):
-            corpus = load_binned_corpus(config.corpus, config.granularity)
             framework = load_framework(config.framework)
             lexicon = load_lexicon(config.lexicon) if config.lexicon else None
+            # The corpus file is read once, by the n-gram scan, so ingest
+            # covers the scan; no document is held past it.
+            corpus = CorpusStream(config.corpus, config.granularity)
+            table = build_ngram_table(
+                corpus, config.n, config.min_total, include_titles=config.include_titles
+            )
 
         with run.stage("trends"):
-            table, usage = run_trends(
-                run, corpus, config.n, config.min_total, config.include_titles
-            )
+            usage = write_trends(run, table, corpus.binning, config.include_titles)
 
         with run.stage("similarity"):
             sims = run_similarity(run, table, framework, lexicon)

@@ -418,8 +418,11 @@ def similarity_matrix(
     return SimilarityMatrix(ngram=ngram, framework=framework, values=values)
 
 
-# N-grams scored per block: bounds the per-entry temporaries of the kernel.
-_BLOCK = 4096
+# The kernel scores n-grams in blocks of at most this many instances plus
+# the (instance × term) entries those expand to, which bounds its per-block
+# temporaries however many contexts an n-gram has. A block holds at least
+# one n-gram.
+_BLOCK_ENTRIES = 1 << 16
 
 
 def batch_similarities(
@@ -476,11 +479,20 @@ def batch_similarities(
         topics[j, list(topic_vectors[tid].indices)] = topic_vectors[tid].weights
     topic_norms = np.array([topic_vectors[tid].norm() for tid in topic_ids])
 
+    # Each n-gram's entries, and the blocks: cut where the running sum of
+    # instances and entries passes the budget.
+    ngram_entries = np.add.reduceat(
+        sentence_nnz.astype(np.int32)[context_sids], context_start[:-1], dtype=np.int64
+    )
+    spent = np.concatenate(([0], np.cumsum(ngram_entries + lengths)))
+    blocks = [0]
+    while blocks[-1] < len(lengths):
+        fits = np.searchsorted(spent, spent[blocks[-1]] + _BLOCK_ENTRIES, side="right") - 1
+        blocks.append(max(int(fits), blocks[-1] + 1))
+
     out = np.zeros((len(lengths), len(topic_ids)))
-    for first in range(0, len(lengths), _BLOCK):
-        last = min(first + _BLOCK, len(lengths))
+    for first, last in zip(blocks, blocks[1:]):
         block_sids = context_sids[context_start[first] : context_start[last]]
-        owner = np.repeat(np.arange(last - first), lengths[first:last])
         # Expand every instance into its sentence's (term, count) entries.
         per_instance = sentence_nnz[block_sids]
         offset = np.cumsum(per_instance) - per_instance
@@ -489,7 +501,8 @@ def batch_similarities(
         if entry.size == 0:
             continue
         # Segment-sum by (n-gram, term): rows come out in vocabulary order.
-        keys = np.repeat(owner, per_instance) * vocab + sentence_terms[entry]
+        owner = np.repeat(np.arange(last - first), ngram_entries[first:last])
+        keys = owner * vocab + sentence_terms[entry]
         order = np.argsort(keys)
         keys = keys[order]
         cuts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))

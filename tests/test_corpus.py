@@ -1,10 +1,12 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from salience.corpus import (
+    CorpusStream,
     Document,
     analysis_text,
     bin_documents,
@@ -101,6 +103,67 @@ class TestLoadCorpus:
         assert docs[0].id == "a"
         assert docs[0].date == day(2017, 5, 1)
         assert docs[0].title == "Top" and docs[0].text == "words"
+
+
+_GOOD = {"id": "ok", "date": "2017-01-01", "text": "fine"}
+
+
+@pytest.mark.parametrize(
+    "line, fragment",
+    [
+        pytest.param("not json", "malformed JSON record", id="malformed-json"),
+        pytest.param("[1, 2]", "record is not a JSON object", id="not-an-object"),
+        pytest.param({"date": "2017-01-01", "text": "x"}, "missing or empty 'id'", id="missing-id"),
+        pytest.param(_GOOD, "duplicate document id 'ok'", id="duplicate-id"),
+        pytest.param({"id": "b", "text": "x"}, "record 'b': missing 'date'", id="missing-date"),
+        pytest.param(
+            {"id": "b", "date": "2017-13-01", "text": "x"},
+            "record 'b': unparseable date '2017-13-01'",
+            id="bad-date",
+        ),
+        pytest.param(
+            {"id": "b", "date": "2017-01-01"}, "record 'b': missing or empty 'text'", id="no-text"
+        ),
+        pytest.param(
+            {"id": "b", "date": "2017-01-01", "text": " \n"},
+            "record 'b': missing or empty 'text'",
+            id="blank-text",
+        ),
+        pytest.param(
+            {"id": "b", "date": "2017-01-01", "text": "x", "title": 3},
+            "record 'b': 'title' must be a string",
+            id="title-not-a-string",
+        ),
+    ],
+)
+def test_every_refusal_names_file_and_line(tmp_path, line, fragment):
+    # A blank line before the bad record: line numbers count every line.
+    bad = line if isinstance(line, str) else json.dumps(line)
+    path = tmp_path / "c.jsonl"
+    path.write_text(json.dumps(_GOOD) + "\n\n" + bad + "\n", encoding="utf-8")
+    with pytest.raises(InputError, match=re.escape(f"{path}:3: {fragment}")):
+        load_corpus(path)
+    with pytest.raises(InputError, match=re.escape(f"{path}:3: {fragment}")):
+        list(CorpusStream(path))
+
+
+class TestCorpusStream:
+    def test_reads_the_file_lazily_and_bins_what_it_read(self, tmp_path):
+        records = [
+            {"id": "a", "date": "2017-03-15", "text": "one"},
+            {"id": "b", "date": "2016-11-02", "text": "two", "title": "T"},
+            {"id": "c", "date": "2017-01-20", "text": "three"},
+        ]
+        path = corpus_file(tmp_path, records)
+        stream = CorpusStream(path, "week")
+        assert (stream.doc_count, stream.binning) == (None, None)
+        assert list(stream) == load_corpus(path)
+        assert stream.doc_count == 3
+        assert stream.binning == build_binning(load_corpus(path), "week")
+
+    def test_unknown_granularity(self, tmp_path):
+        with pytest.raises(InputError, match="fortnight"):
+            CorpusStream(tmp_path / "c.jsonl", "fortnight")
 
 
 class TestAnalysisText:

@@ -1,13 +1,22 @@
 import json
 import re
+import tempfile
 from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from salience.corpus import Document, analysis_text, bin_documents, build_binning
+from salience.corpus import (
+    CorpusStream,
+    Document,
+    analysis_text,
+    bin_documents,
+    build_binning,
+    load_corpus,
+)
 from salience import pipeline
 from salience.errors import ConsistencyError, InputError
 from salience.ngrams import (
@@ -21,7 +30,7 @@ from salience.ngrams import (
 
 from salience.pipeline import load_table_json, run_trends, stage_run, write_table_json
 
-from conftest import assert_same_table, day, make_corpus
+from conftest import assert_same_table, corpus_file, day, make_corpus
 
 
 # The tokenizer by regex alone, written out apart from the package: tokens are
@@ -440,6 +449,51 @@ def test_scan_equals_the_regex_oracle(items, n, include_titles):
     table = build_ngram_table(corpus, n=n, min_total=1, include_titles=include_titles)
     reference = _reference_table(corpus, n=n, include_titles=include_titles)
     _assert_equals_reference(table, reference)
+    expected = [_ORACLE_WORD_RE.findall(sentence) for sentence in table.sentences]
+    assert _decoded(table.sentence_tokens) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.dates(min_value=day(2016, 12, 25), max_value=day(2017, 3, 10)),
+            st.lists(token_sentence, min_size=1, max_size=4).map(". ".join),
+            st.none() | st.sampled_from(["Echo echo", "alpha. x9"]),
+        ),
+        min_size=1,
+        max_size=10,
+    ),
+    st.sampled_from(["month", "week", "day"]),
+    st.integers(1, 3),
+)
+# Files out of date order, with one text in several bins.
+@example(
+    [
+        (day(2017, 3, 1), "b c. a b", None),
+        (day(2017, 1, 9), "a b", "T"),
+        (day(2017, 3, 1), "a b", None),
+    ],
+    "month",
+    1,
+)
+def test_streamed_file_equals_the_binned_corpus(docs, granularity, n):
+    # The scan reads the file in its own order and bins afterwards; the table
+    # must be the one of the corpus binned first, contexts in bin order and
+    # file order within a bin.
+    records = [
+        {"id": f"d{i}", "date": date.isoformat(), "text": text, "title": title}
+        for i, (date, text, title) in enumerate(docs)
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = corpus_file(Path(tmp), records)
+        stream = CorpusStream(path, granularity)
+        table = build_ngram_table(stream, n=n, min_total=1)
+        documents = load_corpus(path)
+    assert (stream.doc_count, stream.binning) == (len(docs), build_binning(documents, granularity))
+    binned = bin_documents(documents, stream.binning)
+    _assert_equals_reference(table, _reference_table(binned, n=n))
+    assert_same_table(table, build_ngram_table(binned, n=n, min_total=1))
     expected = [_ORACLE_WORD_RE.findall(sentence) for sentence in table.sentences]
     assert _decoded(table.sentence_tokens) == expected
 

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import re
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -11,11 +12,11 @@ import pytest
 
 from salience import cli, pipeline
 from salience.cli import main
+from salience.corpus import CorpusStream
 from salience.errors import InputError
 from salience.ngrams import build_ngram_table, render_ngram
 from salience.pipeline import (
     RunConfig,
-    load_binned_corpus,
     load_ngram_trends_csv,
     load_similarity_csv,
     load_table_json,
@@ -26,7 +27,13 @@ from salience.pipeline import (
 )
 from salience.synth import PlantedEvent, SynthSpec, corpus_to_jsonl, generate_corpus
 
-from conftest import assert_same_table, burst_phrases, disjoint_framework, framework_file
+from conftest import (
+    assert_same_table,
+    burst_phrases,
+    corpus_file,
+    disjoint_framework,
+    framework_file,
+)
 
 ARTIFACTS = (
     "ngram_trends.csv",
@@ -443,6 +450,52 @@ class TestCli:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["analyze", "trends"])
+    def test_bad_record_after_many_good_ones_exits_one(self, workspace, tmp_path, capsys, command):
+        _, corpus, framework = workspace
+        lines = corpus.read_text(encoding="utf-8").splitlines(keepends=True)
+        bad = json.dumps({"id": "late", "date": "2017-02-30", "text": "x"}) + "\n"
+        path = tmp_path / "bad.jsonl"
+        path.write_text("".join(lines[:-5] + [bad] + lines[-5:]), encoding="utf-8")
+        out = tmp_path / "out"
+        args = ["--min-count", "1", "--out", str(out)]
+        if command == "analyze":
+            args += ["--framework", str(framework)]
+        else:
+            # An earlier run's artifacts, which the failed stage must remove.
+            assert main(["trends", "--corpus", str(corpus), *args]) == 0
+            assert (out / "ngram_table.json").is_file()
+            capsys.readouterr()
+        assert main([command, "--corpus", str(path), *args]) == 1
+        stage = "ingest" if command == "analyze" else "trends"
+        expected = f"error: {stage}: {path}:{len(lines) - 4}: record 'late': unparseable date"
+        assert expected in capsys.readouterr().err
+        assert [p for p in out.rglob("*") if p.is_file()] == []
+
+    def test_trends_scan_holds_no_documents(self, tmp_path):
+        # One text of long words in every document: a held corpus would grow
+        # with the file, while what the scan keeps per document is a date and
+        # a few ids per token and sentence.
+        words = [f"w{i:02d}" + "x" * 1000 for i in range(40)]
+        text = " ".join(" ".join(words[i : i + 8]) + "." for i in range(0, 40, 8))
+
+        def peak(copies: int) -> int:
+            records = [
+                {"id": f"d{i}", "date": f"2017-0{i % 3 + 1}-01", "text": text}
+                for i in range(4 * copies)
+            ]
+            path = corpus_file(tmp_path, records, f"corpus{copies}.jsonl")
+            out = tmp_path / f"out{copies}"
+            tracemalloc.start()
+            try:
+                args = ["--corpus", str(path), "--min-count", "1", "--out", str(out)]
+                assert main(["trends", *args]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(8) < 2 * peak(1)
+
     def test_usage_error_exits_one(self, capsys):
         assert main(["analyze"]) == 1
 
@@ -704,15 +757,15 @@ def test_similarity_csv_is_csv_writer_output(tmp_path):
 
 def test_table_write_then_load_round_trips(workspace, tmp_path):
     _, corpus, _ = workspace
-    binned = load_binned_corpus(corpus, "month")
-    table = build_ngram_table(binned, 2, 2)
+    streamed = CorpusStream(corpus, "month")
+    table = build_ngram_table(streamed, 2, 2)
     path = tmp_path / "ngram_table.json"
-    write_table_json(path, table, binned.binning, True)
+    write_table_json(path, table, streamed.binning, True)
     loaded = load_table_json(path)
     assert_same_table(loaded, table)
     assert json.loads(path.read_text(encoding="utf-8"))["version"] == 2
     again = tmp_path / "again.json"
-    write_table_json(again, loaded, binned.binning, True)
+    write_table_json(again, loaded, streamed.binning, True)
     assert again.read_bytes() == path.read_bytes()
 
 

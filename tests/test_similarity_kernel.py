@@ -203,9 +203,14 @@ class TestOrderIndependence:
         space, vectors = build_vector_space(fw)
         rng = random.Random(7)
         contexts = _random_contexts(_sentence_pool(fw, rng), rng, 100)
+        # One n-gram per block, blocks of a few n-grams, and the default,
+        # against one block for all.
+        budgets = (1, 50, topics._BLOCK_ENTRIES)
+        monkeypatch.setattr(topics, "_BLOCK_ENTRIES", 1 << 40)
         whole = _kernel(fw, space, vectors, contexts)
-        monkeypatch.setattr(topics, "_BLOCK", 7)
-        assert np.array_equal(_kernel(fw, space, vectors, contexts), whole)
+        for budget in budgets:
+            monkeypatch.setattr(topics, "_BLOCK_ENTRIES", budget)
+            assert np.array_equal(_kernel(fw, space, vectors, contexts), whole)
 
     def test_proportional_counts_give_bit_equal_rows(self):
         fw = load_pmesii_ascope()
