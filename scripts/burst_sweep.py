@@ -53,7 +53,7 @@ def main() -> None:
     args = parser.parse_args()
 
     framework = demo_framework()
-    space, vectors = build_vector_space(framework)
+    space, topics = build_vector_space(framework)
     topic_ids = framework.topic_ids()
 
     hits = exact = 0
@@ -84,7 +84,7 @@ def main() -> None:
         corpus = bin_documents(docs, build_binning(docs, "month"))
         table = build_ngram_table(corpus, n=2, min_total=1)
         usage = usage_matrix(table)
-        sims = compute_similarities(table, framework, space, vectors)
+        sims = compute_similarities(table, space, topics)
         associations = compute_associations(sims, relative_std_devs(usage), topic_ids, 75.0)
         salience = topic_salience_trend(associations[topic].members, usage)
         peak = int(np.argmax(salience))

@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .association import TopicAssociation, associate, percentile, relative_std_devs
 from .corpus import (
-    CorpusSchema,
     CorpusStream,
     Document,
     TimeBinnedCorpus,
@@ -43,13 +42,11 @@ from .synth import (
     SynthSpec,
     corpus_to_jsonl,
     generate_corpus,
-    oracle_count,
     oracle_count_many,
     news_scale_spec,
 )
 from .topics import (
     SimilarityMatrix,
-    SparseVector,
     Topic,
     TopicFramework,
     VectorSpace,
@@ -71,7 +68,6 @@ __all__ = [
     "InputError",
     "ConsistencyError",
     "Document",
-    "CorpusSchema",
     "TimeBinning",
     "TimeBinnedCorpus",
     "CorpusStream",
@@ -87,7 +83,6 @@ __all__ = [
     "Topic",
     "TopicFramework",
     "VectorSpace",
-    "SparseVector",
     "SimilarityMatrix",
     "load_framework",
     "load_pmesii_ascope",
@@ -113,7 +108,6 @@ __all__ = [
     "PlantedEvent",
     "generate_corpus",
     "corpus_to_jsonl",
-    "oracle_count",
     "oracle_count_many",
     "news_scale_spec",
     "RunConfig",

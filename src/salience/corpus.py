@@ -31,17 +31,6 @@ class Document:
     title: str | None = None
 
 
-@dataclass(frozen=True)
-class CorpusSchema:
-    """Field names and date format for one-record-per-line JSONL corpora."""
-
-    id_field: str = "id"
-    date_field: str = "date"
-    title_field: str = "title"
-    text_field: str = "text"
-    date_format: str = "%Y-%m-%d"
-
-
 def analysis_text(doc: Document, include_title: bool = True) -> str:
     """Text a document contributes to analysis; the title, when present and
     requested, is prepended with a sentence break."""
@@ -50,9 +39,10 @@ def analysis_text(doc: Document, include_title: bool = True) -> str:
     return doc.text
 
 
-def read_corpus(path: str | Path, schema: CorpusSchema | None = None) -> Iterator[Document]:
+def read_corpus(path: str | Path) -> Iterator[Document]:
     """Yield a JSONL corpus file's validated Documents one at a time, in
-    file order.
+    file order. Each record holds an `id`, a `date` as YYYY-MM-DD, a `text`
+    and an optional `title`.
 
     Raises InputError, naming the file and line, on a malformed line, a
     duplicate id, an unparseable date or empty text; and, once the file is
@@ -60,7 +50,6 @@ def read_corpus(path: str | Path, schema: CorpusSchema | None = None) -> Iterato
     keeps only the ids seen so far and the date each distinct date string
     parsed to.
     """
-    schema = schema or CorpusSchema()
     path = Path(path)
     if not path.is_file():
         raise InputError(f"corpus file not found: {path}")
@@ -73,7 +62,7 @@ def read_corpus(path: str | Path, schema: CorpusSchema | None = None) -> Iterato
             if not line.strip():
                 continue
             try:
-                doc = _parse_line(line, schema, seen, dates)
+                doc = _parse_line(line, seen, dates)
             except InputError as exc:
                 raise InputError(f"{path}:{lineno}: {exc}") from exc
             yield doc
@@ -82,15 +71,13 @@ def read_corpus(path: str | Path, schema: CorpusSchema | None = None) -> Iterato
         raise InputError(f"{path}: corpus is empty (no valid records)")
 
 
-def load_corpus(path: str | Path, schema: CorpusSchema | None = None) -> list[Document]:
+def load_corpus(path: str | Path) -> list[Document]:
     """Every Document of a JSONL corpus file, in file order, refused as
     `read_corpus` refuses them."""
-    return list(read_corpus(path, schema))
+    return list(read_corpus(path))
 
 
-def _parse_line(
-    line: str, schema: CorpusSchema, seen: set[str], dates: dict[str, dt.date]
-) -> Document:
+def _parse_line(line: str, seen: set[str], dates: dict[str, dt.date]) -> Document:
     """One line's Document. `seen` holds the ids of the lines before it and
     `dates` the dates they parsed."""
     try:
@@ -100,29 +87,29 @@ def _parse_line(
     if not isinstance(record, dict):
         raise InputError("record is not a JSON object")
 
-    doc_id = record.get(schema.id_field)
+    doc_id = record.get("id")
     if not isinstance(doc_id, str) or not doc_id.strip():
-        raise InputError(f"missing or empty '{schema.id_field}'")
+        raise InputError("missing or empty 'id'")
     if doc_id in seen:
         raise InputError(f"duplicate document id {doc_id!r}")
 
-    raw_date = record.get(schema.date_field)
+    raw_date = record.get("date")
     if not isinstance(raw_date, str):
-        raise InputError(f"record {doc_id!r}: missing '{schema.date_field}'")
+        raise InputError(f"record {doc_id!r}: missing 'date'")
     date = dates.get(raw_date)
     if date is None:
         try:
-            date = dates[raw_date] = dt.datetime.strptime(raw_date, schema.date_format).date()
+            date = dates[raw_date] = dt.datetime.strptime(raw_date, "%Y-%m-%d").date()
         except ValueError as exc:
             raise InputError(f"record {doc_id!r}: unparseable date {raw_date!r}: {exc}") from exc
 
-    text = record.get(schema.text_field)
+    text = record.get("text")
     if not isinstance(text, str) or not text.strip():
-        raise InputError(f"record {doc_id!r}: missing or empty '{schema.text_field}'")
+        raise InputError(f"record {doc_id!r}: missing or empty 'text'")
 
-    title = record.get(schema.title_field)
+    title = record.get("title")
     if title is not None and not isinstance(title, str):
-        raise InputError(f"record {doc_id!r}: '{schema.title_field}' must be a string")
+        raise InputError(f"record {doc_id!r}: 'title' must be a string")
 
     seen.add(doc_id)
     return Document(id=doc_id, date=date, text=text, title=title)

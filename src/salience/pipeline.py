@@ -89,6 +89,7 @@ from .salience import (
 )
 from .topics import (
     TopicFramework,
+    VectorSpace,
     batch_similarities,
     build_vector_space,
     load_framework,
@@ -98,12 +99,6 @@ from .topics import (
 SIM_SCOPES = ("per_topic", "global")
 # The ngram_table.json layout that write_table_json writes and load_table_json reads.
 TABLE_VERSION = 2
-# Cells that a writer renders at once, a cell being a float, a count, a
-# context pair or a sentence: bounds the strings one block holds, whatever
-# the table's height or width. A row wider than this is a block of its own.
-# Each block is rendered by a function call and written, so its strings are
-# freed before the next block's are made. The budget is association's, which
-# blocks relative_std_devs by it.
 # A rendered n-gram: tokenizer tokens joined by single spaces.
 _NGRAM_TEXT = re.compile(r"[^\W_]+(?: [^\W_]+)*")
 
@@ -159,6 +154,12 @@ def _csv_cell(value: str) -> str:
     return buffer.getvalue()[1:-2]
 
 
+# The writers render _BLOCK_CELLS cells at once, a cell being a float, a
+# count, a context pair or a sentence: that bounds the strings one block
+# holds, whatever the table's height or width. Each block is rendered by a
+# function call and written, so its strings are freed before the next
+# block's are made. The budget is association's, which blocks
+# relative_std_devs by it.
 def _row_blocks(rows: int, width: int, starts: np.ndarray | None = None) -> Iterator[slice]:
     """Consecutive slices of range(rows), each of at most _BLOCK_CELLS cells:
     `width` cells per row plus, given CSR offsets `starts`, starts[i + 1] -
@@ -617,22 +618,12 @@ class _Run:
             self.timings[name] = time.perf_counter() - started
 
 
-def compute_similarities(
-    table: NgramTable,
-    framework: TopicFramework,
-    space,
-    topic_vectors,
-) -> np.ndarray:
-    """Similarity of every tabled n-gram to every topic, as one (n-grams ×
-    topics) array in sorted key order and framework topic order, scored in
-    one pass by the batch kernel from the sentences' token ids."""
+def compute_similarities(table: NgramTable, space: VectorSpace, topics: np.ndarray) -> np.ndarray:
+    """Similarity of every tabled n-gram to every topic row of `topics`, as
+    one (n-grams × topics) array in sorted key order, scored in one pass by
+    the batch kernel from the sentences' token ids."""
     return batch_similarities(
-        space,
-        topic_vectors,
-        framework.topic_ids(),
-        *table.sentence_tokens,
-        table.context_start,
-        table.context_sids,
+        space, topics, *table.sentence_tokens, table.context_start, table.context_sids
     )
 
 
@@ -644,8 +635,10 @@ def compute_associations(
     sim_scope: str = "per_topic",
 ) -> dict[str, TopicAssociation]:
     """One association per topic (column of `sims`). The variability
-    threshold is always global; the similarity threshold is per-topic unless
-    sim_scope is 'global'."""
+    threshold is always global; the similarity threshold is per-topic, or
+    pooled over all topics when sim_scope is 'global'."""
+    if sim_scope not in SIM_SCOPES:
+        raise InputError(f"unknown similarity scope {sim_scope!r}")
     rsd_threshold = percentile(rsd, p)
     if sim_scope == "global":
         sim_thresholds = [percentile(sims.ravel(), p)] * len(topic_ids)
@@ -726,8 +719,7 @@ def run_similarity(
 ) -> np.ndarray:
     """Similarity stage: the (n-grams × topics) similarity array, from the
     contexts in the table. Writes similarity.csv."""
-    space, topic_vectors = build_vector_space(framework, lexicon)
-    sims = compute_similarities(table, framework, space, topic_vectors)
+    sims = compute_similarities(table, *build_vector_space(framework, lexicon))
     write_similarity_csv(run.target("similarity.csv"), table.keys, sims, framework.topic_ids())
     return sims
 

@@ -390,15 +390,3 @@ def oracle_count_many(
                         counts[" ".join(window)][t] += 1
     return counts
 
-
-def oracle_count(
-    source: str | Path | Iterable[str],
-    ngram: Sequence[str],
-    binning: TimeBinning,
-    *,
-    include_titles: bool = True,
-) -> list[int]:
-    """Per-bin instance counts of one n-gram, by brute-force rescan."""
-    return oracle_count_many(source, [ngram], binning, include_titles=include_titles)[
-        " ".join(ngram)
-    ]

@@ -5,13 +5,17 @@ truth + lexicon synonyms). The TF-IDF space is built over those topic
 documents only, so idf discounts vocabulary common across topics. Vector
 terms are lowercased unigrams even though n-gram identity preserves case.
 
+`build_vector_space` returns the space and the topic vectors as one dense
+(topics × vocabulary) array, rows in framework topic order, columns in the
+space's sorted vocabulary order. Every similarity reads that one array.
+
 `batch_similarities` scores a whole n-gram table in one numpy pass and is
 what `analyze` runs. It counts terms from the context sentences' token ids
 (`NgramTable.sentence_tokens`), so it tokenizes nothing: each distinct word
 is lowercased and mapped to its vocabulary column once. The scalar path
-(`SparseVector`, `context_vector`, `ngram_vector`, `cosine`,
-`similarity_matrix`) is kept as the public reference oracle the batch
-kernel is tested against.
+(`context_vector`, `ngram_vector`, `cosine`, `similarity_matrix`) works on
+dense (vocabulary,) rows and is kept as the public reference oracle the
+batch kernel is tested against.
 """
 
 from __future__ import annotations
@@ -239,65 +243,11 @@ def expand_topic_document(topic: Topic, lexicon: Mapping[str, list[str]] | None 
 
 
 @dataclass(frozen=True)
-class SparseVector:
-    """Non-negative sparse vector with strictly increasing term indices.
-
-    Part of the scalar reference path; `analyze` no longer calls it.
-    """
-
-    indices: tuple[int, ...]
-    weights: tuple[float, ...]
-
-    @classmethod
-    def from_mapping(cls, weights: Mapping[int, float]) -> "SparseVector":
-        items = sorted((i, w) for i, w in weights.items() if w != 0.0)
-        for _, w in items:
-            if w < 0:
-                raise ConsistencyError("sparse vector weights must be non-negative")
-        return cls(
-            indices=tuple(i for i, _ in items),
-            weights=tuple(w for _, w in items),
-        )
-
-    def norm(self) -> float:
-        return math.sqrt(sum(w * w for w in self.weights))
-
-    def dot(self, other: "SparseVector") -> float:
-        total = 0.0
-        i = j = 0
-        a_idx, a_w = self.indices, self.weights
-        b_idx, b_w = other.indices, other.weights
-        while i < len(a_idx) and j < len(b_idx):
-            ai, bj = a_idx[i], b_idx[j]
-            if ai == bj:
-                total += a_w[i] * b_w[j]
-                i += 1
-                j += 1
-            elif ai < bj:
-                i += 1
-            else:
-                j += 1
-        return total
-
-    def scale(self, factor: float) -> "SparseVector":
-        return SparseVector.from_mapping(
-            {i: w * factor for i, w in zip(self.indices, self.weights)}
-        )
-
-    def to_mapping(self) -> dict[int, float]:
-        return dict(zip(self.indices, self.weights))
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-
-@dataclass(frozen=True)
 class VectorSpace:
-    """TF-IDF space over the topic documents: vocabulary, idf, topic count."""
+    """TF-IDF space over the topic documents: sorted vocabulary and idf."""
 
     vocabulary: tuple[str, ...]
     idf: dict[str, float]
-    doc_count: int
     term_index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -310,76 +260,69 @@ def _lower_tokens(text: str) -> list[str]:
     return [tok.lower() for _, tokens in sentences_with_tokens(text) for tok in tokens]
 
 
-def _tfidf_vector(space: VectorSpace, tokens: Sequence[str]) -> SparseVector:
-    weights: dict[int, float] = {}
+def _tfidf_row(space: VectorSpace, tokens: Sequence[str]) -> np.ndarray:
+    row = np.zeros(len(space.vocabulary))
     for term, count in Counter(tokens).items():
         idx = space.term_index.get(term)
-        if idx is None:
-            continue
-        w = count * space.idf[term]
-        if w != 0.0:
-            weights[idx] = w
-    return SparseVector.from_mapping(weights)
+        if idx is not None:
+            row[idx] = count * space.idf[term]
+    return row
+
+
+def _norm(row: np.ndarray) -> float:
+    """Euclidean norm, summed in vocabulary-index order."""
+    return math.sqrt(sum((row * row).tolist()))
 
 
 def build_vector_space(
     framework: TopicFramework, lexicon: Mapping[str, list[str]] | None = None
-) -> tuple[VectorSpace, dict[str, SparseVector]]:
-    """One expanded TF-IDF document per topic; returns the space and each
-    topic's vector (weight = raw term frequency x idf)."""
+) -> tuple[VectorSpace, np.ndarray]:
+    """One expanded TF-IDF document per topic; returns the space and the
+    (topics × vocabulary) array of topic vectors, rows in framework topic
+    order (weight = raw term frequency x idf)."""
     if len(framework.topics) < 2:
         raise InputError(
             "vector space needs at least 2 topics: with a single topic document "
             "every idf is 0 and similarity is meaningless"
         )
-    topic_tokens = {
-        t.id: _lower_tokens(expand_topic_document(t, lexicon)) for t in framework.topics
-    }
-    doc_count = len(framework.topics)
+    topic_tokens = [_lower_tokens(expand_topic_document(t, lexicon)) for t in framework.topics]
     df: Counter[str] = Counter()
-    for tokens in topic_tokens.values():
+    for tokens in topic_tokens:
         df.update(set(tokens))
     vocabulary = tuple(sorted(df))
-    idf = {term: math.log(doc_count / df[term]) for term in vocabulary}
-    space = VectorSpace(vocabulary=vocabulary, idf=idf, doc_count=doc_count)
-    vectors = {tid: _tfidf_vector(space, tokens) for tid, tokens in topic_tokens.items()}
-    return space, vectors
+    idf = {term: math.log(len(topic_tokens) / df[term]) for term in vocabulary}
+    space = VectorSpace(vocabulary=vocabulary, idf=idf)
+    return space, np.array([_tfidf_row(space, tokens) for tokens in topic_tokens])
 
 
-def context_vector(space: VectorSpace, context: str) -> SparseVector:
-    """TF-IDF vector of a context string; out-of-vocabulary terms drop out.
+def context_vector(space: VectorSpace, context: str) -> np.ndarray:
+    """TF-IDF row of a context string; out-of-vocabulary terms drop out.
 
     Scalar reference oracle; `analyze` uses `batch_similarities` instead.
     """
-    return _tfidf_vector(space, _lower_tokens(context))
+    return _tfidf_row(space, _lower_tokens(context))
 
 
-def ngram_vector(space: VectorSpace, contexts: Sequence[str]) -> SparseVector:
-    """Component-wise mean of the raw (unnormalized) context vectors.
+def ngram_vector(space: VectorSpace, contexts: Sequence[str]) -> np.ndarray:
+    """Component-wise mean of the raw (unnormalized) context rows.
 
     Scalar reference oracle; `analyze` uses `batch_similarities` instead.
     """
     if not contexts:
         raise ConsistencyError("n-gram with no contexts: every tabled n-gram has instances")
-    sums: dict[int, float] = {}
-    for context in contexts:
-        vec = context_vector(space, context)
-        for idx, w in zip(vec.indices, vec.weights):
-            sums[idx] = sums.get(idx, 0.0) + w
-    k = len(contexts)
-    return SparseVector.from_mapping({i: w / k for i, w in sums.items()})
+    return sum(context_vector(space, context) for context in contexts) / len(contexts)
 
 
-def cosine(u: SparseVector, v: SparseVector) -> float:
-    """Cosine similarity; 0 when either vector has zero norm. Weights are
-    non-negative so the result lies in [0, 1].
+def cosine(u: np.ndarray, v: np.ndarray) -> float:
+    """Cosine similarity of two rows; 0 when either has zero norm. Weights
+    are non-negative so the result lies in [0, 1].
 
     Scalar reference oracle; `analyze` uses `batch_similarities` instead.
     """
-    nu, nv = u.norm(), v.norm()
+    nu, nv = _norm(u), _norm(v)
     if nu == 0.0 or nv == 0.0:
         return 0.0
-    value = u.dot(v) / (nu * nv)
+    value = sum((u * v).tolist()) / (nu * nv)
     return min(max(value, 0.0), 1.0)
 
 
@@ -407,14 +350,15 @@ def similarity_matrix(
     contexts: Sequence[str],
     framework: TopicFramework,
     space: VectorSpace,
-    topic_vectors: Mapping[str, SparseVector],
+    topics: np.ndarray,
 ) -> SimilarityMatrix:
-    """Score one n-gram against every topic via its averaged context vector.
+    """Score one n-gram against every topic row of `topics` (framework topic
+    order) via its averaged context vector.
 
     Scalar reference oracle; `analyze` uses `batch_similarities` instead.
     """
     vec = ngram_vector(space, contexts)
-    values = tuple(cosine(vec, topic_vectors[t.id]) for t in framework.topics)
+    values = tuple(cosine(vec, row) for row in topics)
     return SimilarityMatrix(ngram=ngram, framework=framework, values=values)
 
 
@@ -427,15 +371,15 @@ _BLOCK_ENTRIES = 1 << 16
 
 def batch_similarities(
     space: VectorSpace,
-    topic_vectors: Mapping[str, SparseVector],
-    topic_ids: Sequence[str],
+    topics: np.ndarray,
     words: Sequence[str],
     token_start: np.ndarray,
     token_ids: np.ndarray,
     context_start: np.ndarray,
     context_sids: np.ndarray,
 ) -> np.ndarray:
-    """Cosine similarity of many n-grams against every topic, in one pass.
+    """Cosine similarity of many n-grams against every topic row of the
+    (topics × vocabulary) array `topics`, in one pass.
 
     The context sentences come as token ids in CSR form: sentence s's tokens
     are `words[i]` for i in `token_ids[token_start[s]:token_start[s + 1]]`,
@@ -474,10 +418,7 @@ def batch_similarities(
     sentence_start = np.cumsum(sentence_nnz) - sentence_nnz
 
     idf = np.array([space.idf[term] for term in space.vocabulary])
-    topics = np.zeros((len(topic_ids), vocab))
-    for j, tid in enumerate(topic_ids):
-        topics[j, list(topic_vectors[tid].indices)] = topic_vectors[tid].weights
-    topic_norms = np.array([topic_vectors[tid].norm() for tid in topic_ids])
+    topic_norms = [_norm(row) for row in topics]
 
     # Each n-gram's entries, and the blocks: cut where the running sum of
     # instances and entries passes the budget.
@@ -490,7 +431,7 @@ def batch_similarities(
         fits = np.searchsorted(spent, spent[blocks[-1]] + _BLOCK_ENTRIES, side="right") - 1
         blocks.append(max(int(fits), blocks[-1] + 1))
 
-    out = np.zeros((len(lengths), len(topic_ids)))
+    out = np.zeros((len(lengths), len(topics)))
     for first, last in zip(blocks, blocks[1:]):
         block_sids = context_sids[context_start[first] : context_start[last]]
         # Expand every instance into its sentence's (term, count) entries.
@@ -516,9 +457,9 @@ def batch_similarities(
         norms = np.sqrt(np.add.reduceat(weights * weights, seg))
         scored = out[first:last]
         present = rows[seg]
-        for j in range(len(topic_ids)):
-            if topic_norms[j] == 0.0:
+        for j, norm in enumerate(topic_norms):
+            if norm == 0.0:
                 continue
             dots = np.add.reduceat(weights * topics[j, cols], seg)
-            scored[present, j] = np.clip(dots / (norms * topic_norms[j]), 0.0, 1.0)
+            scored[present, j] = np.clip(dots / (norms * norm), 0.0, 1.0)
     return out

@@ -21,7 +21,6 @@ from salience.synth import (
     news_scale_spec,
 )
 from salience.topics import (
-    SparseVector,
     build_vector_space,
     cosine,
     load_pmesii_ascope,
@@ -139,7 +138,7 @@ def test_criterion_3_burst_detection():
         corpus = bin_documents(docs, build_binning(docs, "month"))
         table = build_ngram_table(corpus, n=2, min_total=1)
         usage = usage_matrix(table)
-        sims = compute_similarities(table, framework, space, vectors)
+        sims = compute_similarities(table, space, vectors)
         associations = compute_associations(sims, relative_std_devs(usage), topic_ids, 75.0)
         salience = topic_salience_trend(associations[topic].members, usage)
         if int(np.argmax(salience)) in (t_star, t_star + 1):
@@ -189,9 +188,7 @@ def test_criterion_4_discrimination():
 def test_criterion_5_formula_unit_suite():
     assert abs(relative_std_dev([0.2, 0.4]) - 1 / 3) < 1e-12
     assert percentile(list(range(1, 9)), 75) == 6.25
-    u = SparseVector.from_mapping({0: 1.0, 1: 1.0})
-    v = SparseVector.from_mapping({0: 1.0})
-    assert abs(cosine(u, v) - 1 / np.sqrt(2)) < 1e-12
+    assert abs(cosine(np.array([1.0, 1.0]), np.array([1.0, 0.0])) - 1 / np.sqrt(2)) < 1e-12
 
     rng = np.random.default_rng(0)
     for _ in range(200):

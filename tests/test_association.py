@@ -200,3 +200,9 @@ def test_column_thresholds_equal_the_scalar_percentile(seed, rows, p):
         assert per_topic[topic_id].rsd_threshold == percentile(rsd.tolist(), p)
         assert pooled[topic_id].sim_threshold == percentile(sims.ravel().tolist(), p)
         assert per_topic[topic_id] == associate(topic_id, sims[:, column], rsd, p)
+
+
+def test_unknown_sim_scope_is_refused():
+    sims = np.array([[0.1, 0.2], [0.3, 0.4]])
+    with pytest.raises(InputError, match="similarity scope 'globl'"):
+        compute_associations(sims, np.array([0.5, 1.0]), ["a", "b"], 75.0, "globl")

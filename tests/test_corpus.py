@@ -85,25 +85,6 @@ class TestLoadCorpus:
         with pytest.raises(InputError, match="not found"):
             load_corpus(tmp_path / "nope.jsonl")
 
-    def test_custom_schema_field_names(self, tmp_path):
-        from salience.corpus import CorpusSchema
-
-        path = corpus_file(
-            tmp_path,
-            [{"uid": "a", "published": "05/01/2017", "headline": "Top", "body": "words"}],
-        )
-        schema = CorpusSchema(
-            id_field="uid",
-            date_field="published",
-            title_field="headline",
-            text_field="body",
-            date_format="%m/%d/%Y",
-        )
-        docs = load_corpus(path, schema)
-        assert docs[0].id == "a"
-        assert docs[0].date == day(2017, 5, 1)
-        assert docs[0].title == "Top" and docs[0].text == "words"
-
 
 _GOOD = {"id": "ok", "date": "2017-01-01", "text": "fine"}
 

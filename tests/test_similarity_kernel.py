@@ -43,11 +43,9 @@ def _intern(contexts):
     return list(ids), start, np.array([i for row in rows for i in row], dtype=np.int64)
 
 
-def _kernel(framework, space, vectors, contexts):
+def _kernel(space, vectors, contexts):
     sentences, start, sids = _intern(contexts)
-    return batch_similarities(
-        space, vectors, framework.topic_ids(), *intern_sentences(sentences), start, sids
-    )
+    return batch_similarities(space, vectors, *intern_sentences(sentences), start, sids)
 
 
 def _sentence_pool(framework, rng, lexicon=None, size=200):
@@ -81,7 +79,7 @@ class TestAgreesWithScalarOracle:
         space, vectors = build_vector_space(fw)
         rng = random.Random(0)
         contexts = _random_contexts(_sentence_pool(fw, rng), rng)
-        got = _kernel(fw, space, vectors, contexts)
+        got = _kernel(space, vectors, contexts)
         assert np.abs(got - _oracle(fw, space, vectors, contexts)).max() <= TOLERANCE
 
     def test_lexicon_expanded_space(self):
@@ -97,13 +95,13 @@ class TestAgreesWithScalarOracle:
         rng = random.Random(1)
         contexts = _random_contexts(_sentence_pool(fw, rng, lexicon), rng)
         contexts.append(["a plebiscite in the souk", "Legion armed forces"])
-        got = _kernel(fw, space, vectors, contexts)
+        got = _kernel(space, vectors, contexts)
         assert np.abs(got - _oracle(fw, space, vectors, contexts)).max() <= TOLERANCE
 
     def test_contexts_without_vocabulary_score_zero(self, quadrant_framework):
         space, vectors = build_vector_space(quadrant_framework)
         contexts = [["totally unrelated words"], ["harbor freight"], ["none here", "nor here"]]
-        got = _kernel(quadrant_framework, space, vectors, contexts)
+        got = _kernel(space, vectors, contexts)
         assert got[0].tolist() == [0.0] * 4 and got[2].tolist() == [0.0] * 4
         assert got[1].max() > 0.0
 
@@ -117,18 +115,18 @@ class TestAgreesWithScalarOracle:
         )
         space, vectors = build_vector_space(fw)
         contexts = [["shared shared"], ["shared alpha", "beta"]]
-        got = _kernel(fw, space, vectors, contexts)
+        got = _kernel(space, vectors, contexts)
         assert got[0].tolist() == [0.0, 0.0]
         assert np.abs(got - _oracle(fw, space, vectors, contexts)).max() <= TOLERANCE
 
     def test_empty_context_list_is_inconsistent(self, quadrant_framework):
         space, vectors = build_vector_space(quadrant_framework)
         with pytest.raises(ConsistencyError):
-            _kernel(quadrant_framework, space, vectors, [["harbor"], []])
+            _kernel(space, vectors, [["harbor"], []])
 
     def test_no_ngrams(self, quadrant_framework):
         space, vectors = build_vector_space(quadrant_framework)
-        assert _kernel(quadrant_framework, space, vectors, []).shape == (0, 4)
+        assert _kernel(space, vectors, []).shape == (0, 4)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -157,7 +155,7 @@ class TestAgreesWithScalarOracle:
             topics=tuple(Topic(id=f"t{i}", definition=" ".join(d)) for i, d in enumerate(definitions)),
         )
         space, vectors = build_vector_space(fw)
-        got = _kernel(fw, space, vectors, contexts)
+        got = _kernel(space, vectors, contexts)
         assert np.abs(got - _oracle(fw, space, vectors, contexts)).max() <= TOLERANCE
 
 
@@ -187,15 +185,15 @@ class TestOrderIndependence:
         pool = _sentence_pool(fw, rng, size=40)
         records = [((f"g{i}", "x"), ctx) for i, ctx in enumerate(_random_contexts(pool, rng, 60))]
         table = _table(records)
-        before = dict(zip(table.keys, compute_similarities(table, fw, space, vectors).tolist()))
+        before = dict(zip(table.keys, compute_similarities(table, space, vectors).tolist()))
 
         shuffled = [(key, rng.sample(ctx, len(ctx))) for key, ctx in records]
         rng.shuffle(shuffled)
         table = _table(shuffled)
-        after = compute_similarities(table, fw, space, vectors).tolist()
+        after = compute_similarities(table, space, vectors).tolist()
         assert dict(zip(table.keys, after)) == before
         # Fed in the shuffled order, the kernel interns sentences in another order.
-        rows = _kernel(fw, space, vectors, [ctx for _, ctx in shuffled])
+        rows = _kernel(space, vectors, [ctx for _, ctx in shuffled])
         assert {key: row for (key, _), row in zip(shuffled, rows.tolist())} == before
 
     def test_block_size_does_not_change_values(self, monkeypatch):
@@ -207,10 +205,10 @@ class TestOrderIndependence:
         # against one block for all.
         budgets = (1, 50, topics._BLOCK_ENTRIES)
         monkeypatch.setattr(topics, "_BLOCK_ENTRIES", 1 << 40)
-        whole = _kernel(fw, space, vectors, contexts)
+        whole = _kernel(space, vectors, contexts)
         for budget in budgets:
             monkeypatch.setattr(topics, "_BLOCK_ENTRIES", budget)
-            assert np.array_equal(_kernel(fw, space, vectors, contexts), whole)
+            assert np.array_equal(_kernel(space, vectors, contexts), whole)
 
     def test_proportional_counts_give_bit_equal_rows(self):
         fw = load_pmesii_ascope()
@@ -218,7 +216,7 @@ class TestOrderIndependence:
         s1 = "the election ballot and the army budget"
         s2 = "Market trade routes near the harbor bridge"
         contexts = [[s1], [s1, s1, s1], [s1, s2], [s2, s1, s2, s1], [s2, s1, s1]]
-        got = _kernel(fw, space, vectors, contexts)
+        got = _kernel(space, vectors, contexts)
         assert got[0].tolist() == got[1].tolist()
         assert got[2].tolist() == got[3].tolist()
         assert got[4].tolist() != got[2].tolist()
@@ -238,7 +236,7 @@ class TestTokenIds:
         ]
         words, _, _ = intern_sentences([s for ctx in contexts for s in ctx])
         assert {"Army", "ARMY", "army"} <= set(words)
-        got = _kernel(fw, space, vectors, contexts)
+        got = _kernel(space, vectors, contexts)
         assert got[0].tolist() == got[1].tolist() == got[2].tolist()
         assert got[3].tolist() == got[4].tolist() != got[0].tolist()
         assert got.max() > 0.0
@@ -261,7 +259,7 @@ class TestTokenIds:
         loaded = load_table_json(path)
         # The build's token rows come from its scan, the loader's from re-tokenizing.
         assert built.sentence_tokens[0] != loaded.sentence_tokens[0]
-        expected = compute_similarities(built, fw, space, vectors)
-        got = compute_similarities(loaded, fw, space, vectors)
+        expected = compute_similarities(built, space, vectors)
+        got = compute_similarities(loaded, space, vectors)
         assert expected.max() > 0.0
         assert got.tobytes() == expected.tobytes()

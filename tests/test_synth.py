@@ -12,7 +12,6 @@ from salience.synth import (
     corpus_to_jsonl,
     generate_corpus,
     load_synth_spec,
-    oracle_count,
     oracle_count_many,
     spec_from_dict,
 )
@@ -158,14 +157,14 @@ class TestOracle:
             encoding="utf-8",
         )
         binning = build_binning(load_corpus(docs_path))
-        assert oracle_count(docs_path, ["a", "b"], binning) == [1]
+        assert oracle_count_many(docs_path, [["a", "b"]], binning)["a b"] == [1]
 
     def test_absent_ngram_is_all_zero(self):
         lines = [json.dumps({"id": "d0", "date": "2017-01-05", "text": "a b c"})]
         from salience.corpus import Document
 
         binning = build_binning([Document("d0", dt.date(2017, 1, 5), "a b c")])
-        assert oracle_count(lines, ["x", "y"], binning) == [0]
+        assert oracle_count_many(lines, [["x", "y"]], binning)["x y"] == [0]
 
     def test_title_prepending_matches_engine_convention(self):
         lines = [
@@ -176,10 +175,12 @@ class TestOracle:
         from salience.corpus import Document
 
         binning = build_binning([Document("d0", dt.date(2017, 1, 5), "a b")])
-        assert oracle_count(lines, ["top", "story"], binning) == [1]
-        assert oracle_count(lines, ["top", "story"], binning, include_titles=False) == [0]
+        assert oracle_count_many(lines, [["top", "story"]], binning)["top story"] == [1]
+        assert oracle_count_many(lines, [["top", "story"]], binning, include_titles=False)[
+            "top story"
+        ] == [0]
         # No window across the title/body sentence break either.
-        assert oracle_count(lines, ["story", "a"], binning) == [0]
+        assert oracle_count_many(lines, [["story", "a"]], binning)["story a"] == [0]
 
     def test_oracle_matches_generator_truth(self):
         spec = small_spec(seed=13, events=[one_event(intensity=0.6)])
@@ -187,7 +188,8 @@ class TestOracle:
         lines = corpus_to_jsonl(docs).splitlines()
         binning = build_binning(docs, "month")
         for ngram_text, expected in truth["ngrams"].items():
-            assert oracle_count(lines, ngram_text.split(" "), binning) == expected
+            got = oracle_count_many(lines, [ngram_text.split(" ")], binning)[ngram_text]
+            assert got == expected
 
     def test_oracle_matches_engine_on_full_vocabulary(self):
         spec = small_spec(seed=21, events=[one_event()])

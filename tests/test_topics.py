@@ -1,12 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from salience.errors import ConsistencyError, InputError
 from salience.topics import (
-    SparseVector,
     Topic,
     TopicFramework,
     VectorSpace,
@@ -142,9 +142,20 @@ class TestVectorSpace:
         )
         space, vectors = build_vector_space(TopicFramework(name="fw", topics=topics))
         assert space.idf["shared"] == 0.0
-        shared_idx = space.term_index["shared"]
-        for vec in vectors.values():
-            assert shared_idx not in vec.indices
+        assert vectors[:, space.term_index["shared"]].tolist() == [0.0] * 3
+
+    def test_topic_rows_follow_framework_order(self):
+        fw = TopicFramework(
+            name="fw",
+            topics=(
+                Topic(id="z", definition="zebra"),
+                Topic(id="a", definition="aardvark"),
+            ),
+        )
+        space, vectors = build_vector_space(fw)
+        assert space.vocabulary == ("aardvark", "zebra")
+        assert vectors.shape == (2, 2)
+        assert vectors.tolist() == [[0.0, math.log(2)], [math.log(2), 0.0]]
 
     def test_topic_weights_are_tf_times_idf(self):
         fw = TopicFramework(
@@ -157,10 +168,10 @@ class TestVectorSpace:
         space, vectors = build_vector_space(fw)
         # df(vote)=1 -> idf=ln2; df(poll)=2 -> idf=0, so only "vote" survives.
         assert space.idf["vote"] == pytest.approx(math.log(2))
-        assert vectors["a"].to_mapping() == {
-            space.term_index["vote"]: pytest.approx(2 * math.log(2))
-        }
-        assert len(vectors["b"]) == 0
+        vote = space.term_index["vote"]
+        assert vectors[0, vote] == pytest.approx(2 * math.log(2))
+        assert np.count_nonzero(vectors[0]) == 1
+        assert not vectors[1].any()
 
     def test_idf_monotone_in_document_frequency(self):
         topics = tuple(
@@ -173,62 +184,54 @@ class TestVectorSpace:
 
 class TestContextVectors:
     def setup_method(self):
-        self.space = VectorSpace(
-            vocabulary=("poll", "vote"), idf={"poll": 2.0, "vote": 1.0}, doc_count=2
-        )
+        self.space = VectorSpace(vocabulary=("poll", "vote"), idf={"poll": 2.0, "vote": 1.0})
 
     def test_tf_times_idf(self):
-        vec = context_vector(self.space, "vote vote poll")
-        assert vec.to_mapping() == {0: 2.0, 1: 2.0}
+        assert context_vector(self.space, "vote vote poll").tolist() == [2.0, 2.0]
 
     def test_repeated_term(self):
-        assert context_vector(self.space, "poll poll").to_mapping() == {0: 4.0}
+        assert context_vector(self.space, "poll poll").tolist() == [4.0, 0.0]
 
     def test_out_of_vocabulary_dropped(self):
-        assert len(context_vector(self.space, "entirely novel words")) == 0
+        assert context_vector(self.space, "entirely novel words").tolist() == [0.0, 0.0]
 
     def test_lowercasing(self):
-        assert context_vector(self.space, "Poll VOTE").to_mapping() == {0: 2.0, 1: 1.0}
+        assert context_vector(self.space, "Poll VOTE").tolist() == [2.0, 1.0]
 
 
 class TestNgramVector:
     def test_mean_of_one_is_itself(self):
-        space = VectorSpace(vocabulary=("a",), idf={"a": 1.0}, doc_count=2)
-        assert ngram_vector(space, ["a a"]).to_mapping() == {0: 2.0}
+        space = VectorSpace(vocabulary=("a",), idf={"a": 1.0})
+        assert ngram_vector(space, ["a a"]).tolist() == [2.0]
 
     def test_componentwise_mean_with_missing_terms(self):
-        space = VectorSpace(vocabulary=("a", "b"), idf={"a": 1.0, "b": 1.0}, doc_count=2)
-        vec = ngram_vector(space, ["a a", "b b b b"])
-        assert vec.to_mapping() == {0: 1.0, 1: 2.0}
+        space = VectorSpace(vocabulary=("a", "b"), idf={"a": 1.0, "b": 1.0})
+        assert ngram_vector(space, ["a a", "b b b b"]).tolist() == [1.0, 2.0]
 
     def test_all_zero_contexts_give_zero_vector(self):
-        space = VectorSpace(vocabulary=("a",), idf={"a": 1.0}, doc_count=2)
-        assert len(ngram_vector(space, ["nothing known", "still nothing"])) == 0
+        space = VectorSpace(vocabulary=("a",), idf={"a": 1.0})
+        assert ngram_vector(space, ["nothing known", "still nothing"]).tolist() == [0.0]
 
     def test_empty_context_list_is_inconsistent(self):
-        space = VectorSpace(vocabulary=("a",), idf={"a": 1.0}, doc_count=2)
+        space = VectorSpace(vocabulary=("a",), idf={"a": 1.0})
         with pytest.raises(ConsistencyError):
             ngram_vector(space, [])
 
 
 class TestCosine:
     def test_identity(self):
-        u = SparseVector.from_mapping({0: 1.0, 1: 1.0})
+        u = np.array([1.0, 1.0])
         assert cosine(u, u) == pytest.approx(1.0, abs=1e-12)
 
     def test_disjoint_supports(self):
-        u = SparseVector.from_mapping({0: 1.0})
-        v = SparseVector.from_mapping({1: 1.0})
-        assert cosine(u, v) == 0.0
+        assert cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
 
     def test_partial_overlap(self):
-        u = SparseVector.from_mapping({0: 1.0, 1: 1.0})
-        v = SparseVector.from_mapping({0: 1.0})
+        u, v = np.array([1.0, 1.0]), np.array([1.0, 0.0])
         assert cosine(u, v) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
 
     def test_zero_norm_guard(self):
-        zero = SparseVector.from_mapping({})
-        u = SparseVector.from_mapping({0: 1.0})
+        zero, u = np.zeros(2), np.array([1.0, 0.0])
         assert cosine(zero, u) == 0.0 and cosine(zero, zero) == 0.0
 
     @settings(max_examples=50)
@@ -238,8 +241,9 @@ class TestCosine:
         st.floats(min_value=0.01, max_value=100.0),
     )
     def test_scale_invariance(self, a, b, factor):
-        u, v = SparseVector.from_mapping(a), SparseVector.from_mapping(b)
-        assert cosine(u.scale(factor), v) == pytest.approx(cosine(u, v), abs=1e-9)
+        u, v = np.zeros(9), np.zeros(9)
+        u[list(a)], v[list(b)] = list(a.values()), list(b.values())
+        assert cosine(u * factor, v) == pytest.approx(cosine(u, v), abs=1e-9)
 
 
 class TestSimilarityMatrix:
@@ -268,10 +272,8 @@ class TestSimilarityMatrix:
     def test_topic_self_similarity_is_one_across_the_asset(self):
         fw = load_pmesii_ascope()
         space, vectors = build_vector_space(fw)
-        for topic in fw.topics:
-            assert cosine(vectors[topic.id], vectors[topic.id]) == pytest.approx(
-                1.0, abs=1e-12
-            )
+        for row in vectors:
+            assert cosine(row, row) == pytest.approx(1.0, abs=1e-12)
 
     def test_ground_truth_contexts_discriminate(self, quadrant_framework):
         space, vectors = build_vector_space(quadrant_framework)
