@@ -6,6 +6,14 @@ Tokens are maximal runs of Unicode letters/digits; every punctuation mark
 case-sensitive. Sentences split after '.', '!' or '?' followed by
 whitespace, and at blank lines; n-gram windows never cross sentences.
 
+One path tokenizes all text, ASCII or not: `str.translate` folds it through
+`_FOLD`, which keeps each code point that `str.isalnum()` accepts (exactly
+the regex word characters other than the underscore) and turns every other
+one into a space, and `str.split()` cuts the folded text into tokens. No
+alphanumeric code point is whitespace, so the tokens are the maximal
+alphanumeric runs. A text is folded once; each sentence's tokens are the
+split of its slice of the fold.
+
 The n-gram table is counted over interned ids: one Python pass over the
 documents turns each token and each distinct sentence into a dense id, held
 in int32 arrays, and numpy groups the n-gram instances by sorting their rows
@@ -34,7 +42,7 @@ import re
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -44,8 +52,33 @@ from .errors import ConsistencyError, InputError
 # A token key: n surfaces in order, case preserved.
 NgramKey = tuple[str, ...]
 
-_WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
-_BOUNDARY_RE = re.compile(r"(?<=[.!?])\s+|\n\s*\n")
+# A sentence boundary: a mark and the whitespace after it, or a blank line.
+# The pattern starts on a character class, so the regex engine scans ahead
+# for its first character; the mark itself stays in its sentence.
+_BOUNDARY_RE = re.compile(r"[.!?]\s+|\n\s*\n")
+
+
+class _Fold(dict):
+    """The str.translate table of the tokenizer, filled as code points are
+    met: an alphanumeric code point maps to itself, any other to a space."""
+
+    def __missing__(self, cp: int) -> int:
+        self[cp] = folded = cp if chr(cp).isalnum() else 32
+        return folded
+
+
+_FOLD = _Fold()
+
+
+def _sentence_spans(text: str) -> Iterator[tuple[int, int]]:
+    """The (start, end) of each chunk of text between sentence boundaries."""
+    start = 0
+    for boundary in _BOUNDARY_RE.finditer(text):
+        # A boundary's first character, a mark or a line break, ends the
+        # sentence; a sentence is stripped, so a trailing break is dropped.
+        yield start, boundary.start() + 1
+        start = boundary.end()
+    yield start, len(text)
 
 
 def sentences_with_tokens(text: str) -> list[tuple[str, list[str]]]:
@@ -54,13 +87,12 @@ def sentences_with_tokens(text: str) -> list[tuple[str, list[str]]]:
     Returns (raw sentence, tokens) pairs; chunks that yield no tokens are
     dropped so every returned sentence can host n-gram instances.
     """
+    folded = text.translate(_FOLD)
     out: list[tuple[str, list[str]]] = []
-    for chunk in _BOUNDARY_RE.split(text):
-        if not chunk:
-            continue
-        tokens = _WORD_RE.findall(chunk)
+    for start, end in _sentence_spans(text):
+        tokens = folded[start:end].split()
         if tokens:
-            out.append((chunk.strip(), tokens))
+            out.append((text[start:end].strip(), tokens))
     return out
 
 
@@ -128,7 +160,7 @@ def intern_sentences(sentences: Sequence[str]) -> tuple[list[str], np.ndarray, n
     ids: list[int] = []
     starts = [0]
     for sentence in sentences:
-        ids += map(word_id, _WORD_RE.findall(sentence))
+        ids += map(word_id, sentence.translate(_FOLD).split())
         starts.append(len(ids))
     return list(token_ids), np.array(starts, dtype=np.int64), np.array(ids, dtype=np.int32)
 

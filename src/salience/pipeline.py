@@ -33,7 +33,9 @@ The loaders return the same arrays, so `analyze` and the stage subcommands
 share one representation. The CSV and table writers render straight from
 the arrays, a block of at most _BLOCK_CELLS cells at a time, so what a
 writer holds does not grow with the table; their bytes are those of
-csv.writer and of one compact json.dumps of the whole payload.
+csv.writer and of one compact json.dumps of the whole payload. The
+associations and matrix writers fill line templates, one topic or one bin
+at a time, with the bytes of json.dumps(payload, indent=2).
 
 All exports are deterministic: rows follow sorted n-gram order and
 framework topic order, floats are rendered as shortest round-trip decimals
@@ -217,10 +219,29 @@ def _read_csv(path: Path, what: str, stage: str):
             raise InputError(f"{path}: line {reader.line_num}: {exc}") from exc
 
 
-def _write_json(path: Path, payload, *, sort_keys: bool = False) -> None:
-    with path.open("w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=sort_keys)
-        fh.write("\n")
+# json.dumps spells the floats that have no decimal form so.
+_JSON_SPECIALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_floats(values: list[float]) -> list[str]:
+    """Floats as json.dumps spells them: their repr, or NaN, Infinity and
+    -Infinity."""
+    return [_JSON_SPECIALS.get(text, text) for text in map(float.__repr__, values)]
+
+
+def _json_block(brackets: str, items: list[str], indent: str) -> str:
+    """A list or object laid out as json.dumps(indent=2) lays it out, from
+    its rendered items; `brackets` is "[]" or "{}" and `indent` the indent
+    of the line the block opens on."""
+    if not items:
+        return brackets
+    inner = "\n" + indent + "  "
+    return f"{brackets[0]}{inner}{(',' + inner).join(items)}\n{indent}{brackets[1]}"
+
+
+def _json_strings(texts) -> str:
+    """A list of strings as a field of a top-level JSON object."""
+    return _json_block("[]", list(map(encode_basestring_ascii, texts)), "  ")
 
 
 def _load_json(path: Path, what: str, stage: str, **options):
@@ -475,19 +496,31 @@ def write_associations_json(
 ) -> None:
     """Each topic's thresholds and members, with each member's n-gram,
     similarity and variability. `associations` lists the topics in the
-    column order of `sims`."""
-    payload = {}
+    column order of `sims`.
+
+    The bytes are those of json.dumps(payload, indent=2) and a newline,
+    rendered by line templates: topic ids and n-grams go through the
+    encoder's ASCII escaper, floats are spelled as json spells them.
+    """
+    topics = []
     for column, (topic_id, assoc) in enumerate(associations.items()):
         rows = list(assoc.members)
-        payload[topic_id] = {
-            "sim_threshold": assoc.sim_threshold,
-            "rsd_threshold": assoc.rsd_threshold,
-            "members": [
-                {"ngram": render_ngram(keys[row]), "similarity": sim, "rsd": var}
-                for row, sim, var in zip(rows, sims[rows, column].tolist(), rsd[rows].tolist())
-            ],
-        }
-    _write_json(path, payload)
+        names = map(encode_basestring_ascii, map(render_ngram, map(keys.__getitem__, rows)))
+        sim_texts = _json_floats(sims[rows, column].tolist())
+        rsd_texts = _json_floats(rsd[rows].tolist())
+        members = [
+            f'{{\n        "ngram": {name},\n        "similarity": {sim},\n'
+            f'        "rsd": {var}\n      }}'
+            for name, sim, var in zip(names, sim_texts, rsd_texts)
+        ]
+        sim_threshold, rsd_threshold = _json_floats([assoc.sim_threshold, assoc.rsd_threshold])
+        topics.append(
+            f'{encode_basestring_ascii(topic_id)}: {{\n    "sim_threshold": {sim_threshold},\n'
+            f'    "rsd_threshold": {rsd_threshold},\n'
+            f'    "members": {_json_block("[]", members, "    ")}\n  }}'
+        )
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write(_json_block("{}", topics, "") + "\n")
 
 
 def load_associations_json(path: Path, keys: list[NgramKey]) -> dict[str, TopicAssociation]:
@@ -495,6 +528,8 @@ def load_associations_json(path: Path, keys: list[NgramKey]) -> dict[str, TopicA
     indices into `keys`, the n-grams of the usage trends. A member outside
     `keys` is a ConsistencyError."""
     payload = _load_json(path, "associations", "associate")
+    if not isinstance(payload, dict):
+        raise InputError(f"{path}: associations must be a JSON object of topics")
     row_of = {render_ngram(key): row for row, key in enumerate(keys)}
     out: dict[str, TopicAssociation] = {}
     try:
@@ -550,32 +585,62 @@ def load_trend_csv(path: Path) -> tuple[dict[str, list[float]], list[str]]:
 
 
 def write_matrix_json(path: Path, matrix) -> None:
+    """One bin's salience matrix: its bin label, the framework's grid labels
+    and the values row by row over the grid or, for a framework without a
+    grid, null labels, the topic ids and one row of values in topic order.
+
+    The bytes are those of json.dumps(payload, indent=2) and a newline,
+    rendered as `write_associations_json` renders them.
+    """
     framework: TopicFramework = matrix.framework
+    fields = {"bin": encode_basestring_ascii(matrix.bin_label)}
     if framework.has_grid:
-        payload = {
-            "bin": matrix.bin_label,
-            "rows": list(framework.rows),
-            "columns": list(framework.columns),
-            "values": matrix.grid(),
-        }
+        fields["rows"] = _json_strings(framework.rows)
+        fields["columns"] = _json_strings(framework.columns)
+        values = matrix.grid()
     else:
-        # No declared grid: one row holding the flat framework-order values.
-        payload = {
-            "bin": matrix.bin_label,
-            "rows": None,
-            "columns": None,
-            "topics": framework.topic_ids(),
-            "values": [list(matrix.values)],
-        }
-    _write_json(path, payload)
+        fields["rows"] = fields["columns"] = "null"
+        fields["topics"] = _json_strings(framework.topic_ids())
+        values = [list(matrix.values)]
+    fields["values"] = _json_block(
+        "[]", [_json_block("[]", _json_floats(row), "    ") for row in values], "  "
+    )
+    lines = [f'"{name}": {text}' for name, text in fields.items()]
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write(_json_block("{}", lines, "") + "\n")
 
 
 def load_matrix_json(path: Path) -> dict:
-    """A salience matrix that `write_matrix_json` wrote, as its payload."""
+    """A salience matrix that `write_matrix_json` wrote, as its payload.
+    Refuses labels that are not lists of strings, and values that are not
+    one row of numbers per grid row, one per grid column, or, without a
+    grid, one row of numbers, one per topic."""
     payload = _load_json(path, "salience matrix", "salience")
     if not isinstance(payload, dict) or not {"bin", "rows", "columns", "values"} <= payload.keys():
         raise InputError(f"{path}: bad salience matrix payload")
+    rows, columns = payload["rows"], payload["columns"]
+    if rows is None and columns is None:
+        # No grid: one row of values, one per topic.
+        topics = payload.get("topics")
+        shape = (1, len(topics)) if _is_strings(topics) else None
+    else:
+        shape = (len(rows), len(columns)) if _is_strings(rows) and _is_strings(columns) else None
+    if shape is None:
+        raise InputError(f"{path}: matrix rows, columns and topics must be lists of strings")
+    height, width = shape
+    values = payload["values"]
+    if not (
+        isinstance(values, list)
+        and len(values) == height
+        and all(isinstance(row, list) and len(row) == width for row in values)
+        and all(type(v) in (int, float) for row in values for v in row)
+    ):
+        raise InputError(f"{path}: matrix values must be {height} rows of {width} numbers")
     return payload
+
+
+def _is_strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
 # --- pipeline stages --------------------------------------------------------
@@ -846,7 +911,9 @@ def run_analyze(config: RunConfig) -> dict:
                 },
                 "timings": run.timings,
             }
-            _write_json(out_dir / "manifest.json", manifest, sort_keys=True)
+            with (out_dir / "manifest.json").open("w", encoding="utf-8") as fh:
+                json.dump(manifest, fh, indent=2, sort_keys=True)
+                fh.write("\n")
     except BaseException:
         run.cleanup()
         (out_dir / "manifest.json").unlink(missing_ok=True)

@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 import tempfile
 from collections import defaultdict
 from pathlib import Path
@@ -20,6 +21,7 @@ from salience.corpus import (
 from salience import pipeline
 from salience.errors import ConsistencyError, InputError
 from salience.ngrams import (
+    _Fold,
     build_ngram_table,
     intern_sentences,
     relative_usage_trend,
@@ -155,6 +157,37 @@ class TestTokenize:
         pairs = sentences_with_tokens("The runoff election was held. Next one.")
         assert pairs[0][0] == "The runoff election was held."
         assert pairs[0][1] == ["The", "runoff", "election", "was", "held"]
+
+
+# The characters the tokenizer must tell apart: sentence marks, ASCII and
+# Unicode whitespace (\x1c and \x85 are whitespace to the regex and to
+# str.split), '_' (a word character but not a token one), numerics that are
+# not decimal digits, a combining mark and a lone surrogate.
+_BOUNDARY_ALPHABET = [
+    "a", "B", "é", "7", ".", "!", "?", "\n", "\r", "\t", "\x0b", "\x1c", "\x85", "\xa0",
+    " ", "\u3000", "_", "²", "Ⅻ", "٣", "\u0301", "\ud800",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_BOUNDARY_ALPHABET), max_size=40).map("".join))
+@example("a.\n\nb!\x85c ?d_e\u3000²\u0301.")
+def test_tokenizer_equals_the_regex_oracle(text):
+    assert sentences_with_tokens(text) == oracle_sentences_with_tokens(text)
+    assert _decoded(intern_sentences([text])) == [_ORACLE_WORD_RE.findall(text)]
+
+
+def test_fold_keeps_exactly_the_oracle_word_characters():
+    # Every code point, lone surrogates included: the fold keeps each one
+    # the oracle's regex matches and turns every other into a space.
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    pieces, at = [], 0
+    for match in _ORACLE_WORD_RE.finditer(every):
+        pieces += [" " * (match.start() - at), match.group()]
+        at = match.end()
+    pieces.append(" " * (len(every) - at))
+    # A table of its own: the module's would keep every code point.
+    assert every.translate(_Fold()) == "".join(pieces)
 
 
 class TestExtractNgrams:

@@ -17,6 +17,8 @@ from salience.errors import InputError
 from salience.ngrams import build_ngram_table, render_ngram
 from salience.pipeline import (
     RunConfig,
+    load_associations_json,
+    load_matrix_json,
     load_ngram_trends_csv,
     load_similarity_csv,
     load_table_json,
@@ -396,6 +398,34 @@ class TestCli:
         assert f"error: render: {matrix}: malformed JSON" in capsys.readouterr().err
         assert not (out / "render").exists()
 
+    def test_non_object_associations_exit_one(self, workspace, tmp_path, capsys):
+        _, corpus, framework = workspace
+        out = tmp_path / "out"
+        run_analyze(RunConfig(corpus=corpus, framework=framework, out_dir=out, min_total=1))
+        associations = out / "associations.json"
+        associations.write_text("[]", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["salience", "--in", str(out), "--framework", str(framework)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: salience: {associations}: associations must be")
+
+    def test_render_matrix_of_wrong_shape_exits_one(self, workspace, tmp_path, capsys):
+        from salience.topics import load_pmesii_ascope
+
+        _, corpus, _ = workspace
+        grid_fw = framework_file(tmp_path, load_pmesii_ascope(), name="pmesii.json")
+        out = tmp_path / "out"
+        run_analyze(RunConfig(corpus=corpus, framework=grid_fw, out_dir=out, min_total=1))
+        matrix = out / "matrices" / "2016-01.json"
+        payload = json.loads(matrix.read_text(encoding="utf-8"))
+        matrix.write_text(json.dumps({**payload, "values": 5}), encoding="utf-8")
+        capsys.readouterr()
+        args = ["render", "--in", str(out), "--topics", "political_events", "--bin", "2016-01"]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: render: {matrix}: matrix values must be 6 rows of 6 ")
+        assert not (out / "render").exists()
+
     def test_render_bug_exits_two_and_removes_partial_output(
         self, workspace, tmp_path, monkeypatch, capsys
     ):
@@ -643,6 +673,57 @@ def test_trend_loader_refuses_repeated_topic(tmp_path):
     path.write_text("topic_id,2016-01\nt1,0.0\nt2,0.5\nt1,1.0\n", encoding="utf-8")
     with pytest.raises(InputError, match=r"salience\.csv: line 4: topic 't1' repeats"):
         load_trend_csv(path)
+
+
+@pytest.mark.parametrize("text", ["[]", '"topics"', "5", "null"])
+def test_associations_loader_refuses_a_non_object(tmp_path, text):
+    path = tmp_path / "associations.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(InputError, match=re.escape(f"{path}: associations must be")):
+        load_associations_json(path, [("a", "b")])
+
+
+_GRID_MATRIX = {"bin": "b", "rows": ["r1", "r2"], "columns": ["c1"], "values": [[0.5], [-1]]}
+_FLAT_MATRIX = {
+    "bin": "b",
+    "rows": None,
+    "columns": None,
+    "topics": ["t1", "t2"],
+    "values": [[0.5, 1e300]],
+}
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        pytest.param({**_GRID_MATRIX, "values": 5}, id="grid-number"),
+        pytest.param({**_GRID_MATRIX, "values": [[0.5]]}, id="grid-row-missing"),
+        pytest.param({**_GRID_MATRIX, "values": [[0.5], [1, 2]]}, id="grid-row-long"),
+        pytest.param({**_GRID_MATRIX, "values": [[0.5], []]}, id="grid-row-short"),
+        pytest.param({**_GRID_MATRIX, "values": [[0.5], "x"]}, id="grid-row-string"),
+        pytest.param({**_GRID_MATRIX, "values": [[0.5], ["1"]]}, id="grid-cell-string"),
+        pytest.param({**_GRID_MATRIX, "values": [[0.5], [True]]}, id="grid-cell-bool"),
+        pytest.param({**_GRID_MATRIX, "rows": "r1"}, id="grid-rows-string"),
+        pytest.param({**_GRID_MATRIX, "columns": None}, id="grid-columns-missing"),
+        pytest.param({**_FLAT_MATRIX, "values": [0.5, 1.0]}, id="flat-not-nested"),
+        pytest.param({**_FLAT_MATRIX, "values": [[0.5]]}, id="flat-row-short"),
+        pytest.param({**_FLAT_MATRIX, "values": [[0.5, 1.0]] * 2}, id="flat-two-rows"),
+        pytest.param({**_FLAT_MATRIX, "values": [[0.5, None]]}, id="flat-cell-null"),
+        pytest.param({**_FLAT_MATRIX, "topics": None}, id="flat-topics-missing"),
+    ],
+)
+def test_matrix_loader_refuses_values_off_the_declared_shape(tmp_path, payload):
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(InputError, match=re.escape(f"{path}: matrix ")):
+        load_matrix_json(path)
+
+
+@pytest.mark.parametrize("payload", [_GRID_MATRIX, _FLAT_MATRIX])
+def test_matrix_loader_reads_both_layouts(tmp_path, payload):
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert load_matrix_json(path) == payload
 
 
 @pytest.mark.parametrize(

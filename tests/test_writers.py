@@ -1,9 +1,11 @@
 """The artifact writers against the standard library's encoders, and their
 memory use against the height of the table they write.
 
-The writers render from arrays a bounded block of cells at a time; each file
-must still be byte for byte what csv.writer or one compact json.dumps of the
-whole payload writes, whatever the budget of cells per block."""
+The CSV and table writers render from arrays a bounded block of cells at a
+time; each file must still be byte for byte what csv.writer or one compact
+json.dumps of the whole payload writes, whatever the budget of cells per
+block. The associations and matrix writers render by line templates; each
+file must be what json.dumps(payload, indent=2) and a newline write."""
 
 import csv
 import datetime as dt
@@ -20,8 +22,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from salience import pipeline
+from salience.association import TopicAssociation
 from salience.corpus import TimeBinning
 from salience.ngrams import NgramTable, render_ngram
+from salience.salience import salience_matrix
+from salience.topics import Topic, TopicFramework
 
 DEFAULT_BUDGET = pipeline._BLOCK_CELLS
 # One cell per block, a small odd budget, and the module's own.
@@ -42,6 +47,8 @@ SPECIAL_FLOATS = [
 # patterns included.
 floats = st.sampled_from(SPECIAL_FLOATS) | st.floats()
 names = st.lists(st.text(max_size=6), min_size=1, max_size=5)
+# Labels for the JSON writers: any text, and text the encoder must escape.
+labels = st.text(max_size=6) | st.sampled_from(['"', 'q"\\', "é", "\u2028", "\x00", "\ud800"])
 words = st.sampled_from(["a", "b", "ab", "2017", "é", "Ünï", "z9"])
 
 
@@ -202,6 +209,96 @@ def test_similarity_csv_matches_csv_writer(budget, case):
 def test_trend_csv_is_csv_writer_output(budget, case):
     written = _written(budget, pipeline.write_trend_csv, *case)
     assert written == _trend_reference(*case)
+
+
+@st.composite
+def association_cases(draw):
+    """Inputs of write_associations_json: no topics or some, each with
+    members drawn from the rows in any order, or none."""
+    rows = draw(st.integers(1, 6))
+    keys = _keys(draw, rows)
+    topic_ids = draw(st.lists(labels, max_size=4, unique=True))
+    sims = _float_array(draw, rows, len(topic_ids))
+    rsd = _float_array(draw, rows, 1)[:, 0]
+    members = st.lists(st.integers(0, rows - 1), max_size=rows, unique=True).map(tuple)
+    associations = {
+        topic_id: TopicAssociation(topic_id, draw(members), draw(floats), draw(floats))
+        for topic_id in topic_ids
+    }
+    return associations, keys, sims, rsd
+
+
+def _associations_reference(associations, keys, sims, rsd) -> bytes:
+    payload = {
+        topic_id: {
+            "sim_threshold": assoc.sim_threshold,
+            "rsd_threshold": assoc.rsd_threshold,
+            "members": [
+                {
+                    "ngram": render_ngram(keys[row]),
+                    "similarity": sims[row, column].item(),
+                    "rsd": rsd[row].item(),
+                }
+                for row in assoc.members
+            ],
+        }
+        for column, (topic_id, assoc) in enumerate(associations.items())
+    }
+    return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+
+
+@st.composite
+def matrices(draw):
+    """One bin's salience matrix over a framework with a grid or without."""
+    if draw(st.booleans()):
+        grid = [draw(st.lists(labels, min_size=1, max_size=3, unique=True)) for _ in "rc"]
+        cells = draw(st.permutations([(r, c) for r in grid[0] for c in grid[1]]))
+    else:
+        grid = [None, None]
+        cells = [(None, None)] * draw(st.integers(1, 5))
+    ids = st.lists(labels.filter(bool), min_size=len(cells), max_size=len(cells), unique=True)
+    topics = [Topic(id=i, definition="d", row=r, column=c) for i, (r, c) in zip(draw(ids), cells)]
+    rows, columns = (tuple(part) if part else None for part in grid)
+    framework = TopicFramework(name="f", topics=tuple(topics), rows=rows, columns=columns)
+    return salience_matrix(framework, _float_array(draw, len(topics), 1), 0, draw(labels))
+
+
+def _matrix_reference(matrix) -> bytes:
+    framework = matrix.framework
+    if framework.has_grid:
+        payload = {
+            "bin": matrix.bin_label,
+            "rows": list(framework.rows),
+            "columns": list(framework.columns),
+            "values": matrix.grid(),
+        }
+    else:
+        payload = {
+            "bin": matrix.bin_label,
+            "rows": None,
+            "columns": None,
+            "topics": framework.topic_ids(),
+            "values": [list(matrix.values)],
+        }
+    return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=association_cases())
+def test_associations_json_is_json_dumps_indent_2(case):
+    written = _written(DEFAULT_BUDGET, pipeline.write_associations_json, *case)
+    assert written == _associations_reference(*case)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrix=matrices())
+def test_matrix_json_is_json_dumps_indent_2(matrix):
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "matrix.json"
+        pipeline.write_matrix_json(path, matrix)
+        assert path.read_bytes() == _matrix_reference(matrix)
+        # What the writer writes, the loader reads.
+        pipeline.load_matrix_json(path)
 
 
 def _wide_cases():
