@@ -16,7 +16,6 @@ import time
 import numpy as np
 
 from salience.association import relative_std_devs
-from salience.corpus import bin_documents, build_binning
 from salience.ngrams import build_ngram_table, usage_matrix
 from salience.pipeline import compute_associations, compute_similarities
 from salience.salience import topic_salience_trend
@@ -81,8 +80,7 @@ def main() -> None:
             ),
         )
         docs, _ = generate_corpus(spec)
-        corpus = bin_documents(docs, build_binning(docs, "month"))
-        table = build_ngram_table(corpus, n=2, min_total=1)
+        table = build_ngram_table(docs, n=2, min_total=1, granularity="month")
         usage = usage_matrix(table)
         sims = compute_similarities(table, space, topics)
         associations = compute_associations(sims, relative_std_devs(usage), topic_ids, 75.0)

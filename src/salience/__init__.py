@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .association import TopicAssociation, associate, percentile, relative_std_devs
 from .corpus import (
-    CorpusStream,
     Document,
     TimeBinnedCorpus,
     TimeBinning,
@@ -18,6 +17,7 @@ from .corpus import (
     bin_documents,
     build_binning,
     load_corpus,
+    read_corpus,
 )
 from .errors import ConsistencyError, InputError, SalienceError
 from .ngrams import (
@@ -70,7 +70,7 @@ __all__ = [
     "Document",
     "TimeBinning",
     "TimeBinnedCorpus",
-    "CorpusStream",
+    "read_corpus",
     "load_corpus",
     "build_binning",
     "bin_documents",

@@ -17,8 +17,9 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .corpus import CorpusStream
+from .corpus import read_corpus
 from .errors import ConsistencyError, InputError
+from .ngrams import build_ngram_table
 from .pipeline import (
     RunConfig,
     check_same_ngrams,
@@ -32,8 +33,8 @@ from .pipeline import (
     run_associate,
     run_salience,
     run_similarity,
-    run_trends,
     stage_run,
+    write_trends,
 )
 from .render import render_grid_svg, render_trend_svg
 from .synth import corpus_to_jsonl, generate_corpus, load_synth_spec
@@ -176,8 +177,9 @@ def _cmd_trends(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     with stage_run(out_dir, "trends") as run:
-        corpus = CorpusStream(Path(args.corpus), args.granularity)
-        table, _ = run_trends(run, corpus, args.n, args.min_count, args.include_titles)
+        options = dict(granularity=args.granularity, include_titles=args.include_titles)
+        table = build_ngram_table(read_corpus(args.corpus), args.n, args.min_count, **options)
+        write_trends(run, table)
     print(f"wrote {len(table.keys)} n-gram trends to {out_dir}")
     return 0
 

@@ -1,10 +1,11 @@
 """Read, validate, and time-bin a corpus of time-stamped documents.
 
 `read_corpus` is the one record reader: it yields validated Documents one
-at a time. `CorpusStream` is the form `analyze` and the trends stage read:
-the file streamed through the n-gram scan in one pass, each document
-dropped once scanned, with the binning derived from the dates seen.
-`load_corpus` and `TimeBinnedCorpus` hold a whole corpus, for library use.
+at a time, so that `analyze` and the trends stage stream the file through
+the n-gram scan and hold no document list. `span_binning` gives the time
+axis spanning two dates; the scan fixes it from the dates it read.
+`load_corpus`, `build_binning`, `bin_documents` and `TimeBinnedCorpus` hold
+a whole corpus, binned: the tests' reference for the scan.
 
 The time axis defined here (contiguous, uniform bins covering the full date
 span, empty bins retained) is shared by every downstream trend computation.
@@ -175,9 +176,7 @@ def build_binning(docs: list[Document], granularity: str = "month") -> TimeBinni
 
 def span_binning(lo: dt.date, hi: dt.date, granularity: str = "month") -> TimeBinning:
     """The binning from the bin holding date lo through the bin holding
-    date hi, empty bins included."""
-    if granularity not in GRANULARITIES:
-        raise InputError(f"unknown granularity {granularity!r}")
+    date hi, empty bins included. TimeBinning refuses an unknown granularity."""
     if granularity == "month":
         origin = dt.date(lo.year, lo.month, 1)
         count = (hi.year * 12 + hi.month) - (lo.year * 12 + lo.month) + 1
@@ -188,32 +187,6 @@ def span_binning(lo: dt.date, hi: dt.date, granularity: str = "month") -> TimeBi
         origin = lo
         count = (hi - lo).days + 1
     return TimeBinning(granularity=granularity, origin=origin, bin_count=count)
-
-
-class CorpusStream:
-    """A JSONL corpus read in one pass, one validated Document at a time, so
-    that no document outlives the step that consumes it.
-
-    Iterating reads the file through `read_corpus`. Once a pass has reached
-    the end of the file, `doc_count` and `binning` describe the documents
-    it read, the binning spanning their dates as `build_binning` would;
-    before that they are None.
-    """
-
-    def __init__(self, path: str | Path, granularity: str = "month"):
-        if granularity not in GRANULARITIES:
-            raise InputError(f"unknown granularity {granularity!r}")
-        self.path, self.granularity = Path(path), granularity
-        self.doc_count: int | None = None
-        self.binning: TimeBinning | None = None
-
-    def __iter__(self) -> Iterator[Document]:
-        count, lo, hi = 0, dt.date.max, dt.date.min
-        for doc in read_corpus(self.path):
-            count += 1
-            lo, hi = min(lo, doc.date), max(hi, doc.date)
-            yield doc
-        self.doc_count, self.binning = count, span_binning(lo, hi, self.granularity)
 
 
 @dataclass(frozen=True)
@@ -227,14 +200,6 @@ class TimeBinnedCorpus:
     binning: TimeBinning
     docs_by_bin: tuple[tuple[str, ...], ...]
     documents: dict[str, Document]
-
-    @property
-    def doc_count(self) -> int:
-        return len(self.documents)
-
-    def __iter__(self) -> Iterator[Document]:
-        """The documents in bin order, input order within bins."""
-        return (doc for _, doc in self.iter_documents())
 
     def iter_documents(self) -> Iterator[tuple[int, Document]]:
         """Yield (bin index, document) in bin order, input order within bins."""

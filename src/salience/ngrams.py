@@ -14,18 +14,18 @@ alphanumeric code point is whitespace, so the tokens are the maximal
 alphanumeric runs. A text is folded once; each sentence's tokens are the
 split of its slice of the fold.
 
-The n-gram table is counted over interned ids: one Python pass over the
-documents turns each token and each distinct sentence into a dense id, held
-in int32 arrays, and numpy groups the n-gram instances by sorting their rows
-of token ids. The pass can read the corpus file as a stream (`CorpusStream`):
-it keeps each document's date and nothing else of it, and bins the
-sentences once the dates have fixed the binning.
-`NgramTable` keeps numpy's arrays, row i for the i-th kept n-gram in sorted
-key order (K n-grams, B bins, N instances): `keys`, (K × B) int32 `counts`,
-and the contexts in CSR form, n-gram i's being entries context_start[i] to
-context_start[i + 1] ((K + 1) int64 starts) of the (N,) int32 arrays
-`context_bins` and `context_sids`, one per instance in bin order, input
-order within a bin.
+The n-gram table is counted over interned ids: one Python pass over any
+iterable of documents (a file streamed by `read_corpus`, or a list) turns
+each token and each distinct sentence into a dense id, held in int32
+arrays, and numpy groups the n-gram instances by sorting their rows of
+token ids. The pass keeps each document's date and nothing else of it, and
+bins the sentences once the dates have fixed the binning. `NgramTable`
+keeps its header (n, min_total, include_titles, binning) and numpy's
+arrays, row i for the i-th kept n-gram in sorted key order (K n-grams, B
+bins, N instances): `keys`, (K × B) int32 `counts`, and the contexts in CSR
+form, n-gram i's being entries context_start[i] to context_start[i + 1]
+((K + 1) int64 starts) of the (N,) int32 arrays `context_bins` and
+`context_sids`, one per instance in bin order, input order within a bin.
 
 The table also carries the tokens of its S sentences in CSR form, for the
 similarity kernel: sentence s's tokens are words[i] for i in
@@ -42,11 +42,11 @@ import re
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .corpus import CorpusStream, TimeBinnedCorpus, analysis_text
+from .corpus import GRANULARITIES, Document, TimeBinning, analysis_text, span_binning
 from .errors import ConsistencyError, InputError
 
 # A token key: n surfaces in order, case preserved.
@@ -99,7 +99,7 @@ def sentences_with_tokens(text: str) -> list[tuple[str, list[str]]]:
 @dataclass(eq=False)
 class NgramTable:
     """The kept n-grams over a binned corpus, as the arrays the module
-    docstring lists.
+    docstring lists, with the scan's options and the corpus's binning.
 
     bin_totals counts every n-gram instance per bin, including instances of
     n-grams later dropped by the min_total filter, so relative usage stays a
@@ -112,6 +112,8 @@ class NgramTable:
 
     n: int
     min_total: int
+    include_titles: bool
+    binning: TimeBinning
     keys: list[NgramKey]
     bin_totals: list[int]
     sentences: list[str]
@@ -181,37 +183,42 @@ def _gather_runs(values: np.ndarray, first: np.ndarray, length: np.ndarray):
 
 
 def build_ngram_table(
-    corpus: TimeBinnedCorpus | CorpusStream,
+    docs: Iterable[Document],
     n: int = 2,
     min_total: int = 1,
     *,
+    granularity: str = "month",
     include_titles: bool = True,
 ) -> NgramTable:
-    """Build the n-gram table over a corpus, in one pass over its documents.
+    """Build the n-gram table over documents, in one pass over them.
 
     The scan interns every token and every distinct sentence as a dense id
     and records, per sentence of at least n tokens, its document, sentence
     id and token count, all in int32 arrays; it keeps each document's date
     and nothing else of it, and creates no object per n-gram or per
-    instance. A `CorpusStream` is read from its file in this pass, in file
-    order. Once the pass has ended the corpus's binning is known: each
-    sentence takes its document's bin and, unless the file was in date
-    order, a stable sort by bin puts the sentences in bin order, file order
-    within a bin, as a `TimeBinnedCorpus` yields them. numpy then groups the instances: each instance is a row of
-    n token ids, the rows are sorted, runs of equal rows are the n-grams,
-    and only the n-grams that reach min_total are kept. Each kept
-    sentence's token row is cut from the scan's ids at its first occurrence.
+    instance. Once the pass has ended the binning is fixed: it spans the
+    earliest and latest dates read, as `build_binning` spans them. Each
+    sentence takes its document's bin and, unless the documents came in
+    date order, a stable sort by bin puts the sentences in bin order, input
+    order within a bin, as `TimeBinnedCorpus.iter_documents` yields them.
+    numpy then groups the instances: each instance is a row of n token
+    ids, the rows are sorted, runs of equal rows are the n-grams, and only
+    the n-grams that reach min_total are kept. Each kept sentence's token
+    row is cut from the scan's ids at its first occurrence. A bad option is
+    refused before the first document is read; no documents, after.
     """
     if n < 1:
         raise InputError("n must be >= 1")
     if min_total < 1:
         raise InputError("min_total must be >= 1")
+    if granularity not in GRANULARITIES:
+        raise InputError(f"unknown granularity {granularity!r}")
 
     token_ids = _DenseIds()
     word_id = token_ids.__getitem__
     sentence_ids: dict[str, int] = {}
     ids, docs_of, sids, lengths, days = (array("i") for _ in range(5))
-    for d, doc in enumerate(corpus):
+    for d, doc in enumerate(docs):
         # A list takes a document's ids faster than the array would.
         doc_ids: list[int] = []
         for raw, tokens in sentences_with_tokens(analysis_text(doc, include_titles)):
@@ -223,11 +230,13 @@ def build_ngram_table(
             lengths.append(len(tokens))
         ids.fromlist(doc_ids)
         days.append(doc.date.toordinal())
+    if not days:
+        raise InputError("no documents to build an n-gram table from")
     texts = list(sentence_ids)
     del sentence_ids
 
-    # Each document's bin, now that the binning is known: one lookup per date.
-    binning = corpus.binning
+    # The binning spans the dates read; one bin lookup per distinct date.
+    binning = span_binning(*map(dt.date.fromordinal, (min(days), max(days))), granularity)
     bin_of = {day: binning.index_of(dt.date.fromordinal(day)) for day in set(days)}
     doc_bins = np.array([bin_of[day] for day in days], dtype=np.int32)
     del days, bin_of
@@ -326,6 +335,8 @@ def build_ngram_table(
     table = NgramTable(
         n=n,
         min_total=min_total,
+        include_titles=include_titles,
+        binning=binning,
         keys=list(zip(*key_columns)),
         bin_totals=bin_totals,
         sentences=sentences,

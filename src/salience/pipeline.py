@@ -1,17 +1,17 @@
 """End-to-end batch pipeline and file-based artifact exchange.
 
-Each stage is one function: `run_trends`, `run_similarity`, `run_associate`
-and `run_salience` take typed inputs, write their artifacts into the output
-directory and return their outputs. `run_analyze` chains them and writes a
-manifest hashing every artifact. The corpus is never held: `analyze` and
-the trends stage stream the JSONL file through the n-gram scan in one pass
-(`CorpusStream`), and the scan keeps only each document's date and the
-ids of its tokens and sentences. In `analyze` that pass is the ingest
-stage; `write_trends` is the rest of the trends stage. A stage subcommand
-loads the artifacts its stage needs (the `load_*` readers invert the
-`write_*` writers) and calls the same function inside `stage_run`, so
-failures name the stage and remove its partial outputs either way; a
-failed subcommand also removes what an earlier run of its stage wrote.
+Each stage is one function: `write_trends` (after the n-gram scan),
+`run_similarity`, `run_associate` and `run_salience` take typed inputs,
+write their artifacts into the output directory and return their outputs.
+`run_analyze` chains them and writes a manifest hashing every artifact. The
+corpus is never held: `analyze` and the trends stage stream the JSONL file
+(`read_corpus`) through the scan, `build_ngram_table`, in one pass, and the
+table it returns carries the binning. In `analyze` that pass is the ingest
+stage. A stage subcommand loads the artifacts its stage needs (the `load_*`
+readers invert the `write_*` writers, and refuse what they cannot have
+written) and calls the same function inside `stage_run`, so failures name
+the stage and remove its partial outputs either way; a failed subcommand
+also removes what an earlier run of its stage wrote.
 `ngram_trends.csv` carries the usage trends to the associate and salience
 stages; `ngram_table.json` carries the contexts to the similarity stage.
 
@@ -47,6 +47,7 @@ timings.
 from __future__ import annotations
 
 import csv
+import datetime as dt
 import hashlib
 import io
 import itertools
@@ -72,7 +73,7 @@ from .association import (
     percentile,
     relative_std_devs,
 )
-from .corpus import GRANULARITIES, CorpusStream, TimeBinnedCorpus, TimeBinning
+from .corpus import TimeBinning, read_corpus, span_binning
 from .errors import ConsistencyError, InputError, SalienceError
 from .ngrams import (
     NgramKey,
@@ -120,14 +121,9 @@ class RunConfig:
     sim_scope: str = "per_topic"
 
     def validate(self) -> None:
-        if self.n < 1:
-            raise InputError("n must be >= 1")
-        if self.min_total < 1:
-            raise InputError("min-count must be >= 1")
+        # The scan refuses n, min_total and granularity before it reads.
         if not 0.0 <= self.percentile <= 100.0:
             raise InputError("percentile must lie in [0, 100]")
-        if self.granularity not in GRANULARITIES:
-            raise InputError(f"unknown bin granularity {self.granularity!r}")
         if self.normalization not in NORMALIZATIONS:
             raise InputError(f"unknown normalization {self.normalization!r}")
         if self.sim_scope not in SIM_SCOPES:
@@ -217,6 +213,20 @@ def _read_csv(path: Path, what: str, stage: str):
             yield header, rows()
         except ValueError as exc:
             raise InputError(f"{path}: line {reader.line_num}: {exc}") from exc
+
+
+def _check_cells(path: Path, values: np.ndarray, rows: list, columns: list, unit: bool):
+    """Refuse a loaded array holding a value that is not finite or, given
+    `unit`, not in [0, 1], naming its row (n-gram or topic) and column. The
+    array's min and max decide, with no temporary array; NaN reaches both."""
+    lo, hi = values.min(initial=0.0), values.max(initial=0.0)
+    if (0.0 <= lo and hi <= 1.0) if unit else np.isfinite([lo, hi]).all():
+        return
+    ok = (values >= 0.0) & (values <= 1.0) if unit else np.isfinite(values)
+    i, j = divmod(int(ok.argmin()), values.shape[1])
+    row = rows[i] if isinstance(rows[i], str) else render_ngram(rows[i])
+    bound = "in [0, 1]" if unit else "finite"
+    raise InputError(f"{path}: {row!r} at {columns[j]!r}: {values.item(i, j)!r} is not {bound}")
 
 
 # json.dumps spells the floats that have no decimal form so.
@@ -309,12 +319,12 @@ def load_ngram_trends_csv(path: Path) -> tuple[list[NgramKey], np.ndarray, list[
             values.extend(map(float, row[2:]))
     if not keys:
         raise InputError(f"{path}: no n-gram rows")
-    return keys, np.frombuffer(values).reshape(len(keys), len(header) - 2), header[2:]
+    usage = np.frombuffer(values).reshape(len(keys), len(header) - 2)
+    _check_cells(path, usage, keys, header[2:], unit=True)
+    return keys, usage, header[2:]
 
 
-def write_table_json(
-    path: Path, table: NgramTable, binning: TimeBinning, include_titles: bool
-) -> None:
+def write_table_json(path: Path, table: NgramTable) -> None:
     """Persist the n-gram table for the similarity stage: version 2 lists each
     context sentence once and gives each n-gram's per-bin counts and its
     contexts as [bin, sentence id] pairs.
@@ -328,10 +338,10 @@ def write_table_json(
         "version": TABLE_VERSION,
         "n": table.n,
         "min_total": table.min_total,
-        "include_titles": include_titles,
-        "granularity": binning.granularity,
-        "origin": binning.origin.isoformat(),
-        "bin_labels": binning.labels(),
+        "include_titles": table.include_titles,
+        "granularity": table.binning.granularity,
+        "origin": table.binning.origin.isoformat(),
+        "bin_labels": table.binning.labels(),
         "bin_totals": table.bin_totals,
     }
     with path.open("w", encoding="utf-8") as fh:
@@ -369,9 +379,9 @@ class _Pairs(list):
 
 def load_table_json(path: Path) -> NgramTable:
     """The n-gram table that `write_table_json` wrote. Refuses any other
-    version, an n-gram that is not words joined by single spaces or out of
-    sorted order, contexts whose bin or sentence id is out of range, and
-    counts that differ from those of the contexts."""
+    version, a header `_table_header` refuses, an n-gram that is not words
+    joined by single spaces or out of sorted order, contexts whose bin or
+    sentence id is out of range, and counts that differ from the contexts'."""
     raw = _load_json(path, "n-gram table", "trends", object_pairs_hook=_Pairs)
     payload = dict(raw) if isinstance(raw, _Pairs) else {}
     if payload.get("version") != TABLE_VERSION:
@@ -383,7 +393,8 @@ def load_table_json(path: Path) -> NgramTable:
         sentences = payload["sentences"]
         if not isinstance(sentences, list) or not all(isinstance(s, str) for s in sentences):
             raise InputError(f"{path}: sentences must be a list of strings")
-        bins = len(payload["bin_totals"])
+        include_titles, binning = _table_header(path, payload)
+        bins = binning.bin_count
         keys: list[NgramKey] = []
         rows: list[list[int]] = []
         pairs: list[list[int]] = []
@@ -408,6 +419,8 @@ def load_table_json(path: Path) -> NgramTable:
         table = NgramTable(
             n=int(payload["n"]),
             min_total=int(payload["min_total"]),
+            include_titles=include_titles,
+            binning=binning,
             keys=keys,
             bin_totals=payload["bin_totals"],
             sentences=sentences,
@@ -424,6 +437,25 @@ def load_table_json(path: Path) -> NgramTable:
         return table
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: bad n-gram table payload: {exc}") from exc
+
+
+def _table_header(path: Path, payload: dict) -> tuple[bool, TimeBinning]:
+    """include_titles and the binning of a table's header, refused unless
+    the flag is a boolean, `origin` is the first day of a bin as ISO text
+    and `bin_labels` are the labels of len(bin_totals) bins from it."""
+    titles, granularity, origin = (payload[k] for k in ("include_titles", "granularity", "origin"))
+    try:
+        if type(titles) is not bool:
+            raise ValueError(f"include_titles {titles!r} is not true or false")
+        start = dt.date.fromisoformat(origin)
+        binning = TimeBinning(granularity, start, len(payload["bin_totals"]))
+        if span_binning(start, start, granularity).origin.isoformat() != origin:
+            raise ValueError(f"origin {origin!r} is not the first day of a {granularity} bin")
+        if payload["bin_labels"] != binning.labels():
+            raise ValueError(f"bin_labels are not those of {binning.bin_count} bins from {origin}")
+    except (InputError, TypeError, ValueError) as exc:
+        raise InputError(f"{path}: bad table header: {exc}") from exc
+    return titles, binning
 
 
 def write_similarity_csv(
@@ -474,7 +506,9 @@ def load_similarity_csv(path: Path) -> tuple[list[NgramKey], np.ndarray, list[st
                 raise InputError(f"{path}: n-gram {text!r} lists topics {topics}, not {topic_ids}")
     if not keys:
         raise InputError(f"{path}: no similarity rows")
-    return keys, np.frombuffer(values).reshape(len(keys), len(topic_ids)), topic_ids
+    sims = np.frombuffer(values).reshape(len(keys), len(topic_ids))
+    _check_cells(path, sims, keys, topic_ids, unit=True)
+    return keys, sims, topic_ids
 
 
 def check_same_ngrams(trend_keys: list[NgramKey], similarity_keys: list[NgramKey]) -> None:
@@ -581,6 +615,8 @@ def load_trend_csv(path: Path) -> tuple[dict[str, list[float]], list[str]]:
             if topic_id in trends:
                 raise ValueError(f"topic {topic_id!r} repeats")
             trends[topic_id] = [float(v) for v in values]
+    values = np.array(list(trends.values())).reshape(len(trends), len(header) - 1)
+    _check_cells(path, values, list(trends), header[1:], unit=False)
     return trends, header[1:]
 
 
@@ -750,23 +786,7 @@ def stage_run(out_dir: Path, name: str) -> Iterator[_Run]:
         raise
 
 
-def run_trends(
-    run: _Run,
-    corpus: TimeBinnedCorpus | CorpusStream,
-    n: int,
-    min_total: int,
-    include_titles: bool,
-) -> tuple[NgramTable, np.ndarray]:
-    """Trends stage: the n-gram table, built in one pass over the corpus,
-    and the (n-grams × bins) usage array. Writes ngram_trends.csv and
-    ngram_table.json."""
-    table = build_ngram_table(corpus, n, min_total, include_titles=include_titles)
-    return table, write_trends(run, table, corpus.binning, include_titles)
-
-
-def write_trends(
-    run: _Run, table: NgramTable, binning: TimeBinning, include_titles: bool
-) -> np.ndarray:
+def write_trends(run: _Run, table: NgramTable) -> np.ndarray:
     """The trends stage after its scan: the usage array of a built table,
     written with the table to ngram_trends.csv and ngram_table.json."""
     if not table.keys:
@@ -774,8 +794,8 @@ def write_trends(
             f"no n-gram reached min-count {table.min_total}; lower --min-count or supply more text"
         )
     usage = usage_matrix(table)
-    write_ngram_trends_csv(run.target("ngram_trends.csv"), table, usage, binning.labels())
-    write_table_json(run.target("ngram_table.json"), table, binning, include_titles)
+    write_ngram_trends_csv(run.target("ngram_trends.csv"), table, usage, table.binning.labels())
+    write_table_json(run.target("ngram_table.json"), table)
     return usage
 
 
@@ -855,14 +875,15 @@ def run_analyze(config: RunConfig) -> dict:
             framework = load_framework(config.framework)
             lexicon = load_lexicon(config.lexicon) if config.lexicon else None
             # The corpus file is read once, by the n-gram scan, so ingest
-            # covers the scan; no document is held past it.
-            corpus = CorpusStream(config.corpus, config.granularity)
-            table = build_ngram_table(
-                corpus, config.n, config.min_total, include_titles=config.include_titles
-            )
+            # covers the scan; no document is held past it. zip draws from
+            # `counter` once per document, so next(counter) then counts them.
+            counter = itertools.count()
+            docs = (doc for doc, _ in zip(read_corpus(config.corpus), counter))
+            options = dict(granularity=config.granularity, include_titles=config.include_titles)
+            table = build_ngram_table(docs, config.n, config.min_total, **options)
 
         with run.stage("trends"):
-            usage = write_trends(run, table, corpus.binning, config.include_titles)
+            usage = write_trends(run, table)
 
         with run.stage("similarity"):
             sims = run_similarity(run, table, framework, lexicon)
@@ -881,9 +902,8 @@ def run_analyze(config: RunConfig) -> dict:
             )
 
         with run.stage("salience"):
-            run_salience(
-                run, framework, associations, usage, corpus.binning.labels(), config.normalization
-            )
+            labels = table.binning.labels()
+            run_salience(run, framework, associations, usage, labels, config.normalization)
 
         with run.stage("manifest"):
             manifest = {
@@ -891,8 +911,8 @@ def run_analyze(config: RunConfig) -> dict:
                 "version": __version__,
                 "config": config.echo(),
                 "corpus": {
-                    "documents": corpus.doc_count,
-                    "bins": corpus.binning.bin_count,
+                    "documents": next(counter),
+                    "bins": table.binning.bin_count,
                     "ngrams": len(table.keys),
                     "instances": sum(table.bin_totals),
                     "sentences": len(table.sentences),

@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from salience.corpus import Document, bin_documents, build_binning
+from salience.corpus import Document
 from salience.topics import Topic, TopicFramework
 
 # Four topics with pairwise-disjoint vocabularies. Burst phrases built from
@@ -55,13 +55,9 @@ def corpus_file(tmp_path, records, name="corpus.jsonl"):
     return path
 
 
-def make_corpus(items, granularity="month"):
-    """items: (date, text) pairs -> a binned corpus with sequential ids."""
-    docs = [
-        Document(id=f"d{i}", date=date, text=text) for i, (date, text) in enumerate(items)
-    ]
-    binning = build_binning(docs, granularity)
-    return bin_documents(docs, binning)
+def make_docs(items):
+    """items: (date, text) pairs -> Documents with sequential ids."""
+    return [Document(id=f"d{i}", date=date, text=text) for i, (date, text) in enumerate(items)]
 
 
 @pytest.fixture
@@ -100,13 +96,9 @@ def framework_file(tmp_path, fw: TopicFramework, name="framework.json"):
 def assert_same_table(a, b) -> None:
     """NgramTable holds arrays and has no ==: compare it field by field,
     arrays by shape, dtype and value."""
-    assert (a.n, a.min_total, a.keys, a.bin_totals, a.sentences) == (
-        b.n,
-        b.min_total,
-        b.keys,
-        b.bin_totals,
-        b.sentences,
-    )
+    fields = ("n", "min_total", "include_titles", "binning", "keys", "bin_totals", "sentences")
+    for name in fields:
+        assert getattr(a, name) == getattr(b, name), name
     for name in ("counts", "context_start", "context_bins", "context_sids"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and np.array_equal(x, y), name

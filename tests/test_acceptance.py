@@ -8,7 +8,7 @@ import time
 import numpy as np
 
 from salience.association import associate, percentile, relative_std_dev, relative_std_devs
-from salience.corpus import bin_documents, build_binning
+from salience.corpus import build_binning
 from salience.ngrams import build_ngram_table, usage_matrix
 from salience.pipeline import RunConfig, compute_associations, compute_similarities, run_analyze
 from salience.salience import normalize_salience, time_derivative, topic_salience_trend
@@ -67,8 +67,7 @@ def test_criterion_1_partition_invariant():
     bins_checked = 0
     for seed in range(50):
         docs, _ = generate_corpus(_varied_spec(seed))
-        corpus = bin_documents(docs, build_binning(docs, "month"))
-        table = build_ngram_table(corpus, n=2, min_total=1)
+        table = build_ngram_table(docs, n=2, min_total=1)
         usage = usage_matrix(table)
         for t, total in enumerate(table.bin_totals):
             if total == 0:
@@ -90,10 +89,10 @@ def test_criterion_2_oracle_equivalence():
         spec = _varied_spec(seed)
         docs, _ = generate_corpus(spec)
         assert len(docs) <= 100
-        corpus = bin_documents(docs, build_binning(docs, "month"))
-        table = build_ngram_table(corpus, n=2, min_total=1)
+        table = build_ngram_table(docs, n=2, min_total=1)
+        assert table.binning == build_binning(docs, "month")
         lines = corpus_to_jsonl(docs).splitlines()
-        oracle = oracle_count_many(lines, table.keys, corpus.binning)
+        oracle = oracle_count_many(lines, table.keys, table.binning)
         rows = table.counts.tolist()
         for key, counts in zip(table.keys, rows):
             assert oracle[" ".join(key)] == counts, key
@@ -135,8 +134,7 @@ def test_criterion_3_burst_detection():
             ),
         )
         docs, _ = generate_corpus(spec)
-        corpus = bin_documents(docs, build_binning(docs, "month"))
-        table = build_ngram_table(corpus, n=2, min_total=1)
+        table = build_ngram_table(docs, n=2, min_total=1)
         usage = usage_matrix(table)
         sims = compute_similarities(table, space, vectors)
         associations = compute_associations(sims, relative_std_devs(usage), topic_ids, 75.0)

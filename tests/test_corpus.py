@@ -6,14 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from salience.corpus import (
-    CorpusStream,
     Document,
     analysis_text,
     bin_documents,
     build_binning,
     load_corpus,
+    read_corpus,
 )
 from salience.errors import InputError
+from salience.ngrams import build_ngram_table
 
 from conftest import corpus_file, day
 
@@ -124,27 +125,10 @@ def test_every_refusal_names_file_and_line(tmp_path, line, fragment):
     path.write_text(json.dumps(_GOOD) + "\n\n" + bad + "\n", encoding="utf-8")
     with pytest.raises(InputError, match=re.escape(f"{path}:3: {fragment}")):
         load_corpus(path)
+    # The n-gram scan reads the file through read_corpus and passes its
+    # refusals on as they are.
     with pytest.raises(InputError, match=re.escape(f"{path}:3: {fragment}")):
-        list(CorpusStream(path))
-
-
-class TestCorpusStream:
-    def test_reads_the_file_lazily_and_bins_what_it_read(self, tmp_path):
-        records = [
-            {"id": "a", "date": "2017-03-15", "text": "one"},
-            {"id": "b", "date": "2016-11-02", "text": "two", "title": "T"},
-            {"id": "c", "date": "2017-01-20", "text": "three"},
-        ]
-        path = corpus_file(tmp_path, records)
-        stream = CorpusStream(path, "week")
-        assert (stream.doc_count, stream.binning) == (None, None)
-        assert list(stream) == load_corpus(path)
-        assert stream.doc_count == 3
-        assert stream.binning == build_binning(load_corpus(path), "week")
-
-    def test_unknown_granularity(self, tmp_path):
-        with pytest.raises(InputError, match="fortnight"):
-            CorpusStream(tmp_path / "c.jsonl", "fortnight")
+        build_ngram_table(read_corpus(path))
 
 
 class TestAnalysisText:

@@ -11,12 +11,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from salience.corpus import (
-    CorpusStream,
     Document,
     analysis_text,
     bin_documents,
     build_binning,
     load_corpus,
+    read_corpus,
 )
 from salience import pipeline
 from salience.errors import ConsistencyError, InputError
@@ -30,9 +30,9 @@ from salience.ngrams import (
     sentences_with_tokens,
 )
 
-from salience.pipeline import load_table_json, run_trends, stage_run, write_table_json
+from salience.pipeline import load_table_json, stage_run, write_table_json, write_trends
 
-from conftest import assert_same_table, corpus_file, day, make_corpus
+from conftest import assert_same_table, corpus_file, day, make_docs
 
 
 # The tokenizer by regex alone, written out apart from the package: tokens are
@@ -52,11 +52,13 @@ def oracle_sentences_with_tokens(text):
     return out
 
 
-def _reference_table(corpus, n=2, min_total=1, *, include_titles=True):
-    """build_ngram_table as a dict of context lists, one per unique n-gram:
-    the oracle for the numpy group-by. Returns the bin totals, the sentences
+def _reference_table(docs, n=2, min_total=1, *, include_titles=True, granularity="month"):
+    """build_ngram_table as a dict of context lists, one per unique n-gram,
+    over the documents held and binned first: the oracle for the scan and
+    the numpy group-by. Returns the binning, the bin totals, the sentences
     and {key: (per-bin counts, [(bin, sentence id), ...])} in sorted key
     order."""
+    corpus = bin_documents(docs, build_binning(docs, granularity))
     m = corpus.binning.bin_count
     bin_totals = [0] * m
     sentence_ids = {}
@@ -85,7 +87,7 @@ def _reference_table(corpus, n=2, min_total=1, *, include_titles=True):
             contexts.append((t, sid))
             counts[t] += 1
         rows[key] = (counts, contexts)
-    return bin_totals, sentences, rows
+    return corpus.binning, bin_totals, sentences, rows
 
 
 def _contexts(table, key):
@@ -102,7 +104,8 @@ def _context_sentences(table, key):
 
 def _assert_equals_reference(table, reference):
     """The columnar table against the dict-of-lists oracle, field by field."""
-    bin_totals, sentences, rows = reference
+    binning, bin_totals, sentences, rows = reference
+    assert table.binning == binning
     assert table.bin_totals == bin_totals
     assert table.sentences == sentences
     assert table.keys == list(rows)
@@ -121,7 +124,7 @@ def surfaces(text):
 
 def table_of(text, n=2):
     """The n-gram table of a one-document corpus, with every n-gram kept."""
-    return build_ngram_table(make_corpus([(day(2017, 1), text)]), n=n, min_total=1)
+    return build_ngram_table(make_docs([(day(2017, 1), text)]), n=n, min_total=1)
 
 
 class TestTokenize:
@@ -216,32 +219,65 @@ class TestExtractNgrams:
 
 class TestBuildTable:
     def test_single_doc_counts(self):
-        corpus = make_corpus([(day(2017, 1), "a b c")])
-        table = build_ngram_table(corpus, n=2, min_total=1)
+        docs = make_docs([(day(2017, 1), "a b c")])
+        table = build_ngram_table(docs, n=2, min_total=1)
         assert table.keys == [("a", "b"), ("b", "c")]
         assert table.counts.tolist() == [[1], [1]]
         assert table.bin_totals == [2]
 
     def test_min_total_filters_but_keeps_bin_totals(self):
-        corpus = make_corpus([(day(2017, 1), "a b c")])
-        table = build_ngram_table(corpus, n=2, min_total=2)
+        docs = make_docs([(day(2017, 1), "a b c")])
+        table = build_ngram_table(docs, n=2, min_total=2)
         assert table.keys == []
         assert table.counts.shape == (0, 1)
         assert table.bin_totals == [2]
 
     def test_counts_across_gap_bin(self):
-        corpus = make_corpus([(day(2017, 1), "x y"), (day(2017, 3), "x y")])
-        table = build_ngram_table(corpus, n=2, min_total=1)
+        docs = make_docs([(day(2017, 1), "x y"), (day(2017, 3), "x y")])
+        table = build_ngram_table(docs, n=2, min_total=1)
         assert table.keys == [("x", "y")]
         assert table.counts.tolist() == [[1, 0, 1]]
 
     def test_titles_included_by_default(self):
         docs = [Document(id="d0", date=day(2017, 1), text="body text", title="big title")]
-        corpus = bin_documents(docs, build_binning(docs))
-        with_title = build_ngram_table(corpus, n=2, min_total=1)
+        with_title = build_ngram_table(docs, n=2, min_total=1)
         assert ("big", "title") in with_title.keys
-        without = build_ngram_table(corpus, n=2, min_total=1, include_titles=False)
+        assert with_title.include_titles is True
+        without = build_ngram_table(docs, n=2, min_total=1, include_titles=False)
         assert ("big", "title") not in without.keys
+        assert without.include_titles is False
+
+    def test_no_documents(self):
+        with pytest.raises(InputError, match="no documents"):
+            build_ngram_table([])
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            pytest.param({"n": 0}, "n must be >= 1", id="n"),
+            pytest.param({"min_total": 0}, "min_total must be >= 1", id="min_total"),
+            pytest.param({"granularity": "fortnight"}, "fortnight", id="granularity"),
+        ],
+    )
+    def test_options_are_refused_before_any_document_is_read(self, options, message):
+        def untouched():
+            raise AssertionError("the scan read a document before checking its options")
+            yield
+
+        with pytest.raises(InputError, match=message):
+            build_ngram_table(untouched(), **options)
+
+    def test_scan_of_a_file_bins_it_by_the_dates_read(self, tmp_path):
+        records = [
+            {"id": "a", "date": "2017-03-15", "text": "one two"},
+            {"id": "b", "date": "2016-11-02", "text": "two three", "title": "T"},
+            {"id": "c", "date": "2017-01-20", "text": "three four"},
+        ]
+        path = corpus_file(tmp_path, records)
+        table = build_ngram_table(read_corpus(path), granularity="week")
+        assert table.binning == build_binning(load_corpus(path), "week")
+        assert table.binning.origin == day(2016, 10, 31)  # the Monday before b
+        assert sum(table.bin_totals) == 3
 
 
 class TestRelativeUsage:
@@ -265,29 +301,29 @@ class TestRelativeUsage:
 
 class TestContexts:
     def test_context_is_the_enclosing_sentence(self):
-        corpus = make_corpus([(day(2017, 1), "The runoff election was held. Unrelated line.")])
-        table = build_ngram_table(corpus, n=2, min_total=1)
+        docs = make_docs([(day(2017, 1), "The runoff election was held. Unrelated line.")])
+        table = build_ngram_table(docs, n=2, min_total=1)
         assert _context_sentences(table, ("runoff", "election")) == [
             "The runoff election was held."
         ]
 
     def test_one_context_per_instance(self):
-        corpus = make_corpus(
+        docs = make_docs(
             [(day(2017, 1), "vote count rose. vote count fell"), (day(2017, 2), "vote count")]
         )
-        table = build_ngram_table(corpus, n=2, min_total=1)
+        table = build_ngram_table(docs, n=2, min_total=1)
         assert len(_context_sentences(table, ("vote", "count"))) == 3
 
     def test_duplicate_sentences_not_deduped(self):
         # One context per instance, even when both instances share a sentence id.
-        corpus = make_corpus([(day(2017, 1), "same words"), (day(2017, 2), "same words")])
-        table = build_ngram_table(corpus, n=2, min_total=1)
+        docs = make_docs([(day(2017, 1), "same words"), (day(2017, 2), "same words")])
+        table = build_ngram_table(docs, n=2, min_total=1)
         assert _context_sentences(table, ("same", "words")) == ["same words", "same words"]
         assert _contexts(table, ("same", "words")) == [(0, 0), (1, 0)]
 
     def test_contexts_contain_the_ngram_tokens(self):
-        corpus = make_corpus([(day(2017, 1), "alpha beta gamma. beta gamma delta")])
-        table = build_ngram_table(corpus, n=2, min_total=1)
+        docs = make_docs([(day(2017, 1), "alpha beta gamma. beta gamma delta")])
+        table = build_ngram_table(docs, n=2, min_total=1)
         for key in table.keys:
             for sentence in _context_sentences(table, key):
                 flat = [t for _, toks in oracle_sentences_with_tokens(sentence) for t in toks]
@@ -297,13 +333,13 @@ class TestContexts:
                 ), f"{render_ngram(key)} not in context {sentence!r}"
 
     def test_sentences_listed_once_and_only_if_they_host_a_kept_instance(self):
-        corpus = make_corpus(
+        docs = make_docs(
             [
                 (day(2017, 1), "kept pair here. kept pair again. rare words"),
                 (day(2017, 2), "kept pair here. lonely. kept pair again."),
             ]
         )
-        table = build_ngram_table(corpus, n=2, min_total=3)
+        table = build_ngram_table(docs, n=2, min_total=3)
         assert table.keys == [("kept", "pair")]
         assert table.sentences == ["kept pair here.", "kept pair again."]
         used = set(table.context_sids.tolist())
@@ -318,15 +354,14 @@ corpus_strat = st.lists(
 )
 
 
-def _corpus_from(items):
-    return make_corpus([(day(2017, month), text) for month, text in items])
+def _docs_from(items):
+    return make_docs([(day(2017, month), text) for month, text in items])
 
 
 @settings(max_examples=40)
 @given(corpus_strat)
 def test_partition_and_count_conservation(items):
-    corpus = _corpus_from(items)
-    table = build_ngram_table(corpus, n=2, min_total=1)
+    table = build_ngram_table(_docs_from(items), n=2, min_total=1)
     # The usage array is the scalar trends, row for row and bit for bit.
     rows = table.counts.tolist()
     assert usage_matrix(table).tolist() == [
@@ -349,16 +384,15 @@ def _bin_sentences(table, key):
 @settings(max_examples=25)
 @given(corpus_strat, st.randoms(use_true_random=False))
 def test_order_independence(items, rnd):
-    corpus = _corpus_from(items)
     shuffled_items = list(enumerate(items))
     rnd.shuffle(shuffled_items)
     docs = [
         Document(id=f"d{orig}", date=day(2017, month), text=text)
         for orig, (month, text) in shuffled_items
     ]
-    other = bin_documents(docs, build_binning(docs))
-    a = build_ngram_table(corpus, n=2, min_total=1)
-    b = build_ngram_table(other, n=2, min_total=1)
+    a = build_ngram_table(_docs_from(items), n=2, min_total=1)
+    b = build_ngram_table(docs, n=2, min_total=1)
+    assert a.binning == b.binning
     assert a.bin_totals == b.bin_totals
     assert a.keys == b.keys
     assert np.array_equal(a.counts, b.counts)
@@ -370,7 +404,7 @@ def test_order_independence(items, rnd):
 @settings(max_examples=40)
 @given(corpus_strat, st.integers(min_value=1, max_value=3))
 def test_sentences_are_distinct_and_each_hosts_a_kept_instance(items, min_total):
-    table = build_ngram_table(_corpus_from(items), n=2, min_total=min_total)
+    table = build_ngram_table(_docs_from(items), n=2, min_total=min_total)
     assert len(set(table.sentences)) == len(table.sentences)
     first_use = []
     for key in table.keys:
@@ -398,9 +432,9 @@ mixed_corpus = st.lists(
 def test_table_equals_reference(items, n, min_total):
     # The first document's text again in another bin: one sentence, two bins.
     month, text = items[0]
-    corpus = _corpus_from(items + [(month % 4 + 1, text)])
-    table = build_ngram_table(corpus, n=n, min_total=min_total)
-    _assert_equals_reference(table, _reference_table(corpus, n=n, min_total=min_total))
+    docs = _docs_from(items + [(month % 4 + 1, text)])
+    table = build_ngram_table(docs, n=n, min_total=min_total)
+    _assert_equals_reference(table, _reference_table(docs, n=n, min_total=min_total))
 
 
 def _decoded(sentence_tokens):
@@ -432,8 +466,8 @@ token_corpus = st.lists(
 def test_token_rows_are_the_sentences_tokens(items, n, min_total):
     # The first document's text again in another bin: one sentence, two bins.
     month, text = items[0]
-    corpus = _corpus_from(items + [(month % 4 + 1, text)])
-    table = build_ngram_table(corpus, n=n, min_total=min_total)
+    docs = _docs_from(items + [(month % 4 + 1, text)])
+    table = build_ngram_table(docs, n=n, min_total=min_total)
     words, start, ids = table.sentence_tokens
     assert words == sorted(words)
     assert start.dtype == np.int64 and ids.dtype == np.int32
@@ -478,9 +512,8 @@ def test_scan_equals_the_regex_oracle(items, n, include_titles):
         Document(id=f"d{i}", date=day(2017, month), text=text, title=title)
         for i, (month, text, title) in enumerate(items)
     ]
-    corpus = bin_documents(docs, build_binning(docs))
-    table = build_ngram_table(corpus, n=n, min_total=1, include_titles=include_titles)
-    reference = _reference_table(corpus, n=n, include_titles=include_titles)
+    table = build_ngram_table(docs, n=n, min_total=1, include_titles=include_titles)
+    reference = _reference_table(docs, n=n, include_titles=include_titles)
     _assert_equals_reference(table, reference)
     expected = [_ORACLE_WORD_RE.findall(sentence) for sentence in table.sentences]
     assert _decoded(table.sentence_tokens) == expected
@@ -513,20 +546,19 @@ def test_scan_equals_the_regex_oracle(items, n, include_titles):
 def test_streamed_file_equals_the_binned_corpus(docs, granularity, n):
     # The scan reads the file in its own order and bins afterwards; the table
     # must be the one of the corpus binned first, contexts in bin order and
-    # file order within a bin.
+    # file order within a bin, over the binning that build_binning gives.
     records = [
         {"id": f"d{i}", "date": date.isoformat(), "text": text, "title": title}
         for i, (date, text, title) in enumerate(docs)
     ]
     with tempfile.TemporaryDirectory() as tmp:
         path = corpus_file(Path(tmp), records)
-        stream = CorpusStream(path, granularity)
-        table = build_ngram_table(stream, n=n, min_total=1)
+        table = build_ngram_table(read_corpus(path), n=n, min_total=1, granularity=granularity)
         documents = load_corpus(path)
-    assert (stream.doc_count, stream.binning) == (len(docs), build_binning(documents, granularity))
-    binned = bin_documents(documents, stream.binning)
-    _assert_equals_reference(table, _reference_table(binned, n=n))
-    assert_same_table(table, build_ngram_table(binned, n=n, min_total=1))
+    assert table.binning == build_binning(documents, granularity)
+    _assert_equals_reference(table, _reference_table(documents, n=n, granularity=granularity))
+    held = build_ngram_table(documents, n=n, min_total=1, granularity=granularity)
+    assert_same_table(table, held)
     expected = [_ORACLE_WORD_RE.findall(sentence) for sentence in table.sentences]
     assert _decoded(table.sentence_tokens) == expected
 
@@ -536,23 +568,21 @@ def test_write_blocks_do_not_change_the_table(tmp_path, monkeypatch, block):
     # Every n-gram holds four counts and a context or more, so under either
     # budget each is a block of its own; the sentences go one, then eight, at
     # a time.
-    corpus = _corpus_from(
-        [(1, "a b c. b c d"), (2, "a b. c d e"), (3, "b c d"), (4, "émile a b")]
-    )
-    table = build_ngram_table(corpus, n=2, min_total=1)
+    docs = _docs_from([(1, "a b c. b c d"), (2, "a b. c d e"), (3, "b c d"), (4, "émile a b")])
+    table = build_ngram_table(docs, n=2, min_total=1)
     monkeypatch.setattr(pipeline, "_BLOCK_CELLS", block)
     path = tmp_path / "ngram_table.json"
-    write_table_json(path, table, corpus.binning, True)
+    write_table_json(path, table)
     # The file is one compact json.dumps of the whole table.
-    bin_totals, sentences, rows = _reference_table(corpus, n=2)
+    binning, bin_totals, sentences, rows = _reference_table(docs, n=2)
     payload = {
         "version": 2,
         "n": 2,
         "min_total": 1,
         "include_titles": True,
         "granularity": "month",
-        "origin": corpus.binning.origin.isoformat(),
-        "bin_labels": corpus.binning.labels(),
+        "origin": binning.origin.isoformat(),
+        "bin_labels": binning.labels(),
         "bin_totals": bin_totals,
         "sentences": sentences,
         "ngrams": {
@@ -565,22 +595,21 @@ def test_write_blocks_do_not_change_the_table(tmp_path, monkeypatch, block):
 
 
 def test_no_sentence_reaches_n_tokens(tmp_path):
-    corpus = _corpus_from([(1, "one two. three"), (3, "four five six")])
-    table = build_ngram_table(corpus, n=4, min_total=1)
+    docs = _docs_from([(1, "one two. three"), (3, "four five six")])
+    table = build_ngram_table(docs, n=4, min_total=1)
     assert table.keys == []
     assert table.sentences == []
     assert table.bin_totals == [0, 0, 0]
-    _assert_equals_reference(table, _reference_table(corpus, n=4))
+    _assert_equals_reference(table, _reference_table(docs, n=4))
     with pytest.raises(InputError, match="no n-gram reached min-count 1"):
         with stage_run(tmp_path, "trends") as run:
-            run_trends(run, corpus, 4, 1, True)
+            write_trends(run, table)
 
 
 def test_emergent_ngram_has_exact_zero_before_first_use():
     items = [(day(2017, 1), "alpha bravo"), (day(2017, 2), "alpha bravo")]
     items += [(day(2017, m), "nova spike") for m in (4, 5)]
-    corpus = make_corpus(items)
-    table = build_ngram_table(corpus, n=2, min_total=1)
+    table = build_ngram_table(make_docs(items), n=2, min_total=1)
     row = table.keys.index(("nova", "spike"))
     trend = relative_usage_trend(table.counts[row].tolist(), table.bin_totals)
     assert trend[:3] == [0.0, 0.0, 0.0]

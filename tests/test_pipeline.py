@@ -12,7 +12,7 @@ import pytest
 
 from salience import cli, pipeline
 from salience.cli import main
-from salience.corpus import CorpusStream
+from salience.corpus import build_binning, load_corpus, read_corpus
 from salience.errors import InputError
 from salience.ngrams import build_ngram_table, render_ngram
 from salience.pipeline import (
@@ -162,12 +162,9 @@ class TestAnalyze:
         tmp, corpus, framework = workspace
         out = tmp / "roundtrip"
         run_analyze(RunConfig(corpus=corpus, framework=framework, out_dir=out, min_total=1))
-        from salience.ngrams import build_ngram_table, relative_usage_trend, parse_ngram
-        from salience.corpus import load_corpus, build_binning, bin_documents
+        from salience.ngrams import relative_usage_trend, parse_ngram
 
-        docs = load_corpus(corpus)
-        binned = bin_documents(docs, build_binning(docs))
-        table = build_ngram_table(binned, 2, 1)
+        table = build_ngram_table(load_corpus(corpus), 2, 1)
         with (out / "ngram_trends.csv").open() as fh:
             reader = csv.reader(fh)
             next(reader)
@@ -837,17 +834,22 @@ def test_similarity_csv_is_csv_writer_output(tmp_path):
 
 
 def test_table_write_then_load_round_trips(workspace, tmp_path):
+    # The loaded table equals the built one field by field, its header (the
+    # binning and include_titles) included, for every granularity.
     _, corpus, _ = workspace
-    streamed = CorpusStream(corpus, "month")
-    table = build_ngram_table(streamed, 2, 2)
-    path = tmp_path / "ngram_table.json"
-    write_table_json(path, table, streamed.binning, True)
-    loaded = load_table_json(path)
-    assert_same_table(loaded, table)
-    assert json.loads(path.read_text(encoding="utf-8"))["version"] == 2
-    again = tmp_path / "again.json"
-    write_table_json(again, loaded, streamed.binning, True)
-    assert again.read_bytes() == path.read_bytes()
+    for granularity, include_titles in (("month", True), ("week", False), ("day", True)):
+        table = build_ngram_table(
+            read_corpus(corpus), 2, 2, granularity=granularity, include_titles=include_titles
+        )
+        assert table.binning == build_binning(load_corpus(corpus), granularity)
+        path = tmp_path / f"{granularity}.json"
+        write_table_json(path, table)
+        loaded = load_table_json(path)
+        assert_same_table(loaded, table)
+        assert json.loads(path.read_text(encoding="utf-8"))["version"] == 2
+        again = tmp_path / "again.json"
+        write_table_json(again, loaded)
+        assert again.read_bytes() == path.read_bytes()
 
 
 def _version_1(table):
@@ -904,6 +906,14 @@ def _counts_off_by_one(table):
     entry["counts"][entry["contexts"][0][0]] += 1
 
 
+def _header(**fields):
+    def corrupt(table):
+        for name, value in fields.items():
+            table[name] = value(table[name]) if callable(value) else value
+
+    return corrupt
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
@@ -929,6 +939,44 @@ def _counts_off_by_one(table):
         pytest.param(
             _counts_off_by_one, "counts \\[.*\\] are not the 8 per-bin counts", id="wrong-counts"
         ),
+        pytest.param(
+            _header(bin_labels=lambda labels: labels[:3]),
+            "bad table header: bin_labels are not those of 8 bins from 2016-01-01",
+            id="labels-cut-to-3",
+        ),
+        pytest.param(
+            _header(bin_labels=lambda labels: ["2015-12", *labels[1:]]),
+            "bin_labels are not those of 8 bins",
+            id="labels-differ",
+        ),
+        pytest.param(
+            _header(bin_totals=lambda totals: totals[:7]),
+            "bin_labels are not those of 7 bins",
+            id="totals-shorter-than-labels",
+        ),
+        pytest.param(
+            _header(bin_labels=[], bin_totals=[]), "bin_count must be >= 1", id="no-bins"
+        ),
+        pytest.param(
+            _header(granularity="fortnight"), "unknown granularity 'fortnight'", id="granularity"
+        ),
+        pytest.param(_header(origin="not a date"), "Invalid isoformat", id="origin-not-a-date"),
+        pytest.param(_header(origin=None), "bad table header: ", id="origin-null"),
+        pytest.param(
+            _header(origin="2016-01-15"),
+            "origin '2016-01-15' is not the first day of a month bin",
+            id="origin-mid-month",
+        ),
+        pytest.param(
+            _header(origin="20160101"),
+            "origin '20160101' is not the first day of a month bin",
+            id="origin-not-iso",
+        ),
+        pytest.param(
+            _header(include_titles="maybe"),
+            "include_titles 'maybe' is not true or false",
+            id="include-titles",
+        ),
     ],
 )
 def test_similarity_refuses_bad_table(workspace, tmp_path, capsys, corrupt, message):
@@ -945,3 +993,94 @@ def test_similarity_refuses_bad_table(workspace, tmp_path, capsys, corrupt, mess
     assert re.search(message, err)
     # The failed stage removes the similarity.csv of the earlier run.
     assert not (out / "similarity.csv").exists()
+
+
+# One corrupted cell in the second line of an artifact, the stage that
+# reads it, and what it must say about the value.
+_CORRUPT_CELLS = {
+    "similarity-nan": ("similarity.csv", 2, "nan", "associate", "nan is not in [0, 1]"),
+    "similarity-2": ("similarity.csv", 2, "2.0", "associate", "2.0 is not in [0, 1]"),
+    "usage-inf": ("ngram_trends.csv", 3, "inf", "associate", "inf is not in [0, 1]"),
+    "usage-negative": ("ngram_trends.csv", 3, "-0.5", "associate", "-0.5 is not in [0, 1]"),
+    "usage-inf-salience": ("ngram_trends.csv", 3, "inf", "salience", "inf is not in [0, 1]"),
+    "salience-nan": ("salience.csv", 1, "nan", "render", "nan is not finite"),
+    "normalized-inf": ("salience_normalized.csv", 1, "-inf", "render", "-inf is not finite"),
+}
+
+
+@pytest.mark.parametrize(
+    "artifact, cell, value, command, message",
+    list(_CORRUPT_CELLS.values()),
+    ids=list(_CORRUPT_CELLS),
+)
+def test_corrupt_number_exits_one(
+    workspace, tmp_path, capsys, artifact, cell, value, command, message
+):
+    # A value the writers cannot write: before, nan similarities silently
+    # emptied a topic, inf usage passed, negative usage exited 2 and render
+    # drew nan.
+    _, corpus, framework = workspace
+    out = tmp_path / "out"
+    run_analyze(RunConfig(corpus=corpus, framework=framework, out_dir=out, min_total=1))
+    path = out / artifact
+    lines = path.read_text(encoding="utf-8").split("\n")
+    cells = lines[1].split(",")
+    column = cells[1] if artifact == "similarity.csv" else lines[0].split(",")[cell]
+    row = cells[0]
+    cells[cell] = value
+    lines[1] = ",".join(cells)
+    path.write_text("\n".join(lines), encoding="utf-8")
+    args = {
+        "associate": ["associate", "--in", str(out)],
+        "salience": ["salience", "--in", str(out), "--framework", str(framework)],
+        "render": ["render", "--in", str(out), "--topics", "harbor_trade"],
+    }[command]
+    capsys.readouterr()
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {command}: {path}: {row!r} at {column!r}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "loader, header, where, good, bad",
+    [
+        pytest.param(
+            load_similarity_csv,
+            "ngram,topic_id,similarity\na b,t1,",
+            "'a b' at 't1'",
+            ["0.0", "-0.0", "1.0", "5e-324"],
+            ["nan", "-nan", "inf", "-inf", "-5e-324", "1.0000000000000002", "2.0", "-1"],
+            id="similarity",
+        ),
+        pytest.param(
+            load_ngram_trends_csv,
+            "ngram,total,2016-01\na b,1,",
+            "'a b' at '2016-01'",
+            ["0.0", "-0.0", "1.0", "5e-324"],
+            ["nan", "inf", "-inf", "-5e-324", "1.0000000000000002", "-0.5"],
+            id="usage",
+        ),
+        pytest.param(
+            load_trend_csv,
+            "topic_id,2016-01\nt1,",
+            "'t1' at '2016-01'",
+            ["0.0", "-1e300", "1e300", "-5e-324"],
+            ["nan", "inf", "-inf", "1e999"],
+            id="trend",
+        ),
+    ],
+)
+def test_loaders_refuse_numbers_the_writers_cannot_write(
+    tmp_path, loader, header, where, good, bad
+):
+    path = tmp_path / "artifact.csv"
+    for value in good:
+        path.write_text(f"{header}{value}\n", encoding="utf-8")
+        loaded = loader(path)
+        got = loaded[0]["t1"][0] if loader is load_trend_csv else loaded[1][0, 0]
+        assert got == float(value)
+    for value in bad:
+        path.write_text(f"{header}{value}\n", encoding="utf-8")
+        message = re.escape(f"{path}: {where}: {float(value)!r} is not")
+        with pytest.raises(InputError, match=message):
+            loader(path)

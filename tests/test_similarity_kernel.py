@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from salience import topics
+from salience.corpus import TimeBinning
 from salience.errors import ConsistencyError
 from salience.ngrams import NgramTable, build_ngram_table, intern_sentences
 from salience.pipeline import compute_similarities, load_table_json, write_table_json
@@ -22,7 +23,7 @@ from salience.topics import (
     similarity_matrix,
 )
 
-from conftest import day, make_corpus
+from conftest import day, make_docs
 
 TOLERANCE = 1e-12
 NOISE = ["zzyzx", "quux", "Florp", "blorb", "snark"]  # in no topic document
@@ -166,6 +167,8 @@ def _table(records) -> NgramTable:
     return NgramTable(
         n=2,
         min_total=1,
+        include_titles=True,
+        binning=TimeBinning("month", day(2017, 1), 1),
         keys=[key for key, _ in records],
         bin_totals=[10_000],
         sentences=sentences,
@@ -251,11 +254,10 @@ class TestTokenIds:
             (day(2017, rng.randint(1, 6)), ". ".join(rng.choices(pool, k=rng.randint(1, 5))))
             for _ in range(80)
         ]
-        corpus = make_corpus(items)
-        built = build_ngram_table(corpus, n=2, min_total=2)
+        built = build_ngram_table(make_docs(items), n=2, min_total=2)
         assert built.keys
         path = tmp_path / "ngram_table.json"
-        write_table_json(path, built, corpus.binning, True)
+        write_table_json(path, built)
         loaded = load_table_json(path)
         # The build's token rows come from its scan, the loader's from re-tokenizing.
         assert built.sentence_tokens[0] != loaded.sentence_tokens[0]

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from salience.corpus import bin_documents, build_binning
+from salience.corpus import build_binning
 from salience.errors import InputError
 from salience.ngrams import build_ngram_table
 from salience.synth import (
@@ -194,9 +194,8 @@ class TestOracle:
     def test_oracle_matches_engine_on_full_vocabulary(self):
         spec = small_spec(seed=21, events=[one_event()])
         docs, _ = generate_corpus(spec)
-        corpus = bin_documents(docs, build_binning(docs, "month"))
-        table = build_ngram_table(corpus, n=2, min_total=1)
+        table = build_ngram_table(docs, n=2, min_total=1)
         lines = corpus_to_jsonl(docs).splitlines()
-        counts = oracle_count_many(lines, table.keys, corpus.binning)
+        counts = oracle_count_many(lines, table.keys, build_binning(docs, "month"))
         for key, row in zip(table.keys, table.counts.tolist()):
             assert counts[" ".join(key)] == row
