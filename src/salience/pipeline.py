@@ -35,7 +35,11 @@ the arrays, a block of at most _BLOCK_CELLS cells at a time, so what a
 writer holds does not grow with the table; their bytes are those of
 csv.writer and of one compact json.dumps of the whole payload. The
 associations and matrix writers fill line templates, one topic or one bin
-at a time, with the bytes of json.dumps(payload, indent=2).
+at a time, with the bytes of json.dumps(payload, indent=2). The loaders of
+the two large CSVs read the header (and the first n-gram's similarity
+rows) with csv.reader and the rest as records of one compiled pattern, a
+bounded block of text at a time (`_CsvArtifact.records`), so they accept
+the writers' layout only.
 
 All exports are deterministic: rows follow sorted n-gram order and
 framework topic order, floats are rendered as shortest round-trip decimals
@@ -52,6 +56,7 @@ import hashlib
 import io
 import itertools
 import json
+import operator
 import os
 import re
 import time
@@ -59,9 +64,8 @@ from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -185,34 +189,141 @@ def _cell_texts(block: np.ndarray) -> list[list[str]]:
     return texts[inverse.reshape(block.shape)].tolist()
 
 
-@contextmanager
-def _read_csv(path: Path, what: str, stage: str):
-    """Yield a CSV artifact's header and an iterator over its non-blank rows.
+# A number as the CSV writers write it, a float's repr, or as float() reads
+# one with no sign, dot or exponent spelled otherwise: "-1", "1e999" and
+# "-nan" parse, and _check_cells refuses what the writers cannot write.
+_NUMBER = r"-?(?:[0-9]+(?:\.[0-9]+)?(?:e[-+]?[0-9]+)?|inf|nan)"
+# Number texts, each followed by a comma.
+_NUMBERS = re.compile(rf"(?:{_NUMBER},)*")
+# The record reader reads at most this many characters at a time.
+_READ_CHARS = 1 << 16
 
-    A row whose length differs from the header's, and a ValueError raised
-    while a row is being read (a non-numeric cell, an n-gram out of order),
-    become an InputError naming the file and line.
-    """
+
+class _CsvArtifact:
+    """A CSV artifact open for reading: its header and first rows through
+    csv.reader (`header`, `rows`), then, for the two large artifacts, all
+    rows after the header as records of a fixed number of rows, each matched
+    by one compiled pattern (`records`). `line` is the first physical line
+    of the row or record being read."""
+
+    def __init__(self, fh, path: Path):
+        self.fh, self.path = fh, path
+        self.line = self.body = 1
+        self.unread: list[str] = []  # lines after the header, read by `rows`
+
+    def _lines(self) -> Iterator[str]:
+        for text in iter(self.fh.readline, ""):
+            self.unread.append(text)
+            yield text
+
+    def header(self) -> list[str]:
+        row = next(csv.reader(self._lines()), [])
+        self.line = self.body = 1 + len(self.unread)
+        self.unread = []
+        return row
+
+    def rows(self) -> Iterator[list[str]]:
+        """The rows after the header. `records` reads them again."""
+        for row in csv.reader(self._lines()):
+            yield row
+            self.line = self.body + len(self.unread)
+
+    def records(
+        self, pattern: str, rows: list[str], expected: list[str], width: int, lines: int
+    ) -> tuple[list[NgramKey], array]:
+        """The n-grams and the numbers of the records from the first row
+        after the header to the end of the file. A record is `width` numbers
+        under an n-gram, in `lines` physical lines of CSV rows, which `rows`
+        match and `expected` describes, one each. `pattern` finds records
+        fast: it matches what `rows` joined match, any text where a number
+        goes; its first group is the n-gram, and each other group holds one
+        number or, if there is only one, all of them comma-separated. The
+        n-grams must come in sorted key order.
+
+        The text is matched a block of at most _READ_CHARS characters, plus
+        the record that straddles its end, at a time. Each distinct number
+        text of a block is checked and parsed once. A last line may lack its
+        newline."""
+        compiled = re.compile(pattern)
+        match, groups = compiled.match, compiled.groups
+        keys: list[NgramKey] = []
+        values = array("d")
+        text, end = "".join(self.unread), False
+        self.line, self.unread = self.body, []
+        while not end:
+            block = self.fh.read(_READ_CHARS)
+            end = not block
+            if end and text and not text.endswith("\n"):
+                block = "\n"  # the last line's missing newline
+            text += block
+            cells, count, at = [], 0, 0
+            while record := match(text, at):
+                cells += record.groups()
+                count += 1
+                at = record.end()
+            if count:
+                names = cells[::groups]
+                if groups == 2:
+                    cells = ",".join(cells).split(",")
+                # A record with more or fewer numbers moves the n-grams.
+                if len(cells) != count * (width + 1) or cells[:: width + 1] != names:
+                    raise self._refusal(text, rows, expected, lines)
+                del cells[:: width + 1]
+                distinct = set(cells)
+                if not _NUMBERS.fullmatch(",".join(distinct) + ","):
+                    raise self._refusal(text, rows, expected, lines)
+                floats = dict(zip(distinct, map(float, distinct)))
+                values.fromlist(list(map(floats.__getitem__, cells)))
+                block_keys = list(map(parse_ngram, names))
+                if not all(map(operator.lt, (keys[-1:] or [()]) + block_keys, block_keys)):
+                    for name in names:  # to name the first out of order
+                        _append_key(keys, name)
+                        self.line += lines
+                keys += block_keys
+                self.line += lines * count
+            text = text[at:]
+            # A record cut by the block's end matches once the next block
+            # is read; a whole one that does not match is refused.
+            if text and (end or text.count("\n") >= lines):
+                raise self._refusal(text, rows, expected, lines)
+        return keys, values
+
+    def _refusal(self, text: str, rows: list[str], expected: list[str], lines: int):
+        """The InputError for the first record of `text` (which starts at
+        `line`) that does not match `rows` joined: it names the first of its
+        rows that does not match, after the rows before it, and quotes it."""
+        at = 0
+        whole = re.compile("".join(rows)).match
+        while record := whole(text, at):
+            at = record.end()
+            self.line += lines
+        start = at
+        for prefix, wanted in zip(itertools.accumulate(rows), expected):
+            record = re.compile(prefix).match(text, start)
+            if record is None:
+                break
+            at = record.end()
+        line = self.line + text.count("\n", start, at)
+        found = "the end of the file"
+        if at < len(text):
+            found = repr(text[at : text.find("\n", at)][:80])
+        return InputError(f"{self.path}: line {line}: expected {wanted}, found {found}")
+
+
+@contextmanager
+def _read_csv(path: Path, what: str, stage: str) -> Iterator[_CsvArtifact]:
+    """Open a CSV artifact, reading CR and CRLF line ends, inside quoted
+    cells too, as LF. A ValueError or csv.Error raised while it is read (an
+    n-gram out of order, a byte that is not UTF-8) becomes an InputError
+    naming the file and the line being read."""
     if not path.is_file():
         raise InputError(f"{what} not found: {path} (run the {stage} stage first)")
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None) or []
-
-        def rows():
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise InputError(
-                        f"{path}: line {reader.line_num}: {len(row)} cells, header has {len(header)}"
-                    )
-                yield row
-
+    with path.open("r", encoding="utf-8") as fh:
+        artifact = _CsvArtifact(fh, path)
         try:
-            yield header, rows()
-        except ValueError as exc:
-            raise InputError(f"{path}: line {reader.line_num}: {exc}") from exc
+            yield artifact
+        except (csv.Error, ValueError) as exc:
+            raise InputError(f"{path}: line {artifact.line}: {exc}") from exc
 
 
 def _check_cells(path: Path, values: np.ndarray, rows: list, columns: list, unit: bool):
@@ -307,19 +418,21 @@ def write_ngram_trends_csv(
 
 def load_ngram_trends_csv(path: Path) -> tuple[list[NgramKey], np.ndarray, list[str]]:
     """Inverse of `write_ngram_trends_csv`: the n-gram keys, their usage as one
-    (n-grams × bins) array, and the bin labels. Refuses an n-gram that
-    repeats or breaks sorted key order."""
-    keys: list[NgramKey] = []
-    values = array("d")
-    with _read_csv(path, "n-gram trends", "trends") as (header, rows):
-        if header[:2] != ["ngram", "total"]:
-            raise InputError(f"{path}: unexpected header {header[:2]}")
-        for row in rows:
-            _append_key(keys, row[0])
-            values.extend(map(float, row[2:]))
-    if not keys:
-        raise InputError(f"{path}: no n-gram rows")
-    usage = np.frombuffer(values).reshape(len(keys), len(header) - 2)
+    (n-grams × bins) array, and the bin labels. Each row after the header is
+    one record: an n-gram, a positive integer total and one number per bin.
+    Refuses an n-gram that repeats or breaks sorted key order."""
+    with _read_csv(path, "n-gram trends", "trends") as artifact:
+        header = artifact.header()
+        bins = len(header) - 2
+        if header[:2] != ["ngram", "total"] or bins < 1:
+            raise InputError(f"{path}: line 1: unexpected header {header}")
+        head = rf"({_NGRAM_TEXT.pattern}),[1-9][0-9]*,"
+        row = rf"{head}({_NUMBER}(?:,{_NUMBER}){{{bins - 1}}})\n"
+        expected = f"an n-gram, a positive integer total and a number for each of {bins} bins"
+        keys, values = artifact.records(rf"{head}(.*)\n", [row], [expected], bins, 1)
+        if not keys:
+            raise ValueError("no n-gram rows")
+    usage = np.frombuffer(values).reshape(len(keys), bins)
     _check_cells(path, usage, keys, header[2:], unit=True)
     return keys, usage, header[2:]
 
@@ -381,7 +494,9 @@ def load_table_json(path: Path) -> NgramTable:
     """The n-gram table that `write_table_json` wrote. Refuses any other
     version, a header `_table_header` refuses, an n-gram that is not words
     joined by single spaces or out of sorted order, contexts whose bin or
-    sentence id is out of range, and counts that differ from the contexts'."""
+    sentence id is out of range, counts that differ from the contexts', and
+    counts the header cannot hold: a bin's above its total, or an n-gram's
+    total below min_total."""
     raw = _load_json(path, "n-gram table", "trends", object_pairs_hook=_Pairs)
     payload = dict(raw) if isinstance(raw, _Pairs) else {}
     if payload.get("version") != TABLE_VERSION:
@@ -393,7 +508,7 @@ def load_table_json(path: Path) -> NgramTable:
         sentences = payload["sentences"]
         if not isinstance(sentences, list) or not all(isinstance(s, str) for s in sentences):
             raise InputError(f"{path}: sentences must be a list of strings")
-        include_titles, binning = _table_header(path, payload)
+        n, min_total, include_titles, binning = _table_header(path, payload)
         bins = binning.bin_count
         keys: list[NgramKey] = []
         rows: list[list[int]] = []
@@ -417,8 +532,8 @@ def load_table_json(path: Path) -> NgramTable:
             context_start.append(len(pairs))
         contexts = np.array(pairs, dtype=np.int32).reshape(-1, 2)
         table = NgramTable(
-            n=int(payload["n"]),
-            min_total=int(payload["min_total"]),
+            n=n,
+            min_total=min_total,
             include_titles=include_titles,
             binning=binning,
             keys=keys,
@@ -434,28 +549,53 @@ def load_table_json(path: Path) -> NgramTable:
                     f"{path}: n-gram {render_ngram(key)!r}: counts {row!r} are not the "
                     f"{bins} per-bin counts of its contexts"
                 )
+        in_bins, totals = table.counts.sum(axis=0), np.array(table.bin_totals)
+        if (in_bins > totals).any():
+            t = int((in_bins > totals).argmax())
+            raise InputError(
+                f"{path}: bad table header: bin {binning.label(t)!r} holds {in_bins[t]} "
+                f"kept instances, above its total {totals[t]}"
+            )
+        in_ngrams = table.counts.sum(axis=1)
+        if (in_ngrams < min_total).any():
+            i = int(in_ngrams.argmin())
+            raise InputError(
+                f"{path}: bad table header: n-gram {render_ngram(keys[i])!r} has "
+                f"{in_ngrams[i]} instances, below min_total {min_total}"
+            )
         return table
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: bad n-gram table payload: {exc}") from exc
 
 
-def _table_header(path: Path, payload: dict) -> tuple[bool, TimeBinning]:
-    """include_titles and the binning of a table's header, refused unless
-    the flag is a boolean, `origin` is the first day of a bin as ISO text
-    and `bin_labels` are the labels of len(bin_totals) bins from it."""
+def _table_header(path: Path, payload: dict) -> tuple[int, int, bool, TimeBinning]:
+    """n, min_total, include_titles and the binning of a table's header,
+    refused unless n and min_total are integers >= 1, `bin_totals` are
+    integers >= 0, the flag is a boolean, `origin` is the first day of a bin
+    as ISO text and `bin_labels` are the labels of len(bin_totals) bins from
+    it."""
     titles, granularity, origin = (payload[k] for k in ("include_titles", "granularity", "origin"))
+    n, min_total, totals = payload["n"], payload["min_total"], payload["bin_totals"]
     try:
+        for name, value in (("n", n), ("min_total", min_total)):
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} {value!r} is not an integer >= 1")
+        if not isinstance(totals, list):
+            raise ValueError("bin_totals is not a list")
+        for total in totals:
+            if type(total) is not int or total < 0:
+                raise ValueError(f"bin total {total!r} is not an integer >= 0")
         if type(titles) is not bool:
             raise ValueError(f"include_titles {titles!r} is not true or false")
         start = dt.date.fromisoformat(origin)
-        binning = TimeBinning(granularity, start, len(payload["bin_totals"]))
+        binning = TimeBinning(granularity, start, len(totals))
         if span_binning(start, start, granularity).origin.isoformat() != origin:
             raise ValueError(f"origin {origin!r} is not the first day of a {granularity} bin")
         if payload["bin_labels"] != binning.labels():
             raise ValueError(f"bin_labels are not those of {binning.bin_count} bins from {origin}")
     except (InputError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: bad table header: {exc}") from exc
-    return titles, binning
+    return n, min_total, titles, binning
 
 
 def write_similarity_csv(
@@ -487,25 +627,43 @@ def load_similarity_csv(path: Path) -> tuple[list[NgramKey], np.ndarray, list[st
     """Inverse of `write_similarity_csv`: the n-gram keys, their similarities
     as one (n-grams × topics) array, and the topic ids. Every n-gram's rows
     must be contiguous, the n-grams must come in sorted key order, and each
-    must list the topics in the order of the first n-gram's."""
-    keys: list[NgramKey] = []
-    values = array("d")
-    topic_ids: list[str] = []
-    with _read_csv(path, "similarity table", "similarity") as (header, rows):
+    must list the topics in the order of the first n-gram's.
+
+    csv.reader reads the header and the first n-gram's rows, which give the
+    topic ids. From then on each n-gram's rows are one record, matched by
+    one pattern: the n-gram, then each topic's cell as the writer quotes it,
+    the n-gram repeated on every row, and one number per row."""
+    with _read_csv(path, "similarity table", "similarity") as artifact:
+        header = artifact.header()
         if header != ["ngram", "topic_id", "similarity"]:
-            raise InputError(f"{path}: unexpected header {header}")
-        for text, group in itertools.groupby(rows, key=itemgetter(0)):
-            _append_key(keys, text)
-            topics = []
-            for _, topic_id, value in group:
-                topics.append(topic_id)
-                values.append(float(value))
-            if not topic_ids:
-                topic_ids = topics
-            elif topics != topic_ids:
-                raise InputError(f"{path}: n-gram {text!r} lists topics {topics}, not {topic_ids}")
-    if not keys:
-        raise InputError(f"{path}: no similarity rows")
+            raise InputError(f"{path}: line 1: unexpected header {header}")
+        first: list[list[str]] = []
+        for row in artifact.rows():
+            if len(row) != 3 or (first and row[0] != first[0][0]):
+                break
+            first.append(row)
+        if not first:
+            raise ValueError(
+                "expected an n-gram, a topic id and a similarity"
+                if artifact.unread
+                else "no similarity rows"
+            )
+        topic_ids = [topic_id for _, topic_id, _ in first]
+        quoted = [_csv_cell(topic_id) for topic_id in topic_ids]
+        cells = list(map(re.escape, quoted))
+        expected = [
+            f"{'an' if column == 0 else 'the same'} n-gram, topic {topic_id!r} and a number"
+            for column, topic_id in enumerate(topic_ids)
+        ]
+
+        def rows(number: str) -> list[str]:
+            head = rf"(?P<ngram>{_NGRAM_TEXT.pattern}),{cells[0]},({number})\n"
+            return [head, *(rf"(?P=ngram),{cell},({number})\n" for cell in cells[1:])]
+
+        # Only a quoted topic id holds a newline.
+        lines = len(quoted) + "".join(quoted).count("\n")
+        fast = "".join(rows(r"[^,\n]*"))
+        keys, values = artifact.records(fast, rows(_NUMBER), expected, len(topic_ids), lines)
     sims = np.frombuffer(values).reshape(len(keys), len(topic_ids))
     _check_cells(path, sims, keys, topic_ids, unit=True)
     return keys, sims, topic_ids
@@ -606,12 +764,19 @@ def write_trend_csv(
 
 def load_trend_csv(path: Path) -> tuple[dict[str, list[float]], list[str]]:
     """Inverse of `write_trend_csv`: per-topic values plus the bin labels.
-    Refuses a topic id that repeats."""
+    Refuses a row whose length differs from the header's, and a topic id
+    that repeats."""
     trends: dict[str, list[float]] = {}
-    with _read_csv(path, "trend table", "salience") as (header, rows):
+    with _read_csv(path, "trend table", "salience") as artifact:
+        header = artifact.header()
         if header[:1] != ["topic_id"]:
-            raise InputError(f"{path}: unexpected header {header}")
-        for topic_id, *values in rows:
+            raise InputError(f"{path}: line 1: unexpected header {header}")
+        for row in artifact.rows():
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ValueError(f"{len(row)} cells, header has {len(header)}")
+            topic_id, *values = row
             if topic_id in trends:
                 raise ValueError(f"topic {topic_id!r} repeats")
             trends[topic_id] = [float(v) for v in values]

@@ -777,6 +777,30 @@ def test_duplicated_trends_row_exits_one(workspace, tmp_path, capsys):
     assert f"error: associate: {trends}: line 3: n-gram " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["associate", "salience"])
+@pytest.mark.parametrize("total", ["abc", "0", "-1", "1.5", ""])
+def test_bad_trends_total_exits_one(workspace, tmp_path, capsys, command, total):
+    # The total column was not read: a corrupt total passed every stage.
+    _, corpus, framework = workspace
+    out = tmp_path / "out"
+    run_analyze(RunConfig(corpus=corpus, framework=framework, out_dir=out, min_total=1))
+    trends = out / "ngram_trends.csv"
+    lines = trends.read_text(encoding="utf-8").split("\n")
+    cells = lines[2].split(",")
+    cells[1] = total
+    lines[2] = ",".join(cells)
+    trends.write_text("\n".join(lines), encoding="utf-8")
+    args = {
+        "associate": ["associate", "--in", str(out)],
+        "salience": ["salience", "--in", str(out), "--framework", str(framework)],
+    }[command]
+    capsys.readouterr()
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {command}: {trends}: line 3: expected an n-gram, a positive ")
+    assert f"found '{lines[2][:30]}" in err
+
+
 def test_associate_refuses_mismatched_ngram_sets(workspace, tmp_path, capsys):
     _, corpus, framework = workspace
     out = tmp_path / "out"
@@ -976,6 +1000,29 @@ def _header(**fields):
             _header(include_titles="maybe"),
             "include_titles 'maybe' is not true or false",
             id="include-titles",
+        ),
+        pytest.param(_header(n="2"), "bad table header: n '2' is not an integer >= 1", id="n-text"),
+        pytest.param(_header(n=0), "bad table header: n 0 is not an integer >= 1", id="n-zero"),
+        pytest.param(_header(n=True), "bad table header: n True is not an integer", id="n-bool"),
+        pytest.param(
+            _header(min_total=-3),
+            "bad table header: min_total -3 is not an integer >= 1",
+            id="min-total-negative",
+        ),
+        pytest.param(
+            _header(bin_totals=lambda totals: ["x", *totals[1:]]),
+            "bad table header: bin total 'x' is not an integer >= 0",
+            id="bin-total-text",
+        ),
+        pytest.param(
+            _header(bin_totals=lambda totals: [0] * len(totals)),
+            "bad table header: bin '2016-01' holds \\d+ kept instances, above its total 0",
+            id="bin-totals-zero",
+        ),
+        pytest.param(
+            _header(min_total=10**6),
+            "bad table header: n-gram '.*' has \\d+ instances, below min_total 1000000",
+            id="min-total-above-counts",
         ),
     ],
 )
