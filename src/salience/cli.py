@@ -17,12 +17,12 @@ import sys
 from pathlib import Path
 
 from . import __version__
+from .association import relative_std_devs
 from .corpus import read_corpus
 from .errors import ConsistencyError, InputError
 from .ngrams import build_ngram_table
 from .pipeline import (
     RunConfig,
-    check_same_ngrams,
     load_associations_json,
     load_matrix_json,
     load_ngram_trends_csv,
@@ -199,10 +199,12 @@ def _cmd_associate(args) -> int:
     in_dir = Path(args.in_dir)
     with stage_run(in_dir, "associate") as run:
         keys, usage, _ = load_ngram_trends_csv(in_dir / "ngram_trends.csv")
-        sim_keys, sims, topic_ids = load_similarity_csv(in_dir / "similarity.csv")
-        check_same_ngrams(keys, sim_keys)
+        rsd = relative_std_devs(usage)
+        # The usage goes before the similarities come: the two are never held at once.
+        del usage
+        sims, topic_ids = load_similarity_csv(in_dir / "similarity.csv", keys)
         associations = run_associate(
-            run, keys, usage, sims, topic_ids, args.percentile, args.sim_scope
+            run, keys, rsd, sims, topic_ids, args.percentile, args.sim_scope
         )
     total = sum(len(a.members) for a in associations.values())
     print(f"wrote associations for {len(associations)} topics ({total} memberships)")

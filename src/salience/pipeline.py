@@ -39,7 +39,9 @@ at a time, with the bytes of json.dumps(payload, indent=2). The loaders of
 the two large CSVs read the header (and the first n-gram's similarity
 rows) with csv.reader and the rest as records of one compiled pattern, a
 bounded block of text at a time (`_CsvArtifact.records`), so they accept
-the writers' layout only.
+the writers' layout only. The similarity loader takes the usage trends'
+keys and checks each record's n-gram against them as it reads, so the
+associate stage holds one key list.
 
 All exports are deterministic: rows follow sorted n-gram order and
 framework topic order, floats are rendered as shortest round-trip decimals
@@ -229,7 +231,13 @@ class _CsvArtifact:
             self.line = self.body + len(self.unread)
 
     def records(
-        self, pattern: str, rows: list[str], expected: list[str], width: int, lines: int
+        self,
+        pattern: str,
+        rows: list[str],
+        expected: list[str],
+        width: int,
+        lines: int,
+        keys: list[NgramKey] | None = None,
     ) -> tuple[list[NgramKey], array]:
         """The n-grams and the numbers of the records from the first row
         after the header to the end of the file. A record is `width` numbers
@@ -238,7 +246,16 @@ class _CsvArtifact:
         fast: it matches what `rows` joined match, any text where a number
         goes; its first group is the n-gram, and each other group holds one
         number or, if there is only one, all of them comma-separated. The
-        n-grams must come in sorted key order.
+        n-grams must come in sorted key order. Each n-gram is a tuple of the
+        words of one dict for the whole load, so a word that many n-grams
+        share is stored once.
+
+        Given `keys`, the n-grams of the usage trends, the records must
+        carry exactly those, in order, and `keys` is what is returned: the
+        first record whose n-gram is not the next key, once its form and
+        order have passed, or the first key left over at the end of the
+        file, is a ConsistencyError naming the smaller of the two n-grams,
+        the smallest that one file has and the other lacks.
 
         The text is matched a block of at most _READ_CHARS characters, plus
         the record that straddles its end, at a time. Each distinct number
@@ -246,7 +263,9 @@ class _CsvArtifact:
         newline."""
         compiled = re.compile(pattern)
         match, groups = compiled.match, compiled.groups
-        keys: list[NgramKey] = []
+        word = {}.setdefault  # a word's one copy, by its text
+        read: list[NgramKey] = []  # the n-grams, when no `keys` are given
+        done, last = 0, ()  # records read, and the last one's n-gram
         values = array("d")
         text, end = "".join(self.unread), False
         self.line, self.unread = self.body, []
@@ -274,18 +293,29 @@ class _CsvArtifact:
                     raise self._refusal(text, rows, expected, lines)
                 floats = dict(zip(distinct, map(float, distinct)))
                 values.fromlist(list(map(floats.__getitem__, cells)))
-                block_keys = list(map(parse_ngram, names))
-                if not all(map(operator.lt, (keys[-1:] or [()]) + block_keys, block_keys)):
+                block_keys = [
+                    tuple(map(word, parts, parts)) for name in names for parts in [name.split(" ")]
+                ]
+                if not all(map(operator.lt, [last, *block_keys], block_keys)):
+                    seen = [last]
                     for name in names:  # to name the first out of order
-                        _append_key(keys, name)
+                        _append_key(seen, name)
                         self.line += lines
-                keys += block_keys
+                if keys is None:
+                    read += block_keys
+                elif block_keys != keys[done : done + count]:
+                    raise _different_ngrams(block_keys, keys[done : done + count])
+                done, last = done + count, block_keys[-1]
                 self.line += lines * count
             text = text[at:]
             # A record cut by the block's end matches once the next block
             # is read; a whole one that does not match is refused.
             if text and (end or text.count("\n") >= lines):
                 raise self._refusal(text, rows, expected, lines)
+        if keys is None:
+            return read, values
+        if done < len(keys):
+            raise _different_ngrams([], keys[done:])
         return keys, values
 
     def _refusal(self, text: str, rows: list[str], expected: list[str], lines: int):
@@ -420,7 +450,8 @@ def load_ngram_trends_csv(path: Path) -> tuple[list[NgramKey], np.ndarray, list[
     """Inverse of `write_ngram_trends_csv`: the n-gram keys, their usage as one
     (n-grams × bins) array, and the bin labels. Each row after the header is
     one record: an n-gram, a positive integer total and one number per bin.
-    Refuses an n-gram that repeats or breaks sorted key order."""
+    Refuses an n-gram that repeats or breaks sorted key order, and a row
+    with no positive usage: every tabled n-gram occurs at least once."""
     with _read_csv(path, "n-gram trends", "trends") as artifact:
         header = artifact.header()
         bins = len(header) - 2
@@ -434,6 +465,13 @@ def load_ngram_trends_csv(path: Path) -> tuple[list[NgramKey], np.ndarray, list[
             raise ValueError("no n-gram rows")
     usage = np.frombuffer(values).reshape(len(keys), bins)
     _check_cells(path, usage, keys, header[2:], unit=True)
+    unused = usage.max(axis=1) <= 0.0
+    if unused.any():
+        i = int(unused.argmax())
+        raise InputError(
+            f"{path}: line {artifact.body + i}: n-gram {render_ngram(keys[i])!r} has no "
+            "positive usage, but every tabled n-gram occurs at least once"
+        )
     return keys, usage, header[2:]
 
 
@@ -623,11 +661,13 @@ def write_similarity_csv(
             fh.write(block(rows))
 
 
-def load_similarity_csv(path: Path) -> tuple[list[NgramKey], np.ndarray, list[str]]:
-    """Inverse of `write_similarity_csv`: the n-gram keys, their similarities
-    as one (n-grams × topics) array, and the topic ids. Every n-gram's rows
-    must be contiguous, the n-grams must come in sorted key order, and each
-    must list the topics in the order of the first n-gram's.
+def load_similarity_csv(path: Path, keys: list[NgramKey]) -> tuple[np.ndarray, list[str]]:
+    """Inverse of `write_similarity_csv` for the n-grams `keys` of the usage
+    trends: their similarities as one (n-grams × topics) array, and the
+    topic ids. Every n-gram's rows must be contiguous, the n-grams must come
+    in sorted key order, and each must list the topics in the order of the
+    first n-gram's. A record's n-gram that is not the next of `keys`, or a
+    key with no record, is a ConsistencyError (see `_CsvArtifact.records`).
 
     csv.reader reads the header and the first n-gram's rows, which give the
     topic ids. From then on each n-gram's rows are one record, matched by
@@ -663,20 +703,24 @@ def load_similarity_csv(path: Path) -> tuple[list[NgramKey], np.ndarray, list[st
         # Only a quoted topic id holds a newline.
         lines = len(quoted) + "".join(quoted).count("\n")
         fast = "".join(rows(r"[^,\n]*"))
-        keys, values = artifact.records(fast, rows(_NUMBER), expected, len(topic_ids), lines)
+        _, values = artifact.records(fast, rows(_NUMBER), expected, len(topic_ids), lines, keys)
     sims = np.frombuffer(values).reshape(len(keys), len(topic_ids))
     _check_cells(path, sims, keys, topic_ids, unit=True)
-    return keys, sims, topic_ids
+    return sims, topic_ids
 
 
-def check_same_ngrams(trend_keys: list[NgramKey], similarity_keys: list[NgramKey]) -> None:
-    """Refuse usage trends and similarities that cover different n-grams."""
-    if trend_keys != similarity_keys:
-        sample = min(set(trend_keys) ^ set(similarity_keys))
-        raise ConsistencyError(
-            "ngram_trends.csv and similarity.csv cover different n-gram sets "
-            f"(e.g. {render_ngram(sample)!r})"
-        )
+def _different_ngrams(read: list[NgramKey], wanted: list[NgramKey]) -> ConsistencyError:
+    """The refusal of similarities whose n-grams `read` are not the usage
+    trends' n-grams `wanted` at the same rows. It names the smaller n-gram
+    of the first pair that differs, or else the first past the shorter
+    list's end: with both lists sorted, the smallest n-gram only one has."""
+    sample = next((min(a, b) for a, b in zip(read, wanted) if a != b), None)
+    if sample is None:
+        sample = (read[len(wanted) :] + wanted[len(read) :])[0]
+    return ConsistencyError(
+        "ngram_trends.csv and similarity.csv cover different n-gram sets "
+        f"(e.g. {render_ngram(sample)!r})"
+    )
 
 
 def write_associations_json(
@@ -909,7 +953,8 @@ def compute_associations(
     if sim_scope == "global":
         sim_thresholds = [percentile(sims.ravel(), p)] * len(topic_ids)
     else:
-        sim_thresholds = np.percentile(sims, p, axis=0, method="linear").tolist()
+        # A column at a time: numpy partitions a copy of what it is given.
+        sim_thresholds = [percentile(sims[:, column], p) for column in range(len(topic_ids))]
     return {
         topic_id: associate(
             topic_id,
@@ -977,15 +1022,15 @@ def run_similarity(
 def run_associate(
     run: _Run,
     keys: list[NgramKey],
-    usage: np.ndarray,
+    rsd: np.ndarray,
     sims: np.ndarray,
     topic_ids: list[str],
     p: float,
     sim_scope: str,
 ) -> dict[str, TopicAssociation]:
-    """Associate stage: each topic's members, from the usage trends'
-    variability and the similarities. Writes associations.json."""
-    rsd = relative_std_devs(usage)
+    """Associate stage: each topic's members, from the variability of the
+    usage trends (`relative_std_devs`) and the similarities. Writes
+    associations.json."""
     associations = compute_associations(sims, rsd, topic_ids, p, sim_scope)
     write_associations_json(run.target("associations.json"), associations, keys, sims, rsd)
     return associations
@@ -1059,7 +1104,7 @@ def run_analyze(config: RunConfig) -> dict:
             associations = run_associate(
                 run,
                 table.keys,
-                usage,
+                relative_std_devs(usage),
                 sims,
                 framework.topic_ids(),
                 config.percentile,

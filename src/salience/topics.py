@@ -62,6 +62,12 @@ class TopicFramework:
                 raise InputError(f"framework {self.name!r}: topic with empty id")
             if topic.id in seen:
                 raise InputError(f"framework {self.name!r}: duplicate topic id {topic.id!r}")
+            # The CSV readers take a CR, inside a quoted cell too, for a line end.
+            if "\r" in topic.id:
+                raise InputError(
+                    f"framework {self.name!r}: topic id {topic.id!r} holds a carriage return, "
+                    "which no CSV artifact can carry back"
+                )
             seen.add(topic.id)
             if not (topic.definition.strip() or topic.keywords or topic.ground_truth):
                 raise InputError(

@@ -206,3 +206,34 @@ def test_unknown_sim_scope_is_refused():
     sims = np.array([[0.1, 0.2], [0.3, 0.4]])
     with pytest.raises(InputError, match="similarity scope 'globl'"):
         compute_associations(sims, np.array([0.5, 1.0]), ["a", "b"], 75.0, "globl")
+
+
+# Similarity cells as the kernel makes them: ties, zeros, ones and the
+# awkward small values, drawn often.
+similarity_cells = st.sampled_from([0.0, -0.0, 1.0, 0.5, 1 / 3, 5e-324, 2.5e-17]) | st.floats(0, 1)
+
+
+@st.composite
+def similarity_arrays(draw):
+    """A (rows × columns) similarity array, one row or one column often,
+    with all-zero columns and columns of one repeated value."""
+    rows = draw(st.sampled_from([1, 2, 7]) | st.integers(1, 40))
+    columns = draw(st.sampled_from([1, 3]) | st.integers(1, 8))
+    cells = draw(st.lists(similarity_cells, min_size=rows * columns, max_size=rows * columns))
+    sims = np.array(cells, dtype=np.float64).reshape(rows, columns)
+    for column in draw(st.lists(st.integers(0, columns - 1), max_size=2)):
+        sims[:, column] = draw(st.sampled_from([0.0, 1.0, 0.25]))
+    return sims
+
+
+@settings(max_examples=100, deadline=None)
+@given(sims=similarity_arrays(), p=st.sampled_from([0.0, 50.0, 75.0, 90.0, 100.0]))
+def test_per_topic_thresholds_are_numpys_column_percentiles_bit_for_bit(sims, p):
+    # Each column's threshold is taken from that column alone; it must be
+    # what one percentile over axis 0 of the whole array gives, to the bit.
+    topic_ids = [f"t{j}" for j in range(sims.shape[1])]
+    rsd = np.linspace(0.5, 2.0, len(sims))
+    associations = compute_associations(sims, rsd, topic_ids, p)
+    thresholds = np.array([associations[t].sim_threshold for t in topic_ids])
+    expected = np.percentile(sims, p, axis=0, method="linear")
+    assert thresholds.tobytes() == expected.tobytes()

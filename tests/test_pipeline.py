@@ -1,4 +1,6 @@
 import csv
+import datetime as dt
+import functools
 import hashlib
 import io
 import json
@@ -12,9 +14,9 @@ import pytest
 
 from salience import cli, pipeline
 from salience.cli import main
-from salience.corpus import build_binning, load_corpus, read_corpus
+from salience.corpus import TimeBinning, build_binning, load_corpus, read_corpus
 from salience.errors import InputError
-from salience.ngrams import build_ngram_table, render_ngram
+from salience.ngrams import NgramTable, build_ngram_table, render_ngram
 from salience.pipeline import (
     RunConfig,
     load_associations_json,
@@ -523,6 +525,49 @@ class TestCli:
 
         assert peak(8) < 2 * peak(1)
 
+    def test_associate_holds_the_similarities_about_once(self, tmp_path, capsys):
+        # 3,000 n-grams over 500 words, 33 bins and 36 topics, 88% of the
+        # similarities 0, as in a Zipfian corpus's output. Past the
+        # similarity array itself, the subcommand holds the keys, the
+        # variabilities and one column's copy: about 2.3 times the array in
+        # all. Holding the usage beside it, a second key list and a copy of
+        # the whole array for the thresholds comes to 4.2 times.
+        rng = np.random.default_rng(3)
+        words = [f"w{i}" for i in range(500)]
+        keys = sorted({(words[a], words[b]) for a, b in rng.integers(500, size=(3200, 2))})[:3000]
+        counts = rng.integers(0, 3, size=(3000, 33))
+        counts[np.arange(3000), rng.integers(33, size=3000)] += 1
+        starts = np.concatenate([[0], np.cumsum(counts.sum(axis=1))])
+        table = NgramTable(
+            n=2,
+            min_total=1,
+            include_titles=True,
+            binning=TimeBinning("month", dt.date(2016, 1, 1), 33),
+            keys=keys,
+            bin_totals=counts.sum(axis=0).tolist(),
+            sentences=["s"],
+            context_start=starts,
+            context_bins=np.zeros(starts[-1], dtype=np.int32),
+            context_sids=np.zeros(starts[-1], dtype=np.int32),
+        )
+        usage = counts / counts.sum(axis=0)
+        sims = rng.random((3000, 36)) * (rng.random((3000, 36)) < 0.12)
+        pipeline.write_ngram_trends_csv(
+            tmp_path / "ngram_trends.csv", table, usage, table.binning.labels()
+        )
+        write_similarity_csv(tmp_path / "similarity.csv", keys, sims, [f"t{j}" for j in range(36)])
+        args = ["associate", "--in", str(tmp_path), "--percentile", "90"]
+        # The first run imports what numpy loads lazily, once per process.
+        assert main(args) == 0
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            assert main(args) == 0
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * sims.nbytes
+
     def test_usage_error_exits_one(self, capsys):
         assert main(["analyze"]) == 1
 
@@ -636,12 +681,12 @@ class TestCli:
             id="trends-short-row",
         ),
         pytest.param(
-            load_similarity_csv,
+            functools.partial(load_similarity_csv, keys=[("a", "b"), ("b", "c")]),
             "ngram,topic_id,similarity\na b,t1,0.5\nb c,t1,oops\n",
             id="similarity-non-numeric",
         ),
         pytest.param(
-            load_similarity_csv,
+            functools.partial(load_similarity_csv, keys=[("a", "b"), ("b", "c")]),
             "ngram,topic_id,similarity\na b,t1,0.5\nb c,t1,0.5,0.5\n",
             id="similarity-long-row",
         ),
@@ -741,14 +786,14 @@ def test_matrix_loader_reads_both_layouts(tmp_path, payload):
             id="trends-unsorted",
         ),
         pytest.param(
-            load_similarity_csv,
+            functools.partial(load_similarity_csv, keys=[("a", "b"), ("b", "c")]),
             "ngram,topic_id,similarity\na b,t1,0.5\nb c,t1,0.5\na b,t1,0.5\n",
             4,
             "a b",
             id="similarity-split",
         ),
         pytest.param(
-            load_similarity_csv,
+            functools.partial(load_similarity_csv, keys=[("a", "b"), ("b", "c")]),
             "ngram,topic_id,similarity\nb c,t1,0.5\nb c,t2,0.5\na b,t1,0.5\na b,t2,0.5\n",
             4,
             "a b",
@@ -801,6 +846,50 @@ def test_bad_trends_total_exits_one(workspace, tmp_path, capsys, command, total)
     assert f"found '{lines[2][:30]}" in err
 
 
+@pytest.mark.parametrize("command", ["associate", "salience"])
+def test_trends_row_without_usage_exits_one(workspace, tmp_path, capsys, command):
+    # A tabled n-gram occurs at least once, so a row of zeros is corrupt
+    # input, refused by the reader of both stages, not an internal error.
+    _, corpus, framework = workspace
+    out = tmp_path / "out"
+    run_analyze(RunConfig(corpus=corpus, framework=framework, out_dir=out, min_total=1))
+    trends = out / "ngram_trends.csv"
+    lines = trends.read_text(encoding="utf-8").split("\n")
+    name, total, *usage = lines[3].split(",")
+    lines[3] = ",".join([name, total, *["0.0"] * len(usage)])
+    trends.write_text("\n".join(lines), encoding="utf-8")
+    args = {
+        "associate": ["associate", "--in", str(out)],
+        "salience": ["salience", "--in", str(out), "--framework", str(framework)],
+    }[command]
+    capsys.readouterr()
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {command}: {trends}: line 4: n-gram {name!r} has no positive ")
+
+
+def test_topic_id_with_a_carriage_return_exits_one(workspace, tmp_path, capsys):
+    # No CSV artifact can carry the id back: the readers take a CR for a
+    # line end. The framework is refused before anything is written.
+    _, corpus, _ = workspace
+    payload = {
+        "name": "cr",
+        "topics": [
+            {"id": "x\ry", "definition": "harbor trade shipping"},
+            {"id": "z", "definition": "election parliament vote"},
+        ],
+    }
+    framework = tmp_path / "framework.json"
+    framework.write_text(json.dumps(payload), encoding="utf-8")
+    out = tmp_path / "out"
+    args = ["--corpus", str(corpus), "--framework", str(framework), "--min-count", "1"]
+    capsys.readouterr()
+    assert main(["analyze", *args, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ingest: framework 'cr': topic id 'x\\ry' holds a carriage return")
+    assert [p for p in out.rglob("*") if p.is_file()] == []
+
+
 def test_associate_refuses_mismatched_ngram_sets(workspace, tmp_path, capsys):
     _, corpus, framework = workspace
     out = tmp_path / "out"
@@ -851,8 +940,8 @@ def test_similarity_csv_is_csv_writer_output(tmp_path):
     for key, row in zip(keys, sims.tolist()):
         writer.writerows([render_ngram(key), tid, repr(v)] for tid, v in zip(topic_ids, row))
     assert path.read_bytes() == expected.getvalue().encode("utf-8")
-    loaded_keys, loaded, loaded_ids = load_similarity_csv(path)
-    assert (loaded_keys, loaded_ids) == (keys, topic_ids)
+    loaded, loaded_ids = load_similarity_csv(path, keys)
+    assert loaded_ids == topic_ids
     assert loaded.tolist() == sims.tolist()
     assert np.signbit(loaded[1, 5])
 
@@ -1092,7 +1181,7 @@ def test_corrupt_number_exits_one(
     "loader, header, where, good, bad",
     [
         pytest.param(
-            load_similarity_csv,
+            functools.partial(load_similarity_csv, keys=[("a", "b")]),
             "ngram,topic_id,similarity\na b,t1,",
             "'a b' at 't1'",
             ["0.0", "-0.0", "1.0", "5e-324"],
@@ -1101,8 +1190,9 @@ def test_corrupt_number_exits_one(
         ),
         pytest.param(
             load_ngram_trends_csv,
-            "ngram,total,2016-01\na b,1,",
-            "'a b' at '2016-01'",
+            # A usage row needs a positive cell besides the one tried.
+            "ngram,total,2016-01,2016-02\na b,1,1.0,",
+            "'a b' at '2016-02'",
             ["0.0", "-0.0", "1.0", "5e-324"],
             ["nan", "inf", "-inf", "-5e-324", "1.0000000000000002", "-0.5"],
             id="usage",
@@ -1124,7 +1214,10 @@ def test_loaders_refuse_numbers_the_writers_cannot_write(
     for value in good:
         path.write_text(f"{header}{value}\n", encoding="utf-8")
         loaded = loader(path)
-        got = loaded[0]["t1"][0] if loader is load_trend_csv else loaded[1][0, 0]
+        if loader is load_trend_csv:
+            got = loaded[0]["t1"][-1]
+        else:
+            got = next(v for v in loaded if isinstance(v, np.ndarray))[0, -1]
         assert got == float(value)
     for value in bad:
         path.write_text(f"{header}{value}\n", encoding="utf-8")

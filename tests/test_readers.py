@@ -6,7 +6,10 @@ rows) with csv.reader and everything after as records matched by one
 pattern, a bounded block of text at a time. Whatever the block size, what a
 writer wrote must load back bit for bit; a corrupted file must be refused
 with an InputError naming the file, or, where the corruption leaves a file
-the writer could have written, load as csv.reader reads it."""
+the writer could have written, load as csv.reader reads it. The similarity
+loader reads against the n-grams of the usage trends: a corrupted file
+whose n-grams are no longer those is refused with a ConsistencyError naming
+the smallest n-gram that only one of the two has."""
 
 import csv
 import datetime as dt
@@ -22,14 +25,15 @@ from hypothesis import strategies as st
 
 from salience import pipeline
 from salience.corpus import TimeBinning
-from salience.errors import InputError
-from salience.ngrams import NgramTable, parse_ngram
+from salience.errors import ConsistencyError, InputError
+from salience.ngrams import NgramTable, parse_ngram, render_ngram
 
 DEFAULT_CHARS = pipeline._READ_CHARS
 # One character per read, a small odd number, and the module's own.
 CHARS = [1, 7, DEFAULT_CHARS]
 # What the loaders accept: floats in [0, 1], the awkward ones often.
 unit_floats = st.sampled_from([-0.0, 0.0, 5e-324, 1.0, 1 / 3, 1e-05, 2.5e-17]) | st.floats(0, 1)
+positive_unit_floats = unit_floats.filter(lambda value: value > 0.0)
 words = st.sampled_from(["a", "b", "ab", "2017", "é", "Ünï", "z9", "日本"])
 # Any text without a CR: the loaders read every CR or CRLF as LF, inside a
 # quoted cell too.
@@ -78,11 +82,15 @@ def similarity_cases(draw, ids=topic_ids):
 
 @st.composite
 def trends_cases(draw):
-    """(table, usage, bin labels) as write_ngram_trends_csv takes them."""
+    """(table, usage, bin labels) as write_ngram_trends_csv takes them.
+    Every tabled n-gram occurs, so each usage row has a positive cell."""
     rows, bins = draw(st.integers(1, 8)), draw(st.integers(1, 5))
     totals = draw(st.lists(st.integers(1, 10**6), min_size=rows, max_size=rows))
     labels = draw(st.lists(texts, min_size=bins, max_size=bins))
-    return _trends_table(_keys(draw, rows), totals, bins), _values(draw, rows, bins), labels
+    usage = _values(draw, rows, bins)
+    for row in np.flatnonzero(usage.max(axis=1) <= 0.0):
+        usage[row, draw(st.integers(0, bins - 1))] = draw(positive_unit_floats)
+    return _trends_table(_keys(draw, rows), totals, bins), usage, labels
 
 
 def _write(folder: Path, name: str, case) -> Path:
@@ -94,10 +102,14 @@ def _write(folder: Path, name: str, case) -> Path:
     return path
 
 
-def _load(path: Path, chars: int = DEFAULT_CHARS):
-    loader = pipeline.load_similarity_csv if path.name == SIMILARITY else pipeline.load_ngram_trends_csv
+def _load(path: Path, chars: int = DEFAULT_CHARS, keys=None):
+    """(keys, values, columns) as the artifact's loader reads them. The
+    similarity loader reads against the trends' n-grams `keys`, which it
+    does not return."""
     with mock.patch.object(pipeline, "_READ_CHARS", chars):
-        return loader(path)
+        if path.name == SIMILARITY:
+            return (keys, *pipeline.load_similarity_csv(path, keys))
+        return pipeline.load_ngram_trends_csv(path)
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -119,8 +131,8 @@ def test_similarity_round_trip(chars, case, newline, final_newline):
     with tempfile.TemporaryDirectory() as folder:
         path = _write(Path(folder), SIMILARITY, case)
         _rewritten(path, newline, final_newline)
-        loaded_keys, loaded, loaded_topics = _load(path, chars)
-    assert (loaded_keys, loaded_topics) == (keys, topics)
+        _, loaded, loaded_topics = _load(path, chars, keys)
+    assert loaded_topics == topics
     assert _same_bits(loaded, sims)
 
 
@@ -145,7 +157,7 @@ def test_loaders_refuse_numbers_not_spelled_as_the_writers_spell_them(tmp_path, 
     header = "ngram,topic_id,similarity\na b,t1," if name == SIMILARITY else "ngram,total,b\na b,1,"
     path.write_text(f"{header}0.5\nb c,{'t1' if name == SIMILARITY else '1'},{number}\n")
     with pytest.raises(InputError, match=rf"{re.escape(str(path))}: line 3: expected .*, found"):
-        _load(path)
+        _load(path, keys=[("a", "b"), ("b", "c")])
 
 
 def _csv_reading(path: Path):
@@ -168,16 +180,17 @@ CORRUPT_CELLS = ["nan", "inf", "-1", "2", "", "x"]
 
 @st.composite
 def corruptions(draw):
-    """An artifact's name, its bytes as a writer wrote them and a corrupted
-    copy: one number cell replaced, the file cut at a byte, or one line
-    dropped or repeated."""
+    """An artifact's name, the kind of corruption, a corrupted copy of the
+    bytes a writer wrote (one number cell replaced, the file cut at a byte,
+    or one line dropped or repeated) and the n-grams written."""
     name = draw(st.sampled_from([SIMILARITY, TRENDS]))
     case = draw(similarity_cases(one_line_ids) if name == SIMILARITY else trends_cases())
     with tempfile.TemporaryDirectory() as folder:
         data = _write(Path(folder), name, case).read_bytes()
     kind = draw(st.sampled_from(["cell", "cut", "drop", "repeat"]))
+    keys = case[0] if name == SIMILARITY else case[0].keys
     if kind == "cut":
-        return name, kind, data[: draw(st.integers(0, len(data) - 1))]
+        return name, kind, data[: draw(st.integers(0, len(data) - 1))], keys
     lines = data.decode("utf-8").split("\n")[:-1]
     # The data rows are the last lines; a quoted bin label can make the
     # header more than one.
@@ -192,21 +205,31 @@ def corruptions(draw):
         del lines[at]
     else:
         lines.insert(at, lines[at])
-    return name, kind, "".join(line + "\n" for line in lines).encode("utf-8")
+    return name, kind, "".join(line + "\n" for line in lines).encode("utf-8"), keys
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(case=corruptions(), chars=st.sampled_from(CHARS))
 def test_corrupted_artifact_is_refused_or_read_as_csv_reads_it(case, chars):
-    name, kind, data = case
+    name, kind, data, written = case
     with tempfile.TemporaryDirectory() as folder:
         path = Path(folder) / name
         path.write_bytes(data)
         try:
-            keys, values, columns = _load(path, chars)
+            keys, values, columns = _load(path, chars, written)
         except InputError as exc:
             # The file, then the line, or the n-gram and column of a value.
             assert re.match(rf"{re.escape(str(path))}: (line \d+: |.+ at .+: .+ is not )", str(exc))
+            return
+        except ConsistencyError as exc:
+            # Well-formed similarities for other n-grams than the trends':
+            # the smallest n-gram only one of the two has is named.
+            assert name == SIMILARITY and kind != "cell"
+            with path.open(encoding="utf-8") as fh:
+                rows = [row for row in csv.reader(fh) if row][1:]
+            read = {parse_ngram(row[0]) for row in rows}
+            sample = render_ngram(min(read ^ set(written)))
+            assert str(exc).endswith(f"different n-gram sets (e.g. {sample!r})")
             return
         # Accepted: a file the writer could have written, read as csv.reader
         # reads it.
@@ -225,8 +248,10 @@ def test_loaders_do_not_parse_rows_with_csv_reader(tmp_path):
     sims = np.random.default_rng(1).random((600, 36))
     sims[sims < 0.8] = 0.0
     table = _trends_table(keys, [3] * 600, 33)
+    usage = sims[:, :33].copy()
+    usage[:, 0] = 1.0  # every usage row has a positive cell
     pipeline.write_similarity_csv(tmp_path / SIMILARITY, keys, sims, topics)
-    pipeline.write_ngram_trends_csv(tmp_path / TRENDS, table, sims[:, :33], ["b"] * 33)
+    pipeline.write_ngram_trends_csv(tmp_path / TRENDS, table, usage, ["b"] * 33)
     real_reader = csv.reader
     rows = {}
 
@@ -237,6 +262,6 @@ def test_loaders_do_not_parse_rows_with_csv_reader(tmp_path):
 
     for name in (SIMILARITY, TRENDS):
         with mock.patch.object(csv, "reader", counting_reader):
-            loaded_keys, loaded, _ = _load(tmp_path / name)
+            loaded_keys, loaded, _ = _load(tmp_path / name, keys=keys)
         assert loaded_keys == keys and loaded.shape[0] == 600
     assert rows == {SIMILARITY: 1 + 36 + 1, TRENDS: 1}
