@@ -20,13 +20,7 @@ from .corpus import (
     read_corpus,
 )
 from .errors import ConsistencyError, InputError, SalienceError
-from .ngrams import (
-    NgramKey,
-    NgramTable,
-    build_ngram_table,
-    render_ngram,
-    usage_matrix,
-)
+from .ngrams import NgramTable, build_ngram_table, usage_matrix
 from .pipeline import RunConfig, compute_associations, compute_similarities, run_analyze
 from .render import render_grid_svg, render_trend_svg
 from .salience import (
@@ -75,11 +69,9 @@ __all__ = [
     "build_binning",
     "bin_documents",
     "analysis_text",
-    "NgramKey",
     "NgramTable",
     "build_ngram_table",
     "usage_matrix",
-    "render_ngram",
     "Topic",
     "TopicFramework",
     "VectorSpace",

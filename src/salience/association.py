@@ -82,27 +82,17 @@ def associate(
     topic_id: str,
     similarities: np.ndarray,
     variabilities: np.ndarray,
-    p: float = 75.0,
-    *,
-    sim_threshold: float | None = None,
-    rsd_threshold: float | None = None,
+    sim_threshold: float,
+    rsd_threshold: float,
 ) -> TopicAssociation:
-    """Select the rows strictly above the p-th percentile on both axes.
-
-    By default the similarity threshold comes from this topic's own
-    similarity column and the variability threshold from the full
-    variability array; pass precomputed thresholds to override (e.g. a
-    global similarity percentile).
-    """
+    """Select the rows strictly above both thresholds: the upper-right
+    quadrant of the (variability, similarity) scatter. The thresholds are
+    percentiles that `pipeline.compute_associations` takes."""
     if similarities.shape != variabilities.shape:
         raise ConsistencyError(
             f"topic {topic_id!r}: {similarities.shape[0]} similarities but "
             f"{variabilities.shape[0]} variabilities"
         )
-    if sim_threshold is None:
-        sim_threshold = percentile(similarities, p)
-    if rsd_threshold is None:
-        rsd_threshold = percentile(variabilities, p)
     rows = np.flatnonzero((similarities > sim_threshold) & (variabilities > rsd_threshold))
     rows = rows[np.lexsort((rows, -similarities[rows]))]
     return TopicAssociation(

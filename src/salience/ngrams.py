@@ -22,10 +22,17 @@ token ids. The pass keeps each document's date and nothing else of it, and
 bins the sentences once the dates have fixed the binning. `NgramTable`
 keeps its header (n, min_total, include_titles, binning) and numpy's
 arrays, row i for the i-th kept n-gram in sorted key order (K n-grams, B
-bins, N instances): `keys`, (K × B) int32 `counts`, and the contexts in CSR
-form, n-gram i's being entries context_start[i] to context_start[i + 1]
-((K + 1) int64 starts) of the (N,) int32 arrays `context_bins` and
-`context_sids`, one per instance in bin order, input order within a bin.
+bins, N instances): `keys`, the n-grams' texts, (K × B) int32 `counts`,
+and the contexts in CSR form, n-gram i's being entries context_start[i]
+to context_start[i + 1] ((K + 1) int64 starts) of the (N,) int32 arrays
+`context_bins` and `context_sids`, one per instance in bin order, input
+order within a bin.
+
+An n-gram is its text: its tokens joined by single spaces, as every
+artifact names it. The space sorts below every alphanumeric code point (no
+alphanumeric code point is below U+0030), so sorted texts are in the order
+of the sorted token sequences: word by word, a word before any longer word
+it begins.
 
 The table also carries the tokens of its S sentences in CSR form, for the
 similarity kernel: sentence s's tokens are words[i] for i in
@@ -48,9 +55,6 @@ import numpy as np
 
 from .corpus import GRANULARITIES, Document, TimeBinning, analysis_text, span_binning
 from .errors import ConsistencyError, InputError
-
-# A token key: n surfaces in order, case preserved.
-NgramKey = tuple[str, ...]
 
 # A sentence boundary: a mark and the whitespace after it, or a blank line.
 # The pattern starts on a character class, so the regex engine scans ahead
@@ -114,7 +118,7 @@ class NgramTable:
     min_total: int
     include_titles: bool
     binning: TimeBinning
-    keys: list[NgramKey]
+    keys: list[str]
     bin_totals: list[int]
     sentences: list[str]
     context_start: np.ndarray
@@ -136,14 +140,6 @@ class NgramTable:
         its scan; otherwise, or once deleted, the sentences are tokenized on
         first use."""
         return intern_sentences(self.sentences)
-
-
-def render_ngram(key: NgramKey) -> str:
-    return " ".join(key)
-
-
-def parse_ngram(text: str) -> NgramKey:
-    return tuple(text.split(" "))
 
 
 class _DenseIds(dict):
@@ -242,8 +238,8 @@ def build_ngram_table(
     del days, bin_of
 
     # Relabel each token id by the sorted() rank of its text: rows of ids
-    # then compare exactly as the n-gram keys do under sorted(), case and
-    # non-ASCII included, so sorted rows are sorted keys.
+    # then compare as sequences of words, case and non-ASCII included, which
+    # is how the joined texts compare, so sorted rows are sorted keys.
     words = list(token_ids)
     del token_ids, word_id
     by_text = sorted(range(len(words)), key=words.__getitem__)
@@ -337,7 +333,7 @@ def build_ngram_table(
         min_total=min_total,
         include_titles=include_titles,
         binning=binning,
-        keys=list(zip(*key_columns)),
+        keys=list(map(" ".join, zip(*key_columns))),
         bin_totals=bin_totals,
         sentences=sentences,
         context_start=np.concatenate(([0], np.cumsum(sizes))),

@@ -18,11 +18,12 @@ stages; `ngram_table.json` carries the contexts to the similarity stage.
 Between stages each quantity is one numpy array whose row i is the i-th
 n-gram in sorted key order (K n-grams, B bins, T topics, N instances):
 
-- the n-gram table: the K sorted keys, (K × B) int32 counts, and the
-  contexts in CSR form, (K + 1,) int64 starts into (N,) int32 bins and
-  sentence ids; in memory it also holds its sentences' token ids for the
-  similarity kernel, which `ngram_table.json` does not store and `analyze`
-  drops after its similarity stage;
+- the n-gram table: the K sorted keys, each an n-gram's text as every
+  artifact names it, (K × B) int32 counts, and the contexts in CSR form,
+  (K + 1,) int64 starts into (N,) int32 bins and sentence ids; in memory
+  it also holds its sentences' token ids for the similarity kernel, which
+  `ngram_table.json` does not store and `analyze` drops after its
+  similarity stage;
 - usage: (K × B) floats, count / bin total, 0 in empty bins;
 - similarities: (K × T) floats, columns in framework topic order;
 - variability: (K,) floats, each row's relative standard deviation;
@@ -58,6 +59,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import operator
 import os
 import re
@@ -81,14 +83,7 @@ from .association import (
 )
 from .corpus import TimeBinning, read_corpus, span_binning
 from .errors import ConsistencyError, InputError, SalienceError
-from .ngrams import (
-    NgramKey,
-    NgramTable,
-    build_ngram_table,
-    parse_ngram,
-    render_ngram,
-    usage_matrix,
-)
+from .ngrams import NgramTable, build_ngram_table, usage_matrix
 from .salience import (
     NORMALIZATIONS,
     normalize_salience,
@@ -108,7 +103,7 @@ from .topics import (
 SIM_SCOPES = ("per_topic", "global")
 # The ngram_table.json layout that write_table_json writes and load_table_json reads.
 TABLE_VERSION = 2
-# A rendered n-gram: tokenizer tokens joined by single spaces.
+# An n-gram's text: tokenizer tokens joined by single spaces.
 _NGRAM_TEXT = re.compile(r"[^\W_]+(?: [^\W_]+)*")
 
 
@@ -237,8 +232,8 @@ class _CsvArtifact:
         expected: list[str],
         width: int,
         lines: int,
-        keys: list[NgramKey] | None = None,
-    ) -> tuple[list[NgramKey], array]:
+        keys: list[str] | None = None,
+    ) -> tuple[list[str], array]:
         """The n-grams and the numbers of the records from the first row
         after the header to the end of the file. A record is `width` numbers
         under an n-gram, in `lines` physical lines of CSV rows, which `rows`
@@ -246,9 +241,7 @@ class _CsvArtifact:
         fast: it matches what `rows` joined match, any text where a number
         goes; its first group is the n-gram, and each other group holds one
         number or, if there is only one, all of them comma-separated. The
-        n-grams must come in sorted key order. Each n-gram is a tuple of the
-        words of one dict for the whole load, so a word that many n-grams
-        share is stored once.
+        n-grams must come in sorted key order.
 
         Given `keys`, the n-grams of the usage trends, the records must
         carry exactly those, in order, and `keys` is what is returned: the
@@ -263,9 +256,8 @@ class _CsvArtifact:
         newline."""
         compiled = re.compile(pattern)
         match, groups = compiled.match, compiled.groups
-        word = {}.setdefault  # a word's one copy, by its text
-        read: list[NgramKey] = []  # the n-grams, when no `keys` are given
-        done, last = 0, ()  # records read, and the last one's n-gram
+        read: list[str] = []  # the n-grams, when no `keys` are given
+        done, last = 0, ""  # records read, and the last one's n-gram
         values = array("d")
         text, end = "".join(self.unread), False
         self.line, self.unread = self.body, []
@@ -293,19 +285,16 @@ class _CsvArtifact:
                     raise self._refusal(text, rows, expected, lines)
                 floats = dict(zip(distinct, map(float, distinct)))
                 values.fromlist(list(map(floats.__getitem__, cells)))
-                block_keys = [
-                    tuple(map(word, parts, parts)) for name in names for parts in [name.split(" ")]
-                ]
-                if not all(map(operator.lt, [last, *block_keys], block_keys)):
+                if not all(map(operator.lt, [last, *names], names)):
                     seen = [last]
                     for name in names:  # to name the first out of order
                         _append_key(seen, name)
                         self.line += lines
                 if keys is None:
-                    read += block_keys
-                elif block_keys != keys[done : done + count]:
-                    raise _different_ngrams(block_keys, keys[done : done + count])
-                done, last = done + count, block_keys[-1]
+                    read += names
+                elif names != keys[done : done + count]:
+                    raise _different_ngrams(names, keys[done : done + count])
+                done, last = done + count, names[-1]
                 self.line += lines * count
             text = text[at:]
             # A record cut by the block's end matches once the next block
@@ -365,9 +354,8 @@ def _check_cells(path: Path, values: np.ndarray, rows: list, columns: list, unit
         return
     ok = (values >= 0.0) & (values <= 1.0) if unit else np.isfinite(values)
     i, j = divmod(int(ok.argmin()), values.shape[1])
-    row = rows[i] if isinstance(rows[i], str) else render_ngram(rows[i])
     bound = "in [0, 1]" if unit else "finite"
-    raise InputError(f"{path}: {row!r} at {columns[j]!r}: {values.item(i, j)!r} is not {bound}")
+    raise InputError(f"{path}: {rows[i]!r} at {columns[j]!r}: {values.item(i, j)!r} is not {bound}")
 
 
 # json.dumps spells the floats that have no decimal form so.
@@ -415,13 +403,12 @@ def _sha256(path: Path) -> str:
 # --- artifact writers / readers --------------------------------------------
 
 
-def _append_key(keys: list[NgramKey], text: str) -> None:
+def _append_key(keys: list[str], text: str) -> None:
     """Append the n-gram `text`, which must follow the last one in sorted key
     order: row order stands for key order."""
-    key = parse_ngram(text)
-    if keys and key <= keys[-1]:
+    if keys and text <= keys[-1]:
         raise ValueError(f"n-gram {text!r} repeats or is out of sorted order")
-    keys.append(key)
+    keys.append(text)
 
 
 def write_ngram_trends_csv(
@@ -430,14 +417,14 @@ def write_ngram_trends_csv(
     """One row per n-gram: its name, total and usage trend, floats as their
     shortest round-trip repr, rendered _BLOCK_CELLS usage cells at a time.
 
-    The bytes are those of csv.writer. Rows are joined by hand: a rendered
-    n-gram is word tokens joined by spaces, and neither it nor a count or a
+    The bytes are those of csv.writer. Rows are joined by hand: an n-gram's
+    text is word tokens joined by spaces, and neither it nor a count or a
     float repr needs quoting; the bin labels go through csv.writer.
     """
 
     def block(rows: slice) -> str:
         totals = np.diff(table.context_start[rows.start : rows.stop + 1]).tolist()
-        lines = zip(map(render_ngram, table.keys[rows]), totals, _cell_texts(usage[rows]))
+        lines = zip(table.keys[rows], totals, _cell_texts(usage[rows]))
         return "".join([f"{name},{total},{','.join(row)}\n" for name, total, row in lines])
 
     with path.open("w", encoding="utf-8", newline="") as fh:
@@ -446,7 +433,7 @@ def write_ngram_trends_csv(
             fh.write(block(rows))
 
 
-def load_ngram_trends_csv(path: Path) -> tuple[list[NgramKey], np.ndarray, list[str]]:
+def load_ngram_trends_csv(path: Path) -> tuple[list[str], np.ndarray, list[str]]:
     """Inverse of `write_ngram_trends_csv`: the n-gram keys, their usage as one
     (n-grams × bins) array, and the bin labels. Each row after the header is
     one record: an n-gram, a positive integer total and one number per bin.
@@ -469,7 +456,7 @@ def load_ngram_trends_csv(path: Path) -> tuple[list[NgramKey], np.ndarray, list[
     if unused.any():
         i = int(unused.argmax())
         raise InputError(
-            f"{path}: line {artifact.body + i}: n-gram {render_ngram(keys[i])!r} has no "
+            f"{path}: line {artifact.body + i}: n-gram {keys[i]!r} has no "
             "positive usage, but every tabled n-gram occurs at least once"
         )
     return keys, usage, header[2:]
@@ -514,7 +501,7 @@ def _table_entries(table: NgramTable, rows: slice) -> str:
     bins, sids = table.context_bins[pairs].tolist(), table.context_sids[pairs].tolist()
     contexts = [f"[{t},{sid}]" for t, sid in zip(bins, sids)]
     offsets = (ends - ends[0]).tolist()
-    names = map(encode_basestring_ascii, map(render_ngram, table.keys[rows]))
+    names = map(encode_basestring_ascii, table.keys[rows])
     entries = zip(names, _cell_texts(table.counts[rows]), offsets, offsets[1:])
     return ",".join(
         [
@@ -548,7 +535,7 @@ def load_table_json(path: Path) -> NgramTable:
             raise InputError(f"{path}: sentences must be a list of strings")
         n, min_total, include_titles, binning = _table_header(path, payload)
         bins = binning.bin_count
-        keys: list[NgramKey] = []
+        keys: list[str] = []
         rows: list[list[int]] = []
         pairs: list[list[int]] = []
         context_start = [0]
@@ -584,7 +571,7 @@ def load_table_json(path: Path) -> NgramTable:
         for key, row, expected in zip(keys, rows, table.counts.tolist()):
             if row != expected:
                 raise InputError(
-                    f"{path}: n-gram {render_ngram(key)!r}: counts {row!r} are not the "
+                    f"{path}: n-gram {key!r}: counts {row!r} are not the "
                     f"{bins} per-bin counts of its contexts"
                 )
         in_bins, totals = table.counts.sum(axis=0), np.array(table.bin_totals)
@@ -598,7 +585,7 @@ def load_table_json(path: Path) -> NgramTable:
         if (in_ngrams < min_total).any():
             i = int(in_ngrams.argmin())
             raise InputError(
-                f"{path}: bad table header: n-gram {render_ngram(keys[i])!r} has "
+                f"{path}: bad table header: n-gram {keys[i]!r} has "
                 f"{in_ngrams[i]} instances, below min_total {min_total}"
             )
         return table
@@ -637,20 +624,20 @@ def _table_header(path: Path, payload: dict) -> tuple[int, int, bool, TimeBinnin
 
 
 def write_similarity_csv(
-    path: Path, keys: list[NgramKey], sims: np.ndarray, topic_ids: list[str]
+    path: Path, keys: list[str], sims: np.ndarray, topic_ids: list[str]
 ) -> None:
     """One row per n-gram and topic, in sorted n-gram order and topic order,
     rendered _BLOCK_CELLS similarities at a time.
 
-    The bytes are those of csv.writer. Rows are joined by hand: a rendered
-    n-gram is word tokens joined by spaces and a float repr holds no comma
+    The bytes are those of csv.writer. Rows are joined by hand: an n-gram's
+    text is word tokens joined by spaces and a float repr holds no comma
     or quote, so neither needs quoting; topic ids are arbitrary strings and
     are quoted once each by csv.writer.
     """
     cells = [_csv_cell(topic_id) for topic_id in topic_ids]
 
     def block(rows: slice) -> str:
-        lines = zip(map(render_ngram, keys[rows]), _cell_texts(sims[rows]))
+        lines = zip(keys[rows], _cell_texts(sims[rows]))
         return "".join(
             [f"{name},{cell},{text}\n" for name, row in lines for cell, text in zip(cells, row)]
         )
@@ -661,7 +648,7 @@ def write_similarity_csv(
             fh.write(block(rows))
 
 
-def load_similarity_csv(path: Path, keys: list[NgramKey]) -> tuple[np.ndarray, list[str]]:
+def load_similarity_csv(path: Path, keys: list[str]) -> tuple[np.ndarray, list[str]]:
     """Inverse of `write_similarity_csv` for the n-grams `keys` of the usage
     trends: their similarities as one (n-grams × topics) array, and the
     topic ids. Every n-gram's rows must be contiguous, the n-grams must come
@@ -709,7 +696,7 @@ def load_similarity_csv(path: Path, keys: list[NgramKey]) -> tuple[np.ndarray, l
     return sims, topic_ids
 
 
-def _different_ngrams(read: list[NgramKey], wanted: list[NgramKey]) -> ConsistencyError:
+def _different_ngrams(read: list[str], wanted: list[str]) -> ConsistencyError:
     """The refusal of similarities whose n-grams `read` are not the usage
     trends' n-grams `wanted` at the same rows. It names the smaller n-gram
     of the first pair that differs, or else the first past the shorter
@@ -719,14 +706,14 @@ def _different_ngrams(read: list[NgramKey], wanted: list[NgramKey]) -> Consisten
         sample = (read[len(wanted) :] + wanted[len(read) :])[0]
     return ConsistencyError(
         "ngram_trends.csv and similarity.csv cover different n-gram sets "
-        f"(e.g. {render_ngram(sample)!r})"
+        f"(e.g. {sample!r})"
     )
 
 
 def write_associations_json(
     path: Path,
     associations: dict[str, TopicAssociation],
-    keys: list[NgramKey],
+    keys: list[str],
     sims: np.ndarray,
     rsd: np.ndarray,
 ) -> None:
@@ -736,48 +723,58 @@ def write_associations_json(
 
     The bytes are those of json.dumps(payload, indent=2) and a newline,
     rendered by line templates: topic ids and n-grams go through the
-    encoder's ASCII escaper, floats are spelled as json spells them.
+    encoder's ASCII escaper, floats are spelled as json spells them. Each
+    topic's block is written as soon as it is made, so the writer holds one
+    topic's text at a time.
     """
-    topics = []
-    for column, (topic_id, assoc) in enumerate(associations.items()):
-        rows = list(assoc.members)
-        names = map(encode_basestring_ascii, map(render_ngram, map(keys.__getitem__, rows)))
-        sim_texts = _json_floats(sims[rows, column].tolist())
-        rsd_texts = _json_floats(rsd[rows].tolist())
-        members = [
-            f'{{\n        "ngram": {name},\n        "similarity": {sim},\n'
-            f'        "rsd": {var}\n      }}'
-            for name, sim, var in zip(names, sim_texts, rsd_texts)
-        ]
-        sim_threshold, rsd_threshold = _json_floats([assoc.sim_threshold, assoc.rsd_threshold])
-        topics.append(
-            f'{encode_basestring_ascii(topic_id)}: {{\n    "sim_threshold": {sim_threshold},\n'
-            f'    "rsd_threshold": {rsd_threshold},\n'
-            f'    "members": {_json_block("[]", members, "    ")}\n  }}'
-        )
     with path.open("w", encoding="utf-8") as fh:
-        fh.write(_json_block("{}", topics, "") + "\n")
+        opening = "{\n  "
+        for column, (topic_id, assoc) in enumerate(associations.items()):
+            rows = list(assoc.members)
+            names = map(encode_basestring_ascii, map(keys.__getitem__, rows))
+            sim_texts = _json_floats(sims[rows, column].tolist())
+            rsd_texts = _json_floats(rsd[rows].tolist())
+            members = [
+                f'{{\n        "ngram": {name},\n        "similarity": {sim},\n'
+                f'        "rsd": {var}\n      }}'
+                for name, sim, var in zip(names, sim_texts, rsd_texts)
+            ]
+            sim_threshold, rsd_threshold = _json_floats([assoc.sim_threshold, assoc.rsd_threshold])
+            fh.write(
+                f'{opening}{encode_basestring_ascii(topic_id)}: {{\n'
+                f'    "sim_threshold": {sim_threshold},\n'
+                f'    "rsd_threshold": {rsd_threshold},\n'
+                f'    "members": {_json_block("[]", members, "    ")}\n  }}'
+            )
+            opening = ",\n  "
+        fh.write("\n}\n" if associations else "{}\n")
 
 
-def load_associations_json(path: Path, keys: list[NgramKey]) -> dict[str, TopicAssociation]:
+def load_associations_json(path: Path, keys: list[str]) -> dict[str, TopicAssociation]:
     """Inverse of `write_associations_json`: each topic's members as row
     indices into `keys`, the n-grams of the usage trends. A member outside
-    `keys` is a ConsistencyError."""
+    `keys` is a ConsistencyError; a member listed twice in one topic is
+    refused."""
     payload = _load_json(path, "associations", "associate")
     if not isinstance(payload, dict):
         raise InputError(f"{path}: associations must be a JSON object of topics")
-    row_of = {render_ngram(key): row for row, key in enumerate(keys)}
+    row_of = {key: row for row, key in enumerate(keys)}
     out: dict[str, TopicAssociation] = {}
     try:
         for topic_id, entry in payload.items():
-            members = []
+            members: dict[int, None] = {}  # the rows, in member order
             for member in entry["members"]:
-                row = row_of.get(member["ngram"])
+                ngram = member["ngram"]
+                row = row_of.get(ngram)
                 if row is None:
                     raise ConsistencyError(
-                        f"topic {topic_id!r}: no usage trend for member {member['ngram']!r}"
+                        f"topic {topic_id!r}: no usage trend for member {ngram!r}"
                     )
-                members.append(row)
+                if row in members:
+                    raise InputError(
+                        f"{path}: topic {topic_id!r}: member {ngram!r} is listed twice"
+                    )
+                members[row] = None
             out[topic_id] = TopicAssociation(
                 topic_id=topic_id,
                 members=tuple(members),
@@ -858,8 +855,8 @@ def write_matrix_json(path: Path, matrix) -> None:
 def load_matrix_json(path: Path) -> dict:
     """A salience matrix that `write_matrix_json` wrote, as its payload.
     Refuses labels that are not lists of strings, and values that are not
-    one row of numbers per grid row, one per grid column, or, without a
-    grid, one row of numbers, one per topic."""
+    one row of finite numbers per grid row, one per grid column, or,
+    without a grid, one row of finite numbers, one per topic."""
     payload = _load_json(path, "salience matrix", "salience")
     if not isinstance(payload, dict) or not {"bin", "rows", "columns", "values"} <= payload.keys():
         raise InputError(f"{path}: bad salience matrix payload")
@@ -878,9 +875,9 @@ def load_matrix_json(path: Path) -> dict:
         isinstance(values, list)
         and len(values) == height
         and all(isinstance(row, list) and len(row) == width for row in values)
-        and all(type(v) in (int, float) for row in values for v in row)
+        and all(type(v) in (int, float) and math.isfinite(v) for row in values for v in row)
     ):
-        raise InputError(f"{path}: matrix values must be {height} rows of {width} numbers")
+        raise InputError(f"{path}: matrix values must be {height} rows of {width} finite numbers")
     return payload
 
 
@@ -956,14 +953,7 @@ def compute_associations(
         # A column at a time: numpy partitions a copy of what it is given.
         sim_thresholds = [percentile(sims[:, column], p) for column in range(len(topic_ids))]
     return {
-        topic_id: associate(
-            topic_id,
-            sims[:, column],
-            rsd,
-            p,
-            sim_threshold=sim_thresholds[column],
-            rsd_threshold=rsd_threshold,
-        )
+        topic_id: associate(topic_id, sims[:, column], rsd, sim_thresholds[column], rsd_threshold)
         for column, topic_id in enumerate(topic_ids)
     }
 
@@ -1021,7 +1011,7 @@ def run_similarity(
 
 def run_associate(
     run: _Run,
-    keys: list[NgramKey],
+    keys: list[str],
     rsd: np.ndarray,
     sims: np.ndarray,
     topic_ids: list[str],

@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConsistencyError, InputError
-from .ngrams import NgramKey, sentences_with_tokens
+from .ngrams import sentences_with_tokens
 
 
 @dataclass(frozen=True)
@@ -336,7 +336,7 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
 class SimilarityMatrix:
     """Cosine similarity of one n-gram against every framework topic."""
 
-    ngram: NgramKey
+    ngram: str
     framework: TopicFramework
     values: tuple[float, ...]  # framework topic order
 
@@ -352,7 +352,7 @@ class SimilarityMatrix:
 
 
 def similarity_matrix(
-    ngram: NgramKey,
+    ngram: str,
     contexts: Sequence[str],
     framework: TopicFramework,
     space: VectorSpace,

@@ -90,31 +90,37 @@ def _arrays(pairs):
     return np.array(sims), np.array(rsds)
 
 
+def _at_percentile(sims, rsds, p):
+    """One topic's association with both thresholds at the p-th percentile,
+    taken as the pipeline takes them."""
+    return compute_associations(sims[:, None], rsds, ["topic"], p)["topic"]
+
+
 class TestAssociate:
     def test_no_ngram_top_quartile_on_both_axes(self):
         # sims 75th pct = 0.325 (only row 3 above); rsd 75th pct = 3.25 (only row 0).
         sims, rsds = _arrays([(0.1, 4.0), (0.2, 3.0), (0.3, 2.0), (0.4, 1.0)])
-        assert associate("topic", sims, rsds, 75).members == ()
+        assert _at_percentile(sims, rsds, 75).members == ()
 
     def test_identical_scores_leave_nothing_strictly_above(self):
         sims, rsds = np.full(6, 0.5), np.full(6, 2.0)
-        assert associate("topic", sims, rsds, 75).members == ()
+        assert _at_percentile(sims, rsds, 75).members == ()
 
     def test_dominant_ngram_alone(self):
         # With 8 values the strict 75th-percentile cut admits the top two per
         # axis; only row 7 is top-two on both.
         sims = np.array([0.1, 0.12, 0.11, 0.13, 0.1, 0.1, 0.5, 0.9])
         rsds = np.array([0.2, 0.3, 0.25, 3.0, 0.2, 0.2, 0.3, 5.0])
-        result = associate("topic", sims, rsds, 75)
+        result = _at_percentile(sims, rsds, 75)
         assert result.members == (7,)
 
     def test_mismatched_ngram_sets(self):
         with pytest.raises(ConsistencyError):
-            associate("topic", np.array([0.1]), np.array([0.1, 0.2]))
+            associate("topic", np.array([0.1]), np.array([0.1, 0.2]), 0.0, 0.0)
 
     def test_members_sorted_by_descending_similarity(self):
         sims, rsds = _arrays([(0.2, 5.0), (0.9, 9.0), (0.8, 8.0), (0.0, 0.0)])
-        result = associate("topic", sims, rsds, 25)
+        result = _at_percentile(sims, rsds, 25)
         assert result.members == (1, 2, 0)
 
     def test_similarity_ties_keep_row_order(self):
@@ -130,7 +136,7 @@ class TestAssociate:
 
     def test_thresholds_recorded(self):
         values = np.arange(1.0, 9.0)
-        result = associate("topic", values, values, 75)
+        result = _at_percentile(values, values, 75)
         assert result.sim_threshold == 6.25
         assert result.rsd_threshold == 6.25
 
@@ -144,7 +150,7 @@ def _random_population(rng, size):
 def test_member_set_is_the_upper_right_quadrant(seed, size):
     rng = np.random.default_rng(seed)
     sims, rsds = _random_population(rng, size)
-    result = associate("topic", sims, rsds, 75)
+    result = _at_percentile(sims, rsds, 75)
     sim_cut = percentile(sims.tolist(), 75)
     rsd_cut = percentile(rsds.tolist(), 75)
     brute = {i for i in range(size) if sims[i] > sim_cut and rsds[i] > rsd_cut}
@@ -162,8 +168,8 @@ def test_member_set_is_the_upper_right_quadrant(seed, size):
 def test_raising_p_never_adds_members(seed, size):
     rng = np.random.default_rng(seed)
     sims, rsds = _random_population(rng, size)
-    at_75 = set(associate("topic", sims, rsds, 75).members)
-    at_90 = set(associate("topic", sims, rsds, 90).members)
+    at_75 = set(_at_percentile(sims, rsds, 75).members)
+    at_90 = set(_at_percentile(sims, rsds, 90).members)
     assert at_90 <= at_75
 
 
@@ -175,8 +181,8 @@ def test_raising_p_never_adds_members(seed, size):
 def test_membership_invariant_under_similarity_rescaling(seed, factor):
     rng = np.random.default_rng(seed)
     sims, rsds = _random_population(rng, 60)
-    base = associate("topic", sims, rsds, 75)
-    scaled = associate("topic", sims * factor, rsds, 75)
+    base = _at_percentile(sims, rsds, 75)
+    scaled = _at_percentile(sims * factor, rsds, 75)
     assert scaled.members == base.members
 
 
@@ -199,7 +205,8 @@ def test_column_thresholds_equal_the_scalar_percentile(seed, rows, p):
         assert per_topic[topic_id].sim_threshold == percentile(sims[:, column].tolist(), p)
         assert per_topic[topic_id].rsd_threshold == percentile(rsd.tolist(), p)
         assert pooled[topic_id].sim_threshold == percentile(sims.ravel().tolist(), p)
-        assert per_topic[topic_id] == associate(topic_id, sims[:, column], rsd, p)
+        thresholds = percentile(sims[:, column].tolist(), p), percentile(rsd.tolist(), p)
+        assert per_topic[topic_id] == associate(topic_id, sims[:, column], rsd, *thresholds)
 
 
 def test_unknown_sim_scope_is_refused():

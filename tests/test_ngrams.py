@@ -26,7 +26,6 @@ from salience.ngrams import (
     intern_sentences,
     relative_usage_trend,
     usage_matrix,
-    render_ngram,
     sentences_with_tokens,
 )
 
@@ -56,8 +55,8 @@ def _reference_table(docs, n=2, min_total=1, *, include_titles=True, granularity
     """build_ngram_table as a dict of context lists, one per unique n-gram,
     over the documents held and binned first: the oracle for the scan and
     the numpy group-by. Returns the binning, the bin totals, the sentences
-    and {key: (per-bin counts, [(bin, sentence id), ...])} in sorted key
-    order."""
+    and {key: (per-bin counts, [(bin, sentence id), ...])}, keys in the order
+    of their token tuples under sorted() and written as texts."""
     corpus = bin_documents(docs, build_binning(docs, granularity))
     m = corpus.binning.bin_count
     bin_totals = [0] * m
@@ -86,7 +85,7 @@ def _reference_table(docs, n=2, min_total=1, *, include_titles=True, granularity
                 sentences.append(texts[old])
             contexts.append((t, sid))
             counts[t] += 1
-        rows[key] = (counts, contexts)
+        rows[" ".join(key)] = (counts, contexts)
     return corpus.binning, bin_totals, sentences, rows
 
 
@@ -195,7 +194,7 @@ def test_fold_keeps_exactly_the_oracle_word_characters():
 
 class TestExtractNgrams:
     def test_windows_within_sentence(self):
-        assert table_of("a b c").keys == [("a", "b"), ("b", "c")]
+        assert table_of("a b c").keys == ["a b", "b c"]
 
     def test_no_cross_sentence_windows(self):
         table = table_of("a. b")
@@ -205,7 +204,7 @@ class TestExtractNgrams:
 
     def test_repeated_sentences_repeat_instances(self):
         table = table_of("a b. a b")
-        assert table.keys == [("a", "b")]
+        assert table.keys == ["a b"]
         assert table.context_start.tolist() == [0, 2]
         assert table.counts.tolist() == [[2]]
 
@@ -221,7 +220,7 @@ class TestBuildTable:
     def test_single_doc_counts(self):
         docs = make_docs([(day(2017, 1), "a b c")])
         table = build_ngram_table(docs, n=2, min_total=1)
-        assert table.keys == [("a", "b"), ("b", "c")]
+        assert table.keys == ["a b", "b c"]
         assert table.counts.tolist() == [[1], [1]]
         assert table.bin_totals == [2]
 
@@ -235,16 +234,16 @@ class TestBuildTable:
     def test_counts_across_gap_bin(self):
         docs = make_docs([(day(2017, 1), "x y"), (day(2017, 3), "x y")])
         table = build_ngram_table(docs, n=2, min_total=1)
-        assert table.keys == [("x", "y")]
+        assert table.keys == ["x y"]
         assert table.counts.tolist() == [[1, 0, 1]]
 
     def test_titles_included_by_default(self):
         docs = [Document(id="d0", date=day(2017, 1), text="body text", title="big title")]
         with_title = build_ngram_table(docs, n=2, min_total=1)
-        assert ("big", "title") in with_title.keys
+        assert "big title" in with_title.keys
         assert with_title.include_titles is True
         without = build_ngram_table(docs, n=2, min_total=1, include_titles=False)
-        assert ("big", "title") not in without.keys
+        assert "big title" not in without.keys
         assert without.include_titles is False
 
     def test_no_documents(self):
@@ -303,7 +302,7 @@ class TestContexts:
     def test_context_is_the_enclosing_sentence(self):
         docs = make_docs([(day(2017, 1), "The runoff election was held. Unrelated line.")])
         table = build_ngram_table(docs, n=2, min_total=1)
-        assert _context_sentences(table, ("runoff", "election")) == [
+        assert _context_sentences(table, "runoff election") == [
             "The runoff election was held."
         ]
 
@@ -312,14 +311,14 @@ class TestContexts:
             [(day(2017, 1), "vote count rose. vote count fell"), (day(2017, 2), "vote count")]
         )
         table = build_ngram_table(docs, n=2, min_total=1)
-        assert len(_context_sentences(table, ("vote", "count"))) == 3
+        assert len(_context_sentences(table, "vote count")) == 3
 
     def test_duplicate_sentences_not_deduped(self):
         # One context per instance, even when both instances share a sentence id.
         docs = make_docs([(day(2017, 1), "same words"), (day(2017, 2), "same words")])
         table = build_ngram_table(docs, n=2, min_total=1)
-        assert _context_sentences(table, ("same", "words")) == ["same words", "same words"]
-        assert _contexts(table, ("same", "words")) == [(0, 0), (1, 0)]
+        assert _context_sentences(table, "same words") == ["same words", "same words"]
+        assert _contexts(table, "same words") == [(0, 0), (1, 0)]
 
     def test_contexts_contain_the_ngram_tokens(self):
         docs = make_docs([(day(2017, 1), "alpha beta gamma. beta gamma delta")])
@@ -327,10 +326,10 @@ class TestContexts:
         for key in table.keys:
             for sentence in _context_sentences(table, key):
                 flat = [t for _, toks in oracle_sentences_with_tokens(sentence) for t in toks]
-                n = len(key)
+                n = len(key.split(" "))
                 assert any(
-                    tuple(flat[i : i + n]) == key for i in range(len(flat) - n + 1)
-                ), f"{render_ngram(key)} not in context {sentence!r}"
+                    " ".join(flat[i : i + n]) == key for i in range(len(flat) - n + 1)
+                ), f"{key} not in context {sentence!r}"
 
     def test_sentences_listed_once_and_only_if_they_host_a_kept_instance(self):
         docs = make_docs(
@@ -340,7 +339,7 @@ class TestContexts:
             ]
         )
         table = build_ngram_table(docs, n=2, min_total=3)
-        assert table.keys == [("kept", "pair")]
+        assert table.keys == ["kept pair"]
         assert table.sentences == ["kept pair here.", "kept pair again."]
         used = set(table.context_sids.tolist())
         assert used == set(range(len(table.sentences)))
@@ -435,6 +434,38 @@ def test_table_equals_reference(items, n, min_total):
     docs = _docs_from(items + [(month % 4 + 1, text)])
     table = build_ngram_table(docs, n=n, min_total=min_total)
     _assert_equals_reference(table, _reference_table(docs, n=n, min_total=min_total))
+
+
+# Tokens where a separator could decide the order: tokens that begin one
+# another ("a", "ab"), digits, case and non-ASCII letters, and any run of
+# alphanumeric code points.
+order_tokens = st.sampled_from(
+    ["a", "ab", "abc", "b", "A", "0", "09", "9", "é", "éa", "Ü", "ß", "二三"]
+) | st.text(st.characters().filter(str.isalnum), min_size=1, max_size=3)
+token_keys = st.integers(min_value=1, max_value=3).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(*[order_tokens] * n), min_size=1, max_size=30),
+    )
+)
+
+
+@settings(max_examples=80)
+@given(token_keys)
+@example((2, [("a", "b"), ("ab", "a"), ("a", "ab"), ("a", "a"), ("9", "a"), ("09", "é")]))
+@example((1, [("ab",), ("a",), ("éa",), ("é",), ("A",)]))
+def test_text_keys_sort_as_token_tuples(case):
+    # An n-gram is its tokens joined by single spaces: its text must sort as
+    # its token tuple does, and the scan must return the texts in that order.
+    n, keys = case
+    texts = [" ".join(key) for key in keys]
+    by_tuple = sorted(range(len(keys)), key=keys.__getitem__)
+    assert sorted(range(len(keys)), key=texts.__getitem__) == by_tuple
+    # One sentence per key, of exactly n tokens: the sentence is one window.
+    items = [(day(2017, 1 + i % 3), f"{text}.") for i, text in enumerate(texts)]
+    table = build_ngram_table(make_docs(items), n=n, min_total=1)
+    assert table.keys == sorted(set(texts))
+    assert table.keys == [" ".join(key) for key in sorted(set(keys))]
 
 
 def _decoded(sentence_tokens):
@@ -586,7 +617,7 @@ def test_write_blocks_do_not_change_the_table(tmp_path, monkeypatch, block):
         "bin_totals": bin_totals,
         "sentences": sentences,
         "ngrams": {
-            render_ngram(key): {"counts": counts, "contexts": contexts}
+            key: {"counts": counts, "contexts": contexts}
             for key, (counts, contexts) in rows.items()
         },
     }
@@ -610,7 +641,7 @@ def test_emergent_ngram_has_exact_zero_before_first_use():
     items = [(day(2017, 1), "alpha bravo"), (day(2017, 2), "alpha bravo")]
     items += [(day(2017, m), "nova spike") for m in (4, 5)]
     table = build_ngram_table(make_docs(items), n=2, min_total=1)
-    row = table.keys.index(("nova", "spike"))
+    row = table.keys.index("nova spike")
     trend = relative_usage_trend(table.counts[row].tolist(), table.bin_totals)
     assert trend[:3] == [0.0, 0.0, 0.0]
     assert all(v > 0 for v in trend[3:])

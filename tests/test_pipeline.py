@@ -16,7 +16,7 @@ from salience import cli, pipeline
 from salience.cli import main
 from salience.corpus import TimeBinning, build_binning, load_corpus, read_corpus
 from salience.errors import InputError
-from salience.ngrams import NgramTable, build_ngram_table, render_ngram
+from salience.ngrams import NgramTable, build_ngram_table
 from salience.pipeline import (
     RunConfig,
     load_associations_json,
@@ -164,14 +164,14 @@ class TestAnalyze:
         tmp, corpus, framework = workspace
         out = tmp / "roundtrip"
         run_analyze(RunConfig(corpus=corpus, framework=framework, out_dir=out, min_total=1))
-        from salience.ngrams import relative_usage_trend, parse_ngram
+        from salience.ngrams import relative_usage_trend
 
         table = build_ngram_table(load_corpus(corpus), 2, 1)
         with (out / "ngram_trends.csv").open() as fh:
             reader = csv.reader(fh)
             next(reader)
             for row in reader:
-                counts = table.counts[table.keys.index(parse_ngram(row[0]))].tolist()
+                counts = table.counts[table.keys.index(row[0])].tolist()
                 assert int(row[1]) == sum(counts)
                 expected = relative_usage_trend(counts, table.bin_totals)
                 assert [float(v) for v in row[2:]] == expected
@@ -425,6 +425,46 @@ class TestCli:
         assert err.startswith(f"error: render: {matrix}: matrix values must be 6 rows of 6 ")
         assert not (out / "render").exists()
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_render_non_finite_matrix_value_exits_one(self, workspace, tmp_path, capsys, value):
+        from salience.topics import load_pmesii_ascope
+
+        _, corpus, _ = workspace
+        grid_fw = framework_file(tmp_path, load_pmesii_ascope(), name="pmesii.json")
+        out = tmp_path / "out"
+        run_analyze(RunConfig(corpus=corpus, framework=grid_fw, out_dir=out, min_total=1))
+        matrix = out / "matrices" / "2016-01.json"
+        payload = json.loads(matrix.read_text(encoding="utf-8"))
+        payload["values"][2][3] = value
+        matrix.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        args = ["render", "--in", str(out), "--topics", "political_events", "--bin", "2016-01"]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: render: {matrix}: matrix values must be 6 rows of 6 finite")
+        assert not (out / "render").exists()
+
+    def test_member_listed_twice_exits_one(self, workspace, tmp_path, capsys):
+        _, corpus, framework = workspace
+        out = tmp_path / "out"
+        config = RunConfig(
+            corpus=corpus, framework=framework, out_dir=out, min_total=1, percentile=50.0
+        )
+        run_analyze(config)
+        path = out / "associations.json"
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        topic_id, entry = next((tid, entry) for tid, entry in payload.items() if entry["members"])
+        entry["members"].append(entry["members"][0])
+        path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["salience", "--in", str(out), "--framework", str(framework)]) == 1
+        ngram = entry["members"][0]["ngram"]
+        assert capsys.readouterr().err.startswith(
+            f"error: salience: {path}: topic {topic_id!r}: member {ngram!r} is listed twice"
+        )
+        # The failed stage leaves no trends that the repeated member shaped.
+        assert not (out / "topic_usage.csv").exists()
+
     def test_render_bug_exits_two_and_removes_partial_output(
         self, workspace, tmp_path, monkeypatch, capsys
     ):
@@ -533,8 +573,7 @@ class TestCli:
         # all. Holding the usage beside it, a second key list and a copy of
         # the whole array for the thresholds comes to 4.2 times.
         rng = np.random.default_rng(3)
-        words = [f"w{i}" for i in range(500)]
-        keys = sorted({(words[a], words[b]) for a, b in rng.integers(500, size=(3200, 2))})[:3000]
+        keys = sorted({f"w{a} w{b}" for a, b in rng.integers(500, size=(3200, 2)).tolist()})[:3000]
         counts = rng.integers(0, 3, size=(3000, 33))
         counts[np.arange(3000), rng.integers(33, size=3000)] += 1
         starts = np.concatenate([[0], np.cumsum(counts.sum(axis=1))])
@@ -681,12 +720,12 @@ class TestCli:
             id="trends-short-row",
         ),
         pytest.param(
-            functools.partial(load_similarity_csv, keys=[("a", "b"), ("b", "c")]),
+            functools.partial(load_similarity_csv, keys=["a b", "b c"]),
             "ngram,topic_id,similarity\na b,t1,0.5\nb c,t1,oops\n",
             id="similarity-non-numeric",
         ),
         pytest.param(
-            functools.partial(load_similarity_csv, keys=[("a", "b"), ("b", "c")]),
+            functools.partial(load_similarity_csv, keys=["a b", "b c"]),
             "ngram,topic_id,similarity\na b,t1,0.5\nb c,t1,0.5,0.5\n",
             id="similarity-long-row",
         ),
@@ -722,7 +761,7 @@ def test_associations_loader_refuses_a_non_object(tmp_path, text):
     path = tmp_path / "associations.json"
     path.write_text(text, encoding="utf-8")
     with pytest.raises(InputError, match=re.escape(f"{path}: associations must be")):
-        load_associations_json(path, [("a", "b")])
+        load_associations_json(path, ["a b"])
 
 
 _GRID_MATRIX = {"bin": "b", "rows": ["r1", "r2"], "columns": ["c1"], "values": [[0.5], [-1]]}
@@ -786,14 +825,14 @@ def test_matrix_loader_reads_both_layouts(tmp_path, payload):
             id="trends-unsorted",
         ),
         pytest.param(
-            functools.partial(load_similarity_csv, keys=[("a", "b"), ("b", "c")]),
+            functools.partial(load_similarity_csv, keys=["a b", "b c"]),
             "ngram,topic_id,similarity\na b,t1,0.5\nb c,t1,0.5\na b,t1,0.5\n",
             4,
             "a b",
             id="similarity-split",
         ),
         pytest.param(
-            functools.partial(load_similarity_csv, keys=[("a", "b"), ("b", "c")]),
+            functools.partial(load_similarity_csv, keys=["a b", "b c"]),
             "ngram,topic_id,similarity\nb c,t1,0.5\nb c,t2,0.5\na b,t1,0.5\na b,t2,0.5\n",
             4,
             "a b",
@@ -922,7 +961,7 @@ def test_ngram_trends_loader_inverts_the_writer(workspace, tmp_path):
     assert labels == table["bin_labels"]
     totals = table["bin_totals"]
     assert usage.shape == (len(keys), len(labels))
-    assert dict(zip(map(render_ngram, keys), usage.tolist())) == {
+    assert dict(zip(keys, usage.tolist())) == {
         text: [c / t if t else 0.0 for c, t in zip(entry["counts"], totals)]
         for text, entry in table["ngrams"].items()
     }
@@ -930,7 +969,7 @@ def test_ngram_trends_loader_inverts_the_writer(workspace, tmp_path):
 
 def test_similarity_csv_is_csv_writer_output(tmp_path):
     topic_ids = ["plain", "comma, id", 'say "hi"', 'both, "x"', "two\nlines", "çé"]
-    keys = [("2017", "Echo"), ("émile", "Ünï")]
+    keys = ["2017 Echo", "émile Ünï"]
     sims = np.array([(0.5, 0.25, 1e-300, 0.3, 0.7, 0.9), (0.1, 1 / 3, 0.0, 2.5e-17, 1.0, -0.0)])
     path = tmp_path / "similarity.csv"
     write_similarity_csv(path, keys, sims, topic_ids)
@@ -938,7 +977,7 @@ def test_similarity_csv_is_csv_writer_output(tmp_path):
     writer = csv.writer(expected, lineterminator="\n")
     writer.writerow(["ngram", "topic_id", "similarity"])
     for key, row in zip(keys, sims.tolist()):
-        writer.writerows([render_ngram(key), tid, repr(v)] for tid, v in zip(topic_ids, row))
+        writer.writerows([key, tid, repr(v)] for tid, v in zip(topic_ids, row))
     assert path.read_bytes() == expected.getvalue().encode("utf-8")
     loaded, loaded_ids = load_similarity_csv(path, keys)
     assert loaded_ids == topic_ids
@@ -1181,7 +1220,7 @@ def test_corrupt_number_exits_one(
     "loader, header, where, good, bad",
     [
         pytest.param(
-            functools.partial(load_similarity_csv, keys=[("a", "b")]),
+            functools.partial(load_similarity_csv, keys=["a b"]),
             "ngram,topic_id,similarity\na b,t1,",
             "'a b' at 't1'",
             ["0.0", "-0.0", "1.0", "5e-324"],

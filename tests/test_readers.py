@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from salience import pipeline
 from salience.corpus import TimeBinning
 from salience.errors import ConsistencyError, InputError
-from salience.ngrams import NgramTable, parse_ngram, render_ngram
+from salience.ngrams import NgramTable
 
 DEFAULT_CHARS = pipeline._READ_CHARS
 # One character per read, a small odd number, and the module's own.
@@ -45,8 +45,11 @@ SIMILARITY = "similarity.csv"
 TRENDS = "ngram_trends.csv"
 
 
-def _keys(draw, rows: int) -> list[tuple[str, ...]]:
-    return sorted(draw(st.lists(st.tuples(words, words), min_size=rows, max_size=rows, unique=True)))
+def _keys(draw, rows: int) -> list[str]:
+    """Distinct two-word n-grams as texts, in the sorted order of their
+    token tuples."""
+    pairs = draw(st.lists(st.tuples(words, words), min_size=rows, max_size=rows, unique=True))
+    return [" ".join(pair) for pair in sorted(pairs)]
 
 
 def _values(draw, rows: int, columns: int) -> np.ndarray:
@@ -157,7 +160,7 @@ def test_loaders_refuse_numbers_not_spelled_as_the_writers_spell_them(tmp_path, 
     header = "ngram,topic_id,similarity\na b,t1," if name == SIMILARITY else "ngram,total,b\na b,1,"
     path.write_text(f"{header}0.5\nb c,{'t1' if name == SIMILARITY else '1'},{number}\n")
     with pytest.raises(InputError, match=rf"{re.escape(str(path))}: line 3: expected .*, found"):
-        _load(path, keys=[("a", "b"), ("b", "c")])
+        _load(path, keys=["a b", "b c"])
 
 
 def _csv_reading(path: Path):
@@ -166,9 +169,9 @@ def _csv_reading(path: Path):
     with path.open(encoding="utf-8") as fh:
         header, *rows = [row for row in csv.reader(fh) if row]
     if path.name == TRENDS:
-        keys = [parse_ngram(row[0]) for row in rows]
+        keys = [row[0] for row in rows]
         return keys, np.array([list(map(float, row[2:])) for row in rows]), header[2:]
-    keys = list(dict.fromkeys(parse_ngram(row[0]) for row in rows))
+    keys = list(dict.fromkeys(row[0] for row in rows))
     topics = [row[1] for row in rows[: len(rows) // len(keys)]]
     return keys, np.array([float(row[2]) for row in rows]).reshape(len(keys), -1), topics
 
@@ -227,8 +230,8 @@ def test_corrupted_artifact_is_refused_or_read_as_csv_reads_it(case, chars):
             assert name == SIMILARITY and kind != "cell"
             with path.open(encoding="utf-8") as fh:
                 rows = [row for row in csv.reader(fh) if row][1:]
-            read = {parse_ngram(row[0]) for row in rows}
-            sample = render_ngram(min(read ^ set(written)))
+            read = {row[0] for row in rows}
+            sample = min(read ^ set(written))
             assert str(exc).endswith(f"different n-gram sets (e.g. {sample!r})")
             return
         # Accepted: a file the writer could have written, read as csv.reader
@@ -244,7 +247,7 @@ def test_loaders_do_not_parse_rows_with_csv_reader(tmp_path):
     # that ends them; the other 21,564 rows of similarity.csv, and every
     # row of ngram_trends.csv after its header, are matched as records.
     topics = [f"topic {t}" for t in range(36)]
-    keys = [(f"w{i:04d}", "x") for i in range(600)]
+    keys = [f"w{i:04d} x" for i in range(600)]
     sims = np.random.default_rng(1).random((600, 36))
     sims[sims < 0.8] = 0.0
     table = _trends_table(keys, [3] * 600, 33)

@@ -97,7 +97,7 @@ class TestMatrixSvg:
     def test_similarity_matrix_titled_by_ngram(self):
         fw = load_pmesii_ascope()
         space, vectors = build_vector_space(fw)
-        matrix = similarity_matrix(("ballot", "count"), ["election ballot"], fw, space, vectors)
+        matrix = similarity_matrix("ballot count", ["election ballot"], fw, space, vectors)
         per_topic = dict(zip(fw.topic_ids(), matrix.values))
         svg = render_grid_svg(
             fw.grid_values(per_topic), list(fw.rows), list(fw.columns), title="ballot count"

@@ -186,7 +186,7 @@ class TestOrderIndependence:
         space, vectors = build_vector_space(fw)
         rng = random.Random(seed)
         pool = _sentence_pool(fw, rng, size=40)
-        records = [((f"g{i}", "x"), ctx) for i, ctx in enumerate(_random_contexts(pool, rng, 60))]
+        records = [(f"g{i} x", ctx) for i, ctx in enumerate(_random_contexts(pool, rng, 60))]
         table = _table(records)
         before = dict(zip(table.keys, compute_similarities(table, space, vectors).tolist()))
 

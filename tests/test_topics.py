@@ -251,20 +251,20 @@ class TestSimilarityMatrix:
         space, vectors = build_vector_space(quadrant_framework)
         topic = quadrant_framework.topics[0]
         whole_doc = expand_topic_document(topic)
-        matrix = similarity_matrix(("x", "y"), [whole_doc], quadrant_framework, space, vectors)
+        matrix = similarity_matrix("x y", [whole_doc], quadrant_framework, space, vectors)
         assert matrix.value_for(topic.id) == pytest.approx(1.0, abs=1e-12)
 
     def test_unknown_contexts_give_all_zero_matrix(self, quadrant_framework):
         space, vectors = build_vector_space(quadrant_framework)
         matrix = similarity_matrix(
-            ("x", "y"), ["totally unrelated words"], quadrant_framework, space, vectors
+            "x y", ["totally unrelated words"], quadrant_framework, space, vectors
         )
         assert matrix.values == (0.0,) * 4
 
     def test_grid_shape_follows_framework(self):
         fw = load_pmesii_ascope()
         space, vectors = build_vector_space(fw)
-        matrix = similarity_matrix(("a", "b"), ["election ballot"], fw, space, vectors)
+        matrix = similarity_matrix("a b", ["election ballot"], fw, space, vectors)
         grid = matrix.grid()
         assert len(grid) == 6 and all(len(row) == 6 for row in grid)
         assert all(0.0 <= v <= 1.0 for row in grid for v in row)
@@ -279,7 +279,7 @@ class TestSimilarityMatrix:
         space, vectors = build_vector_space(quadrant_framework)
         for topic in quadrant_framework.topics:
             matrix = similarity_matrix(
-                ("q", "g"), list(topic.ground_truth), quadrant_framework, space, vectors
+                "q g", list(topic.ground_truth), quadrant_framework, space, vectors
             )
             on_target = matrix.value_for(topic.id)
             for other in quadrant_framework.topics:

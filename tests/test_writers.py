@@ -11,6 +11,7 @@ import csv
 import datetime as dt
 import io
 import json
+import math
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -24,7 +25,8 @@ from hypothesis import strategies as st
 from salience import pipeline
 from salience.association import TopicAssociation
 from salience.corpus import TimeBinning
-from salience.ngrams import NgramTable, render_ngram
+from salience.errors import InputError
+from salience.ngrams import NgramTable
 from salience.salience import salience_matrix
 from salience.topics import Topic, TopicFramework
 
@@ -74,9 +76,11 @@ def _float_array(draw, rows: int, columns: int) -> np.ndarray:
     return np.array(cells, dtype=np.float64).reshape(rows, columns)
 
 
-def _keys(draw, rows: int) -> list[tuple[str, ...]]:
-    keys = draw(st.lists(st.tuples(words, words), min_size=rows, max_size=rows, unique=True))
-    return sorted(keys)
+def _keys(draw, rows: int) -> list[str]:
+    """Distinct two-word n-grams as texts, in the sorted order of their
+    token tuples."""
+    pairs = draw(st.lists(st.tuples(words, words), min_size=rows, max_size=rows, unique=True))
+    return [" ".join(pair) for pair in sorted(pairs)]
 
 
 @st.composite
@@ -125,7 +129,7 @@ def _table_reference(table: NgramTable, contexts) -> bytes:
         counts = [0] * len(table.bin_totals)
         for t, _ in pairs:
             counts[t] += 1
-        payload["ngrams"][render_ngram(key)] = {
+        payload["ngrams"][key] = {
             "counts": counts,
             "contexts": [[t, sid] for t, sid in pairs],
         }
@@ -144,7 +148,7 @@ def trends_cases(draw):
 def _trends_reference(table, usage, bin_labels) -> bytes:
     totals = np.diff(table.context_start).tolist()
     rows = (
-        [render_ngram(key), total, *map(repr, values)]
+        [key, total, *map(repr, values)]
         for key, total, values in zip(table.keys, totals, usage.tolist())
     )
     return _csv_bytes(["ngram", "total", *bin_labels], rows)
@@ -159,7 +163,7 @@ def similarity_cases(draw):
 
 def _similarity_reference(keys, sims, topic_ids) -> bytes:
     rows = (
-        [render_ngram(key), topic_id, repr(value)]
+        [key, topic_id, repr(value)]
         for key, values in zip(keys, sims.tolist())
         for topic_id, value in zip(topic_ids, values)
     )
@@ -235,7 +239,7 @@ def _associations_reference(associations, keys, sims, rsd) -> bytes:
             "rsd_threshold": assoc.rsd_threshold,
             "members": [
                 {
-                    "ngram": render_ngram(keys[row]),
+                    "ngram": keys[row],
                     "similarity": sims[row, column].item(),
                     "rsd": rsd[row].item(),
                 }
@@ -299,8 +303,13 @@ def test_matrix_json_is_json_dumps_indent_2(matrix):
         path = Path(folder) / "matrix.json"
         pipeline.write_matrix_json(path, matrix)
         assert path.read_bytes() == _matrix_reference(matrix)
-        # What the writer writes, the loader reads.
-        pipeline.load_matrix_json(path)
+        # What the writer writes, the loader reads, unless a value is not
+        # finite: salience from finite usage is finite, so render refuses it.
+        if all(map(math.isfinite, matrix.values)):
+            pipeline.load_matrix_json(path)
+        else:
+            with pytest.raises(InputError, match="finite numbers"):
+                pipeline.load_matrix_json(path)
 
 
 def _wide_cases():
@@ -308,7 +317,7 @@ def _wide_cases():
     width = DEFAULT_BUDGET + 3
     rng = np.random.default_rng(7)
     values = rng.choice(np.array(SPECIAL_FLOATS), size=(3, width))
-    keys = [("a", "b"), ("b", "c"), ("c", "d")]
+    keys = ["a b", "b c", "c d"]
     contexts = [[(0, 0)], [(t % 2, t % 3) for t in range(width)], [(1, 2), (0, 1)]]
     table = _table(keys, 2, ["x", "y", "z"], contexts)
     labels = [f"bin {t}" for t in range(width)]
@@ -346,12 +355,38 @@ def test_rows_wider_than_the_default_budget(writer, args, expected):
     assert _written(DEFAULT_BUDGET, writer, *args) == expected
 
 
+def test_associations_writer_holds_one_topic_at_a_time(tmp_path):
+    # 36 topics of 200 members each over 6,000 n-grams. A writer that holds
+    # every topic's text at once, and copies it again to add the newline,
+    # peaks at about three times the file; one topic at a time is about a
+    # tenth of it.
+    rows, topics = 6000, 36
+    rng = np.random.default_rng(5)
+    keys = [f"w{i:06d} x" for i in range(rows)]
+    sims, rsd = rng.random((rows, topics)), rng.random(rows) + 0.5
+    associations = {
+        f"topic {t}": TopicAssociation(
+            f"topic {t}", tuple(rng.choice(rows, 200, replace=False).tolist()), 0.5, 1.0
+        )
+        for t in range(topics)
+    }
+    path = tmp_path / "associations.json"
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        pipeline.write_associations_json(path, associations, keys, sims, rsd)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size, (peak, path.stat().st_size)
+
+
 def _tall_inputs(name: str, rows: int):
     """Inputs for one of the big writers: `rows` n-grams of 40 bins, four
     contexts and 36 topics each, over one sentence per n-gram."""
     bins, topics = 40, 36
     rng = np.random.default_rng(rows)
-    keys = [(f"w{i:06d}", "x") for i in range(rows)]
+    keys = [f"w{i:06d} x" for i in range(rows)]
     bins_of, sids_of = rng.integers(0, bins, (rows, 4)), rng.integers(0, rows, (rows, 4))
     contexts = [list(zip(t, s)) for t, s in zip(bins_of.tolist(), sids_of.tolist())]
     table = _table(keys, bins, [f"sentence number {i}" for i in range(rows)], contexts)
