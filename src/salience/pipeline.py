@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import hashlib
 import io
 import itertools
 import json
@@ -63,6 +62,7 @@ import math
 import operator
 import os
 import re
+import sys
 import time
 from array import array
 from contextlib import contextmanager
@@ -70,6 +70,11 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterator
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 import numpy as np
 
@@ -393,6 +398,9 @@ def _load_json(path: Path, what: str, stage: str, **options):
 
 
 def _sha256(path: Path) -> str:
+    # Imported here: hashlib maps OpenSSL (~3.6 MiB), which only the manifest needs.
+    import hashlib
+
     digest = hashlib.sha256()
     with path.open("rb") as fh:
         for block in iter(lambda: fh.read(1 << 16), b""):
@@ -437,8 +445,9 @@ def load_ngram_trends_csv(path: Path) -> tuple[list[str], np.ndarray, list[str]]
     """Inverse of `write_ngram_trends_csv`: the n-gram keys, their usage as one
     (n-grams × bins) array, and the bin labels. Each row after the header is
     one record: an n-gram, a positive integer total and one number per bin.
-    Refuses an n-gram that repeats or breaks sorted key order, and a row
-    with no positive usage: every tabled n-gram occurs at least once."""
+    Refuses an n-gram that repeats or breaks sorted key order, a bin whose
+    usage sums above 1, and a row with no positive usage: every tabled
+    n-gram occurs at least once."""
     with _read_csv(path, "n-gram trends", "trends") as artifact:
         header = artifact.header()
         bins = len(header) - 2
@@ -452,6 +461,16 @@ def load_ngram_trends_csv(path: Path) -> tuple[list[str], np.ndarray, list[str]]
             raise ValueError("no n-gram rows")
     usage = np.frombuffer(values).reshape(len(keys), bins)
     _check_cells(path, usage, keys, header[2:], unit=True)
+    # Each cell is its count / the bin's total rounded once, so a bin's cells
+    # sum exactly to at most 1 + 2**-53. Summing K of them in floats, in any
+    # order, errs by at most about K * 2**-53, so a sum above 1 + K * 2**-52
+    # cannot come from the writer.
+    sums = usage.sum(axis=0)
+    over = sums > 1.0 + len(keys) * 2.0**-52
+    if over.any():
+        t = int(over.argmax())
+        label, total = header[2 + t], sums.item(t)
+        raise InputError(f"{path}: usage sum at {label!r}: {total!r} is not at most 1")
     unused = usage.max(axis=1) <= 0.0
     if unused.any():
         i = int(unused.argmax())
@@ -888,13 +907,24 @@ def _is_strings(value) -> bool:
 # --- pipeline stages --------------------------------------------------------
 
 
+def _peak_rss_mib() -> float | None:
+    """This process's RSS high-water mark in MiB, or None without `resource`."""
+    if resource is None:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # ru_maxrss is in bytes on macOS and in KiB elsewhere.
+    return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+
+
 class _Run:
-    """Tracks written artifacts so a failed run can remove partial outputs."""
+    """Tracks written artifacts so a failed run can remove partial outputs,
+    and each stage's wall time, CPU time and the RSS high-water mark at its
+    end, which names the stage that set the run's peak."""
 
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
         self.written: list[Path] = []
-        self.timings: dict[str, float] = {}
+        self.timings: dict[str, dict[str, float | None]] = {}
 
     def target(self, *relative: str) -> Path:
         path = self.out_dir.joinpath(*relative)
@@ -914,7 +944,7 @@ class _Run:
 
     @contextmanager
     def stage(self, name: str):
-        started = time.perf_counter()
+        started, cpu = time.perf_counter(), time.process_time()
         try:
             yield
         except SalienceError as exc:
@@ -922,7 +952,11 @@ class _Run:
         except Exception as exc:  # unexpected bug: report as internal, named stage
             raise ConsistencyError(f"{name}: {type(exc).__name__}: {exc}") from exc
         finally:
-            self.timings[name] = time.perf_counter() - started
+            self.timings[name] = {
+                "wall_s": time.perf_counter() - started,
+                "cpu_s": time.process_time() - cpu,
+                "peak_rss_mib": _peak_rss_mib(),
+            }
 
 
 def compute_similarities(table: NgramTable, space: VectorSpace, topics: np.ndarray) -> np.ndarray:

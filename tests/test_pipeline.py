@@ -4,7 +4,10 @@ import functools
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -126,6 +129,22 @@ class TestAnalyze:
             assert hashlib.sha256((out / rel).read_bytes()).hexdigest() == digest
         sentences = json.loads((out / "ngram_table.json").read_text())["sentences"]
         assert manifest["corpus"]["sentences"] == len(set(sentences)) == len(sentences) > 0
+
+    def test_manifest_times_each_stage(self, workspace):
+        tmp, corpus, framework = workspace
+        out = tmp / "run_timings"
+        run_analyze(RunConfig(corpus=corpus, framework=framework, out_dir=out, min_total=1))
+        timings = json.loads((out / "manifest.json").read_text())["timings"]
+        stages = ["ingest", "trends", "similarity", "associate", "salience"]
+        assert set(timings) == set(stages)
+        for stage in timings.values():
+            assert set(stage) == {"wall_s", "cpu_s", "peak_rss_mib"}
+            assert stage["wall_s"] >= 0.0 and stage["cpu_s"] >= 0.0
+        peaks = [timings[name]["peak_rss_mib"] for name in stages]
+        if pipeline.resource is None:
+            assert peaks == [None] * len(stages)
+        else:  # a high-water mark: it never falls from one stage to the next
+            assert 0.0 < peaks[0] and peaks == sorted(peaks)
 
     def test_manifest_lists_the_topics_without_members(self, workspace):
         tmp, corpus, framework = workspace
@@ -905,6 +924,80 @@ def test_trends_row_without_usage_exits_one(workspace, tmp_path, capsys, command
     assert main(args) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {command}: {trends}: line 4: n-gram {name!r} has no positive ")
+
+
+@pytest.mark.parametrize("command", ["associate", "salience"])
+def test_bin_usage_above_one_exits_one(workspace, tmp_path, capsys, command):
+    # A bin's kept counts sum to at most its total, so its usage sums to at
+    # most 1; two cells of 0.9 in one bin passed both stages.
+    _, corpus, framework = workspace
+    out = tmp_path / "out"
+    run_analyze(RunConfig(corpus=corpus, framework=framework, out_dir=out, min_total=1))
+    trends = out / "ngram_trends.csv"
+    lines = trends.read_text(encoding="utf-8").split("\n")
+    label = lines[0].split(",")[2]
+    for row in (1, 2):
+        cells = lines[row].split(",")
+        cells[2] = "0.9"
+        lines[row] = ",".join(cells)
+    trends.write_text("\n".join(lines), encoding="utf-8")
+    args = {
+        "associate": ["associate", "--in", str(out)],
+        "salience": ["salience", "--in", str(out), "--framework", str(framework)],
+    }[command]
+    capsys.readouterr()
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    prefix = re.escape(f"error: {command}: {trends}: usage sum at {label!r}: ")
+    assert re.fullmatch(rf"{prefix}[0-9.]+ is not at most 1\n", err)
+
+
+def test_bin_usage_summing_to_one_is_accepted(workspace, tmp_path):
+    # With min_total=1 every instance is kept, so each bin's usage sums to 1
+    # before rounding; after it, the float sum may lie just above 1.
+    _, corpus, framework = workspace
+    out = tmp_path / "out"
+    run_analyze(RunConfig(corpus=corpus, framework=framework, out_dir=out, min_total=1))
+    _, usage, _ = load_ngram_trends_csv(out / "ngram_trends.csv")
+    assert np.allclose(usage.sum(axis=0), 1.0)
+    assert main(["associate", "--in", str(out)]) == 0
+    assert main(["salience", "--in", str(out), "--framework", str(framework)]) == 0
+    # Counts 1, 3, 3, 3 and 3 of a bin's 13 instances sum to 1 + 2**-52.
+    path = tmp_path / "rounded.csv"
+    rows = [f"w{i} x,{count},{count / 13!r}\n" for i, count in enumerate([1, 3, 3, 3, 3])]
+    path.write_text("ngram,total,2016-01\n" + "".join(rows), encoding="utf-8")
+    _, usage, _ = load_ngram_trends_csv(path)
+    assert usage.sum(axis=0).tolist() == [1 + 2**-52]
+
+
+def test_stage_subcommands_do_not_load_openssl(workspace, tmp_path):
+    # hashlib maps OpenSSL, about 3.6 MiB of a child's RSS, and only
+    # analyze's manifest takes a digest. A fresh interpreter: pytest's own
+    # may already hold hashlib.
+    _, corpus, framework = workspace
+    topic = json.loads(framework.read_text(encoding="utf-8"))["topics"][0]["id"]
+    paths = [str(Path(pipeline.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    code = """
+import sys
+import salience, salience.cli
+corpus, framework, out, topic = sys.argv[1:]
+for args in (
+    ["trends", "--corpus", corpus, "--min-count", "1", "--out", out],
+    ["similarity", "--in", out, "--framework", framework],
+    ["associate", "--in", out],
+    ["salience", "--in", out, "--framework", framework],
+    ["render", "--in", out, "--topics", topic],
+):
+    assert salience.cli.main(args) == 0, args
+    assert "_hashlib" not in sys.modules, args
+analyze = ["analyze", "--corpus", corpus, "--framework", framework, "--out", out + "-all"]
+assert salience.cli.main(analyze) == 0
+assert "_hashlib" in sys.modules, "analyze hashes its artifacts"
+"""
+    argv = [sys.executable, "-c", code, str(corpus), str(framework), str(tmp_path / "out"), topic]
+    run = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
 
 
 def test_topic_id_with_a_carriage_return_exits_one(workspace, tmp_path, capsys):

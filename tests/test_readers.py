@@ -86,13 +86,20 @@ def similarity_cases(draw, ids=topic_ids):
 @st.composite
 def trends_cases(draw):
     """(table, usage, bin labels) as write_ngram_trends_csv takes them.
-    Every tabled n-gram occurs, so each usage row has a positive cell."""
+    Every tabled n-gram occurs, so each usage row has a positive cell, and a
+    bin's kept counts sum to at most its total, so each bin's usage sums to
+    at most 1."""
     rows, bins = draw(st.integers(1, 8)), draw(st.integers(1, 5))
     totals = draw(st.lists(st.integers(1, 10**6), min_size=rows, max_size=rows))
     labels = draw(st.lists(texts, min_size=bins, max_size=bins))
     usage = _values(draw, rows, bins)
     for row in np.flatnonzero(usage.max(axis=1) <= 0.0):
         usage[row, draw(st.integers(0, bins - 1))] = draw(positive_unit_floats)
+    # Halve the normal cells of each bin that sums above 1 until none does;
+    # subnormal ones stay, so no positive cell becomes 0.
+    while (over := usage.sum(axis=0) > 1.0).any():
+        cells = usage[:, over]
+        usage[:, over] = np.where(cells < 2.0**-1022, cells, cells / 2)
     return _trends_table(_keys(draw, rows), totals, bins), usage, labels
 
 
@@ -251,8 +258,9 @@ def test_loaders_do_not_parse_rows_with_csv_reader(tmp_path):
     sims = np.random.default_rng(1).random((600, 36))
     sims[sims < 0.8] = 0.0
     table = _trends_table(keys, [3] * 600, 33)
-    usage = sims[:, :33].copy()
-    usage[:, 0] = 1.0  # every usage row has a positive cell
+    # Every usage row has a positive cell, and every bin sums to at most 1.
+    usage = sims[:, :33] / 600
+    usage[:, 0] = 1 / 600
     pipeline.write_similarity_csv(tmp_path / SIMILARITY, keys, sims, topics)
     pipeline.write_ngram_trends_csv(tmp_path / TRENDS, table, usage, ["b"] * 33)
     real_reader = csv.reader
