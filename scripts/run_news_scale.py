@@ -12,19 +12,19 @@ from __future__ import annotations
 import argparse
 import json
 import time
+from importlib import resources
 from pathlib import Path
 
 from salience.cli import main as salience_cli
 from salience.pipeline import RunConfig, load_trend_csv, run_analyze
 from salience.synth import corpus_to_jsonl, generate_corpus, news_scale_spec
-from salience.topics import load_pmesii_ascope
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="news_scale_run", help="working directory")
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--min-count", type=int, default=5)
+    parser.add_argument("--min-count", type=int, default=RunConfig.min_total)
     args = parser.parse_args()
 
     out = Path(args.out)
@@ -36,30 +36,10 @@ def main() -> None:
     corpus_path.write_text(corpus_to_jsonl(docs), encoding="utf-8")
     (out / "corpus.truth.json").write_text(json.dumps(truth, indent=2) + "\n", "utf-8")
 
-    framework = load_pmesii_ascope()
+    # The bundled framework's own bytes, for the CLI stages to read.
     framework_path = out / "pmesii_ascope.json"
-    framework_path.write_text(
-        json.dumps(
-            {
-                "name": framework.name,
-                "rows": list(framework.rows),
-                "columns": list(framework.columns),
-                "topics": [
-                    {
-                        "id": t.id,
-                        "row": t.row,
-                        "column": t.column,
-                        "definition": t.definition,
-                        "keywords": list(t.keywords),
-                        "ground_truth": list(t.ground_truth),
-                    }
-                    for t in framework.topics
-                ],
-            },
-            indent=2,
-        ),
-        encoding="utf-8",
-    )
+    bundled = resources.files("salience").joinpath("data/pmesii_ascope.json")
+    framework_path.write_bytes(bundled.read_bytes())
 
     run_dir = out / "analysis"
     started = time.perf_counter()

@@ -14,11 +14,12 @@ import argparse
 import ctypes
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
 from .association import relative_std_devs
-from .corpus import read_corpus
+from .corpus import GRANULARITIES, read_corpus
 from .errors import ConsistencyError, InputError
 from .ngrams import build_ngram_table
 from .pipeline import (
@@ -37,6 +38,7 @@ from .pipeline import (
     write_trends,
 )
 from .render import render_grid_svg, render_trend_svg
+from .salience import NORMALIZATIONS
 from .synth import corpus_to_jsonl, generate_corpus, load_synth_spec
 from .topics import load_framework, load_lexicon
 
@@ -58,39 +60,37 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser("analyze", help="run the full pipeline")
     _add_corpus_args(analyze)
     _add_framework_args(analyze)
-    _add_assoc_args(analyze)
-    analyze.add_argument("--norm", default="zscore", choices=("zscore", "minmax"))
-    analyze.add_argument("--out", required=True, help="output directory")
+    _add_percentile_arg(analyze)
+    _add_norm_arg(analyze)
     analyze.set_defaults(func=_cmd_analyze)
 
     synth = sub.add_parser("synth", help="generate a synthetic corpus with planted bursts")
-    synth.add_argument("--spec", required=True, help="synth spec JSON file")
-    synth.add_argument("--out", required=True, help="corpus JSONL output path")
+    synth.add_argument("--spec", required=True, type=Path, help="synth spec JSON file")
+    synth.add_argument("--out", required=True, type=Path, help="corpus JSONL output path")
     synth.set_defaults(func=_cmd_synth)
 
     trends = sub.add_parser("trends", help="stage: n-gram table and usage trends")
     _add_corpus_args(trends)
-    trends.add_argument("--out", required=True, help="output directory")
     trends.set_defaults(func=_cmd_trends)
 
     similarity = sub.add_parser("similarity", help="stage: n-gram/topic similarity")
-    similarity.add_argument("--in", dest="in_dir", required=True, help="stage directory")
+    similarity.add_argument("--in", dest="in_dir", required=True, type=Path, help="stage directory")
     _add_framework_args(similarity)
     similarity.set_defaults(func=_cmd_similarity)
 
     assoc = sub.add_parser("associate", help="stage: bivariate topic association")
-    assoc.add_argument("--in", dest="in_dir", required=True, help="stage directory")
-    _add_assoc_args(assoc)
+    assoc.add_argument("--in", dest="in_dir", required=True, type=Path, help="stage directory")
+    _add_percentile_arg(assoc)
     assoc.set_defaults(func=_cmd_associate)
 
     sal = sub.add_parser("salience", help="stage: topic salience trends and matrices")
-    sal.add_argument("--in", dest="in_dir", required=True, help="stage directory")
+    sal.add_argument("--in", dest="in_dir", required=True, type=Path, help="stage directory")
     _add_framework_args(sal)
-    sal.add_argument("--norm", default="zscore", choices=("zscore", "minmax"))
+    _add_norm_arg(sal)
     sal.set_defaults(func=_cmd_salience)
 
     render = sub.add_parser("render", help="stage: SVG charts from prior artifacts")
-    render.add_argument("--in", dest="in_dir", required=True, help="stage directory")
+    render.add_argument("--in", dest="in_dir", required=True, type=Path, help="stage directory")
     render.add_argument("--topics", required=True, help="comma-separated topic ids")
     render.add_argument("--bin", dest="bin_label", help="also render this bin's salience matrix")
     render.set_defaults(func=_cmd_render)
@@ -98,14 +98,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Each option of an analyze run sets the RunConfig field its dest names and
+# takes its default from there.
+
+
 def _add_corpus_args(parser) -> None:
-    parser.add_argument("--corpus", required=True, help="corpus JSONL file")
-    parser.add_argument("--n", type=int, default=2, help="n-gram size (default 2)")
+    """The corpus, the scan's options and the output directory, which
+    `analyze` and `trends` share."""
+    parser.add_argument("--corpus", required=True, type=Path, help="corpus JSONL file")
+    parser.add_argument("--out", dest="out_dir", required=True, type=Path, help="output directory")
     parser.add_argument(
-        "--bin", dest="granularity", default="month", choices=("month", "week", "day")
+        "--n", type=int, default=RunConfig.n, help="n-gram size (default %(default)s)"
     )
     parser.add_argument(
-        "--min-count", type=int, default=5, help="drop n-grams with fewer total instances"
+        "--bin", dest="granularity", default=RunConfig.granularity, choices=GRANULARITIES
+    )
+    parser.add_argument(
+        "--min-count",
+        dest="min_total",
+        type=int,
+        default=RunConfig.min_total,
+        help="drop n-grams with fewer total instances",
     )
     parser.add_argument(
         "--no-titles",
@@ -116,49 +129,38 @@ def _add_corpus_args(parser) -> None:
 
 
 def _add_framework_args(parser) -> None:
-    parser.add_argument("--framework", required=True, help="topic framework JSON file")
-    parser.add_argument("--lexicon", help="optional synonym lexicon JSON file")
+    parser.add_argument("--framework", required=True, type=Path, help="topic framework JSON file")
+    parser.add_argument("--lexicon", type=Path, help="optional synonym lexicon JSON file")
 
 
-def _add_assoc_args(parser) -> None:
+def _add_percentile_arg(parser) -> None:
     parser.add_argument(
-        "--percentile", type=float, default=75.0, help="association percentile (default 75)"
+        "--percentile",
+        type=float,
+        default=RunConfig.percentile,
+        help="association percentile (default %(default)s)",
     )
+
+
+def _add_norm_arg(parser) -> None:
     parser.add_argument(
-        "--sim-scope",
-        default="per_topic",
-        choices=("per_topic", "global"),
-        help="similarity percentile over each topic's own column, or pooled",
+        "--norm", dest="normalization", default=RunConfig.normalization, choices=NORMALIZATIONS
     )
 
 
 def _cmd_analyze(args) -> int:
-    config = RunConfig(
-        corpus=Path(args.corpus),
-        framework=Path(args.framework),
-        out_dir=Path(args.out),
-        lexicon=Path(args.lexicon) if args.lexicon else None,
-        n=args.n,
-        granularity=args.granularity,
-        min_total=args.min_count,
-        percentile=args.percentile,
-        normalization=args.norm,
-        include_titles=args.include_titles,
-        sim_scope=args.sim_scope,
-    )
-    manifest = run_analyze(config)
+    manifest = run_analyze(RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)}))
     print(
         f"analyzed {manifest['corpus']['documents']} documents over "
         f"{manifest['corpus']['bins']} bins; "
-        f"{len(manifest['artifacts'])} artifacts in {args.out}"
+        f"{len(manifest['artifacts'])} artifacts in {args.out_dir}"
     )
     return 0
 
 
 def _cmd_synth(args) -> int:
-    spec = load_synth_spec(args.spec)
-    docs, truth = generate_corpus(spec)
-    out = Path(args.out)
+    docs, truth = generate_corpus(load_synth_spec(args.spec))
+    out = args.out
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(corpus_to_jsonl(docs), encoding="utf-8")
     truth_path = _truth_path(out)
@@ -174,20 +176,18 @@ def _truth_path(out: Path) -> Path:
 
 
 def _cmd_trends(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with stage_run(out_dir, "trends") as run:
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    with stage_run(args.out_dir, "trends") as run:
         options = dict(granularity=args.granularity, include_titles=args.include_titles)
-        table = build_ngram_table(read_corpus(args.corpus), args.n, args.min_count, **options)
+        table = build_ngram_table(read_corpus(args.corpus), args.n, args.min_total, **options)
         write_trends(run, table)
-    print(f"wrote {len(table.keys)} n-gram trends to {out_dir}")
+    print(f"wrote {len(table.keys)} n-gram trends to {args.out_dir}")
     return 0
 
 
 def _cmd_similarity(args) -> int:
-    in_dir = Path(args.in_dir)
-    with stage_run(in_dir, "similarity") as run:
-        table = load_table_json(in_dir / "ngram_table.json")
+    with stage_run(args.in_dir, "similarity") as run:
+        table = load_table_json(args.in_dir / "ngram_table.json")
         framework = load_framework(args.framework)
         lexicon = load_lexicon(args.lexicon) if args.lexicon else None
         sims = run_similarity(run, table, framework, lexicon)
@@ -196,34 +196,30 @@ def _cmd_similarity(args) -> int:
 
 
 def _cmd_associate(args) -> int:
-    in_dir = Path(args.in_dir)
-    with stage_run(in_dir, "associate") as run:
-        keys, usage, _ = load_ngram_trends_csv(in_dir / "ngram_trends.csv")
+    with stage_run(args.in_dir, "associate") as run:
+        keys, usage, _ = load_ngram_trends_csv(args.in_dir / "ngram_trends.csv")
         rsd = relative_std_devs(usage)
         # The usage goes before the similarities come: the two are never held at once.
         del usage
-        sims, topic_ids = load_similarity_csv(in_dir / "similarity.csv", keys)
-        associations = run_associate(
-            run, keys, rsd, sims, topic_ids, args.percentile, args.sim_scope
-        )
+        sims, topic_ids = load_similarity_csv(args.in_dir / "similarity.csv", keys)
+        associations = run_associate(run, keys, rsd, sims, topic_ids, args.percentile)
     total = sum(len(a.members) for a in associations.values())
     print(f"wrote associations for {len(associations)} topics ({total} memberships)")
     return 0
 
 
 def _cmd_salience(args) -> int:
-    in_dir = Path(args.in_dir)
-    with stage_run(in_dir, "salience") as run:
-        keys, usage, labels = load_ngram_trends_csv(in_dir / "ngram_trends.csv")
-        associations = load_associations_json(in_dir / "associations.json", keys)
+    with stage_run(args.in_dir, "salience") as run:
+        keys, usage, labels = load_ngram_trends_csv(args.in_dir / "ngram_trends.csv")
+        associations = load_associations_json(args.in_dir / "associations.json", keys)
         framework = load_framework(args.framework)
-        run_salience(run, framework, associations, usage, labels, args.norm)
+        run_salience(run, framework, associations, usage, labels, args.normalization)
     print(f"wrote salience trends for {len(framework.topics)} topics over {len(labels)} bins")
     return 0
 
 
 def _cmd_render(args) -> int:
-    in_dir = Path(args.in_dir)
+    in_dir = args.in_dir
     wanted = [tid for tid in args.topics.split(",") if tid]
     if not wanted:
         raise InputError("--topics needs at least one topic id")

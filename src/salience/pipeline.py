@@ -66,7 +66,7 @@ import sys
 import time
 from array import array
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterator
@@ -87,7 +87,7 @@ from .association import (
     relative_std_devs,
 )
 from .corpus import TimeBinning, read_corpus, span_binning
-from .errors import ConsistencyError, InputError, SalienceError
+from .errors import ConsistencyError, InputError, SalienceError, load_json
 from .ngrams import NgramTable, build_ngram_table, usage_matrix
 from .salience import (
     NORMALIZATIONS,
@@ -105,7 +105,6 @@ from .topics import (
     load_lexicon,
 )
 
-SIM_SCOPES = ("per_topic", "global")
 # The ngram_table.json layout that write_table_json writes and load_table_json reads.
 TABLE_VERSION = 2
 # An n-gram's text: tokenizer tokens joined by single spaces.
@@ -114,6 +113,9 @@ _NGRAM_TEXT = re.compile(r"[^\W_]+(?: [^\W_]+)*")
 
 @dataclass
 class RunConfig:
+    """The options of one `analyze` run. The CLI's flags set these fields by
+    name and take their defaults from here."""
+
     corpus: Path
     framework: Path
     out_dir: Path
@@ -124,7 +126,6 @@ class RunConfig:
     percentile: float = 75.0
     normalization: str = "zscore"
     include_titles: bool = True
-    sim_scope: str = "per_topic"
 
     def validate(self) -> None:
         # The scan refuses n, min_total and granularity before it reads.
@@ -132,23 +133,11 @@ class RunConfig:
             raise InputError("percentile must lie in [0, 100]")
         if self.normalization not in NORMALIZATIONS:
             raise InputError(f"unknown normalization {self.normalization!r}")
-        if self.sim_scope not in SIM_SCOPES:
-            raise InputError(f"unknown similarity scope {self.sim_scope!r}")
 
     def echo(self) -> dict:
-        return {
-            "corpus": str(self.corpus),
-            "framework": str(self.framework),
-            "out_dir": str(self.out_dir),
-            "lexicon": str(self.lexicon) if self.lexicon else None,
-            "n": self.n,
-            "granularity": self.granularity,
-            "min_total": self.min_total,
-            "percentile": self.percentile,
-            "normalization": self.normalization,
-            "include_titles": self.include_titles,
-            "sim_scope": self.sim_scope,
-        }
+        """The fields as the manifest records them, each path as text."""
+        values = {field.name: getattr(self, field.name) for field in fields(self)}
+        return {name: str(v) if isinstance(v, Path) else v for name, v in values.items()}
 
 
 def _csv_cell(value: str) -> str:
@@ -388,15 +377,6 @@ def _json_strings(texts) -> str:
     return _json_block("[]", list(map(encode_basestring_ascii, texts)), "  ")
 
 
-def _load_json(path: Path, what: str, stage: str, **options):
-    if not path.is_file():
-        raise InputError(f"{what} not found: {path} (run the {stage} stage first)")
-    try:
-        return json.loads(path.read_text(encoding="utf-8"), **options)
-    except ValueError as exc:
-        raise InputError(f"{path}: malformed JSON: {exc}") from exc
-
-
 def _sha256(path: Path) -> str:
     # Imported here: hashlib maps OpenSSL (~3.6 MiB), which only the manifest needs.
     import hashlib
@@ -541,7 +521,8 @@ def load_table_json(path: Path) -> NgramTable:
     sentence id is out of range, counts that differ from the contexts', and
     counts the header cannot hold: a bin's above its total, or an n-gram's
     total below min_total."""
-    raw = _load_json(path, "n-gram table", "trends", object_pairs_hook=_Pairs)
+    hint = " (run the trends stage first)"
+    raw = load_json(path, "n-gram table", hint, object_pairs_hook=_Pairs)
     payload = dict(raw) if isinstance(raw, _Pairs) else {}
     if payload.get("version") != TABLE_VERSION:
         raise InputError(
@@ -774,7 +755,7 @@ def load_associations_json(path: Path, keys: list[str]) -> dict[str, TopicAssoci
     indices into `keys`, the n-grams of the usage trends. A member outside
     `keys` is a ConsistencyError; a member listed twice in one topic is
     refused."""
-    payload = _load_json(path, "associations", "associate")
+    payload = load_json(path, "associations", " (run the associate stage first)")
     if not isinstance(payload, dict):
         raise InputError(f"{path}: associations must be a JSON object of topics")
     row_of = {key: row for row, key in enumerate(keys)}
@@ -876,7 +857,7 @@ def load_matrix_json(path: Path) -> dict:
     Refuses labels that are not lists of strings, and values that are not
     one row of finite numbers per grid row, one per grid column, or,
     without a grid, one row of finite numbers, one per topic."""
-    payload = _load_json(path, "salience matrix", "salience")
+    payload = load_json(path, "salience matrix", " (run the salience stage first)")
     if not isinstance(payload, dict) or not {"bin", "rows", "columns", "values"} <= payload.keys():
         raise InputError(f"{path}: bad salience matrix payload")
     rows, columns = payload["rows"], payload["columns"]
@@ -969,25 +950,17 @@ def compute_similarities(table: NgramTable, space: VectorSpace, topics: np.ndarr
 
 
 def compute_associations(
-    sims: np.ndarray,
-    rsd: np.ndarray,
-    topic_ids: list[str],
-    p: float,
-    sim_scope: str = "per_topic",
+    sims: np.ndarray, rsd: np.ndarray, topic_ids: list[str], p: float
 ) -> dict[str, TopicAssociation]:
-    """One association per topic (column of `sims`). The variability
-    threshold is always global; the similarity threshold is per-topic, or
-    pooled over all topics when sim_scope is 'global'."""
-    if sim_scope not in SIM_SCOPES:
-        raise InputError(f"unknown similarity scope {sim_scope!r}")
+    """One association per topic (column of `sims`): the variability
+    threshold is the p-th percentile over every n-gram, the similarity
+    threshold the p-th percentile of the topic's own column."""
     rsd_threshold = percentile(rsd, p)
-    if sim_scope == "global":
-        sim_thresholds = [percentile(sims.ravel(), p)] * len(topic_ids)
-    else:
-        # A column at a time: numpy partitions a copy of what it is given.
-        sim_thresholds = [percentile(sims[:, column], p) for column in range(len(topic_ids))]
+    # A column at a time: numpy partitions a copy of what it is given.
     return {
-        topic_id: associate(topic_id, sims[:, column], rsd, sim_thresholds[column], rsd_threshold)
+        topic_id: associate(
+            topic_id, sims[:, column], rsd, percentile(sims[:, column], p), rsd_threshold
+        )
         for column, topic_id in enumerate(topic_ids)
     }
 
@@ -1050,12 +1023,11 @@ def run_associate(
     sims: np.ndarray,
     topic_ids: list[str],
     p: float,
-    sim_scope: str,
 ) -> dict[str, TopicAssociation]:
     """Associate stage: each topic's members, from the variability of the
     usage trends (`relative_std_devs`) and the similarities. Writes
     associations.json."""
-    associations = compute_associations(sims, rsd, topic_ids, p, sim_scope)
+    associations = compute_associations(sims, rsd, topic_ids, p)
     write_associations_json(run.target("associations.json"), associations, keys, sims, rsd)
     return associations
 
@@ -1132,7 +1104,6 @@ def run_analyze(config: RunConfig) -> dict:
                 sims,
                 framework.topic_ids(),
                 config.percentile,
-                config.sim_scope,
             )
 
         with run.stage("salience"):
@@ -1163,11 +1134,12 @@ def run_analyze(config: RunConfig) -> dict:
                     str(path.relative_to(out_dir)).replace(os.sep, "/"): _sha256(path)
                     for path in run.written
                 },
+                # Filled in as the stage closes: the manifest times itself.
                 "timings": run.timings,
             }
-            with (out_dir / "manifest.json").open("w", encoding="utf-8") as fh:
-                json.dump(manifest, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+        with (out_dir / "manifest.json").open("w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
     except BaseException:
         run.cleanup()
         (out_dir / "manifest.json").unlink(missing_ok=True)

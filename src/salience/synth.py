@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import Document, TimeBinning, _add_months
-from .errors import InputError
+from .corpus import GRANULARITIES, Document, TimeBinning, _add_months
+from .errors import InputError, load_json
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ def validate_spec(spec: SynthSpec) -> None:
     for lo, hi in (spec.sentence_length, spec.sentences_per_doc):
         if not 1 <= lo <= hi:
             raise InputError("length ranges must satisfy 1 <= lo <= hi")
-    if spec.granularity not in ("month", "week", "day"):
+    if spec.granularity not in GRANULARITIES:
         raise InputError(f"unknown granularity {spec.granularity!r}")
     for event in spec.events:
         if not event.topic_id:
@@ -127,14 +127,7 @@ def spec_from_dict(data: dict) -> SynthSpec:
 
 
 def load_synth_spec(path: str | Path) -> SynthSpec:
-    path = Path(path)
-    if not path.is_file():
-        raise InputError(f"synth spec file not found: {path}")
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise InputError(f"{path}: malformed JSON: {exc}") from exc
-    return spec_from_dict(data)
+    return spec_from_dict(load_json(path, "synth spec file"))
 
 
 def _phrase_tokens(phrase: str) -> list[str]:

@@ -30,7 +30,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConsistencyError, InputError
+from .errors import ConsistencyError, InputError, load_json
 from .ngrams import sentences_with_tokens
 
 
@@ -163,14 +163,7 @@ def _as_str_list(value, what: str) -> list[str]:
 
 def load_framework(path: str | Path) -> TopicFramework:
     """Load and validate a topic framework from its JSON file."""
-    path = Path(path)
-    if not path.is_file():
-        raise InputError(f"framework file not found: {path}")
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise InputError(f"{path}: malformed JSON: {exc}") from exc
-    return framework_from_dict(data)
+    return framework_from_dict(load_json(path, "framework file"))
 
 
 def load_pmesii_ascope() -> TopicFramework:
@@ -182,12 +175,7 @@ def load_pmesii_ascope() -> TopicFramework:
 def load_lexicon(path: str | Path) -> dict[str, list[str]]:
     """Load a synonym lexicon: lowercased term -> list of synonyms."""
     path = Path(path)
-    if not path.is_file():
-        raise InputError(f"lexicon file not found: {path}")
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise InputError(f"{path}: malformed JSON: {exc}") from exc
+    data = load_json(path, "lexicon file")
     if not isinstance(data, dict):
         raise InputError(f"{path}: lexicon must be a JSON object")
     out: dict[str, list[str]] = {}

@@ -200,19 +200,11 @@ def test_column_thresholds_equal_the_scalar_percentile(seed, rows, p):
     rsd = rng.lognormal(0, 1, rows)
     topic_ids = [f"t{j}" for j in range(6)]
     per_topic = compute_associations(sims, rsd, topic_ids, p)
-    pooled = compute_associations(sims, rsd, topic_ids, p, "global")
     for column, topic_id in enumerate(topic_ids):
         assert per_topic[topic_id].sim_threshold == percentile(sims[:, column].tolist(), p)
         assert per_topic[topic_id].rsd_threshold == percentile(rsd.tolist(), p)
-        assert pooled[topic_id].sim_threshold == percentile(sims.ravel().tolist(), p)
         thresholds = percentile(sims[:, column].tolist(), p), percentile(rsd.tolist(), p)
         assert per_topic[topic_id] == associate(topic_id, sims[:, column], rsd, *thresholds)
-
-
-def test_unknown_sim_scope_is_refused():
-    sims = np.array([[0.1, 0.2], [0.3, 0.4]])
-    with pytest.raises(InputError, match="similarity scope 'globl'"):
-        compute_associations(sims, np.array([0.5, 1.0]), ["a", "b"], 75.0, "globl")
 
 
 # Similarity cells as the kernel makes them: ties, zeros, ones and the

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import datetime as dt
 import functools
 import hashlib
@@ -135,7 +136,7 @@ class TestAnalyze:
         out = tmp / "run_timings"
         run_analyze(RunConfig(corpus=corpus, framework=framework, out_dir=out, min_total=1))
         timings = json.loads((out / "manifest.json").read_text())["timings"]
-        stages = ["ingest", "trends", "similarity", "associate", "salience"]
+        stages = ["ingest", "trends", "similarity", "associate", "salience", "manifest"]
         assert set(timings) == set(stages)
         for stage in timings.values():
             assert set(stage) == {"wall_s", "cpu_s", "peak_rss_mib"}
@@ -628,6 +629,23 @@ class TestCli:
 
     def test_usage_error_exits_one(self, capsys):
         assert main(["analyze"]) == 1
+
+    def test_pooled_similarity_scope_is_not_an_option(self, workspace, tmp_path, capsys):
+        # Each topic's similarity threshold is its own column's percentile;
+        # no flag pools one threshold over all topics.
+        _, corpus, framework = workspace
+        args = ["--corpus", str(corpus), "--framework", str(framework), "--min-count", "1"]
+        assert main(["analyze", *args, "--out", str(tmp_path), "--sim-scope", "global"]) == 1
+        assert "error: unrecognized arguments: --sim-scope global" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_analyze_flags_default_to_run_config_defaults(self, tmp_path):
+        corpus, framework, out = tmp_path / "c.jsonl", tmp_path / "f.json", tmp_path / "out"
+        args = cli.build_parser().parse_args(
+            ["analyze", "--corpus", str(corpus), "--framework", str(framework), "--out", str(out)]
+        )
+        parsed = {field.name: getattr(args, field.name) for field in dataclasses.fields(RunConfig)}
+        assert RunConfig(**parsed) == RunConfig(corpus=corpus, framework=framework, out_dir=out)
 
     def test_main_pins_the_mmap_threshold_where_libc_has_mallopt(self, monkeypatch, capsys):
         calls = []
