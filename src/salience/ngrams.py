@@ -17,16 +17,24 @@ split of its slice of the fold.
 The n-gram table is counted over interned ids: one Python pass over any
 iterable of documents (a file streamed by `read_corpus`, or a list) turns
 each token and each distinct sentence into a dense id, held in int32
-arrays, and numpy groups the n-gram instances by sorting their rows of
-token ids. The pass keeps each document's date and nothing else of it, and
-bins the sentences once the dates have fixed the binning. `NgramTable`
-keeps its header (n, min_total, include_titles, binning) and numpy's
-arrays, row i for the i-th kept n-gram in sorted key order (K n-grams, B
-bins, N instances): `keys`, the n-grams' texts, (K × B) int32 `counts`,
-and the contexts in CSR form, n-gram i's being entries context_start[i]
-to context_start[i + 1] ((K + 1) int64 starts) of the (N,) int32 arrays
-`context_bins` and `context_sids`, one per instance in bin order, input
-order within a bin.
+arrays. The pass keeps each document's date and nothing else of it, and
+bins the sentences once the dates have fixed the binning. numpy then
+groups the N n-gram instances in one int64 array, sorted in place with no
+permutation array: each instance's token ranks are packed into one key
+(for n > 2 each prefix is first replaced by its dense rank), and a key
+repeated min_total times is a kept n-gram. The keys are made again a
+block of tokens at a time to look each instance up among the kept keys,
+and the kept instances, packed as n-gram * N + instance, are sorted into
+(n-gram, bin) order. A scan of 2**31 instances or more is refused, so no
+packing can wrap.
+
+`NgramTable` keeps its header (n, min_total, include_titles, binning) and
+numpy's arrays, row i for the i-th kept n-gram in sorted key order (K
+n-grams, B bins, M kept instances): `keys`, the n-grams' texts, (K × B)
+int32 `counts`, and the contexts in CSR form, n-gram i's being entries
+context_start[i] to context_start[i + 1] ((K + 1) int64 starts) of the
+(M,) int32 arrays `context_bins` and `context_sids`, one per kept instance
+in bin order, input order within a bin.
 
 An n-gram is its text: its tokens joined by single spaces, as every
 artifact names it. The space sorts below every alphanumeric code point (no
@@ -163,19 +171,87 @@ def intern_sentences(sentences: Sequence[str]) -> tuple[list[str], np.ndarray, n
     return list(token_ids), np.array(starts, dtype=np.int64), np.array(ids, dtype=np.int32)
 
 
+# A scan of this many n-gram instances or more is refused: instance numbers,
+# packed with n-gram numbers into one int64, must stay below 2**31.
+_INSTANCE_LIMIT = 1 << 31
+# Elements per block of the build's blockwise passes: what a pass holds at
+# once beside its input and output arrays does not grow with the corpus.
+_BLOCK = 1 << 16
+
+
+def _blocks(ends: np.ndarray, size: int) -> Iterator[tuple[int, int]]:
+    """Consecutive ranges [lo, hi) of the runs that end at the cumulative
+    `ends`, each covering about `size` elements and at least one run."""
+    lo = 0
+    while lo < len(ends):
+        start = int(ends[lo - 1]) if lo else 0
+        hi = max(int(np.searchsorted(ends, start + size, side="right")), lo + 1)
+        yield lo, hi
+        lo = hi
+
+
 def _gather_runs(values: np.ndarray, first: np.ndarray, length: np.ndarray):
     """The runs values[first[r] : first[r] + length[r]] one after another,
-    and the (R + 1,) int64 starts of the runs in the result. The runs are
-    gathered through one index that steps by 1 within a run and jumps to
-    the next run's first position; every length must be at least 1."""
+    and the (R + 1,) int64 starts of the runs in the result. A block of runs
+    at a time is gathered through one index that steps by 1 within a run and
+    jumps to the next run's first position; every length must be at least 1."""
     start = np.zeros(len(length) + 1, dtype=np.int64)
     np.cumsum(length, out=start[1:])
-    at = np.ones(start[-1], dtype=np.int64)
-    jumps = first.astype(np.int64)
-    jumps[1:] -= first[:-1] + length[:-1] - 1
-    at[start[:-1]] = jumps
-    np.cumsum(at, out=at)
-    return values[at], start
+    out = np.empty(start[-1], dtype=values.dtype)
+    for lo, hi in _blocks(start[1:], _BLOCK):
+        at = np.ones(start[hi] - start[lo], dtype=np.int64)
+        jumps = first[lo:hi].astype(np.int64)
+        jumps[1:] -= first[lo : hi - 1] + length[lo : hi - 1] - 1
+        at[start[lo:hi] - start[lo]] = jumps
+        np.cumsum(at, out=at)
+        out[start[lo] : start[hi]] = values[at]
+    return out, start
+
+
+def _instance_keys(
+    ranked: np.ndarray,
+    ends: np.ndarray,
+    n: int,
+    width: int,
+    vocabulary: int,
+    prefixes: list[np.ndarray],
+) -> Iterator[tuple[int, np.ndarray]]:
+    """The packed keys of the first `width` tokens of every instance, in scan
+    order, a block of sentences at a time: (first instance number, keys).
+
+    A key is the rank of its first token; each later token multiplies the
+    key by the vocabulary size and adds its rank. Before token j goes in
+    (counting from 0, j >= 2), the key of the first j tokens is replaced by
+    its dense rank among `prefixes[j - 2]`, their sorted distinct keys.
+    Ranks are below the vocabulary size and dense ranks below the instance
+    count, both below 2**31, so every key is below 2**62, and keys sort as
+    token sequences."""
+    for lo, hi in _blocks(ends, _BLOCK):
+        first = int(ends[lo - 1]) if lo else 0
+        tokens = ranked[first : ends[hi - 1]]
+        # The window at token p is an instance unless p is one of the last
+        # n - 1 tokens of its sentence.
+        starts = np.ones(len(tokens), dtype=bool)
+        for j in range(1, n):
+            starts[ends[lo:hi] - first - j] = False
+        at = np.flatnonzero(starts)
+        keys = tokens[at].astype(np.int64)
+        for j in range(1, width):
+            if j > 1:
+                keys = np.searchsorted(prefixes[j - 2], keys)
+            keys *= vocabulary
+            keys += tokens[at + j]
+        yield first - (n - 1) * lo, keys
+
+
+def _repeated(keys: np.ndarray, min_total: int) -> np.ndarray:
+    """The distinct values of sorted `keys` that occur at least min_total
+    times, sorted: a value's first occurrence that equals the value
+    min_total - 1 places further on."""
+    head = keys[: max(len(keys) - min_total + 1, 0)]
+    kept = head == keys[min_total - 1 : min_total - 1 + len(head)]
+    kept[1:] &= head[1:] != head[:-1]
+    return head[kept]
 
 
 def build_ngram_table(
@@ -197,11 +273,12 @@ def build_ngram_table(
     sentence takes its document's bin and, unless the documents came in
     date order, a stable sort by bin puts the sentences in bin order, input
     order within a bin, as `TimeBinnedCorpus.iter_documents` yields them.
-    numpy then groups the instances: each instance is a row of n token
-    ids, the rows are sorted, runs of equal rows are the n-grams, and only
-    the n-grams that reach min_total are kept. Each kept sentence's token
-    row is cut from the scan's ids at its first occurrence. A bad option is
-    refused before the first document is read; no documents, after.
+    numpy then groups the instances: each instance's tokens are packed into
+    one int64 key (`_instance_keys`), the keys are sorted in place, a key
+    that repeats at least min_total times is a kept n-gram, and each
+    instance is looked up among the kept keys. Each kept sentence's token
+    row is cut from the scan's ids. A bad option is refused before the
+    first document is read; no documents, or 2**31 instances or more, after.
     """
     if n < 1:
         raise InputError("n must be >= 1")
@@ -228,6 +305,11 @@ def build_ngram_table(
         days.append(doc.date.toordinal())
     if not days:
         raise InputError("no documents to build an n-gram table from")
+    instances = len(ids) - (n - 1) * len(lengths)
+    if instances >= _INSTANCE_LIMIT:
+        raise InputError(
+            f"{instances} n-gram instances; a table holds fewer than {_INSTANCE_LIMIT}"
+        )
     texts = list(sentence_ids)
     del sentence_ids
 
@@ -264,66 +346,68 @@ def build_ngram_table(
         ranked, ends = _gather_runs(ranked, first, lengths)
         ends = ends[1:]
         del by_bin, first
-
-    # One instance per window, in bin order: the window at token p is an
-    # instance when its n tokens lie in one sentence, that is unless p is
-    # one of the last n - 1 tokens of its sentence.
-    starts_window = np.ones(len(ranked), dtype=bool)
-    for j in range(1, n):
-        starts_window[ends - j] = False
-    starts_window = starts_window[: len(ranked) - (n - 1)]
-    columns = [ranked[j : len(starts_window) + j][starts_window] for j in range(n)]
-    del starts_window
-    windows = lengths - (n - 1)
     totals = np.zeros(binning.bin_count, dtype=np.int64)
-    np.add.at(totals, bins, windows)
+    np.add.at(totals, bins, lengths - (n - 1))
     bin_totals = totals.tolist()
     del totals
 
-    # The sort must be stable: the instances of one n-gram then keep bin
-    # order, which is the order of its contexts. np.lexsort is stable, sorts
-    # by its last key first, and packs no integer code that could overflow
-    # for a large n. The sorted columns are made one at a time, and each
-    # instance's sentence only then, so that the sort does not hold it.
-    order = np.lexsort(columns[::-1])
-    for j in range(n):
-        columns[j] = columns[j][order]
-    sentence_of = np.repeat(np.arange(len(windows), dtype=np.int32), windows)[order]
-    del order, windows
-    new_key = np.zeros(len(sentence_of), dtype=bool)
-    new_key[:1] = True
-    for column in columns:
-        new_key[1:] |= column[1:] != column[:-1]
-    group_start = np.flatnonzero(new_key)
-    del new_key
-    # The run lengths, written in place: no copy of group_start is made.
-    sizes = np.empty_like(group_start)
-    np.subtract(group_start[1:], group_start[:-1], out=sizes[:-1])
-    sizes[-1:] = len(sentence_of) - group_start[-1:]
-    kept = sizes >= min_total
-    sentence_of = sentence_of[np.repeat(kept, sizes)]
-    group_start, sizes = group_start[kept], sizes[kept]
-    key_columns = [[words[r] for r in column[group_start].tolist()] for column in columns]
-    del columns, group_start, kept
+    # Instance i, in bin order, is the window at token i + (n - 1) * s of
+    # its sentence s: each earlier sentence has n - 1 more tokens than
+    # windows. The keys of one instance array are sorted in place, with no
+    # permutation: for n > 2 once per prefix width, whose distinct keys
+    # rank the next width's prefixes, and then at full width, whose keys
+    # repeated min_total times are the kept n-grams.
+    packed = np.empty(instances, dtype=np.int64)
+    prefixes: list[np.ndarray] = []
+    for width in range(min(n, 2), n + 1):
+        for i, keys in _instance_keys(ranked, ends, n, width, len(words), prefixes):
+            packed[i : i + len(keys)] = keys
+        packed.sort()
+        prefixes.append(_repeated(packed, 1 if width < n else min_total))
+    kept = prefixes.pop()
+    lookup = np.append(kept, -1)  # an instance found at len(kept) is not kept
+
+    # Instance i of kept n-gram g is packed as g * instances + i and the
+    # rest as -1: sorted, the kept instances are in (n-gram, bin) order.
+    for i, keys in _instance_keys(ranked, ends, n, n, len(words), prefixes):
+        group = np.searchsorted(kept, keys)
+        hit = lookup[group] == keys
+        group *= instances
+        group += np.arange(i, i + len(keys))
+        packed[i : i + len(keys)] = np.where(hit, group, -1)
+    del prefixes
+    packed.sort()
+    packed = packed[np.searchsorted(packed, 0) :]
+    context_start = np.searchsorted(packed, np.arange(len(kept) + 1) * instances)
+    window_ends = ends - (n - 1) * np.arange(1, len(ends) + 1)
+    context_bins = np.empty(len(packed), dtype=np.int32)
+    context_sids = np.empty(len(packed), dtype=np.int32)
+    for lo in range(0, len(packed), _BLOCK):
+        sentence = np.searchsorted(window_ends, packed[lo : lo + _BLOCK] % instances, side="right")
+        context_bins[lo : lo + _BLOCK] = bins[sentence]
+        context_sids[lo : lo + _BLOCK] = sids[sentence]
+    # Each key's text, from its first instance's tokens.
+    first = packed[context_start[:-1]] % instances
+    first += (n - 1) * np.searchsorted(window_ends, first, side="right")
+    key_columns = [[words[r] for r in ranked[first + j].tolist()] for j in range(n)]
+    del packed, kept, lookup, window_ends, first, bins
 
     # Renumber the hosting sentences by first use in sorted key order.
-    context_bins = bins[sentence_of]
-    used, first_use, old_to_used = np.unique(
-        sids[sentence_of], return_index=True, return_inverse=True
-    )
-    del sentence_of
-    by_first_use = np.argsort(first_use)
-    new_id = np.empty(len(used), dtype=np.int32)
-    new_id[by_first_use] = np.arange(len(used), dtype=np.int32)
-    hosts = used[by_first_use]
+    first_use = np.full(len(texts), len(context_sids), dtype=np.int64)
+    for lo in range(0, len(context_sids), _BLOCK):
+        block = context_sids[lo : lo + _BLOCK]
+        np.minimum.at(first_use, block, np.arange(lo, lo + len(block)))
+    hosts = context_sids[np.sort(first_use[first_use < len(context_sids)])]
+    new_id = np.empty(len(texts), dtype=np.int32)
+    new_id[hosts] = np.arange(len(hosts), dtype=np.int32)
+    context_sids = new_id[context_sids]
     sentences = [texts[i] for i in hosts.tolist()]
-    context_sids = new_id[old_to_used]
-    del texts, bins, used, first_use, old_to_used, new_id
-
-    # Each kept sentence's row of tokens is the run of `ranked` at its first
-    # occurrence: np.unique's first index of each sentence id.
-    scanned = np.unique(sids, return_index=True)[1][hosts]
-    del sids, hosts
+    # Each kept sentence's row of tokens is the run of `ranked` at any of
+    # its occurrences: one sentence text always has the same tokens.
+    occurrence = np.empty(len(texts), dtype=np.int64)
+    occurrence[sids] = np.arange(len(sids))
+    scanned = occurrence[hosts]
+    del texts, first_use, new_id, occurrence, sids, hosts
     row_length = lengths[scanned]
     token_ids, token_start = _gather_runs(ranked, ends[scanned] - row_length, row_length)
     del ranked, lengths, ends, scanned, row_length
@@ -336,7 +420,7 @@ def build_ngram_table(
         keys=list(map(" ".join, zip(*key_columns))),
         bin_totals=bin_totals,
         sentences=sentences,
-        context_start=np.concatenate(([0], np.cumsum(sizes))),
+        context_start=context_start,
         context_bins=context_bins,
         context_sids=context_sids,
     )

@@ -58,7 +58,6 @@ import datetime as dt
 import io
 import itertools
 import json
-import math
 import operator
 import os
 import re
@@ -753,8 +752,8 @@ def write_associations_json(
 def load_associations_json(path: Path, keys: list[str]) -> dict[str, TopicAssociation]:
     """Inverse of `write_associations_json`: each topic's members as row
     indices into `keys`, the n-grams of the usage trends. A member outside
-    `keys` is a ConsistencyError; a member listed twice in one topic is
-    refused."""
+    `keys` is a ConsistencyError; a member listed twice in one topic, and a
+    threshold that is not a finite JSON number, are refused."""
     payload = load_json(path, "associations", " (run the associate stage first)")
     if not isinstance(payload, dict):
         raise InputError(f"{path}: associations must be a JSON object of topics")
@@ -775,11 +774,17 @@ def load_associations_json(path: Path, keys: list[str]) -> dict[str, TopicAssoci
                         f"{path}: topic {topic_id!r}: member {ngram!r} is listed twice"
                     )
                 members[row] = None
+            thresholds = entry["sim_threshold"], entry["rsd_threshold"]
+            if not all(map(_is_finite_number, thresholds)):
+                raise InputError(
+                    f"{path}: topic {topic_id!r}: thresholds must be finite numbers "
+                    f"(sim_threshold {thresholds[0]!r}, rsd_threshold {thresholds[1]!r})"
+                )
             out[topic_id] = TopicAssociation(
                 topic_id=topic_id,
                 members=tuple(members),
-                sim_threshold=float(entry["sim_threshold"]),
-                rsd_threshold=float(entry["rsd_threshold"]),
+                sim_threshold=float(thresholds[0]),
+                rsd_threshold=float(thresholds[1]),
             )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: bad associations payload: {exc}") from exc
@@ -854,12 +859,16 @@ def write_matrix_json(path: Path, matrix) -> None:
 
 def load_matrix_json(path: Path) -> dict:
     """A salience matrix that `write_matrix_json` wrote, as its payload.
-    Refuses labels that are not lists of strings, and values that are not
-    one row of finite numbers per grid row, one per grid column, or,
-    without a grid, one row of finite numbers, one per topic."""
+    Refuses a bin that is not the label the file is named by
+    (matrices/<label>.json), labels that are not lists of strings, and
+    values that are not one row of finite numbers per grid row, one per grid
+    column, or, without a grid, one row of finite numbers, one per topic."""
     payload = load_json(path, "salience matrix", " (run the salience stage first)")
     if not isinstance(payload, dict) or not {"bin", "rows", "columns", "values"} <= payload.keys():
         raise InputError(f"{path}: bad salience matrix payload")
+    label = payload["bin"]
+    if not (isinstance(label, str) and path.name == f"{label}.json"):
+        raise InputError(f"{path}: matrix bin {label!r} is not the bin the file is named by")
     rows, columns = payload["rows"], payload["columns"]
     if rows is None and columns is None:
         # No grid: one row of values, one per topic.
@@ -875,7 +884,7 @@ def load_matrix_json(path: Path) -> dict:
         isinstance(values, list)
         and len(values) == height
         and all(isinstance(row, list) and len(row) == width for row in values)
-        and all(type(v) in (int, float) and math.isfinite(v) for row in values for v in row)
+        and all(_is_finite_number(v) for row in values for v in row)
     ):
         raise InputError(f"{path}: matrix values must be {height} rows of {width} finite numbers")
     return payload
@@ -883,6 +892,12 @@ def load_matrix_json(path: Path) -> dict:
 
 def _is_strings(value) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _is_finite_number(value) -> bool:
+    """Whether a value json.loads returned is a finite number: an int or a
+    float (a bool is neither) of at most the largest float's size."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
 # --- pipeline stages --------------------------------------------------------
@@ -993,17 +1008,17 @@ def stage_run(out_dir: Path, name: str) -> Iterator[_Run]:
         raise
 
 
-def write_trends(run: _Run, table: NgramTable) -> np.ndarray:
-    """The trends stage after its scan: the usage array of a built table,
-    written with the table to ngram_trends.csv and ngram_table.json."""
+def write_trends(run: _Run, table: NgramTable) -> None:
+    """The trends stage after its scan: writes a built table to
+    ngram_table.json and its usage array to ngram_trends.csv. The usage is
+    made after the table is written and dropped once it is."""
     if not table.keys:
         raise InputError(
             f"no n-gram reached min-count {table.min_total}; lower --min-count or supply more text"
         )
+    write_table_json(run.target("ngram_table.json"), table)
     usage = usage_matrix(table)
     write_ngram_trends_csv(run.target("ngram_trends.csv"), table, usage, table.binning.labels())
-    write_table_json(run.target("ngram_table.json"), table)
-    return usage
 
 
 def run_similarity(
@@ -1089,7 +1104,7 @@ def run_analyze(config: RunConfig) -> dict:
             table = build_ngram_table(docs, config.n, config.min_total, **options)
 
         with run.stage("trends"):
-            usage = write_trends(run, table)
+            write_trends(run, table)
 
         with run.stage("similarity"):
             sims = run_similarity(run, table, framework, lexicon)
@@ -1097,6 +1112,9 @@ def run_analyze(config: RunConfig) -> dict:
             del table.sentence_tokens
 
         with run.stage("associate"):
+            # The usage is made again, so no usage array is held while the
+            # similarity kernel runs.
+            usage = usage_matrix(table)
             associations = run_associate(
                 run,
                 table.keys,
@@ -1105,26 +1123,30 @@ def run_analyze(config: RunConfig) -> dict:
                 framework.topic_ids(),
                 config.percentile,
             )
+            del sims
 
         with run.stage("salience"):
             labels = table.binning.labels()
             run_salience(run, framework, associations, usage, labels, config.normalization)
+
+        # The counts the manifest records; the manifest stage then hashes the
+        # artifacts without holding the table, usage or associations.
+        corpus = {
+            "documents": next(counter),
+            "bins": table.binning.bin_count,
+            "ngrams": len(table.keys),
+            "instances": sum(table.bin_totals),
+            "sentences": len(table.sentences),
+            "empty_topics": sorted(tid for tid, assoc in associations.items() if not assoc.members),
+        }
+        del table, usage, associations
 
         with run.stage("manifest"):
             manifest = {
                 "tool": "salience",
                 "version": __version__,
                 "config": config.echo(),
-                "corpus": {
-                    "documents": next(counter),
-                    "bins": table.binning.bin_count,
-                    "ngrams": len(table.keys),
-                    "instances": sum(table.bin_totals),
-                    "sentences": len(table.sentences),
-                    "empty_topics": sorted(
-                        tid for tid, assoc in associations.items() if not assoc.members
-                    ),
-                },
+                "corpus": corpus,
                 "inputs": {
                     "corpus": _sha256(Path(config.corpus)),
                     "framework": _sha256(Path(config.framework)),

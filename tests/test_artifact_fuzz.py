@@ -6,7 +6,11 @@ A copy has one number changed, is cut at a byte, or has one line dropped or
 repeated. Its loader must refuse it with an InputError whose message starts
 with the file's path (for associations, a ConsistencyError naming a member
 that has no usage trend is also allowed), or return what csv.reader or
-json.loads reads from it. Any other exception is a bug."""
+json.loads reads from it. Any other exception is a bug.
+
+Explicit cases cover what a changed number may not reach: thresholds that
+json.loads reads but the writer cannot write, and a matrix whose bin is not
+the one its file is named by."""
 
 import csv
 import json
@@ -45,7 +49,8 @@ CORRUPT_NUMBERS = ["nan", "NaN", "inf", "Infinity", "-1", "2", "", "x", "null", 
 def written(tmp_path_factory):
     """The artifacts of two analyze runs, by name: one with a framework
     without a grid, at the 50th percentile so that topics have members, and
-    the matrix of one bin from a run with the PMESII-ASCOPE grid. Also the
+    the matrix of one bin from a run with the PMESII-ASCOPE grid. A matrix
+    is named as a matrix is read, by its bin, in a folder per run. Also the
     n-grams of the usage trends, which associations are read against."""
     tmp = tmp_path_factory.mktemp("fuzz")
     spec = SynthSpec(
@@ -64,7 +69,7 @@ def written(tmp_path_factory):
         out = tmp / name
         fw = framework_file(tmp, framework, name=f"{name}.json")
         run_analyze(RunConfig(corpus=corpus, framework=fw, out_dir=out, min_total=1, percentile=50))
-        files[f"{name}-matrix.json"] = (out / "matrices" / "2016-03.json").read_bytes()
+        files[f"{name}/2016-03.json"] = (out / "matrices" / "2016-03.json").read_bytes()
         if name == "plain":
             files.update({trend: (out / trend).read_bytes() for trend in TRENDS})
             files["associations.json"] = (out / "associations.json").read_bytes()
@@ -132,7 +137,7 @@ def _json_reading(path: Path, keys: list[str]):
 
 @pytest.mark.parametrize(
     "names",
-    [TRENDS, ("associations.json",), ("plain-matrix.json", "grid-matrix.json")],
+    [TRENDS, ("associations.json",), ("plain/2016-03.json", "grid/2016-03.json")],
     ids=["trends", "associations", "matrix"],
 )
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -142,6 +147,7 @@ def test_corrupted_artifact_is_refused_or_read_as_csv_or_json_reads_it(written, 
     name, corrupted = data.draw(corruptions(files, names))
     with tempfile.TemporaryDirectory() as folder:
         path = Path(folder) / name
+        path.parent.mkdir(exist_ok=True)
         path.write_bytes(corrupted)
         try:
             if name in TRENDS:
@@ -159,3 +165,42 @@ def test_corrupted_artifact_is_refused_or_read_as_csv_or_json_reads_it(written, 
         except ConsistencyError as exc:
             assert name == "associations.json", exc
             assert re.fullmatch(r"topic .+: no usage trend for member .+", str(exc)), exc
+
+
+# A threshold as associations.json spells it, and values that json.loads
+# reads but the writer cannot write: float() took each of them.
+NOT_FINITE_NUMBERS = [
+    "true", "false", '"0.5"', "null", "[0.5]", "NaN", "-Infinity", "1e999",
+    pytest.param("9" * 400, id="int-above-the-largest-float"),
+]
+
+
+@pytest.mark.parametrize("key", ["sim_threshold", "rsd_threshold"])
+@pytest.mark.parametrize("value", NOT_FINITE_NUMBERS)
+def test_threshold_that_is_not_a_finite_number_is_refused(tmp_path, key, value):
+    path = tmp_path / "associations.json"
+    entry = {"sim_threshold": 0.25, "rsd_threshold": 0.5, "members": []}
+    path.write_text(json.dumps({"t1": entry, "t2": {**entry, key: "@"}}).replace('"@"', value))
+    message = f"{path}: topic 't2': thresholds must be finite numbers"
+    with pytest.raises(InputError, match=re.escape(message)):
+        load_associations_json(path, [])
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "5e-324", "1.7976931348623157e+308"])
+def test_threshold_that_is_a_finite_number_is_read(tmp_path, value):
+    path = tmp_path / "associations.json"
+    entry = {"sim_threshold": "@", "rsd_threshold": 0.5, "members": []}
+    path.write_text(json.dumps({"t1": entry}).replace('"@"', value))
+    assert load_associations_json(path, [])["t1"].sim_threshold == float(value)
+
+
+@pytest.mark.parametrize("label", [7, None, True, ["2016-03"], "2016-04", "2016-03.json", ""])
+def test_matrix_of_a_bin_other_than_its_file_name_is_refused(written, tmp_path, label):
+    files, _ = written
+    path = tmp_path / "2016-03.json"
+    payload = json.loads(files["plain/2016-03.json"])
+    path.write_text(json.dumps({**payload, "bin": label}))
+    with pytest.raises(InputError, match=re.escape(f"{path}: matrix bin {label!r} is not")):
+        load_matrix_json(path)
+    path.write_text(json.dumps(payload))
+    assert load_matrix_json(path) == payload

@@ -4,6 +4,7 @@ import sys
 import tempfile
 from collections import defaultdict
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from salience.corpus import (
     load_corpus,
     read_corpus,
 )
-from salience import pipeline
+from salience import ngrams, pipeline
 from salience.errors import ConsistencyError, InputError
 from salience.ngrams import (
     _Fold,
@@ -427,13 +428,30 @@ mixed_corpus = st.lists(
 
 
 @settings(max_examples=60)
-@given(mixed_corpus, st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=3))
+@given(mixed_corpus, st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=7))
 def test_table_equals_reference(items, n, min_total):
+    # min_total up to 7 exceeds many n-grams' instance counts: a key is kept
+    # when it equals the sorted key min_total - 1 places on, which must not
+    # reach into the next n-gram's run or past the end.
     # The first document's text again in another bin: one sentence, two bins.
     month, text = items[0]
     docs = _docs_from(items + [(month % 4 + 1, text)])
     table = build_ngram_table(docs, n=n, min_total=min_total)
     _assert_equals_reference(table, _reference_table(docs, n=n, min_total=min_total))
+
+
+@settings(max_examples=40)
+@given(mixed_corpus, st.integers(min_value=1, max_value=4), st.sampled_from([1, 2, 5]))
+def test_block_size_does_not_change_the_table(items, n, block):
+    # The build packs keys, looks instances up and gathers token rows a
+    # bounded block at a time; a block of one element puts a block boundary
+    # at every sentence and run. The documents come in month order or not.
+    docs = _docs_from(items)
+    expected = build_ngram_table(docs, n=n, min_total=2)
+    with mock.patch.object(ngrams, "_BLOCK", block):
+        table = build_ngram_table(docs, n=n, min_total=2)
+    assert_same_table(table, expected)
+    assert _decoded(table.sentence_tokens) == _decoded(expected.sentence_tokens)
 
 
 # Tokens where a separator could decide the order: tokens that begin one
@@ -623,6 +641,17 @@ def test_write_blocks_do_not_change_the_table(tmp_path, monkeypatch, block):
     }
     assert path.read_text(encoding="utf-8") == json.dumps(payload, separators=(",", ":")) + "\n"
     assert_same_table(load_table_json(path), table)
+
+
+def test_scan_of_too_many_instances_is_refused(monkeypatch):
+    # Instance numbers are packed with n-gram numbers into one int64, so a
+    # scan of 2**31 instances or more is refused; here the bound is 6.
+    monkeypatch.setattr(ngrams, "_INSTANCE_LIMIT", 6)
+    five = _docs_from([(1, "a b c. d e f"), (2, "a b")])
+    assert sum(build_ngram_table(five, n=2).bin_totals) == 5
+    six = _docs_from([(1, "a b c. d e f"), (2, "a b c")])
+    with pytest.raises(InputError, match="^6 n-gram instances; a table holds fewer than 6$"):
+        build_ngram_table(six, n=2)
 
 
 def test_no_sentence_reaches_n_tokens(tmp_path):

@@ -485,6 +485,36 @@ class TestCli:
         # The failed stage leaves no trends that the repeated member shaped.
         assert not (out / "topic_usage.csv").exists()
 
+    def test_threshold_that_is_not_a_finite_number_exits_one(self, workspace, tmp_path, capsys):
+        # tests/test_artifact_fuzz.py has the other values the loader refuses.
+        _, corpus, framework = workspace
+        out = tmp_path / "out"
+        run_analyze(RunConfig(corpus=corpus, framework=framework, out_dir=out, min_total=1))
+        path = out / "associations.json"
+        text = path.read_text(encoding="utf-8")
+        topic_id = next(iter(json.loads(text)))
+        text = re.sub(r'"sim_threshold": [^,]+', f'"sim_threshold": NaN', text, count=1)
+        path.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        assert main(["salience", "--in", str(out), "--framework", str(framework)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: salience: {path}: topic {topic_id!r}: thresholds must be finite numbers"
+        )
+
+    def test_render_matrix_of_another_bin_exits_one(self, workspace, tmp_path, capsys):
+        _, corpus, framework = workspace
+        out = tmp_path / "out"
+        run_analyze(RunConfig(corpus=corpus, framework=framework, out_dir=out, min_total=1))
+        matrix = out / "matrices" / "2016-01.json"
+        payload = json.loads(matrix.read_text(encoding="utf-8"))
+        matrix.write_text(json.dumps({**payload, "bin": "2016-02"}), encoding="utf-8")
+        capsys.readouterr()
+        args = ["render", "--in", str(out), "--topics", "harbor_trade", "--bin", "2016-01"]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: render: {matrix}: matrix bin '2016-02' is not the bin")
+        assert not (out / "render").exists()
+
     def test_render_bug_exits_two_and_removes_partial_output(
         self, workspace, tmp_path, monkeypatch, capsys
     ):
@@ -831,7 +861,7 @@ _FLAT_MATRIX = {
     ],
 )
 def test_matrix_loader_refuses_values_off_the_declared_shape(tmp_path, payload):
-    path = tmp_path / "matrix.json"
+    path = tmp_path / "b.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(InputError, match=re.escape(f"{path}: matrix ")):
         load_matrix_json(path)
@@ -839,7 +869,7 @@ def test_matrix_loader_refuses_values_off_the_declared_shape(tmp_path, payload):
 
 @pytest.mark.parametrize("payload", [_GRID_MATRIX, _FLAT_MATRIX])
 def test_matrix_loader_reads_both_layouts(tmp_path, payload):
-    path = tmp_path / "matrix.json"
+    path = tmp_path / "b.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
     assert load_matrix_json(path) == payload
 

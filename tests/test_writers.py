@@ -14,6 +14,7 @@ import json
 import math
 import tempfile
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -305,6 +306,9 @@ def test_matrix_json_is_json_dumps_indent_2(matrix):
         assert path.read_bytes() == _matrix_reference(matrix)
         # What the writer writes, the loader reads, unless a value is not
         # finite: salience from finite usage is finite, so render refuses it.
+        # The loader reads a matrix from the file its bin names.
+        path = Path(folder) / "b.json"
+        pipeline.write_matrix_json(path, replace(matrix, bin_label="b"))
         if all(map(math.isfinite, matrix.values)):
             pipeline.load_matrix_json(path)
         else:
