@@ -6,34 +6,41 @@ cosine similarity, associate n-grams to topics by a bivariate percentile
 rule, and derive per-topic salience trends and matrices.
 
 The names below are the documented library API; every other public name is
-imported from its module (`salience.corpus`, `salience.topics`, ...).
+imported from its module (`salience.corpus`, `salience.topics`, ...). Each
+documented name loads its module on first use, so `import salience`, which
+every `salience.cli` process runs first, loads neither numpy nor any module
+that process does not need.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .association import relative_std_devs
-from .corpus import read_corpus
-from .errors import ConsistencyError, InputError, SalienceError
-from .ngrams import build_ngram_table, usage_matrix
-from .pipeline import RunConfig, compute_associations, compute_similarities, run_analyze
-from .salience import normalize_salience, topic_salience_trend
-from .topics import build_vector_space, load_pmesii_ascope
+# Each documented name -> the module that defines it.
+_EXPORTS = {
+    "SalienceError": "errors",
+    "InputError": "errors",
+    "ConsistencyError": "errors",
+    "RunConfig": "pipeline",
+    "run_analyze": "pipeline",
+    "read_corpus": "corpus",
+    "build_ngram_table": "ngrams",
+    "usage_matrix": "ngrams",
+    "load_pmesii_ascope": "topics",
+    "build_vector_space": "topics",
+    "compute_similarities": "pipeline",
+    "relative_std_devs": "association",
+    "compute_associations": "pipeline",
+    "topic_salience_trend": "salience",
+    "normalize_salience": "salience",
+}
 
-__all__ = [
-    "__version__",
-    "SalienceError",
-    "InputError",
-    "ConsistencyError",
-    "RunConfig",
-    "run_analyze",
-    "read_corpus",
-    "build_ngram_table",
-    "usage_matrix",
-    "load_pmesii_ascope",
-    "build_vector_space",
-    "compute_similarities",
-    "relative_std_devs",
-    "compute_associations",
-    "topic_salience_trend",
-    "normalize_salience",
-]
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value

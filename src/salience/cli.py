@@ -10,6 +10,15 @@ consistency error.
 
 from __future__ import annotations
 
+import os
+
+# numpy starts its BLAS library's thread pool as it loads, one thread per
+# core, although no stage makes a BLAS call; on a 2-core machine that cost
+# each CLI process about 0.09 s of CPU. So the CLI asks for one thread,
+# before anything here loads numpy, unless the environment names a count.
+for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_variable, "1")
+
 import argparse
 import ctypes
 import json
@@ -18,29 +27,10 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
-from .association import relative_std_devs
-from .corpus import GRANULARITIES, read_corpus
+from .corpus import GRANULARITIES
 from .errors import ConsistencyError, InputError
-from .ngrams import build_ngram_table
-from .pipeline import (
-    RunConfig,
-    load_associations_json,
-    load_matrix_json,
-    load_ngram_trends_csv,
-    load_similarity_csv,
-    load_table_json,
-    load_trend_csv,
-    run_analyze,
-    run_associate,
-    run_salience,
-    run_similarity,
-    stage_run,
-    write_trends,
-)
-from .render import render_grid_svg, render_trend_svg
+from .pipeline import RunConfig, stage_run
 from .salience import NORMALIZATIONS
-from .synth import corpus_to_jsonl, generate_corpus, load_synth_spec
-from .topics import load_framework, load_lexicon
 
 # mallopt's parameter for the request size from which glibc maps memory.
 _M_MMAP_THRESHOLD = -3
@@ -148,7 +138,13 @@ def _add_norm_arg(parser) -> None:
     )
 
 
+# Each command imports the functions it calls when it runs, so a process
+# loads only the modules of its own subcommand.
+
+
 def _cmd_analyze(args) -> int:
+    from .pipeline import run_analyze
+
     manifest = run_analyze(RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)}))
     print(
         f"analyzed {manifest['corpus']['documents']} documents over "
@@ -159,6 +155,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    from .synth import corpus_to_jsonl, generate_corpus, load_synth_spec
+
     docs, truth = generate_corpus(load_synth_spec(args.spec))
     out = args.out
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -176,6 +174,10 @@ def _truth_path(out: Path) -> Path:
 
 
 def _cmd_trends(args) -> int:
+    from .corpus import read_corpus
+    from .ngrams import build_ngram_table
+    from .pipeline import write_trends
+
     args.out_dir.mkdir(parents=True, exist_ok=True)
     with stage_run(args.out_dir, "trends") as run:
         options = dict(granularity=args.granularity, include_titles=args.include_titles)
@@ -186,6 +188,9 @@ def _cmd_trends(args) -> int:
 
 
 def _cmd_similarity(args) -> int:
+    from .pipeline import load_table_json, run_similarity
+    from .topics import load_framework, load_lexicon
+
     with stage_run(args.in_dir, "similarity") as run:
         table = load_table_json(args.in_dir / "ngram_table.json")
         framework = load_framework(args.framework)
@@ -196,6 +201,9 @@ def _cmd_similarity(args) -> int:
 
 
 def _cmd_associate(args) -> int:
+    from .association import relative_std_devs
+    from .pipeline import load_ngram_trends_csv, load_similarity_csv, run_associate
+
     with stage_run(args.in_dir, "associate") as run:
         keys, usage, _ = load_ngram_trends_csv(args.in_dir / "ngram_trends.csv")
         rsd = relative_std_devs(usage)
@@ -209,6 +217,9 @@ def _cmd_associate(args) -> int:
 
 
 def _cmd_salience(args) -> int:
+    from .pipeline import load_associations_json, load_ngram_trends_csv, run_salience
+    from .topics import load_framework
+
     with stage_run(args.in_dir, "salience") as run:
         keys, usage, labels = load_ngram_trends_csv(args.in_dir / "ngram_trends.csv")
         associations = load_associations_json(args.in_dir / "associations.json", keys)
@@ -219,6 +230,9 @@ def _cmd_salience(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from .pipeline import load_matrix_json, load_trend_csv
+    from .render import render_grid_svg, render_trend_svg
+
     in_dir = args.in_dir
     wanted = [tid for tid in args.topics.split(",") if tid]
     if not wanted:

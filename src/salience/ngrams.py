@@ -135,11 +135,24 @@ class NgramTable:
 
     @cached_property
     def counts(self) -> np.ndarray:
-        """Instances per bin, int32: one bincount over (row, bin) cells."""
-        rows, bins = len(self.keys), len(self.bin_totals)
-        row_of = np.repeat(np.arange(rows), np.diff(self.context_start))
-        cells = np.bincount(row_of * bins + self.context_bins, minlength=rows * bins)
-        return cells.astype(np.int32).reshape(rows, bins)
+        """Instances per bin, (K × B) int32, counted a block of rows at a
+        time (`count_rows`)."""
+        out = np.empty((len(self.keys), len(self.bin_totals)), dtype=np.int32)
+        for rows in _count_blocks(*out.shape):
+            out[rows] = self.count_rows(rows)
+        return out
+
+    def count_rows(self, rows: slice) -> np.ndarray:
+        """Instances per bin of the n-grams in `rows` (a slice with a start
+        and a stop), int32: one bincount over their (row, bin) cells. The
+        writers and `usage_matrix` count a block at a time, so no (K × B)
+        count array is held beside the usage."""
+        block, bins = rows.stop - rows.start, len(self.bin_totals)
+        start = self.context_start[rows.start : rows.stop + 1]
+        row_of = np.repeat(np.arange(block), np.diff(start))
+        cells = row_of * bins + self.context_bins[start[0] : start[-1]]
+        counts = np.bincount(cells, minlength=block * bins)
+        return counts.astype(np.int32).reshape(block, bins)
 
     @cached_property
     def sentence_tokens(self) -> tuple[list[str], np.ndarray, np.ndarray]:
@@ -177,6 +190,12 @@ _INSTANCE_LIMIT = 1 << 31
 # Elements per block of the build's blockwise passes: what a pass holds at
 # once beside its input and output arrays does not grow with the corpus.
 _BLOCK = 1 << 16
+
+
+def _count_blocks(rows: int, bins: int) -> Iterator[slice]:
+    """Consecutive slices of range(rows), each of about _BLOCK count cells."""
+    step = max(1, _BLOCK // max(bins, 1))
+    return (slice(lo, min(lo + step, rows)) for lo in range(0, rows, step))
 
 
 def _blocks(ends: np.ndarray, size: int) -> Iterator[tuple[int, int]]:
@@ -432,7 +451,10 @@ def usage_matrix(table: NgramTable) -> np.ndarray:
     """Every n-gram's relative usage trend as one (n-grams × bins) array,
     rows in sorted key order: counts / bin_totals, 0 in empty bins."""
     totals = np.array(table.bin_totals, dtype=np.int64)
-    return np.divide(table.counts, totals, out=np.zeros(table.counts.shape), where=totals > 0)
+    usage = np.zeros((len(table.keys), len(totals)))
+    for rows in _count_blocks(*usage.shape):
+        np.divide(table.count_rows(rows), totals, out=usage[rows], where=totals > 0)
+    return usage
 
 
 def relative_usage_trend(counts: Sequence[int], bin_totals: Sequence[int]) -> list[float]:

@@ -14,6 +14,9 @@ the stage and remove its partial outputs either way; a failed subcommand
 also removes what an earlier run of its stage wrote.
 `ngram_trends.csv` carries the usage trends to the associate and salience
 stages; `ngram_table.json` carries the contexts to the similarity stage.
+The functions that run the scan (`read_corpus`, `salience.ngrams`) or the
+topic space (`salience.topics`) import them when they run, so a subcommand
+that uses neither, such as `associate`, does not load them.
 
 Between stages each quantity is one numpy array whose row i is the i-th
 n-gram in sorted key order (K n-grams, B bins, T topics, N instances):
@@ -68,7 +71,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 try:
     import resource
@@ -85,9 +88,8 @@ from .association import (
     percentile,
     relative_std_devs,
 )
-from .corpus import TimeBinning, read_corpus, span_binning
+from .corpus import TimeBinning, span_binning
 from .errors import ConsistencyError, InputError, SalienceError, load_json
-from .ngrams import NgramTable, build_ngram_table, usage_matrix
 from .salience import (
     NORMALIZATIONS,
     normalize_salience,
@@ -95,14 +97,10 @@ from .salience import (
     topic_salience_trend,
     topic_usage_trend,
 )
-from .topics import (
-    TopicFramework,
-    VectorSpace,
-    batch_similarities,
-    build_vector_space,
-    load_framework,
-    load_lexicon,
-)
+
+if TYPE_CHECKING:
+    from .ngrams import NgramTable
+    from .topics import TopicFramework, VectorSpace
 
 # The ngram_table.json layout that write_table_json writes and load_table_json reads.
 TABLE_VERSION = 2
@@ -500,7 +498,7 @@ def _table_entries(table: NgramTable, rows: slice) -> str:
     contexts = [f"[{t},{sid}]" for t, sid in zip(bins, sids)]
     offsets = (ends - ends[0]).tolist()
     names = map(encode_basestring_ascii, table.keys[rows])
-    entries = zip(names, _cell_texts(table.counts[rows]), offsets, offsets[1:])
+    entries = zip(names, _cell_texts(table.count_rows(rows)), offsets, offsets[1:])
     return ",".join(
         [
             f'{name}:{{"counts":[{",".join(counts)}],"contexts":[{",".join(contexts[a:b])}]}}'
@@ -520,6 +518,8 @@ def load_table_json(path: Path) -> NgramTable:
     sentence id is out of range, counts that differ from the contexts', and
     counts the header cannot hold: a bin's above its total, or an n-gram's
     total below min_total."""
+    from .ngrams import NgramTable
+
     hint = " (run the trends stage first)"
     raw = load_json(path, "n-gram table", hint, object_pairs_hook=_Pairs)
     payload = dict(raw) if isinstance(raw, _Pairs) else {}
@@ -959,6 +959,8 @@ def compute_similarities(table: NgramTable, space: VectorSpace, topics: np.ndarr
     """Similarity of every tabled n-gram to every topic row of `topics`, as
     one (n-grams × topics) array in sorted key order, scored in one pass by
     the batch kernel from the sentences' token ids."""
+    from .topics import batch_similarities
+
     return batch_similarities(
         space, topics, *table.sentence_tokens, table.context_start, table.context_sids
     )
@@ -1012,6 +1014,8 @@ def write_trends(run: _Run, table: NgramTable) -> None:
     """The trends stage after its scan: writes a built table to
     ngram_table.json and its usage array to ngram_trends.csv. The usage is
     made after the table is written and dropped once it is."""
+    from .ngrams import usage_matrix
+
     if not table.keys:
         raise InputError(
             f"no n-gram reached min-count {table.min_total}; lower --min-count or supply more text"
@@ -1026,6 +1030,8 @@ def run_similarity(
 ) -> np.ndarray:
     """Similarity stage: the (n-grams × topics) similarity array, from the
     contexts in the table. Writes similarity.csv."""
+    from .topics import build_vector_space
+
     sims = compute_similarities(table, *build_vector_space(framework, lexicon))
     write_similarity_csv(run.target("similarity.csv"), table.keys, sims, framework.topic_ids())
     return sims
@@ -1086,6 +1092,10 @@ def run_analyze(config: RunConfig) -> dict:
     On any stage failure the partial outputs written so far are removed and
     the error names the failing stage.
     """
+    from .corpus import read_corpus
+    from .ngrams import build_ngram_table, usage_matrix
+    from .topics import load_framework, load_lexicon
+
     config.validate()
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

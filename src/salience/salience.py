@@ -10,13 +10,16 @@ keep zero trends so matrices retain the full framework shape.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .errors import ConsistencyError, InputError
-from .topics import TopicFramework
+
+if TYPE_CHECKING:
+    from .topics import TopicFramework
 
 NORMALIZATIONS = ("zscore", "minmax")
 
@@ -90,19 +93,28 @@ def normalize_salience(salience: np.ndarray, method: str = "zscore") -> np.ndarr
     """Normalize the (topics × bins) salience array across topics within
     each bin.
 
-    zscore: (v - mean) / population std per bin; degenerate bins (zero
-    spread) map to 0. minmax: (v - min) / (max - min), same guard. Both are
-    monotone per bin, so each bin's topic ranking is unchanged.
+    zscore: (v - mean) / population std per bin; minmax: (v - min) /
+    (max - min). A degenerate bin, whose topics all hold one value, maps to
+    0. The zscore moments are exactly rounded sums (math.fsum), so they do
+    not depend on the topics' order. Both are monotone per bin, so each
+    bin's topic ranking is unchanged.
     """
     if method not in NORMALIZATIONS:
         raise InputError(f"unknown normalization {method!r}; use one of {NORMALIZATIONS}")
-    if salience.shape[0] < 2:
+    topics = salience.shape[0]
+    if topics < 2:
         raise InputError("per-bin normalization needs at least 2 topics")
+    low, high = salience.min(axis=0), salience.max(axis=0)
     if method == "zscore":
-        center = salience.mean(axis=0)
-        spread = salience.std(axis=0)
+        center = _column_sums(salience) / topics
+        spread = np.sqrt(_column_sums(np.square(salience - center)) / topics)
     else:
-        center = salience.min(axis=0)
-        spread = salience.max(axis=0) - center
-    safe = np.where(spread == 0.0, 1.0, spread)
-    return np.where(spread == 0.0, 0.0, (salience - center) / safe)
+        center, spread = low, high - low
+    flat = low == high
+    return np.where(flat, 0.0, (salience - center) / np.where(flat, 1.0, spread))
+
+
+def _column_sums(values: np.ndarray) -> np.ndarray:
+    """Each column's exactly rounded sum, which no order of the rows
+    changes; one column is a Python list at a time."""
+    return np.array([math.fsum(column.tolist()) for column in values.T])

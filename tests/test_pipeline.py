@@ -4,6 +4,7 @@ import datetime as dt
 import functools
 import hashlib
 import io
+import itertools
 import json
 import os
 import re
@@ -16,7 +17,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from salience import cli, pipeline
+from salience import cli, pipeline, render
 from salience.cli import main
 from salience.corpus import TimeBinning, build_binning, load_corpus, read_corpus
 from salience.errors import InputError
@@ -529,7 +530,8 @@ class TestCli:
                 raise RuntimeError("boom")
             return "<svg/>"
 
-        monkeypatch.setattr(cli, "render_trend_svg", second_chart_fails)
+        # The render subcommand imports its chart functions when it runs.
+        monkeypatch.setattr(render, "render_trend_svg", second_chart_fails)
         capsys.readouterr()
         assert main(["render", "--in", str(out), "--topics", "harbor_trade"]) == 2
         assert "error: render: RuntimeError: boom" in capsys.readouterr().err
@@ -1048,6 +1050,46 @@ assert "_hashlib" in sys.modules, "analyze hashes its artifacts"
     assert run.returncode == 0, run.stderr
 
 
+@pytest.mark.parametrize(
+    "command, loaded",
+    [
+        ("analyze", ["ngrams", "topics"]),
+        ("trends", ["ngrams"]),
+        ("similarity", ["ngrams", "topics"]),
+        ("associate", []),
+        ("salience", ["ngrams", "topics"]),
+        ("render", ["render"]),
+    ],
+)
+def test_each_subcommand_loads_only_the_modules_it_runs(workspace, tmp_path, command, loaded):
+    # Every CLI process pays for importing (without cached bytecode, compiling)
+    # what it loads. Of the modules below, each subcommand must load only
+    # what it calls. A fresh interpreter: pytest's own holds them all.
+    _, corpus, framework = workspace
+    out = tmp_path / "out"
+    run_analyze(RunConfig(corpus=corpus, framework=framework, out_dir=out, min_total=1))
+    args = {
+        "analyze": ["--corpus", corpus, "--framework", framework, "--out", tmp_path / "again"],
+        "trends": ["--corpus", corpus, "--min-count", "1", "--out", out],
+        "similarity": ["--in", out, "--framework", framework],
+        "associate": ["--in", out],
+        "salience": ["--in", out, "--framework", framework],
+        "render": ["--in", out, "--topics", "harbor_trade"],
+    }[command]
+    code = """
+import sys
+import salience.cli
+assert salience.cli.main(sys.argv[1:]) == 0
+print([m for m in ("ngrams", "topics", "synth", "render") if "salience." + m in sys.modules])
+"""
+    paths = [str(Path(pipeline.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    argv = [sys.executable, "-c", code, command, *map(str, args)]
+    run = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == str(loaded)
+
+
 def test_topic_id_with_a_carriage_return_exits_one(workspace, tmp_path, capsys):
     # No CSV artifact can carry the id back: the readers take a CR for a
     # line end. The framework is refused before anything is written.
@@ -1091,6 +1133,53 @@ def test_associate_refuses_mismatched_ngram_sets(workspace, tmp_path, capsys):
     assert main(["salience", "--in", str(out), "--framework", str(framework)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: salience: associations not found: {out / 'associations.json'}")
+
+
+def test_topic_order_only_permutes_the_artifacts(workspace, tmp_path):
+    # Every order of the framework's topics gives the same artifacts up to
+    # that order: the topic rows of the trend CSVs, each n-gram's rows of
+    # similarity.csv, the topics of associations.json and of each matrix.
+    # At the 50th percentile three topics get members, and a zscore summed
+    # in topic order moved cells of salience_normalized.csv by an ulp.
+    _, corpus, _ = workspace
+    framework = disjoint_framework()
+    count = len(framework.topics)
+
+    def analyze(order):
+        name = "".join(map(str, order))
+        topics = tuple(framework.topics[i] for i in order)
+        path = framework_file(tmp_path, dataclasses.replace(framework, topics=topics), name + ".json")
+        out = tmp_path / name
+        run_analyze(
+            RunConfig(corpus=corpus, framework=path, out_dir=out, min_total=1, percentile=50.0)
+        )
+        artifacts = read_all(out)
+        del artifacts["manifest.json"]
+        return artifacts
+
+    base = analyze(range(count))
+    assert_some_topic_has_members(tmp_path / "0123")
+    for order in itertools.permutations(range(count)):
+        back = [order.index(i) for i in range(count)]
+
+        def restore(items):
+            return [items[i] for i in back]
+
+        for name, data in analyze(order).items():
+            if name.endswith(".csv") and name != "ngram_trends.csv":
+                header, *lines = data.decode("utf-8").splitlines(keepends=True)
+                width = count if name == "similarity.csv" else len(lines)
+                blocks = [restore(lines[i : i + width]) for i in range(0, len(lines), width)]
+                data = "".join([header, *itertools.chain(*blocks)]).encode("utf-8")
+            elif name == "associations.json" or name.startswith("matrices"):
+                payload = json.loads(data)
+                if name == "associations.json":
+                    payload = dict(restore(list(payload.items())))
+                else:
+                    payload["topics"] = restore(payload["topics"])
+                    payload["values"] = [restore(row) for row in payload["values"]]
+                data = (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+            assert data == base[name], (order, name)
 
 
 def test_ngram_trends_loader_inverts_the_writer(workspace, tmp_path):

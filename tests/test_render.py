@@ -120,16 +120,15 @@ def test_escape_matches_saxutils(text):
     assert escape(text) == sax_escape(text)
 
 
-def test_cli_import_loads_no_network_modules():
-    # Every CLI child pays for what `import salience.cli` loads;
-    # xml.sax.saxutils alone would bring in urllib, http, email and socket.
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _child(code: str, **env: str) -> str:
+    """What `python -c code` prints, in a fresh interpreter that finds this
+    package and has none of BLAS_THREADS set except as `env` sets them."""
     paths = [str(Path(salience.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    code = (
-        "import sys, salience.cli; "
-        "print(sorted(m for m in ('urllib.request', 'http.client', 'email', 'ssl', 'socket') "
-        "if m in sys.modules))"
-    )
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+    env = {**base, "PYTHONPATH": os.pathsep.join(filter(None, paths)), **env}
     out = subprocess.run(
         [sys.executable, "-c", code],
         env=env,
@@ -138,4 +137,38 @@ def test_cli_import_loads_no_network_modules():
         check=True,
         timeout=60,
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_cli_import_loads_no_network_modules():
+    # Every CLI child pays for what `import salience.cli` loads;
+    # xml.sax.saxutils alone would bring in urllib, http, email and socket.
+    code = (
+        "import sys, salience.cli; "
+        "print(sorted(m for m in ('urllib.request', 'http.client', 'email', 'ssl', 'socket') "
+        "if m in sys.modules))"
+    )
+    assert _child(code) == "[]"
+
+
+def test_package_import_loads_no_module_until_a_name_is_used():
+    # The CLI sets BLAS_THREADS before numpy loads; `import salience` runs
+    # first in every CLI process, so it must not load numpy, and as a
+    # library import it leaves the environment alone.
+    code = (
+        "import os, sys; env = dict(os.environ); import salience; "
+        "print('numpy' in sys.modules, dict(os.environ) == env, "
+        "salience.RunConfig.__module__, 'numpy' in sys.modules)"
+    )
+    assert _child(code) == "False True salience.pipeline True"
+    assert all(hasattr(salience, name) for name in salience.__all__)
+
+
+@pytest.mark.parametrize(
+    "env, threads",
+    [({}, ["1", "1", "1"]), ({"OPENBLAS_NUM_THREADS": "2"}, ["2", "1", "1"])],
+    ids=["unset", "user-set"],
+)
+def test_cli_runs_numpy_with_one_blas_thread_unless_told_otherwise(env, threads):
+    code = f"import os, salience.cli; print([os.environ.get(v) for v in {BLAS_THREADS}])"
+    assert _child(code, **env) == str(threads)

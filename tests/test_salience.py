@@ -207,6 +207,13 @@ class TestNormalize:
         out = normalize_salience(np.array([[0.5, 0.1], [0.5, 0.3]]))
         assert out[0, 0] == 0.0 and out[1, 0] == 0.0
 
+    @pytest.mark.parametrize("method", ["zscore", "minmax"])
+    def test_bin_of_one_repeated_value_maps_to_zero(self, method):
+        # Summed in order, three 0.1s have a mean an ulp off 0.1 and a
+        # population std of about 1e-17, which scaled every topic to -1.
+        out = normalize_salience(np.full((3, 2), 0.1), method)
+        assert out.tolist() == [[0.0, 0.0]] * 3
+
     def test_symmetric_pair_gives_plus_minus_one(self):
         out = normalize_salience(np.array([[0.2], [-0.2]]))
         assert out.tolist() == [[1.0], [-1.0]]
