@@ -21,7 +21,7 @@ _EXPORTS = {
     "SalienceError": "errors",
     "InputError": "errors",
     "ConsistencyError": "errors",
-    "RunConfig": "pipeline",
+    "RunConfig": "runs",
     "run_analyze": "pipeline",
     "read_corpus": "corpus",
     "build_ngram_table": "ngrams",

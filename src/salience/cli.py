@@ -15,7 +15,7 @@ import os
 # numpy starts its BLAS library's thread pool as it loads, one thread per
 # core, although no stage makes a BLAS call; on a 2-core machine that cost
 # each CLI process about 0.09 s of CPU. So the CLI asks for one thread,
-# before anything here loads numpy, unless the environment names a count.
+# before a stage command loads numpy, unless the environment names a count.
 for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_variable, "1")
 
@@ -27,10 +27,8 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
-from .corpus import GRANULARITIES
 from .errors import ConsistencyError, InputError
-from .pipeline import RunConfig, stage_run
-from .salience import NORMALIZATIONS
+from .runs import GRANULARITIES, NORMALIZATIONS, RunConfig, stage_run
 
 # mallopt's parameter for the request size from which glibc maps memory.
 _M_MMAP_THRESHOLD = -3
@@ -139,7 +137,9 @@ def _add_norm_arg(parser) -> None:
 
 
 # Each command imports the functions it calls when it runs, so a process
-# loads only the modules of its own subcommand.
+# loads only the modules of its own subcommand. What the parser needs comes
+# from salience.runs, which loads no numpy: `render`, `synth`, `--help` and
+# `--version` run without it.
 
 
 def _cmd_analyze(args) -> int:
@@ -230,8 +230,8 @@ def _cmd_salience(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    from .pipeline import load_matrix_json, load_trend_csv
     from .render import render_grid_svg, render_trend_svg
+    from .runs import load_matrix_json, load_trend_csv
 
     in_dir = args.in_dir
     wanted = [tid for tid in args.topics.split(",") if tid]
@@ -239,10 +239,19 @@ def _cmd_render(args) -> int:
         raise InputError("--topics needs at least one topic id")
     with stage_run(in_dir, "render") as run:
         absolute, labels = load_trend_csv(in_dir / "salience.csv")
-        normalized, _ = load_trend_csv(in_dir / "salience_normalized.csv")
+        normalized_path = in_dir / "salience_normalized.csv"
+        normalized, normalized_labels = load_trend_csv(normalized_path)
         unknown = [tid for tid in wanted if tid not in absolute]
         if unknown:
             raise InputError(f"unknown topic ids: {', '.join(unknown)}")
+        # The salience stage writes both files with one set of topics and bins.
+        if normalized.keys() != absolute.keys():
+            differ = sorted(normalized.keys() ^ absolute.keys())
+            raise InputError(
+                f"{normalized_path}: topics are not those of salience.csv (e.g. {differ[0]!r})"
+            )
+        if normalized_labels != labels:
+            raise InputError(f"{normalized_path}: bin labels are not those of salience.csv")
         matrix = None
         if args.bin_label:
             matrix_path = in_dir / "matrices" / f"{args.bin_label}.json"

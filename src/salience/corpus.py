@@ -20,8 +20,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .errors import ConsistencyError, InputError
-
-GRANULARITIES = ("month", "week", "day")
+from .runs import GRANULARITIES
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,12 @@ the stage and remove its partial outputs either way; a failed subcommand
 also removes what an earlier run of its stage wrote.
 `ngram_trends.csv` carries the usage trends to the associate and salience
 stages; `ngram_table.json` carries the contexts to the similarity stage.
-The functions that run the scan (`read_corpus`, `salience.ngrams`) or the
-topic space (`salience.topics`) import them when they run, so a subcommand
-that uses neither, such as `associate`, does not load them.
+The functions that run the scan (`read_corpus`, `salience.ngrams`), the
+topic space (`salience.topics`) or the salience arithmetic
+(`salience.salience`) import them when they run, so a subcommand that uses
+none of them, such as `associate`, does not load them. `RunConfig`,
+`stage_run`, the CSV reader and the readers `render` needs live in
+`salience.runs`, which loads no numpy, and are re-exported here.
 
 Between stages each quantity is one numpy array whose row i is the i-th
 n-gram in sorted key order (K n-grams, B bins, T topics, N instances):
@@ -61,22 +64,11 @@ import datetime as dt
 import io
 import itertools
 import json
-import operator
 import os
 import re
-import sys
-import time
-from array import array
-from contextlib import contextmanager
-from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator
-
-try:
-    import resource
-except ImportError:  # not on Windows
-    resource = None
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
@@ -88,17 +80,29 @@ from .association import (
     percentile,
     relative_std_devs,
 )
-from .corpus import TimeBinning, span_binning
-from .errors import ConsistencyError, InputError, SalienceError, load_json
-from .salience import (
+from .errors import ConsistencyError, InputError, load_json
+
+# Defined in salience.runs, which needs no numpy, and re-exported here.
+from .runs import (
+    _NUMBER,
     NORMALIZATIONS,
-    normalize_salience,
-    salience_matrix,
-    topic_salience_trend,
-    topic_usage_trend,
+    STAGE_OUTPUTS,
+    RunConfig,
+    _append_key,
+    _CsvArtifact,
+    _different_ngrams,
+    _is_finite_number,
+    _is_strings,
+    _peak_rss_mib,
+    _read_csv,
+    _Run,
+    load_matrix_json,
+    load_trend_csv,
+    stage_run,
 )
 
 if TYPE_CHECKING:
+    from .corpus import TimeBinning
     from .ngrams import NgramTable
     from .topics import TopicFramework, VectorSpace
 
@@ -106,35 +110,6 @@ if TYPE_CHECKING:
 TABLE_VERSION = 2
 # An n-gram's text: tokenizer tokens joined by single spaces.
 _NGRAM_TEXT = re.compile(r"[^\W_]+(?: [^\W_]+)*")
-
-
-@dataclass
-class RunConfig:
-    """The options of one `analyze` run. The CLI's flags set these fields by
-    name and take their defaults from here."""
-
-    corpus: Path
-    framework: Path
-    out_dir: Path
-    lexicon: Path | None = None
-    n: int = 2
-    granularity: str = "month"
-    min_total: int = 5
-    percentile: float = 75.0
-    normalization: str = "zscore"
-    include_titles: bool = True
-
-    def validate(self) -> None:
-        # The scan refuses n, min_total and granularity before it reads.
-        if not 0.0 <= self.percentile <= 100.0:
-            raise InputError("percentile must lie in [0, 100]")
-        if self.normalization not in NORMALIZATIONS:
-            raise InputError(f"unknown normalization {self.normalization!r}")
-
-    def echo(self) -> dict:
-        """The fields as the manifest records them, each path as text."""
-        values = {field.name: getattr(self, field.name) for field in fields(self)}
-        return {name: str(v) if isinstance(v, Path) else v for name, v in values.items()}
 
 
 def _csv_cell(value: str) -> str:
@@ -175,165 +150,6 @@ def _cell_texts(block: np.ndarray) -> list[list[str]]:
     texts = np.array([repr(v) for v in distinct.view(block.dtype).tolist()], dtype=object)
     # numpy 2.x releases disagree on the shape of unique's inverse.
     return texts[inverse.reshape(block.shape)].tolist()
-
-
-# A number as the CSV writers write it, a float's repr, or as float() reads
-# one with no sign, dot or exponent spelled otherwise: "-1", "1e999" and
-# "-nan" parse, and _check_cells refuses what the writers cannot write.
-_NUMBER = r"-?(?:[0-9]+(?:\.[0-9]+)?(?:e[-+]?[0-9]+)?|inf|nan)"
-# Number texts, each followed by a comma.
-_NUMBERS = re.compile(rf"(?:{_NUMBER},)*")
-# The record reader reads at most this many characters at a time.
-_READ_CHARS = 1 << 16
-
-
-class _CsvArtifact:
-    """A CSV artifact open for reading: its header and first rows through
-    csv.reader (`header`, `rows`), then, for the two large artifacts, all
-    rows after the header as records of a fixed number of rows, each matched
-    by one compiled pattern (`records`). `line` is the first physical line
-    of the row or record being read."""
-
-    def __init__(self, fh, path: Path):
-        self.fh, self.path = fh, path
-        self.line = self.body = 1
-        self.unread: list[str] = []  # lines after the header, read by `rows`
-
-    def _lines(self) -> Iterator[str]:
-        for text in iter(self.fh.readline, ""):
-            self.unread.append(text)
-            yield text
-
-    def header(self) -> list[str]:
-        row = next(csv.reader(self._lines()), [])
-        self.line = self.body = 1 + len(self.unread)
-        self.unread = []
-        return row
-
-    def rows(self) -> Iterator[list[str]]:
-        """The rows after the header. `records` reads them again."""
-        for row in csv.reader(self._lines()):
-            yield row
-            self.line = self.body + len(self.unread)
-
-    def records(
-        self,
-        pattern: str,
-        rows: list[str],
-        expected: list[str],
-        width: int,
-        lines: int,
-        keys: list[str] | None = None,
-    ) -> tuple[list[str], array]:
-        """The n-grams and the numbers of the records from the first row
-        after the header to the end of the file. A record is `width` numbers
-        under an n-gram, in `lines` physical lines of CSV rows, which `rows`
-        match and `expected` describes, one each. `pattern` finds records
-        fast: it matches what `rows` joined match, any text where a number
-        goes; its first group is the n-gram, and each other group holds one
-        number or, if there is only one, all of them comma-separated. The
-        n-grams must come in sorted key order.
-
-        Given `keys`, the n-grams of the usage trends, the records must
-        carry exactly those, in order, and `keys` is what is returned: the
-        first record whose n-gram is not the next key, once its form and
-        order have passed, or the first key left over at the end of the
-        file, is a ConsistencyError naming the smaller of the two n-grams,
-        the smallest that one file has and the other lacks.
-
-        The text is matched a block of at most _READ_CHARS characters, plus
-        the record that straddles its end, at a time. Each distinct number
-        text of a block is checked and parsed once. A last line may lack its
-        newline."""
-        compiled = re.compile(pattern)
-        match, groups = compiled.match, compiled.groups
-        read: list[str] = []  # the n-grams, when no `keys` are given
-        done, last = 0, ""  # records read, and the last one's n-gram
-        values = array("d")
-        text, end = "".join(self.unread), False
-        self.line, self.unread = self.body, []
-        while not end:
-            block = self.fh.read(_READ_CHARS)
-            end = not block
-            if end and text and not text.endswith("\n"):
-                block = "\n"  # the last line's missing newline
-            text += block
-            cells, count, at = [], 0, 0
-            while record := match(text, at):
-                cells += record.groups()
-                count += 1
-                at = record.end()
-            if count:
-                names = cells[::groups]
-                if groups == 2:
-                    cells = ",".join(cells).split(",")
-                # A record with more or fewer numbers moves the n-grams.
-                if len(cells) != count * (width + 1) or cells[:: width + 1] != names:
-                    raise self._refusal(text, rows, expected, lines)
-                del cells[:: width + 1]
-                distinct = set(cells)
-                if not _NUMBERS.fullmatch(",".join(distinct) + ","):
-                    raise self._refusal(text, rows, expected, lines)
-                floats = dict(zip(distinct, map(float, distinct)))
-                values.fromlist(list(map(floats.__getitem__, cells)))
-                if not all(map(operator.lt, [last, *names], names)):
-                    seen = [last]
-                    for name in names:  # to name the first out of order
-                        _append_key(seen, name)
-                        self.line += lines
-                if keys is None:
-                    read += names
-                elif names != keys[done : done + count]:
-                    raise _different_ngrams(names, keys[done : done + count])
-                done, last = done + count, names[-1]
-                self.line += lines * count
-            text = text[at:]
-            # A record cut by the block's end matches once the next block
-            # is read; a whole one that does not match is refused.
-            if text and (end or text.count("\n") >= lines):
-                raise self._refusal(text, rows, expected, lines)
-        if keys is None:
-            return read, values
-        if done < len(keys):
-            raise _different_ngrams([], keys[done:])
-        return keys, values
-
-    def _refusal(self, text: str, rows: list[str], expected: list[str], lines: int):
-        """The InputError for the first record of `text` (which starts at
-        `line`) that does not match `rows` joined: it names the first of its
-        rows that does not match, after the rows before it, and quotes it."""
-        at = 0
-        whole = re.compile("".join(rows)).match
-        while record := whole(text, at):
-            at = record.end()
-            self.line += lines
-        start = at
-        for prefix, wanted in zip(itertools.accumulate(rows), expected):
-            record = re.compile(prefix).match(text, start)
-            if record is None:
-                break
-            at = record.end()
-        line = self.line + text.count("\n", start, at)
-        found = "the end of the file"
-        if at < len(text):
-            found = repr(text[at : text.find("\n", at)][:80])
-        return InputError(f"{self.path}: line {line}: expected {wanted}, found {found}")
-
-
-@contextmanager
-def _read_csv(path: Path, what: str, stage: str) -> Iterator[_CsvArtifact]:
-    """Open a CSV artifact, reading CR and CRLF line ends, inside quoted
-    cells too, as LF. A ValueError or csv.Error raised while it is read (an
-    n-gram out of order, a byte that is not UTF-8) becomes an InputError
-    naming the file and the line being read."""
-    if not path.is_file():
-        raise InputError(f"{what} not found: {path} (run the {stage} stage first)")
-    with path.open("r", encoding="utf-8") as fh:
-        artifact = _CsvArtifact(fh, path)
-        try:
-            yield artifact
-        except (csv.Error, ValueError) as exc:
-            raise InputError(f"{path}: line {artifact.line}: {exc}") from exc
 
 
 def _check_cells(path: Path, values: np.ndarray, rows: list, columns: list, unit: bool):
@@ -386,14 +202,6 @@ def _sha256(path: Path) -> str:
 
 
 # --- artifact writers / readers --------------------------------------------
-
-
-def _append_key(keys: list[str], text: str) -> None:
-    """Append the n-gram `text`, which must follow the last one in sorted key
-    order: row order stands for key order."""
-    if keys and text <= keys[-1]:
-        raise ValueError(f"n-gram {text!r} repeats or is out of sorted order")
-    keys.append(text)
 
 
 def write_ngram_trends_csv(
@@ -598,6 +406,8 @@ def _table_header(path: Path, payload: dict) -> tuple[int, int, bool, TimeBinnin
     integers >= 0, the flag is a boolean, `origin` is the first day of a bin
     as ISO text and `bin_labels` are the labels of len(bin_totals) bins from
     it."""
+    from .corpus import TimeBinning, span_binning
+
     titles, granularity, origin = (payload[k] for k in ("include_titles", "granularity", "origin"))
     n, min_total, totals = payload["n"], payload["min_total"], payload["bin_totals"]
     try:
@@ -693,20 +503,6 @@ def load_similarity_csv(path: Path, keys: list[str]) -> tuple[np.ndarray, list[s
     sims = np.frombuffer(values).reshape(len(keys), len(topic_ids))
     _check_cells(path, sims, keys, topic_ids, unit=True)
     return sims, topic_ids
-
-
-def _different_ngrams(read: list[str], wanted: list[str]) -> ConsistencyError:
-    """The refusal of similarities whose n-grams `read` are not the usage
-    trends' n-grams `wanted` at the same rows. It names the smaller n-gram
-    of the first pair that differs, or else the first past the shorter
-    list's end: with both lists sorted, the smallest n-gram only one has."""
-    sample = next((min(a, b) for a, b in zip(read, wanted) if a != b), None)
-    if sample is None:
-        sample = (read[len(wanted) :] + wanted[len(read) :])[0]
-    return ConsistencyError(
-        "ngram_trends.csv and similarity.csv cover different n-gram sets "
-        f"(e.g. {sample!r})"
-    )
 
 
 def write_associations_json(
@@ -808,29 +604,6 @@ def write_trend_csv(
             fh.write(block(rows))
 
 
-def load_trend_csv(path: Path) -> tuple[dict[str, list[float]], list[str]]:
-    """Inverse of `write_trend_csv`: per-topic values plus the bin labels.
-    Refuses a row whose length differs from the header's, and a topic id
-    that repeats."""
-    trends: dict[str, list[float]] = {}
-    with _read_csv(path, "trend table", "salience") as artifact:
-        header = artifact.header()
-        if header[:1] != ["topic_id"]:
-            raise InputError(f"{path}: line 1: unexpected header {header}")
-        for row in artifact.rows():
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValueError(f"{len(row)} cells, header has {len(header)}")
-            topic_id, *values = row
-            if topic_id in trends:
-                raise ValueError(f"topic {topic_id!r} repeats")
-            trends[topic_id] = [float(v) for v in values]
-    values = np.array(list(trends.values())).reshape(len(trends), len(header) - 1)
-    _check_cells(path, values, list(trends), header[1:], unit=False)
-    return trends, header[1:]
-
-
 def write_matrix_json(path: Path, matrix) -> None:
     """One bin's salience matrix: its bin label, the framework's grid labels
     and the values row by row over the grid or, for a framework without a
@@ -857,102 +630,7 @@ def write_matrix_json(path: Path, matrix) -> None:
         fh.write(_json_block("{}", lines, "") + "\n")
 
 
-def load_matrix_json(path: Path) -> dict:
-    """A salience matrix that `write_matrix_json` wrote, as its payload.
-    Refuses a bin that is not the label the file is named by
-    (matrices/<label>.json), labels that are not lists of strings, and
-    values that are not one row of finite numbers per grid row, one per grid
-    column, or, without a grid, one row of finite numbers, one per topic."""
-    payload = load_json(path, "salience matrix", " (run the salience stage first)")
-    if not isinstance(payload, dict) or not {"bin", "rows", "columns", "values"} <= payload.keys():
-        raise InputError(f"{path}: bad salience matrix payload")
-    label = payload["bin"]
-    if not (isinstance(label, str) and path.name == f"{label}.json"):
-        raise InputError(f"{path}: matrix bin {label!r} is not the bin the file is named by")
-    rows, columns = payload["rows"], payload["columns"]
-    if rows is None and columns is None:
-        # No grid: one row of values, one per topic.
-        topics = payload.get("topics")
-        shape = (1, len(topics)) if _is_strings(topics) else None
-    else:
-        shape = (len(rows), len(columns)) if _is_strings(rows) and _is_strings(columns) else None
-    if shape is None:
-        raise InputError(f"{path}: matrix rows, columns and topics must be lists of strings")
-    height, width = shape
-    values = payload["values"]
-    if not (
-        isinstance(values, list)
-        and len(values) == height
-        and all(isinstance(row, list) and len(row) == width for row in values)
-        and all(_is_finite_number(v) for row in values for v in row)
-    ):
-        raise InputError(f"{path}: matrix values must be {height} rows of {width} finite numbers")
-    return payload
-
-
-def _is_strings(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
-
-
-def _is_finite_number(value) -> bool:
-    """Whether a value json.loads returned is a finite number: an int or a
-    float (a bool is neither) of at most the largest float's size."""
-    return type(value) in (int, float) and abs(value) <= sys.float_info.max
-
-
 # --- pipeline stages --------------------------------------------------------
-
-
-def _peak_rss_mib() -> float | None:
-    """This process's RSS high-water mark in MiB, or None without `resource`."""
-    if resource is None:
-        return None
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    # ru_maxrss is in bytes on macOS and in KiB elsewhere.
-    return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
-
-
-class _Run:
-    """Tracks written artifacts so a failed run can remove partial outputs,
-    and each stage's wall time, CPU time and the RSS high-water mark at its
-    end, which names the stage that set the run's peak."""
-
-    def __init__(self, out_dir: Path):
-        self.out_dir = out_dir
-        self.written: list[Path] = []
-        self.timings: dict[str, dict[str, float | None]] = {}
-
-    def target(self, *relative: str) -> Path:
-        path = self.out_dir.joinpath(*relative)
-        self.written.append(path)
-        return path
-
-    def cleanup(self) -> None:
-        for path in self.written:
-            try:
-                path.unlink(missing_ok=True)
-            except OSError:
-                pass
-        for name in ("matrices", "render"):
-            folder = self.out_dir / name
-            if folder.is_dir() and not any(folder.iterdir()):
-                folder.rmdir()
-
-    @contextmanager
-    def stage(self, name: str):
-        started, cpu = time.perf_counter(), time.process_time()
-        try:
-            yield
-        except SalienceError as exc:
-            raise type(exc)(f"{name}: {exc}") from exc
-        except Exception as exc:  # unexpected bug: report as internal, named stage
-            raise ConsistencyError(f"{name}: {type(exc).__name__}: {exc}") from exc
-        finally:
-            self.timings[name] = {
-                "wall_s": time.perf_counter() - started,
-                "cpu_s": time.process_time() - cpu,
-                "peak_rss_mib": _peak_rss_mib(),
-            }
 
 
 def compute_similarities(table: NgramTable, space: VectorSpace, topics: np.ndarray) -> np.ndarray:
@@ -981,33 +659,6 @@ def compute_associations(
         for column, topic_id in enumerate(topic_ids)
     }
 
-
-# The artifacts each stage writes, as globs relative to the output directory.
-STAGE_OUTPUTS = {
-    "trends": ("ngram_trends.csv", "ngram_table.json"),
-    "similarity": ("similarity.csv",),
-    "associate": ("associations.json",),
-    "salience": ("topic_usage.csv", "salience.csv", "salience_normalized.csv", "matrices/*.json"),
-    "render": ("render/*.svg",),
-}
-
-
-@contextmanager
-def stage_run(out_dir: Path, name: str) -> Iterator[_Run]:
-    """Rerun one stage over an output directory, as the stage subcommands do.
-
-    Errors name the stage. On failure the stage's outputs are removed, an
-    earlier run's included, so none is left looking current. The manifest is
-    left as it is.
-    """
-    run = _Run(out_dir)
-    try:
-        with run.stage(name):
-            yield run
-    except BaseException:
-        run.written += [path for glob in STAGE_OUTPUTS[name] for path in out_dir.glob(glob)]
-        run.cleanup()
-        raise
 
 
 def write_trends(run: _Run, table: NgramTable) -> None:
@@ -1064,7 +715,16 @@ def run_salience(
     """Salience stage: the (topics × bins) salience array. Writes each
     topic's usage and salience trends (topic_usage.csv, salience.csv), the
     per-bin normalized salience (salience_normalized.csv) and one salience
-    matrix per bin (matrices/<bin>.json)."""
+    matrix per bin (matrices/<bin>.json). A bin's matrix file is
+    overwritten in place; only the files of labels outside this binning are
+    removed."""
+    from .salience import (
+        normalize_salience,
+        salience_matrix,
+        topic_salience_trend,
+        topic_usage_trend,
+    )
+
     topic_ids = framework.topic_ids()
     missing = [tid for tid in topic_ids if tid not in associations]
     if missing:
@@ -1078,8 +738,10 @@ def run_salience(
     write_trend_csv(run.target("salience_normalized.csv"), topic_ids, normalized, labels)
     matrices_dir = run.out_dir / "matrices"
     matrices_dir.mkdir(exist_ok=True)
+    current = {f"{label}.json" for label in labels}
     for stale in matrices_dir.glob("*.json"):
-        stale.unlink()
+        if stale.name not in current:
+            stale.unlink()
     for t, label in enumerate(labels):
         matrix = salience_matrix(framework, salience, t, label)
         write_matrix_json(run.target("matrices", f"{label}.json"), matrix)

@@ -17,11 +17,10 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .errors import ConsistencyError, InputError
+from .runs import NORMALIZATIONS
 
 if TYPE_CHECKING:
     from .topics import TopicFramework
-
-NORMALIZATIONS = ("zscore", "minmax")
 
 
 def time_derivative(trend: Sequence[float]) -> np.ndarray:

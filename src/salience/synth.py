@@ -329,8 +329,9 @@ def _oracle_sentences(text: str) -> list[list[str]]:
             i += 1
             continue
         if ch == "\n":
+            # A blank line: only whitespace, of any kind, up to the next \n.
             j = i + 1
-            while j < n and text[j] in " \t\r":
+            while j < n and text[j] != "\n" and text[j].isspace():
                 j += 1
             if j < n and text[j] == "\n":
                 end_sentence()

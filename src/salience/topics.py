@@ -31,7 +31,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConsistencyError, InputError, load_json
-from .ngrams import sentences_with_tokens
 
 
 @dataclass(frozen=True)
@@ -189,7 +188,13 @@ def load_lexicon(path: str | Path) -> dict[str, list[str]]:
     return out
 
 
+# The tokenizer is imported where it runs, so `load_framework` alone loads
+# neither the n-gram scan nor the corpus reader.
+
+
 def _lower_segments(parts: Sequence[str]) -> list[list[str]]:
+    from .ngrams import sentences_with_tokens
+
     segments: list[list[str]] = []
     for part in parts:
         for _, tokens in sentences_with_tokens(part):
@@ -251,6 +256,8 @@ class VectorSpace:
 
 
 def _lower_tokens(text: str) -> list[str]:
+    from .ngrams import sentences_with_tokens
+
     return [tok.lower() for _, tokens in sentences_with_tokens(text) for tok in tokens]
 
 

@@ -31,6 +31,7 @@ from salience.ngrams import (
 )
 
 from salience.pipeline import load_table_json, stage_run, write_table_json, write_trends
+from salience.synth import _oracle_sentences
 
 from conftest import assert_same_table, corpus_file, day, make_docs
 
@@ -178,6 +179,17 @@ _BOUNDARY_ALPHABET = [
 def test_tokenizer_equals_the_regex_oracle(text):
     assert sentences_with_tokens(text) == oracle_sentences_with_tokens(text)
     assert _decoded(intern_sentences([text])) == [_ORACLE_WORD_RE.findall(text)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_BOUNDARY_ALPHABET), max_size=40).map("".join))
+@example("a b\n\x0c\nc d")
+@example("a b\n\u3000\x85\nc d")
+def test_synth_oracle_splits_sentences_as_the_tokenizer(text):
+    # perfbench's count check reads its counts from this oracle: a blank
+    # line of any Unicode whitespace must end a sentence there too.
+    expected = [tokens for _, tokens in sentences_with_tokens(text)]
+    assert _oracle_sentences(text) == expected
 
 
 def test_fold_keeps_exactly_the_oracle_word_characters():

@@ -17,7 +17,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from salience import cli, pipeline, render
+from salience import cli, pipeline, render, runs
 from salience.cli import main
 from salience.corpus import TimeBinning, build_binning, load_corpus, read_corpus
 from salience.errors import InputError
@@ -143,7 +143,7 @@ class TestAnalyze:
             assert set(stage) == {"wall_s", "cpu_s", "peak_rss_mib"}
             assert stage["wall_s"] >= 0.0 and stage["cpu_s"] >= 0.0
         peaks = [timings[name]["peak_rss_mib"] for name in stages]
-        if pipeline.resource is None:
+        if runs.resource is None:
             assert peaks == [None] * len(stages)
         else:  # a high-water mark: it never falls from one stage to the next
             assert 0.0 < peaks[0] and peaks == sorted(peaks)
@@ -536,6 +536,69 @@ class TestCli:
         assert main(["render", "--in", str(out), "--topics", "harbor_trade"]) == 2
         assert "error: render: RuntimeError: boom" in capsys.readouterr().err
         assert not (out / "render").exists()
+
+    @pytest.mark.parametrize("change", ["topic", "bins"])
+    def test_render_refuses_a_normalized_file_of_other_topics_or_bins(
+        self, workspace, tmp_path, capsys, change
+    ):
+        # The salience stage writes salience.csv and salience_normalized.csv
+        # with one set of topics and bins; render refuses a pair that differs.
+        _, corpus, framework = workspace
+        out = tmp_path / "out"
+        run_analyze(RunConfig(corpus=corpus, framework=framework, out_dir=out, min_total=1))
+        normalized = out / "salience_normalized.csv"
+        lines = normalized.read_text(encoding="utf-8").splitlines()
+        if change == "topic":
+            lines = [line for line in lines if not line.startswith("harbor_trade,")]
+        else:
+            lines = [line.rsplit(",", 1)[0] for line in lines]
+        normalized.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["render", "--in", str(out), "--topics", "harbor_trade"]) == 1
+        err = capsys.readouterr().err
+        what = "topics are not those" if change == "topic" else "bin labels are not those"
+        assert err.startswith(f"error: render: {normalized}: {what} of salience.csv")
+        assert not (out / "render").exists()
+
+    def test_salience_stage_rewrites_matrices_in_place(self, workspace, tmp_path):
+        # A bin's matrix is overwritten, not removed and made again; only a
+        # label outside the binning, left by another binning, is removed.
+        _, corpus, framework = workspace
+        out = tmp_path / "out"
+        run_analyze(RunConfig(corpus=corpus, framework=framework, out_dir=out, min_total=1))
+        matrices = out / "matrices"
+        before = {path.name: path.read_bytes() for path in matrices.iterdir()}
+        # A second name keeps the file's inode from being reused by a new file.
+        held = tmp_path / "held.json"
+        os.link(matrices / "2016-01.json", held)
+        (matrices / "2016-01-04.json").write_text("{}", encoding="utf-8")
+        assert main(["salience", "--in", str(out), "--framework", str(framework)]) == 0
+        assert {path.name: path.read_bytes() for path in matrices.iterdir()} == before
+        assert (matrices / "2016-01.json").samefile(held)
+
+    def test_salience_stage_failure_removes_every_matrix(
+        self, workspace, tmp_path, monkeypatch, capsys
+    ):
+        # The matrices of bins not yet rewritten are an earlier run's: the
+        # failed stage removes them with the ones it wrote.
+        _, corpus, framework = workspace
+        out = tmp_path / "out"
+        run_analyze(RunConfig(corpus=corpus, framework=framework, out_dir=out, min_total=1))
+        write = pipeline.write_matrix_json
+        calls = []
+
+        def third_matrix_fails(path, matrix):
+            calls.append(path)
+            if len(calls) == 3:
+                raise RuntimeError("boom")
+            write(path, matrix)
+
+        monkeypatch.setattr(pipeline, "write_matrix_json", third_matrix_fails)
+        capsys.readouterr()
+        assert main(["salience", "--in", str(out), "--framework", str(framework)]) == 2
+        assert "error: salience: RuntimeError: boom" in capsys.readouterr().err
+        assert not (out / "matrices").exists()
+        assert not (out / "salience.csv").exists()
 
     def test_synth_writes_corpus_and_truth(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
@@ -1053,21 +1116,29 @@ assert "_hashlib" in sys.modules, "analyze hashes its artifacts"
 @pytest.mark.parametrize(
     "command, loaded",
     [
-        ("analyze", ["ngrams", "topics"]),
-        ("trends", ["ngrams"]),
-        ("similarity", ["ngrams", "topics"]),
-        ("associate", []),
-        ("salience", ["ngrams", "topics"]),
+        ("analyze", ["numpy", "pipeline", "ngrams", "topics"]),
+        ("trends", ["numpy", "pipeline", "ngrams"]),
+        ("similarity", ["numpy", "pipeline", "ngrams", "topics"]),
+        ("associate", ["numpy", "pipeline"]),
+        ("salience", ["numpy", "pipeline", "topics"]),
         ("render", ["render"]),
+        ("synth", ["synth"]),
+        ("--help", []),
+        ("--version", []),
     ],
 )
 def test_each_subcommand_loads_only_the_modules_it_runs(workspace, tmp_path, command, loaded):
     # Every CLI process pays for importing (without cached bytecode, compiling)
     # what it loads. Of the modules below, each subcommand must load only
-    # what it calls. A fresh interpreter: pytest's own holds them all.
+    # what it calls: numpy only where a stage of the pipeline runs. A fresh
+    # interpreter: pytest's own holds them all.
     _, corpus, framework = workspace
     out = tmp_path / "out"
     run_analyze(RunConfig(corpus=corpus, framework=framework, out_dir=out, min_total=1))
+    spec = tmp_path / "spec.json"
+    fields = dict(seed=1, bin_count=3, docs_per_bin=2, background_vocab=8)
+    fields.update(sentence_length=[4, 6], sentences_per_doc=[2, 3])
+    spec.write_text(json.dumps(fields), encoding="utf-8")
     args = {
         "analyze": ["--corpus", corpus, "--framework", framework, "--out", tmp_path / "again"],
         "trends": ["--corpus", corpus, "--min-count", "1", "--out", out],
@@ -1075,12 +1146,22 @@ def test_each_subcommand_loads_only_the_modules_it_runs(workspace, tmp_path, com
         "associate": ["--in", out],
         "salience": ["--in", out, "--framework", framework],
         "render": ["--in", out, "--topics", "harbor_trade"],
+        "synth": ["--spec", spec, "--out", tmp_path / "synth.jsonl"],
+        "--help": [],
+        "--version": [],
     }[command]
+    # --help and --version exit through SystemExit(0) once they have printed.
     code = """
 import sys
 import salience.cli
-assert salience.cli.main(sys.argv[1:]) == 0
-print([m for m in ("ngrams", "topics", "synth", "render") if "salience." + m in sys.modules])
+try:
+    code = salience.cli.main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+assert code == 0, code
+watched = ("numpy", "salience.pipeline", "salience.ngrams", "salience.topics",
+           "salience.synth", "salience.render")
+print([m.removeprefix("salience.") for m in watched if m in sys.modules])
 """
     paths = [str(Path(pipeline.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}

@@ -23,12 +23,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from salience import pipeline
+from salience import pipeline, runs
 from salience.corpus import TimeBinning
 from salience.errors import ConsistencyError, InputError
 from salience.ngrams import NgramTable
 
-DEFAULT_CHARS = pipeline._READ_CHARS
+DEFAULT_CHARS = runs._READ_CHARS
 # One character per read, a small odd number, and the module's own.
 CHARS = [1, 7, DEFAULT_CHARS]
 # What the loaders accept: floats in [0, 1], the awkward ones often.
@@ -116,7 +116,7 @@ def _load(path: Path, chars: int = DEFAULT_CHARS, keys=None):
     """(keys, values, columns) as the artifact's loader reads them. The
     similarity loader reads against the trends' n-grams `keys`, which it
     does not return."""
-    with mock.patch.object(pipeline, "_READ_CHARS", chars):
+    with mock.patch.object(runs, "_READ_CHARS", chars):
         if path.name == SIMILARITY:
             return (keys, *pipeline.load_similarity_csv(path, keys))
         return pipeline.load_ngram_trends_csv(path)

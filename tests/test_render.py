@@ -154,13 +154,15 @@ def test_cli_import_loads_no_network_modules():
 def test_package_import_loads_no_module_until_a_name_is_used():
     # The CLI sets BLAS_THREADS before numpy loads; `import salience` runs
     # first in every CLI process, so it must not load numpy, and as a
-    # library import it leaves the environment alone.
+    # library import it leaves the environment alone. RunConfig's module,
+    # which every CLI process loads, loads no numpy either.
     code = (
         "import os, sys; env = dict(os.environ); import salience; "
         "print('numpy' in sys.modules, dict(os.environ) == env, "
-        "salience.RunConfig.__module__, 'numpy' in sys.modules)"
+        "salience.RunConfig.__module__, 'numpy' in sys.modules, end=' '); "
+        "salience.run_analyze; print('numpy' in sys.modules)"
     )
-    assert _child(code) == "False True salience.pipeline True"
+    assert _child(code) == "False True salience.runs False True"
     assert all(hasattr(salience, name) for name in salience.__all__)
 
 
