@@ -23,12 +23,11 @@ import argparse
 import ctypes
 import json
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
 from .errors import ConsistencyError, InputError
-from .runs import GRANULARITIES, NORMALIZATIONS, RunConfig, stage_run
+from .runs import GRANULARITIES, NORMALIZATIONS, STAGES, RunConfig, stage_run
 
 # mallopt's parameter for the request size from which glibc maps memory.
 _M_MMAP_THRESHOLD = -3
@@ -46,10 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     analyze = sub.add_parser("analyze", help="run the full pipeline")
-    _add_corpus_args(analyze)
-    _add_framework_args(analyze)
-    _add_percentile_arg(analyze)
-    _add_norm_arg(analyze)
+    _add_options(analyze, dict.fromkeys(name for s in STAGES.values() for name in s.options))
     analyze.set_defaults(func=_cmd_analyze)
 
     synth = sub.add_parser("synth", help="generate a synthetic corpus with planted bursts")
@@ -57,28 +53,16 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--out", required=True, type=Path, help="corpus JSONL output path")
     synth.set_defaults(func=_cmd_synth)
 
-    trends = sub.add_parser("trends", help="stage: n-gram table and usage trends")
-    _add_corpus_args(trends)
-    trends.set_defaults(func=_cmd_trends)
+    for name, stage in STAGES.items():
+        command = sub.add_parser(name, help=stage.help)
+        if "out_dir" not in stage.options:
+            command.add_argument(
+                "--in", dest="in_dir", required=True, type=Path, help="stage directory"
+            )
+        _add_options(command, stage.options)
+        command.set_defaults(func=_cmd_stage)
 
-    similarity = sub.add_parser("similarity", help="stage: n-gram/topic similarity")
-    similarity.add_argument("--in", dest="in_dir", required=True, type=Path, help="stage directory")
-    _add_framework_args(similarity)
-    similarity.set_defaults(func=_cmd_similarity)
-
-    assoc = sub.add_parser("associate", help="stage: bivariate topic association")
-    assoc.add_argument("--in", dest="in_dir", required=True, type=Path, help="stage directory")
-    _add_percentile_arg(assoc)
-    assoc.set_defaults(func=_cmd_associate)
-
-    sal = sub.add_parser("salience", help="stage: topic salience trends and matrices")
-    sal.add_argument("--in", dest="in_dir", required=True, type=Path, help="stage directory")
-    _add_framework_args(sal)
-    _add_norm_arg(sal)
-    sal.set_defaults(func=_cmd_salience)
-
-    render = sub.add_parser("render", help="stage: SVG charts from prior artifacts")
-    render.add_argument("--in", dest="in_dir", required=True, type=Path, help="stage directory")
+    render = sub.choices["render"]
     render.add_argument("--topics", required=True, help="comma-separated topic ids")
     render.add_argument("--bin", dest="bin_label", help="also render this bin's salience matrix")
     render.set_defaults(func=_cmd_render)
@@ -86,54 +70,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Each option of an analyze run sets the RunConfig field its dest names and
-# takes its default from there.
-
-
-def _add_corpus_args(parser) -> None:
-    """The corpus, the scan's options and the output directory, which
-    `analyze` and `trends` share."""
-    parser.add_argument("--corpus", required=True, type=Path, help="corpus JSONL file")
-    parser.add_argument("--out", dest="out_dir", required=True, type=Path, help="output directory")
-    parser.add_argument(
-        "--n", type=int, default=RunConfig.n, help="n-gram size (default %(default)s)"
-    )
-    parser.add_argument(
-        "--bin", dest="granularity", default=RunConfig.granularity, choices=GRANULARITIES
-    )
-    parser.add_argument(
-        "--min-count",
-        dest="min_total",
-        type=int,
-        default=RunConfig.min_total,
-        help="drop n-grams with fewer total instances",
-    )
-    parser.add_argument(
+# One flag per RunConfig field, by its name: the option string and its
+# argparse options. The flag sets the field its dest names and takes its
+# default from there.
+_FLAGS = {
+    "corpus": ("--corpus", dict(required=True, type=Path, help="corpus JSONL file")),
+    "out_dir": ("--out", dict(required=True, type=Path, help="output directory")),
+    "n": ("--n", dict(type=int, help="n-gram size (default %(default)s)")),
+    "granularity": ("--bin", dict(choices=GRANULARITIES)),
+    "min_total": ("--min-count", dict(type=int, help="drop n-grams with fewer total instances")),
+    "include_titles": (
         "--no-titles",
-        dest="include_titles",
-        action="store_false",
-        help="exclude document titles from the analyzed text",
-    )
+        dict(action="store_false", help="exclude document titles from the analyzed text"),
+    ),
+    "framework": ("--framework", dict(required=True, type=Path, help="topic framework JSON file")),
+    "lexicon": ("--lexicon", dict(type=Path, help="optional synonym lexicon JSON file")),
+    "percentile": (
+        "--percentile", dict(type=float, help="association percentile (default %(default)s)")
+    ),
+    "normalization": ("--norm", dict(choices=NORMALIZATIONS)),
+}
 
 
-def _add_framework_args(parser) -> None:
-    parser.add_argument("--framework", required=True, type=Path, help="topic framework JSON file")
-    parser.add_argument("--lexicon", type=Path, help="optional synonym lexicon JSON file")
+def _add_options(parser, names) -> None:
+    for name in names:
+        flag, options = _FLAGS[name]
+        parser.add_argument(flag, dest=name, default=getattr(RunConfig, name, None), **options)
 
 
-def _add_percentile_arg(parser) -> None:
-    parser.add_argument(
-        "--percentile",
-        type=float,
-        default=RunConfig.percentile,
-        help="association percentile (default %(default)s)",
-    )
-
-
-def _add_norm_arg(parser) -> None:
-    parser.add_argument(
-        "--norm", dest="normalization", default=RunConfig.normalization, choices=NORMALIZATIONS
-    )
+def _config(args) -> RunConfig:
+    """The RunConfig of a command's flags, with a stage subcommand's `--in`
+    as `out_dir`; a field with no flag keeps its default, or else None."""
+    values = {name: getattr(args, name, getattr(RunConfig, name, None)) for name in _FLAGS}
+    return RunConfig(**{**values, "out_dir": getattr(args, "in_dir", values["out_dir"])})
 
 
 # Each command imports the functions it calls when it runs, so a process
@@ -145,12 +114,19 @@ def _add_norm_arg(parser) -> None:
 def _cmd_analyze(args) -> int:
     from .pipeline import run_analyze
 
-    manifest = run_analyze(RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)}))
+    manifest = run_analyze(_config(args))
     print(
         f"analyzed {manifest['corpus']['documents']} documents over "
         f"{manifest['corpus']['bins']} bins; "
         f"{len(manifest['artifacts'])} artifacts in {args.out_dir}"
     )
+    return 0
+
+
+def _cmd_stage(args) -> int:
+    from .pipeline import run_stage
+
+    print(run_stage(args.command, _config(args)))
     return 0
 
 
@@ -161,71 +137,9 @@ def _cmd_synth(args) -> int:
     out = args.out
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(corpus_to_jsonl(docs), encoding="utf-8")
-    truth_path = _truth_path(out)
+    truth_path = out.with_name(out.name.removesuffix(".jsonl") + ".truth.json")
     truth_path.write_text(json.dumps(truth, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {len(docs)} documents to {out} (ground truth: {truth_path})")
-    return 0
-
-
-def _truth_path(out: Path) -> Path:
-    if out.name.endswith(".jsonl"):
-        return out.with_name(out.name[: -len(".jsonl")] + ".truth.json")
-    return out.with_name(out.name + ".truth.json")
-
-
-def _cmd_trends(args) -> int:
-    from .corpus import read_corpus
-    from .ngrams import build_ngram_table
-    from .pipeline import write_trends
-
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    with stage_run(args.out_dir, "trends") as run:
-        options = dict(granularity=args.granularity, include_titles=args.include_titles)
-        table = build_ngram_table(read_corpus(args.corpus), args.n, args.min_total, **options)
-        write_trends(run, table)
-    print(f"wrote {len(table.keys)} n-gram trends to {args.out_dir}")
-    return 0
-
-
-def _cmd_similarity(args) -> int:
-    from .pipeline import load_table_json, run_similarity
-    from .topics import load_framework, load_lexicon
-
-    with stage_run(args.in_dir, "similarity") as run:
-        table = load_table_json(args.in_dir / "ngram_table.json")
-        framework = load_framework(args.framework)
-        lexicon = load_lexicon(args.lexicon) if args.lexicon else None
-        sims = run_similarity(run, table, framework, lexicon)
-    print(f"wrote similarity for {len(sims)} n-grams x {len(framework.topics)} topics")
-    return 0
-
-
-def _cmd_associate(args) -> int:
-    from .association import relative_std_devs
-    from .pipeline import load_ngram_trends_csv, load_similarity_csv, run_associate
-
-    with stage_run(args.in_dir, "associate") as run:
-        keys, usage, _ = load_ngram_trends_csv(args.in_dir / "ngram_trends.csv")
-        rsd = relative_std_devs(usage)
-        # The usage goes before the similarities come: the two are never held at once.
-        del usage
-        sims, topic_ids = load_similarity_csv(args.in_dir / "similarity.csv", keys)
-        associations = run_associate(run, keys, rsd, sims, topic_ids, args.percentile)
-    total = sum(len(a.members) for a in associations.values())
-    print(f"wrote associations for {len(associations)} topics ({total} memberships)")
-    return 0
-
-
-def _cmd_salience(args) -> int:
-    from .pipeline import load_associations_json, load_ngram_trends_csv, run_salience
-    from .topics import load_framework
-
-    with stage_run(args.in_dir, "salience") as run:
-        keys, usage, labels = load_ngram_trends_csv(args.in_dir / "ngram_trends.csv")
-        associations = load_associations_json(args.in_dir / "associations.json", keys)
-        framework = load_framework(args.framework)
-        run_salience(run, framework, associations, usage, labels, args.normalization)
-    print(f"wrote salience trends for {len(framework.topics)} topics over {len(labels)} bins")
     return 0
 
 
@@ -259,35 +173,19 @@ def _cmd_render(args) -> int:
                 raise InputError(f"no matrix for bin {args.bin_label!r} at {matrix_path}")
             matrix = load_matrix_json(matrix_path)
             if matrix["rows"] is None:
-                raise InputError(
-                    "matrix has no grid layout; render the values as a list instead"
-                )
+                raise InputError("matrix has no grid layout; render the values as a list instead")
 
         (in_dir / "render").mkdir(exist_ok=True)
-        run.target("render", "salience_absolute.svg").write_text(
-            render_trend_svg(
-                [(tid, absolute[tid]) for tid in wanted], labels, title="topic salience"
-            ),
-            encoding="utf-8",
-        )
-        run.target("render", "salience_normalized.svg").write_text(
-            render_trend_svg(
-                [(tid, normalized[tid]) for tid in wanted],
-                labels,
-                title="topic salience (normalized per bin)",
-            ),
-            encoding="utf-8",
-        )
+        for kind, trends, title in (
+            ("absolute", absolute, "topic salience"),
+            ("normalized", normalized, "topic salience (normalized per bin)"),
+        ):
+            svg = render_trend_svg([(tid, trends[tid]) for tid in wanted], labels, title=title)
+            run.target("render", f"salience_{kind}.svg").write_text(svg, encoding="utf-8")
         if matrix is not None:
-            run.target("render", f"matrix_{args.bin_label}.svg").write_text(
-                render_grid_svg(
-                    matrix["values"],
-                    matrix["rows"],
-                    matrix["columns"],
-                    title=f"topic salience at {matrix['bin']}",
-                ),
-                encoding="utf-8",
-            )
+            title = f"topic salience at {matrix['bin']}"
+            svg = render_grid_svg(matrix["values"], matrix["rows"], matrix["columns"], title=title)
+            run.target("render", f"matrix_{args.bin_label}.svg").write_text(svg, encoding="utf-8")
     print(f"wrote {len(run.written)} SVG charts to {in_dir / 'render'}")
     return 0
 
@@ -319,12 +217,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except InputError as exc:
+    except (InputError, ConsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ConsistencyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, InputError) else 2
 
 
 if __name__ == "__main__":

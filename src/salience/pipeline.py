@@ -1,25 +1,21 @@
 """End-to-end batch pipeline and file-based artifact exchange.
 
-Each stage is one function: `write_trends` (after the n-gram scan),
-`run_similarity`, `run_associate` and `run_salience` take typed inputs,
-write their artifacts into the output directory and return their outputs.
-`run_analyze` chains them and writes a manifest hashing every artifact. The
-corpus is never held: `analyze` and the trends stage stream the JSONL file
-(`read_corpus`) through the scan, `build_ngram_table`, in one pass, and the
-table it returns carries the binning. In `analyze` that pass is the ingest
-stage. A stage subcommand loads the artifacts its stage needs (the `load_*`
-readers invert the `write_*` writers, and refuse what they cannot have
-written) and calls the same function inside `stage_run`, so failures name
-the stage and remove its partial outputs either way; a failed subcommand
-also removes what an earlier run of its stage wrote.
-`ngram_trends.csv` carries the usage trends to the associate and salience
-stages; `ngram_table.json` carries the contexts to the similarity stage.
-The functions that run the scan (`read_corpus`, `salience.ngrams`), the
-topic space (`salience.topics`) or the salience arithmetic
-(`salience.salience`) import them when they run, so a subcommand that uses
-none of them, such as `associate`, does not load them. `RunConfig`,
-`stage_run`, the CSV reader and the readers `render` needs live in
-`salience.runs`, which loads no numpy, and are re-exported here.
+Each stage of `runs.STAGES` is one function here (`trends_stage`,
+`similarity_stage`, `associate_stage`, `salience_stage`) that writes its
+artifacts and returns its summary line. `run_analyze` calls the four in
+order, each handed what the ones before it made (`_Handoff`), and writes a
+manifest hashing every artifact. `run_stage`, behind each stage
+subcommand, hands a stage nothing: it reads each input from its artifact
+(the `load_*` readers invert the `write_*` writers, and refuse what they
+cannot have written). Errors name the failing stage, and its partial
+outputs are removed; a failed subcommand also removes what an earlier run
+of its stage wrote. The corpus is never held: the JSONL file streams
+through the n-gram scan (`build_ngram_table`) once, in `analyze`'s ingest
+stage. Modules that only some stages run (`salience.corpus`, `.ngrams`,
+`.topics`, `.salience`) are imported when they run, so `associate`, for
+one, loads none of them. `salience.runs`, which loads no numpy, holds
+`RunConfig`, `stage_run`, the CSV reader and the readers `render` needs;
+`RunConfig` and `load_trend_csv` are re-exported here.
 
 Between stages each quantity is one numpy array whose row i is the i-th
 n-gram in sorted key order (K n-grams, B bins, T topics, N instances):
@@ -82,21 +78,15 @@ from .association import (
 )
 from .errors import ConsistencyError, InputError, load_json
 
-# Defined in salience.runs, which needs no numpy, and re-exported here.
+# Defined in salience.runs, which needs no numpy. RunConfig and
+# load_trend_csv are re-exported here.
 from .runs import (
     _NUMBER,
-    NORMALIZATIONS,
-    STAGE_OUTPUTS,
     RunConfig,
     _append_key,
-    _CsvArtifact,
-    _different_ngrams,
     _is_finite_number,
-    _is_strings,
-    _peak_rss_mib,
     _read_csv,
     _Run,
-    load_matrix_json,
     load_trend_csv,
     stage_run,
 )
@@ -660,13 +650,59 @@ def compute_associations(
     }
 
 
+class _Handoff:
+    """What one run's stages hand each other: in `analyze`, what the ingest
+    stage and each stage made; in a subcommand, nothing, so each input is
+    read from its artifact and not held past the stage that reads it."""
 
-def write_trends(run: _Run, table: NgramTable) -> None:
-    """The trends stage after its scan: writes a built table to
-    ngram_table.json and its usage array to ngram_trends.csv. The usage is
-    made after the table is written and dropped once it is."""
+    table: NgramTable | None = None
+    framework: TopicFramework | None = None
+    lexicon: dict | None = None
+    usage: np.ndarray | None = None
+    similarities: tuple[np.ndarray, list[str]] | None = None
+    associations: dict[str, TopicAssociation] | None = None
+
+    def __init__(self, config: RunConfig):
+        self.config, self.out_dir = config, Path(config.out_dir)
+        self.documents = itertools.count()  # drawn once per scanned document
+
+    def scan(self) -> NgramTable:
+        """The n-gram table, from one streaming pass over the corpus file."""
+        from .corpus import read_corpus
+        from .ngrams import build_ngram_table
+
+        config = self.config
+        docs = (doc for doc, _ in zip(read_corpus(config.corpus), self.documents))
+        options = dict(granularity=config.granularity, include_titles=config.include_titles)
+        return build_ngram_table(docs, config.n, config.min_total, **options)
+
+    def load_topics(self, lexicon: bool) -> TopicFramework:
+        """The framework and, given `lexicon`, the lexicon, each read once."""
+        from .topics import load_framework, load_lexicon
+
+        self.framework = self.framework or load_framework(self.config.framework)
+        if lexicon and self.lexicon is None and self.config.lexicon:
+            self.lexicon = load_lexicon(self.config.lexicon)
+        return self.framework
+
+    def usage_trends(self) -> tuple[list[str], np.ndarray, list[str]]:
+        """The n-gram keys, their usage and the bin labels: from the held
+        table, the usage made once and held, or else from ngram_trends.csv."""
+        if self.table is None:
+            return load_ngram_trends_csv(self.out_dir / "ngram_trends.csv")
+        from .ngrams import usage_matrix
+
+        self.usage = usage_matrix(self.table) if self.usage is None else self.usage
+        return self.table.keys, self.usage, self.table.binning.labels()
+
+
+def trends_stage(run: _Run, held: _Handoff) -> str:
+    """Trends stage: writes the n-gram table, scanned from the corpus unless
+    held, to ngram_table.json and its usage array to ngram_trends.csv. The
+    usage is made after the table is written and dropped once it is."""
     from .ngrams import usage_matrix
 
+    table = held.table or held.scan()
     if not table.keys:
         raise InputError(
             f"no n-gram reached min-count {table.min_total}; lower --min-count or supply more text"
@@ -674,57 +710,58 @@ def write_trends(run: _Run, table: NgramTable) -> None:
     write_table_json(run.target("ngram_table.json"), table)
     usage = usage_matrix(table)
     write_ngram_trends_csv(run.target("ngram_trends.csv"), table, usage, table.binning.labels())
+    return f"wrote {len(table.keys)} n-gram trends to {run.out_dir}"
 
 
-def run_similarity(
-    run: _Run, table: NgramTable, framework: TopicFramework, lexicon: dict | None
-) -> np.ndarray:
+def similarity_stage(run: _Run, held: _Handoff) -> str:
     """Similarity stage: the (n-grams × topics) similarity array, from the
-    contexts in the table. Writes similarity.csv."""
+    contexts in the table (held, or read from ngram_table.json). Writes
+    similarity.csv and hands the array on."""
     from .topics import build_vector_space
 
-    sims = compute_similarities(table, *build_vector_space(framework, lexicon))
-    write_similarity_csv(run.target("similarity.csv"), table.keys, sims, framework.topic_ids())
-    return sims
+    table = held.table or load_table_json(held.out_dir / "ngram_table.json")
+    framework = held.load_topics(lexicon=True)
+    sims = compute_similarities(table, *build_vector_space(framework, held.lexicon))
+    topic_ids = framework.topic_ids()
+    write_similarity_csv(run.target("similarity.csv"), table.keys, sims, topic_ids)
+    # Scored: the later stages do not carry the sentences' token rows.
+    del table.sentence_tokens
+    held.similarities = sims, topic_ids
+    return f"wrote similarity for {len(sims)} n-grams x {len(framework.topics)} topics"
 
 
-def run_associate(
-    run: _Run,
-    keys: list[str],
-    rsd: np.ndarray,
-    sims: np.ndarray,
-    topic_ids: list[str],
-    p: float,
-) -> dict[str, TopicAssociation]:
+def associate_stage(run: _Run, held: _Handoff) -> str:
     """Associate stage: each topic's members, from the variability of the
     usage trends (`relative_std_devs`) and the similarities. Writes
-    associations.json."""
-    associations = compute_associations(sims, rsd, topic_ids, p)
+    associations.json. `analyze` makes the usage here, after the kernel has
+    run; a subcommand frees it before it reads the similarities."""
+    keys, usage, _ = held.usage_trends()
+    rsd = relative_std_devs(usage)
+    del usage
+    path = held.out_dir / "similarity.csv"
+    sims, topic_ids = held.similarities or load_similarity_csv(path, keys)
+    held.similarities = None  # dropped after this stage
+    associations = compute_associations(sims, rsd, topic_ids, held.config.percentile)
     write_associations_json(run.target("associations.json"), associations, keys, sims, rsd)
-    return associations
+    held.associations = associations
+    total = sum(len(a.members) for a in associations.values())
+    return f"wrote associations for {len(associations)} topics ({total} memberships)"
 
 
-def run_salience(
-    run: _Run,
-    framework: TopicFramework,
-    associations: dict[str, TopicAssociation],
-    usage: np.ndarray,
-    labels: list[str],
-    normalization: str,
-) -> np.ndarray:
+def salience_stage(run: _Run, held: _Handoff) -> str:
     """Salience stage: the (topics × bins) salience array. Writes each
     topic's usage and salience trends (topic_usage.csv, salience.csv), the
     per-bin normalized salience (salience_normalized.csv) and one salience
     matrix per bin (matrices/<bin>.json). A bin's matrix file is
     overwritten in place; only the files of labels outside this binning are
     removed."""
-    from .salience import (
-        normalize_salience,
-        salience_matrix,
-        topic_salience_trend,
-        topic_usage_trend,
-    )
+    from .salience import normalize_salience, salience_matrix
+    from .salience import topic_salience_trend, topic_usage_trend
 
+    keys, usage, labels = held.usage_trends()
+    path = held.out_dir / "associations.json"
+    associations = held.associations or load_associations_json(path, keys)
+    framework = held.load_topics(lexicon=False)
     topic_ids = framework.topic_ids()
     missing = [tid for tid in topic_ids if tid not in associations]
     if missing:
@@ -732,7 +769,7 @@ def run_salience(
     members = [associations[tid].members for tid in topic_ids]
     topic_usage = np.array([topic_usage_trend(rows, usage) for rows in members])
     salience = np.array([topic_salience_trend(rows, usage) for rows in members])
-    normalized = normalize_salience(salience, normalization)
+    normalized = normalize_salience(salience, held.config.normalization)
     write_trend_csv(run.target("topic_usage.csv"), topic_ids, topic_usage, labels)
     write_trend_csv(run.target("salience.csv"), topic_ids, salience, labels)
     write_trend_csv(run.target("salience_normalized.csv"), topic_ids, normalized, labels)
@@ -745,7 +782,23 @@ def run_salience(
     for t, label in enumerate(labels):
         matrix = salience_matrix(framework, salience, t, label)
         write_matrix_json(run.target("matrices", f"{label}.json"), matrix)
-    return salience
+    return f"wrote salience trends for {len(framework.topics)} topics over {len(labels)} bins"
+
+
+# The stages `analyze` runs, in run order, by their names in runs.STAGES.
+STAGE_FUNCTIONS = {
+    "trends": trends_stage,
+    "similarity": similarity_stage,
+    "associate": associate_stage,
+    "salience": salience_stage,
+}
+
+
+def run_stage(name: str, config: RunConfig) -> str:
+    """Rerun one stage over `config.out_dir` inside `stage_run`, as its
+    subcommand does, each input read from its artifact; returns its summary."""
+    with stage_run(Path(config.out_dir), name) as run:
+        return STAGE_FUNCTIONS[name](run, _Handoff(config))
 
 
 def run_analyze(config: RunConfig) -> dict:
@@ -754,64 +807,33 @@ def run_analyze(config: RunConfig) -> dict:
     On any stage failure the partial outputs written so far are removed and
     the error names the failing stage.
     """
-    from .corpus import read_corpus
-    from .ngrams import build_ngram_table, usage_matrix
-    from .topics import load_framework, load_lexicon
-
     config.validate()
     out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    run = _Run(out_dir)
-
+    run = _Run(out_dir, create=True)
+    held = _Handoff(config)
     try:
         with run.stage("ingest"):
-            framework = load_framework(config.framework)
-            lexicon = load_lexicon(config.lexicon) if config.lexicon else None
             # The corpus file is read once, by the n-gram scan, so ingest
-            # covers the scan; no document is held past it. zip draws from
-            # `counter` once per document, so next(counter) then counts them.
-            counter = itertools.count()
-            docs = (doc for doc, _ in zip(read_corpus(config.corpus), counter))
-            options = dict(granularity=config.granularity, include_titles=config.include_titles)
-            table = build_ngram_table(docs, config.n, config.min_total, **options)
+            # covers the scan; no document is held past it.
+            held.load_topics(lexicon=True)
+            held.table = held.scan()
 
-        with run.stage("trends"):
-            write_trends(run, table)
-
-        with run.stage("similarity"):
-            sims = run_similarity(run, table, framework, lexicon)
-            # Scored: the later stages do not carry the sentences' token rows.
-            del table.sentence_tokens
-
-        with run.stage("associate"):
-            # The usage is made again, so no usage array is held while the
-            # similarity kernel runs.
-            usage = usage_matrix(table)
-            associations = run_associate(
-                run,
-                table.keys,
-                relative_std_devs(usage),
-                sims,
-                framework.topic_ids(),
-                config.percentile,
-            )
-            del sims
-
-        with run.stage("salience"):
-            labels = table.binning.labels()
-            run_salience(run, framework, associations, usage, labels, config.normalization)
+        for name, stage in STAGE_FUNCTIONS.items():
+            with run.stage(name):
+                stage(run, held)
 
         # The counts the manifest records; the manifest stage then hashes the
         # artifacts without holding the table, usage or associations.
+        table, associations = held.table, held.associations
         corpus = {
-            "documents": next(counter),
+            "documents": next(held.documents),
             "bins": table.binning.bin_count,
             "ngrams": len(table.keys),
             "instances": sum(table.bin_totals),
             "sentences": len(table.sentences),
             "empty_topics": sorted(tid for tid, assoc in associations.items() if not assoc.members),
         }
-        del table, usage, associations
+        del held, table, associations
 
         with run.stage("manifest"):
             manifest = {
@@ -831,9 +853,8 @@ def run_analyze(config: RunConfig) -> dict:
                 # Filled in as the stage closes: the manifest times itself.
                 "timings": run.timings,
             }
-        with (out_dir / "manifest.json").open("w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        (out_dir / "manifest.json").write_text(text, encoding="utf-8")
     except BaseException:
         run.cleanup()
         (out_dir / "manifest.json").unlink(missing_ok=True)

@@ -7,14 +7,16 @@ subcommand runs no stage of the pipeline (`render`, `synth`, `--help`,
 
 - `RunConfig`, the options of one `analyze` run, and the choices of two of
   them, `GRANULARITIES` and `NORMALIZATIONS`;
+- `STAGES`, the one declaration of each stage: the artifacts it reads and
+  writes and the fields its subcommand takes;
 - `stage_run` and `_Run`, which time each stage, name it in its errors and
-  remove its partial outputs (`STAGE_OUTPUTS`) when it fails;
+  remove its partial outputs (the globs it writes) when it fails;
 - the CSV reader every CSV loader opens its file with (`_read_csv`,
   `_CsvArtifact`), including the record reader of the two large CSVs;
 - the readers of the artifacts `render` draws: `load_trend_csv` and
   `load_matrix_json`.
 
-`salience.pipeline` re-exports every name here that it used to define.
+`salience.pipeline` re-exports `RunConfig` and `load_trend_csv`.
 """
 
 from __future__ import annotations
@@ -27,10 +29,10 @@ import re
 import sys
 import time
 from array import array
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 try:
     import resource
@@ -70,6 +72,52 @@ class RunConfig:
         """The fields as the manifest records them, each path as text."""
         values = {field.name: getattr(self, field.name) for field in fields(self)}
         return {name: str(v) if isinstance(v, Path) else v for name, v in values.items()}
+
+
+class Stage(NamedTuple):
+    """One stage of the pipeline, as names and globs. A subcommand whose
+    options hold no `out_dir` names its directory by `--in`."""
+
+    help: str  # what its subcommand does
+    reads: tuple[str, ...] = ()  # artifacts it reads from the output directory
+    writes: tuple[str, ...] = ()  # globs of those it writes there
+    options: tuple[str, ...] = ()  # the RunConfig fields its subcommand takes
+
+
+# The stages in run order. `analyze` runs all but render and takes every
+# stage's options, each field once. render is hand-wired in the CLI; it is
+# declared for its subcommand's `--in` and its cleanup.
+STAGES = {
+    "trends": Stage(
+        "stage: n-gram table and usage trends",
+        writes=("ngram_trends.csv", "ngram_table.json"),
+        options=("corpus", "out_dir", "n", "granularity", "min_total", "include_titles"),
+    ),
+    "similarity": Stage(
+        "stage: n-gram/topic similarity",
+        reads=("ngram_table.json",),
+        writes=("similarity.csv",),
+        options=("framework", "lexicon"),
+    ),
+    "associate": Stage(
+        "stage: bivariate topic association",
+        reads=("ngram_trends.csv", "similarity.csv"),
+        writes=("associations.json",),
+        options=("percentile",),
+    ),
+    "salience": Stage(
+        "stage: topic salience trends and matrices",
+        reads=("ngram_trends.csv", "associations.json"),
+        writes=("topic_usage.csv", "salience.csv", "salience_normalized.csv", "matrices/*.json"),
+        # --lexicon is taken, and read by no part of this stage.
+        options=("framework", "lexicon", "normalization"),
+    ),
+    "render": Stage(
+        "stage: SVG charts from prior artifacts",
+        reads=("salience.csv", "salience_normalized.csv", "matrices/<bin>.json"),
+        writes=("render/*.svg",),
+    ),
+}
 
 
 # --- CSV artifacts ----------------------------------------------------------
@@ -343,7 +391,12 @@ class _Run:
     and each stage's wall time, CPU time and the RSS high-water mark at its
     end, which names the stage that set the run's peak."""
 
-    def __init__(self, out_dir: Path):
+    def __init__(self, out_dir: Path, create: bool = False):
+        if create:
+            try:
+                out_dir.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise InputError(f"cannot make output directory {out_dir}: {exc.strerror}") from exc
         self.out_dir = out_dir
         self.written: list[Path] = []
         self.timings: dict[str, dict[str, float | None]] = {}
@@ -355,13 +408,12 @@ class _Run:
 
     def cleanup(self) -> None:
         for path in self.written:
-            try:
+            with suppress(OSError):
                 path.unlink(missing_ok=True)
-            except OSError:
-                pass
-        for name in ("matrices", "render"):
-            folder = self.out_dir / name
-            if folder.is_dir() and not any(folder.iterdir()):
+        # The folders the stages write into, once empty, go too.
+        for folder in {Path(glob).parent for stage in STAGES.values() for glob in stage.writes}:
+            folder = self.out_dir / folder
+            if folder != self.out_dir and folder.is_dir() and not any(folder.iterdir()):
                 folder.rmdir()
 
     @contextmanager
@@ -381,29 +433,20 @@ class _Run:
             }
 
 
-# The artifacts each stage writes, as globs relative to the output directory.
-STAGE_OUTPUTS = {
-    "trends": ("ngram_trends.csv", "ngram_table.json"),
-    "similarity": ("similarity.csv",),
-    "associate": ("associations.json",),
-    "salience": ("topic_usage.csv", "salience.csv", "salience_normalized.csv", "matrices/*.json"),
-    "render": ("render/*.svg",),
-}
-
-
 @contextmanager
 def stage_run(out_dir: Path, name: str) -> Iterator[_Run]:
     """Rerun one stage over an output directory, as the stage subcommands do.
 
     Errors name the stage. On failure the stage's outputs are removed, an
     earlier run's included, so none is left looking current. The manifest is
-    left as it is.
+    left as it is. A stage that takes `--out` makes its directory.
     """
-    run = _Run(out_dir)
+    stage = STAGES[name]
+    run = _Run(out_dir, create="out_dir" in stage.options)
     try:
         with run.stage(name):
             yield run
     except BaseException:
-        run.written += [path for glob in STAGE_OUTPUTS[name] for path in out_dir.glob(glob)]
+        run.written += [path for glob in stage.writes for path in out_dir.glob(glob)]
         run.cleanup()
         raise

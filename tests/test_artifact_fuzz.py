@@ -26,11 +26,11 @@ from salience.errors import ConsistencyError, InputError
 from salience.pipeline import (
     RunConfig,
     load_associations_json,
-    load_matrix_json,
     load_ngram_trends_csv,
     load_trend_csv,
     run_analyze,
 )
+from salience.runs import load_matrix_json
 from salience.synth import PlantedEvent, SynthSpec, corpus_to_jsonl, generate_corpus
 from salience.topics import load_pmesii_ascope
 

@@ -30,7 +30,7 @@ from salience.ngrams import (
     sentences_with_tokens,
 )
 
-from salience.pipeline import load_table_json, stage_run, write_table_json, write_trends
+from salience.pipeline import RunConfig, load_table_json, run_stage, write_table_json
 from salience.synth import _oracle_sentences
 
 from conftest import assert_same_table, corpus_file, day, make_docs
@@ -673,9 +673,12 @@ def test_no_sentence_reaches_n_tokens(tmp_path):
     assert table.sentences == []
     assert table.bin_totals == [0, 0, 0]
     _assert_equals_reference(table, _reference_table(docs, n=4))
-    with pytest.raises(InputError, match="no n-gram reached min-count 1"):
-        with stage_run(tmp_path, "trends") as run:
-            write_trends(run, table)
+    records = [{"id": doc.id, "date": doc.date.isoformat(), "text": doc.text} for doc in docs]
+    config = RunConfig(
+        corpus=corpus_file(tmp_path, records), framework=None, out_dir=tmp_path, n=4, min_total=1
+    )
+    with pytest.raises(InputError, match="^trends: no n-gram reached min-count 1"):
+        run_stage("trends", config)
 
 
 def test_emergent_ngram_has_exact_zero_before_first_use():

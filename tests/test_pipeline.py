@@ -25,7 +25,6 @@ from salience.ngrams import NgramTable, build_ngram_table
 from salience.pipeline import (
     RunConfig,
     load_associations_json,
-    load_matrix_json,
     load_ngram_trends_csv,
     load_similarity_csv,
     load_table_json,
@@ -34,6 +33,7 @@ from salience.pipeline import (
     write_similarity_csv,
     write_table_json,
 )
+from salience.runs import load_matrix_json
 from salience.synth import PlantedEvent, SynthSpec, corpus_to_jsonl, generate_corpus
 
 from conftest import (
@@ -633,6 +633,22 @@ class TestCli:
         )
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_analyze_out_that_is_a_file_exits_one(self, workspace, tmp_path, capsys):
+        _, corpus, framework = workspace
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n", encoding="utf-8")
+        args = ["--corpus", str(corpus), "--framework", str(framework), "--out", str(out)]
+        assert main(["analyze", *args]) == 1
+        assert f"error: cannot make output directory {out}:" in capsys.readouterr().err
+        assert out.read_text(encoding="utf-8") == "not a directory\n"
+
+    def test_trends_out_under_a_file_exits_one(self, workspace, tmp_path, capsys):
+        _, corpus, _ = workspace
+        (tmp_path / "taken").write_text("not a directory\n", encoding="utf-8")
+        out = tmp_path / "taken" / "sub"
+        assert main(["trends", "--corpus", str(corpus), "--out", str(out)]) == 1
+        assert f"error: cannot make output directory {out}:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["analyze", "trends"])
     def test_bad_record_after_many_good_ones_exits_one(self, workspace, tmp_path, capsys, command):

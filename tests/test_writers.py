@@ -28,6 +28,7 @@ from salience.association import TopicAssociation
 from salience.corpus import TimeBinning
 from salience.errors import InputError
 from salience.ngrams import NgramTable
+from salience.runs import load_matrix_json
 from salience.salience import salience_matrix
 from salience.topics import Topic, TopicFramework
 
@@ -310,10 +311,10 @@ def test_matrix_json_is_json_dumps_indent_2(matrix):
         path = Path(folder) / "b.json"
         pipeline.write_matrix_json(path, replace(matrix, bin_label="b"))
         if all(map(math.isfinite, matrix.values)):
-            pipeline.load_matrix_json(path)
+            load_matrix_json(path)
         else:
             with pytest.raises(InputError, match="finite numbers"):
-                pipeline.load_matrix_json(path)
+                load_matrix_json(path)
 
 
 def _wide_cases():
