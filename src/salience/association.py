@@ -11,15 +11,32 @@ array is the i-th n-gram in sorted key order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import ConsistencyError, InputError
 
-# Array cells processed at once: relative_std_devs reduces usage rows, and
-# pipeline's artifact writers render rows, a block of this many at a time.
+# The two budgets of the blockwise passes, each cut by `_blocks`: what a
+# pass holds at once beside its input and output does not grow with the
+# data. _BLOCK counts integer elements: tokens, instances and count cells in
+# the n-gram build and counts, instances plus (instance × term) entries in
+# the similarity kernel. _BLOCK_CELLS counts cells rendered to text by
+# pipeline's writers or reduced in float temporaries by relative_std_devs.
+_BLOCK = 1 << 16
 _BLOCK_CELLS = 1 << 14
+
+
+def _blocks(ends: np.ndarray, budget: int) -> Iterator[slice]:
+    """Consecutive slices of the rows whose cumulative costs are `ends`:
+    from where the last one stopped, the longest run of rows whose summed
+    cost fits `budget`, and at least one row."""
+    lo = 0
+    while lo < len(ends):
+        spent = int(ends[lo - 1]) if lo else 0
+        hi = max(int(np.searchsorted(ends, spent + budget, side="right")), lo + 1)
+        yield slice(lo, hi)
+        lo = hi
 
 
 def relative_std_dev(trend: Sequence[float]) -> float:
@@ -40,19 +57,18 @@ def relative_std_dev(trend: Sequence[float]) -> float:
 def relative_std_devs(usage: np.ndarray) -> np.ndarray:
     """`relative_std_dev` of every row of a (n-grams × bins) usage array.
 
-    Rows are taken a block of about _BLOCK_CELLS cells at a time, so the
+    Rows are taken a block of at most _BLOCK_CELLS cells at a time, so the
     float temporaries of mean and std stay small whatever the array's size;
     each row's value does not depend on the block it falls in."""
     rsd = np.empty(len(usage))
-    step = max(_BLOCK_CELLS // max(usage.shape[1], 1), 1)
-    for lo in range(0, len(usage), step):
-        block = usage[lo : lo + step]
+    for rows in _blocks(usage.shape[1] * np.arange(1, len(usage) + 1), _BLOCK_CELLS):
+        block = usage[rows]
         mean = block.mean(axis=1)
         if not (mean > 0.0).all():
             raise ConsistencyError(
                 "trend mean is not positive; every tabled n-gram occurs at least once"
             )
-        rsd[lo : lo + step] = block.std(axis=1) / mean
+        rsd[rows] = block.std(axis=1) / mean
     return rsd
 
 

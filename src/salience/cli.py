@@ -27,7 +27,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import ConsistencyError, InputError
-from .runs import GRANULARITIES, NORMALIZATIONS, STAGES, RunConfig, stage_run
+from .runs import GRANULARITIES, NORMALIZATIONS, STAGES, RunConfig, make_dir, stage_run
 
 # mallopt's parameter for the request size from which glibc maps memory.
 _M_MMAP_THRESHOLD = -3
@@ -135,7 +135,7 @@ def _cmd_synth(args) -> int:
 
     docs, truth = generate_corpus(load_synth_spec(args.spec))
     out = args.out
-    out.parent.mkdir(parents=True, exist_ok=True)
+    make_dir(out.parent)
     out.write_text(corpus_to_jsonl(docs), encoding="utf-8")
     truth_path = out.with_name(out.name.removesuffix(".jsonl") + ".truth.json")
     truth_path.write_text(json.dumps(truth, indent=2) + "\n", encoding="utf-8")
@@ -175,7 +175,7 @@ def _cmd_render(args) -> int:
             if matrix["rows"] is None:
                 raise InputError("matrix has no grid layout; render the values as a list instead")
 
-        (in_dir / "render").mkdir(exist_ok=True)
+        make_dir(in_dir / "render")
         for kind, trends, title in (
             ("absolute", absolute, "topic salience"),
             ("normalized", normalized, "topic salience (normalized per bin)"),

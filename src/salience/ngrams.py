@@ -61,6 +61,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .association import _BLOCK, _blocks
 from .corpus import GRANULARITIES, Document, TimeBinning, analysis_text, span_binning
 from .errors import ConsistencyError, InputError
 
@@ -138,7 +139,7 @@ class NgramTable:
         """Instances per bin, (K × B) int32, counted a block of rows at a
         time (`count_rows`)."""
         out = np.empty((len(self.keys), len(self.bin_totals)), dtype=np.int32)
-        for rows in _count_blocks(*out.shape):
+        for rows in _blocks(out.shape[1] * np.arange(1, len(out) + 1), _BLOCK):
             out[rows] = self.count_rows(rows)
         return out
 
@@ -187,26 +188,6 @@ def intern_sentences(sentences: Sequence[str]) -> tuple[list[str], np.ndarray, n
 # A scan of this many n-gram instances or more is refused: instance numbers,
 # packed with n-gram numbers into one int64, must stay below 2**31.
 _INSTANCE_LIMIT = 1 << 31
-# Elements per block of the build's blockwise passes: what a pass holds at
-# once beside its input and output arrays does not grow with the corpus.
-_BLOCK = 1 << 16
-
-
-def _count_blocks(rows: int, bins: int) -> Iterator[slice]:
-    """Consecutive slices of range(rows), each of about _BLOCK count cells."""
-    step = max(1, _BLOCK // max(bins, 1))
-    return (slice(lo, min(lo + step, rows)) for lo in range(0, rows, step))
-
-
-def _blocks(ends: np.ndarray, size: int) -> Iterator[tuple[int, int]]:
-    """Consecutive ranges [lo, hi) of the runs that end at the cumulative
-    `ends`, each covering about `size` elements and at least one run."""
-    lo = 0
-    while lo < len(ends):
-        start = int(ends[lo - 1]) if lo else 0
-        hi = max(int(np.searchsorted(ends, start + size, side="right")), lo + 1)
-        yield lo, hi
-        lo = hi
 
 
 def _gather_runs(values: np.ndarray, first: np.ndarray, length: np.ndarray):
@@ -217,7 +198,8 @@ def _gather_runs(values: np.ndarray, first: np.ndarray, length: np.ndarray):
     start = np.zeros(len(length) + 1, dtype=np.int64)
     np.cumsum(length, out=start[1:])
     out = np.empty(start[-1], dtype=values.dtype)
-    for lo, hi in _blocks(start[1:], _BLOCK):
+    for runs in _blocks(start[1:], _BLOCK):
+        lo, hi = runs.start, runs.stop
         at = np.ones(start[hi] - start[lo], dtype=np.int64)
         jumps = first[lo:hi].astype(np.int64)
         jumps[1:] -= first[lo : hi - 1] + length[lo : hi - 1] - 1
@@ -245,7 +227,8 @@ def _instance_keys(
     Ranks are below the vocabulary size and dense ranks below the instance
     count, both below 2**31, so every key is below 2**62, and keys sort as
     token sequences."""
-    for lo, hi in _blocks(ends, _BLOCK):
+    for sentences in _blocks(ends, _BLOCK):
+        lo, hi = sentences.start, sentences.stop
         first = int(ends[lo - 1]) if lo else 0
         tokens = ranked[first : ends[hi - 1]]
         # The window at token p is an instance unless p is one of the last
@@ -452,7 +435,7 @@ def usage_matrix(table: NgramTable) -> np.ndarray:
     rows in sorted key order: counts / bin_totals, 0 in empty bins."""
     totals = np.array(table.bin_totals, dtype=np.int64)
     usage = np.zeros((len(table.keys), len(totals)))
-    for rows in _count_blocks(*usage.shape):
+    for rows in _blocks(usage.shape[1] * np.arange(1, len(usage) + 1), _BLOCK):
         np.divide(table.count_rows(rows), totals, out=usage[rows], where=totals > 0)
     return usage
 

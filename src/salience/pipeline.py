@@ -33,10 +33,15 @@ n-gram in sorted key order (K n-grams, B bins, T topics, N instances):
 - topic usage and salience: (T × B) floats, rows in topic order.
 
 The loaders return the same arrays, so `analyze` and the stage subcommands
-share one representation. The CSV and table writers render straight from
-the arrays, a block of at most _BLOCK_CELLS cells at a time, so what a
-writer holds does not grow with the table; their bytes are those of
-csv.writer and of one compact json.dumps of the whole payload. The
+share one representation. Every bounded pass over them takes its rows in
+the blocks of `association._blocks`, each the longest run of rows within a
+budget or else one row: `_BLOCK` (2**16) integer elements, as in the
+counts and the similarity kernel, or `_BLOCK_CELLS` (2**14) cells rendered
+to text or reduced in float temporaries. The CSV and table writers render
+straight from the arrays a block at a time, each block by a function call
+whose strings are freed before the next block's are made, so what a writer
+holds does not grow with the table; their bytes are those of csv.writer
+and of one compact json.dumps of the whole payload. The
 associations and matrix writers fill line templates, one topic or one bin
 at a time, with the bytes of json.dumps(payload, indent=2). The loaders of
 the two large CSVs read the header (and the first n-gram's similarity
@@ -64,7 +69,7 @@ import os
 import re
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -72,6 +77,7 @@ from . import __version__
 from .association import (
     _BLOCK_CELLS,
     TopicAssociation,
+    _blocks,
     associate,
     percentile,
     relative_std_devs,
@@ -88,6 +94,7 @@ from .runs import (
     _read_csv,
     _Run,
     load_trend_csv,
+    make_dir,
     stage_run,
 )
 
@@ -107,28 +114,6 @@ def _csv_cell(value: str) -> str:
     buffer = io.StringIO()
     csv.writer(buffer, lineterminator="\n").writerow(["", value, ""])
     return buffer.getvalue()[1:-2]
-
-
-# The writers render _BLOCK_CELLS cells at once, a cell being a float, a
-# count, a context pair or a sentence: that bounds the strings one block
-# holds, whatever the table's height or width. Each block is rendered by a
-# function call and written, so its strings are freed before the next
-# block's are made. The budget is association's, which blocks
-# relative_std_devs by it.
-def _row_blocks(rows: int, width: int, starts: np.ndarray | None = None) -> Iterator[slice]:
-    """Consecutive slices of range(rows), each of at most _BLOCK_CELLS cells:
-    `width` cells per row plus, given CSR offsets `starts`, starts[i + 1] -
-    starts[i] more in row i. A row wider than the budget is a block alone."""
-    lo = 0
-    while lo < rows:
-        hi = min(rows, lo + max(_BLOCK_CELLS // max(width, 1), 1))
-        if starts is not None:
-            # Every row has at least `width` cells, so the block ends within
-            # this window: count the cells up to each of its row ends.
-            ends = starts[lo + 1 : hi + 1] - starts[lo] + width * np.arange(1, hi - lo + 1)
-            hi = lo + max(int(np.searchsorted(ends, _BLOCK_CELLS, side="right")), 1)
-        yield slice(lo, hi)
-        lo = hi
 
 
 def _cell_texts(block: np.ndarray) -> list[list[str]]:
@@ -212,7 +197,7 @@ def write_ngram_trends_csv(
 
     with path.open("w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerow(["ngram", "total", *bin_labels])
-        for rows in _row_blocks(len(table.keys), usage.shape[1]):
+        for rows in _blocks(usage.shape[1] * np.arange(1, len(usage) + 1), _BLOCK_CELLS):
             fh.write(block(rows))
 
 
@@ -276,13 +261,15 @@ def write_table_json(path: Path, table: NgramTable) -> None:
         "bin_labels": table.binning.labels(),
         "bin_totals": table.bin_totals,
     }
+    starts = table.context_start
+    cells = starts[1:] - starts[0] + len(table.bin_totals) * np.arange(1, len(starts))
     with path.open("w", encoding="utf-8") as fh:
         fh.write(json.dumps(header, separators=(",", ":"))[:-1] + ',"sentences":[')
-        for rows in _row_blocks(len(table.sentences), 1):
+        for rows in _blocks(np.arange(1, len(table.sentences) + 1), _BLOCK_CELLS):
             fh.write("," if rows.start else "")
             fh.write(",".join(map(encode_basestring_ascii, table.sentences[rows])))
         fh.write('],"ngrams":{')
-        for rows in _row_blocks(len(table.keys), len(table.bin_totals), table.context_start):
+        for rows in _blocks(cells, _BLOCK_CELLS):
             fh.write("," if rows.start else "")
             fh.write(_table_entries(table, rows))
         fh.write("}}\n")
@@ -443,7 +430,7 @@ def write_similarity_csv(
 
     with path.open("w", encoding="utf-8", newline="") as fh:
         fh.write("ngram,topic_id,similarity\n")
-        for rows in _row_blocks(len(keys), len(topic_ids)):
+        for rows in _blocks(len(topic_ids) * np.arange(1, len(keys) + 1), _BLOCK_CELLS):
             fh.write(block(rows))
 
 
@@ -590,7 +577,7 @@ def write_trend_csv(
 
     with path.open("w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerow(["topic_id", *bin_labels])
-        for rows in _row_blocks(len(topic_ids), values.shape[1]):
+        for rows in _blocks(values.shape[1] * np.arange(1, len(values) + 1), _BLOCK_CELLS):
             fh.write(block(rows))
 
 
@@ -676,12 +663,12 @@ class _Handoff:
         options = dict(granularity=config.granularity, include_titles=config.include_titles)
         return build_ngram_table(docs, config.n, config.min_total, **options)
 
-    def load_topics(self, lexicon: bool) -> TopicFramework:
-        """The framework and, given `lexicon`, the lexicon, each read once."""
+    def load_topics(self) -> TopicFramework:
+        """The framework and any configured lexicon, each read once."""
         from .topics import load_framework, load_lexicon
 
         self.framework = self.framework or load_framework(self.config.framework)
-        if lexicon and self.lexicon is None and self.config.lexicon:
+        if self.lexicon is None and self.config.lexicon:
             self.lexicon = load_lexicon(self.config.lexicon)
         return self.framework
 
@@ -720,7 +707,7 @@ def similarity_stage(run: _Run, held: _Handoff) -> str:
     from .topics import build_vector_space
 
     table = held.table or load_table_json(held.out_dir / "ngram_table.json")
-    framework = held.load_topics(lexicon=True)
+    framework = held.load_topics()
     sims = compute_similarities(table, *build_vector_space(framework, held.lexicon))
     topic_ids = framework.topic_ids()
     write_similarity_csv(run.target("similarity.csv"), table.keys, sims, topic_ids)
@@ -761,7 +748,7 @@ def salience_stage(run: _Run, held: _Handoff) -> str:
     keys, usage, labels = held.usage_trends()
     path = held.out_dir / "associations.json"
     associations = held.associations or load_associations_json(path, keys)
-    framework = held.load_topics(lexicon=False)
+    framework = held.load_topics()
     topic_ids = framework.topic_ids()
     missing = [tid for tid in topic_ids if tid not in associations]
     if missing:
@@ -774,7 +761,7 @@ def salience_stage(run: _Run, held: _Handoff) -> str:
     write_trend_csv(run.target("salience.csv"), topic_ids, salience, labels)
     write_trend_csv(run.target("salience_normalized.csv"), topic_ids, normalized, labels)
     matrices_dir = run.out_dir / "matrices"
-    matrices_dir.mkdir(exist_ok=True)
+    make_dir(matrices_dir)
     current = {f"{label}.json" for label in labels}
     for stale in matrices_dir.glob("*.json"):
         if stale.name not in current:
@@ -809,13 +796,14 @@ def run_analyze(config: RunConfig) -> dict:
     """
     config.validate()
     out_dir = Path(config.out_dir)
-    run = _Run(out_dir, create=True)
+    make_dir(out_dir)
+    run = _Run(out_dir)
     held = _Handoff(config)
     try:
         with run.stage("ingest"):
             # The corpus file is read once, by the n-gram scan, so ingest
             # covers the scan; no document is held past it.
-            held.load_topics(lexicon=True)
+            held.load_topics()
             held.table = held.scan()
 
         for name, stage in STAGE_FUNCTIONS.items():

@@ -109,8 +109,7 @@ STAGES = {
         "stage: topic salience trends and matrices",
         reads=("ngram_trends.csv", "associations.json"),
         writes=("topic_usage.csv", "salience.csv", "salience_normalized.csv", "matrices/*.json"),
-        # --lexicon is taken, and read by no part of this stage.
-        options=("framework", "lexicon", "normalization"),
+        options=("framework", "normalization"),
     ),
     "render": Stage(
         "stage: SVG charts from prior artifacts",
@@ -377,6 +376,15 @@ def _is_finite_number(value) -> bool:
 # --- stage runs ---------------------------------------------------------------
 
 
+def make_dir(path: Path) -> None:
+    """Make the output directory `path` and any missing parents; a path that
+    cannot be one is an InputError naming it."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot make output directory {path}: {exc.strerror}") from exc
+
+
 def _peak_rss_mib() -> float | None:
     """This process's RSS high-water mark in MiB, or None without `resource`."""
     if resource is None:
@@ -391,12 +399,7 @@ class _Run:
     and each stage's wall time, CPU time and the RSS high-water mark at its
     end, which names the stage that set the run's peak."""
 
-    def __init__(self, out_dir: Path, create: bool = False):
-        if create:
-            try:
-                out_dir.mkdir(parents=True, exist_ok=True)
-            except OSError as exc:
-                raise InputError(f"cannot make output directory {out_dir}: {exc.strerror}") from exc
+    def __init__(self, out_dir: Path):
         self.out_dir = out_dir
         self.written: list[Path] = []
         self.timings: dict[str, dict[str, float | None]] = {}
@@ -442,7 +445,9 @@ def stage_run(out_dir: Path, name: str) -> Iterator[_Run]:
     left as it is. A stage that takes `--out` makes its directory.
     """
     stage = STAGES[name]
-    run = _Run(out_dir, create="out_dir" in stage.options)
+    if "out_dir" in stage.options:
+        make_dir(out_dir)
+    run = _Run(out_dir)
     try:
         with run.stage(name):
             yield run

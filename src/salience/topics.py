@@ -30,6 +30,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .association import _BLOCK, _blocks
 from .errors import ConsistencyError, InputError, load_json
 
 
@@ -363,13 +364,6 @@ def similarity_matrix(
     return SimilarityMatrix(ngram=ngram, framework=framework, values=values)
 
 
-# The kernel scores n-grams in blocks of at most this many instances plus
-# the (instance × term) entries those expand to, which bounds its per-block
-# temporaries however many contexts an n-gram has. A block holds at least
-# one n-gram.
-_BLOCK_ENTRIES = 1 << 16
-
-
 def batch_similarities(
     space: VectorSpace,
     topics: np.ndarray,
@@ -421,19 +415,15 @@ def batch_similarities(
     idf = np.array([space.idf[term] for term in space.vocabulary])
     topic_norms = [_norm(row) for row in topics]
 
-    # Each n-gram's entries, and the blocks: cut where the running sum of
-    # instances and entries passes the budget.
+    # Each n-gram's entries. A block of n-grams holds at most _BLOCK instances
+    # plus the (instance × term) entries those expand to, which bounds its
+    # temporaries however many contexts an n-gram has, or else one n-gram.
     ngram_entries = np.add.reduceat(
         sentence_nnz.astype(np.int32)[context_sids], context_start[:-1], dtype=np.int64
     )
-    spent = np.concatenate(([0], np.cumsum(ngram_entries + lengths)))
-    blocks = [0]
-    while blocks[-1] < len(lengths):
-        fits = np.searchsorted(spent, spent[blocks[-1]] + _BLOCK_ENTRIES, side="right") - 1
-        blocks.append(max(int(fits), blocks[-1] + 1))
-
     out = np.zeros((len(lengths), len(topics)))
-    for first, last in zip(blocks, blocks[1:]):
+    for block in _blocks(np.cumsum(ngram_entries + lengths), _BLOCK):
+        first, last = block.start, block.stop
         block_sids = context_sids[context_start[first] : context_start[last]]
         # Expand every instance into its sentence's (term, count) entries.
         per_instance = sentence_nnz[block_sids]

@@ -30,6 +30,19 @@ class TestRelativeStdDev:
             relative_std_dev([])
 
 
+@given(st.lists(st.integers(0, 40), max_size=30), st.integers(1, 100))
+def test_blocks_are_the_longest_runs_within_the_budget(costs, budget):
+    # The slices partition the rows in order; each is within the budget
+    # unless it is one row, and none could take its next row and stay so.
+    blocks = list(association._blocks(np.cumsum(costs, dtype=np.int64), budget))
+    assert [i for rows in blocks for i in range(rows.start, rows.stop)] == list(range(len(costs)))
+    for rows in blocks:
+        assert rows.stop > rows.start
+        assert sum(costs[rows]) <= budget or rows.stop - rows.start == 1
+        if rows.stop < len(costs):
+            assert sum(costs[rows.start : rows.stop + 1]) > budget
+
+
 class TestRelativeStdDevs:
     @settings(max_examples=60, deadline=None)
     @given(

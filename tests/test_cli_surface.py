@@ -36,7 +36,7 @@ SURFACE = {
     "trends": CORPUS,
     "similarity": IN_DIR + FRAMEWORK,
     "associate": IN_DIR + PERCENTILE,
-    "salience": IN_DIR + FRAMEWORK + NORM,
+    "salience": IN_DIR + FRAMEWORK[:1] + NORM,
     "render": IN_DIR
     + [
         (("--topics",), "topics", None, None, None, True, "store"),

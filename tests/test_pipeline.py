@@ -8,6 +8,7 @@ import itertools
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -649,6 +650,43 @@ class TestCli:
         out = tmp_path / "taken" / "sub"
         assert main(["trends", "--corpus", str(corpus), "--out", str(out)]) == 1
         assert f"error: cannot make output directory {out}:" in capsys.readouterr().err
+
+    def test_synth_out_under_a_file_exits_one(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        fields = dict(seed=1, bin_count=3, docs_per_bin=2, background_vocab=8)
+        fields.update(sentence_length=[4, 6], sentences_per_doc=[2, 3])
+        spec.write_text(json.dumps(fields), encoding="utf-8")
+        (tmp_path / "taken").write_text("not a directory\n", encoding="utf-8")
+        out = tmp_path / "taken" / "corpus.jsonl"
+        assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: cannot make output directory {out.parent}:" in err
+
+    # The render and salience stages make a folder under --in; a file there
+    # fails the stage, which names itself, and is left as it is.
+    def test_render_folder_that_is_a_file_exits_one(self, workspace, tmp_path, capsys):
+        _, corpus, framework = workspace
+        out = tmp_path / "out"
+        run_analyze(RunConfig(corpus=corpus, framework=framework, out_dir=out, min_total=1))
+        (out / "render").write_text("not a directory\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["render", "--in", str(out), "--topics", "harbor_trade"]) == 1
+        err = capsys.readouterr().err
+        assert f"error: render: cannot make output directory {out / 'render'}:" in err
+        assert (out / "render").read_text(encoding="utf-8") == "not a directory\n"
+
+    def test_salience_matrices_folder_that_is_a_file_exits_one(self, workspace, tmp_path, capsys):
+        _, corpus, framework = workspace
+        out = tmp_path / "out"
+        run_analyze(RunConfig(corpus=corpus, framework=framework, out_dir=out, min_total=1))
+        shutil.rmtree(out / "matrices")
+        (out / "matrices").write_text("not a directory\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["salience", "--in", str(out), "--framework", str(framework)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: salience: cannot make output directory {out / 'matrices'}:" in err
+        assert (out / "matrices").read_text(encoding="utf-8") == "not a directory\n"
+        assert not (out / "salience.csv").exists()
 
     @pytest.mark.parametrize("command", ["analyze", "trends"])
     def test_bad_record_after_many_good_ones_exits_one(self, workspace, tmp_path, capsys, command):

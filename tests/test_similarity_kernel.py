@@ -206,11 +206,11 @@ class TestOrderIndependence:
         contexts = _random_contexts(_sentence_pool(fw, rng), rng, 100)
         # One n-gram per block, blocks of a few n-grams, and the default,
         # against one block for all.
-        budgets = (1, 50, topics._BLOCK_ENTRIES)
-        monkeypatch.setattr(topics, "_BLOCK_ENTRIES", 1 << 40)
+        budgets = (1, 50, topics._BLOCK)
+        monkeypatch.setattr(topics, "_BLOCK", 1 << 40)
         whole = _kernel(space, vectors, contexts)
         for budget in budgets:
-            monkeypatch.setattr(topics, "_BLOCK_ENTRIES", budget)
+            monkeypatch.setattr(topics, "_BLOCK", budget)
             assert np.array_equal(_kernel(space, vectors, contexts), whole)
 
     def test_proportional_counts_give_bit_equal_rows(self):
