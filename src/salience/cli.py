@@ -136,9 +136,12 @@ def _cmd_synth(args) -> int:
     docs, truth = generate_corpus(load_synth_spec(args.spec))
     out = args.out
     make_dir(out.parent)
-    out.write_text(corpus_to_jsonl(docs), encoding="utf-8")
     truth_path = out.with_name(out.name.removesuffix(".jsonl") + ".truth.json")
-    truth_path.write_text(json.dumps(truth, indent=2) + "\n", encoding="utf-8")
+    try:
+        out.write_text(corpus_to_jsonl(docs), encoding="utf-8")
+        truth_path.write_text(json.dumps(truth, indent=2) + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write {exc.filename}: {exc.strerror}") from exc
     print(f"wrote {len(docs)} documents to {out} (ground truth: {truth_path})")
     return 0
 

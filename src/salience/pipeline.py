@@ -30,7 +30,8 @@ n-gram in sorted key order (K n-grams, B bins, T topics, N instances):
 - similarities: (K × T) floats, columns in framework topic order;
 - variability: (K,) floats, each row's relative standard deviation;
 - associations: per topic, member row indices in member order;
-- topic usage and salience: (T × B) floats, rows in topic order.
+- topic usage and salience: (T × B) floats, rows in topic order, and the
+  salience matrices: the same with rows in grid order.
 
 The loaders return the same arrays, so `analyze` and the stage subcommands
 share one representation. Every bounded pass over them takes its rows in
@@ -42,8 +43,9 @@ straight from the arrays a block at a time, each block by a function call
 whose strings are freed before the next block's are made, so what a writer
 holds does not grow with the table; their bytes are those of csv.writer
 and of one compact json.dumps of the whole payload. The
-associations and matrix writers fill line templates, one topic or one bin
-at a time, with the bytes of json.dumps(payload, indent=2). The loaders of
+associations writer fills line templates a topic at a time, and the matrix
+writer fills one template for every bin, a block of bins at a time, with
+the bytes of json.dumps(payload, indent=2). The loaders of
 the two large CSVs read the header (and the first n-gram's similarity
 rows) with csv.reader and the rest as records of one compiled pattern, a
 bounded block of text at a time (`_CsvArtifact.records`), so they accept
@@ -116,15 +118,25 @@ def _csv_cell(value: str) -> str:
     return buffer.getvalue()[1:-2]
 
 
-def _cell_texts(block: np.ndarray) -> list[list[str]]:
+# json.dumps spells the floats that have no decimal form so.
+_JSON_SPECIALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _cell_texts(block: np.ndarray, json_floats: bool = False) -> list[list[str]]:
     """The repr of every cell of a 2-D block of floats or integers, as rows
-    of strings. repr runs once per distinct bit pattern, so -0.0 keeps its
-    sign and a value repeated across the block is rendered once."""
-    block = np.ascontiguousarray(block)
-    distinct, inverse = np.unique(block.view(f"u{block.itemsize}"), return_inverse=True)
-    texts = np.array([repr(v) for v in distinct.view(block.dtype).tolist()], dtype=object)
-    # numpy 2.x releases disagree on the shape of unique's inverse.
-    return texts[inverse.reshape(block.shape)].tolist()
+    of strings; given `json_floats`, NaN and infinities as json.dumps spells
+    them. Each distinct bit pattern, found by sorting the block's bits, is
+    rendered once, so -0.0 keeps its sign."""
+    bits = np.ascontiguousarray(block).view(f"u{block.itemsize}").ravel()
+    ordered = np.sort(bits)
+    first = np.ones(len(ordered), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    distinct = ordered[first]
+    texts = [repr(v) for v in distinct.view(block.dtype).tolist()]
+    if json_floats:
+        texts = [_JSON_SPECIALS.get(text, text) for text in texts]
+    texts = np.array(texts, dtype=object)
+    return texts[np.searchsorted(distinct, bits).reshape(block.shape)].tolist()
 
 
 def _check_cells(path: Path, values: np.ndarray, rows: list, columns: list, unit: bool):
@@ -138,16 +150,6 @@ def _check_cells(path: Path, values: np.ndarray, rows: list, columns: list, unit
     i, j = divmod(int(ok.argmin()), values.shape[1])
     bound = "in [0, 1]" if unit else "finite"
     raise InputError(f"{path}: {rows[i]!r} at {columns[j]!r}: {values.item(i, j)!r} is not {bound}")
-
-
-# json.dumps spells the floats that have no decimal form so.
-_JSON_SPECIALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_floats(values: list[float]) -> list[str]:
-    """Floats as json.dumps spells them: their repr, or NaN, Infinity and
-    -Infinity."""
-    return [_JSON_SPECIALS.get(text, text) for text in map(float.__repr__, values)]
 
 
 def _json_block(brackets: str, items: list[str], indent: str) -> str:
@@ -504,14 +506,15 @@ def write_associations_json(
         for column, (topic_id, assoc) in enumerate(associations.items()):
             rows = list(assoc.members)
             names = map(encode_basestring_ascii, map(keys.__getitem__, rows))
-            sim_texts = _json_floats(sims[rows, column].tolist())
-            rsd_texts = _json_floats(rsd[rows].tolist())
+            values = np.stack([sims[rows, column], rsd[rows]])
+            sim_texts, rsd_texts = _cell_texts(values, json_floats=True)
             members = [
                 f'{{\n        "ngram": {name},\n        "similarity": {sim},\n'
                 f'        "rsd": {var}\n      }}'
                 for name, sim, var in zip(names, sim_texts, rsd_texts)
             ]
-            sim_threshold, rsd_threshold = _json_floats([assoc.sim_threshold, assoc.rsd_threshold])
+            thresholds = np.array([[assoc.sim_threshold, assoc.rsd_threshold]])
+            sim_threshold, rsd_threshold = _cell_texts(thresholds, json_floats=True)[0]
             fh.write(
                 f'{opening}{encode_basestring_ascii(topic_id)}: {{\n'
                 f'    "sim_threshold": {sim_threshold},\n'
@@ -581,30 +584,32 @@ def write_trend_csv(
             fh.write(block(rows))
 
 
-def write_matrix_json(path: Path, matrix) -> None:
-    """One bin's salience matrix: its bin label, the framework's grid labels
-    and the values row by row over the grid or, for a framework without a
-    grid, null labels, the topic ids and one row of values in topic order.
+def write_matrix_json(
+    paths: list[Path], framework: TopicFramework, matrix: np.ndarray, bin_labels: list[str]
+) -> None:
+    """Every bin's salience matrix, bin t's to paths[t]: its bin label, the
+    framework's grid labels and column t of `matrix` (`salience_matrix`),
+    row by row over the grid or, for a framework without a grid, null
+    labels, the topic ids and one row of values in topic order.
 
     The bytes are those of json.dumps(payload, indent=2) and a newline,
-    rendered as `write_associations_json` renders them.
+    rendered as `write_associations_json` renders them, from one template
+    whose labels are encoded once; the values are rendered _BLOCK_CELLS
+    cells, whole bins, at a time.
     """
-    framework: TopicFramework = matrix.framework
-    fields = {"bin": encode_basestring_ascii(matrix.bin_label)}
     if framework.has_grid:
-        fields["rows"] = _json_strings(framework.rows)
-        fields["columns"] = _json_strings(framework.columns)
-        values = matrix.grid()
+        fields = {"rows": _json_strings(framework.rows), "columns": _json_strings(framework.columns)}
     else:
-        fields["rows"] = fields["columns"] = "null"
-        fields["topics"] = _json_strings(framework.topic_ids())
-        values = [list(matrix.values)]
-    fields["values"] = _json_block(
-        "[]", [_json_block("[]", _json_floats(row), "    ") for row in values], "  "
-    )
-    lines = [f'"{name}": {text}' for name, text in fields.items()]
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(_json_block("{}", lines, "") + "\n")
+        fields = {"rows": "null", "columns": "null", "topics": _json_strings(framework.topic_ids())}
+    width = len(framework.columns or framework.topics)
+    labels = "".join(f',\n  "{name}": {text}' for name, text in fields.items())
+    height = len(matrix)
+    for bins in _blocks(height * np.arange(1, len(bin_labels) + 1), _BLOCK_CELLS):
+        for t, cells in enumerate(_cell_texts(matrix[:, bins].T, json_floats=True), bins.start):
+            rows = [_json_block("[]", cells[at : at + width], "    ") for at in range(0, height, width)]
+            label, values = encode_basestring_ascii(bin_labels[t]), _json_block("[]", rows, "  ")
+            text = f'{{\n  "bin": {label}{labels},\n  "values": {values}\n}}\n'
+            paths[t].write_text(text, encoding="utf-8")
 
 
 # --- pipeline stages --------------------------------------------------------
@@ -766,9 +771,8 @@ def salience_stage(run: _Run, held: _Handoff) -> str:
     for stale in matrices_dir.glob("*.json"):
         if stale.name not in current:
             stale.unlink()
-    for t, label in enumerate(labels):
-        matrix = salience_matrix(framework, salience, t, label)
-        write_matrix_json(run.target("matrices", f"{label}.json"), matrix)
+    paths = [run.target("matrices", f"{label}.json") for label in labels]
+    write_matrix_json(paths, framework, salience_matrix(framework, salience), labels)
     return f"wrote salience trends for {len(framework.topics)} topics over {len(labels)} bins"
 
 

@@ -193,7 +193,8 @@ class _CsvArtifact:
         match, groups = compiled.match, compiled.groups
         read: list[str] = []  # the n-grams, when no `keys` are given
         done, last = 0, ""  # records read, and the last one's n-gram
-        values = array("d")
+        # Given `keys`, the values fill an array of their final size.
+        values = array("d", [0.0]) * (width * len(keys or ()))
         text, end = "".join(self.unread), False
         self.line, self.unread = self.body, []
         while not end:
@@ -219,7 +220,8 @@ class _CsvArtifact:
                 if not _NUMBERS.fullmatch(",".join(distinct) + ","):
                     raise self._refusal(text, rows, expected, lines)
                 floats = dict(zip(distinct, map(float, distinct)))
-                values.fromlist(list(map(floats.__getitem__, cells)))
+                parsed = array("d", list(map(floats.__getitem__, cells)))
+                values[done * width : (done + count) * width] = parsed
                 if not all(map(operator.lt, [last, *names], names)):
                     seen = [last]
                     for name in names:  # to name the first out of order
@@ -426,6 +428,9 @@ class _Run:
             yield
         except SalienceError as exc:
             raise type(exc)(f"{name}: {exc}") from exc
+        except OSError as exc:  # a path the stage cannot read or write
+            where = f"{exc.filename}: " if exc.filename else ""
+            raise InputError(f"{name}: {where}{exc.strerror or exc}") from exc
         except Exception as exc:  # unexpected bug: report as internal, named stage
             raise ConsistencyError(f"{name}: {type(exc).__name__}: {exc}") from exc
         finally:

@@ -11,7 +11,6 @@ keep zero trends so matrices retain the full framework shape.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -50,42 +49,16 @@ def topic_salience_trend(members: Sequence[int], usage: np.ndarray) -> np.ndarra
     return acc / len(members) if members else acc
 
 
-@dataclass(frozen=True)
-class SalienceMatrix:
-    """Every topic's salience value at one time bin, in framework order."""
-
-    bin_index: int
-    bin_label: str
-    framework: TopicFramework
-    values: tuple[float, ...]
-
-    def per_topic(self) -> dict[str, float]:
-        return {t.id: v for t, v in zip(self.framework.topics, self.values)}
-
-    def grid(self) -> list[list[float]]:
-        return self.framework.grid_values(self.per_topic())
-
-
-def salience_matrix(
-    framework: TopicFramework,
-    salience: np.ndarray,
-    t: int,
-    bin_label: str | None = None,
-) -> SalienceMatrix:
-    """Project the (topics × bins) salience array, rows in framework topic
-    order, onto one bin."""
+def salience_matrix(framework: TopicFramework, salience: np.ndarray) -> np.ndarray:
+    """The (topics × bins) `salience`, whose rows are in framework topic
+    order, with its rows put in matrix order (`TopicFramework.grid_order`):
+    row-major over the grid or, without one, topic order. Column t is bin
+    t's matrix."""
     if salience.shape[0] != len(framework.topics):
         raise ConsistencyError(
             f"{salience.shape[0]} salience trends for {len(framework.topics)} topics"
         )
-    if not 0 <= t < salience.shape[1]:
-        raise InputError(f"bin index {t} out of range [0, {salience.shape[1]})")
-    return SalienceMatrix(
-        bin_index=t,
-        bin_label=bin_label if bin_label is not None else str(t),
-        framework=framework,
-        values=tuple(salience[:, t].tolist()),
-    )
+    return salience[framework.grid_order()]
 
 
 def normalize_salience(salience: np.ndarray, method: str = "zscore") -> np.ndarray:

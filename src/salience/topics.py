@@ -102,15 +102,13 @@ class TopicFramework:
     def topic_ids(self) -> list[str]:
         return [t.id for t in self.topics]
 
-    def grid_values(self, per_topic: Mapping[str, float]) -> list[list[float]]:
-        """Arrange per-topic values row-major over the declared grid."""
+    def grid_order(self) -> list[int]:
+        """The topics' indices in matrix order: row-major over the declared
+        grid or, without one, topic order."""
         if not self.has_grid:
-            raise InputError(
-                f"framework {self.name!r} declares no grid; render values as a list instead"
-            )
-        by_cell = {(t.row, t.column): per_topic[t.id] for t in self.topics}
-        assert self.rows is not None and self.columns is not None
-        return [[by_cell[(r, c)] for c in self.columns] for r in self.rows]
+            return list(range(len(self.topics)))
+        index = {(t.row, t.column): i for i, t in enumerate(self.topics)}
+        return [index[r, c] for r in self.rows for c in self.columns]
 
 
 def framework_from_dict(data: dict) -> TopicFramework:
@@ -343,8 +341,14 @@ class SimilarityMatrix:
         raise InputError(f"unknown topic id {topic_id!r}")
 
     def grid(self) -> list[list[float]]:
-        per_topic = {t.id: v for t, v in zip(self.framework.topics, self.values)}
-        return self.framework.grid_values(per_topic)
+        """The values row by row over the framework's grid."""
+        framework = self.framework
+        if not framework.has_grid:
+            raise InputError(
+                f"framework {framework.name!r} declares no grid; render values as a list instead"
+            )
+        values = np.array(self.values)[framework.grid_order()]
+        return values.reshape(len(framework.rows), -1).tolist()
 
 
 def similarity_matrix(

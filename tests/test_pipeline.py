@@ -577,28 +577,20 @@ class TestCli:
         assert {path.name: path.read_bytes() for path in matrices.iterdir()} == before
         assert (matrices / "2016-01.json").samefile(held)
 
-    def test_salience_stage_failure_removes_every_matrix(
-        self, workspace, tmp_path, monkeypatch, capsys
-    ):
+    def test_salience_stage_failure_removes_every_matrix(self, workspace, tmp_path, capsys):
         # The matrices of bins not yet rewritten are an earlier run's: the
-        # failed stage removes them with the ones it wrote.
+        # failed stage removes them with the ones it wrote. A directory in
+        # the place of a later bin's matrix fails the writer itself.
         _, corpus, framework = workspace
         out = tmp_path / "out"
         run_analyze(RunConfig(corpus=corpus, framework=framework, out_dir=out, min_total=1))
-        write = pipeline.write_matrix_json
-        calls = []
-
-        def third_matrix_fails(path, matrix):
-            calls.append(path)
-            if len(calls) == 3:
-                raise RuntimeError("boom")
-            write(path, matrix)
-
-        monkeypatch.setattr(pipeline, "write_matrix_json", third_matrix_fails)
+        blocked = out / "matrices" / "2016-03.json"
+        blocked.unlink()
+        blocked.mkdir()
         capsys.readouterr()
-        assert main(["salience", "--in", str(out), "--framework", str(framework)]) == 2
-        assert "error: salience: RuntimeError: boom" in capsys.readouterr().err
-        assert not (out / "matrices").exists()
+        assert main(["salience", "--in", str(out), "--framework", str(framework)]) == 1
+        assert f"error: salience: {blocked}: Is a directory" in capsys.readouterr().err
+        assert list((out / "matrices").iterdir()) == [blocked]
         assert not (out / "salience.csv").exists()
 
     def test_synth_writes_corpus_and_truth(self, tmp_path, capsys):
@@ -661,6 +653,41 @@ class TestCli:
         assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert f"error: cannot make output directory {out.parent}:" in err
+
+    def test_synth_out_that_is_a_directory_exits_one(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        fields = dict(seed=1, bin_count=3, docs_per_bin=2, background_vocab=8)
+        fields.update(sentence_length=[4, 6], sentences_per_doc=[2, 3])
+        spec.write_text(json.dumps(fields), encoding="utf-8")
+        out = tmp_path / "taken.jsonl"
+        out.mkdir()
+        assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 1
+        assert f"error: cannot write {out}: Is a directory" in capsys.readouterr().err
+        assert not (tmp_path / "taken.truth.json").exists()
+
+    # An artifact path the program cannot write is the user's output
+    # directory at fault: the stage names itself and the path, and exits 1.
+    def test_analyze_artifact_that_is_a_directory_exits_one(self, workspace, tmp_path, capsys):
+        _, corpus, framework = workspace
+        out = tmp_path / "out"
+        (out / "ngram_trends.csv").mkdir(parents=True)
+        args = ["--corpus", str(corpus), "--framework", str(framework), "--out", str(out)]
+        assert main(["analyze", *args, "--min-count", "1"]) == 1
+        err = capsys.readouterr().err
+        assert f"error: trends: {out / 'ngram_trends.csv'}: Is a directory" in err
+        assert sorted(path.name for path in out.iterdir()) == ["ngram_trends.csv"]
+
+    def test_stage_artifact_that_is_a_directory_exits_one(self, workspace, tmp_path, capsys):
+        _, corpus, framework = workspace
+        out = tmp_path / "out"
+        run_analyze(RunConfig(corpus=corpus, framework=framework, out_dir=out, min_total=1))
+        blocked = out / "associations.json"
+        blocked.unlink()
+        blocked.mkdir()
+        capsys.readouterr()
+        assert main(["associate", "--in", str(out)]) == 1
+        assert f"error: associate: {blocked}: Is a directory" in capsys.readouterr().err
+        assert blocked.is_dir()
 
     # The render and salience stages make a folder under --in; a file there
     # fails the stage, which names itself, and is left as it is.

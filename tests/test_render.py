@@ -84,12 +84,9 @@ class TestMatrixSvg:
     def test_salience_matrix_renders_via_framework_grid(self):
         fw = load_pmesii_ascope()
         salience = np.array([[0.1 * i] for i in range(len(fw.topics))])
-        matrix = salience_matrix(fw, salience, 0, "2016-01")
+        grid = salience_matrix(fw, salience)[:, 0].reshape(len(fw.rows), len(fw.columns))
         svg = render_grid_svg(
-            fw.grid_values(matrix.per_topic()),
-            list(fw.rows),
-            list(fw.columns),
-            title=f"topic salience at {matrix.bin_label}",
+            grid.tolist(), list(fw.rows), list(fw.columns), title="topic salience at 2016-01"
         )
         assert "2016-01" in svg
         assert svg.count("<rect") >= 36
@@ -98,10 +95,7 @@ class TestMatrixSvg:
         fw = load_pmesii_ascope()
         space, vectors = build_vector_space(fw)
         matrix = similarity_matrix("ballot count", ["election ballot"], fw, space, vectors)
-        per_topic = dict(zip(fw.topic_ids(), matrix.values))
-        svg = render_grid_svg(
-            fw.grid_values(per_topic), list(fw.rows), list(fw.columns), title="ballot count"
-        )
+        svg = render_grid_svg(matrix.grid(), list(fw.rows), list(fw.columns), title="ballot count")
         assert "ballot count" in svg
         assert svg.count("<rect") >= 36
 
@@ -110,9 +104,10 @@ class TestMatrixSvg:
             name="flat",
             topics=(Topic(id="a", definition="x"), Topic(id="b", definition="y")),
         )
-        matrix = salience_matrix(fw, np.zeros((2, 1)), 0)
+        space, vectors = build_vector_space(fw)
+        matrix = similarity_matrix("x y", ["x"], fw, space, vectors)
         with pytest.raises(InputError, match="list"):
-            fw.grid_values(matrix.per_topic())
+            matrix.grid()
 
 
 @given(st.text(alphabet=st.sampled_from("&<>;\"'a é#x0123amp")) | st.text())

@@ -170,16 +170,19 @@ def grid_framework():
 
 class TestSalienceMatrix:
     def test_projection_at_bin(self):
-        fw = grid_framework()
+        # Column t is bin t's matrix; topics declared column-major come out
+        # row-major over the grid.
+        grid = grid_framework()
+        topics = tuple(grid.topics[i] for i in (0, 2, 1, 3))
+        fw = TopicFramework(name="g", topics=topics, rows=grid.rows, columns=grid.columns)
         salience = np.array([[0.0, float(i)] for i in range(4)])
-        matrix = salience_matrix(fw, salience, 1, "2017-02")
-        assert matrix.values == (0.0, 1.0, 2.0, 3.0)
-        assert matrix.grid() == [[0.0, 1.0], [2.0, 3.0]]
-        assert matrix.bin_label == "2017-02"
+        matrix = salience_matrix(fw, salience)
+        assert matrix[:, 1].tolist() == [0.0, 2.0, 1.0, 3.0]
+        assert matrix[:, 0].tolist() == [0.0] * 4
 
     def test_all_zero_matrix(self):
         fw = grid_framework()
-        assert salience_matrix(fw, np.zeros((4, 1)), 0).values == (0.0,) * 4
+        assert (salience_matrix(fw, np.zeros((4, 3))) == 0.0).all()
 
     def test_one_by_one_grid(self):
         fw = TopicFramework(
@@ -188,18 +191,19 @@ class TestSalienceMatrix:
             rows=("R",),
             columns=("C",),
         )
-        matrix = salience_matrix(fw, np.array([[0.4]]), 0)
-        assert matrix.grid() == [[0.4]]
+        assert salience_matrix(fw, np.array([[0.4, -0.1]])).tolist() == [[0.4, -0.1]]
 
-    def test_bin_out_of_range(self):
-        fw = grid_framework()
-        with pytest.raises(InputError):
-            salience_matrix(fw, np.zeros((4, 1)), 1)
+    def test_no_grid_keeps_topic_order(self):
+        fw = TopicFramework(
+            name="flat", topics=(Topic(id="b", definition="x"), Topic(id="a", definition="y"))
+        )
+        salience = np.array([[1.0, 2.0], [3.0, 4.0]])
+        assert salience_matrix(fw, salience).tolist() == salience.tolist()
 
     def test_missing_topic_trend(self):
         fw = grid_framework()
         with pytest.raises(ConsistencyError):
-            salience_matrix(fw, np.zeros((1, 1)), 0)
+            salience_matrix(fw, np.zeros((1, 1)))
 
 
 class TestNormalize:

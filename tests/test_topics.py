@@ -71,7 +71,7 @@ class TestFramework:
         fw = load_framework(path)
         assert fw.topic_ids() == ["a", "b"]
 
-    def test_grid_values_row_major(self):
+    def test_grid_order_row_major(self):
         fw = framework_from_dict(
             {
                 "name": "g",
@@ -85,8 +85,11 @@ class TestFramework:
                 ],
             }
         )
-        grid = fw.grid_values({"r1c1": 1.0, "r1c2": 2.0, "r2c1": 3.0, "r2c2": 4.0})
-        assert grid == [[1.0, 2.0], [3.0, 4.0]]
+        assert [fw.topics[i].id for i in fw.grid_order()] == ["r1c1", "r1c2", "r2c1", "r2c2"]
+        flat = framework_from_dict(
+            {"name": "f", "topics": [{"id": "b", "definition": "x"}, {"id": "a", "definition": "y"}]}
+        )
+        assert flat.grid_order() == [0, 1]
 
 
 class TestExpansion:

@@ -11,10 +11,8 @@ import csv
 import datetime as dt
 import io
 import json
-import math
 import tempfile
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -255,7 +253,8 @@ def _associations_reference(associations, keys, sims, rsd) -> bytes:
 
 @st.composite
 def matrices(draw):
-    """One bin's salience matrix over a framework with a grid or without."""
+    """A framework with a grid or without, the (topics × bins) salience
+    array of several bins, and the bins' labels."""
     if draw(st.booleans()):
         grid = [draw(st.lists(labels, min_size=1, max_size=3, unique=True)) for _ in "rc"]
         cells = draw(st.permutations([(r, c) for r in grid[0] for c in grid[1]]))
@@ -268,25 +267,28 @@ def matrices(draw):
     topics = [Topic(id=i, definition="d", row=r, column=c) for i, (r, c) in zip(draw(ids), cells)]
     rows, columns = (tuple(part) if part else None for part in grid)
     framework = TopicFramework(name="f", topics=tuple(topics), rows=rows, columns=columns)
-    return salience_matrix(framework, _float_array(draw, len(topics), 1), 0, draw(labels))
+    bins = draw(st.integers(1, 4))
+    bin_labels = draw(st.lists(labels, min_size=bins, max_size=bins))
+    return framework, _float_array(draw, len(topics), bins), bin_labels
 
 
-def _matrix_reference(matrix) -> bytes:
-    framework = matrix.framework
+def _matrix_reference(framework, salience: np.ndarray, label: str, t: int) -> bytes:
+    values = salience[:, t].tolist()
     if framework.has_grid:
+        by_cell = {(topic.row, topic.column): v for topic, v in zip(framework.topics, values)}
         payload = {
-            "bin": matrix.bin_label,
+            "bin": label,
             "rows": list(framework.rows),
             "columns": list(framework.columns),
-            "values": matrix.grid(),
+            "values": [[by_cell[r, c] for c in framework.columns] for r in framework.rows],
         }
     else:
         payload = {
-            "bin": matrix.bin_label,
+            "bin": label,
             "rows": None,
             "columns": None,
             "topics": framework.topic_ids(),
-            "values": [list(matrix.values)],
+            "values": [values],
         }
     return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
 
@@ -299,22 +301,29 @@ def test_associations_json_is_json_dumps_indent_2(case):
 
 
 @settings(max_examples=100, deadline=None)
-@given(matrix=matrices())
-def test_matrix_json_is_json_dumps_indent_2(matrix):
-    with tempfile.TemporaryDirectory() as folder:
-        path = Path(folder) / "matrix.json"
-        pipeline.write_matrix_json(path, matrix)
-        assert path.read_bytes() == _matrix_reference(matrix)
+@given(case=matrices(), budget=st.sampled_from(BUDGETS))
+def test_matrix_json_is_json_dumps_indent_2(case, budget):
+    framework, salience, bin_labels = case
+    matrix = salience_matrix(framework, salience)
+    with tempfile.TemporaryDirectory() as folder, mock.patch.object(
+        pipeline, "_BLOCK_CELLS", budget
+    ):
+        paths = [Path(folder) / f"{t}.json" for t in range(len(bin_labels))]
+        pipeline.write_matrix_json(paths, framework, matrix, bin_labels)
+        for t, (path, label) in enumerate(zip(paths, bin_labels)):
+            assert path.read_bytes() == _matrix_reference(framework, salience, label, t)
         # What the writer writes, the loader reads, unless a value is not
         # finite: salience from finite usage is finite, so render refuses it.
         # The loader reads a matrix from the file its bin names.
-        path = Path(folder) / "b.json"
-        pipeline.write_matrix_json(path, replace(matrix, bin_label="b"))
-        if all(map(math.isfinite, matrix.values)):
-            load_matrix_json(path)
-        else:
-            with pytest.raises(InputError, match="finite numbers"):
+        names = [f"b{t}" for t in range(len(bin_labels))]
+        paths = [Path(folder) / f"{name}.json" for name in names]
+        pipeline.write_matrix_json(paths, framework, matrix, names)
+        for path, column in zip(paths, salience.T):
+            if np.isfinite(column).all():
                 load_matrix_json(path)
+            else:
+                with pytest.raises(InputError, match="finite numbers"):
+                    load_matrix_json(path)
 
 
 def _wide_cases():
