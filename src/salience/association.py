@@ -21,9 +21,11 @@ from .errors import ConsistencyError, InputError
 # pass holds at once beside its input and output does not grow with the
 # data. _BLOCK counts integer elements: tokens, instances and count cells in
 # the n-gram build and counts, instances plus (instance × term) entries in
-# the similarity kernel. _BLOCK_CELLS counts cells rendered to text by
-# pipeline's writers or reduced in float temporaries by relative_std_devs.
-_BLOCK = 1 << 16
+# the similarity kernel. A pass makes a few int64 temporaries per element:
+# at 2**14 elements each is 128 KiB and a block's sum about 1 MiB, small
+# beside the arrays a run keeps. _BLOCK_CELLS counts cells rendered to text
+# by pipeline's writers or reduced in float temporaries by relative_std_devs.
+_BLOCK = 1 << 14
 _BLOCK_CELLS = 1 << 14
 
 

@@ -19,22 +19,26 @@ iterable of documents (a file streamed by `read_corpus`, or a list) turns
 each token and each distinct sentence into a dense id, held in int32
 arrays. The pass keeps each document's date and nothing else of it, and
 bins the sentences once the dates have fixed the binning. numpy then
-groups the N n-gram instances in one int64 array, sorted in place with no
-permutation array: each instance's token ranks are packed into one key
-(for n > 2 each prefix is first replaced by its dense rank), and a key
-repeated min_total times is a kept n-gram. The keys are made again a
-block of tokens at a time to look each instance up among the kept keys,
-and the kept instances, packed as n-gram * N + instance, are sorted into
-(n-gram, bin) order. A scan of 2**31 instances or more is refused, so no
-packing can wrap.
+groups the N n-gram instances in one int64 array, sorted once at full
+width, in place and with no permutation array: each instance's token ranks
+are packed into one key (for n > 2 each prefix is first replaced by its
+dense rank), and the key with the instance's number, as key * N +
+instance, so that sorted, each n-gram's instances are one run in bin
+order. When (largest key + 1) * N could pass 2**63, each full-width key is
+first replaced by its dense rank too. A run of min_total instances or more
+is a kept n-gram: a block at a time, its instances move to the front of
+the same buffer, each as its (bin, sentence id) int32 pair written over its
+own 8 bytes, and the buffer is cut to them. A scan of 2**31 instances or
+more is refused, so no packing can wrap.
 
 `NgramTable` keeps its header (n, min_total, include_titles, binning) and
 numpy's arrays, row i for the i-th kept n-gram in sorted key order (K
 n-grams, B bins, M kept instances): `keys`, the n-grams' texts, (K × B)
 int32 `counts`, and the contexts in CSR form, n-gram i's being entries
-context_start[i] to context_start[i + 1] ((K + 1) int64 starts) of the
-(M,) int32 arrays `context_bins` and `context_sids`, one per kept instance
-in bin order, input order within a bin.
+context_start[i] to context_start[i + 1] ((K + 1) int64 starts) of
+`context_bins` and `context_sids`, the two columns of one (M, 2) int32
+array of (bin, sentence id) pairs, one per kept instance in bin order,
+input order within a bin.
 
 An n-gram is its text: its tokens joined by single spaces, as every
 artifact names it. The space sorts below every alphanumeric code point (no
@@ -42,12 +46,14 @@ alphanumeric code point is below U+0030), so sorted texts are in the order
 of the sorted token sequences: word by word, a word before any longer word
 it begins.
 
-The table also carries the tokens of its S sentences in CSR form, for the
-similarity kernel: sentence s's tokens are words[i] for i in
-token_ids[token_start[s]:token_start[s + 1]] ((S + 1) int64 starts, int32
-ids). The build takes them from its own scan, so no sentence is tokenized
-twice; a table loaded from `ngram_table.json`, which does not store them,
-re-tokenizes its sentences with `intern_sentences` when first asked.
+The table also carries the tokens of its S sentences, for the similarity
+kernel: sentence s's tokens are words[i] for i in
+token_ids[token_spans[s, 0]:token_spans[s, 1]] ((S, 2) int64 spans, int32
+ids). The build hands over its scan's own ids, every scanned token, each
+kept sentence spanning its run at one of its occurrences, so no sentence is
+tokenized twice and no row is copied; a table loaded from
+`ngram_table.json`, which does not store them, re-tokenizes its sentences
+with `intern_sentences` when first asked.
 """
 
 from __future__ import annotations
@@ -119,8 +125,8 @@ class NgramTable:
     proportion of all observed instances. Each enclosing sentence is stored
     once in `sentences`, numbered by first use in sorted n-gram order; a
     context refers to it by id. Counts, context bins and context sentence
-    ids are int32; positions in an array (`context_start`, and
-    `token_start` of `sentence_tokens`) are int64.
+    ids are int32; positions in an array (`context_start`, and the
+    `token_spans` of `sentence_tokens`) are int64.
     """
 
     n: int
@@ -157,7 +163,7 @@ class NgramTable:
 
     @cached_property
     def sentence_tokens(self) -> tuple[list[str], np.ndarray, np.ndarray]:
-        """The sentences' tokens as (words, token_start, token_ids), the CSR
+        """The sentences' tokens as (words, token_spans, token_ids), the
         form the module docstring describes. `build_ngram_table` sets it from
         its scan; otherwise, or once deleted, the sentences are tokenized on
         first use."""
@@ -173,8 +179,8 @@ class _DenseIds(dict):
 
 
 def intern_sentences(sentences: Sequence[str]) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Tokenize each sentence once: (words, token_start, token_ids), words
-    in first-seen order and the ids in CSR form, one row per sentence."""
+    """Tokenize each sentence once: (words, token_spans, token_ids), words
+    in first-seen order and each sentence's ids one run after the last."""
     token_ids = _DenseIds()
     word_id = token_ids.__getitem__
     ids: list[int] = []
@@ -182,12 +188,18 @@ def intern_sentences(sentences: Sequence[str]) -> tuple[list[str], np.ndarray, n
     for sentence in sentences:
         ids += map(word_id, sentence.translate(_FOLD).split())
         starts.append(len(ids))
-    return list(token_ids), np.array(starts, dtype=np.int64), np.array(ids, dtype=np.int32)
+    bounds = np.array(starts, dtype=np.int64)
+    spans = np.stack([bounds[:-1], bounds[1:]], axis=1)
+    return list(token_ids), spans, np.array(ids, dtype=np.int32)
 
 
-# A scan of this many n-gram instances or more is refused: instance numbers,
-# packed with n-gram numbers into one int64, must stay below 2**31.
+# A scan of this many n-gram instances or more is refused: instance numbers
+# and dense key ranks stay below 2**31, so a rank packed with an instance
+# number, rank * instances + i, stays below 2**62.
 _INSTANCE_LIMIT = 1 << 31
+# A full-width key packed with an instance number, key * instances + i,
+# must stay below this; past it the scan packs the key's dense rank instead.
+_PACK_LIMIT = 1 << 63
 
 
 def _gather_runs(values: np.ndarray, first: np.ndarray, length: np.ndarray):
@@ -246,6 +258,76 @@ def _instance_keys(
         yield first - (n - 1) * lo, keys
 
 
+def _sorted_distinct(packed: np.ndarray, blocks: Iterator[tuple[int, np.ndarray]]) -> np.ndarray:
+    """Write each (first instance number, keys) block of `_instance_keys`
+    into `packed` at its instances' places, sort it in place, and return its
+    distinct keys, sorted."""
+    for i, keys in blocks:
+        packed[i : i + len(keys)] = keys
+    packed.sort()
+    return _repeated(packed, 1)
+
+
+def _compact(
+    packed: np.ndarray,
+    instances: int,
+    min_total: int,
+    window_ends: np.ndarray,
+    bins: np.ndarray,
+    sids: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Move the kept instances of the sorted `packed` (key * instances + i)
+    to its front, a _BLOCK at a time, each written as its (bin, sentence id)
+    int32 pair over its own 8 bytes. Returns the (K + 1,) int64 starts of the
+    kept n-grams' runs in the compacted buffer and each one's first instance
+    number.
+
+    A run of equal keys is kept when it holds min_total rows or more; a run
+    begun in an earlier block keeps that block's verdict. A block writes at
+    most as many rows as it reads, and only below its own end, so no write
+    reaches a row that is still to be read. Each temporary is freed once
+    used, so a block holds about two _BLOCK-sized int64 arrays at a time."""
+    pairs = packed.view(np.int32).reshape(-1, 2)
+    starts: list[np.ndarray] = []
+    firsts = [np.empty(0, dtype=np.int64)]
+    written, kept_run, last_key = 0, False, -1
+    for lo in range(0, instances, _BLOCK):
+        block = packed[lo : lo + _BLOCK]
+        key = block // instances
+        new_run = np.empty(len(key), dtype=bool)
+        new_run[0] = key[0] != last_key
+        np.not_equal(key[1:], key[:-1], out=new_run[1:])
+        run = np.flatnonzero(new_run)
+        del new_run
+        # The rows of each run begun here; the rows before the first, of a
+        # run begun in an earlier block, take the verdict carried in.
+        length = np.diff(run, prepend=0, append=len(block))
+        verdict = length >= min_total
+        verdict[0] = kept_run
+        if len(run):
+            # The last run may go on past the block: it is kept when the
+            # key min_total - 1 places on is its own.
+            ahead = lo + int(run[-1]) + min_total - 1
+            verdict[-1] = ahead < instances and packed[ahead] // instances == key[run[-1]]
+        kept_run, last_key = bool(verdict[-1]), int(key[-1])
+        del key
+        at = np.flatnonzero(np.repeat(verdict, length))
+        kept = np.searchsorted(at, run[verdict[1:]])
+        del run, length, verdict
+        instance = block[at]
+        del at
+        instance %= instances
+        starts.append(written + kept)
+        firsts.append(instance[kept])
+        sentence = np.searchsorted(window_ends, instance, side="right")
+        del instance
+        pairs[written : written + len(sentence), 0] = bins[sentence]
+        pairs[written : written + len(sentence), 1] = sids[sentence]
+        written += len(sentence)
+    starts.append(np.array([written]))
+    return np.concatenate(starts).astype(np.int64, copy=False), np.concatenate(firsts)
+
+
 def _repeated(keys: np.ndarray, min_total: int) -> np.ndarray:
     """The distinct values of sorted `keys` that occur at least min_total
     times, sorted: a value's first occurrence that equals the value
@@ -276,11 +358,12 @@ def build_ngram_table(
     date order, a stable sort by bin puts the sentences in bin order, input
     order within a bin, as `TimeBinnedCorpus.iter_documents` yields them.
     numpy then groups the instances: each instance's tokens are packed into
-    one int64 key (`_instance_keys`), the keys are sorted in place, a key
-    that repeats at least min_total times is a kept n-gram, and each
-    instance is looked up among the kept keys. Each kept sentence's token
-    row is cut from the scan's ids. A bad option is refused before the
-    first document is read; no documents, or 2**31 instances or more, after.
+    one int64 key (`_instance_keys`), packed again with the instance's
+    number and sorted once in place, and each run of at least min_total
+    equal keys is a kept n-gram, whose instances `_compact` turns into
+    contexts in the same buffer. Each kept sentence's token row is a span
+    of the scan's ids. A bad option is refused before the first document
+    is read; no documents, or 2**31 instances or more, after.
     """
     if n < 1:
         raise InputError("n must be >= 1")
@@ -355,54 +438,58 @@ def build_ngram_table(
 
     # Instance i, in bin order, is the window at token i + (n - 1) * s of
     # its sentence s: each earlier sentence has n - 1 more tokens than
-    # windows. The keys of one instance array are sorted in place, with no
-    # permutation: for n > 2 once per prefix width, whose distinct keys
-    # rank the next width's prefixes, and then at full width, whose keys
-    # repeated min_total times are the kept n-grams.
+    # windows. One instance array is sorted in place, with no permutation:
+    # for n > 2 once per prefix width, whose distinct keys rank the next
+    # width's prefixes, and then once at full width, each instance's key
+    # packed with its number as key * instances + i. Sorted, one n-gram's
+    # instances are one run, in instance and so bin order.
+    vocabulary = len(words)
     packed = np.empty(instances, dtype=np.int64)
     prefixes: list[np.ndarray] = []
-    for width in range(min(n, 2), n + 1):
-        for i, keys in _instance_keys(ranked, ends, n, width, len(words), prefixes):
-            packed[i : i + len(keys)] = keys
-        packed.sort()
-        prefixes.append(_repeated(packed, 1 if width < n else min_total))
-    kept = prefixes.pop()
-    lookup = np.append(kept, -1)  # an instance found at len(kept) is not kept
-
-    # Instance i of kept n-gram g is packed as g * instances + i and the
-    # rest as -1: sorted, the kept instances are in (n-gram, bin) order.
-    for i, keys in _instance_keys(ranked, ends, n, n, len(words), prefixes):
-        group = np.searchsorted(kept, keys)
-        hit = lookup[group] == keys
-        group *= instances
-        group += np.arange(i, i + len(keys))
-        packed[i : i + len(keys)] = np.where(hit, group, -1)
-    del prefixes
+    for width in range(2, n):
+        keys = _instance_keys(ranked, ends, n, width, vocabulary, prefixes)
+        prefixes.append(_sorted_distinct(packed, keys))
+    # Each full-width key is below span. When span * instances would pass
+    # the packing limit, each key is first replaced by its dense rank among
+    # the sorted distinct full-width keys, as a prefix is: a rank is below
+    # instances.
+    span = (len(prefixes[-1]) if prefixes else vocabulary if n > 1 else 1) * vocabulary
+    ranks = None
+    if span * instances > _PACK_LIMIT:
+        ranks = _sorted_distinct(packed, _instance_keys(ranked, ends, n, n, vocabulary, prefixes))
+    for i, keys in _instance_keys(ranked, ends, n, n, vocabulary, prefixes):
+        if ranks is not None:
+            keys = np.searchsorted(ranks, keys)
+        keys *= instances
+        keys += np.arange(i, i + len(keys))
+        packed[i : i + len(keys)] = keys
     packed.sort()
-    packed = packed[np.searchsorted(packed, 0) :]
-    context_start = np.searchsorted(packed, np.arange(len(kept) + 1) * instances)
+    del prefixes, ranks
+
+    # The kept instances move to the front of the buffer, each as its
+    # (bin, sentence id) pair in its own 8 bytes, and the buffer shrinks to
+    # them: the contexts are the two int32 columns of an (M, 2) array.
     window_ends = ends - (n - 1) * np.arange(1, len(ends) + 1)
-    context_bins = np.empty(len(packed), dtype=np.int32)
-    context_sids = np.empty(len(packed), dtype=np.int32)
-    for lo in range(0, len(packed), _BLOCK):
-        sentence = np.searchsorted(window_ends, packed[lo : lo + _BLOCK] % instances, side="right")
-        context_bins[lo : lo + _BLOCK] = bins[sentence]
-        context_sids[lo : lo + _BLOCK] = sids[sentence]
+    context_start, first = _compact(packed, instances, min_total, window_ends, bins, sids)
+    # No view of the buffer is left, so it is cut to its first M rows in place.
+    packed.resize(context_start[-1], refcheck=False)
+    contexts = packed.view(np.int32).reshape(-1, 2)
     # Each key's text, from its first instance's tokens.
-    first = packed[context_start[:-1]] % instances
     first += (n - 1) * np.searchsorted(window_ends, first, side="right")
     key_columns = [[words[r] for r in ranked[first + j].tolist()] for j in range(n)]
-    del packed, kept, lookup, window_ends, first, bins
+    del packed, window_ends, first, bins
 
     # Renumber the hosting sentences by first use in sorted key order.
-    first_use = np.full(len(texts), len(context_sids), dtype=np.int64)
-    for lo in range(0, len(context_sids), _BLOCK):
-        block = context_sids[lo : lo + _BLOCK]
+    used = len(contexts)
+    first_use = np.full(len(texts), used, dtype=np.int64)
+    for lo in range(0, used, _BLOCK):
+        block = contexts[lo : lo + _BLOCK, 1]
         np.minimum.at(first_use, block, np.arange(lo, lo + len(block)))
-    hosts = context_sids[np.sort(first_use[first_use < len(context_sids)])]
+    hosts = contexts[np.sort(first_use[first_use < used]), 1]
     new_id = np.empty(len(texts), dtype=np.int32)
     new_id[hosts] = np.arange(len(hosts), dtype=np.int32)
-    context_sids = new_id[context_sids]
+    for lo in range(0, used, _BLOCK):
+        contexts[lo : lo + _BLOCK, 1] = new_id[contexts[lo : lo + _BLOCK, 1]]
     sentences = [texts[i] for i in hosts.tolist()]
     # Each kept sentence's row of tokens is the run of `ranked` at any of
     # its occurrences: one sentence text always has the same tokens.
@@ -410,9 +497,10 @@ def build_ngram_table(
     occurrence[sids] = np.arange(len(sids))
     scanned = occurrence[hosts]
     del texts, first_use, new_id, occurrence, sids, hosts
-    row_length = lengths[scanned]
-    token_ids, token_start = _gather_runs(ranked, ends[scanned] - row_length, row_length)
-    del ranked, lengths, ends, scanned, row_length
+    spans = np.empty((len(scanned), 2), dtype=np.int64)
+    spans[:, 1] = ends[scanned]
+    spans[:, 0] = spans[:, 1] - lengths[scanned]
+    del lengths, ends, scanned
 
     table = NgramTable(
         n=n,
@@ -423,10 +511,10 @@ def build_ngram_table(
         bin_totals=bin_totals,
         sentences=sentences,
         context_start=context_start,
-        context_bins=context_bins,
-        context_sids=context_sids,
+        context_bins=contexts[:, 0],
+        context_sids=contexts[:, 1],
     )
-    table.sentence_tokens = (words, token_start, token_ids)
+    table.sentence_tokens = (words, spans, ranked)
     return table
 
 

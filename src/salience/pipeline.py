@@ -18,14 +18,15 @@ one, loads none of them. `salience.runs`, which loads no numpy, holds
 `RunConfig` and `load_trend_csv` are re-exported here.
 
 Between stages each quantity is one numpy array whose row i is the i-th
-n-gram in sorted key order (K n-grams, B bins, T topics, N instances):
+n-gram in sorted key order (K n-grams, B bins, T topics, M kept
+instances):
 
 - the n-gram table: the K sorted keys, each an n-gram's text as every
   artifact names it, (K × B) int32 counts, and the contexts in CSR form,
-  (K + 1,) int64 starts into (N,) int32 bins and sentence ids; in memory
-  it also holds its sentences' token ids for the similarity kernel, which
-  `ngram_table.json` does not store and `analyze` drops after its
-  similarity stage;
+  (K + 1,) int64 starts into one (M, 2) int32 array of (bin, sentence id)
+  pairs; in memory it also holds its sentences' token ids for the
+  similarity kernel, which `ngram_table.json` does not store and
+  `compute_similarities` drops once it has counted their terms;
 - usage: (K × B) floats, count / bin total, 0 in empty bins;
 - similarities: (K × T) floats, columns in framework topic order;
 - variability: (K,) floats, each row's relative standard deviation;
@@ -122,11 +123,12 @@ def _csv_cell(value: str) -> str:
 _JSON_SPECIALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _cell_texts(block: np.ndarray, json_floats: bool = False) -> list[list[str]]:
-    """The repr of every cell of a 2-D block of floats or integers, as rows
-    of strings; given `json_floats`, NaN and infinities as json.dumps spells
-    them. Each distinct bit pattern, found by sorting the block's bits, is
-    rendered once, so -0.0 keeps its sign."""
+def _distinct_texts(block: np.ndarray, json_floats: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The repr of each distinct value of a 2-D block of floats or integers,
+    as an object array, and each cell's index into it, shaped as the block;
+    given `json_floats`, NaN and infinities as json.dumps spells them. Each
+    distinct bit pattern, found by sorting the block's bits, is rendered
+    once, so -0.0 keeps its sign."""
     bits = np.ascontiguousarray(block).view(f"u{block.itemsize}").ravel()
     ordered = np.sort(bits)
     first = np.ones(len(ordered), dtype=bool)
@@ -135,8 +137,14 @@ def _cell_texts(block: np.ndarray, json_floats: bool = False) -> list[list[str]]
     texts = [repr(v) for v in distinct.view(block.dtype).tolist()]
     if json_floats:
         texts = [_JSON_SPECIALS.get(text, text) for text in texts]
-    texts = np.array(texts, dtype=object)
-    return texts[np.searchsorted(distinct, bits).reshape(block.shape)].tolist()
+    return np.array(texts, dtype=object), np.searchsorted(distinct, bits).reshape(block.shape)
+
+
+def _cell_texts(block: np.ndarray, json_floats: bool = False) -> list[list[str]]:
+    """The repr of every cell of a 2-D block, as rows of strings
+    (`_distinct_texts`)."""
+    texts, index = _distinct_texts(block, json_floats)
+    return texts[index].tolist()
 
 
 def _check_cells(path: Path, values: np.ndarray, rows: list, columns: list, unit: bool):
@@ -251,7 +259,9 @@ def write_table_json(path: Path, table: NgramTable) -> None:
     The bytes are those of one compact json.dumps of the whole table: names
     and sentences go through the encoder's own ASCII escaper and integers
     through str. Sentences and n-grams are rendered _BLOCK_CELLS cells at a
-    time, an n-gram holding one cell per bin and one per context.
+    time, a sentence holding one cell per character, since its text is far
+    longer than a number's, and an n-gram one cell per bin and one per
+    context.
     """
     header = {
         "version": TABLE_VERSION,
@@ -267,7 +277,8 @@ def write_table_json(path: Path, table: NgramTable) -> None:
     cells = starts[1:] - starts[0] + len(table.bin_totals) * np.arange(1, len(starts))
     with path.open("w", encoding="utf-8") as fh:
         fh.write(json.dumps(header, separators=(",", ":"))[:-1] + ',"sentences":[')
-        for rows in _blocks(np.arange(1, len(table.sentences) + 1), _BLOCK_CELLS):
+        lengths = np.fromiter(map(len, table.sentences), np.int64, len(table.sentences))
+        for rows in _blocks(np.cumsum(lengths), _BLOCK_CELLS):
             fh.write("," if rows.start else "")
             fh.write(",".join(map(encode_basestring_ascii, table.sentences[rows])))
         fh.write('],"ngrams":{')
@@ -423,16 +434,24 @@ def write_similarity_csv(
     are quoted once each by csv.writer.
     """
     cells = [_csv_cell(topic_id) for topic_id in topic_ids]
+    topics = len(topic_ids)
 
     def block(rows: slice) -> str:
-        lines = zip(keys[rows], _cell_texts(sims[rows]))
-        return "".join(
-            [f"{name},{cell},{text}\n" for name, row in lines for cell, text in zip(cells, row)]
-        )
+        # Each line is two pieces: its n-gram and a comma, made once per row,
+        # and its topic cell, value and line end, made once per distinct
+        # (topic, value) pair of the block. A row's text is its tails, each
+        # led by the row's n-gram piece.
+        texts, index = _distinct_texts(sims[rows])
+        pair = index + len(texts) * np.arange(topics)
+        distinct, which = np.unique(pair, return_inverse=True)
+        column, value = np.divmod(distinct, len(texts))
+        tails = [f"{cells[j]},{text}\n" for j, text in zip(column.tolist(), texts[value])]
+        lines = zip(keys[rows], np.array(tails, dtype=object)[which.reshape(index.shape)].tolist())
+        return "".join([f"{name},{f'{name},'.join(row)}" for name, row in lines])
 
     with path.open("w", encoding="utf-8", newline="") as fh:
         fh.write("ngram,topic_id,similarity\n")
-        for rows in _blocks(len(topic_ids) * np.arange(1, len(keys) + 1), _BLOCK_CELLS):
+        for rows in _blocks(topics * np.arange(1, len(keys) + 1), _BLOCK_CELLS):
             fh.write(block(rows))
 
 
@@ -617,13 +636,14 @@ def write_matrix_json(
 
 def compute_similarities(table: NgramTable, space: VectorSpace, topics: np.ndarray) -> np.ndarray:
     """Similarity of every tabled n-gram to every topic row of `topics`, as
-    one (n-grams × topics) array in sorted key order, scored in one pass by
-    the batch kernel from the sentences' token ids."""
-    from .topics import batch_similarities
+    one (n-grams × topics) array in sorted key order, scored by the batch
+    kernel from the sentences' token ids. The token rows are dropped from
+    the table once the kernel has counted their terms, before it scores."""
+    from .topics import score_terms, sentence_terms
 
-    return batch_similarities(
-        space, topics, *table.sentence_tokens, table.context_start, table.context_sids
-    )
+    terms = sentence_terms(space, *table.sentence_tokens)
+    del table.sentence_tokens
+    return score_terms(space, topics, terms, table.context_start, table.context_sids)
 
 
 def compute_associations(
@@ -716,8 +736,6 @@ def similarity_stage(run: _Run, held: _Handoff) -> str:
     sims = compute_similarities(table, *build_vector_space(framework, held.lexicon))
     topic_ids = framework.topic_ids()
     write_similarity_csv(run.target("similarity.csv"), table.keys, sims, topic_ids)
-    # Scored: the later stages do not carry the sentences' token rows.
-    del table.sentence_tokens
     held.similarities = sims, topic_ids
     return f"wrote similarity for {len(sims)} n-grams x {len(framework.topics)} topics"
 

@@ -9,13 +9,16 @@ terms are lowercased unigrams even though n-gram identity preserves case.
 (topics × vocabulary) array, rows in framework topic order, columns in the
 space's sorted vocabulary order. Every similarity reads that one array.
 
-`batch_similarities` scores a whole n-gram table in one numpy pass and is
-what `analyze` runs. It counts terms from the context sentences' token ids
-(`NgramTable.sentence_tokens`), so it tokenizes nothing: each distinct word
-is lowercased and mapped to its vocabulary column once. The scalar path
-(`context_vector`, `ngram_vector`, `cosine`, `similarity_matrix`) works on
-dense (vocabulary,) rows and is kept as the public reference oracle the
-batch kernel is tested against.
+The batch kernel scores a whole n-gram table in numpy, in two halves that
+`compute_similarities` runs apart. `sentence_terms` counts each context
+sentence's vocabulary terms from its token ids (`NgramTable.sentence_tokens`)
+a bounded block of sentences at a time, so it tokenizes nothing: each
+distinct word is lowercased and mapped to its vocabulary column once.
+`score_terms` then scores every n-gram from that small term table alone, so
+the token rows can be dropped before the (n-grams × topics) output is made.
+The scalar path (`context_vector`, `ngram_vector`, `cosine`,
+`similarity_matrix`) works on dense (vocabulary,) rows and is kept as the
+public reference oracle the batch kernel is tested against.
 """
 
 from __future__ import annotations
@@ -298,7 +301,7 @@ def build_vector_space(
 def context_vector(space: VectorSpace, context: str) -> np.ndarray:
     """TF-IDF row of a context string; out-of-vocabulary terms drop out.
 
-    Scalar reference oracle; `analyze` uses `batch_similarities` instead.
+    Scalar reference oracle; `analyze` uses the batch kernel instead.
     """
     return _tfidf_row(space, _lower_tokens(context))
 
@@ -306,7 +309,7 @@ def context_vector(space: VectorSpace, context: str) -> np.ndarray:
 def ngram_vector(space: VectorSpace, contexts: Sequence[str]) -> np.ndarray:
     """Component-wise mean of the raw (unnormalized) context rows.
 
-    Scalar reference oracle; `analyze` uses `batch_similarities` instead.
+    Scalar reference oracle; `analyze` uses the batch kernel instead.
     """
     if not contexts:
         raise ConsistencyError("n-gram with no contexts: every tabled n-gram has instances")
@@ -317,7 +320,7 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     """Cosine similarity of two rows; 0 when either has zero norm. Weights
     are non-negative so the result lies in [0, 1].
 
-    Scalar reference oracle; `analyze` uses `batch_similarities` instead.
+    Scalar reference oracle; `analyze` uses the batch kernel instead.
     """
     nu, nv = _norm(u), _norm(v)
     if nu == 0.0 or nv == 0.0:
@@ -361,61 +364,79 @@ def similarity_matrix(
     """Score one n-gram against every topic row of `topics` (framework topic
     order) via its averaged context vector.
 
-    Scalar reference oracle; `analyze` uses `batch_similarities` instead.
+    Scalar reference oracle; `analyze` uses the batch kernel instead.
     """
     vec = ngram_vector(space, contexts)
     values = tuple(cosine(vec, row) for row in topics)
     return SimilarityMatrix(ngram=ngram, framework=framework, values=values)
 
 
-def batch_similarities(
+def sentence_terms(
+    space: VectorSpace, words: Sequence[str], token_spans: np.ndarray, token_ids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each sentence's vocabulary term counts, the first half of the batch
+    kernel, from the sentences' token ids: sentence s's tokens are
+    `words[i]` for i in `token_ids[token_spans[s, 0]:token_spans[s, 1]]`, as
+    `NgramTable.sentence_tokens` holds them.
+
+    Returns a table over sentence ids, (nnz, terms, counts), sentence s's
+    entries being the next nnz[s] of the (terms, counts) pairs, terms
+    ascending. Terms with idf 0 carry no weight in any vector and are left
+    out, as are out-of-vocabulary tokens. Each distinct word is lowercased
+    and looked up in the vocabulary once; no sentence is tokenized here. The
+    table is counted a block of sentences, at most _BLOCK tokens or else one
+    sentence, at a time, so no temporary spans every token."""
+    vocab = len(space.vocabulary)
+    column = {term: i for i, term in enumerate(space.vocabulary) if space.idf[term] != 0.0}
+    word_column = np.array([column.get(word.lower(), -1) for word in words], dtype=np.int32)
+    length = token_spans[:, 1] - token_spans[:, 0]
+    nnz = np.zeros(len(length), dtype=np.int64)
+    terms, counts = [np.empty(0, dtype=np.int32)], [np.empty(0, dtype=np.int64)]
+    for block in _blocks(np.cumsum(length), _BLOCK):
+        size = length[block]
+        offset = np.cumsum(size) - size
+        at = np.repeat(token_spans[block, 0] - offset, size)
+        at += np.arange(at.size)
+        token_column = word_column[token_ids[at]]
+        hits = np.flatnonzero(token_column >= 0)
+        sentence_of = np.searchsorted(offset, hits, side="right") - 1
+        entries, entry_counts = np.unique(
+            sentence_of * vocab + token_column[hits], return_counts=True
+        )
+        local, entry_terms = np.divmod(entries, vocab)
+        nnz[block] = np.bincount(local, minlength=len(size))
+        terms.append(entry_terms.astype(np.int32))
+        counts.append(entry_counts)
+    return nnz, np.concatenate(terms), np.concatenate(counts)
+
+
+def score_terms(
     space: VectorSpace,
     topics: np.ndarray,
-    words: Sequence[str],
-    token_start: np.ndarray,
-    token_ids: np.ndarray,
+    terms: tuple[np.ndarray, np.ndarray, np.ndarray],
     context_start: np.ndarray,
     context_sids: np.ndarray,
 ) -> np.ndarray:
     """Cosine similarity of many n-grams against every topic row of the
-    (topics × vocabulary) array `topics`, in one pass.
-
-    The context sentences come as token ids in CSR form: sentence s's tokens
-    are `words[i]` for i in `token_ids[token_start[s]:token_start[s + 1]]`,
-    as `NgramTable.sentence_tokens` holds them. The n-grams' contexts come
-    in CSR form too: n-gram i's context sentences are
+    (topics × vocabulary) array `topics`, the second half of the batch
+    kernel, from their contexts' `sentence_terms`. The contexts come in CSR
+    form: n-gram i's context sentences are
     `context_sids[context_start[i]:context_start[i + 1]]`, one entry per
     instance. Returns an array of shape (n-grams, topics) in the order given.
 
-    Each distinct word is lowercased and looked up in the vocabulary once;
-    no sentence is tokenized here. An n-gram's row is its exact integer term
-    counts summed over its contexts, divided by their gcd: cosine is
-    scale-invariant, so this scores the same as the mean context vector, and
-    n-grams whose summed counts are proportional get identical rows and
-    bit-equal values whatever their context order. Dot products and norms
-    are reduced in vocabulary-index order, one topic at a time.
+    An n-gram's row is its exact integer term counts summed over its
+    contexts, divided by their gcd: cosine is scale-invariant, so this
+    scores the same as the mean context vector, and n-grams whose summed
+    counts are proportional get identical rows and bit-equal values whatever
+    their context order. Dot products and norms are reduced in
+    vocabulary-index order, one topic at a time.
     """
     lengths = np.diff(context_start)
     if (lengths == 0).any():
         raise ConsistencyError("n-gram with no contexts: every tabled n-gram has instances")
-
-    # Per-sentence vocabulary counts, as a CSR table over sentence ids. Terms
-    # with idf 0 carry no weight in any vector and are left out, as are
-    # out-of-vocabulary tokens, before any (sentence, term) key is formed.
     vocab = len(space.vocabulary)
-    column = {term: i for i, term in enumerate(space.vocabulary) if space.idf[term] != 0.0}
-    word_column = np.array([column.get(word.lower(), -1) for word in words], dtype=np.int32)
-    token_column = word_column[token_ids]
-    hits = np.flatnonzero(token_column >= 0)
-    sentence_of = np.searchsorted(token_start, hits, side="right") - 1
-    entries, sentence_counts = np.unique(
-        sentence_of * vocab + token_column[hits], return_counts=True
-    )
-    del token_column, hits, sentence_of
-    entry_sentence, sentence_terms = np.divmod(entries, vocab)
-    sentence_nnz = np.bincount(entry_sentence, minlength=len(token_start) - 1)
+    sentence_nnz, entry_terms, entry_counts = terms
     sentence_start = np.cumsum(sentence_nnz) - sentence_nnz
-
     idf = np.array([space.idf[term] for term in space.vocabulary])
     topic_norms = [_norm(row) for row in topics]
 
@@ -438,11 +459,11 @@ def batch_similarities(
             continue
         # Segment-sum by (n-gram, term): rows come out in vocabulary order.
         owner = np.repeat(np.arange(last - first), ngram_entries[first:last])
-        keys = owner * vocab + sentence_terms[entry]
+        keys = owner * vocab + entry_terms[entry]
         order = np.argsort(keys)
         keys = keys[order]
         cuts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-        row_counts = np.add.reduceat(sentence_counts[entry][order], cuts)
+        row_counts = np.add.reduceat(entry_counts[entry][order], cuts)
         rows, cols = np.divmod(keys[cuts], vocab)
         # One segment per n-gram with any vocabulary term.
         seg = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))

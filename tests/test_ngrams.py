@@ -1,4 +1,5 @@
 import json
+import random
 import re
 import sys
 import tempfile
@@ -31,7 +32,7 @@ from salience.ngrams import (
 )
 
 from salience.pipeline import RunConfig, load_table_json, run_stage, write_table_json
-from salience.synth import _oracle_sentences
+from salience.synth import _oracle_sentences, oracle_count_many
 
 from conftest import assert_same_table, corpus_file, day, make_docs
 
@@ -499,10 +500,10 @@ def test_text_keys_sort_as_token_tuples(case):
 
 
 def _decoded(sentence_tokens):
-    """Token rows in CSR form, decoded to one list of words per sentence."""
-    words, start, ids = sentence_tokens
-    bounds = start.tolist()
-    return [[words[i] for i in ids[a:b].tolist()] for a, b in zip(bounds, bounds[1:])]
+    """Token rows, each a span of the token ids, decoded to one list of
+    words per sentence."""
+    words, spans, ids = sentence_tokens
+    return [[words[i] for i in ids[a:b].tolist()] for a, b in spans.tolist()]
 
 
 token_words = st.sampled_from(["alpha", "Echo", "echo", "ECHO", "émile", "Ünï", "İstanbul", "2017", "x9"])
@@ -529,10 +530,10 @@ def test_token_rows_are_the_sentences_tokens(items, n, min_total):
     month, text = items[0]
     docs = _docs_from(items + [(month % 4 + 1, text)])
     table = build_ngram_table(docs, n=n, min_total=min_total)
-    words, start, ids = table.sentence_tokens
+    words, spans, ids = table.sentence_tokens
     assert words == sorted(words)
-    assert start.dtype == np.int64 and ids.dtype == np.int32
-    assert len(start) == len(table.sentences) + 1
+    assert spans.dtype == np.int64 and ids.dtype == np.int32
+    assert spans.shape == (len(table.sentences), 2)
     expected = [_ORACLE_WORD_RE.findall(sentence) for sentence in table.sentences]
     assert _decoded(table.sentence_tokens) == expected
     assert _decoded(intern_sentences(table.sentences)) == expected
@@ -689,3 +690,42 @@ def test_emergent_ngram_has_exact_zero_before_first_use():
     trend = relative_usage_trend(table.counts[row].tolist(), table.bin_totals)
     assert trend[:3] == [0.0, 0.0, 0.0]
     assert all(v > 0 for v in trend[3:])
+
+
+def _unordered_mixed_corpus(seed=5, docs=40):
+    """Documents out of date order over a small vocabulary with non-ASCII
+    and case-variant words, so that n-grams repeat across bins."""
+    rng = random.Random(seed)
+    vocabulary = ["alpha", "Alpha", "beta", "émile", "Ünï", "ß", "二三", "x9", "2017", "the"]
+    items = []
+    for _ in range(docs):
+        sentences = [" ".join(rng.choices(vocabulary, k=rng.randint(1, 6))) for _ in range(3)]
+        items.append((day(2017, rng.randint(1, 6), rng.randint(1, 28)), ". ".join(sentences)))
+    return make_docs(items)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("min_total", [1, 2, 5])
+def test_dense_rank_branch_gives_the_same_table(monkeypatch, n, min_total):
+    # The full-width keys are packed with their instance numbers unless that
+    # could pass the packing limit; then each is first replaced by its dense
+    # rank. A limit of 0 sends every scan down the dense-rank branch.
+    docs = _unordered_mixed_corpus()
+    passes = []  # one per sort that ranks keys: each prefix width, then full width
+    distinct = ngrams._sorted_distinct
+    monkeypatch.setattr(ngrams, "_sorted_distinct", lambda *a: passes.append(1) or distinct(*a))
+    direct = build_ngram_table(docs, n=n, min_total=min_total)
+    assert len(passes) == max(n - 2, 0)
+    monkeypatch.setattr(ngrams, "_PACK_LIMIT", 0)
+    dense = build_ngram_table(docs, n=n, min_total=min_total)
+    assert len(passes) == 2 * max(n - 2, 0) + 1
+    assert_same_table(dense, direct)
+    assert _decoded(dense.sentence_tokens) == _decoded(direct.sentence_tokens)
+    _assert_equals_reference(direct, _reference_table(docs, n=n, min_total=min_total))
+    # Both against the naive window scan over the JSONL records.
+    lines = [
+        json.dumps({"id": doc.id, "date": doc.date.isoformat(), "text": doc.text}) for doc in docs
+    ]
+    expected = oracle_count_many(lines, [key.split(" ") for key in direct.keys], direct.binning)
+    for table in (direct, dense):
+        assert dict(zip(table.keys, table.counts.tolist())) == expected

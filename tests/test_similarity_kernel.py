@@ -16,10 +16,11 @@ from salience.pipeline import compute_similarities, load_table_json, write_table
 from salience.topics import (
     Topic,
     TopicFramework,
-    batch_similarities,
     build_vector_space,
     expand_topic_document,
     load_pmesii_ascope,
+    score_terms,
+    sentence_terms,
     similarity_matrix,
 )
 
@@ -46,7 +47,8 @@ def _intern(contexts):
 
 def _kernel(space, vectors, contexts):
     sentences, start, sids = _intern(contexts)
-    return batch_similarities(space, vectors, *intern_sentences(sentences), start, sids)
+    terms = sentence_terms(space, *intern_sentences(sentences))
+    return score_terms(space, vectors, terms, start, sids)
 
 
 def _sentence_pool(framework, rng, lexicon=None, size=200):
