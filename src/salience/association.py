@@ -17,16 +17,15 @@ import numpy as np
 
 from .errors import ConsistencyError, InputError
 
-# The two budgets of the blockwise passes, each cut by `_blocks`: what a
-# pass holds at once beside its input and output does not grow with the
-# data. _BLOCK counts integer elements: tokens, instances and count cells in
-# the n-gram build and counts, instances plus (instance × term) entries in
-# the similarity kernel. A pass makes a few int64 temporaries per element:
-# at 2**14 elements each is 128 KiB and a block's sum about 1 MiB, small
-# beside the arrays a run keeps. _BLOCK_CELLS counts cells rendered to text
-# by pipeline's writers or reduced in float temporaries by relative_std_devs.
+# The budget of every blockwise pass, cut by `_blocks`: what a pass holds
+# at once beside its input and output does not grow with the data. It
+# counts elements: tokens, instances and count cells in the n-gram build
+# and counts, instances plus (instance × term) entries in the similarity
+# kernel, cells rendered to text by pipeline's writers and cells reduced in
+# float temporaries by relative_std_devs. A pass makes a few 8-byte
+# temporaries per element: at 2**14 elements each is 128 KiB and a block's
+# sum about 1 MiB, small beside the arrays a run keeps.
 _BLOCK = 1 << 14
-_BLOCK_CELLS = 1 << 14
 
 
 def _blocks(ends: np.ndarray, budget: int) -> Iterator[slice]:
@@ -59,11 +58,11 @@ def relative_std_dev(trend: Sequence[float]) -> float:
 def relative_std_devs(usage: np.ndarray) -> np.ndarray:
     """`relative_std_dev` of every row of a (n-grams × bins) usage array.
 
-    Rows are taken a block of at most _BLOCK_CELLS cells at a time, so the
+    Rows are taken a block of at most _BLOCK cells at a time, so the
     float temporaries of mean and std stay small whatever the array's size;
     each row's value does not depend on the block it falls in."""
     rsd = np.empty(len(usage))
-    for rows in _blocks(usage.shape[1] * np.arange(1, len(usage) + 1), _BLOCK_CELLS):
+    for rows in _blocks(usage.shape[1] * np.arange(1, len(usage) + 1), _BLOCK):
         block = usage[rows]
         mean = block.mean(axis=1)
         if not (mean > 0.0).all():

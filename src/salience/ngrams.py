@@ -18,9 +18,12 @@ The n-gram table is counted over interned ids: one Python pass over any
 iterable of documents (a file streamed by `read_corpus`, or a list) turns
 each token and each distinct sentence into a dense id, held in int32
 arrays. The pass keeps each document's date and nothing else of it, and
-bins the sentences once the dates have fixed the binning. numpy then
-groups the N n-gram instances in one int64 array, sorted once at full
-width, in place and with no permutation array: each instance's token ranks
+bins the sentences once the dates have fixed the binning. The tokens stay
+in scan order, whatever the order of the file; the N n-gram instances are
+numbered in bin order, scan order within a bin, through one stable sort of
+the sentences by bin, which is the identity for a file in date order.
+numpy then groups the instances in one int64 array, sorted once at full
+width, in place and with no permutation of it: each instance's token ranks
 are packed into one key (for n > 2 each prefix is first replaced by its
 dense rank), and the key with the instance's number, as key * N +
 instance, so that sorted, each n-gram's instances are one run in bin
@@ -166,7 +169,9 @@ class NgramTable:
         """The sentences' tokens as (words, token_spans, token_ids), the
         form the module docstring describes. `build_ngram_table` sets it from
         its scan; otherwise, or once deleted, the sentences are tokenized on
-        first use."""
+        first use. A table whose `sentences` are deleted, as `analyze` drops
+        them once ngram_table.json is written, cannot re-tokenize them: the
+        fallback raises AttributeError."""
         return intern_sentences(self.sentences)
 
 
@@ -202,25 +207,6 @@ _INSTANCE_LIMIT = 1 << 31
 _PACK_LIMIT = 1 << 63
 
 
-def _gather_runs(values: np.ndarray, first: np.ndarray, length: np.ndarray):
-    """The runs values[first[r] : first[r] + length[r]] one after another,
-    and the (R + 1,) int64 starts of the runs in the result. A block of runs
-    at a time is gathered through one index that steps by 1 within a run and
-    jumps to the next run's first position; every length must be at least 1."""
-    start = np.zeros(len(length) + 1, dtype=np.int64)
-    np.cumsum(length, out=start[1:])
-    out = np.empty(start[-1], dtype=values.dtype)
-    for runs in _blocks(start[1:], _BLOCK):
-        lo, hi = runs.start, runs.stop
-        at = np.ones(start[hi] - start[lo], dtype=np.int64)
-        jumps = first[lo:hi].astype(np.int64)
-        jumps[1:] -= first[lo : hi - 1] + length[lo : hi - 1] - 1
-        at[start[lo:hi] - start[lo]] = jumps
-        np.cumsum(at, out=at)
-        out[start[lo] : start[hi]] = values[at]
-    return out, start
-
-
 def _instance_keys(
     ranked: np.ndarray,
     ends: np.ndarray,
@@ -228,9 +214,10 @@ def _instance_keys(
     width: int,
     vocabulary: int,
     prefixes: list[np.ndarray],
-) -> Iterator[tuple[int, np.ndarray]]:
+) -> Iterator[tuple[int, slice, np.ndarray]]:
     """The packed keys of the first `width` tokens of every instance, in scan
-    order, a block of sentences at a time: (first instance number, keys).
+    order, a block of sentences at a time: (first scan-order instance
+    number, the block's sentences, keys).
 
     A key is the rank of its first token; each later token multiplies the
     key by the vocabulary size and adds its rank. Before token j goes in
@@ -255,17 +242,21 @@ def _instance_keys(
                 keys = np.searchsorted(prefixes[j - 2], keys)
             keys *= vocabulary
             keys += tokens[at + j]
-        yield first - (n - 1) * lo, keys
+        yield first - (n - 1) * lo, sentences, keys
 
 
-def _sorted_distinct(packed: np.ndarray, blocks: Iterator[tuple[int, np.ndarray]]) -> np.ndarray:
-    """Write each (first instance number, keys) block of `_instance_keys`
-    into `packed` at its instances' places, sort it in place, and return its
-    distinct keys, sorted."""
-    for i, keys in blocks:
+def _sorted_distinct(
+    packed: np.ndarray, blocks: Iterator[tuple[int, slice, np.ndarray]]
+) -> np.ndarray:
+    """Write each block of `_instance_keys` into `packed` at its instances'
+    scan-order places, sort it in place, and return its distinct keys,
+    sorted: each value's first occurrence."""
+    for i, _, keys in blocks:
         packed[i : i + len(keys)] = keys
     packed.sort()
-    return _repeated(packed, 1)
+    first = np.ones(len(packed), dtype=bool)
+    np.not_equal(packed[1:], packed[:-1], out=first[1:])
+    return packed[first]
 
 
 def _compact(
@@ -278,9 +269,10 @@ def _compact(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Move the kept instances of the sorted `packed` (key * instances + i)
     to its front, a _BLOCK at a time, each written as its (bin, sentence id)
-    int32 pair over its own 8 bytes. Returns the (K + 1,) int64 starts of the
-    kept n-grams' runs in the compacted buffer and each one's first instance
-    number.
+    int32 pair over its own 8 bytes. Instance i is a window of the sentence
+    that `window_ends` (bin order, as `bins` and `sids`) places it in.
+    Returns the (K + 1,) int64 starts of the kept n-grams' runs in the
+    compacted buffer and each one's first instance number.
 
     A run of equal keys is kept when it holds min_total rows or more; a run
     begun in an earlier block keeps that block's verdict. A block writes at
@@ -328,16 +320,6 @@ def _compact(
     return np.concatenate(starts).astype(np.int64, copy=False), np.concatenate(firsts)
 
 
-def _repeated(keys: np.ndarray, min_total: int) -> np.ndarray:
-    """The distinct values of sorted `keys` that occur at least min_total
-    times, sorted: a value's first occurrence that equals the value
-    min_total - 1 places further on."""
-    head = keys[: max(len(keys) - min_total + 1, 0)]
-    kept = head == keys[min_total - 1 : min_total - 1 + len(head)]
-    kept[1:] &= head[1:] != head[:-1]
-    return head[kept]
-
-
 def build_ngram_table(
     docs: Iterable[Document],
     n: int = 2,
@@ -354,16 +336,17 @@ def build_ngram_table(
     and nothing else of it, and creates no object per n-gram or per
     instance. Once the pass has ended the binning is fixed: it spans the
     earliest and latest dates read, as `build_binning` spans them. Each
-    sentence takes its document's bin and, unless the documents came in
-    date order, a stable sort by bin puts the sentences in bin order, input
-    order within a bin, as `TimeBinnedCorpus.iter_documents` yields them.
-    numpy then groups the instances: each instance's tokens are packed into
-    one int64 key (`_instance_keys`), packed again with the instance's
-    number and sorted once in place, and each run of at least min_total
-    equal keys is a kept n-gram, whose instances `_compact` turns into
-    contexts in the same buffer. Each kept sentence's token row is a span
-    of the scan's ids. A bad option is refused before the first document
-    is read; no documents, or 2**31 instances or more, after.
+    sentence takes its document's bin. The tokens stay in scan order; a
+    stable sort of the sentences by bin numbers the instances in bin order,
+    input order within a bin, as `TimeBinnedCorpus.iter_documents` yields
+    them. numpy then groups the instances: each instance's tokens are
+    packed into one int64 key (`_instance_keys`, in scan order), packed
+    again with the instance's bin-order number and sorted once in place,
+    and each run of at least min_total equal keys is a kept n-gram, whose
+    instances `_compact` turns into contexts in the same buffer. Each kept
+    sentence's token row is a span of the scan's ids. A bad option is
+    refused before the first document is read; no documents, or 2**31
+    instances or more, after.
     """
     if n < 1:
         raise InputError("n must be >= 1")
@@ -416,33 +399,36 @@ def build_ngram_table(
     ranked = rank[np.frombuffer(ids, dtype=np.intc)]
     del ids, rank, by_text
 
-    # Bin order: the order of each n-gram's contexts, and so
-    # ngram_table.json, depends on it. A file out of date order is put in
-    # bin order by a stable sort, which keeps a bin's sentences in scan
-    # order; the token ids follow their sentences.
     bins = doc_bins[np.frombuffer(docs_of, dtype=np.intc)]
     sids, lengths = (np.frombuffer(a, dtype=np.intc) for a in (sids, lengths))
     ends = np.cumsum(lengths, dtype=np.int64)
     del doc_bins, docs_of
-    if (bins[1:] < bins[:-1]).any():
-        by_bin = np.argsort(bins, kind="stable")
-        bins, sids, first = bins[by_bin], sids[by_bin], (ends - lengths)[by_bin]
-        lengths = lengths[by_bin]
-        ranked, ends = _gather_runs(ranked, first, lengths)
-        ends = ends[1:]
-        del by_bin, first
     totals = np.zeros(binning.bin_count, dtype=np.int64)
     np.add.at(totals, bins, lengths - (n - 1))
     bin_totals = totals.tolist()
     del totals
 
-    # Instance i, in bin order, is the window at token i + (n - 1) * s of
-    # its sentence s: each earlier sentence has n - 1 more tokens than
-    # windows. One instance array is sorted in place, with no permutation:
-    # for n > 2 once per prefix width, whose distinct keys rank the next
-    # width's prefixes, and then once at full width, each instance's key
-    # packed with its number as key * instances + i. Sorted, one n-gram's
-    # instances are one run, in instance and so bin order.
+    # The instances are numbered in bin order, scan order within a bin: the
+    # order of each n-gram's contexts, and so ngram_table.json, depends on
+    # it. The tokens stay in scan order. One stable sort of the sentences by
+    # bin, the identity for a file in date order, gives each sentence its
+    # place in bin order, and `shift` turns its scan-order instance numbers
+    # into bin-order ones. Each earlier sentence has n - 1 more tokens than
+    # windows, so window_ends[t] ends the instances of the t-th sentence in
+    # bin order.
+    by_bin = np.argsort(bins, kind="stable").astype(np.int32)
+    bins, sids = bins[by_bin], sids[by_bin]
+    window_ends = np.cumsum(lengths[by_bin] - (n - 1), dtype=np.int64)
+    shift = np.empty(len(ends), dtype=np.int64)
+    shift[by_bin] = window_ends
+    shift -= ends - (n - 1) * np.arange(1, len(ends) + 1)
+
+    # One instance array is sorted in place, with no permutation of it: for
+    # n > 2 once per prefix width, whose distinct keys rank the next width's
+    # prefixes, and then once at full width, each instance's key packed with
+    # its bin-order number as key * instances + i. Sorted, one n-gram's
+    # instances are one run, in instance and so bin order; where a value
+    # sits before the sort does not matter.
     vocabulary = len(words)
     packed = np.empty(instances, dtype=np.int64)
     prefixes: list[np.ndarray] = []
@@ -457,27 +443,30 @@ def build_ngram_table(
     ranks = None
     if span * instances > _PACK_LIMIT:
         ranks = _sorted_distinct(packed, _instance_keys(ranked, ends, n, n, vocabulary, prefixes))
-    for i, keys in _instance_keys(ranked, ends, n, n, vocabulary, prefixes):
+    for i, sentences, keys in _instance_keys(ranked, ends, n, n, vocabulary, prefixes):
         if ranks is not None:
             keys = np.searchsorted(ranks, keys)
         keys *= instances
         keys += np.arange(i, i + len(keys))
+        keys += np.repeat(shift[sentences], lengths[sentences] - (n - 1))
         packed[i : i + len(keys)] = keys
     packed.sort()
-    del prefixes, ranks
+    del prefixes, ranks, shift
 
     # The kept instances move to the front of the buffer, each as its
     # (bin, sentence id) pair in its own 8 bytes, and the buffer shrinks to
     # them: the contexts are the two int32 columns of an (M, 2) array.
-    window_ends = ends - (n - 1) * np.arange(1, len(ends) + 1)
     context_start, first = _compact(packed, instances, min_total, window_ends, bins, sids)
     # No view of the buffer is left, so it is cut to its first M rows in place.
     packed.resize(context_start[-1], refcheck=False)
     contexts = packed.view(np.int32).reshape(-1, 2)
-    # Each key's text, from its first instance's tokens.
-    first += (n - 1) * np.searchsorted(window_ends, first, side="right")
+    # Each key's text, from its first instance's tokens: a sentence's k-th
+    # window starts at its k-th token, and its windows end n - 1 places
+    # before its tokens do.
+    at = np.searchsorted(window_ends, first, side="right")
+    first += ends[by_bin[at]] - window_ends[at] - (n - 1)
     key_columns = [[words[r] for r in ranked[first + j].tolist()] for j in range(n)]
-    del packed, window_ends, first, bins
+    del packed, window_ends, first, at, bins
 
     # Renumber the hosting sentences by first use in sorted key order.
     used = len(contexts)
@@ -494,9 +483,9 @@ def build_ngram_table(
     # Each kept sentence's row of tokens is the run of `ranked` at any of
     # its occurrences: one sentence text always has the same tokens.
     occurrence = np.empty(len(texts), dtype=np.int64)
-    occurrence[sids] = np.arange(len(sids))
+    occurrence[sids] = by_bin
     scanned = occurrence[hosts]
-    del texts, first_use, new_id, occurrence, sids, hosts
+    del texts, first_use, new_id, occurrence, sids, by_bin, hosts
     spans = np.empty((len(scanned), 2), dtype=np.int64)
     spans[:, 1] = ends[scanned]
     spans[:, 0] = spans[:, 1] - lengths[scanned]

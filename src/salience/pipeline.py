@@ -37,9 +37,9 @@ instances):
 The loaders return the same arrays, so `analyze` and the stage subcommands
 share one representation. Every bounded pass over them takes its rows in
 the blocks of `association._blocks`, each the longest run of rows within a
-budget or else one row: `_BLOCK` (2**16) integer elements, as in the
-counts and the similarity kernel, or `_BLOCK_CELLS` (2**14) cells rendered
-to text or reduced in float temporaries. The CSV and table writers render
+budget or else one row: `_BLOCK` (2**14) elements, integers as in the
+counts and the similarity kernel, or cells rendered to text or reduced in
+float temporaries. The CSV and table writers render
 straight from the arrays a block at a time, each block by a function call
 whose strings are freed before the next block's are made, so what a writer
 holds does not grow with the table; their bytes are those of csv.writer
@@ -78,7 +78,7 @@ import numpy as np
 
 from . import __version__
 from .association import (
-    _BLOCK_CELLS,
+    _BLOCK,
     TopicAssociation,
     _blocks,
     associate,
@@ -193,7 +193,7 @@ def write_ngram_trends_csv(
     path: Path, table: NgramTable, usage: np.ndarray, bin_labels: list[str]
 ) -> None:
     """One row per n-gram: its name, total and usage trend, floats as their
-    shortest round-trip repr, rendered _BLOCK_CELLS usage cells at a time.
+    shortest round-trip repr, rendered _BLOCK usage cells at a time.
 
     The bytes are those of csv.writer. Rows are joined by hand: an n-gram's
     text is word tokens joined by spaces, and neither it nor a count or a
@@ -207,7 +207,7 @@ def write_ngram_trends_csv(
 
     with path.open("w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerow(["ngram", "total", *bin_labels])
-        for rows in _blocks(usage.shape[1] * np.arange(1, len(usage) + 1), _BLOCK_CELLS):
+        for rows in _blocks(usage.shape[1] * np.arange(1, len(usage) + 1), _BLOCK):
             fh.write(block(rows))
 
 
@@ -258,7 +258,7 @@ def write_table_json(path: Path, table: NgramTable) -> None:
 
     The bytes are those of one compact json.dumps of the whole table: names
     and sentences go through the encoder's own ASCII escaper and integers
-    through str. Sentences and n-grams are rendered _BLOCK_CELLS cells at a
+    through str. Sentences and n-grams are rendered _BLOCK cells at a
     time, a sentence holding one cell per character, since its text is far
     longer than a number's, and an n-gram one cell per bin and one per
     context.
@@ -278,11 +278,11 @@ def write_table_json(path: Path, table: NgramTable) -> None:
     with path.open("w", encoding="utf-8") as fh:
         fh.write(json.dumps(header, separators=(",", ":"))[:-1] + ',"sentences":[')
         lengths = np.fromiter(map(len, table.sentences), np.int64, len(table.sentences))
-        for rows in _blocks(np.cumsum(lengths), _BLOCK_CELLS):
+        for rows in _blocks(np.cumsum(lengths), _BLOCK):
             fh.write("," if rows.start else "")
             fh.write(",".join(map(encode_basestring_ascii, table.sentences[rows])))
         fh.write('],"ngrams":{')
-        for rows in _blocks(cells, _BLOCK_CELLS):
+        for rows in _blocks(cells, _BLOCK):
             fh.write("," if rows.start else "")
             fh.write(_table_entries(table, rows))
         fh.write("}}\n")
@@ -426,7 +426,7 @@ def write_similarity_csv(
     path: Path, keys: list[str], sims: np.ndarray, topic_ids: list[str]
 ) -> None:
     """One row per n-gram and topic, in sorted n-gram order and topic order,
-    rendered _BLOCK_CELLS similarities at a time.
+    rendered _BLOCK similarities at a time.
 
     The bytes are those of csv.writer. Rows are joined by hand: an n-gram's
     text is word tokens joined by spaces and a float repr holds no comma
@@ -451,7 +451,7 @@ def write_similarity_csv(
 
     with path.open("w", encoding="utf-8", newline="") as fh:
         fh.write("ngram,topic_id,similarity\n")
-        for rows in _blocks(topics * np.arange(1, len(keys) + 1), _BLOCK_CELLS):
+        for rows in _blocks(topics * np.arange(1, len(keys) + 1), _BLOCK):
             fh.write(block(rows))
 
 
@@ -589,7 +589,7 @@ def load_associations_json(path: Path, keys: list[str]) -> dict[str, TopicAssoci
 def write_trend_csv(
     path: Path, topic_ids: list[str], values: np.ndarray, bin_labels: list[str]
 ) -> None:
-    """One row per topic of a (topics × bins) array, rendered _BLOCK_CELLS
+    """One row per topic of a (topics × bins) array, rendered _BLOCK
     values at a time; the header and topic ids go through csv.writer."""
     cells = [_csv_cell(topic_id) for topic_id in topic_ids]
 
@@ -599,7 +599,7 @@ def write_trend_csv(
 
     with path.open("w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerow(["topic_id", *bin_labels])
-        for rows in _blocks(values.shape[1] * np.arange(1, len(values) + 1), _BLOCK_CELLS):
+        for rows in _blocks(values.shape[1] * np.arange(1, len(values) + 1), _BLOCK):
             fh.write(block(rows))
 
 
@@ -613,7 +613,7 @@ def write_matrix_json(
 
     The bytes are those of json.dumps(payload, indent=2) and a newline,
     rendered as `write_associations_json` renders them, from one template
-    whose labels are encoded once; the values are rendered _BLOCK_CELLS
+    whose labels are encoded once; the values are rendered _BLOCK
     cells, whole bins, at a time.
     """
     if framework.has_grid:
@@ -623,7 +623,7 @@ def write_matrix_json(
     width = len(framework.columns or framework.topics)
     labels = "".join(f',\n  "{name}": {text}' for name, text in fields.items())
     height = len(matrix)
-    for bins in _blocks(height * np.arange(1, len(bin_labels) + 1), _BLOCK_CELLS):
+    for bins in _blocks(height * np.arange(1, len(bin_labels) + 1), _BLOCK):
         for t, cells in enumerate(_cell_texts(matrix[:, bins].T, json_floats=True), bins.start):
             rows = [_json_block("[]", cells[at : at + width], "    ") for at in range(0, height, width)]
             label, values = encode_basestring_ascii(bin_labels[t]), _json_block("[]", rows, "  ")
@@ -711,7 +711,9 @@ class _Handoff:
 def trends_stage(run: _Run, held: _Handoff) -> str:
     """Trends stage: writes the n-gram table, scanned from the corpus unless
     held, to ngram_table.json and its usage array to ngram_trends.csv. The
-    usage is made after the table is written and dropped once it is."""
+    usage is made after the table is written and dropped once it is, and
+    the sentence texts once the table is written: no later stage reads
+    them, as the similarity kernel reads the token rows the scan left."""
     from .ngrams import usage_matrix
 
     table = held.table or held.scan()
@@ -720,6 +722,7 @@ def trends_stage(run: _Run, held: _Handoff) -> str:
             f"no n-gram reached min-count {table.min_total}; lower --min-count or supply more text"
         )
     write_table_json(run.target("ngram_table.json"), table)
+    del table.sentences
     usage = usage_matrix(table)
     write_ngram_trends_csv(run.target("ngram_trends.csv"), table, usage, table.binning.labels())
     return f"wrote {len(table.keys)} n-gram trends to {run.out_dir}"
@@ -826,23 +829,25 @@ def run_analyze(config: RunConfig) -> dict:
             # The corpus file is read once, by the n-gram scan, so ingest
             # covers the scan; no document is held past it.
             held.load_topics()
-            held.table = held.scan()
-
-        for name, stage in STAGE_FUNCTIONS.items():
-            with run.stage(name):
-                stage(run, held)
-
-        # The counts the manifest records; the manifest stage then hashes the
-        # artifacts without holding the table, usage or associations.
-        table, associations = held.table, held.associations
+            held.table = table = held.scan()
+        # The counts the manifest records, taken before the trends stage
+        # drops the table's sentence texts.
         corpus = {
             "documents": next(held.documents),
             "bins": table.binning.bin_count,
             "ngrams": len(table.keys),
             "instances": sum(table.bin_totals),
             "sentences": len(table.sentences),
-            "empty_topics": sorted(tid for tid, assoc in associations.items() if not assoc.members),
         }
+
+        for name, stage in STAGE_FUNCTIONS.items():
+            with run.stage(name):
+                stage(run, held)
+
+        # The manifest stage then hashes the artifacts without holding the
+        # table, usage or associations.
+        associations = held.associations.items()
+        corpus["empty_topics"] = sorted(tid for tid, assoc in associations if not assoc.members)
         del held, table, associations
 
         with run.stage("manifest"):

@@ -62,7 +62,7 @@ class TestRelativeStdDevs:
         rng = np.random.default_rng(block)
         usage = rng.uniform(0, 1, size=(30, 5)) + 1e-3
         expected = relative_std_devs(usage).tolist()
-        monkeypatch.setattr(association, "_BLOCK_CELLS", block)
+        monkeypatch.setattr(association, "_BLOCK", block)
         assert relative_std_devs(usage).tolist() == expected
         assert expected == [relative_std_dev(row) for row in usage.tolist()]
 
@@ -71,7 +71,7 @@ class TestRelativeStdDevs:
             relative_std_devs(np.array([[0.1, 0.2], [0.0, 0.0]]))
 
     def test_zero_row_in_a_later_block_is_inconsistent(self, monkeypatch):
-        monkeypatch.setattr(association, "_BLOCK_CELLS", 2)
+        monkeypatch.setattr(association, "_BLOCK", 2)
         with pytest.raises(ConsistencyError):
             relative_std_devs(np.array([[0.1, 0.2], [0.3, 0.1], [0.0, 0.0]]))
 

@@ -456,9 +456,9 @@ def test_table_equals_reference(items, n, min_total):
 @settings(max_examples=40)
 @given(mixed_corpus, st.integers(min_value=1, max_value=4), st.sampled_from([1, 2, 5]))
 def test_block_size_does_not_change_the_table(items, n, block):
-    # The build packs keys, looks instances up and gathers token rows a
-    # bounded block at a time; a block of one element puts a block boundary
-    # at every sentence and run. The documents come in month order or not.
+    # The build packs and numbers keys and compacts instances a bounded
+    # block at a time; a block of one element puts a block boundary at every
+    # sentence and run. The documents come in month order or not.
     docs = _docs_from(items)
     expected = build_ngram_table(docs, n=n, min_total=2)
     with mock.patch.object(ngrams, "_BLOCK", block):
@@ -632,7 +632,7 @@ def test_write_blocks_do_not_change_the_table(tmp_path, monkeypatch, block):
     # a time.
     docs = _docs_from([(1, "a b c. b c d"), (2, "a b. c d e"), (3, "b c d"), (4, "émile a b")])
     table = build_ngram_table(docs, n=2, min_total=1)
-    monkeypatch.setattr(pipeline, "_BLOCK_CELLS", block)
+    monkeypatch.setattr(pipeline, "_BLOCK", block)
     path = tmp_path / "ngram_table.json"
     write_table_json(path, table)
     # The file is one compact json.dumps of the whole table.

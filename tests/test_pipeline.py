@@ -18,7 +18,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from salience import cli, pipeline, render, runs
+from salience import cli, ngrams, pipeline, render, runs
 from salience.cli import main
 from salience.corpus import TimeBinning, build_binning, load_corpus, read_corpus
 from salience.errors import InputError
@@ -132,6 +132,30 @@ class TestAnalyze:
             assert hashlib.sha256((out / rel).read_bytes()).hexdigest() == digest
         sentences = json.loads((out / "ngram_table.json").read_text())["sentences"]
         assert manifest["corpus"]["sentences"] == len(set(sentences)) == len(sentences) > 0
+
+    def test_sentence_texts_are_dropped_once_the_table_is_written(self, workspace, monkeypatch):
+        # After the trends stage the texts are gone: the similarity stage
+        # scores from the scan's token rows and never re-tokenizes, and the
+        # manifest's count was taken before the texts went.
+        tmp, corpus, framework = workspace
+        written, write = [], pipeline.write_table_json
+
+        def write_table_json(path, table):
+            write(path, table)
+            written.append(table)
+
+        def intern_sentences(sentences):
+            raise AssertionError("analyze re-tokenized the sentences")
+
+        monkeypatch.setattr(pipeline, "write_table_json", write_table_json)
+        monkeypatch.setattr(ngrams, "intern_sentences", intern_sentences)
+        out = tmp / "run_dropped"
+        manifest = run_analyze(RunConfig(corpus=corpus, framework=framework, out_dir=out))
+        (table,) = written
+        with pytest.raises(AttributeError, match="sentences"):
+            table.sentence_tokens
+        sentences = json.loads((out / "ngram_table.json").read_text())["sentences"]
+        assert manifest["corpus"]["sentences"] == len(sentences) > 0
 
     def test_manifest_times_each_stage(self, workspace):
         tmp, corpus, framework = workspace

@@ -30,7 +30,7 @@ from salience.runs import load_matrix_json
 from salience.salience import salience_matrix
 from salience.topics import Topic, TopicFramework
 
-DEFAULT_BUDGET = pipeline._BLOCK_CELLS
+DEFAULT_BUDGET = pipeline._BLOCK
 # One cell per block, a small odd budget, and the module's own.
 BUDGETS = [1, 7, DEFAULT_BUDGET]
 SPECIAL_FLOATS = [
@@ -56,7 +56,7 @@ words = st.sampled_from(["a", "b", "ab", "2017", "é", "Ünï", "z9"])
 
 def _written(budget: int, writer, *args) -> bytes:
     with tempfile.TemporaryDirectory() as folder, mock.patch.object(
-        pipeline, "_BLOCK_CELLS", budget
+        pipeline, "_BLOCK", budget
     ):
         path = Path(folder) / "artifact"
         writer(path, *args)
@@ -306,7 +306,7 @@ def test_matrix_json_is_json_dumps_indent_2(case, budget):
     framework, salience, bin_labels = case
     matrix = salience_matrix(framework, salience)
     with tempfile.TemporaryDirectory() as folder, mock.patch.object(
-        pipeline, "_BLOCK_CELLS", budget
+        pipeline, "_BLOCK", budget
     ):
         paths = [Path(folder) / f"{t}.json" for t in range(len(bin_labels))]
         pipeline.write_matrix_json(paths, framework, matrix, bin_labels)
