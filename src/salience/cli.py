@@ -95,13 +95,15 @@ _FLAGS = {
 def _add_options(parser, names) -> None:
     for name in names:
         flag, options = _FLAGS[name]
-        parser.add_argument(flag, dest=name, default=getattr(RunConfig, name, None), **options)
+        default = RunConfig._field_defaults.get(name)
+        parser.add_argument(flag, dest=name, default=default, **options)
 
 
 def _config(args) -> RunConfig:
     """The RunConfig of a command's flags, with a stage subcommand's `--in`
     as `out_dir`; a field with no flag keeps its default, or else None."""
-    values = {name: getattr(args, name, getattr(RunConfig, name, None)) for name in _FLAGS}
+    defaults = RunConfig._field_defaults
+    values = {name: getattr(args, name, defaults.get(name)) for name in _FLAGS}
     return RunConfig(**{**values, "out_dir": getattr(args, "in_dir", values["out_dir"])})
 
 

@@ -4,8 +4,8 @@
 at a time, so that `analyze` and the trends stage stream the file through
 the n-gram scan and hold no document list. `span_binning` gives the time
 axis spanning two dates; the scan fixes it from the dates it read.
-`load_corpus`, `build_binning`, `bin_documents` and `TimeBinnedCorpus` hold
-a whole corpus, binned: the tests' reference for the scan.
+`load_corpus`, `build_binning` and `bin_documents` hold a whole corpus,
+binned as (bin index, document) pairs: the tests' reference for the scan.
 
 The time axis defined here (contiguous, uniform bins covering the full date
 span, empty bins retained) is shared by every downstream trend computation.
@@ -188,40 +188,18 @@ def span_binning(lo: dt.date, hi: dt.date, granularity: str = "month") -> TimeBi
     return TimeBinning(granularity=granularity, origin=origin, bin_count=count)
 
 
-@dataclass(frozen=True)
-class TimeBinnedCorpus:
-    """Documents partitioned into the binning's ordered bins.
-
-    docs_by_bin keeps one (possibly empty) id list per bin, in input order;
-    documents maps ids back to their Document. Immutable once built.
-    """
-
-    binning: TimeBinning
-    docs_by_bin: tuple[tuple[str, ...], ...]
-    documents: dict[str, Document]
-
-    def iter_documents(self) -> Iterator[tuple[int, Document]]:
-        """Yield (bin index, document) in bin order, input order within bins."""
-        for t, ids in enumerate(self.docs_by_bin):
-            for doc_id in ids:
-                yield t, self.documents[doc_id]
-
-
-def bin_documents(docs: list[Document], binning: TimeBinning) -> TimeBinnedCorpus:
-    """Assign each document to exactly one bin, preserving input order per bin."""
-    by_bin: list[list[str]] = [[] for _ in range(binning.bin_count)]
-    documents: dict[str, Document] = {}
+def bin_documents(docs: list[Document], binning: TimeBinning) -> list[tuple[int, Document]]:
+    """(bin index, document) pairs in bin order, input order within a bin.
+    Raises ConsistencyError on a duplicate id and InputError, naming the
+    document, on a date outside the binning."""
+    seen: set[str] = set()
+    pairs = []
     for doc in docs:
-        if doc.id in documents:
+        if doc.id in seen:
             raise ConsistencyError(f"duplicate document id {doc.id!r} during binning")
         try:
-            idx = binning.index_of(doc.date)
+            pairs.append((binning.index_of(doc.date), doc))
         except InputError as exc:
             raise InputError(f"document {doc.id!r}: {exc}") from exc
-        by_bin[idx].append(doc.id)
-        documents[doc.id] = doc
-    return TimeBinnedCorpus(
-        binning=binning,
-        docs_by_bin=tuple(tuple(ids) for ids in by_bin),
-        documents=documents,
-    )
+        seen.add(doc.id)
+    return sorted(pairs, key=lambda pair: pair[0])

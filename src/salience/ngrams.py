@@ -338,8 +338,8 @@ def build_ngram_table(
     earliest and latest dates read, as `build_binning` spans them. Each
     sentence takes its document's bin. The tokens stay in scan order; a
     stable sort of the sentences by bin numbers the instances in bin order,
-    input order within a bin, as `TimeBinnedCorpus.iter_documents` yields
-    them. numpy then groups the instances: each instance's tokens are
+    input order within a bin, as `bin_documents` orders the documents.
+    numpy then groups the instances: each instance's tokens are
     packed into one int64 key (`_instance_keys`, in scan order), packed
     again with the instance's bin-order number and sorted once in place,
     and each run of at least min_total equal keys is a kept n-gram, whose

@@ -817,11 +817,16 @@ def run_analyze(config: RunConfig) -> dict:
     """Execute the full pipeline and write every artifact; returns the manifest.
 
     On any stage failure the partial outputs written so far are removed and
-    the error names the failing stage.
+    the error names the failing stage. An earlier run's manifest is removed
+    before the first artifact is rewritten, and the new one comes into place
+    by one rename after the last, so a run killed at any point leaves no
+    manifest that disagrees with the artifacts.
     """
     config.validate()
     out_dir = Path(config.out_dir)
     make_dir(out_dir)
+    manifest_path, partial = out_dir / "manifest.json", out_dir / "manifest.json.partial"
+    manifest_path.unlink(missing_ok=True)
     run = _Run(out_dir)
     held = _Handoff(config)
     try:
@@ -869,9 +874,10 @@ def run_analyze(config: RunConfig) -> dict:
                 "timings": run.timings,
             }
         text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-        (out_dir / "manifest.json").write_text(text, encoding="utf-8")
+        partial.write_text(text, encoding="utf-8")
+        os.replace(partial, manifest_path)
     except BaseException:
         run.cleanup()
-        (out_dir / "manifest.json").unlink(missing_ok=True)
+        partial.unlink(missing_ok=True)
         raise
     return manifest

@@ -30,7 +30,6 @@ import sys
 import time
 from array import array
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
@@ -45,10 +44,10 @@ GRANULARITIES = ("month", "week", "day")
 NORMALIZATIONS = ("zscore", "minmax")
 
 
-@dataclass
-class RunConfig:
-    """The options of one `analyze` run. The CLI's flags set these fields by
-    name and take their defaults from here."""
+class RunConfig(NamedTuple):
+    """The options of one `analyze` run, as an immutable named tuple
+    (`_replace` makes a changed copy). The CLI's flags set these fields by
+    name and take their defaults from `_field_defaults`."""
 
     corpus: Path
     framework: Path
@@ -70,8 +69,7 @@ class RunConfig:
 
     def echo(self) -> dict:
         """The fields as the manifest records them, each path as text."""
-        values = {field.name: getattr(self, field.name) for field in fields(self)}
-        return {name: str(v) if isinstance(v, Path) else v for name, v in values.items()}
+        return {name: str(v) if isinstance(v, Path) else v for name, v in self._asdict().items()}
 
 
 class Stage(NamedTuple):
@@ -310,7 +308,8 @@ def _different_ngrams(read: list[str], wanted: list[str]) -> ConsistencyError:
 def load_trend_csv(path: Path) -> tuple[dict[str, list[float]], list[str]]:
     """Inverse of `write_trend_csv`: per-topic values plus the bin labels.
     Refuses a row whose length differs from the header's, a topic id that
-    repeats, and a value that is not finite, naming its topic and bin."""
+    repeats, a cell that is not a number as the writer spells one, and a
+    value that is not finite, naming its topic and bin."""
     trends: dict[str, list[float]] = {}
     with _read_csv(path, "trend table", "salience") as artifact:
         header = artifact.header()
@@ -324,6 +323,9 @@ def load_trend_csv(path: Path) -> tuple[dict[str, list[float]], list[str]]:
             topic_id, *values = row
             if topic_id in trends:
                 raise ValueError(f"topic {topic_id!r} repeats")
+            for value in values:
+                if not _NUMBERS.fullmatch(value + ","):
+                    raise ValueError(f"expected a number for each bin, found {value!r}")
             trends[topic_id] = [float(v) for v in values]
     for topic_id, values in trends.items():
         for label, value in zip(header[1:], values):

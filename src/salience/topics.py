@@ -16,9 +16,10 @@ a bounded block of sentences at a time, so it tokenizes nothing: each
 distinct word is lowercased and mapped to its vocabulary column once.
 `score_terms` then scores every n-gram from that small term table alone, so
 the token rows can be dropped before the (n-grams × topics) output is made.
-The scalar path (`context_vector`, `ngram_vector`, `cosine`,
-`similarity_matrix`) works on dense (vocabulary,) rows and is kept as the
-public reference oracle the batch kernel is tested against.
+The scalar path (`ngram_vector`, `cosine`, `similarity_matrix`) works on
+dense (vocabulary,) rows and is kept as the reference oracle the batch
+kernel is tested against: `similarity_matrix` returns one n-gram's T
+cosines as a plain tuple in framework topic order.
 """
 
 from __future__ import annotations
@@ -298,22 +299,16 @@ def build_vector_space(
     return space, np.array([_tfidf_row(space, tokens) for tokens in topic_tokens])
 
 
-def context_vector(space: VectorSpace, context: str) -> np.ndarray:
-    """TF-IDF row of a context string; out-of-vocabulary terms drop out.
-
-    Scalar reference oracle; `analyze` uses the batch kernel instead.
-    """
-    return _tfidf_row(space, _lower_tokens(context))
-
-
 def ngram_vector(space: VectorSpace, contexts: Sequence[str]) -> np.ndarray:
-    """Component-wise mean of the raw (unnormalized) context rows.
+    """Component-wise mean of the raw (unnormalized) TF-IDF rows of the
+    context strings; out-of-vocabulary terms drop out.
 
     Scalar reference oracle; `analyze` uses the batch kernel instead.
     """
     if not contexts:
         raise ConsistencyError("n-gram with no contexts: every tabled n-gram has instances")
-    return sum(context_vector(space, context) for context in contexts) / len(contexts)
+    rows = (_tfidf_row(space, _lower_tokens(context)) for context in contexts)
+    return sum(rows) / len(contexts)
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
@@ -329,46 +324,16 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-@dataclass(frozen=True)
-class SimilarityMatrix:
-    """Cosine similarity of one n-gram against every framework topic."""
-
-    ngram: str
-    framework: TopicFramework
-    values: tuple[float, ...]  # framework topic order
-
-    def value_for(self, topic_id: str) -> float:
-        for topic, value in zip(self.framework.topics, self.values):
-            if topic.id == topic_id:
-                return value
-        raise InputError(f"unknown topic id {topic_id!r}")
-
-    def grid(self) -> list[list[float]]:
-        """The values row by row over the framework's grid."""
-        framework = self.framework
-        if not framework.has_grid:
-            raise InputError(
-                f"framework {framework.name!r} declares no grid; render values as a list instead"
-            )
-        values = np.array(self.values)[framework.grid_order()]
-        return values.reshape(len(framework.rows), -1).tolist()
-
-
 def similarity_matrix(
-    ngram: str,
-    contexts: Sequence[str],
-    framework: TopicFramework,
-    space: VectorSpace,
-    topics: np.ndarray,
-) -> SimilarityMatrix:
-    """Score one n-gram against every topic row of `topics` (framework topic
-    order) via its averaged context vector.
+    contexts: Sequence[str], space: VectorSpace, topics: np.ndarray
+) -> tuple[float, ...]:
+    """Cosine similarity of one n-gram, via its averaged context vector,
+    against every topic row of `topics`, in framework topic order.
 
     Scalar reference oracle; `analyze` uses the batch kernel instead.
     """
     vec = ngram_vector(space, contexts)
-    values = tuple(cosine(vec, row) for row in topics)
-    return SimilarityMatrix(ngram=ngram, framework=framework, values=values)
+    return tuple(cosine(vec, row) for row in topics)
 
 
 def sentence_terms(

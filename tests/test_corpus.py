@@ -13,7 +13,7 @@ from salience.corpus import (
     load_corpus,
     read_corpus,
 )
-from salience.errors import InputError
+from salience.errors import ConsistencyError, InputError
 from salience.ngrams import build_ngram_table
 
 from conftest import corpus_file, day
@@ -186,16 +186,28 @@ class TestBuildBinning:
             build_binning(_docs(day(2017, 1, 1)), granularity="fortnight")
 
 
+def _binned_ids(docs, binning):
+    return [(t, doc.id) for t, doc in bin_documents(docs, binning)]
+
+
 class TestBinDocuments:
     def test_one_doc_one_bin(self):
         docs = _docs(day(2017, 5, 10))
-        corpus = bin_documents(docs, build_binning(docs))
-        assert corpus.docs_by_bin == (("d0",),)
+        assert _binned_ids(docs, build_binning(docs)) == [(0, "d0")]
 
     def test_same_month_preserves_input_order(self):
         docs = _docs(day(2017, 5, 20), day(2017, 5, 3))
-        corpus = bin_documents(docs, build_binning(docs))
-        assert corpus.docs_by_bin == (("d0", "d1"),)
+        assert _binned_ids(docs, build_binning(docs)) == [(0, "d0"), (0, "d1")]
+
+    def test_bin_order_then_input_order(self):
+        docs = _docs(day(2017, 6, 9), day(2017, 5, 20), day(2017, 6, 1), day(2017, 5, 3))
+        pairs = _binned_ids(docs, build_binning(docs))
+        assert pairs == [(0, "d1"), (0, "d3"), (1, "d0"), (1, "d2")]
+
+    def test_duplicate_id_is_a_consistency_error(self):
+        docs = _docs(day(2017, 5, 1), day(2017, 5, 2))
+        with pytest.raises(ConsistencyError, match="'d0'"):
+            bin_documents(docs + docs[:1], build_binning(docs))
 
     def test_out_of_span_names_document(self):
         docs = _docs(day(2017, 5, 1))
@@ -206,9 +218,9 @@ class TestBinDocuments:
 
     def test_empty_bins_retained(self):
         docs = _docs(day(2017, 1, 1), day(2017, 4, 1))
-        corpus = bin_documents(docs, build_binning(docs))
-        assert len(corpus.docs_by_bin) == 4
-        assert corpus.docs_by_bin[1] == () and corpus.docs_by_bin[2] == ()
+        binning = build_binning(docs)
+        assert binning.bin_count == 4
+        assert _binned_ids(docs, binning) == [(0, "d0"), (3, "d1")]
 
 
 dates_strategy = st.dates(min_value=day(2015, 1, 1), max_value=day(2019, 12, 31))
@@ -218,10 +230,13 @@ dates_strategy = st.dates(min_value=day(2015, 1, 1), max_value=day(2019, 12, 31)
 @given(st.lists(dates_strategy, min_size=1, max_size=30))
 def test_partition_every_doc_in_exactly_one_bin(dates):
     docs = _docs(*dates)
-    corpus = bin_documents(docs, build_binning(docs))
-    ids = [i for ids in corpus.docs_by_bin for i in ids]
+    binning = build_binning(docs)
+    pairs = bin_documents(docs, binning)
+    ids = [doc.id for _, doc in pairs]
     assert sorted(ids) == sorted(d.id for d in docs)
     assert len(set(ids)) == len(ids)
+    assert all(t == binning.index_of(doc.date) for t, doc in pairs)
+    assert [t for t, _ in pairs] == sorted(t for t, _ in pairs)
 
 
 @settings(max_examples=50)

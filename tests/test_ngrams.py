@@ -60,12 +60,12 @@ def _reference_table(docs, n=2, min_total=1, *, include_titles=True, granularity
     the numpy group-by. Returns the binning, the bin totals, the sentences
     and {key: (per-bin counts, [(bin, sentence id), ...])}, keys in the order
     of their token tuples under sorted() and written as texts."""
-    corpus = bin_documents(docs, build_binning(docs, granularity))
-    m = corpus.binning.bin_count
+    binning = build_binning(docs, granularity)
+    m = binning.bin_count
     bin_totals = [0] * m
     sentence_ids = {}
     acc = defaultdict(list)
-    for t, doc in corpus.iter_documents():
+    for t, doc in bin_documents(docs, binning):
         for raw, tokens in oracle_sentences_with_tokens(analysis_text(doc, include_titles)):
             if len(tokens) < n:
                 continue
@@ -89,7 +89,7 @@ def _reference_table(docs, n=2, min_total=1, *, include_titles=True, granularity
             contexts.append((t, sid))
             counts[t] += 1
         rows[" ".join(key)] = (counts, contexts)
-    return corpus.binning, bin_totals, sentences, rows
+    return binning, bin_totals, sentences, rows
 
 
 def _contexts(table, key):

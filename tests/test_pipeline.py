@@ -9,6 +9,7 @@ import json
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -245,6 +246,35 @@ class TestAnalyze:
             run_analyze(RunConfig(corpus=corpus, framework=solo, out_dir=out, min_total=1))
         leftovers = [p for p in out.rglob("*") if p.is_file()]
         assert leftovers == []
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="no SIGKILL on this platform")
+    def test_killed_rerun_leaves_no_stale_manifest(self, tmp_path, workspace):
+        # A rerun with another --min-count, killed after it has rewritten
+        # the trends artifacts, must not leave the earlier run's manifest,
+        # whose digests no longer match them. The kill comes in a child, as
+        # the similarity stage writes.
+        _, corpus, framework = workspace
+        out = tmp_path / "out"
+        args = ["analyze", "--corpus", str(corpus), "--framework", str(framework)]
+        args += ["--out", str(out)]
+        assert main([*args, "--min-count", "1"]) == 0 and (out / "manifest.json").is_file()
+        code = """
+import os, signal, sys
+import salience.cli, salience.pipeline
+
+def killed(*args, **kwargs):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+salience.pipeline.write_similarity_csv = killed
+salience.cli.main(sys.argv[1:])
+"""
+        paths = [str(Path(pipeline.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        argv = [sys.executable, "-c", code, *args, "--min-count", "2"]
+        run = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == -signal.SIGKILL, run.stderr
+        assert (out / "ngram_trends.csv").is_file()
+        assert [p.name for p in out.glob("manifest*")] == []
 
     def test_min_total_that_filters_everything(self, tmp_path, workspace):
         _, corpus, framework = workspace
@@ -844,7 +874,7 @@ class TestCli:
         args = cli.build_parser().parse_args(
             ["analyze", "--corpus", str(corpus), "--framework", str(framework), "--out", str(out)]
         )
-        parsed = {field.name: getattr(args, field.name) for field in dataclasses.fields(RunConfig)}
+        parsed = {name: getattr(args, name) for name in RunConfig._fields}
         assert RunConfig(**parsed) == RunConfig(corpus=corpus, framework=framework, out_dir=out)
 
     def test_main_pins_the_mmap_threshold_where_libc_has_mallopt(self, monkeypatch, capsys):

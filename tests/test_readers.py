@@ -43,6 +43,7 @@ topic_ids = st.sampled_from(["plain", "comma, id", 'say "hi"', "two\nlines", "ç
 line_ends = st.sampled_from([b"\n", b"\r\n", b"\r"])
 SIMILARITY = "similarity.csv"
 TRENDS = "ngram_trends.csv"
+SALIENCE = "salience.csv"  # a topic trend table, read by `runs.load_trend_csv`
 
 
 def _keys(draw, rows: int) -> list[str]:
@@ -115,8 +116,10 @@ def _write(folder: Path, name: str, case) -> Path:
 def _load(path: Path, chars: int = DEFAULT_CHARS, keys=None):
     """(keys, values, columns) as the artifact's loader reads them. The
     similarity loader reads against the trends' n-grams `keys`, which it
-    does not return."""
+    does not return. A topic trend table loads as (trends, labels)."""
     with mock.patch.object(runs, "_READ_CHARS", chars):
+        if path.name == SALIENCE:
+            return runs.load_trend_csv(path)
         if path.name == SIMILARITY:
             return (keys, *pipeline.load_similarity_csv(path, keys))
         return pipeline.load_ngram_trends_csv(path)
@@ -159,13 +162,17 @@ def test_trends_round_trip(chars, case, newline, final_newline):
     assert _same_bits(loaded, usage)
 
 
-@pytest.mark.parametrize("name", [SIMILARITY, TRENDS])
+@pytest.mark.parametrize("name", [SIMILARITY, TRENDS, SALIENCE])
 @pytest.mark.parametrize("number", ["", " 0.5", "0.5 ", "+0.5", "1_0", "1E-05", "Infinity", ".5", "0x1"])
 def test_loaders_refuse_numbers_not_spelled_as_the_writers_spell_them(tmp_path, name, number):
     # float() reads most of these; the loaders take a float's repr only.
     path = tmp_path / name
-    header = "ngram,topic_id,similarity\na b,t1," if name == SIMILARITY else "ngram,total,b\na b,1,"
-    path.write_text(f"{header}0.5\nb c,{'t1' if name == SIMILARITY else '1'},{number}\n")
+    header, second = {
+        SIMILARITY: ("ngram,topic_id,similarity\na b,t1,", "b c,t1,"),
+        TRENDS: ("ngram,total,b\na b,1,", "b c,1,"),
+        SALIENCE: ("topic_id,b\nt1,", "t2,"),
+    }[name]
+    path.write_text(f"{header}0.5\n{second}{number}\n")
     with pytest.raises(InputError, match=rf"{re.escape(str(path))}: line 3: expected .*, found"):
         _load(path, keys=["a b", "b c"])
 

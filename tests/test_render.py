@@ -13,7 +13,7 @@ import salience
 from salience.errors import InputError
 from salience.render import escape, render_grid_svg, render_trend_svg
 from salience.salience import salience_matrix
-from salience.topics import Topic, TopicFramework, build_vector_space, similarity_matrix, load_pmesii_ascope
+from salience.topics import build_vector_space, load_pmesii_ascope, similarity_matrix
 
 
 class TestTrendSvg:
@@ -94,20 +94,11 @@ class TestMatrixSvg:
     def test_similarity_matrix_titled_by_ngram(self):
         fw = load_pmesii_ascope()
         space, vectors = build_vector_space(fw)
-        matrix = similarity_matrix("ballot count", ["election ballot"], fw, space, vectors)
-        svg = render_grid_svg(matrix.grid(), list(fw.rows), list(fw.columns), title="ballot count")
+        values = similarity_matrix(["election ballot"], space, vectors)
+        grid = np.array(values)[fw.grid_order()].reshape(len(fw.rows), -1)
+        svg = render_grid_svg(grid.tolist(), list(fw.rows), list(fw.columns), title="ballot count")
         assert "ballot count" in svg
         assert svg.count("<rect") >= 36
-
-    def test_flat_framework_rejected_with_advice(self):
-        fw = TopicFramework(
-            name="flat",
-            topics=(Topic(id="a", definition="x"), Topic(id="b", definition="y")),
-        )
-        space, vectors = build_vector_space(fw)
-        matrix = similarity_matrix("x y", ["x"], fw, space, vectors)
-        with pytest.raises(InputError, match="list"):
-            matrix.grid()
 
 
 @given(st.text(alphabet=st.sampled_from("&<>;\"'a é#x0123amp")) | st.text())

@@ -30,10 +30,8 @@ TOLERANCE = 1e-12
 NOISE = ["zzyzx", "quux", "Florp", "blorb", "snark"]  # in no topic document
 
 
-def _oracle(framework, space, vectors, contexts):
-    return np.array(
-        [similarity_matrix(("k", str(i)), ctx, framework, space, vectors).values for i, ctx in enumerate(contexts)]
-    )
+def _oracle(space, vectors, contexts):
+    return np.array([similarity_matrix(ctx, space, vectors) for ctx in contexts])
 
 
 def _intern(contexts):
@@ -83,7 +81,7 @@ class TestAgreesWithScalarOracle:
         rng = random.Random(0)
         contexts = _random_contexts(_sentence_pool(fw, rng), rng)
         got = _kernel(space, vectors, contexts)
-        assert np.abs(got - _oracle(fw, space, vectors, contexts)).max() <= TOLERANCE
+        assert np.abs(got - _oracle(space, vectors, contexts)).max() <= TOLERANCE
 
     def test_lexicon_expanded_space(self):
         fw = load_pmesii_ascope()
@@ -99,7 +97,7 @@ class TestAgreesWithScalarOracle:
         contexts = _random_contexts(_sentence_pool(fw, rng, lexicon), rng)
         contexts.append(["a plebiscite in the souk", "Legion armed forces"])
         got = _kernel(space, vectors, contexts)
-        assert np.abs(got - _oracle(fw, space, vectors, contexts)).max() <= TOLERANCE
+        assert np.abs(got - _oracle(space, vectors, contexts)).max() <= TOLERANCE
 
     def test_contexts_without_vocabulary_score_zero(self, quadrant_framework):
         space, vectors = build_vector_space(quadrant_framework)
@@ -120,7 +118,7 @@ class TestAgreesWithScalarOracle:
         contexts = [["shared shared"], ["shared alpha", "beta"]]
         got = _kernel(space, vectors, contexts)
         assert got[0].tolist() == [0.0, 0.0]
-        assert np.abs(got - _oracle(fw, space, vectors, contexts)).max() <= TOLERANCE
+        assert np.abs(got - _oracle(space, vectors, contexts)).max() <= TOLERANCE
 
     def test_empty_context_list_is_inconsistent(self, quadrant_framework):
         space, vectors = build_vector_space(quadrant_framework)
@@ -159,7 +157,7 @@ class TestAgreesWithScalarOracle:
         )
         space, vectors = build_vector_space(fw)
         got = _kernel(space, vectors, contexts)
-        assert np.abs(got - _oracle(fw, space, vectors, contexts)).max() <= TOLERANCE
+        assert np.abs(got - _oracle(space, vectors, contexts)).max() <= TOLERANCE
 
 
 def _table(records) -> NgramTable:
@@ -225,7 +223,7 @@ class TestOrderIndependence:
         assert got[0].tolist() == got[1].tolist()
         assert got[2].tolist() == got[3].tolist()
         assert got[4].tolist() != got[2].tolist()
-        assert np.abs(got - _oracle(fw, space, vectors, contexts)).max() <= TOLERANCE
+        assert np.abs(got - _oracle(space, vectors, contexts)).max() <= TOLERANCE
 
 
 class TestTokenIds:
@@ -245,7 +243,7 @@ class TestTokenIds:
         assert got[0].tolist() == got[1].tolist() == got[2].tolist()
         assert got[3].tolist() == got[4].tolist() != got[0].tolist()
         assert got.max() > 0.0
-        assert np.abs(got - _oracle(fw, space, vectors, contexts)).max() <= TOLERANCE
+        assert np.abs(got - _oracle(space, vectors, contexts)).max() <= TOLERANCE
 
     def test_built_and_loaded_tables_score_bit_equal(self, tmp_path):
         fw = load_pmesii_ascope()

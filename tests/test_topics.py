@@ -11,7 +11,6 @@ from salience.topics import (
     TopicFramework,
     VectorSpace,
     build_vector_space,
-    context_vector,
     cosine,
     expand_topic_document,
     framework_from_dict,
@@ -190,16 +189,16 @@ class TestContextVectors:
         self.space = VectorSpace(vocabulary=("poll", "vote"), idf={"poll": 2.0, "vote": 1.0})
 
     def test_tf_times_idf(self):
-        assert context_vector(self.space, "vote vote poll").tolist() == [2.0, 2.0]
+        assert ngram_vector(self.space, ["vote vote poll"]).tolist() == [2.0, 2.0]
 
     def test_repeated_term(self):
-        assert context_vector(self.space, "poll poll").tolist() == [4.0, 0.0]
+        assert ngram_vector(self.space, ["poll poll"]).tolist() == [4.0, 0.0]
 
     def test_out_of_vocabulary_dropped(self):
-        assert context_vector(self.space, "entirely novel words").tolist() == [0.0, 0.0]
+        assert ngram_vector(self.space, ["entirely novel words"]).tolist() == [0.0, 0.0]
 
     def test_lowercasing(self):
-        assert context_vector(self.space, "Poll VOTE").tolist() == [2.0, 1.0]
+        assert ngram_vector(self.space, ["Poll VOTE"]).tolist() == [2.0, 1.0]
 
 
 class TestNgramVector:
@@ -254,23 +253,20 @@ class TestSimilarityMatrix:
         space, vectors = build_vector_space(quadrant_framework)
         topic = quadrant_framework.topics[0]
         whole_doc = expand_topic_document(topic)
-        matrix = similarity_matrix("x y", [whole_doc], quadrant_framework, space, vectors)
-        assert matrix.value_for(topic.id) == pytest.approx(1.0, abs=1e-12)
+        values = similarity_matrix([whole_doc], space, vectors)
+        assert values[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_unknown_contexts_give_all_zero_matrix(self, quadrant_framework):
         space, vectors = build_vector_space(quadrant_framework)
-        matrix = similarity_matrix(
-            "x y", ["totally unrelated words"], quadrant_framework, space, vectors
-        )
-        assert matrix.values == (0.0,) * 4
+        assert similarity_matrix(["totally unrelated words"], space, vectors) == (0.0,) * 4
 
     def test_grid_shape_follows_framework(self):
         fw = load_pmesii_ascope()
         space, vectors = build_vector_space(fw)
-        matrix = similarity_matrix("a b", ["election ballot"], fw, space, vectors)
-        grid = matrix.grid()
-        assert len(grid) == 6 and all(len(row) == 6 for row in grid)
-        assert all(0.0 <= v <= 1.0 for row in grid for v in row)
+        values = similarity_matrix(["election ballot"], space, vectors)
+        grid = np.array(values)[fw.grid_order()].reshape(len(fw.rows), -1)
+        assert grid.shape == (6, 6)
+        assert ((0.0 <= grid) & (grid <= 1.0)).all()
 
     def test_topic_self_similarity_is_one_across_the_asset(self):
         fw = load_pmesii_ascope()
@@ -280,11 +276,6 @@ class TestSimilarityMatrix:
 
     def test_ground_truth_contexts_discriminate(self, quadrant_framework):
         space, vectors = build_vector_space(quadrant_framework)
-        for topic in quadrant_framework.topics:
-            matrix = similarity_matrix(
-                "q g", list(topic.ground_truth), quadrant_framework, space, vectors
-            )
-            on_target = matrix.value_for(topic.id)
-            for other in quadrant_framework.topics:
-                if other.id != topic.id:
-                    assert on_target > matrix.value_for(other.id)
+        for i, topic in enumerate(quadrant_framework.topics):
+            values = similarity_matrix(list(topic.ground_truth), space, vectors)
+            assert values[i] > max(values[:i] + values[i + 1 :])
