@@ -24,7 +24,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="news_scale_run", help="working directory")
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--min-count", type=int, default=RunConfig.min_total)
+    parser.add_argument("--min-count", type=int, default=RunConfig._field_defaults["min_total"])
     args = parser.parse_args()
 
     out = Path(args.out)

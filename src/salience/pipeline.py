@@ -820,13 +820,15 @@ def run_analyze(config: RunConfig) -> dict:
     the error names the failing stage. An earlier run's manifest is removed
     before the first artifact is rewritten, and the new one comes into place
     by one rename after the last, so a run killed at any point leaves no
-    manifest that disagrees with the artifacts.
+    manifest that disagrees with the artifacts. A run killed during that
+    last write can leave `manifest.json.partial`, which the next run removes.
     """
     config.validate()
     out_dir = Path(config.out_dir)
     make_dir(out_dir)
     manifest_path, partial = out_dir / "manifest.json", out_dir / "manifest.json.partial"
-    manifest_path.unlink(missing_ok=True)
+    for path in (manifest_path, partial):
+        path.unlink(missing_ok=True)
     run = _Run(out_dir)
     held = _Handoff(config)
     try:

@@ -323,9 +323,9 @@ def load_trend_csv(path: Path) -> tuple[dict[str, list[float]], list[str]]:
             topic_id, *values = row
             if topic_id in trends:
                 raise ValueError(f"topic {topic_id!r} repeats")
-            for value in values:
-                if not _NUMBERS.fullmatch(value + ","):
-                    raise ValueError(f"expected a number for each bin, found {value!r}")
+            if not _NUMBERS.fullmatch(",".join([*values, ""])):
+                bad = next(v for v in values if not _NUMBERS.fullmatch(v + ","))
+                raise ValueError(f"expected a number for each bin, found {bad!r}")
             trends[topic_id] = [float(v) for v in values]
     for topic_id, values in trends.items():
         for label, value in zip(header[1:], values):
