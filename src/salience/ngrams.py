@@ -54,9 +54,8 @@ kernel: sentence s's tokens are words[i] for i in
 token_ids[token_spans[s, 0]:token_spans[s, 1]] ((S, 2) int64 spans, int32
 ids). The build hands over its scan's own ids, every scanned token, each
 kept sentence spanning its run at one of its occurrences, so no sentence is
-tokenized twice and no row is copied; a table loaded from
-`ngram_table.json`, which does not store them, re-tokenizes its sentences
-with `intern_sentences` when first asked.
+tokenized twice and no row is copied. `ngram_table.json` does not store
+them: its loader tokenizes the sentences it reads with `intern_sentences`.
 """
 
 from __future__ import annotations
@@ -129,7 +128,10 @@ class NgramTable:
     once in `sentences`, numbered by first use in sorted n-gram order; a
     context refers to it by id. Counts, context bins and context sentence
     ids are int32; positions in an array (`context_start`, and the
-    `token_spans` of `sentence_tokens`) are int64.
+    `token_spans` of `sentence_tokens`) are int64. `sentence_tokens` is
+    (words, token_spans, token_ids), as the module docstring describes. A
+    released field reads None: the similarity kernel releases the token
+    rows, and `analyze` the sentences once ngram_table.json is written.
     """
 
     n: int
@@ -138,10 +140,11 @@ class NgramTable:
     binning: TimeBinning
     keys: list[str]
     bin_totals: list[int]
-    sentences: list[str]
+    sentences: list[str] | None
     context_start: np.ndarray
     context_bins: np.ndarray
     context_sids: np.ndarray
+    sentence_tokens: tuple[list[str], np.ndarray, np.ndarray] | None = None
 
     @cached_property
     def counts(self) -> np.ndarray:
@@ -163,16 +166,6 @@ class NgramTable:
         cells = row_of * bins + self.context_bins[start[0] : start[-1]]
         counts = np.bincount(cells, minlength=block * bins)
         return counts.astype(np.int32).reshape(block, bins)
-
-    @cached_property
-    def sentence_tokens(self) -> tuple[list[str], np.ndarray, np.ndarray]:
-        """The sentences' tokens as (words, token_spans, token_ids), the
-        form the module docstring describes. `build_ngram_table` sets it from
-        its scan; otherwise, or once deleted, the sentences are tokenized on
-        first use. A table whose `sentences` are deleted, as `analyze` drops
-        them once ngram_table.json is written, cannot re-tokenize them: the
-        fallback raises AttributeError."""
-        return intern_sentences(self.sentences)
 
 
 class _DenseIds(dict):
@@ -491,7 +484,7 @@ def build_ngram_table(
     spans[:, 0] = spans[:, 1] - lengths[scanned]
     del lengths, ends, scanned
 
-    table = NgramTable(
+    return NgramTable(
         n=n,
         min_total=min_total,
         include_titles=include_titles,
@@ -502,9 +495,8 @@ def build_ngram_table(
         context_start=context_start,
         context_bins=contexts[:, 0],
         context_sids=contexts[:, 1],
+        sentence_tokens=(words, spans, ranked),
     )
-    table.sentence_tokens = (words, spans, ranked)
-    return table
 
 
 def usage_matrix(table: NgramTable) -> np.ndarray:

@@ -25,8 +25,8 @@ instances):
   artifact names it, (K × B) int32 counts, and the contexts in CSR form,
   (K + 1,) int64 starts into one (M, 2) int32 array of (bin, sentence id)
   pairs; in memory it also holds its sentences' token ids for the
-  similarity kernel, which `ngram_table.json` does not store and
-  `compute_similarities` drops once it has counted their terms;
+  similarity kernel, which `ngram_table.json` does not store (its loader
+  tokenizes the sentences) and the kernel releases once it has used them;
 - usage: (K × B) floats, count / bin total, 0 in empty bins;
 - similarities: (K × T) floats, columns in framework topic order;
 - variability: (K,) floats, each row's relative standard deviation;
@@ -189,26 +189,33 @@ def _sha256(path: Path) -> str:
 # --- artifact writers / readers --------------------------------------------
 
 
+def _write_wide_csv(path: Path, header: list[str], heads, values: np.ndarray) -> None:
+    """A csv.writer header, then a line per row of `values`: its head, from
+    `heads(rows)` for each block of rows, and the repr of each of its cells,
+    rendered _BLOCK cells at a time. No repr needs quoting."""
+
+    def block(rows: slice) -> str:
+        lines = zip(heads(rows), _cell_texts(values[rows]))
+        return "".join([f"{head},{','.join(row)}\n" for head, row in lines])
+
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        for rows in _blocks(values.shape[1] * np.arange(1, len(values) + 1), _BLOCK):
+            fh.write(block(rows))
+
+
 def write_ngram_trends_csv(
     path: Path, table: NgramTable, usage: np.ndarray, bin_labels: list[str]
 ) -> None:
     """One row per n-gram: its name, total and usage trend, floats as their
-    shortest round-trip repr, rendered _BLOCK usage cells at a time.
+    shortest round-trip repr (`_write_wide_csv`). An n-gram's text is word
+    tokens joined by spaces, and neither it nor a count needs quoting."""
 
-    The bytes are those of csv.writer. Rows are joined by hand: an n-gram's
-    text is word tokens joined by spaces, and neither it nor a count or a
-    float repr needs quoting; the bin labels go through csv.writer.
-    """
-
-    def block(rows: slice) -> str:
+    def heads(rows: slice) -> list[str]:
         totals = np.diff(table.context_start[rows.start : rows.stop + 1]).tolist()
-        lines = zip(table.keys[rows], totals, _cell_texts(usage[rows]))
-        return "".join([f"{name},{total},{','.join(row)}\n" for name, total, row in lines])
+        return [f"{name},{total}" for name, total in zip(table.keys[rows], totals)]
 
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(["ngram", "total", *bin_labels])
-        for rows in _blocks(usage.shape[1] * np.arange(1, len(usage) + 1), _BLOCK):
-            fh.write(block(rows))
+    _write_wide_csv(path, ["ngram", "total", *bin_labels], heads, usage)
 
 
 def load_ngram_trends_csv(path: Path) -> tuple[list[str], np.ndarray, list[str]]:
@@ -316,7 +323,7 @@ def load_table_json(path: Path) -> NgramTable:
     sentence id is out of range, counts that differ from the contexts', and
     counts the header cannot hold: a bin's above its total, or an n-gram's
     total below min_total."""
-    from .ngrams import NgramTable
+    from .ngrams import NgramTable, intern_sentences
 
     hint = " (run the trends stage first)"
     raw = load_json(path, "n-gram table", hint, object_pairs_hook=_Pairs)
@@ -385,9 +392,11 @@ def load_table_json(path: Path) -> NgramTable:
                 f"{path}: bad table header: n-gram {keys[i]!r} has "
                 f"{in_ngrams[i]} instances, below min_total {min_total}"
             )
-        return table
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: bad n-gram table payload: {exc}") from exc
+    del raw, payload, rows, pairs  # freed before tokenizing, which would add to their peak
+    table.sentence_tokens = intern_sentences(sentences)
+    return table
 
 
 def _table_header(path: Path, payload: dict) -> tuple[int, int, bool, TimeBinning]:
@@ -589,18 +598,10 @@ def load_associations_json(path: Path, keys: list[str]) -> dict[str, TopicAssoci
 def write_trend_csv(
     path: Path, topic_ids: list[str], values: np.ndarray, bin_labels: list[str]
 ) -> None:
-    """One row per topic of a (topics × bins) array, rendered _BLOCK
-    values at a time; the header and topic ids go through csv.writer."""
+    """One row per topic of a (topics × bins) array (`_write_wide_csv`);
+    the topic ids are quoted once each by csv.writer."""
     cells = [_csv_cell(topic_id) for topic_id in topic_ids]
-
-    def block(rows: slice) -> str:
-        lines = zip(cells[rows], _cell_texts(values[rows]))
-        return "".join([f"{cell},{','.join(row)}\n" for cell, row in lines])
-
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(["topic_id", *bin_labels])
-        for rows in _blocks(values.shape[1] * np.arange(1, len(values) + 1), _BLOCK):
-            fh.write(block(rows))
+    _write_wide_csv(path, ["topic_id", *bin_labels], cells.__getitem__, values)
 
 
 def write_matrix_json(
@@ -637,12 +638,12 @@ def write_matrix_json(
 def compute_similarities(table: NgramTable, space: VectorSpace, topics: np.ndarray) -> np.ndarray:
     """Similarity of every tabled n-gram to every topic row of `topics`, as
     one (n-grams × topics) array in sorted key order, scored by the batch
-    kernel from the sentences' token ids. The token rows are dropped from
-    the table once the kernel has counted their terms, before it scores."""
+    kernel from the sentences' token ids, which it sets to None once it
+    has counted their terms, before it scores."""
     from .topics import score_terms, sentence_terms
 
     terms = sentence_terms(space, *table.sentence_tokens)
-    del table.sentence_tokens
+    table.sentence_tokens = None
     return score_terms(space, topics, terms, table.context_start, table.context_sids)
 
 
@@ -722,7 +723,7 @@ def trends_stage(run: _Run, held: _Handoff) -> str:
             f"no n-gram reached min-count {table.min_total}; lower --min-count or supply more text"
         )
     write_table_json(run.target("ngram_table.json"), table)
-    del table.sentences
+    table.sentences = None
     usage = usage_matrix(table)
     write_ngram_trends_csv(run.target("ngram_trends.csv"), table, usage, table.binning.labels())
     return f"wrote {len(table.keys)} n-gram trends to {run.out_dir}"
@@ -779,6 +780,9 @@ def salience_stage(run: _Run, held: _Handoff) -> str:
     missing = [tid for tid in topic_ids if tid not in associations]
     if missing:
         raise InputError(f"associations missing for topics: {', '.join(missing)}")
+    extra = [tid for tid in associations if tid not in topic_ids]
+    if extra:
+        raise InputError(f"associations for topics not in the framework: {', '.join(extra)}")
     members = [associations[tid].members for tid in topic_ids]
     topic_usage = np.array([topic_usage_trend(rows, usage) for rows in members])
     salience = np.array([topic_salience_trend(rows, usage) for rows in members])
@@ -818,17 +822,15 @@ def run_analyze(config: RunConfig) -> dict:
 
     On any stage failure the partial outputs written so far are removed and
     the error names the failing stage. An earlier run's manifest is removed
-    before the first artifact is rewritten, and the new one comes into place
-    by one rename after the last, so a run killed at any point leaves no
-    manifest that disagrees with the artifacts. A run killed during that
+    after ingest, which writes nothing, and the new one comes into place by
+    one rename after the last artifact, so a run killed at any point leaves
+    no manifest that disagrees with the artifacts. A run killed during that
     last write can leave `manifest.json.partial`, which the next run removes.
     """
     config.validate()
     out_dir = Path(config.out_dir)
     make_dir(out_dir)
     manifest_path, partial = out_dir / "manifest.json", out_dir / "manifest.json.partial"
-    for path in (manifest_path, partial):
-        path.unlink(missing_ok=True)
     run = _Run(out_dir)
     held = _Handoff(config)
     try:
@@ -846,6 +848,8 @@ def run_analyze(config: RunConfig) -> dict:
             "instances": sum(table.bin_totals),
             "sentences": len(table.sentences),
         }
+        for path in (manifest_path, partial):
+            path.unlink(missing_ok=True)
 
         for name, stage in STAGE_FUNCTIONS.items():
             with run.stage(name):

@@ -135,9 +135,10 @@ class TestAnalyze:
         assert manifest["corpus"]["sentences"] == len(set(sentences)) == len(sentences) > 0
 
     def test_sentence_texts_are_dropped_once_the_table_is_written(self, workspace, monkeypatch):
-        # After the trends stage the texts are gone: the similarity stage
-        # scores from the scan's token rows and never re-tokenizes, and the
-        # manifest's count was taken before the texts went.
+        # After the trends stage the texts are released, and after the
+        # similarity stage the token rows: the kernel scores from the scan's
+        # token rows and never re-tokenizes, and the manifest's count was
+        # taken before the texts went.
         tmp, corpus, framework = workspace
         written, write = [], pipeline.write_table_json
 
@@ -153,8 +154,7 @@ class TestAnalyze:
         out = tmp / "run_dropped"
         manifest = run_analyze(RunConfig(corpus=corpus, framework=framework, out_dir=out))
         (table,) = written
-        with pytest.raises(AttributeError, match="sentences"):
-            table.sentence_tokens
+        assert table.sentences is None and table.sentence_tokens is None
         sentences = json.loads((out / "ngram_table.json").read_text())["sentences"]
         assert manifest["corpus"]["sentences"] == len(sentences) > 0
 
@@ -275,6 +275,21 @@ salience.cli.main(sys.argv[1:])
         assert run.returncode == -signal.SIGKILL, run.stderr
         assert (out / "ngram_trends.csv").is_file()
         assert [p.name for p in out.glob("manifest*")] == []
+
+    def test_run_refused_in_ingest_leaves_the_earlier_output_whole(self, tmp_path, workspace):
+        # Ingest writes nothing, so the earlier run's manifest goes only
+        # once ingest has passed: a bad option or a missing corpus leaves
+        # every file of a complete output as it was.
+        _, corpus, framework = workspace
+        out = tmp_path / "out"
+        args = ["analyze", "--framework", str(framework), "--out", str(out)]
+        assert main([*args, "--corpus", str(corpus)]) == 0
+        before = read_all(out)
+        assert "manifest.json" in before
+        assert main([*args, "--corpus", str(corpus), "--n", "0"]) == 1
+        assert read_all(out) == before
+        assert main([*args, "--corpus", str(tmp_path / "missing.jsonl")]) == 1
+        assert read_all(out) == before
 
     def test_min_total_that_filters_everything(self, tmp_path, workspace):
         _, corpus, framework = workspace
@@ -539,6 +554,24 @@ class TestCli:
             f"error: salience: {path}: topic {topic_id!r}: member {ngram!r} is listed twice"
         )
         # The failed stage leaves no trends that the repeated member shaped.
+        assert not (out / "topic_usage.csv").exists()
+
+    def test_associations_of_topics_outside_the_framework_exit_one(
+        self, workspace, tmp_path, capsys
+    ):
+        # The framework with half its topics would make trends normalized
+        # over those alone, beside associations of every topic.
+        _, corpus, framework = workspace
+        out = tmp_path / "out"
+        run_analyze(RunConfig(corpus=corpus, framework=framework, out_dir=out, min_total=1))
+        fw = disjoint_framework()
+        kept, dropped = fw.topics[:2], [topic.id for topic in fw.topics[2:]]
+        half = framework_file(tmp_path, dataclasses.replace(fw, topics=kept), name="half.json")
+        capsys.readouterr()
+        assert main(["salience", "--in", str(out), "--framework", str(half)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: salience: associations for topics not in the framework: {', '.join(dropped)}"
+        )
         assert not (out / "topic_usage.csv").exists()
 
     def test_threshold_that_is_not_a_finite_number_exits_one(self, workspace, tmp_path, capsys):

@@ -175,6 +175,7 @@ def _table(records) -> NgramTable:
         context_start=start,
         context_bins=np.zeros(len(sids), dtype=np.int64),
         context_sids=sids,
+        sentence_tokens=intern_sentences(sentences),
     )
 
 
@@ -245,7 +246,8 @@ class TestTokenIds:
         assert got.max() > 0.0
         assert np.abs(got - _oracle(space, vectors, contexts)).max() <= TOLERANCE
 
-    def test_built_and_loaded_tables_score_bit_equal(self, tmp_path):
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_built_and_loaded_tables_score_bit_equal(self, tmp_path, n):
         fw = load_pmesii_ascope()
         space, vectors = build_vector_space(fw)
         rng = random.Random(3)
@@ -254,7 +256,7 @@ class TestTokenIds:
             (day(2017, rng.randint(1, 6)), ". ".join(rng.choices(pool, k=rng.randint(1, 5))))
             for _ in range(80)
         ]
-        built = build_ngram_table(make_docs(items), n=2, min_total=2)
+        built = build_ngram_table(make_docs(items), n=n, min_total=2)
         assert built.keys
         path = tmp_path / "ngram_table.json"
         write_table_json(path, built)
