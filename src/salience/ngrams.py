@@ -73,10 +73,12 @@ from .association import _BLOCK, _blocks
 from .corpus import GRANULARITIES, Document, TimeBinning, analysis_text, span_binning
 from .errors import ConsistencyError, InputError
 
-# A sentence boundary: a mark and the whitespace after it, or a blank line.
-# The pattern starts on a character class, so the regex engine scans ahead
-# for its first character; the mark itself stays in its sentence.
-_BOUNDARY_RE = re.compile(r"[.!?]\s+|\n\s*\n")
+# A sentence boundary: a mark and the whitespace after it, or a newline
+# through the last newline of the whitespace run after it (a blank line).
+# The pattern starts on one class, so the regex engine skips ahead to the
+# next mark or newline (a top-level alternation gives it no first character
+# to skip to); the mark itself stays in its sentence.
+_BOUNDARY_RE = re.compile(r"[.!?\n](?:(?<=[.!?])\s+|\s*\n)")
 
 
 class _Fold(dict):
@@ -91,17 +93,6 @@ class _Fold(dict):
 _FOLD = _Fold()
 
 
-def _sentence_spans(text: str) -> Iterator[tuple[int, int]]:
-    """The (start, end) of each chunk of text between sentence boundaries."""
-    start = 0
-    for boundary in _BOUNDARY_RE.finditer(text):
-        # A boundary's first character, a mark or a line break, ends the
-        # sentence; a sentence is stripped, so a trailing break is dropped.
-        yield start, boundary.start() + 1
-        start = boundary.end()
-    yield start, len(text)
-
-
 def sentences_with_tokens(text: str) -> list[tuple[str, list[str]]]:
     """Split text into sentences and their token surfaces.
 
@@ -110,10 +101,16 @@ def sentences_with_tokens(text: str) -> list[tuple[str, list[str]]]:
     """
     folded = text.translate(_FOLD)
     out: list[tuple[str, list[str]]] = []
-    for start, end in _sentence_spans(text):
-        tokens = folded[start:end].split()
-        if tokens:
+    start = 0
+    for boundary in _BOUNDARY_RE.finditer(text):
+        # A boundary's first character, a mark or a line break, ends the
+        # sentence; a sentence is stripped, so a trailing break is dropped.
+        end = boundary.start() + 1
+        if tokens := folded[start:end].split():
             out.append((text[start:end].strip(), tokens))
+        start = boundary.end()
+    if tokens := folded[start:].split():
+        out.append((text[start:].strip(), tokens))
     return out
 
 
@@ -169,11 +166,11 @@ class NgramTable:
 
 
 class _DenseIds(dict):
-    """Token -> dense id; an unseen token gets the next id."""
+    """Text -> dense id; an unseen token or sentence gets the next id."""
 
-    def __missing__(self, token: str) -> int:
-        self[token] = token_id = len(self)
-        return token_id
+    def __missing__(self, text: str) -> int:
+        self[text] = dense_id = len(self)
+        return dense_id
 
 
 def intern_sentences(sentences: Sequence[str]) -> tuple[list[str], np.ndarray, np.ndarray]:
@@ -348,9 +345,8 @@ def build_ngram_table(
     if granularity not in GRANULARITIES:
         raise InputError(f"unknown granularity {granularity!r}")
 
-    token_ids = _DenseIds()
-    word_id = token_ids.__getitem__
-    sentence_ids: dict[str, int] = {}
+    token_ids, sentence_ids = _DenseIds(), _DenseIds()
+    word_id, sentence_id = token_ids.__getitem__, sentence_ids.__getitem__
     ids, docs_of, sids, lengths, days = (array("i") for _ in range(5))
     for d, doc in enumerate(docs):
         # A list takes a document's ids faster than the array would.
@@ -360,7 +356,7 @@ def build_ngram_table(
                 continue
             doc_ids += map(word_id, tokens)
             docs_of.append(d)
-            sids.append(sentence_ids.setdefault(raw, len(sentence_ids)))
+            sids.append(sentence_id(raw))
             lengths.append(len(tokens))
         ids.fromlist(doc_ids)
         days.append(doc.date.toordinal())
@@ -372,7 +368,7 @@ def build_ngram_table(
             f"{instances} n-gram instances; a table holds fewer than {_INSTANCE_LIMIT}"
         )
     texts = list(sentence_ids)
-    del sentence_ids
+    del sentence_ids, sentence_id
 
     # The binning spans the dates read; one bin lookup per distinct date.
     binning = span_binning(*map(dt.date.fromordinal, (min(days), max(days))), granularity)

@@ -821,15 +821,15 @@ def run_analyze(config: RunConfig) -> dict:
     """Execute the full pipeline and write every artifact; returns the manifest.
 
     On any stage failure the partial outputs written so far are removed and
-    the error names the failing stage. An earlier run's manifest is removed
-    after ingest, which writes nothing, and the new one comes into place by
-    one rename after the last artifact, so a run killed at any point leaves
-    no manifest that disagrees with the artifacts. A run killed during that
-    last write can leave `manifest.json.partial`, which the next run removes.
+    the error names the failing stage. Ingest writes nothing: the output
+    directory is made, and an earlier run's manifest removed, once it has
+    passed. The new manifest comes into place by one rename after the last
+    artifact, so a run killed at any point leaves no manifest that disagrees
+    with the artifacts. A run killed during that last write can leave
+    `manifest.json.partial`, which the next run removes.
     """
     config.validate()
     out_dir = Path(config.out_dir)
-    make_dir(out_dir)
     manifest_path, partial = out_dir / "manifest.json", out_dir / "manifest.json.partial"
     run = _Run(out_dir)
     held = _Handoff(config)
@@ -848,6 +848,7 @@ def run_analyze(config: RunConfig) -> dict:
             "instances": sum(table.bin_totals),
             "sentences": len(table.sentences),
         }
+        make_dir(out_dir)
         for path in (manifest_path, partial):
             path.unlink(missing_ok=True)
 
@@ -880,10 +881,9 @@ def run_analyze(config: RunConfig) -> dict:
                 "timings": run.timings,
             }
         text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-        partial.write_text(text, encoding="utf-8")
+        run.target(partial.name).write_text(text, encoding="utf-8")
         os.replace(partial, manifest_path)
     except BaseException:
         run.cleanup()
-        partial.unlink(missing_ok=True)
         raise
     return manifest

@@ -205,6 +205,10 @@ def _lower_segments(parts: Sequence[str]) -> list[list[str]]:
     return segments
 
 
+def _lower_tokens(text: str) -> list[str]:
+    return [tok for segment in _lower_segments([text]) for tok in segment]
+
+
 def _contains_contiguous(segments: list[list[str]], needle: list[str]) -> bool:
     k = len(needle)
     for seg in segments:
@@ -234,7 +238,7 @@ def expand_topic_document(topic: Topic, lexicon: Mapping[str, list[str]] | None 
         changed = False
         for term in sorted(present & lexicon.keys()):
             for synonym in lexicon[term]:
-                syn_tokens = [t.lower() for seg in _lower_segments([synonym]) for t in seg]
+                syn_tokens = _lower_tokens(synonym)
                 if not syn_tokens or _contains_contiguous(segments, syn_tokens):
                     continue
                 appended.append(synonym.strip())
@@ -256,12 +260,6 @@ class VectorSpace:
         object.__setattr__(
             self, "term_index", {term: i for i, term in enumerate(self.vocabulary)}
         )
-
-
-def _lower_tokens(text: str) -> list[str]:
-    from .ngrams import sentences_with_tokens
-
-    return [tok.lower() for _, tokens in sentences_with_tokens(text) for tok in tokens]
 
 
 def _tfidf_row(space: VectorSpace, tokens: Sequence[str]) -> np.ndarray:

@@ -177,9 +177,38 @@ _BOUNDARY_ALPHABET = [
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.sampled_from(_BOUNDARY_ALPHABET), max_size=40).map("".join))
 @example("a.\n\nb!\x85c ?d_e\u3000²\u0301.")
+# Where the boundary's two alternatives meet: a mark before a blank line and
+# after one, a mark and a newline with Unicode whitespace between, two marks,
+# and a closing mark.
+@example("a b.\n\nc d")
+@example("a b\n\n. c d")
+@example("a b.\x1c\nc d")
+@example("a b.\x85\nc d")
+@example("a b..  c d")
+@example("a b. c d.")
 def test_tokenizer_equals_the_regex_oracle(text):
     assert sentences_with_tokens(text) == oracle_sentences_with_tokens(text)
     assert _decoded(intern_sentences([text])) == [_ORACLE_WORD_RE.findall(text)]
+
+
+# The boundary as a top-level alternation, the tokenizer's earlier pattern.
+# The package's pattern puts both alternatives behind one leading class, so
+# the regex engine can skip ahead to a mark or a newline; it must find the
+# same boundaries.
+_ALTERNATION_BOUNDARY_RE = re.compile(r"[.!?]\s+|\n\s*\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_BOUNDARY_ALPHABET), max_size=40).map("".join))
+@example("a b.\n\nc d")
+@example("a b\n\n. c d")
+@example("a b.\x1c\nc d")
+@example("a b.\x85\nc d")
+@example("a b..  c d")
+@example("a b. c d.")
+def test_boundary_spans_equal_the_alternation(text):
+    spans = [m.span() for m in ngrams._BOUNDARY_RE.finditer(text)]
+    assert spans == [m.span() for m in _ALTERNATION_BOUNDARY_RE.finditer(text)]
 
 
 @settings(max_examples=300, deadline=None)

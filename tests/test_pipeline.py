@@ -291,6 +291,19 @@ salience.cli.main(sys.argv[1:])
         assert main([*args, "--corpus", str(tmp_path / "missing.jsonl")]) == 1
         assert read_all(out) == before
 
+    def test_run_refused_in_ingest_makes_no_output_directory(self, tmp_path, workspace):
+        # The output directory is made once ingest has passed, so a refused
+        # run into a fresh nested path leaves no directory behind.
+        _, corpus, framework = workspace
+        refused = {
+            "missing": ["--corpus", str(tmp_path / "missing.jsonl")],
+            "n0": ["--corpus", str(corpus), "--n", "0"],
+        }
+        for name, flags in refused.items():
+            out = tmp_path / name / "out"
+            assert main(["analyze", "--framework", str(framework), "--out", str(out), *flags]) == 1
+            assert not (tmp_path / name).exists()
+
     def test_min_total_that_filters_everything(self, tmp_path, workspace):
         _, corpus, framework = workspace
         with pytest.raises(InputError, match="min-count"):
@@ -722,6 +735,16 @@ class TestCli:
         assert main(["analyze", *args]) == 1
         assert f"error: cannot make output directory {out}:" in capsys.readouterr().err
         assert out.read_text(encoding="utf-8") == "not a directory\n"
+
+    def test_analyze_refused_in_ingest_names_ingest_under_a_file(self, workspace, tmp_path, capsys):
+        # The output directory is made after ingest, so ingest's refusal
+        # comes first, and cleaning up after it touches no path under the file.
+        _, _, framework = workspace
+        (tmp_path / "taken").write_text("not a directory\n", encoding="utf-8")
+        missing, out = tmp_path / "missing.jsonl", tmp_path / "taken" / "out"
+        args = ["--corpus", str(missing), "--framework", str(framework), "--out", str(out)]
+        assert main(["analyze", *args]) == 1
+        assert "error: ingest: corpus file not found" in capsys.readouterr().err
 
     def test_trends_out_under_a_file_exits_one(self, workspace, tmp_path, capsys):
         _, corpus, _ = workspace
