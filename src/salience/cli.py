@@ -180,7 +180,6 @@ def _cmd_render(args) -> int:
             if matrix["rows"] is None:
                 raise InputError("matrix has no grid layout; render the values as a list instead")
 
-        make_dir(in_dir / "render")
         for kind, trends, title in (
             ("absolute", absolute, "topic salience"),
             ("normalized", normalized, "topic salience (normalized per bin)"),

@@ -70,6 +70,7 @@ import itertools
 import json
 import os
 import re
+from contextlib import suppress
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -97,7 +98,6 @@ from .runs import (
     _read_csv,
     _Run,
     load_trend_csv,
-    make_dir,
     stage_run,
 )
 
@@ -790,10 +790,8 @@ def salience_stage(run: _Run, held: _Handoff) -> str:
     write_trend_csv(run.target("topic_usage.csv"), topic_ids, topic_usage, labels)
     write_trend_csv(run.target("salience.csv"), topic_ids, salience, labels)
     write_trend_csv(run.target("salience_normalized.csv"), topic_ids, normalized, labels)
-    matrices_dir = run.out_dir / "matrices"
-    make_dir(matrices_dir)
     current = {f"{label}.json" for label in labels}
-    for stale in matrices_dir.glob("*.json"):
+    for stale in (run.out_dir / "matrices").glob("*.json"):
         if stale.name not in current:
             stale.unlink()
     paths = [run.target("matrices", f"{label}.json") for label in labels]
@@ -820,13 +818,14 @@ def run_stage(name: str, config: RunConfig) -> str:
 def run_analyze(config: RunConfig) -> dict:
     """Execute the full pipeline and write every artifact; returns the manifest.
 
-    On any stage failure the partial outputs written so far are removed and
-    the error names the failing stage. Ingest writes nothing: the output
-    directory is made, and an earlier run's manifest removed, once it has
-    passed. The new manifest comes into place by one rename after the last
-    artifact, so a run killed at any point leaves no manifest that disagrees
-    with the artifacts. A run killed during that last write can leave
-    `manifest.json.partial`, which the next run removes.
+    On any stage failure the partial outputs and the folders the run made
+    are removed, and the error names the failing stage. Ingest writes
+    nothing; an earlier run's manifest goes once it has passed, and the
+    first artifact makes the output directory. The new manifest comes into
+    place by one rename after the last artifact, so a run killed at any
+    point leaves no manifest that disagrees with the artifacts. A run killed
+    during that last write can leave `manifest.json.partial`, which the next
+    run removes.
     """
     config.validate()
     out_dir = Path(config.out_dir)
@@ -848,9 +847,9 @@ def run_analyze(config: RunConfig) -> dict:
             "instances": sum(table.bin_totals),
             "sentences": len(table.sentences),
         }
-        make_dir(out_dir)
         for path in (manifest_path, partial):
-            path.unlink(missing_ok=True)
+            with suppress(FileNotFoundError, NotADirectoryError):
+                path.unlink()
 
         for name, stage in STAGE_FUNCTIONS.items():
             with run.stage(name):

@@ -9,8 +9,8 @@ subcommand runs no stage of the pipeline (`render`, `synth`, `--help`,
   them, `GRANULARITIES` and `NORMALIZATIONS`;
 - `STAGES`, the one declaration of each stage: the artifacts it reads and
   writes and the fields its subcommand takes;
-- `stage_run` and `_Run`, which time each stage, name it in its errors and
-  remove its partial outputs (the globs it writes) when it fails;
+- `stage_run` and `_Run`, which time each stage, name it in its errors,
+  make its folders and remove what it wrote and made when it fails;
 - the CSV reader every CSV loader opens its file with (`_read_csv`,
   `_CsvArtifact`), including the record reader of the two large CSVs;
 - the readers of the artifacts `render` draws: `load_trend_csv` and
@@ -316,8 +316,6 @@ def load_trend_csv(path: Path) -> tuple[dict[str, list[float]], list[str]]:
         if header[:1] != ["topic_id"]:
             raise InputError(f"{path}: line 1: unexpected header {header}")
         for row in artifact.rows():
-            if not row:
-                continue
             if len(row) != len(header):
                 raise ValueError(f"{len(row)} cells, header has {len(header)}")
             topic_id, *values = row
@@ -399,28 +397,34 @@ def _peak_rss_mib() -> float | None:
 
 
 class _Run:
-    """Tracks written artifacts so a failed run can remove partial outputs,
-    and each stage's wall time, CPU time and the RSS high-water mark at its
-    end, which names the stage that set the run's peak."""
+    """The one owner of a run's folders: tracks the artifacts it writes and
+    the folders it makes, so a failed run removes only what it made, and
+    each stage's wall and CPU time and its end's RSS high-water mark."""
 
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
         self.written: list[Path] = []
+        self.made: list[Path] = []  # folders the run made, innermost first
+        self.folder: Path | None = None  # the last target's folder
         self.timings: dict[str, dict[str, float | None]] = {}
 
     def target(self, *relative: str) -> Path:
+        """An artifact's path; its folder is made, parents too, if new."""
         path = self.out_dir.joinpath(*relative)
+        if path.parent != self.folder:
+            self.folder = folder = path.parent
+            self.made[:0] = itertools.takewhile(lambda f: not f.exists(), [folder, *folder.parents])
+            make_dir(folder)
         self.written.append(path)
         return path
 
     def cleanup(self) -> None:
+        """Remove what the run wrote, then each folder it made once empty."""
         for path in self.written:
             with suppress(OSError):
                 path.unlink(missing_ok=True)
-        # The folders the stages write into, once empty, go too.
-        for folder in {Path(glob).parent for stage in STAGES.values() for glob in stage.writes}:
-            folder = self.out_dir / folder
-            if folder != self.out_dir and folder.is_dir() and not any(folder.iterdir()):
+        for folder in self.made:
+            with suppress(OSError):
                 folder.rmdir()
 
     @contextmanager
@@ -448,12 +452,10 @@ def stage_run(out_dir: Path, name: str) -> Iterator[_Run]:
     """Rerun one stage over an output directory, as the stage subcommands do.
 
     Errors name the stage. On failure the stage's outputs are removed, an
-    earlier run's included, so none is left looking current. The manifest is
-    left as it is. A stage that takes `--out` makes its directory.
+    earlier run's included, so none is left looking current, and so are the
+    folders the run made, `--out` included. The manifest is left as it is.
     """
     stage = STAGES[name]
-    if "out_dir" in stage.options:
-        make_dir(out_dir)
     run = _Run(out_dir)
     try:
         with run.stage(name):

@@ -3,8 +3,9 @@ aside, on two fixed corpora, pinned in tests/data/golden.sha256.
 
 The corpora are the demo corpus (`generate_corpus(news_scale_spec(7))`, as
 scripts/run_news_scale.py builds it, analyzed with the bundled framework and
-default options) and its mixed variant, whose every third document gets
-curly quotes and accented words, as in the CI script step. A change that
+default options) and its mixed variant (`_mixed`), whose every third
+document gets curly quotes, accented words and sentence ends at non-ASCII
+whitespace; the CI script step analyzes the same mixed corpus. A change that
 moves any artifact byte fails here; one that does so on purpose rewrites the
 file with
 
@@ -28,12 +29,16 @@ GOLDEN = Path(__file__).resolve().parent / "data" / "golden.sha256"
 
 
 def _mixed(text: str) -> str:
-    """The corpus with curly quotes and accents in every third document."""
+    """The corpus with curly quotes and accents in every third document,
+    where one sentence also ends at an ideographic space (U+3000) and
+    another at a blank line that holds one. CI's script step builds its
+    mixed corpus with this function."""
     lines = []
     for i, line in enumerate(io.StringIO(text)):
         doc = json.loads(line)
         if i % 3 == 0:
-            doc["text"] = "“" + doc["text"].replace(". ", ". “").replace("e", "é", 5)
+            text = doc["text"].replace(". ", ".\u3000", 1).replace(". ", ".\n\u3000\n", 1)
+            doc["text"] = "“" + text.replace(". ", ". “").replace("e", "é", 5)
         lines.append(json.dumps(doc, ensure_ascii=False) + "\n")
     return "".join(lines)
 

@@ -304,6 +304,33 @@ salience.cli.main(sys.argv[1:])
             assert main(["analyze", "--framework", str(framework), "--out", str(out), *flags]) == 1
             assert not (tmp_path / name).exists()
 
+    def test_run_refused_in_trends_makes_no_output_directory(self, tmp_path, workspace, capsys):
+        # The trends stage's first artifact makes the output directory, so a
+        # --min-count that keeps no n-gram leaves no folder, parents included.
+        _, corpus, framework = workspace
+        out = tmp_path / "refused" / "x" / "out"
+        args = ["--corpus", str(corpus), "--framework", str(framework), "--out", str(out)]
+        assert main(["analyze", *args, "--min-count", "100000"]) == 1
+        assert "error: trends: no n-gram reached min-count 100000" in capsys.readouterr().err
+        assert not (tmp_path / "refused").exists()
+
+    def test_failed_run_removes_only_the_folders_it_made(self, tmp_path):
+        # A run's folders go innermost first, whichever order it made them
+        # in; one that holds a file the run did not write stays.
+        run = runs._Run(tmp_path / "a" / "b")
+        run.target("x.csv").write_text("x", encoding="utf-8")
+        run.target("m", "n", "1.json").write_text("1", encoding="utf-8")
+        run.target("m", "2.json").write_text("2", encoding="utf-8")
+        run.cleanup()
+        assert list(tmp_path.iterdir()) == []
+
+        (tmp_path / "kept").mkdir()
+        run = runs._Run(tmp_path / "kept" / "out")
+        run.target("x.csv").write_text("x", encoding="utf-8")
+        (tmp_path / "kept" / "out" / "other").write_text("", encoding="utf-8")
+        run.cleanup()
+        assert [p.name for p in (tmp_path / "kept" / "out").iterdir()] == ["other"]
+
     def test_min_total_that_filters_everything(self, tmp_path, workspace):
         _, corpus, framework = workspace
         with pytest.raises(InputError, match="min-count"):
@@ -733,7 +760,8 @@ class TestCli:
         out.write_text("not a directory\n", encoding="utf-8")
         args = ["--corpus", str(corpus), "--framework", str(framework), "--out", str(out)]
         assert main(["analyze", *args]) == 1
-        assert f"error: cannot make output directory {out}:" in capsys.readouterr().err
+        # The trends stage's first artifact makes the output directory.
+        assert f"error: trends: cannot make output directory {out}:" in capsys.readouterr().err
         assert out.read_text(encoding="utf-8") == "not a directory\n"
 
     def test_analyze_refused_in_ingest_names_ingest_under_a_file(self, workspace, tmp_path, capsys):
@@ -751,7 +779,29 @@ class TestCli:
         (tmp_path / "taken").write_text("not a directory\n", encoding="utf-8")
         out = tmp_path / "taken" / "sub"
         assert main(["trends", "--corpus", str(corpus), "--out", str(out)]) == 1
-        assert f"error: cannot make output directory {out}:" in capsys.readouterr().err
+        assert f"error: trends: cannot make output directory {out}:" in capsys.readouterr().err
+
+    def test_refused_trends_makes_no_output_directory(self, workspace, tmp_path, capsys):
+        # The stage's first artifact makes --out and its missing parents, so
+        # a refused trends subcommand leaves none of them.
+        _, corpus, _ = workspace
+        refused = {
+            "missing": ["--corpus", str(tmp_path / "missing.jsonl")],
+            "min-count": ["--corpus", str(corpus), "--min-count", "100000"],
+        }
+        for name, flags in refused.items():
+            out = tmp_path / name / "a" / "b"
+            assert main(["trends", *flags, "--out", str(out)]) == 1
+            assert capsys.readouterr().err.startswith("error: trends: ")
+            assert not (tmp_path / name).exists()
+
+    def test_refused_render_keeps_a_render_folder_it_did_not_make(self, workspace, tmp_path):
+        _, corpus, framework = workspace
+        out = tmp_path / "out"
+        run_analyze(RunConfig(corpus=corpus, framework=framework, out_dir=out, min_total=1))
+        (out / "render").mkdir()
+        assert main(["render", "--in", str(out), "--topics", "nosuch"]) == 1
+        assert (out / "render").is_dir()
 
     def test_synth_out_under_a_file_exits_one(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
@@ -1412,15 +1462,16 @@ def test_topic_order_only_permutes_the_artifacts(workspace, tmp_path):
     # that order: the topic rows of the trend CSVs, each n-gram's rows of
     # similarity.csv, the topics of associations.json and of each matrix.
     # At the 50th percentile three topics get members, and a zscore summed
-    # in topic order moved cells of salience_normalized.csv by an ulp.
+    # in topic order moved cells of salience_normalized.csv by an ulp. The
+    # order of a topic's keywords and ground-truth texts moves nothing: each
+    # permuted framework also lists them in reverse.
     _, corpus, _ = workspace
     framework = disjoint_framework()
     count = len(framework.topics)
 
-    def analyze(order):
-        name = "".join(map(str, order))
-        topics = tuple(framework.topics[i] for i in order)
-        path = framework_file(tmp_path, dataclasses.replace(framework, topics=topics), name + ".json")
+    def analyze(name, topics):
+        permuted = dataclasses.replace(framework, topics=tuple(topics))
+        path = framework_file(tmp_path, permuted, name + ".json")
         out = tmp_path / name
         run_analyze(
             RunConfig(corpus=corpus, framework=path, out_dir=out, min_total=1, percentile=50.0)
@@ -1429,15 +1480,19 @@ def test_topic_order_only_permutes_the_artifacts(workspace, tmp_path):
         del artifacts["manifest.json"]
         return artifacts
 
-    base = analyze(range(count))
-    assert_some_topic_has_members(tmp_path / "0123")
+    base = analyze("base", framework.topics)
+    assert_some_topic_has_members(tmp_path / "base")
     for order in itertools.permutations(range(count)):
         back = [order.index(i) for i in range(count)]
 
         def restore(items):
             return [items[i] for i in back]
 
-        for name, data in analyze(order).items():
+        topics = [
+            dataclasses.replace(t, keywords=t.keywords[::-1], ground_truth=t.ground_truth[::-1])
+            for t in (framework.topics[i] for i in order)
+        ]
+        for name, data in analyze("".join(map(str, order)), topics).items():
             if name.endswith(".csv") and name != "ngram_trends.csv":
                 header, *lines = data.decode("utf-8").splitlines(keepends=True)
                 width = count if name == "similarity.csv" else len(lines)

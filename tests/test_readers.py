@@ -177,6 +177,14 @@ def test_loaders_refuse_numbers_not_spelled_as_the_writers_spell_them(tmp_path, 
         _load(path, keys=["a b", "b c"])
 
 
+def test_trend_loader_refuses_a_blank_row(tmp_path):
+    # No writer writes a blank row, and the record readers refuse one too.
+    path = tmp_path / SALIENCE
+    path.write_text("topic_id,b\nt1,0.5\n\nt2,0.25\n", encoding="utf-8")
+    with pytest.raises(InputError, match=rf"{re.escape(str(path))}: line 3: 0 cells, header has 2$"):
+        runs.load_trend_csv(path)
+
+
 def _csv_reading(path: Path):
     """What csv.reader makes of an artifact: its keys, numbers and column
     names, as the loaders return them."""
