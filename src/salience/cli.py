@@ -3,9 +3,10 @@
 `salience analyze` runs the whole pipeline. The stage subcommands (trends,
 similarity, associate, salience) load the artifacts a previous stage left in
 the output directory and call the same stage functions, so individual
-stages can be rerun without repeating the rest; render draws charts from
-the artifacts. Exit codes: 0 success, 1 input error, 2 internal
-consistency error.
+stages can be rerun without repeating the rest; similarity also scans the
+corpus that trends scanned, and refuses an ngram_table.json that is not
+that scan's table. render draws charts from the artifacts. Exit codes: 0
+success, 1 input error, 2 internal consistency error.
 """
 
 from __future__ import annotations

@@ -44,11 +44,11 @@ def read_corpus(path: str | Path) -> Iterator[Document]:
     file order. Each record holds an `id`, a `date` as YYYY-MM-DD, a `text`
     and an optional `title`.
 
-    Raises InputError, naming the file and line, on a malformed line, a
-    duplicate id, an unparseable date or empty text; and, once the file is
-    read to its end, on a file with no records at all. Between records it
-    keeps only the ids seen so far and the date each distinct date string
-    parsed to.
+    Raises InputError, naming the file and line, on a line that is not
+    UTF-8 or not a JSON record, a duplicate id, an unparseable date or
+    empty text; and, once the file is read to its end, on a file with no
+    records at all. Between records it keeps only the ids seen so far and
+    the date each distinct date string parsed to.
     """
     path = Path(path)
     if not path.is_file():
@@ -57,13 +57,15 @@ def read_corpus(path: str | Path) -> Iterator[Document]:
     seen: set[str] = set()
     # Dates repeat across records, and strptime is slow: parse each once.
     dates: dict[str, dt.date] = {}
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+    # Decoded a line at a time, so that a line that is not UTF-8 is named.
+    with path.open("rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
             try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
                 doc = _parse_line(line, seen, dates)
-            except InputError as exc:
+            except (InputError, UnicodeDecodeError) as exc:
                 raise InputError(f"{path}:{lineno}: {exc}") from exc
             yield doc
 

@@ -17,15 +17,14 @@ class ConsistencyError(SalienceError):
     """Pipeline state violated an internal invariant. CLI exit code 2."""
 
 
-def load_json(path, what: str, hint: str = "", **options):
-    """The JSON document in the UTF-8 file `path`, read by json.loads with
-    `options`. A missing file is an InputError "<what> not found: <path>"
-    followed by `hint`; text that is not UTF-8 or not JSON is one naming the
-    file."""
+def load_json(path, what: str, hint: str = ""):
+    """The JSON document in the UTF-8 file `path`. A missing file is an
+    InputError "<what> not found: <path>" followed by `hint`; text that is
+    not UTF-8 or not JSON is one naming the file."""
     path = Path(path)
     if not path.is_file():
         raise InputError(f"{what} not found: {path}{hint}")
     try:
-        return json.loads(path.read_text(encoding="utf-8"), **options)
+        return json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:
         raise InputError(f"{path}: malformed JSON: {exc}") from exc

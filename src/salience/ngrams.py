@@ -54,8 +54,9 @@ kernel: sentence s's tokens are words[i] for i in
 token_ids[token_spans[s, 0]:token_spans[s, 1]] ((S, 2) int64 spans, int32
 ids). The build hands over its scan's own ids, every scanned token, each
 kept sentence spanning its run at one of its occurrences, so no sentence is
-tokenized twice and no row is copied. `ngram_table.json` does not store
-them: its loader tokenizes the sentences it reads with `intern_sentences`.
+tokenized twice and no row is copied. The scan is their one source:
+`ngram_table.json` does not store them, and the similarity subcommand
+scans the corpus again rather than tokenize the file's sentences.
 """
 
 from __future__ import annotations
@@ -126,9 +127,10 @@ class NgramTable:
     context refers to it by id. Counts, context bins and context sentence
     ids are int32; positions in an array (`context_start`, and the
     `token_spans` of `sentence_tokens`) are int64. `sentence_tokens` is
-    (words, token_spans, token_ids), as the module docstring describes. A
-    released field reads None: the similarity kernel releases the token
-    rows, and `analyze` the sentences once ngram_table.json is written.
+    (words, token_spans, token_ids), the scan's, as the module docstring
+    describes. A released field reads None: the similarity kernel releases
+    the token rows, and the trends stage the sentences once it has written
+    ngram_table.json, as `load_table_json` does once it has checked it.
     """
 
     n: int
@@ -171,21 +173,6 @@ class _DenseIds(dict):
     def __missing__(self, text: str) -> int:
         self[text] = dense_id = len(self)
         return dense_id
-
-
-def intern_sentences(sentences: Sequence[str]) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Tokenize each sentence once: (words, token_spans, token_ids), words
-    in first-seen order and each sentence's ids one run after the last."""
-    token_ids = _DenseIds()
-    word_id = token_ids.__getitem__
-    ids: list[int] = []
-    starts = [0]
-    for sentence in sentences:
-        ids += map(word_id, sentence.translate(_FOLD).split())
-        starts.append(len(ids))
-    bounds = np.array(starts, dtype=np.int64)
-    spans = np.stack([bounds[:-1], bounds[1:]], axis=1)
-    return list(token_ids), spans, np.array(ids, dtype=np.int32)
 
 
 # A scan of this many n-gram instances or more is refused: instance numbers

@@ -7,15 +7,17 @@ order, each handed what the ones before it made (`_Handoff`), and writes a
 manifest hashing every artifact. `run_stage`, behind each stage
 subcommand, hands a stage nothing: it reads each input from its artifact
 (the `load_*` readers invert the `write_*` writers, and refuse what they
-cannot have written). Errors name the failing stage, and its partial
-outputs are removed; a failed subcommand also removes what an earlier run
-of its stage wrote. The corpus is never held: the JSONL file streams
-through the n-gram scan (`build_ngram_table`) once, in `analyze`'s ingest
-stage. Modules that only some stages run (`salience.corpus`, `.ngrams`,
-`.topics`, `.salience`) are imported when they run, so `associate`, for
-one, loads none of them. `salience.runs`, which loads no numpy, holds
-`RunConfig`, `stage_run`, the CSV reader and the readers `render` needs;
-`RunConfig` and `load_trend_csv` are re-exported here.
+cannot have written), but for the n-gram table, which the similarity
+stage scans from the corpus again and checks against ngram_table.json.
+Errors name the failing stage, and its partial outputs are removed; a
+failed subcommand also removes what an earlier run of its stage wrote. The
+corpus is never held: the JSONL file streams through the n-gram scan
+(`build_ngram_table`), once a run. Modules that only some stages run
+(`salience.corpus`, `.ngrams`, `.topics`, `.salience`) are imported when
+they run, so `associate`, for one, loads none of them. `salience.runs`,
+which loads no numpy, holds `RunConfig`, `stage_run`, the CSV reader and
+the readers `render` needs; `RunConfig` and `load_trend_csv` are
+re-exported here.
 
 Between stages each quantity is one numpy array whose row i is the i-th
 n-gram in sorted key order (K n-grams, B bins, T topics, M kept
@@ -24,9 +26,9 @@ instances):
 - the n-gram table: the K sorted keys, each an n-gram's text as every
   artifact names it, (K × B) int32 counts, and the contexts in CSR form,
   (K + 1,) int64 starts into one (M, 2) int32 array of (bin, sentence id)
-  pairs; in memory it also holds its sentences' token ids for the
-  similarity kernel, which `ngram_table.json` does not store (its loader
-  tokenizes the sentences) and the kernel releases once it has used them;
+  pairs; in memory it also holds the scan's token ids of its sentences
+  for the similarity kernel, which `ngram_table.json` does not store and
+  the kernel releases once it has used them;
 - usage: (K × B) floats, count / bin total, 0 in empty bins;
 - similarities: (K × T) floats, columns in framework topic order;
 - variability: (K,) floats, each row's relative standard deviation;
@@ -64,7 +66,6 @@ timings.
 from __future__ import annotations
 
 import csv
-import datetime as dt
 import io
 import itertools
 import json
@@ -73,7 +74,7 @@ import re
 from contextlib import suppress
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
@@ -92,8 +93,9 @@ from .errors import ConsistencyError, InputError, load_json
 # load_trend_csv are re-exported here.
 from .runs import (
     _NUMBER,
+    _READ_CHARS,
+    GRANULARITIES,
     RunConfig,
-    _append_key,
     _is_finite_number,
     _read_csv,
     _Run,
@@ -102,12 +104,15 @@ from .runs import (
 )
 
 if TYPE_CHECKING:
-    from .corpus import TimeBinning
     from .ngrams import NgramTable
     from .topics import TopicFramework, VectorSpace
 
 # The ngram_table.json layout that write_table_json writes and load_table_json reads.
 TABLE_VERSION = 2
+# Where the header of ngram_table.json ends: its sentences list follows.
+_SENTENCES = re.compile(r',\s*"sentences"\s*:\s*\[')
+# A refused table's message quotes this many characters of each side.
+_QUOTED = 24
 # An n-gram's text: tokenizer tokens joined by single spaces.
 _NGRAM_TEXT = re.compile(r"[^\W_]+(?: [^\W_]+)*")
 
@@ -259,11 +264,17 @@ def load_ngram_trends_csv(path: Path) -> tuple[list[str], np.ndarray, list[str]]
 
 
 def write_table_json(path: Path, table: NgramTable) -> None:
-    """Persist the n-gram table for the similarity stage: version 2 lists each
-    context sentence once and gives each n-gram's per-bin counts and its
-    contexts as [bin, sentence id] pairs.
+    """Persist the n-gram table for the similarity stage (`_table_text`)."""
+    with path.open("w", encoding="utf-8") as fh:
+        fh.writelines(_table_text(table))
 
-    The bytes are those of one compact json.dumps of the whole table: names
+
+def _table_text(table: NgramTable) -> Iterator[str]:
+    """The text of ngram_table.json, in pieces: version 2 lists each context
+    sentence once and gives each n-gram's per-bin counts and its contexts
+    as [bin, sentence id] pairs.
+
+    The text is that of one compact json.dumps of the whole table: names
     and sentences go through the encoder's own ASCII escaper and integers
     through str. Sentences and n-grams are rendered _BLOCK cells at a
     time, a sentence holding one cell per character, since its text is far
@@ -280,19 +291,18 @@ def write_table_json(path: Path, table: NgramTable) -> None:
         "bin_labels": table.binning.labels(),
         "bin_totals": table.bin_totals,
     }
+    yield json.dumps(header, separators=(",", ":"))[:-1] + ',"sentences":['
+    lengths = np.fromiter(map(len, table.sentences), np.int64, len(table.sentences))
+    for rows in _blocks(np.cumsum(lengths), _BLOCK):
+        yield ("," if rows.start else "") + ",".join(
+            map(encode_basestring_ascii, table.sentences[rows])
+        )
+    yield '],"ngrams":{'
     starts = table.context_start
     cells = starts[1:] - starts[0] + len(table.bin_totals) * np.arange(1, len(starts))
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header, separators=(",", ":"))[:-1] + ',"sentences":[')
-        lengths = np.fromiter(map(len, table.sentences), np.int64, len(table.sentences))
-        for rows in _blocks(np.cumsum(lengths), _BLOCK):
-            fh.write("," if rows.start else "")
-            fh.write(",".join(map(encode_basestring_ascii, table.sentences[rows])))
-        fh.write('],"ngrams":{')
-        for rows in _blocks(cells, _BLOCK):
-            fh.write("," if rows.start else "")
-            fh.write(_table_entries(table, rows))
-        fh.write("}}\n")
+    for rows in _blocks(cells, _BLOCK):
+        yield ("," if rows.start else "") + _table_entries(table, rows)
+    yield "}}\n"
 
 
 def _table_entries(table: NgramTable, rows: slice) -> str:
@@ -312,123 +322,78 @@ def _table_entries(table: NgramTable, rows: slice) -> str:
     )
 
 
-class _Pairs(list):
-    """A JSON object's (name, value) pairs in file order, repeats kept."""
+def load_table_json(path: Path, corpus: Path) -> NgramTable:
+    """The table the trends stage's scan makes of `corpus` with the options
+    of the file's header (`_table_options`), once the file is shown to hold
+    exactly the text `write_table_json` writes for it, compared a piece of
+    `_table_text` at a time. A difference, a file too short or too long
+    among them, refuses the file; bytes that are not UTF-8 read as U+FFFD,
+    which the writer never writes. The sentence texts are released."""
+    from .corpus import read_corpus
+    from .ngrams import build_ngram_table
 
-
-def load_table_json(path: Path) -> NgramTable:
-    """The n-gram table that `write_table_json` wrote. Refuses any other
-    version, a header `_table_header` refuses, an n-gram that is not words
-    joined by single spaces or out of sorted order, contexts whose bin or
-    sentence id is out of range, counts that differ from the contexts', and
-    counts the header cannot hold: a bin's above its total, or an n-gram's
-    total below min_total."""
-    from .ngrams import NgramTable, intern_sentences
-
-    hint = " (run the trends stage first)"
-    raw = load_json(path, "n-gram table", hint, object_pairs_hook=_Pairs)
-    payload = dict(raw) if isinstance(raw, _Pairs) else {}
-    if payload.get("version") != TABLE_VERSION:
-        raise InputError(
-            f"{path}: n-gram table version {payload.get('version')!r}, this program reads "
-            f"version {TABLE_VERSION}; re-run the trends stage"
-        )
-    try:
-        sentences = payload["sentences"]
-        if not isinstance(sentences, list) or not all(isinstance(s, str) for s in sentences):
-            raise InputError(f"{path}: sentences must be a list of strings")
-        n, min_total, include_titles, binning = _table_header(path, payload)
-        bins = binning.bin_count
-        keys: list[str] = []
-        rows: list[list[int]] = []
-        pairs: list[list[int]] = []
-        context_start = [0]
-        for text, entry in payload["ngrams"]:
-            if not _NGRAM_TEXT.fullmatch(text):
-                raise InputError(f"{path}: n-gram {text!r} is not words joined by single spaces")
-            _append_key(keys, text)
-            entry = dict(entry)
-            for t, sid in entry["contexts"]:
-                if type(t) is not int or not 0 <= t < bins:
-                    raise InputError(f"{path}: n-gram {text!r}: bin {t!r} is not one of {bins}")
-                if type(sid) is not int or not 0 <= sid < len(sentences):
-                    raise InputError(
-                        f"{path}: n-gram {text!r}: sentence id {sid!r} is not one of "
-                        f"{len(sentences)}"
-                    )
-            rows.append(entry["counts"])
-            pairs += entry["contexts"]
-            context_start.append(len(pairs))
-        contexts = np.array(pairs, dtype=np.int32).reshape(-1, 2)
-        table = NgramTable(
-            n=n,
-            min_total=min_total,
-            include_titles=include_titles,
-            binning=binning,
-            keys=keys,
-            bin_totals=payload["bin_totals"],
-            sentences=sentences,
-            context_start=np.array(context_start, dtype=np.int64),
-            context_bins=contexts[:, 0],
-            context_sids=contexts[:, 1],
-        )
-        for key, row, expected in zip(keys, rows, table.counts.tolist()):
-            if row != expected:
+    if not path.is_file():
+        raise InputError(f"n-gram table not found: {path} (run the trends stage first)")
+    with path.open(encoding="utf-8", errors="replace") as fh:
+        table = build_ngram_table(read_corpus(corpus), **_table_options(path, fh))
+        fh.seek(0)
+        offset = 0
+        # No piece is empty: the last, "", asks that the file end there.
+        for expected in itertools.chain(_table_text(table), [""]):
+            found = fh.read(len(expected) or 1)
+            if found != expected:
+                at = len(os.path.commonprefix([found, expected]))
+                found += fh.read(_QUOTED)
                 raise InputError(
-                    f"{path}: n-gram {key!r}: counts {row!r} are not the "
-                    f"{bins} per-bin counts of its contexts"
+                    f"{path}: not the n-gram table of {corpus} (it differs at character "
+                    f"{offset + at + 1}: the file has {found[at : at + _QUOTED]!r} where the "
+                    f"table has {expected[at : at + _QUOTED]!r}); re-run the trends stage"
                 )
-        in_bins, totals = table.counts.sum(axis=0), np.array(table.bin_totals)
-        if (in_bins > totals).any():
-            t = int((in_bins > totals).argmax())
-            raise InputError(
-                f"{path}: bad table header: bin {binning.label(t)!r} holds {in_bins[t]} "
-                f"kept instances, above its total {totals[t]}"
-            )
-        in_ngrams = table.counts.sum(axis=1)
-        if (in_ngrams < min_total).any():
-            i = int(in_ngrams.argmin())
-            raise InputError(
-                f"{path}: bad table header: n-gram {keys[i]!r} has "
-                f"{in_ngrams[i]} instances, below min_total {min_total}"
-            )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"{path}: bad n-gram table payload: {exc}") from exc
-    del raw, payload, rows, pairs  # freed before tokenizing, which would add to their peak
-    table.sentence_tokens = intern_sentences(sentences)
+            offset += len(expected)
+    table.sentences = None
     return table
 
 
-def _table_header(path: Path, payload: dict) -> tuple[int, int, bool, TimeBinning]:
-    """n, min_total, include_titles and the binning of a table's header,
-    refused unless n and min_total are integers >= 1, `bin_totals` are
-    integers >= 0, the flag is a boolean, `origin` is the first day of a bin
-    as ISO text and `bin_labels` are the labels of len(bin_totals) bins from
-    it."""
-    from .corpus import TimeBinning, span_binning
-
-    titles, granularity, origin = (payload[k] for k in ("include_titles", "granularity", "origin"))
-    n, min_total, totals = payload["n"], payload["min_total"], payload["bin_totals"]
+def _table_options(path: Path, fh) -> dict:
+    """The scan options of the header of the table open as `fh`, the text
+    before its sentences list (or the whole file, if it has none), read a
+    block at a time. Refuses any version but TABLE_VERSION, and checks each
+    option here, so that the scan refuses none with a message that does
+    not name the file."""
+    text, start = "", 0
+    while block := fh.read(_READ_CHARS):
+        text += block
+        if found := _SENTENCES.search(text, start):
+            text = text[: found.start()] + "}"
+            break
+        # A match cut off by the end of the text begins at its last comma.
+        comma = text.rfind(",", start)
+        start = comma if comma >= 0 else len(text)
     try:
-        for name, value in (("n", n), ("min_total", min_total)):
-            if type(value) is not int or value < 1:
-                raise ValueError(f"{name} {value!r} is not an integer >= 1")
-        if not isinstance(totals, list):
-            raise ValueError("bin_totals is not a list")
-        for total in totals:
-            if type(total) is not int or total < 0:
-                raise ValueError(f"bin total {total!r} is not an integer >= 0")
-        if type(titles) is not bool:
-            raise ValueError(f"include_titles {titles!r} is not true or false")
-        start = dt.date.fromisoformat(origin)
-        binning = TimeBinning(granularity, start, len(totals))
-        if span_binning(start, start, granularity).origin.isoformat() != origin:
-            raise ValueError(f"origin {origin!r} is not the first day of a {granularity} bin")
-        if payload["bin_labels"] != binning.labels():
-            raise ValueError(f"bin_labels are not those of {binning.bin_count} bins from {origin}")
-    except (InputError, TypeError, ValueError) as exc:
+        header = json.loads(text)
+    except ValueError as exc:
         raise InputError(f"{path}: bad table header: {exc}") from exc
-    return n, min_total, titles, binning
+    version = header.get("version") if isinstance(header, dict) else None
+    if version != TABLE_VERSION:
+        raise InputError(
+            f"{path}: n-gram table version {version!r}, this program reads "
+            f"version {TABLE_VERSION}; re-run the trends stage"
+        )
+    n, min_total, titles, granularity = map(
+        header.get, ("n", "min_total", "include_titles", "granularity")
+    )
+    bad = [
+        f"{name} {value!r} is not an integer >= 1"
+        for name, value in (("n", n), ("min_total", min_total))
+        if type(value) is not int or value < 1
+    ]
+    if type(titles) is not bool:
+        bad.append(f"include_titles {titles!r} is not true or false")
+    if granularity not in GRANULARITIES:
+        bad.append(f"granularity {granularity!r} is not one of {', '.join(GRANULARITIES)}")
+    if bad:
+        raise InputError(f"{path}: bad table header: {bad[0]}")
+    return {"n": n, "min_total": min_total, "include_titles": titles, "granularity": granularity}
 
 
 def write_similarity_csv(
@@ -731,12 +696,13 @@ def trends_stage(run: _Run, held: _Handoff) -> str:
 
 def similarity_stage(run: _Run, held: _Handoff) -> str:
     """Similarity stage: the (n-grams × topics) similarity array, from the
-    contexts in the table (held, or read from ngram_table.json). Writes
+    contexts in the table: held, or scanned again from the corpus and
+    checked against ngram_table.json (`load_table_json`). Writes
     similarity.csv and hands the array on."""
     from .topics import build_vector_space
 
-    table = held.table or load_table_json(held.out_dir / "ngram_table.json")
     framework = held.load_topics()
+    table = held.table or load_table_json(held.out_dir / "ngram_table.json", held.config.corpus)
     sims = compute_similarities(table, *build_vector_space(framework, held.lexicon))
     topic_ids = framework.topic_ids()
     write_similarity_csv(run.target("similarity.csv"), table.keys, sims, topic_ids)

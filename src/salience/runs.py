@@ -95,7 +95,7 @@ STAGES = {
         "stage: n-gram/topic similarity",
         reads=("ngram_table.json",),
         writes=("similarity.csv",),
-        options=("framework", "lexicon"),
+        options=("corpus", "framework", "lexicon"),
     ),
     "associate": Stage(
         "stage: bivariate topic association",

@@ -129,10 +129,13 @@ def framework_from_dict(data: dict) -> TopicFramework:
     for i, raw in enumerate(raw_topics):
         if not isinstance(raw, dict):
             raise InputError(f"framework {name!r}: topic #{i} is not an object")
+        definition = raw.get("definition")
+        if definition is not None and not isinstance(definition, str):
+            raise InputError(f"framework: topic #{i} definition must be a string or null")
         topics.append(
             Topic(
                 id=_as_str(raw.get("id"), f"topic #{i} id"),
-                definition=str(raw.get("definition") or ""),
+                definition=definition or "",
                 keywords=tuple(_as_str_list(raw.get("keywords"), "keywords")),
                 ground_truth=tuple(_as_str_list(raw.get("ground_truth"), "ground_truth")),
                 row=raw.get("row"),

@@ -10,7 +10,12 @@ json.loads reads from it. Any other exception is a bug.
 
 Explicit cases cover what a changed number may not reach: thresholds that
 json.loads reads but the writer cannot write, and a matrix whose bin is not
-the one its file is named by."""
+the one its file is named by.
+
+`load_table_json` reads nothing back: it scans the corpus again and checks
+that ngram_table.json holds that scan's text, so a copy of the table with
+one byte cut, changed, dropped or repeated must be refused, with an
+InputError whose message starts with the file's path."""
 
 import csv
 import json
@@ -27,6 +32,7 @@ from salience.pipeline import (
     RunConfig,
     load_associations_json,
     load_ngram_trends_csv,
+    load_table_json,
     load_trend_csv,
     run_analyze,
 )
@@ -50,8 +56,9 @@ def written(tmp_path_factory):
     """The artifacts of two analyze runs, by name: one with a framework
     without a grid, at the 50th percentile so that topics have members, and
     the matrix of one bin from a run with the PMESII-ASCOPE grid. A matrix
-    is named as a matrix is read, by its bin, in a folder per run. Also the
-    n-grams of the usage trends, which associations are read against."""
+    is named as a matrix is read, by its bin, in a folder per run; and the
+    corpus with the n-gram table scanned from it. Also the n-grams of the
+    usage trends, which associations are read against."""
     tmp = tmp_path_factory.mktemp("fuzz")
     spec = SynthSpec(
         seed=3,
@@ -73,6 +80,8 @@ def written(tmp_path_factory):
         if name == "plain":
             files.update({trend: (out / trend).read_bytes() for trend in TRENDS})
             files["associations.json"] = (out / "associations.json").read_bytes()
+            files["ngram_table.json"] = (out / "ngram_table.json").read_bytes()
+            files["corpus.jsonl"] = corpus.read_bytes()
             keys = load_ngram_trends_csv(out / "ngram_trends.csv")[0]
     assert any(entry["members"] for entry in json.loads(files["associations.json"]).values())
     return files, keys
@@ -165,6 +174,30 @@ def test_corrupted_artifact_is_refused_or_read_as_csv_or_json_reads_it(written, 
         except ConsistencyError as exc:
             assert name == "associations.json", exc
             assert re.fullmatch(r"topic .+: no usage trend for member .+", str(exc)), exc
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_changed_table_is_refused(written, data):
+    files, _ = written
+    table = files["ngram_table.json"]
+    at = data.draw(st.integers(0, len(table) - 1))
+    kind = data.draw(st.sampled_from(["cut", "change", "drop", "repeat"]))
+    if kind == "cut":
+        changed = table[:at]
+    elif kind == "change":
+        byte = data.draw(st.integers(0, 255).filter(lambda b: b != table[at]))
+        changed = table[:at] + bytes([byte]) + table[at + 1 :]
+    elif kind == "drop":
+        changed = table[:at] + table[at + 1 :]
+    else:
+        changed = table[: at + 1] + table[at:]
+    with tempfile.TemporaryDirectory() as folder:
+        corpus, path = Path(folder) / "corpus.jsonl", Path(folder) / "ngram_table.json"
+        corpus.write_bytes(files["corpus.jsonl"])
+        path.write_bytes(changed)
+        with pytest.raises(InputError, match=f"^{re.escape(str(path))}: "):
+            load_table_json(path, corpus)
 
 
 # A threshold as associations.json spells it, and values that json.loads

@@ -34,7 +34,7 @@ SURFACE = {
         (("--out",), "out", None, Path, None, True, "store"),
     ],
     "trends": CORPUS,
-    "similarity": IN_DIR + FRAMEWORK,
+    "similarity": IN_DIR + CORPUS[:1] + FRAMEWORK,
     "associate": IN_DIR + PERCENTILE,
     "salience": IN_DIR + FRAMEWORK[:1] + NORM,
     "render": IN_DIR

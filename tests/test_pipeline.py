@@ -44,6 +44,7 @@ from conftest import (
     corpus_file,
     disjoint_framework,
     framework_file,
+    framework_to_dict,
 )
 
 ARTIFACTS = (
@@ -136,23 +137,26 @@ class TestAnalyze:
 
     def test_sentence_texts_are_dropped_once_the_table_is_written(self, workspace, monkeypatch):
         # After the trends stage the texts are released, and after the
-        # similarity stage the token rows: the kernel scores from the scan's
-        # token rows and never re-tokenizes, and the manifest's count was
-        # taken before the texts went.
+        # similarity stage the token rows: the kernel scores from the token
+        # rows of analyze's one scan, and the manifest's count was taken
+        # before the texts went.
         tmp, corpus, framework = workspace
         written, write = [], pipeline.write_table_json
+        scans, scan = [], ngrams.build_ngram_table
 
         def write_table_json(path, table):
             write(path, table)
             written.append(table)
 
-        def intern_sentences(sentences):
-            raise AssertionError("analyze re-tokenized the sentences")
+        def build_ngram_table(*args, **options):
+            scans.append(scan(*args, **options))
+            return scans[-1]
 
         monkeypatch.setattr(pipeline, "write_table_json", write_table_json)
-        monkeypatch.setattr(ngrams, "intern_sentences", intern_sentences)
+        monkeypatch.setattr(ngrams, "build_ngram_table", build_ngram_table)
         out = tmp / "run_dropped"
         manifest = run_analyze(RunConfig(corpus=corpus, framework=framework, out_dir=out))
+        assert scans == written
         (table,) = written
         assert table.sentences is None and table.sentence_tokens is None
         sentences = json.loads((out / "ngram_table.json").read_text())["sentences"]
@@ -466,7 +470,15 @@ class TestCli:
             == 0
         )
         assert (
-            main(["similarity", "--in", str(staged), "--framework", str(framework)]) == 0
+            main(
+                [
+                    "similarity",
+                    "--in", str(staged),
+                    "--corpus", str(corpus),
+                    "--framework", str(framework),
+                ]
+            )
+            == 0
         )
         # Only the similarity stage reads the table; the later stages read
         # the trends CSV.
@@ -897,6 +909,31 @@ class TestCli:
         assert expected in capsys.readouterr().err
         assert [p for p in out.rglob("*") if p.is_file()] == []
 
+    @pytest.mark.parametrize("command", ["analyze", "trends", "similarity"])
+    def test_corpus_line_that_is_not_utf8_exits_one(self, workspace, tmp_path, capsys, command):
+        _, corpus, framework = workspace
+        lines = corpus.read_bytes().splitlines(keepends=True)
+        latin1 = '{"id": "late", "date": "2017-01-02", "text": "caf\u00e9 au lait"}\n'
+        path = tmp_path / "latin1.jsonl"
+        path.write_bytes(b"".join(lines[:-5] + [latin1.encode("latin-1")] + lines[-5:]))
+        out = tmp_path / "out"
+        args = ["--corpus", str(path), "--framework", str(framework), "--min-count", "1"]
+        if command == "similarity":
+            # The table of the UTF-8 corpus, which the similarity stage scans again.
+            run_analyze(RunConfig(corpus=corpus, framework=framework, out_dir=out, min_total=1))
+            args = ["--in", str(out), *args[:4]]
+        elif command == "trends":
+            args = [*args[:2], *args[4:], "--out", str(out)]
+        else:
+            args += ["--out", str(out)]
+        capsys.readouterr()
+        assert main([command, *args]) == 1
+        stage = "ingest" if command == "analyze" else command
+        err = capsys.readouterr().err
+        prefix = f"error: {stage}: {path}:{len(lines) - 4}: 'utf-8' codec can't decode byte 0xe9"
+        assert err.startswith(prefix)
+        assert not (out / "similarity.csv").exists()
+
     def test_trends_scan_holds_no_documents(self, tmp_path):
         # One text of long words in every document: a held corpus would grow
         # with the file, while what the scan keeps per document is a date and
@@ -1002,7 +1039,8 @@ class TestCli:
         _, corpus, framework = workspace
         staged = tmp_path / "staged"
         main(["trends", "--corpus", str(corpus), "--min-count", "1", "--out", str(staged)])
-        main(["similarity", "--in", str(staged), "--framework", str(framework)])
+        args = ["--in", str(staged), "--corpus", str(corpus), "--framework", str(framework)]
+        main(["similarity", *args])
         # Corrupt the associations so the salience stage hits a member with
         # no usage trend.
         (staged / "associations.json").write_text(
@@ -1338,7 +1376,7 @@ import salience, salience.cli
 corpus, framework, out, topic = sys.argv[1:]
 for args in (
     ["trends", "--corpus", corpus, "--min-count", "1", "--out", out],
-    ["similarity", "--in", out, "--framework", framework],
+    ["similarity", "--in", out, "--corpus", corpus, "--framework", framework],
     ["associate", "--in", out],
     ["salience", "--in", out, "--framework", framework],
     ["render", "--in", out, "--topics", topic],
@@ -1383,7 +1421,7 @@ def test_each_subcommand_loads_only_the_modules_it_runs(workspace, tmp_path, com
     args = {
         "analyze": ["--corpus", corpus, "--framework", framework, "--out", tmp_path / "again"],
         "trends": ["--corpus", corpus, "--min-count", "1", "--out", out],
-        "similarity": ["--in", out, "--framework", framework],
+        "similarity": ["--in", out, "--corpus", corpus, "--framework", framework],
         "associate": ["--in", out],
         "salience": ["--in", out, "--framework", framework],
         "render": ["--in", out, "--topics", "harbor_trade"],
@@ -1543,22 +1581,25 @@ def test_similarity_csv_is_csv_writer_output(tmp_path):
 
 
 def test_table_write_then_load_round_trips(workspace, tmp_path):
-    # The loaded table equals the built one field by field, its header (the
-    # binning and include_titles) included, for every granularity.
+    # The loaded table is the built one field by field, its header (n,
+    # min_total, the binning and include_titles) included, for every
+    # granularity: the loader scans with the header's options. It releases
+    # the sentence texts, and keeps the scan's token rows for the kernel.
     _, corpus, _ = workspace
-    for granularity, include_titles in (("month", True), ("week", False), ("day", True)):
+    options = ((2, "month", True), (3, "week", False), (1, "day", True))
+    for n, granularity, include_titles in options:
         table = build_ngram_table(
-            read_corpus(corpus), 2, 2, granularity=granularity, include_titles=include_titles
+            read_corpus(corpus), n, 2, granularity=granularity, include_titles=include_titles
         )
         assert table.binning == build_binning(load_corpus(corpus), granularity)
         path = tmp_path / f"{granularity}.json"
         write_table_json(path, table)
-        loaded = load_table_json(path)
-        assert_same_table(loaded, table)
+        loaded = load_table_json(path, corpus)
+        assert loaded.sentences is None
+        assert_same_table(dataclasses.replace(loaded, sentences=table.sentences), table)
+        for got, expected in zip(loaded.sentence_tokens, table.sentence_tokens):
+            assert np.array_equal(got, expected)
         assert json.loads(path.read_text(encoding="utf-8"))["version"] == 2
-        again = tmp_path / "again.json"
-        write_table_json(again, loaded)
-        assert again.read_bytes() == path.read_bytes()
 
 
 def _version_1(table):
@@ -1598,11 +1639,16 @@ def _swapped_ngrams(table):
     table["ngrams"] = dict([second, first, *rest])
 
 
+def _compact(value) -> str:
+    """The text json.dumps writes with no whitespace, as the table writer does."""
+    return json.dumps(value, separators=(",", ":"))
+
+
 def _repeated_ngram(table):
     # A dict cannot hold a repeated name, so the JSON text is edited.
     first, entry = next(iter(table["ngrams"].items()))
-    pair = json.dumps({first: entry})[1:-1]
-    return json.dumps(table).replace(pair, f"{pair}, {pair}", 1)
+    pair = _compact({first: entry})[1:-1]
+    return _compact(table).replace(pair, f"{pair},{pair}", 1) + "\n"
 
 
 def _short_counts_row(table):
@@ -1623,67 +1669,50 @@ def _header(**fields):
     return corrupt
 
 
+def _spaced(table):
+    # The same table, as json.dumps writes it by default.
+    return json.dumps(table) + "\n"
+
+
+def _not_utf8(table):
+    return (_compact(table) + "\n").encode("utf-8").replace(b'["', b'["\xff', 1)
+
+
+# A message of None: the file is refused as not the table of the corpus, at
+# the first character where it differs from the file the writer wrote.
 @pytest.mark.parametrize(
     "corrupt, message",
     [
         pytest.param(_version_1, "version 1, .*; re-run the trends stage", id="version-1"),
-        pytest.param(_sentence_id_out_of_range, "sentence id \\d+ is not one of", id="sentence-id"),
+        pytest.param(_sentence_id_out_of_range, None, id="sentence-id"),
+        pytest.param(_negative_sentence_id, None, id="negative-sentence-id"),
+        pytest.param(_non_integer_bin, None, id="non-integer-bin"),
+        pytest.param(_bool_bin, None, id="bool-bin"),
+        pytest.param(_comma_in_ngram, None, id="ngram-text"),
+        pytest.param(_swapped_ngrams, None, id="unsorted-ngrams"),
+        pytest.param(_repeated_ngram, None, id="repeated-ngram"),
+        pytest.param(_short_counts_row, None, id="short-counts"),
+        pytest.param(_counts_off_by_one, None, id="wrong-counts"),
+        pytest.param(_header(bin_labels=lambda labels: labels[:3]), None, id="labels-cut-to-3"),
         pytest.param(
-            _negative_sentence_id, "sentence id -1 is not one of", id="negative-sentence-id"
-        ),
-        pytest.param(_non_integer_bin, "bin 0.5 is not one of", id="non-integer-bin"),
-        pytest.param(_bool_bin, "bin True is not one of", id="bool-bin"),
-        pytest.param(
-            _comma_in_ngram, "n-gram '.*,.*' is not words joined by single spaces", id="ngram-text"
-        ),
-        pytest.param(
-            _swapped_ngrams, "n-gram '.*' repeats or is out of sorted order", id="unsorted-ngrams"
-        ),
-        pytest.param(
-            _repeated_ngram, "n-gram '.*' repeats or is out of sorted order", id="repeated-ngram"
+            _header(bin_labels=lambda labels: ["2015-12", *labels[1:]]), None, id="labels-differ"
         ),
         pytest.param(
-            _short_counts_row, "counts \\[.*\\] are not the 8 per-bin counts", id="short-counts"
+            _header(bin_totals=lambda totals: totals[:7]), None, id="totals-shorter-than-labels"
         ),
+        pytest.param(_header(bin_labels=[], bin_totals=[]), None, id="no-bins"),
         pytest.param(
-            _counts_off_by_one, "counts \\[.*\\] are not the 8 per-bin counts", id="wrong-counts"
+            _header(granularity="fortnight"),
+            "bad table header: granularity 'fortnight' is not one of month, week, day",
+            id="granularity",
         ),
-        pytest.param(
-            _header(bin_labels=lambda labels: labels[:3]),
-            "bad table header: bin_labels are not those of 8 bins from 2016-01-01",
-            id="labels-cut-to-3",
-        ),
-        pytest.param(
-            _header(bin_labels=lambda labels: ["2015-12", *labels[1:]]),
-            "bin_labels are not those of 8 bins",
-            id="labels-differ",
-        ),
-        pytest.param(
-            _header(bin_totals=lambda totals: totals[:7]),
-            "bin_labels are not those of 7 bins",
-            id="totals-shorter-than-labels",
-        ),
-        pytest.param(
-            _header(bin_labels=[], bin_totals=[]), "bin_count must be >= 1", id="no-bins"
-        ),
-        pytest.param(
-            _header(granularity="fortnight"), "unknown granularity 'fortnight'", id="granularity"
-        ),
-        pytest.param(_header(origin="not a date"), "Invalid isoformat", id="origin-not-a-date"),
-        pytest.param(_header(origin=None), "bad table header: ", id="origin-null"),
-        pytest.param(
-            _header(origin="2016-01-15"),
-            "origin '2016-01-15' is not the first day of a month bin",
-            id="origin-mid-month",
-        ),
-        pytest.param(
-            _header(origin="20160101"),
-            "origin '20160101' is not the first day of a month bin",
-            id="origin-not-iso",
-        ),
+        pytest.param(_header(origin="not a date"), None, id="origin-not-a-date"),
+        pytest.param(_header(origin=None), None, id="origin-null"),
+        pytest.param(_header(origin="2016-01-15"), None, id="origin-mid-month"),
+        pytest.param(_header(origin="20160101"), None, id="origin-not-iso"),
         pytest.param(
             _header(include_titles="maybe"),
-            "include_titles 'maybe' is not true or false",
+            "bad table header: include_titles 'maybe' is not true or false",
             id="include-titles",
         ),
         pytest.param(_header(n="2"), "bad table header: n '2' is not an integer >= 1", id="n-text"),
@@ -1695,20 +1724,22 @@ def _header(**fields):
             id="min-total-negative",
         ),
         pytest.param(
-            _header(bin_totals=lambda totals: ["x", *totals[1:]]),
-            "bad table header: bin total 'x' is not an integer >= 0",
-            id="bin-total-text",
+            _header(bin_totals=lambda totals: ["x", *totals[1:]]), None, id="bin-total-text"
         ),
         pytest.param(
-            _header(bin_totals=lambda totals: [0] * len(totals)),
-            "bad table header: bin '2016-01' holds \\d+ kept instances, above its total 0",
-            id="bin-totals-zero",
+            _header(bin_totals=lambda totals: [0] * len(totals)), None, id="bin-totals-zero"
         ),
+        # The scan takes min_total from the header and keeps no n-gram, so
+        # the text differs later, where the sentences begin.
         pytest.param(
             _header(min_total=10**6),
-            "bad table header: n-gram '.*' has \\d+ instances, below min_total 1000000",
+            "not the n-gram table of .* \\(it differs at character \\d+: the file has '\"",
             id="min-total-above-counts",
         ),
+        pytest.param(_spaced, None, id="spaced"),
+        pytest.param(_not_utf8, None, id="not-utf8"),
+        pytest.param(lambda table: _compact(table), None, id="no-final-newline"),
+        pytest.param(lambda table: _compact(table) + "\n\n", None, id="extra-newline"),
     ],
 )
 def test_similarity_refuses_bad_table(workspace, tmp_path, capsys, corrupt, message):
@@ -1716,15 +1747,51 @@ def test_similarity_refuses_bad_table(workspace, tmp_path, capsys, corrupt, mess
     out = tmp_path / "out"
     run_analyze(RunConfig(corpus=corpus, framework=framework, out_dir=out, min_total=1))
     path = out / "ngram_table.json"
-    table = json.loads(path.read_text(encoding="utf-8"))
-    path.write_text(corrupt(table) or json.dumps(table), encoding="utf-8")
+    written = path.read_text(encoding="utf-8")
+    table = json.loads(written)
+    assert _compact(table) + "\n" == written
+    text = corrupt(table) or _compact(table) + "\n"
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text, encoding="utf-8")
     capsys.readouterr()
-    assert main(["similarity", "--in", str(out), "--framework", str(framework)]) == 1
+    args = ["--in", str(out), "--corpus", str(corpus), "--framework", str(framework)]
+    assert main(["similarity", *args]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: similarity: {path}: ")
+    if message is None:
+        text = path.read_text(encoding="utf-8", errors="replace")
+        at = len(os.path.commonprefix([text, written])) + 1
+        message = (
+            f"not the n-gram table of {re.escape(str(corpus))} \\(it differs at character "
+            f"{at}: the file has '.*' where the table has '.*'\\); re-run the trends stage$"
+        )
     assert re.search(message, err)
     # The failed stage removes the similarity.csv of the earlier run.
     assert not (out / "similarity.csv").exists()
+
+
+def test_similarity_refuses_the_table_of_another_corpus(workspace, tmp_path, capsys):
+    # A table scanned from the corpus with one word of one document changed.
+    _, corpus, framework = workspace
+    records = [json.loads(line) for line in corpus.read_text(encoding="utf-8").splitlines()]
+    word = records[5]["text"].split()[2]
+    records[5]["text"] = records[5]["text"].replace(word, word + "x", 1)
+    other = corpus_file(tmp_path, records, name="other.jsonl")
+    out = tmp_path / "out"
+    run_analyze(RunConfig(corpus=other, framework=framework, out_dir=out, min_total=1))
+    capsys.readouterr()
+    args = ["--in", str(out), "--corpus", str(corpus), "--framework", str(framework)]
+    assert main(["similarity", *args]) == 1
+    err = capsys.readouterr().err
+    path = out / "ngram_table.json"
+    assert err.startswith(f"error: similarity: {path}: not the n-gram table of {corpus} (")
+    assert err.rstrip().endswith("; re-run the trends stage")
+    assert not (out / "similarity.csv").exists()
+    # The table of the corpus it was scanned from passes.
+    args[3] = str(other)
+    assert main(["similarity", *args]) == 0
 
 
 # One corrupted cell in the second line of an artifact, the stage that
@@ -1820,3 +1887,143 @@ def test_loaders_refuse_numbers_the_writers_cannot_write(
         message = re.escape(f"{path}: {where}: {float(value)!r} is not")
         with pytest.raises(InputError, match=message):
             loader(path)
+
+
+_TOPIC = {"id": "a", "definition": "harbor freight"}
+_SPEC = {
+    "seed": 1,
+    "bin_count": 3,
+    "docs_per_bin": 2,
+    "background_vocab": 8,
+    "sentence_length": [4, 6],
+    "sentences_per_doc": [2, 3],
+}
+_EVENT = {"topic_id": "t", "phrases": ["alpha beta"], "start_bin": 0, "duration": 1}
+_EVENT["intensity"] = 0.5
+_EXTRA_TOPIC = framework_to_dict(disjoint_framework())
+_EXTRA_TOPIC["topics"].append({"id": "extra", "definition": "words"})
+
+
+def _fw(topics, **grid):
+    return {"name": "fw", **grid, "topics": topics}
+
+
+def _events(**fields):
+    return {**_SPEC, "events": [{**_EVENT, **fields}]}
+
+
+# (what the input is, the input, the message). A framework is refused by
+# analyze's ingest stage, a lexicon too, and a synth spec by synth; the
+# other inputs go to a stage subcommand over an analyze output.
+_REFUSALS = [
+    ("framework", _fw([]), "ingest: framework 'fw' declares no topics"),
+    ("framework", [_TOPIC], "ingest: framework file must hold a JSON object"),
+    ("framework", {"topics": [_TOPIC]}, "ingest: framework needs a non-empty 'name'"),
+    ("framework", _fw({}), "ingest: framework 'fw': 'topics' must be a list"),
+    ("framework", _fw(["a"]), "ingest: framework 'fw': topic #0 is not an object"),
+    (
+        "framework",
+        _fw([{**_TOPIC, "id": 5}]),
+        "ingest: framework: topic #0 id must be a non-empty string",
+    ),
+    (
+        "framework",
+        _fw([{**_TOPIC, "keywords": "harbor"}]),
+        "ingest: framework: keywords must be a list of strings",
+    ),
+    (
+        "framework",
+        _fw([{**_TOPIC, "definition": 5}]),
+        "ingest: framework: topic #0 definition must be a string or null",
+    ),
+    (
+        "framework",
+        _fw([{**_TOPIC, "definition": ["a", "b"]}]),
+        "ingest: framework: topic #0 definition must be a string or null",
+    ),
+    (
+        "framework",
+        _fw([{**_TOPIC, "row": "X", "column": "C"}], rows=["R"], columns=["C"]),
+        "ingest: topic 'a' has row/column outside the declared grid",
+    ),
+    (
+        "framework",
+        _fw(
+            [
+                {**_TOPIC, "row": "R", "column": "C1"},
+                {**_TOPIC, "id": "b", "row": "R", "column": "C1"},
+            ],
+            rows=["R"],
+            columns=["C1", "C2"],
+        ),
+        "ingest: grid cell ('R', 'C1') assigned to more than one topic",
+    ),
+    ("lexicon", ["a"], "ingest: {input}: lexicon must be a JSON object"),
+    ("lexicon", {"a": "b"}, "ingest: {input}: synonyms of 'a' must be a list of strings"),
+    ("lexicon", {"A": [], "a": []}, "ingest: {input}: duplicate lexicon term 'a'"),
+    ("spec", {**_SPEC, "bin_count": 0}, "bin_count must be >= 1"),
+    (
+        "spec",
+        {**_SPEC, "docs_per_bin": [2, 2]},
+        "docs_per_bin list length must equal bin_count",
+    ),
+    ("spec", {**_SPEC, "docs_per_bin": [2, 0, 2]}, "docs_per_bin must be >= 1 everywhere"),
+    ("spec", {**_SPEC, "background_vocab": 1}, "background_vocab must be >= 2"),
+    ("spec", {**_SPEC, "sentence_length": [5, 4]}, "length ranges must satisfy 1 <= lo <= hi"),
+    ("spec", {**_SPEC, "granularity": "year"}, "unknown granularity 'year'"),
+    ("spec", _events(topic_id=""), "planted event needs a topic_id"),
+    ("spec", _events(phrases=[]), "event for 't' has no phrases"),
+    ("spec", _events(phrases=["alpha"]), "burst phrase 'alpha' must tokenize to >= 2 tokens"),
+    (
+        "spec",
+        _events(intensity=1.5),
+        "event for 't': intensity 1.5 is infeasible (must be in (0, 1])",
+    ),
+    ("spec", _events(duration=0), "event duration must be >= 1"),
+    ("spec", _events(start_bin=3), "event for 't' spills outside bins [0, 3)"),
+    (
+        "spec",
+        {**_SPEC, "seed": "one"},
+        "bad synth spec: invalid literal for int() with base 10: 'one'",
+    ),
+    ("render", ["--topics", ","], "--topics needs at least one topic id"),
+    (
+        "render",
+        ["--topics", "harbor_trade", "--bin", "nosuch"],
+        "render: no matrix for bin 'nosuch' at {out}/matrices/nosuch.json",
+    ),
+    ("salience", _EXTRA_TOPIC, "salience: associations missing for topics: extra"),
+    (
+        "associate",
+        "ngram,topic_id,similarity\n",
+        "associate: {out}/similarity.csv: line 2: no similarity rows",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, payload, message",
+    _REFUSALS,
+    ids=[f"{kind}-{i}" for i, (kind, _, _) in enumerate(_REFUSALS)],
+)
+def test_refusal_exits_one_with_its_message(workspace, tmp_path, capsys, kind, payload, message):
+    _, corpus, framework = workspace
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    out = tmp_path / "out"
+    if kind in ("render", "salience", "associate"):
+        run_analyze(RunConfig(corpus=corpus, framework=framework, out_dir=out, min_total=1))
+    if kind == "associate":
+        (out / "similarity.csv").write_text(payload, encoding="utf-8")
+    analyze = ["analyze", "--corpus", corpus, "--out", out]
+    argv = {
+        "framework": [*analyze, "--framework", path],
+        "lexicon": [*analyze, "--framework", framework, "--lexicon", path],
+        "spec": ["synth", "--spec", path, "--out", tmp_path / "synth.jsonl"],
+        "render": ["render", "--in", out, *payload],
+        "salience": ["salience", "--in", out, "--framework", path],
+        "associate": ["associate", "--in", out],
+    }[kind]
+    capsys.readouterr()
+    assert main(list(map(str, argv))) == 1
+    assert capsys.readouterr().err == f"error: {message.format(input=path, out=out)}\n"

@@ -2,6 +2,7 @@
 order-independence of its values."""
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 from salience import topics
 from salience.corpus import TimeBinning
 from salience.errors import ConsistencyError
-from salience.ngrams import NgramTable, build_ngram_table, intern_sentences
-from salience.pipeline import compute_similarities, load_table_json, write_table_json
+from salience.ngrams import NgramTable
+from salience.pipeline import compute_similarities
 from salience.topics import (
     Topic,
     TopicFramework,
@@ -24,7 +25,7 @@ from salience.topics import (
     similarity_matrix,
 )
 
-from conftest import day, make_docs
+from conftest import day
 
 TOLERANCE = 1e-12
 NOISE = ["zzyzx", "quux", "Florp", "blorb", "snark"]  # in no topic document
@@ -32,6 +33,17 @@ NOISE = ["zzyzx", "quux", "Florp", "blorb", "snark"]  # in no topic document
 
 def _oracle(space, vectors, contexts):
     return np.array([similarity_matrix(ctx, space, vectors) for ctx in contexts])
+
+
+def _token_rows(sentences):
+    """The sentences' token rows as `NgramTable.sentence_tokens` holds them,
+    (words, token_spans, token_ids), tokens found by regex: words in
+    first-seen order, each sentence's ids one run after the last."""
+    ids: dict[str, int] = {}
+    rows = [[ids.setdefault(w, len(ids)) for w in re.findall(r"[^\W_]+", s)] for s in sentences]
+    bounds = np.cumsum([0] + [len(row) for row in rows], dtype=np.int64)
+    spans = np.stack([bounds[:-1], bounds[1:]], axis=1)
+    return list(ids), spans, np.array([i for row in rows for i in row], dtype=np.int32)
 
 
 def _intern(contexts):
@@ -45,7 +57,7 @@ def _intern(contexts):
 
 def _kernel(space, vectors, contexts):
     sentences, start, sids = _intern(contexts)
-    terms = sentence_terms(space, *intern_sentences(sentences))
+    terms = sentence_terms(space, *_token_rows(sentences))
     return score_terms(space, vectors, terms, start, sids)
 
 
@@ -175,7 +187,7 @@ def _table(records) -> NgramTable:
         context_start=start,
         context_bins=np.zeros(len(sids), dtype=np.int64),
         context_sids=sids,
-        sentence_tokens=intern_sentences(sentences),
+        sentence_tokens=_token_rows(sentences),
     )
 
 
@@ -238,32 +250,10 @@ class TestTokenIds:
             ["Army ARMY army budget"],
             ["army army army budget"],
         ]
-        words, _, _ = intern_sentences([s for ctx in contexts for s in ctx])
+        words, _, _ = _token_rows([s for ctx in contexts for s in ctx])
         assert {"Army", "ARMY", "army"} <= set(words)
         got = _kernel(space, vectors, contexts)
         assert got[0].tolist() == got[1].tolist() == got[2].tolist()
         assert got[3].tolist() == got[4].tolist() != got[0].tolist()
         assert got.max() > 0.0
         assert np.abs(got - _oracle(space, vectors, contexts)).max() <= TOLERANCE
-
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_built_and_loaded_tables_score_bit_equal(self, tmp_path, n):
-        fw = load_pmesii_ascope()
-        space, vectors = build_vector_space(fw)
-        rng = random.Random(3)
-        pool = _sentence_pool(fw, rng, size=60) + ["Army ARMY army", "İstanbul Ünï 2017 budget"]
-        items = [
-            (day(2017, rng.randint(1, 6)), ". ".join(rng.choices(pool, k=rng.randint(1, 5))))
-            for _ in range(80)
-        ]
-        built = build_ngram_table(make_docs(items), n=n, min_total=2)
-        assert built.keys
-        path = tmp_path / "ngram_table.json"
-        write_table_json(path, built)
-        loaded = load_table_json(path)
-        # The build's token rows come from its scan, the loader's from re-tokenizing.
-        assert built.sentence_tokens[0] != loaded.sentence_tokens[0]
-        expected = compute_similarities(built, space, vectors)
-        got = compute_similarities(loaded, space, vectors)
-        assert expected.max() > 0.0
-        assert got.tobytes() == expected.tobytes()

@@ -41,6 +41,12 @@ class TestFramework:
                 topics=(Topic(id="t", definition="a"), Topic(id="t", definition="b")),
             )
 
+    def test_empty_topic_id_rejected(self):
+        # framework_from_dict refuses an empty id first; a Topic made in code
+        # reaches this check.
+        with pytest.raises(InputError, match="^framework 'fw': topic with empty id$"):
+            TopicFramework(name="fw", topics=(Topic(id="", definition="a"),))
+
     def test_incomplete_grid_rejected(self):
         with pytest.raises(InputError, match="incomplete"):
             TopicFramework(
