@@ -74,13 +74,19 @@ def relative_std_devs(usage: np.ndarray) -> np.ndarray:
 
 
 def percentile(values: Sequence[float], p: float) -> float:
-    """Percentile with linear interpolation between closest ranks:
-    rank = (p/100) * (N - 1) on the sorted values."""
+    """Percentile with linear interpolation between closest ranks, rank =
+    (p/100) * (N - 1): np.percentile(values, p, method="linear") to the bit
+    for finite values, with numpy's ranks and `_lerp` rule but no numpy.ma."""
     if len(values) == 0:
         raise InputError("cannot take a percentile of an empty list")
     if not 0.0 <= p <= 100.0:
         raise InputError(f"percentile must lie in [0, 100], got {p}")
-    return float(np.percentile(np.asarray(values, dtype=float), p, method="linear"))
+    rank = (len(values) - 1) * (float(p) / 100)
+    # From the last rank on, numpy interpolates the largest value with itself.
+    below, above = (int(rank), int(rank) + 1) if rank < len(values) - 1 else (-1, -1)
+    ordered = np.partition(np.asarray(values, dtype=float), sorted({0, -1, below, above}))
+    lo, hi, t = ordered.item(below), ordered.item(above), rank - below
+    return hi - (hi - lo) * (1 - t) if t >= 0.5 else lo + (hi - lo) * t
 
 
 @dataclass(frozen=True)

@@ -377,6 +377,8 @@ def build_ngram_table(
 
     bins = doc_bins[np.frombuffer(docs_of, dtype=np.intc)]
     sids, lengths = (np.frombuffer(a, dtype=np.intc) for a in (sids, lengths))
+    # n, or 0 with no sentence of n tokens: where loops over token positions stop.
+    positions = min(n, int(lengths.max(initial=0)))
     ends = np.cumsum(lengths, dtype=np.int64)
     del doc_bins, docs_of
     totals = np.zeros(binning.bin_count, dtype=np.int64)
@@ -408,7 +410,7 @@ def build_ngram_table(
     vocabulary = len(words)
     packed = np.empty(instances, dtype=np.int64)
     prefixes: list[np.ndarray] = []
-    for width in range(2, n):
+    for width in range(2, positions):
         keys = _instance_keys(ranked, ends, n, width, vocabulary, prefixes)
         prefixes.append(_sorted_distinct(packed, keys))
     # Each full-width key is below span. When span * instances would pass
@@ -441,7 +443,7 @@ def build_ngram_table(
     # before its tokens do.
     at = np.searchsorted(window_ends, first, side="right")
     first += ends[by_bin[at]] - window_ends[at] - (n - 1)
-    key_columns = [[words[r] for r in ranked[first + j].tolist()] for j in range(n)]
+    key_columns = [[words[r] for r in ranked[first + j].tolist()] for j in range(positions)]
     del packed, window_ends, first, at, bins
 
     # Renumber the hosting sentences by first use in sorted key order.

@@ -45,10 +45,9 @@ float temporaries. The CSV and table writers render
 straight from the arrays a block at a time, each block by a function call
 whose strings are freed before the next block's are made, so what a writer
 holds does not grow with the table; their bytes are those of csv.writer
-and of one compact json.dumps of the whole payload. The
-associations writer fills line templates a topic at a time, and the matrix
-writer fills one template for every bin, a block of bins at a time, with
-the bytes of json.dumps(payload, indent=2). The loaders of
+and of one compact json.dumps of the whole payload, as are those of the
+templates that the associations and matrix writers fill a topic, or a block
+of bins, at a time. The loaders of
 the two large CSVs read the header (and the first n-gram's similarity
 rows) with csv.reader and the rest as records of one compiled pattern, a
 bounded block of text at a time (`_CsvArtifact.records`), so they accept
@@ -111,6 +110,8 @@ if TYPE_CHECKING:
 TABLE_VERSION = 2
 # Where the header of ngram_table.json ends: its sentences list follows.
 _SENTENCES = re.compile(r',\s*"sentences"\s*:\s*\[')
+# The start of a table whose first field is its version, a JSON integer.
+_VERSION = re.compile(r'\s*\{\s*"version"\s*:\s*(-?(?:0|[1-9][0-9]*))\s*[,}]')
 # A refused table's message quotes this many characters of each side.
 _QUOTED = 24
 # An n-gram's text: tokenizer tokens joined by single spaces.
@@ -165,19 +166,9 @@ def _check_cells(path: Path, values: np.ndarray, rows: list, columns: list, unit
     raise InputError(f"{path}: {rows[i]!r} at {columns[j]!r}: {values.item(i, j)!r} is not {bound}")
 
 
-def _json_block(brackets: str, items: list[str], indent: str) -> str:
-    """A list or object laid out as json.dumps(indent=2) lays it out, from
-    its rendered items; `brackets` is "[]" or "{}" and `indent` the indent
-    of the line the block opens on."""
-    if not items:
-        return brackets
-    inner = "\n" + indent + "  "
-    return f"{brackets[0]}{inner}{(',' + inner).join(items)}\n{indent}{brackets[1]}"
-
-
-def _json_strings(texts) -> str:
-    """A list of strings as a field of a top-level JSON object."""
-    return _json_block("[]", list(map(encode_basestring_ascii, texts)), "  ")
+def _json_list(items) -> str:
+    """A JSON list, compact, of its rendered items."""
+    return "[" + ",".join(items) + "]"
 
 
 def _sha256(path: Path) -> str:
@@ -356,15 +347,19 @@ def load_table_json(path: Path, corpus: Path) -> NgramTable:
 
 def _table_options(path: Path, fh) -> dict:
     """The scan options of the header of the table open as `fh`, the text
-    before its sentences list (or the whole file, if it has none), read a
-    block at a time. Refuses any version but TABLE_VERSION, and checks each
-    option here, so that the scan refuses none with a message that does
-    not name the file."""
+    before its sentences list, read a block at a time; a file without one is
+    read whole, unless its first block names another version first, as a
+    version-1 table does. Refuses any version but TABLE_VERSION, and checks
+    each option here, so that the scan refuses none with a message that
+    does not name the file."""
     text, start = "", 0
     while block := fh.read(_READ_CHARS):
         text += block
         if found := _SENTENCES.search(text, start):
             text = text[: found.start()] + "}"
+            break
+        if not start and (lead := _VERSION.match(text)) and int(lead[1]) != TABLE_VERSION:
+            text = lead[0][:-1] + "}"  # the version alone, refused below
             break
         # A match cut off by the end of the text begins at its last comma.
         comma = text.rfind(",", start)
@@ -488,34 +483,31 @@ def write_associations_json(
     similarity and variability. `associations` lists the topics in the
     column order of `sims`.
 
-    The bytes are those of json.dumps(payload, indent=2) and a newline,
-    rendered by line templates: topic ids and n-grams go through the
+    The bytes are those of json.dumps(payload, separators=(",", ":")) and
+    a newline, rendered by templates: topic ids and n-grams go through the
     encoder's ASCII escaper, floats are spelled as json spells them. Each
-    topic's block is written as soon as it is made, so the writer holds one
+    topic's entry is written as soon as it is made, so the writer holds one
     topic's text at a time.
     """
     with path.open("w", encoding="utf-8") as fh:
-        opening = "{\n  "
+        fh.write("{")
         for column, (topic_id, assoc) in enumerate(associations.items()):
             rows = list(assoc.members)
             names = map(encode_basestring_ascii, map(keys.__getitem__, rows))
             values = np.stack([sims[rows, column], rsd[rows]])
             sim_texts, rsd_texts = _cell_texts(values, json_floats=True)
             members = [
-                f'{{\n        "ngram": {name},\n        "similarity": {sim},\n'
-                f'        "rsd": {var}\n      }}'
+                f'{{"ngram":{name},"similarity":{sim},"rsd":{var}}}'
                 for name, sim, var in zip(names, sim_texts, rsd_texts)
             ]
-            thresholds = np.array([[assoc.sim_threshold, assoc.rsd_threshold]])
-            sim_threshold, rsd_threshold = _cell_texts(thresholds, json_floats=True)[0]
+            thresholds = assoc.sim_threshold, assoc.rsd_threshold
+            sim_threshold, rsd_threshold = map(json.dumps, thresholds)
             fh.write(
-                f'{opening}{encode_basestring_ascii(topic_id)}: {{\n'
-                f'    "sim_threshold": {sim_threshold},\n'
-                f'    "rsd_threshold": {rsd_threshold},\n'
-                f'    "members": {_json_block("[]", members, "    ")}\n  }}'
+                f'{"," if column else ""}{encode_basestring_ascii(topic_id)}:'
+                f'{{"sim_threshold":{sim_threshold},"rsd_threshold":{rsd_threshold},'
+                f'"members":{_json_list(members)}}}'
             )
-            opening = ",\n  "
-        fh.write("\n}\n" if associations else "{}\n")
+        fh.write("}\n")
 
 
 def load_associations_json(path: Path, keys: list[str]) -> dict[str, TopicAssociation]:
@@ -577,23 +569,22 @@ def write_matrix_json(
     row by row over the grid or, for a framework without a grid, null
     labels, the topic ids and one row of values in topic order.
 
-    The bytes are those of json.dumps(payload, indent=2) and a newline,
-    rendered as `write_associations_json` renders them, from one template
-    whose labels are encoded once; the values are rendered _BLOCK
-    cells, whole bins, at a time.
+    The bytes are those of json.dumps(payload, separators=(",", ":")) and
+    a newline, rendered as `write_associations_json` renders them, from one
+    template whose labels json.dumps encodes once; the values are rendered
+    _BLOCK cells, whole bins, at a time.
     """
-    if framework.has_grid:
-        fields = {"rows": _json_strings(framework.rows), "columns": _json_strings(framework.columns)}
-    else:
-        fields = {"rows": "null", "columns": "null", "topics": _json_strings(framework.topic_ids())}
+    fields = {"rows": framework.rows, "columns": framework.columns}  # null without a grid
+    if not framework.has_grid:
+        fields["topics"] = framework.topic_ids()
     width = len(framework.columns or framework.topics)
-    labels = "".join(f',\n  "{name}": {text}' for name, text in fields.items())
+    labels = json.dumps(fields, separators=(",", ":"))[1:-1]
     height = len(matrix)
     for bins in _blocks(height * np.arange(1, len(bin_labels) + 1), _BLOCK):
         for t, cells in enumerate(_cell_texts(matrix[:, bins].T, json_floats=True), bins.start):
-            rows = [_json_block("[]", cells[at : at + width], "    ") for at in range(0, height, width)]
-            label, values = encode_basestring_ascii(bin_labels[t]), _json_block("[]", rows, "  ")
-            text = f'{{\n  "bin": {label}{labels},\n  "values": {values}\n}}\n'
+            rows = [_json_list(cells[at : at + width]) for at in range(0, height, width)]
+            label, values = encode_basestring_ascii(bin_labels[t]), _json_list(rows)
+            text = f'{{"bin":{label},{labels},"values":{values}}}\n'
             paths[t].write_text(text, encoding="utf-8")
 
 

@@ -2,11 +2,12 @@
 trend CSVs), `load_associations_json` and `load_matrix_json`, against
 corrupted copies of what `analyze` wrote.
 
-A copy has one number changed, is cut at a byte, or has one line dropped or
-repeated. Its loader must refuse it with an InputError whose message starts
-with the file's path (for associations, a ConsistencyError naming a member
-that has no usage trend is also allowed), or return what csv.reader or
-json.loads reads from it. Any other exception is a bug.
+A copy has one number changed, is cut at a byte, or has one line (of a CSV
+file) or the text between two commas (of a JSON file) dropped or repeated.
+Its loader must refuse it with an InputError whose message starts with the
+file's path (for associations, a ConsistencyError naming a member that has
+no usage trend is also allowed), or return what csv.reader or json.loads
+reads from it. Any other exception is a bug.
 
 Explicit cases cover what a changed number may not reach: thresholds that
 json.loads reads but the writer cannot write, and a matrix whose bin is not
@@ -43,10 +44,10 @@ from salience.topics import load_pmesii_ascope
 from conftest import burst_phrases, disjoint_framework, framework_file
 
 TRENDS = ("topic_usage.csv", "salience.csv", "salience_normalized.csv")
-# A number as json.dumps(indent=2) lays one out: after its key (group 1),
-# or alone on the line of a list item.
+# A number as the compact JSON artifacts lay one out: after its key (group
+# 1), or as a list item, and before a comma or a closing bracket.
 JSON_NUMBER = re.compile(
-    r'(?m)(?:"(\w+)": |^ +)(-?(?:[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?|Infinity)|NaN)(?=,?$)'
+    r'(?:"(\w+)":|(?<=[\[,]))(-?(?:[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?|Infinity)|NaN)(?=[,\]}])'
 )
 CORRUPT_NUMBERS = ["nan", "NaN", "inf", "Infinity", "-1", "2", "", "x", "null", '"0.5"', "true"]
 
@@ -113,13 +114,16 @@ def corruptions(draw, files, names):
         wrong = draw(st.sampled_from(CORRUPT_NUMBERS))
         text = text[: number.start(2)] + wrong + text[number.end(2) :]
         return name, text.encode("utf-8")
-    lines = text.split("\n")[:-1]
-    at = draw(st.integers(0, len(lines) - 1))
+    # A line of a CSV file, or the text between two commas of a JSON file's
+    # one line, is dropped or repeated; the final newline stays.
+    separator = "\n" if name.endswith(".csv") else ","
+    pieces = text[:-1].split(separator)
+    at = draw(st.integers(0, len(pieces) - 1))
     if kind == "drop":
-        del lines[at]
+        del pieces[at]
     else:
-        lines.insert(at, lines[at])
-    return name, "".join(line + "\n" for line in lines).encode("utf-8")
+        pieces.insert(at, pieces[at])
+    return name, (separator.join(pieces) + "\n").encode("utf-8")
 
 
 def _csv_reading(path: Path):

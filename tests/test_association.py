@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from salience import association
@@ -95,6 +95,24 @@ class TestPercentile:
     def test_out_of_range_p(self):
         with pytest.raises(InputError):
             percentile([1.0], 101)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        values=st.lists(
+            st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.25, 5e-324, 1e308])
+            | st.floats(allow_nan=False, allow_infinity=False),
+            min_size=1,
+            max_size=40,
+        )
+        | st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0]), min_size=1, max_size=40),
+        p=st.sampled_from([0, 25, 50, 75, 90, 100]) | st.floats(0, 100),
+    )
+    # Which zero lands at a rank depends on every rank numpy partitions at.
+    @example(values=[-1.0, -0.0, -0.0, 0.0, -0.0], p=90)
+    def test_is_numpys_linear_percentile_bit_for_bit(self, values, p):
+        # Zero-heavy lists, signed zeros and differences that overflow.
+        expected = np.percentile(np.array(values), p, method="linear")
+        assert np.float64(percentile(values, p)).tobytes() == expected.tobytes()
 
 
 def _arrays(pairs):

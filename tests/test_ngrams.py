@@ -759,3 +759,18 @@ def test_dense_rank_branch_gives_the_same_table(monkeypatch, n, min_total):
     expected = oracle_count_many(lines, [key.split(" ") for key in direct.keys], direct.binning)
     for table in (direct, dense):
         assert dict(zip(table.keys, table.counts.tolist())) == expected
+
+
+def test_n_that_no_sentence_reaches_sorts_no_prefix(monkeypatch):
+    # The scan's loops over a key's token positions stop at its longest
+    # recorded sentence, so an n above every sentence's length costs nothing
+    # per width: n = 1,000 over a short corpus sorts no prefix (n - 2 = 998
+    # sorts when each width ran).
+    docs = _unordered_mixed_corpus()
+    passes = []
+    distinct = ngrams._sorted_distinct
+    monkeypatch.setattr(ngrams, "_sorted_distinct", lambda *a: passes.append(1) or distinct(*a))
+    table = build_ngram_table(docs, n=1000)
+    assert passes == []
+    assert table.keys == []
+    assert table.bin_totals == [0] * table.binning.bin_count

@@ -634,7 +634,7 @@ class TestCli:
         path = out / "associations.json"
         text = path.read_text(encoding="utf-8")
         topic_id = next(iter(json.loads(text)))
-        text = re.sub(r'"sim_threshold": [^,]+', f'"sim_threshold": NaN', text, count=1)
+        text = re.sub(r'"sim_threshold":[^,]+', '"sim_threshold":NaN', text, count=1)
         path.write_text(text, encoding="utf-8")
         capsys.readouterr()
         assert main(["salience", "--in", str(out), "--framework", str(framework)]) == 1
@@ -1409,8 +1409,9 @@ assert "_hashlib" in sys.modules, "analyze hashes its artifacts"
 def test_each_subcommand_loads_only_the_modules_it_runs(workspace, tmp_path, command, loaded):
     # Every CLI process pays for importing (without cached bytecode, compiling)
     # what it loads. Of the modules below, each subcommand must load only
-    # what it calls: numpy only where a stage of the pipeline runs. A fresh
-    # interpreter: pytest's own holds them all.
+    # what it calls: numpy only where a stage of the pipeline runs, and
+    # numpy.ma (which np.percentile imports) nowhere. A fresh interpreter:
+    # pytest's own holds them all.
     _, corpus, framework = workspace
     out = tmp_path / "out"
     run_analyze(RunConfig(corpus=corpus, framework=framework, out_dir=out, min_total=1))
@@ -1438,7 +1439,7 @@ try:
 except SystemExit as exc:
     code = exc.code
 assert code == 0, code
-watched = ("numpy", "salience.pipeline", "salience.ngrams", "salience.topics",
+watched = ("numpy", "numpy.ma", "salience.pipeline", "salience.ngrams", "salience.topics",
            "salience.synth", "salience.render")
 print([m.removeprefix("salience.") for m in watched if m in sys.modules])
 """
@@ -1543,7 +1544,7 @@ def test_topic_order_only_permutes_the_artifacts(workspace, tmp_path):
                 else:
                     payload["topics"] = restore(payload["topics"])
                     payload["values"] = [restore(row) for row in payload["values"]]
-                data = (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+                data = (json.dumps(payload, separators=(",", ":")) + "\n").encode("utf-8")
             assert data == base[name], (order, name)
 
 
@@ -1770,6 +1771,31 @@ def test_similarity_refuses_bad_table(workspace, tmp_path, capsys, corrupt, mess
     assert re.search(message, err)
     # The failed stage removes the similarity.csv of the earlier run.
     assert not (out / "similarity.csv").exists()
+
+
+def test_version_1_table_is_refused_from_its_first_block(tmp_path):
+    # A version-1 table lists no sentences: each context holds its text. Its
+    # first block names its version, and nothing after that block is read.
+    header = dict(version=1, n=2, min_total=1, include_titles=True, granularity="month")
+    header.update(origin="2016-01-01", bin_labels=["2016-01"], bin_totals=[60_000])
+    entries = {
+        f"w{i} w{i + 1}": {"counts": [1], "contexts": [[0, f"w{i} w{i + 1} and more words"]]}
+        for i in range(60_000)
+    }
+    path = tmp_path / "ngram_table.json"
+    path.write_text(_compact({**header, "ngrams": entries}) + "\n", encoding="utf-8")
+    assert path.stat().st_size > 4_000_000
+    chars = []
+    with path.open(encoding="utf-8") as fh:
+
+        def read(size):
+            chars.append(len(block := fh.read(size)))
+            return block
+
+        message = f"{path}: n-gram table version 1, this program reads version 2; "
+        with pytest.raises(InputError, match=re.escape(message)):
+            pipeline._table_options(path, SimpleNamespace(read=read))
+    assert 0 < sum(chars) <= runs._READ_CHARS
 
 
 def test_similarity_refuses_the_table_of_another_corpus(workspace, tmp_path, capsys):

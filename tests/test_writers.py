@@ -4,8 +4,9 @@ memory use against the height of the table they write.
 The CSV and table writers render from arrays a bounded block of cells at a
 time; each file must still be byte for byte what csv.writer or one compact
 json.dumps of the whole payload writes, whatever the budget of cells per
-block. The associations and matrix writers render by line templates; each
-file must be what json.dumps(payload, indent=2) and a newline write."""
+block. The associations and matrix writers render by templates; each file
+must be what json.dumps(payload, separators=(",", ":")) and a newline
+write."""
 
 import csv
 import datetime as dt
@@ -248,7 +249,7 @@ def _associations_reference(associations, keys, sims, rsd) -> bytes:
         }
         for column, (topic_id, assoc) in enumerate(associations.items())
     }
-    return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+    return (json.dumps(payload, separators=(",", ":")) + "\n").encode("utf-8")
 
 
 @st.composite
@@ -290,19 +291,19 @@ def _matrix_reference(framework, salience: np.ndarray, label: str, t: int) -> by
             "topics": framework.topic_ids(),
             "values": [values],
         }
-    return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+    return (json.dumps(payload, separators=(",", ":")) + "\n").encode("utf-8")
 
 
 @settings(max_examples=100, deadline=None)
 @given(case=association_cases())
-def test_associations_json_is_json_dumps_indent_2(case):
+def test_associations_json_is_compact_json_dumps(case):
     written = _written(DEFAULT_BUDGET, pipeline.write_associations_json, *case)
     assert written == _associations_reference(*case)
 
 
 @settings(max_examples=100, deadline=None)
 @given(case=matrices(), budget=st.sampled_from(BUDGETS))
-def test_matrix_json_is_json_dumps_indent_2(case, budget):
+def test_matrix_json_is_compact_json_dumps(case, budget):
     framework, salience, bin_labels = case
     matrix = salience_matrix(framework, salience)
     with tempfile.TemporaryDirectory() as folder, mock.patch.object(
