@@ -49,14 +49,16 @@ alphanumeric code point is below U+0030), so sorted texts are in the order
 of the sorted token sequences: word by word, a word before any longer word
 it begins.
 
-The table also carries the tokens of its S sentences, for the similarity
-kernel: sentence s's tokens are words[i] for i in
-token_ids[token_spans[s, 0]:token_spans[s, 1]] ((S, 2) int64 spans, int32
-ids). The build hands over its scan's own ids, every scanned token, each
-kept sentence spanning its run at one of its occurrences, so no sentence is
-tokenized twice and no row is copied. The scan is their one source:
-`ngram_table.json` does not store them, and the similarity subcommand
-scans the corpus again rather than tokenize the file's sentences.
+Sentence ids number the S distinct sentence texts that host a kept
+instance by first use in sorted key order. The scan holds the texts only
+while it reads, so neither the table nor `ngram_table.json` keeps one; a
+rescan of the corpus recovers each. The table carries the tokens of its S
+sentences, for the similarity kernel: sentence s's tokens are words[i] for
+i in token_ids[token_spans[s, 0]:token_spans[s, 1]] ((S, 2) int64 spans,
+int32 ids). The build hands over its scan's own ids, every scanned token,
+each kept sentence spanning its run at one of its occurrences, so no
+sentence is tokenized twice and no row is copied. The scan is their one
+source, and the similarity subcommand scans the corpus again for them.
 """
 
 from __future__ import annotations
@@ -73,6 +75,7 @@ import numpy as np
 from .association import _BLOCK, _blocks
 from .corpus import GRANULARITIES, Document, TimeBinning, analysis_text, span_binning
 from .errors import ConsistencyError, InputError
+from .runs import N_LIMIT
 
 # A sentence boundary: a mark and the whitespace after it, or a newline
 # through the last newline of the whitespace run after it (a blank line).
@@ -122,15 +125,14 @@ class NgramTable:
 
     bin_totals counts every n-gram instance per bin, including instances of
     n-grams later dropped by the min_total filter, so relative usage stays a
-    proportion of all observed instances. Each enclosing sentence is stored
-    once in `sentences`, numbered by first use in sorted n-gram order; a
-    context refers to it by id. Counts, context bins and context sentence
-    ids are int32; positions in an array (`context_start`, and the
+    proportion of all observed instances. A context refers to its enclosing
+    sentence by id, the sentences numbered by first use in sorted n-gram
+    order; no sentence text is held. Counts, context bins and context
+    sentence ids are int32; positions in an array (`context_start`, and the
     `token_spans` of `sentence_tokens`) are int64. `sentence_tokens` is
     (words, token_spans, token_ids), the scan's, as the module docstring
-    describes. A released field reads None: the similarity kernel releases
-    the token rows, and the trends stage the sentences once it has written
-    ngram_table.json, as `load_table_json` does once it has checked it.
+    describes, one row per sentence id; the similarity kernel releases it,
+    and it then reads None.
     """
 
     n: int
@@ -139,7 +141,6 @@ class NgramTable:
     binning: TimeBinning
     keys: list[str]
     bin_totals: list[int]
-    sentences: list[str] | None
     context_start: np.ndarray
     context_bins: np.ndarray
     context_sids: np.ndarray
@@ -307,9 +308,10 @@ def build_ngram_table(
 ) -> NgramTable:
     """Build the n-gram table over documents, in one pass over them.
 
-    The scan interns every token and every distinct sentence as a dense id
-    and records, per sentence of at least n tokens, its document, sentence
-    id and token count, all in int32 arrays; it keeps each document's date
+    The scan interns every token and every distinct sentence text as a
+    dense id, holding the texts only while it reads, and records, per
+    sentence of at least n tokens, its document, sentence id and token
+    count, all in int32 arrays; it keeps each document's date
     and nothing else of it, and creates no object per n-gram or per
     instance. Once the pass has ended the binning is fixed: it spans the
     earliest and latest dates read, as `build_binning` spans them. Each
@@ -327,6 +329,8 @@ def build_ngram_table(
     """
     if n < 1:
         raise InputError("n must be >= 1")
+    if n >= N_LIMIT:
+        raise InputError(f"n must be below {N_LIMIT}: no sentence holds that many tokens")
     if min_total < 1:
         raise InputError("min_total must be >= 1")
     if granularity not in GRANULARITIES:
@@ -354,7 +358,8 @@ def build_ngram_table(
         raise InputError(
             f"{instances} n-gram instances; a table holds fewer than {_INSTANCE_LIMIT}"
         )
-    texts = list(sentence_ids)
+    # The texts only dedupe the sentences: the table keeps none of them.
+    distinct = len(sentence_ids)
     del sentence_ids, sentence_id
 
     # The binning spans the dates read; one bin lookup per distinct date.
@@ -448,22 +453,21 @@ def build_ngram_table(
 
     # Renumber the hosting sentences by first use in sorted key order.
     used = len(contexts)
-    first_use = np.full(len(texts), used, dtype=np.int64)
+    first_use = np.full(distinct, used, dtype=np.int64)
     for lo in range(0, used, _BLOCK):
         block = contexts[lo : lo + _BLOCK, 1]
         np.minimum.at(first_use, block, np.arange(lo, lo + len(block)))
     hosts = contexts[np.sort(first_use[first_use < used]), 1]
-    new_id = np.empty(len(texts), dtype=np.int32)
+    new_id = np.empty(distinct, dtype=np.int32)
     new_id[hosts] = np.arange(len(hosts), dtype=np.int32)
     for lo in range(0, used, _BLOCK):
         contexts[lo : lo + _BLOCK, 1] = new_id[contexts[lo : lo + _BLOCK, 1]]
-    sentences = [texts[i] for i in hosts.tolist()]
     # Each kept sentence's row of tokens is the run of `ranked` at any of
     # its occurrences: one sentence text always has the same tokens.
-    occurrence = np.empty(len(texts), dtype=np.int64)
+    occurrence = np.empty(distinct, dtype=np.int64)
     occurrence[sids] = by_bin
     scanned = occurrence[hosts]
-    del texts, first_use, new_id, occurrence, sids, by_bin, hosts
+    del first_use, new_id, occurrence, sids, by_bin, hosts
     spans = np.empty((len(scanned), 2), dtype=np.int64)
     spans[:, 1] = ends[scanned]
     spans[:, 0] = spans[:, 1] - lengths[scanned]
@@ -476,7 +480,6 @@ def build_ngram_table(
         binning=binning,
         keys=list(map(" ".join, zip(*key_columns))),
         bin_totals=bin_totals,
-        sentences=sentences,
         context_start=context_start,
         context_bins=contexts[:, 0],
         context_sids=contexts[:, 1],

@@ -26,9 +26,10 @@ instances):
 - the n-gram table: the K sorted keys, each an n-gram's text as every
   artifact names it, (K × B) int32 counts, and the contexts in CSR form,
   (K + 1,) int64 starts into one (M, 2) int32 array of (bin, sentence id)
-  pairs; in memory it also holds the scan's token ids of its sentences
-  for the similarity kernel, which `ngram_table.json` does not store and
-  the kernel releases once it has used them;
+  pairs, ids numbering distinct sentence texts, none held, by first use;
+  in memory it also holds the scan's token ids of its sentences for the
+  similarity kernel, which `ngram_table.json` does not store and the
+  kernel releases once it has used them;
 - usage: (K × B) floats, count / bin total, 0 in empty bins;
 - similarities: (K × T) floats, columns in framework topic order;
 - variability: (K,) floats, each row's relative standard deviation;
@@ -94,6 +95,7 @@ from .runs import (
     _NUMBER,
     _READ_CHARS,
     GRANULARITIES,
+    N_LIMIT,
     RunConfig,
     _is_finite_number,
     _read_csv,
@@ -107,9 +109,9 @@ if TYPE_CHECKING:
     from .topics import TopicFramework, VectorSpace
 
 # The ngram_table.json layout that write_table_json writes and load_table_json reads.
-TABLE_VERSION = 2
-# Where the header of ngram_table.json ends: its sentences list follows.
-_SENTENCES = re.compile(r',\s*"sentences"\s*:\s*\[')
+TABLE_VERSION = 3
+# Where the header of ngram_table.json ends: its n-grams follow.
+_NGRAMS = re.compile(r',\s*"ngrams"\s*:\s*\{')
 # The start of a table whose first field is its version, a JSON integer.
 _VERSION = re.compile(r'\s*\{\s*"version"\s*:\s*(-?(?:0|[1-9][0-9]*))\s*[,}]')
 # A refused table's message quotes this many characters of each side.
@@ -261,16 +263,15 @@ def write_table_json(path: Path, table: NgramTable) -> None:
 
 
 def _table_text(table: NgramTable) -> Iterator[str]:
-    """The text of ngram_table.json, in pieces: version 2 lists each context
-    sentence once and gives each n-gram's per-bin counts and its contexts
-    as [bin, sentence id] pairs.
+    """The text of ngram_table.json, in pieces: version 3 gives the header
+    and each n-gram's per-bin counts and its contexts as [bin, sentence id]
+    pairs. It holds no sentence text: the ids number the distinct texts by
+    first use in sorted key order, which one rescan of the corpus replays.
 
     The text is that of one compact json.dumps of the whole table: names
-    and sentences go through the encoder's own ASCII escaper and integers
-    through str. Sentences and n-grams are rendered _BLOCK cells at a
-    time, a sentence holding one cell per character, since its text is far
-    longer than a number's, and an n-gram one cell per bin and one per
-    context.
+    go through the encoder's own ASCII escaper and integers through str.
+    The n-grams are rendered _BLOCK cells at a time, an n-gram holding one
+    cell per bin and one per context.
     """
     header = {
         "version": TABLE_VERSION,
@@ -282,13 +283,7 @@ def _table_text(table: NgramTable) -> Iterator[str]:
         "bin_labels": table.binning.labels(),
         "bin_totals": table.bin_totals,
     }
-    yield json.dumps(header, separators=(",", ":"))[:-1] + ',"sentences":['
-    lengths = np.fromiter(map(len, table.sentences), np.int64, len(table.sentences))
-    for rows in _blocks(np.cumsum(lengths), _BLOCK):
-        yield ("," if rows.start else "") + ",".join(
-            map(encode_basestring_ascii, table.sentences[rows])
-        )
-    yield '],"ngrams":{'
+    yield json.dumps(header, separators=(",", ":"))[:-1] + ',"ngrams":{'
     starts = table.context_start
     cells = starts[1:] - starts[0] + len(table.bin_totals) * np.arange(1, len(starts))
     for rows in _blocks(cells, _BLOCK):
@@ -319,7 +314,7 @@ def load_table_json(path: Path, corpus: Path) -> NgramTable:
     exactly the text `write_table_json` writes for it, compared a piece of
     `_table_text` at a time. A difference, a file too short or too long
     among them, refuses the file; bytes that are not UTF-8 read as U+FFFD,
-    which the writer never writes. The sentence texts are released."""
+    which the writer never writes."""
     from .corpus import read_corpus
     from .ngrams import build_ngram_table
 
@@ -341,21 +336,20 @@ def load_table_json(path: Path, corpus: Path) -> NgramTable:
                     f"table has {expected[at : at + _QUOTED]!r}); re-run the trends stage"
                 )
             offset += len(expected)
-    table.sentences = None
     return table
 
 
 def _table_options(path: Path, fh) -> dict:
     """The scan options of the header of the table open as `fh`, the text
-    before its sentences list, read a block at a time; a file without one is
-    read whole, unless its first block names another version first, as a
-    version-1 table does. Refuses any version but TABLE_VERSION, and checks
-    each option here, so that the scan refuses none with a message that
-    does not name the file."""
+    before its n-grams, read a block at a time; a file without them is read
+    whole, unless its first block names another version first, as a
+    version 1 or 2 table does. Refuses any version but TABLE_VERSION, and
+    checks each option here, so that the scan refuses none with a message
+    that does not name the file."""
     text, start = "", 0
     while block := fh.read(_READ_CHARS):
         text += block
-        if found := _SENTENCES.search(text, start):
+        if found := _NGRAMS.search(text, start):
             text = text[: found.start()] + "}"
             break
         if not start and (lead := _VERSION.match(text)) and int(lead[1]) != TABLE_VERSION:
@@ -382,6 +376,8 @@ def _table_options(path: Path, fh) -> dict:
         for name, value in (("n", n), ("min_total", min_total))
         if type(value) is not int or value < 1
     ]
+    if type(n) is int and n >= N_LIMIT:
+        bad.append(f"n {n!r} is not below {N_LIMIT}")
     if type(titles) is not bool:
         bad.append(f"include_titles {titles!r} is not true or false")
     if granularity not in GRANULARITIES:
@@ -668,9 +664,7 @@ class _Handoff:
 def trends_stage(run: _Run, held: _Handoff) -> str:
     """Trends stage: writes the n-gram table, scanned from the corpus unless
     held, to ngram_table.json and its usage array to ngram_trends.csv. The
-    usage is made after the table is written and dropped once it is, and
-    the sentence texts once the table is written: no later stage reads
-    them, as the similarity kernel reads the token rows the scan left."""
+    usage is made after the table is written and dropped once it is."""
     from .ngrams import usage_matrix
 
     table = held.table or held.scan()
@@ -679,7 +673,6 @@ def trends_stage(run: _Run, held: _Handoff) -> str:
             f"no n-gram reached min-count {table.min_total}; lower --min-count or supply more text"
         )
     write_table_json(run.target("ngram_table.json"), table)
-    table.sentences = None
     usage = usage_matrix(table)
     write_ngram_trends_csv(run.target("ngram_trends.csv"), table, usage, table.binning.labels())
     return f"wrote {len(table.keys)} n-gram trends to {run.out_dir}"
@@ -795,14 +788,14 @@ def run_analyze(config: RunConfig) -> dict:
             # covers the scan; no document is held past it.
             held.load_topics()
             held.table = table = held.scan()
-        # The counts the manifest records, taken before the trends stage
-        # drops the table's sentence texts.
+        # The counts the manifest records, taken before the similarity
+        # kernel releases the sentences' token rows, one per sentence id.
         corpus = {
             "documents": next(held.documents),
             "bins": table.binning.bin_count,
             "ngrams": len(table.keys),
             "instances": sum(table.bin_totals),
-            "sentences": len(table.sentences),
+            "sentences": len(table.sentence_tokens[1]),
         }
         for path in (manifest_path, partial):
             with suppress(FileNotFoundError, NotADirectoryError):

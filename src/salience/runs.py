@@ -5,8 +5,8 @@ readers that need no numpy.
 subcommand runs no stage of the pipeline (`render`, `synth`, `--help`,
 `--version`) loads neither numpy nor the stage modules. It holds:
 
-- `RunConfig`, the options of one `analyze` run, and the choices of two of
-  them, `GRANULARITIES` and `NORMALIZATIONS`;
+- `RunConfig`, the options of one `analyze` run, and the choices or bounds
+  of three of them, `GRANULARITIES`, `NORMALIZATIONS` and `N_LIMIT`;
 - `STAGES`, the one declaration of each stage: the artifacts it reads and
   writes and the fields its subcommand takes;
 - `stage_run` and `_Run`, which time each stage, name it in its errors,
@@ -42,6 +42,7 @@ from .errors import ConsistencyError, InputError, SalienceError, load_json
 
 GRANULARITIES = ("month", "week", "day")
 NORMALIZATIONS = ("zscore", "minmax")
+N_LIMIT = 1 << 31  # n is below this: a sentence's token count is an int32
 
 
 class RunConfig(NamedTuple):

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import datetime as dt
 import json
+from collections import defaultdict
 
 import numpy as np
 import pytest
 
-from salience.corpus import Document
+from salience.corpus import Document, analysis_text
+from salience.ngrams import sentences_with_tokens
 from salience.topics import Topic, TopicFramework
 
 # Four topics with pairwise-disjoint vocabularies. Burst phrases built from
@@ -96,9 +98,27 @@ def framework_file(tmp_path, fw: TopicFramework, name="framework.json"):
 def assert_same_table(a, b) -> None:
     """NgramTable holds arrays and has no ==: compare it field by field,
     arrays by shape, dtype and value."""
-    fields = ("n", "min_total", "include_titles", "binning", "keys", "bin_totals", "sentences")
+    fields = ("n", "min_total", "include_titles", "binning", "keys", "bin_totals")
     for name in fields:
         assert getattr(a, name) == getattr(b, name), name
     for name in ("counts", "context_start", "context_bins", "context_sids"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
+def sentence_texts(table, docs) -> list[str]:
+    """The text of each sentence id of `table`, a scan of `docs`: the
+    documents rescanned with `sentences_with_tokens` in bin order (input
+    order within a bin), each kept n-gram's instances listed in that order,
+    and the distinct texts numbered by first use along the sorted keys. A
+    test oracle: the table and ngram_table.json hold no sentence text."""
+    hosts, n = defaultdict(list), table.n
+    for doc in sorted(docs, key=lambda doc: table.binning.index_of(doc.date)):
+        for raw, tokens in sentences_with_tokens(analysis_text(doc, table.include_titles)):
+            for i in range(len(tokens) - n + 1):
+                hosts[" ".join(tokens[i : i + n])].append(raw)
+    ids: dict[str, int] = {}
+    for key in table.keys:
+        for raw in hosts[key]:
+            ids.setdefault(raw, len(ids))
+    return list(ids)

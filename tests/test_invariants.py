@@ -18,10 +18,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from salience.corpus import Document
 from salience.errors import InputError
+from salience.ngrams import build_ngram_table
 from salience.pipeline import RunConfig, run_analyze
 
-from conftest import TOPIC_WORDS, corpus_file, disjoint_framework, framework_file
+from conftest import TOPIC_WORDS, corpus_file, disjoint_framework, framework_file, sentence_texts
 
 # Sentences drawn from the topics' leading words and a few fillers, so that
 # n-grams score against the topics and some topics gain members.
@@ -68,11 +70,15 @@ def _without(files: dict[str, bytes], *names: str) -> dict[str, bytes]:
     return {name: data for name, data in files.items() if name not in names}
 
 
-def _table_by_text(raw: bytes):
+def _table_by_text(raw: bytes, records):
     """ngram_table.json with each n-gram's contexts as a sorted list of (bin,
-    sentence text): what stays when the scan order of the instances changes."""
+    sentence text): what stays when the scan order of the instances changes.
+    The texts are recovered by rescanning the corpus's records."""
     table = json.loads(raw)
-    sentences = table.pop("sentences")
+    docs = [Document(r["id"], dt.date.fromisoformat(r["date"]), r["text"]) for r in records]
+    scan = build_ngram_table(docs, table["n"], table["min_total"])
+    assert scan.keys == list(table["ngrams"])
+    sentences = sentence_texts(scan, docs)
     ngrams = {
         text: (entry["counts"], sorted((t, sentences[sid]) for t, sid in entry["contexts"]))
         for text, entry in table.pop("ngrams").items()
@@ -90,7 +96,9 @@ def test_document_order_changes_only_the_context_order(docs, rnd):
         a = _analyze(Path(tmp), "a", records, 1)
         b = _analyze(Path(tmp), "b", shuffled, 1)
     assert _without(a, "ngram_table.json") == _without(b, "ngram_table.json")
-    assert _table_by_text(a["ngram_table.json"]) == _table_by_text(b["ngram_table.json"])
+    assert _table_by_text(a["ngram_table.json"], records) == _table_by_text(
+        b["ngram_table.json"], shuffled
+    )
 
 
 @_settings

@@ -33,7 +33,7 @@ from salience.ngrams import (
 from salience.pipeline import RunConfig, load_table_json, run_stage, write_table_json
 from salience.synth import _oracle_sentences, oracle_count_many
 
-from conftest import assert_same_table, corpus_file, day, make_docs
+from conftest import assert_same_table, corpus_file, day, make_docs, sentence_texts
 
 
 # The tokenizer by regex alone, written out apart from the package: tokens are
@@ -99,16 +99,20 @@ def _contexts(table, key):
     return list(zip(table.context_bins[lo:hi].tolist(), table.context_sids[lo:hi].tolist()))
 
 
-def _context_sentences(table, key):
-    return [table.sentences[sid] for _, sid in _contexts(table, key)]
+def _context_sentences(table, docs, key):
+    """One n-gram's context texts, recovered by rescanning `docs`."""
+    texts = sentence_texts(table, docs)
+    return [texts[sid] for _, sid in _contexts(table, key)]
 
 
-def _assert_equals_reference(table, reference):
-    """The columnar table against the dict-of-lists oracle, field by field."""
+def _assert_equals_reference(table, reference, docs):
+    """The columnar table against the dict-of-lists oracle, field by field.
+    The sentence ids must number the oracle's texts, one token row each."""
     binning, bin_totals, sentences, rows = reference
     assert table.binning == binning
     assert table.bin_totals == bin_totals
-    assert table.sentences == sentences
+    assert sentence_texts(table, docs) == sentences
+    assert len(table.sentence_tokens[1]) == len(sentences)
     assert table.keys == list(rows)
     assert table.counts.dtype == np.int32
     assert table.context_start.dtype == np.int64
@@ -295,6 +299,8 @@ class TestBuildTable:
         "options, message",
         [
             pytest.param({"n": 0}, "n must be >= 1", id="n"),
+            pytest.param({"n": 2**31}, "n must be below 2147483648", id="n-2**31"),
+            pytest.param({"n": 10**12}, "n must be below 2147483648", id="n-10**12"),
             pytest.param({"min_total": 0}, "min_total must be >= 1", id="min_total"),
             pytest.param({"granularity": "fortnight"}, "fortnight", id="granularity"),
         ],
@@ -343,7 +349,7 @@ class TestContexts:
     def test_context_is_the_enclosing_sentence(self):
         docs = make_docs([(day(2017, 1), "The runoff election was held. Unrelated line.")])
         table = build_ngram_table(docs, n=2, min_total=1)
-        assert _context_sentences(table, "runoff election") == [
+        assert _context_sentences(table, docs, "runoff election") == [
             "The runoff election was held."
         ]
 
@@ -352,20 +358,20 @@ class TestContexts:
             [(day(2017, 1), "vote count rose. vote count fell"), (day(2017, 2), "vote count")]
         )
         table = build_ngram_table(docs, n=2, min_total=1)
-        assert len(_context_sentences(table, "vote count")) == 3
+        assert len(_context_sentences(table, docs, "vote count")) == 3
 
     def test_duplicate_sentences_not_deduped(self):
         # One context per instance, even when both instances share a sentence id.
         docs = make_docs([(day(2017, 1), "same words"), (day(2017, 2), "same words")])
         table = build_ngram_table(docs, n=2, min_total=1)
-        assert _context_sentences(table, "same words") == ["same words", "same words"]
+        assert _context_sentences(table, docs, "same words") == ["same words", "same words"]
         assert _contexts(table, "same words") == [(0, 0), (1, 0)]
 
     def test_contexts_contain_the_ngram_tokens(self):
         docs = make_docs([(day(2017, 1), "alpha beta gamma. beta gamma delta")])
         table = build_ngram_table(docs, n=2, min_total=1)
         for key in table.keys:
-            for sentence in _context_sentences(table, key):
+            for sentence in _context_sentences(table, docs, key):
                 flat = [t for _, toks in oracle_sentences_with_tokens(sentence) for t in toks]
                 n = len(key.split(" "))
                 assert any(
@@ -381,9 +387,9 @@ class TestContexts:
         )
         table = build_ngram_table(docs, n=2, min_total=3)
         assert table.keys == ["kept pair"]
-        assert table.sentences == ["kept pair here.", "kept pair again."]
+        assert sentence_texts(table, docs) == ["kept pair here.", "kept pair again."]
         used = set(table.context_sids.tolist())
-        assert used == set(range(len(table.sentences)))
+        assert used == set(range(len(table.sentence_tokens[1]))) == {0, 1}
 
 
 words = st.sampled_from(["alpha", "bravo", "charlie", "delta", "Echo"])
@@ -415,10 +421,11 @@ def test_partition_and_count_conservation(items):
             assert abs(share - 1.0) < 1e-9
 
 
-def _bin_sentences(table, key):
+def _bin_sentences(table, docs, key):
     """An n-gram's contexts as sorted (bin, sentence text) pairs: sentence ids
     depend on n-gram order, the texts do not."""
-    return sorted((t, table.sentences[sid]) for t, sid in _contexts(table, key))
+    texts = sentence_texts(table, docs)
+    return sorted((t, texts[sid]) for t, sid in _contexts(table, key))
 
 
 @settings(max_examples=25)
@@ -430,7 +437,8 @@ def test_order_independence(items, rnd):
         Document(id=f"d{orig}", date=day(2017, month), text=text)
         for orig, (month, text) in shuffled_items
     ]
-    a = build_ngram_table(_docs_from(items), n=2, min_total=1)
+    ordered = _docs_from(items)
+    a = build_ngram_table(ordered, n=2, min_total=1)
     b = build_ngram_table(docs, n=2, min_total=1)
     assert a.binning == b.binning
     assert a.bin_totals == b.bin_totals
@@ -438,21 +446,23 @@ def test_order_independence(items, rnd):
     assert np.array_equal(a.counts, b.counts)
     assert np.array_equal(a.context_start, b.context_start)
     for key in a.keys:
-        assert _bin_sentences(a, key) == _bin_sentences(b, key)
+        assert _bin_sentences(a, ordered, key) == _bin_sentences(b, docs, key)
 
 
 @settings(max_examples=40)
 @given(corpus_strat, st.integers(min_value=1, max_value=3))
 def test_sentences_are_distinct_and_each_hosts_a_kept_instance(items, min_total):
-    table = build_ngram_table(_docs_from(items), n=2, min_total=min_total)
-    assert len(set(table.sentences)) == len(table.sentences)
-    first_use = []
+    docs = _docs_from(items)
+    table = build_ngram_table(docs, n=2, min_total=min_total)
+    texts = sentence_texts(table, docs)
+    assert len(set(texts)) == len(texts) == len(table.sentence_tokens[1])
+    # Every sentence id hosts a kept instance, numbered by first use, and
+    # names one text: each context's id gives its rescanned sentence.
+    assert list(dict.fromkeys(table.context_sids.tolist())) == list(range(len(texts)))
     for key in table.keys:
-        for sentence in _context_sentences(table, key):
-            if sentence not in first_use:
-                first_use.append(sentence)
-    # Every listed sentence hosts a kept instance, numbered by first use.
-    assert table.sentences == first_use
+        for sentence in _context_sentences(table, docs, key):
+            tokens = _ORACLE_WORD_RE.findall(sentence)
+            assert key in map(" ".join, zip(tokens, tokens[1:]))
 
 
 mixed_words = st.sampled_from(["alpha", "Echo", "echo", "émile", "Ünï", "2017", "Zulu"])
@@ -477,7 +487,7 @@ def test_table_equals_reference(items, n, min_total):
     month, text = items[0]
     docs = _docs_from(items + [(month % 4 + 1, text)])
     table = build_ngram_table(docs, n=n, min_total=min_total)
-    _assert_equals_reference(table, _reference_table(docs, n=n, min_total=min_total))
+    _assert_equals_reference(table, _reference_table(docs, n=n, min_total=min_total), docs)
 
 
 @settings(max_examples=40)
@@ -560,8 +570,9 @@ def test_token_rows_are_the_sentences_tokens(items, n, min_total):
     words, spans, ids = table.sentence_tokens
     assert words == sorted(words)
     assert spans.dtype == np.int64 and ids.dtype == np.int32
-    assert spans.shape == (len(table.sentences), 2)
-    expected = [_ORACLE_WORD_RE.findall(sentence) for sentence in table.sentences]
+    texts = sentence_texts(table, docs)
+    assert spans.shape == (len(texts), 2)
+    expected = [_ORACLE_WORD_RE.findall(sentence) for sentence in texts]
     assert _decoded(table.sentence_tokens) == expected
 
 
@@ -602,8 +613,8 @@ def test_scan_equals_the_regex_oracle(items, n, include_titles):
     ]
     table = build_ngram_table(docs, n=n, min_total=1, include_titles=include_titles)
     reference = _reference_table(docs, n=n, include_titles=include_titles)
-    _assert_equals_reference(table, reference)
-    expected = [_ORACLE_WORD_RE.findall(sentence) for sentence in table.sentences]
+    _assert_equals_reference(table, reference, docs)
+    expected = [_ORACLE_WORD_RE.findall(sentence) for sentence in reference[2]]
     assert _decoded(table.sentence_tokens) == expected
 
 
@@ -644,27 +655,27 @@ def test_streamed_file_equals_the_binned_corpus(docs, granularity, n):
         table = build_ngram_table(read_corpus(path), n=n, min_total=1, granularity=granularity)
         documents = load_corpus(path)
     assert table.binning == build_binning(documents, granularity)
-    _assert_equals_reference(table, _reference_table(documents, n=n, granularity=granularity))
+    reference = _reference_table(documents, n=n, granularity=granularity)
+    _assert_equals_reference(table, reference, documents)
     held = build_ngram_table(documents, n=n, min_total=1, granularity=granularity)
     assert_same_table(table, held)
-    expected = [_ORACLE_WORD_RE.findall(sentence) for sentence in table.sentences]
+    expected = [_ORACLE_WORD_RE.findall(sentence) for sentence in reference[2]]
     assert _decoded(table.sentence_tokens) == expected
 
 
 @pytest.mark.parametrize("block", [1, 8])
 def test_write_blocks_do_not_change_the_table(tmp_path, monkeypatch, block):
     # Every n-gram holds four counts and a context or more, so under either
-    # budget each is a block of its own; the sentences go one, then eight, at
-    # a time.
+    # budget each is a block of its own.
     docs = _docs_from([(1, "a b c. b c d"), (2, "a b. c d e"), (3, "b c d"), (4, "émile a b")])
     table = build_ngram_table(docs, n=2, min_total=1)
     monkeypatch.setattr(pipeline, "_BLOCK", block)
     path = tmp_path / "ngram_table.json"
     write_table_json(path, table)
     # The file is one compact json.dumps of the whole table.
-    binning, bin_totals, sentences, rows = _reference_table(docs, n=2)
+    binning, bin_totals, _, rows = _reference_table(docs, n=2)
     payload = {
-        "version": 2,
+        "version": 3,
         "n": 2,
         "min_total": 1,
         "include_titles": True,
@@ -672,7 +683,6 @@ def test_write_blocks_do_not_change_the_table(tmp_path, monkeypatch, block):
         "origin": binning.origin.isoformat(),
         "bin_labels": binning.labels(),
         "bin_totals": bin_totals,
-        "sentences": sentences,
         "ngrams": {
             key: {"counts": counts, "contexts": contexts}
             for key, (counts, contexts) in rows.items()
@@ -681,9 +691,7 @@ def test_write_blocks_do_not_change_the_table(tmp_path, monkeypatch, block):
     assert path.read_text(encoding="utf-8") == json.dumps(payload, separators=(",", ":")) + "\n"
     # The loader compares the file with the same pieces of text.
     records = [{"id": doc.id, "date": doc.date.isoformat(), "text": doc.text} for doc in docs]
-    loaded = load_table_json(path, corpus_file(tmp_path, records))
-    loaded.sentences = table.sentences
-    assert_same_table(loaded, table)
+    assert_same_table(load_table_json(path, corpus_file(tmp_path, records)), table)
 
 
 def test_scan_of_too_many_instances_is_refused(monkeypatch):
@@ -701,9 +709,9 @@ def test_no_sentence_reaches_n_tokens(tmp_path):
     docs = _docs_from([(1, "one two. three"), (3, "four five six")])
     table = build_ngram_table(docs, n=4, min_total=1)
     assert table.keys == []
-    assert table.sentences == []
+    assert len(table.sentence_tokens[1]) == 0
     assert table.bin_totals == [0, 0, 0]
-    _assert_equals_reference(table, _reference_table(docs, n=4))
+    _assert_equals_reference(table, _reference_table(docs, n=4), docs)
     records = [{"id": doc.id, "date": doc.date.isoformat(), "text": doc.text} for doc in docs]
     config = RunConfig(
         corpus=corpus_file(tmp_path, records), framework=None, out_dir=tmp_path, n=4, min_total=1
@@ -751,7 +759,7 @@ def test_dense_rank_branch_gives_the_same_table(monkeypatch, n, min_total):
     assert len(passes) == 2 * max(n - 2, 0) + 1
     assert_same_table(dense, direct)
     assert _decoded(dense.sentence_tokens) == _decoded(direct.sentence_tokens)
-    _assert_equals_reference(direct, _reference_table(docs, n=n, min_total=min_total))
+    _assert_equals_reference(direct, _reference_table(docs, n=n, min_total=min_total), docs)
     # Both against the naive window scan over the JSONL records.
     lines = [
         json.dumps({"id": doc.id, "date": doc.date.isoformat(), "text": doc.text}) for doc in docs

@@ -3,6 +3,7 @@ import dataclasses
 import datetime as dt
 import functools
 import hashlib
+import importlib.util
 import io
 import itertools
 import json
@@ -36,7 +37,13 @@ from salience.pipeline import (
     write_table_json,
 )
 from salience.runs import load_matrix_json
-from salience.synth import PlantedEvent, SynthSpec, corpus_to_jsonl, generate_corpus
+from salience.synth import (
+    PlantedEvent,
+    SynthSpec,
+    corpus_to_jsonl,
+    generate_corpus,
+    news_scale_spec,
+)
 
 from conftest import (
     assert_same_table,
@@ -106,6 +113,25 @@ def assert_some_topic_has_members(out_dir: Path) -> None:
     assert any(value != 0.0 for row in salience.values() for value in row)
 
 
+def _context_sentence_ids(path: Path) -> np.ndarray:
+    """The sentence id of every context in ngram_table.json, in file order:
+    along the sorted keys, each n-gram's contexts in order. Read by pattern,
+    one n-gram at a time, since json.loads makes a list of every context."""
+    text = path.read_text(encoding="utf-8")
+    entries = re.finditer(r'"contexts":\[(.*?)\]\}', text)
+    ids = [np.array(re.findall(r",(\d+)\]", entry[1]), dtype=np.int64) for entry in entries]
+    return np.concatenate(ids)
+
+
+def assert_ids_number_the_sentences(path: Path, count: int) -> None:
+    """The contexts of ngram_table.json hold the sentence ids 0 ... count - 1,
+    each first used after the one before it: numbered by first use along the
+    sorted keys."""
+    ids, first = np.unique(_context_sentence_ids(path), return_index=True)
+    assert ids.tolist() == list(range(count))
+    assert (np.diff(first) > 0).all()
+
+
 class TestAnalyze:
     def test_writes_every_artifact(self, workspace):
         tmp, corpus, framework = workspace
@@ -132,14 +158,13 @@ class TestAnalyze:
         assert listed == on_disk
         for rel, digest in manifest["artifacts"].items():
             assert hashlib.sha256((out / rel).read_bytes()).hexdigest() == digest
-        sentences = json.loads((out / "ngram_table.json").read_text())["sentences"]
-        assert manifest["corpus"]["sentences"] == len(set(sentences)) == len(sentences) > 0
+        assert manifest["corpus"]["sentences"] > 0
+        assert_ids_number_the_sentences(out / "ngram_table.json", manifest["corpus"]["sentences"])
 
     def test_sentence_texts_are_dropped_once_the_table_is_written(self, workspace, monkeypatch):
-        # After the trends stage the texts are released, and after the
-        # similarity stage the token rows: the kernel scores from the token
-        # rows of analyze's one scan, and the manifest's count was taken
-        # before the texts went.
+        # The table holds no sentence text, and after the similarity stage
+        # no token rows: the kernel scores from the token rows of analyze's
+        # one scan, and the manifest's count was taken before they went.
         tmp, corpus, framework = workspace
         written, write = [], pipeline.write_table_json
         scans, scan = [], ngrams.build_ngram_table
@@ -158,9 +183,9 @@ class TestAnalyze:
         manifest = run_analyze(RunConfig(corpus=corpus, framework=framework, out_dir=out))
         assert scans == written
         (table,) = written
-        assert table.sentences is None and table.sentence_tokens is None
-        sentences = json.loads((out / "ngram_table.json").read_text())["sentences"]
-        assert manifest["corpus"]["sentences"] == len(sentences) > 0
+        assert not hasattr(table, "sentences") and table.sentence_tokens is None
+        sids = _context_sentence_ids(out / "ngram_table.json")
+        assert manifest["corpus"]["sentences"] == len(np.unique(sids)) > 0
 
     def test_manifest_times_each_stage(self, workspace):
         tmp, corpus, framework = workspace
@@ -977,7 +1002,6 @@ class TestCli:
             binning=TimeBinning("month", dt.date(2016, 1, 1), 33),
             keys=keys,
             bin_totals=counts.sum(axis=0).tolist(),
-            sentences=["s"],
             context_start=starts,
             context_bins=np.zeros(starts[-1], dtype=np.int32),
             context_sids=np.zeros(starts[-1], dtype=np.int32),
@@ -1584,8 +1608,8 @@ def test_similarity_csv_is_csv_writer_output(tmp_path):
 def test_table_write_then_load_round_trips(workspace, tmp_path):
     # The loaded table is the built one field by field, its header (n,
     # min_total, the binning and include_titles) included, for every
-    # granularity: the loader scans with the header's options. It releases
-    # the sentence texts, and keeps the scan's token rows for the kernel.
+    # granularity: the loader scans with the header's options. It keeps the
+    # scan's token rows for the kernel.
     _, corpus, _ = workspace
     options = ((2, "month", True), (3, "week", False), (1, "day", True))
     for n, granularity, include_titles in options:
@@ -1596,23 +1620,34 @@ def test_table_write_then_load_round_trips(workspace, tmp_path):
         path = tmp_path / f"{granularity}.json"
         write_table_json(path, table)
         loaded = load_table_json(path, corpus)
-        assert loaded.sentences is None
-        assert_same_table(dataclasses.replace(loaded, sentences=table.sentences), table)
+        assert_same_table(loaded, table)
         for got, expected in zip(loaded.sentence_tokens, table.sentence_tokens):
             assert np.array_equal(got, expected)
-        assert json.loads(path.read_text(encoding="utf-8"))["version"] == 2
+        assert json.loads(path.read_text(encoding="utf-8"))["version"] == 3
 
 
+# An older table's sentence texts stand in as "sentence <id>": the version
+# alone refuses it, so no text is read.
 def _version_1(table):
+    # Each context holds its sentence's text.
     table["version"] = 1
-    sentences = table.pop("sentences")
     for entry in table["ngrams"].values():
-        entry["contexts"] = [[t, sentences[sid]] for t, sid in entry["contexts"]]
+        entry["contexts"] = [[t, f"sentence {sid}"] for t, sid in entry["contexts"]]
+
+
+def _version_2(table):
+    # The header, then each context sentence once, then the n-grams.
+    ngrams = table.pop("ngrams")
+    sids = {sid for entry in ngrams.values() for _, sid in entry["contexts"]}
+    table.update(version=2, sentences=[f"sentence {sid}" for sid in range(len(sids))])
+    table["ngrams"] = ngrams
 
 
 def _sentence_id_out_of_range(table):
     entry = next(iter(table["ngrams"].values()))
-    entry["contexts"][0][1] = len(table["sentences"])
+    entry["contexts"][0][1] = 1 + max(
+        sid for other in table["ngrams"].values() for _, sid in other["contexts"]
+    )
 
 
 def _negative_sentence_id(table):
@@ -1685,6 +1720,7 @@ def _not_utf8(table):
     "corrupt, message",
     [
         pytest.param(_version_1, "version 1, .*; re-run the trends stage", id="version-1"),
+        pytest.param(_version_2, "version 2, .*; re-run the trends stage", id="version-2"),
         pytest.param(_sentence_id_out_of_range, None, id="sentence-id"),
         pytest.param(_negative_sentence_id, None, id="negative-sentence-id"),
         pytest.param(_non_integer_bin, None, id="non-integer-bin"),
@@ -1731,7 +1767,7 @@ def _not_utf8(table):
             _header(bin_totals=lambda totals: [0] * len(totals)), None, id="bin-totals-zero"
         ),
         # The scan takes min_total from the header and keeps no n-gram, so
-        # the text differs later, where the sentences begin.
+        # the text differs later, where the n-grams begin.
         pytest.param(
             _header(min_total=10**6),
             "not the n-gram table of .* \\(it differs at character \\d+: the file has '\"",
@@ -1773,29 +1809,101 @@ def test_similarity_refuses_bad_table(workspace, tmp_path, capsys, corrupt, mess
     assert not (out / "similarity.csv").exists()
 
 
-def test_version_1_table_is_refused_from_its_first_block(tmp_path):
-    # A version-1 table lists no sentences: each context holds its text. Its
-    # first block names its version, and nothing after that block is read.
-    header = dict(version=1, n=2, min_total=1, include_titles=True, granularity="month")
-    header.update(origin="2016-01-01", bin_labels=["2016-01"], bin_totals=[60_000])
-    entries = {
-        f"w{i} w{i + 1}": {"counts": [1], "contexts": [[0, f"w{i} w{i + 1} and more words"]]}
-        for i in range(60_000)
-    }
-    path = tmp_path / "ngram_table.json"
-    path.write_text(_compact({**header, "ngrams": entries}) + "\n", encoding="utf-8")
-    assert path.stat().st_size > 4_000_000
-    chars = []
-    with path.open(encoding="utf-8") as fh:
+def test_version_1_table_is_refused_from_its_first_block(tmp_path, capsys):
+    # A version-1 table lists no sentences: each context holds its text. A
+    # version-2 table lists each sentence once, between its header and its
+    # n-grams, so its n-grams begin past the first block. Either's first
+    # block names its version, and nothing after that block is read.
+    texts = [f"w{i} w{i + 1} and more words" for i in range(60_000)]
+    corpus = corpus_file(tmp_path, [{"id": "d0", "date": "2016-01-01", "text": texts[0]}])
+    framework = framework_file(tmp_path, disjoint_framework())
+    for version in (1, 2):
+        header = dict(version=version, n=2, min_total=1, include_titles=True, granularity="month")
+        header.update(origin="2016-01-01", bin_labels=["2016-01"], bin_totals=[60_000])
+        if version == 2:
+            header["sentences"] = texts
+        entries = {
+            f"w{i} w{i + 1}": {"counts": [1], "contexts": [[0, i if version == 2 else texts[i]]]}
+            for i in range(60_000)
+        }
+        out = tmp_path / f"version-{version}"
+        out.mkdir()
+        path = out / "ngram_table.json"
+        path.write_text(_compact({**header, "ngrams": entries}) + "\n", encoding="utf-8")
+        assert path.stat().st_size > 4_000_000
+        message = (
+            f"{path}: n-gram table version {version}, this program reads version 3; "
+            "re-run the trends stage"
+        )
+        chars = []
+        with path.open(encoding="utf-8") as fh:
 
-        def read(size):
-            chars.append(len(block := fh.read(size)))
-            return block
+            def read(size):
+                chars.append(len(block := fh.read(size)))
+                return block
 
-        message = f"{path}: n-gram table version 1, this program reads version 2; "
-        with pytest.raises(InputError, match=re.escape(message)):
-            pipeline._table_options(path, SimpleNamespace(read=read))
-    assert 0 < sum(chars) <= runs._READ_CHARS
+            with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+                pipeline._table_options(path, SimpleNamespace(read=read))
+        assert 0 < sum(chars) <= runs._READ_CHARS
+        capsys.readouterr()
+        args = ["--in", str(out), "--corpus", str(corpus), "--framework", str(framework)]
+        assert main(["similarity", *args]) == 1
+        assert capsys.readouterr().err == f"error: similarity: {message}\n"
+
+
+@pytest.mark.parametrize("n", [2**31, 10**12])
+def test_n_of_2_to_the_31_or_more_exits_one(workspace, tmp_path, capsys, n):
+    # The scan counts a sentence's tokens in an int32, so an n of 2**31 or
+    # more is refused before a document is read: from the command line, and
+    # from a table's header, where the message names the file. Both once
+    # subtracted n - 1 from an int32 array and exited 2 on its OverflowError.
+    _, corpus, framework = workspace
+    out = tmp_path / "out"
+    assert main(["trends", "--corpus", str(corpus), "--n", str(n), "--out", str(out)]) == 1
+    limit = "2147483648"
+    expected = f"error: trends: n must be below {limit}: no sentence holds that many tokens\n"
+    assert capsys.readouterr().err == expected
+    assert not out.exists()
+    assert main(["trends", "--corpus", str(corpus), "--out", str(out)]) == 0
+    path = out / "ngram_table.json"
+    table = json.loads(path.read_text(encoding="utf-8"))
+    path.write_text(_compact({**table, "n": n}) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    args = ["--in", str(out), "--corpus", str(corpus), "--framework", str(framework)]
+    assert main(["similarity", *args]) == 1
+    expected = f"error: similarity: {path}: bad table header: n {n} is not below {limit}\n"
+    assert capsys.readouterr().err == expected
+
+
+def _perfbench_corpora(monkeypatch):
+    """perfbench/corpora.py, the benchmark's corpus generators, imported for
+    one test (its dataclass needs its module in sys.modules)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "corpora.py"
+    spec = importlib.util.spec_from_file_location("perfbench_corpora", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["demo", "zipf5k"])
+def test_manifest_counts_the_sentence_ids_of_the_table(tmp_path, monkeypatch, name):
+    # The manifest's sentence count is the number of distinct sentence ids
+    # in the table's contexts (perfbench's check reports it as
+    # unique_contexts), and the ids are 0 ... S - 1 by first use along the
+    # sorted keys: on the demo corpus and on perfbench's zipf5k (seed 1).
+    corpus = tmp_path / f"{name}.jsonl"
+    if name == "demo":
+        docs, _ = generate_corpus(news_scale_spec(seed=7))
+        corpus.write_text(corpus_to_jsonl(docs), encoding="utf-8")
+    else:
+        _perfbench_corpora(monkeypatch).write_zipf(corpus, 1)
+    framework = tmp_path / "pmesii_ascope.json"
+    framework.write_bytes((Path(pipeline.__file__).parent / "data" / framework.name).read_bytes())
+    out = tmp_path / "out"
+    manifest = run_analyze(RunConfig(corpus=corpus, framework=framework, out_dir=out))
+    assert manifest["corpus"]["sentences"] > 0
+    assert_ids_number_the_sentences(out / "ngram_table.json", manifest["corpus"]["sentences"])
 
 
 def test_similarity_refuses_the_table_of_another_corpus(workspace, tmp_path, capsys):

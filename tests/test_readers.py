@@ -69,7 +69,6 @@ def _trends_table(keys, totals, bins: int) -> NgramTable:
         binning=TimeBinning("month", dt.date(2016, 1, 1), bins),
         keys=keys,
         bin_totals=[1] * bins,
-        sentences=["s"],
         context_start=starts,
         context_bins=np.zeros(starts[-1], dtype=np.int32),
         context_sids=np.zeros(starts[-1], dtype=np.int32),

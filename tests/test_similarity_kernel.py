@@ -183,7 +183,6 @@ def _table(records) -> NgramTable:
         binning=TimeBinning("month", day(2017, 1), 1),
         keys=[key for key, _ in records],
         bin_totals=[10_000],
-        sentences=sentences,
         context_start=start,
         context_bins=np.zeros(len(sids), dtype=np.int64),
         context_sids=sids,

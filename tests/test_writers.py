@@ -88,13 +88,13 @@ def _keys(draw, rows: int) -> list[str]:
 def tables(draw, rows=st.integers(1, 9), bins=st.integers(1, 5)):
     """An NgramTable and its contexts as Python lists, one list per n-gram."""
     bins, rows = draw(bins), draw(rows)
-    sentences = draw(st.lists(st.text(max_size=8), min_size=1, max_size=6))
-    pair = st.tuples(st.integers(0, bins - 1), st.integers(0, len(sentences) - 1))
+    sentences = draw(st.integers(1, 6))
+    pair = st.tuples(st.integers(0, bins - 1), st.integers(0, sentences - 1))
     contexts = [draw(st.lists(pair, min_size=1, max_size=5)) for _ in range(rows)]
-    return _table(_keys(draw, rows), bins, sentences, contexts), contexts
+    return _table(_keys(draw, rows), bins, contexts), contexts
 
 
-def _table(keys, bins, sentences, contexts) -> NgramTable:
+def _table(keys, bins, contexts) -> NgramTable:
     flat = np.array([p for ngram in contexts for p in ngram], dtype=np.int64).reshape(-1, 2)
     return NgramTable(
         n=2,
@@ -103,7 +103,6 @@ def _table(keys, bins, sentences, contexts) -> NgramTable:
         binning=TimeBinning("day", dt.date(2016, 2, 28), bins),
         keys=keys,
         bin_totals=list(range(bins)),
-        sentences=sentences,
         context_start=np.cumsum([0] + [len(ngram) for ngram in contexts]),
         context_bins=flat[:, 0],
         context_sids=flat[:, 1],
@@ -123,7 +122,6 @@ def _table_reference(table: NgramTable, contexts) -> bytes:
         "origin": "2016-02-28",
         "bin_labels": labels,
         "bin_totals": table.bin_totals,
-        "sentences": table.sentences,
         "ngrams": {},
     }
     for key, pairs in zip(table.keys, contexts):
@@ -334,9 +332,9 @@ def _wide_cases():
     values = rng.choice(np.array(SPECIAL_FLOATS), size=(3, width))
     keys = ["a b", "b c", "c d"]
     contexts = [[(0, 0)], [(t % 2, t % 3) for t in range(width)], [(1, 2), (0, 1)]]
-    table = _table(keys, 2, ["x", "y", "z"], contexts)
+    table = _table(keys, 2, contexts)
     labels = [f"bin {t}" for t in range(width)]
-    wide_table = _table(keys, width, ["x"], [[(t, 0)] for t in (0, width - 1, 5)])
+    wide_table = _table(keys, width, [[(t, 0)] for t in (0, width - 1, 5)])
     return [
         pytest.param(
             pipeline.write_ngram_trends_csv,
@@ -404,7 +402,7 @@ def _tall_inputs(name: str, rows: int):
     keys = [f"w{i:06d} x" for i in range(rows)]
     bins_of, sids_of = rng.integers(0, bins, (rows, 4)), rng.integers(0, rows, (rows, 4))
     contexts = [list(zip(t, s)) for t, s in zip(bins_of.tolist(), sids_of.tolist())]
-    table = _table(keys, bins, [f"sentence number {i}" for i in range(rows)], contexts)
+    table = _table(keys, bins, contexts)
     table.counts  # computed on first use: the table holds it, not the writer
     if name == "write_ngram_trends_csv":
         return table, rng.random((rows, bins)), [f"bin {t}" for t in range(bins)]
